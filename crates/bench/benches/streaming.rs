@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dphls_bench::perf::make_workload;
 use dphls_core::KernelConfig;
-use dphls_host::{run_batched, run_streamed, StreamConfig};
+use dphls_host::{run_batched, run_streamed, BatchConfig, StreamConfig};
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_systolic::{CycleModelParams, Device, KernelCycleInfo};
 use std::time::Duration;
@@ -38,7 +38,10 @@ fn bench_streaming(c: &mut Criterion) {
         .throughput(Throughput::Elements(pairs as u64));
 
     g.bench_with_input(BenchmarkId::new("batched", pairs), &pairs, |b, _| {
-        b.iter(|| run_batched::<GlobalLinear>(&device, &params, &workload).unwrap())
+        b.iter(|| {
+            run_batched::<GlobalLinear>(&device, &params, &workload, BatchConfig::default())
+                .unwrap()
+        })
     });
     for (name, cfg) in [
         ("streamed_default", StreamConfig::default()),

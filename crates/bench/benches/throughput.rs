@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dphls_bench::naive::run_systolic_naive;
 use dphls_bench::perf::make_workload;
 use dphls_core::KernelConfig;
-use dphls_host::run_batched;
+use dphls_host::{run_batched, BatchConfig};
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_systolic::{
     run_systolic_with_scratch, CycleModelParams, Device, KernelCycleInfo, SystolicScratch,
@@ -59,7 +59,12 @@ fn bench_throughput(c: &mut Criterion) {
     g.bench_with_input(
         BenchmarkId::new("work_stealing_nk4", pairs),
         &pairs,
-        |b, _| b.iter(|| run_batched::<GlobalLinear>(&device, &params, &workload).unwrap()),
+        |b, _| {
+            b.iter(|| {
+                run_batched::<GlobalLinear>(&device, &params, &workload, BatchConfig::default())
+                    .unwrap()
+            })
+        },
     );
     g.finish();
 }

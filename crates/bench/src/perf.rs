@@ -14,8 +14,8 @@
 use crate::naive::run_systolic_naive;
 use dphls_core::{Banding, I8Lanes, KernelConfig, LaneKernel, LanePrecision};
 use dphls_host::{
-    run_batched, run_batched_adaptive, run_batched_resilient, run_batched_with, run_streamed,
-    BatchConfig, FleetConfig, ResilienceConfig, StreamConfig,
+    run_batched, run_batched_adaptive, run_batched_engine, run_streamed, BatchConfig, ExactEngine,
+    FleetConfig, ResilienceConfig, StreamConfig,
 };
 use dphls_kernels::{
     default_banding, AffineParams, GlobalAffine, GlobalLinear, LinearParams, NoParams, Sdtw,
@@ -558,7 +558,8 @@ where
 
         let start = Instant::now();
         std::hint::black_box(
-            run_batched::<K>(&device, params, workload).expect("bench workload must be valid"),
+            run_batched::<K>(&device, params, workload, BatchConfig::default())
+                .expect("bench workload must be valid"),
         );
         let batched = aps(n, start);
 
@@ -692,7 +693,7 @@ pub fn measure_streaming(scale: usize) -> StreamingComparison {
     for _ in 0..rounds {
         let start = Instant::now();
         std::hint::black_box(
-            run_batched::<GlobalLinear>(&device, &params, &workload)
+            run_batched::<GlobalLinear>(&device, &params, &workload, BatchConfig::default())
                 .expect("bench workload must be valid"),
         );
         let batched = aps(n, start);
@@ -776,14 +777,10 @@ pub fn measure_nb_scaling(scale: usize) -> NbScaling {
     // machine-independent. The NB=1 configuration needs its own functional
     // pass; the NB=4 figure is read off the first timed round below (it is
     // slot-count-independent — the invariant `tests/nb_slots.rs` holds).
-    let modeled_nb1_aps = run_batched_with::<GlobalLinear>(
-        &device_nb1,
-        &params,
-        &workload,
-        BatchConfig::single_slot(),
-    )
-    .expect("bench workload must be valid")
-    .throughput_aps;
+    let modeled_nb1_aps =
+        run_batched::<GlobalLinear>(&device_nb1, &params, &workload, BatchConfig::single_slot())
+            .expect("bench workload must be valid")
+            .throughput_aps;
     let mut modeled_nb_aps = 0.0f64;
 
     // Wall-clock slot scaling: interleaved rounds, median ratio wholesale
@@ -793,26 +790,16 @@ pub fn measure_nb_scaling(scale: usize) -> NbScaling {
     for _ in 0..rounds {
         let start = Instant::now();
         let report = std::hint::black_box(
-            run_batched_with::<GlobalLinear>(
-                &device_nb,
-                &params,
-                &workload,
-                BatchConfig::single_slot(),
-            )
-            .expect("bench workload must be valid"),
+            run_batched::<GlobalLinear>(&device_nb, &params, &workload, BatchConfig::single_slot())
+                .expect("bench workload must be valid"),
         );
         let slots1 = aps(n, start);
         modeled_nb_aps = report.throughput_aps;
 
         let start = Instant::now();
         std::hint::black_box(
-            run_batched_with::<GlobalLinear>(
-                &device_nb,
-                &params,
-                &workload,
-                BatchConfig::slots(nb),
-            )
-            .expect("bench workload must be valid"),
+            run_batched::<GlobalLinear>(&device_nb, &params, &workload, BatchConfig::slots(nb))
+                .expect("bench workload must be valid"),
         );
         let slots_nb = aps(n, start);
         samples.push((slots1, slots_nb));
@@ -878,7 +865,7 @@ pub fn measure_fleet(scale: usize) -> Fleet {
     for _ in 0..rounds {
         let start = Instant::now();
         let report = std::hint::black_box(
-            run_batched_with::<GlobalLinear>(&device, &params, &workload, single)
+            run_batched::<GlobalLinear>(&device, &params, &workload, single)
                 .expect("bench workload must be valid"),
         );
         let d1 = aps(n, start);
@@ -886,7 +873,7 @@ pub fn measure_fleet(scale: usize) -> Fleet {
 
         let start = Instant::now();
         let report = std::hint::black_box(
-            run_batched_with::<GlobalLinear>(&device, &params, &workload, sharded)
+            run_batched::<GlobalLinear>(&device, &params, &workload, sharded)
                 .expect("bench workload must be valid"),
         );
         let d = aps(n, start);
@@ -917,7 +904,7 @@ pub fn measure_fleet(scale: usize) -> Fleet {
 
 /// Measures the overhead of the instrumented resilience path on the
 /// fault-free banded acceptance workload (scaled by `scale`):
-/// `run_batched_resilient` under [`ResilienceConfig::standard`] (deadline
+/// [`run_batched_engine`] under [`ResilienceConfig::standard`] (deadline
 /// `Instant` reads, `catch_unwind` frame, retry bookkeeping — but zero
 /// faults) against the same engine under [`ResilienceConfig::disabled`]
 /// (the legacy fast path). Interleaved rounds, median ratio taken
@@ -929,7 +916,7 @@ pub fn measure_resilience_overhead(scale: usize) -> ResilienceOverhead {
     let nk = 4usize;
     let half_width = 16usize;
     let workload = make_workload(pairs, len, 0xD9);
-    let params = LinearParams::<i16>::dna();
+    let engine = ExactEngine::<GlobalLinear>::new(LinearParams::<i16>::dna());
     let config = KernelConfig::new(32, 1, nk)
         .with_max_lengths(len, len)
         .with_banding(half_width);
@@ -946,9 +933,9 @@ pub fn measure_resilience_overhead(scale: usize) -> ResilienceOverhead {
     for _ in 0..rounds {
         let start = Instant::now();
         std::hint::black_box(
-            run_batched_resilient::<GlobalLinear>(
+            run_batched_engine::<GlobalLinear, _>(
                 &device,
-                &params,
+                &engine,
                 &workload,
                 BatchConfig::default(),
                 &disabled,
@@ -960,9 +947,9 @@ pub fn measure_resilience_overhead(scale: usize) -> ResilienceOverhead {
 
         let start = Instant::now();
         let report = std::hint::black_box(
-            run_batched_resilient::<GlobalLinear>(
+            run_batched_engine::<GlobalLinear, _>(
                 &device,
-                &params,
+                &engine,
                 &workload,
                 BatchConfig::default(),
                 &standard,

@@ -7,8 +7,8 @@
 //! [`FaultPlan::random`], so every chaos run is reproducible from its seed.
 //!
 //! Both engines accept an optional plan
-//! ([`run_batched_resilient`](crate::scheduler::run_batched_resilient),
-//! [`run_streamed_resilient`](crate::streaming::run_streamed_resilient));
+//! ([`run_batched_engine`](crate::scheduler::run_batched_engine),
+//! [`run_streamed_engine`](crate::streaming::run_streamed_engine));
 //! `None` (the production configuration) skips every injection check.
 //! `tests/chaos.rs` drives the degradation contract on top: surviving
 //! outputs bit-identical to the fault-free run, input-ordered, and every

@@ -1,7 +1,28 @@
 //! Host-side runtime for the DP-HLS reproduction (paper §4 step 6):
 //! batching work across the device's `NK` channels with host threads
-//! ([`scheduler`]) and aligning arbitrarily long reads on a fixed-size
-//! device kernel with GACT-style tiling ([`tiling`]).
+//! ([`scheduler`]), streaming them through a bounded-memory pipeline
+//! ([`streaming`], [`session`]), and aligning arbitrarily long reads on a
+//! fixed-size device kernel with GACT-style tiling ([`tiling`]).
+//!
+//! # Entry points
+//!
+//! Eight run/spawn doors onto two engines. A single device, a fault-free
+//! run and exact precision are degenerate *values* of the full doors'
+//! arguments ([`FleetConfig::single`], [`ResilienceConfig::disabled`],
+//! `None` for the [`FaultPlan`], an [`ExactEngine`]), not separate
+//! functions; what happens to one pair in one block slot is one private
+//! body (`slot.rs`) under both engines.
+//!
+//! | Door | Role |
+//! |------|------|
+//! | [`run_batched`] | exact, abort-on-first-failure batch run |
+//! | [`run_batched_engine`] | the full batch door: any [`PairEngine`], fleet, resilience, fault plan |
+//! | [`run_batched_adaptive`] | [`run_batched_engine`] on a [`PrecisionEngine`] |
+//! | [`run_streamed`] | exact, abort-on-first-failure stream into a sink |
+//! | [`run_streamed_engine`] | the full stream door |
+//! | [`run_streamed_adaptive`] | [`run_streamed_engine`] on a [`PrecisionEngine`] |
+//! | [`StreamSession::spawn_engine`] | the one long-lived session constructor |
+//! | [`StreamSession::spawn_adaptive`] | `spawn_engine` on a [`PrecisionEngine`] |
 //!
 //! # Example
 //!
@@ -31,23 +52,22 @@ pub mod fleet;
 pub mod resilience;
 pub mod scheduler;
 pub mod session;
+mod slot;
 pub mod streaming;
 pub mod tiling;
 
 pub use engine::{AdaptiveEngine, ExactEngine, PairEngine, PrecisionEngine, PrecisionScratch};
 pub use faults::{injected_kernel_error, injected_panic_message, FaultKind, FaultPlan, Injection};
 pub use fleet::FleetConfig;
-pub use resilience::{FailurePolicy, FaultCause, PairFault, ResilienceConfig};
+pub use resilience::{panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig};
 pub use scheduler::{
-    run_batched, run_batched_adaptive, run_batched_engine, run_batched_resilient, run_batched_with,
-    BatchConfig, BatchError, BatchReport, ScheduleReport,
+    run_batched, run_batched_adaptive, run_batched_engine, BatchConfig, BatchError, BatchReport,
+    ScheduleReport,
 };
 pub use session::{SessionClosed, StreamSession};
 pub use streaming::{
-    run_streamed, run_streamed_adaptive, run_streamed_collect, run_streamed_engine,
-    run_streamed_fleet, run_streamed_fleet_collect, run_streamed_fleet_resilient,
-    run_streamed_resilient, OrderedWriter, ReorderOverflow, StreamConfig, StreamError,
-    StreamReport,
+    run_streamed, run_streamed_adaptive, run_streamed_engine, OrderedWriter, ReorderOverflow,
+    StreamConfig, StreamError, StreamReport,
 };
 pub use tiling::{
     score_path_affine, tiled_global_affine, TiledAlignment, TilingConfig, TilingError,

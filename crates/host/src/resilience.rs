@@ -113,11 +113,11 @@ impl fmt::Display for PairFault {
 /// get proportionally more time. 64 Ki cells is a 256×256 unbanded pair.
 pub const DEADLINE_COST_UNIT: u64 = 1 << 16;
 
-/// Resilience policy threaded through [`run_batched_resilient`] and
-/// [`run_streamed_resilient`].
+/// Resilience policy threaded through [`run_batched_engine`] and
+/// [`run_streamed_engine`].
 ///
-/// [`run_batched_resilient`]: crate::scheduler::run_batched_resilient
-/// [`run_streamed_resilient`]: crate::streaming::run_streamed_resilient
+/// [`run_batched_engine`]: crate::scheduler::run_batched_engine
+/// [`run_streamed_engine`]: crate::streaming::run_streamed_engine
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceConfig {
     /// Per-pair deadline per [`DEADLINE_COST_UNIT`] DP cells (see
@@ -233,7 +233,7 @@ pub(crate) fn abort_aware_sleep(total: Duration, abort: &std::sync::atomic::Atom
 
 /// Best-effort stringification of a panic payload (panics carry `&str` or
 /// `String` in practice; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())

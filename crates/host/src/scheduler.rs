@@ -35,23 +35,25 @@
 //!   the throughput model assumes), which keeps modeled throughput and
 //!   outputs **bit-identical** across slot counts — only wall-clock
 //!   parallelism changes. See [`BatchConfig::nb_slots`].
-//! * **Per-pair fault isolation** — [`run_batched_resilient`] threads a
+//! * **Per-pair fault isolation** — [`run_batched_engine`] threads a
 //!   [`ResilienceConfig`] through the slot loop: kernel errors, worker
 //!   panics (caught at the slot loop), and cost-scaled deadline timeouts
 //!   are retried with backoff on another channel and then quarantined into
-//!   [`BatchReport::faults`] instead of tearing down the run. See
-//!   `crates/host/src/resilience.rs` and the chaos suite
-//!   (`crates/host/tests/chaos.rs`).
+//!   [`BatchReport::faults`] instead of tearing down the run. The per-pair
+//!   slot body is shared with the streaming engine
+//!   (`crates/host/src/slot.rs`); see `crates/host/src/resilience.rs` and
+//!   the chaos suite (`crates/host/tests/chaos.rs`).
 //! * **Fleet sharding** — [`BatchConfig::fleet`] replicates the whole
 //!   `NK × nb_slots` pool across `D` simulated devices: the ranked queue is
 //!   dealt across `D × NK` per-device deques, idle devices steal from busy
 //!   ones, completions are folded through [`fleet_cycles`] (per-device
 //!   arbitration plus a modeled host↔device transfer cost, divided by
 //!   `D`), and a whole device can be injected as lost
-//!   ([`FaultKind::DeviceLoss`]) with its in-flight work re-dealt to
-//!   survivors. Outputs, order, and error behavior are bit-identical across
-//!   every `D` (enforced by `crates/host/tests/fleet.rs`); only the modeled
-//!   throughput and the wall-clock parallelism change.
+//!   ([`FaultKind::DeviceLoss`](crate::FaultKind::DeviceLoss)) with its
+//!   in-flight work re-dealt to survivors. Outputs, order, and error
+//!   behavior are bit-identical across every `D` (enforced by
+//!   `crates/host/tests/fleet.rs`); only the modeled throughput and the
+//!   wall-clock parallelism change.
 //!
 //! [`KernelConfig::nb`]: dphls_core::KernelConfig
 //! [`arbitrated_cycles`]: dphls_systolic::arbitrated_cycles
@@ -62,20 +64,18 @@
 use dphls_core::{
     AdaptiveKernel, Banding, DpOutput, KernelConfig, KernelSpec, LaneKernel, LanePrecision,
 };
-use dphls_systolic::{alignment_cycles, fleet_cycles, throughput_aps, transfer_bytes, Device};
+use dphls_systolic::Device;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use crate::engine::{ExactEngine, PairEngine, PrecisionEngine};
-use crate::faults::{injected_kernel_error, injected_panic_message, FaultKind, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::fleet::FleetConfig;
-use crate::resilience::{
-    abort_aware_sleep, panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig,
-};
+use crate::resilience::{panic_message, PairFault, ResilienceConfig};
+use crate::slot::{next_live_queue, steal_order, take_down, PairJob, Settled, SlotRun, SlotTally};
 
 /// Host-side execution knobs of the batch engine (the device side lives in
 /// [`KernelConfig`]).
@@ -148,18 +148,21 @@ impl BatchConfig {
 }
 
 /// Error of a batch run: the first pair failure under
-/// [`FailurePolicy::Abort`], or a worker-thread panic that escaped per-pair
-/// isolation (only possible with resilience disabled, where the slot loop
-/// runs without a `catch_unwind` frame).
+/// [`FailurePolicy::Abort`](crate::FailurePolicy::Abort), or a
+/// worker-thread panic that escaped per-pair isolation (only possible with
+/// resilience disabled, where the slot loop runs without a `catch_unwind`
+/// frame).
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchError {
     /// A pair failed (kernel error, panic, or deadline timeout — see
-    /// [`FaultCause`]) and the active [`FailurePolicy`] was `Abort`.
+    /// [`FaultCause`](crate::FaultCause)) and the active
+    /// [`FailurePolicy`](crate::FailurePolicy) was `Abort`.
     Fault(PairFault),
     /// A worker thread panicked and tore down the scope; carries the join
     /// payload (std's scope reports a generic message — per-pair payloads
-    /// are only recoverable under [`FailurePolicy::Quarantine`], where they
-    /// land in [`BatchReport::faults`] instead).
+    /// are only recoverable under
+    /// [`FailurePolicy::Quarantine`](crate::FailurePolicy::Quarantine),
+    /// where they land in [`BatchReport::faults`] instead).
     WorkerPanic(String),
 }
 
@@ -174,7 +177,7 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// Result of a resilient batch run ([`run_batched_resilient`]): like
+/// Result of a resilient batch run ([`run_batched_engine`]): like
 /// [`ScheduleReport`], but with per-pair holes where quarantined pairs
 /// would be, plus the fault ledger the degradation contract reconciles
 /// against.
@@ -207,8 +210,9 @@ pub struct BatchReport<S> {
     pub devices: usize,
     /// Successful alignments per fleet device, `per_device[device]`.
     pub per_device: Vec<usize>,
-    /// Devices lost to [`FaultKind::DeviceLoss`] injections during the
-    /// run (0 without a fault plan).
+    /// Devices lost to
+    /// [`FaultKind::DeviceLoss`](crate::FaultKind::DeviceLoss) injections
+    /// during the run (0 without a fault plan).
     pub device_losses: usize,
     /// Alignments stolen across channels or devices.
     pub steals: usize,
@@ -297,13 +301,16 @@ pub(crate) fn cost_estimate(q: usize, r: usize, banding: Banding) -> u64 {
     }
 }
 
-/// Dispatches `workload` across the device's `NK` channels with an
-/// automatically sized block-slot pool per channel
-/// ([`BatchConfig::default`]), using cost-ranked work stealing (see the
-/// module docs). Outputs are returned in input order and are bit-identical
-/// to running each pair through [`dphls_systolic::run_systolic`]
-/// individually. Resilience is disabled (the zero-overhead path); use
-/// [`run_batched_resilient`] for quarantine/retry/deadline semantics.
+/// Dispatches `workload` across the device's `NK` channels, `batch.nb_slots`
+/// block slots per channel concurrently draining that channel's deque (each
+/// slot on its own thread with its own scratch arena;
+/// [`BatchConfig::default`] sizes the pool automatically), using
+/// cost-ranked work stealing (see the module docs). Outputs are returned in
+/// input order and are bit-identical to running each pair through
+/// [`dphls_systolic::run_systolic`] individually, for every slot and device
+/// count. Precision is exact and resilience is disabled (the zero-overhead
+/// path); [`run_batched_engine`] is the full door with
+/// quarantine/retry/deadline semantics.
 ///
 /// # Errors
 ///
@@ -313,36 +320,16 @@ pub fn run_batched<K: LaneKernel>(
     device: &Device,
     params: &K::Params,
     workload: &[dphls_core::SeqPair<K>],
-) -> Result<ScheduleReport<K::Score>, BatchError>
-where
-    K::Score: Send,
-    K::Params: Sync,
-{
-    run_batched_with::<K>(device, params, workload, BatchConfig::default())
-}
-
-/// [`run_batched`] with explicit host-side knobs: `batch.nb_slots` block
-/// slots per channel concurrently drain that channel's deque, each slot on
-/// its own thread with its own scratch arena. Outputs, ordering, and
-/// modeled throughput are bit-identical for every slot count.
-///
-/// # Errors
-///
-/// [`BatchError::Fault`] wrapping the first kernel error encountered on any
-/// channel, or [`BatchError::WorkerPanic`] if a worker thread panicked.
-pub fn run_batched_with<K: LaneKernel>(
-    device: &Device,
-    params: &K::Params,
-    workload: &[dphls_core::SeqPair<K>],
     batch: BatchConfig,
 ) -> Result<ScheduleReport<K::Score>, BatchError>
 where
     K::Score: Send,
     K::Params: Sync,
 {
-    let report = run_batched_resilient::<K>(
+    let engine = ExactEngine::<K>::new(params.clone());
+    let report = run_batched_engine::<K, _>(
         device,
-        params,
+        &engine,
         workload,
         batch,
         &ResilienceConfig::disabled(),
@@ -367,47 +354,7 @@ where
     })
 }
 
-/// [`run_batched_with`] plus a resilience policy and an optional fault
-/// plan: per-pair failures (kernel errors, worker panics caught at the slot
-/// loop, cost-scaled deadline timeouts) are retried with exponential
-/// backoff onto a different channel's queue up to
-/// [`ResilienceConfig::max_retries`] times, then quarantined into
-/// [`BatchReport::faults`] (under [`FailurePolicy::Quarantine`]) or
-/// returned as the run error (under [`FailurePolicy::Abort`]).
-///
-/// The degradation contract (enforced by `tests/chaos.rs`): surviving
-/// outputs are bit-identical to a fault-free run and sit at their input
-/// index; every `None` output slot has exactly one entry in
-/// [`BatchReport::faults`].
-///
-/// `plan` injects deterministic faults for chaos testing ([`FaultPlan`]);
-/// production callers pass `None`, which skips every injection check.
-/// When both the config [`is_disabled`](ResilienceConfig::is_disabled) and
-/// `plan` is `None`, the slot loop runs the original uninstrumented hot
-/// path — no clock reads, no `catch_unwind` frame.
-///
-/// # Errors
-///
-/// Under `Abort`, the first [`PairFault`] as [`BatchError::Fault`];
-/// [`BatchError::WorkerPanic`] if a panic escapes the slot loop (possible
-/// only on the uninstrumented path).
-pub fn run_batched_resilient<K: LaneKernel>(
-    device: &Device,
-    params: &K::Params,
-    workload: &[dphls_core::SeqPair<K>],
-    batch: BatchConfig,
-    res: &ResilienceConfig,
-    plan: Option<&FaultPlan>,
-) -> Result<BatchReport<K::Score>, BatchError>
-where
-    K::Score: Send,
-    K::Params: Sync,
-{
-    let engine = ExactEngine::<K>::new(params.clone());
-    run_batched_engine::<K, _>(device, &engine, workload, batch, res, plan)
-}
-
-/// [`run_batched_resilient`] with **runtime precision dispatch**: the
+/// [`run_batched_engine`] with **runtime precision dispatch**: the
 /// workload runs on the saturating-`i8` fast path, escalating individual
 /// pairs to the exact `i16` engine when their guard trips (or running
 /// everything exact under [`LanePrecision::Exact`]). Outputs are
@@ -418,7 +365,7 @@ where
 ///
 /// # Errors
 ///
-/// Exactly as [`run_batched_resilient`].
+/// Exactly as [`run_batched_engine`].
 pub fn run_batched_adaptive<K: AdaptiveKernel>(
     device: &Device,
     params: &K::Params,
@@ -435,14 +382,36 @@ where
     run_batched_engine::<K, _>(device, &engine, workload, batch, res, plan)
 }
 
-/// The work-stealing batch loop, generic over the per-pair execution
-/// strategy ([`PairEngine`]): every public batch entry point funnels here.
-/// See [`run_batched_resilient`] for the dispatch/retry/quarantine
-/// semantics — this function adds none of its own.
+/// The work-stealing batch loop — the full batch door, generic over the
+/// per-pair execution strategy ([`PairEngine`]: [`ExactEngine`] for any
+/// [`LaneKernel`], [`PrecisionEngine`] for runtime precision dispatch),
+/// with a resilience policy and an optional fault plan. Per-pair failures
+/// (kernel errors, worker panics caught at the slot loop, cost-scaled
+/// deadline timeouts) are retried with exponential backoff onto a
+/// different channel's queue up to [`ResilienceConfig::max_retries`]
+/// times, then quarantined into [`BatchReport::faults`] (under
+/// [`FailurePolicy::Quarantine`](crate::FailurePolicy::Quarantine)) or
+/// returned as the run error (under
+/// [`FailurePolicy::Abort`](crate::FailurePolicy::Abort)).
+///
+/// The degradation contract (enforced by `tests/chaos.rs`): surviving
+/// outputs are bit-identical to a fault-free run and sit at their input
+/// index; every `None` output slot has exactly one entry in
+/// [`BatchReport::faults`].
+///
+/// `plan` injects deterministic faults for chaos testing ([`FaultPlan`]);
+/// production callers pass `None`, which skips every injection check.
+/// When both the config [`is_disabled`](ResilienceConfig::is_disabled) and
+/// `plan` is `None`, the slot loop runs the original uninstrumented hot
+/// path — no clock reads, no `catch_unwind` frame. The degenerate values
+/// of the other dimensions are [`FleetConfig::single`] (in `batch`) and
+/// [`ResilienceConfig::disabled`].
 ///
 /// # Errors
 ///
-/// Exactly as [`run_batched_resilient`].
+/// Under `Abort`, the first [`PairFault`] as [`BatchError::Fault`];
+/// [`BatchError::WorkerPanic`] if a panic escapes the slot loop (possible
+/// only on the uninstrumented path).
 pub fn run_batched_engine<K, E>(
     device: &Device,
     engine: &E,
@@ -459,23 +428,21 @@ where
     let config = device.config();
     let nk = config.nk.max(1);
     let slots = batch.resolve_slots(config);
-    let d = batch.fleet.resolve_devices();
-    let transfer = batch.fleet.transfer;
+    let run = SlotRun::new(device, batch.fleet, res, plan);
+    let d = run.devices;
     let n = workload.len();
-    // Instrumented = any resilience mechanism or injection active; the
-    // alternative is the original zero-overhead slot loop.
-    let instrumented = !res.is_disabled() || plan.is_some_and(|p| !p.is_empty());
 
     // Rank by descending cost estimate, then deal round-robin across the
     // fleet's `D × NK` per-device channel deques (queue `dev * nk + ch`)
     // so every channel of every device starts with a balanced mix of
     // expensive and cheap work. Queue entries carry the pair's attempt
     // count so retries re-enter the same dispatch discipline.
+    let cost = |idx: usize| {
+        let (q, r) = &workload[idx];
+        cost_estimate(q.len(), r.len(), config.banding)
+    };
     let mut ranked: Vec<usize> = (0..n).collect();
-    ranked.sort_by_key(|&i| {
-        let (q, r) = &workload[i];
-        std::cmp::Reverse(cost_estimate(q.len(), r.len(), config.banding))
-    });
+    ranked.sort_by_key(|&i| std::cmp::Reverse(cost(i)));
     let queues: Vec<Mutex<VecDeque<(usize, u32)>>> = (0..d * nk)
         .map(|qi| {
             Mutex::new(
@@ -490,23 +457,12 @@ where
         })
         .collect();
 
-    struct WorkerResult<S> {
-        /// `(input index, output)` pairs, merged into slots after the join.
-        outputs: Vec<(usize, DpOutput<S>)>,
-        /// Effective device cycles summed over this worker's alignments.
-        cycle_sum: u64,
-        /// Jobs taken from other channels' queues.
-        stolen: usize,
-        /// i8→i16 precision escalations among this worker's alignments.
-        escalations: u64,
-    }
+    /// One block slot's `(input index, output)` pairs, merged into input
+    /// order after the join, next to its execution tally.
+    type SlotResult<S> = (SlotTally, Vec<(usize, DpOutput<S>)>);
 
-    let abort = AtomicBool::new(false);
     let error: Mutex<Option<BatchError>> = Mutex::new(None);
     let faults: Mutex<Vec<PairFault>> = Mutex::new(Vec::new());
-    let retries = AtomicUsize::new(0);
-    let timeouts = AtomicUsize::new(0);
-    let device_losses = AtomicUsize::new(0);
     // Per-device loss flags: a lost device's workers stop dispatching and
     // its queued pairs migrate to a survivor. The same lock guards the
     // "never lose the last live device" invariant.
@@ -517,15 +473,8 @@ where
     // a queue after its workers would otherwise have left.
     let settled = AtomicUsize::new(0);
     // One result cell per block slot, indexed `(dev * nk + ch) * slots + slot`.
-    let results: Vec<Mutex<WorkerResult<K::Score>>> = (0..d * nk * slots)
-        .map(|_| {
-            Mutex::new(WorkerResult {
-                outputs: Vec::new(),
-                cycle_sum: 0,
-                stolen: 0,
-                escalations: 0,
-            })
-        })
+    let results: Vec<Mutex<SlotResult<K::Score>>> = (0..d * nk * slots)
+        .map(|_| Mutex::new((SlotTally::default(), Vec::new())))
         .collect();
 
     crossbeam::scope(|scope| {
@@ -533,50 +482,33 @@ where
             let qown = worker / slots;
             let dev = qown / nk;
             let ch = qown % nk;
-            let (queues, abort, error, results) = (&queues, &abort, &error, &results);
-            let (faults, retries, timeouts) = (&faults, &retries, &timeouts);
-            let (lost, settled, device_losses) = (&lost, &settled, &device_losses);
+            let (run, queues, error, results) = (&run, &queues, &error, &results);
+            let (faults, lost, settled, cost) = (&faults, &lost, &settled, &cost);
             scope.spawn(move |_| {
                 // Every block slot owns its scratch arena: the per-alignment
                 // hot path stays allocation-free at any slot count.
                 let mut scratch = engine.new_scratch();
-                let mut local = WorkerResult {
-                    outputs: Vec::with_capacity(n / (d * nk * slots) + 1),
-                    cycle_sum: 0,
-                    stolen: 0,
-                    escalations: 0,
-                };
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
+                let mut tally = SlotTally::default();
+                let mut outputs = Vec::with_capacity(n / (d * nk * slots) + 1);
+                while !run.aborted() {
                     // A lost device dispatches nothing further; its queued
                     // work was migrated when the loss fired.
-                    if instrumented && lost.lock()[dev] {
+                    if run.instrumented && lost.lock()[dev] {
                         break;
                     }
                     // Own channel's queue first (expensive end), then steal
-                    // the cheapest remaining job: same-device channels
-                    // before other devices, always from the tail. The
+                    // the cheapest remaining job from a victim's tail. The
                     // slots of one channel share its deque, so
                     // intra-channel dispatch is not a steal.
-                    let mut job = queues[qown].lock().pop_front();
-                    if job.is_none() {
-                        'steal: for du in 0..d {
-                            let dd = (dev + du) % d;
-                            let start = usize::from(du == 0);
-                            for cu in start..nk {
-                                let victim = dd * nk + (ch + cu) % nk;
-                                job = queues[victim].lock().pop_back();
-                                if job.is_some() {
-                                    local.stolen += 1;
-                                    break 'steal;
-                                }
-                            }
-                        }
-                    }
+                    let own = queues[qown].lock().pop_front();
+                    let job = own.or_else(|| {
+                        let stolen =
+                            steal_order(dev, ch, d, nk).find_map(|v| queues[v].lock().pop_back());
+                        tally.stolen += usize::from(stolen.is_some());
+                        stolen
+                    });
                     let Some((idx, attempts)) = job else {
-                        if !instrumented || settled.load(Ordering::Relaxed) >= n {
+                        if !run.instrumented || settled.load(Ordering::Relaxed) >= n {
                             break;
                         }
                         // Retries and device-loss migrations can re-fill a
@@ -586,193 +518,53 @@ where
                         continue;
                     };
                     let (q, r) = &workload[idx];
-
-                    if !instrumented {
-                        // Original hot path: no clock, no catch_unwind.
-                        match engine.run_pair(q, r, config, &mut scratch) {
-                            Ok(run) => {
-                                let b = alignment_cycles(
-                                    &run.stats,
-                                    device.kernel_cycle_info(),
-                                    device.cycle_params(),
-                                );
-                                // Fold the completion through the channel
-                                // arbiter at full NB occupancy — the steady
-                                // state the throughput model assumes — plus
-                                // the modeled host↔device transfer, spread
-                                // across the fleet; the modeled figure is
-                                // independent of how many host slots
-                                // happened to be dispatching.
-                                local.cycle_sum += fleet_cycles(
-                                    &b,
-                                    config.nb,
-                                    d,
-                                    &transfer,
-                                    transfer_bytes(&run.stats, device.kernel_cycle_info()),
-                                );
-                                local.escalations += run.stats.escalations;
-                                local.outputs.push((idx, run.output));
-                            }
-                            Err(e) => {
-                                let fault = PairFault {
-                                    idx,
-                                    cause: FaultCause::Kernel(e),
-                                    attempts: 1,
-                                };
-                                let mut guard = error.lock();
-                                if guard.is_none() {
-                                    *guard = Some(BatchError::Fault(fault));
-                                }
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        continue;
-                    }
-
-                    // Instrumented path: deadline clock, fault injection,
-                    // panic isolation, retry/quarantine bookkeeping.
-                    let deadline =
-                        res.deadline_for(cost_estimate(q.len(), r.len(), config.banding));
-                    let started = Instant::now();
-                    let mut injected = plan.and_then(|p| p.worker_fault(idx, attempts));
-                    if injected == Some(FaultKind::DeviceLoss) {
-                        // Take this device down — unless it is the last
-                        // live one, in which case the injection is ignored
-                        // and the pair runs normally (a fleet never loses
-                        // its final device).
-                        let took = {
-                            let mut l = lost.lock();
-                            let survives = !l[dev] && l.iter().filter(|&&x| !x).count() > 1;
-                            if survives {
-                                l[dev] = true;
-                            }
-                            survives
+                    let job = PairJob {
+                        idx,
+                        attempts,
+                        cost: cost(idx),
+                        q,
+                        r,
+                    };
+                    let outcome = run.attempt::<K, E>(engine, &mut scratch, &job, dev, || {
+                        let Some(target) = take_down(&mut lost.lock(), dev) else {
+                            return false;
                         };
-                        if took {
-                            device_losses.fetch_add(1, Ordering::Relaxed);
-                            // Migrate the dead device's queued pairs to the
-                            // next live device, channel to channel and in
-                            // order; the in-flight pair itself fails below
-                            // with a DeviceLost cause and re-enters the
-                            // normal retry/quarantine path.
-                            let target = {
-                                let l = lost.lock();
-                                (1..d)
-                                    .map(|v| (dev + v) % d)
-                                    .find(|&t| !l[t])
-                                    .expect("loss gate keeps one live device")
-                            };
-                            for c in 0..nk {
-                                let moved: Vec<(usize, u32)> =
-                                    queues[dev * nk + c].lock().drain(..).collect();
-                                if !moved.is_empty() {
-                                    queues[target * nk + c].lock().extend(moved);
-                                }
-                            }
-                        } else {
-                            injected = None;
+                        // Migrate the dead device's queued pairs to the next
+                        // live device, channel to channel and in order.
+                        for c in 0..nk {
+                            let mut moved = std::mem::take(&mut *queues[dev * nk + c].lock());
+                            queues[target * nk + c].lock().append(&mut moved);
                         }
-                    }
-                    let outcome = if injected == Some(FaultKind::DeviceLoss) {
-                        Err(FaultCause::DeviceLost { device: dev })
-                    } else if injected == Some(FaultKind::KernelError) {
-                        Err(FaultCause::Kernel(injected_kernel_error()))
-                    } else {
-                        if let Some(FaultKind::Stall { millis }) = injected {
-                            abort_aware_sleep(Duration::from_millis(millis), abort);
-                            if abort.load(Ordering::Relaxed) {
-                                break;
+                        true
+                    });
+                    match run.settle(&mut tally, idx, attempts, outcome) {
+                        Settled::Done(output) => {
+                            outputs.push((idx, output));
+                            // Only instrumented workers read the count; the
+                            // plain hot path shares no written cache line.
+                            if run.instrumented {
+                                settled.fetch_add(1, Ordering::Relaxed);
                             }
                         }
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            if injected == Some(FaultKind::Panic) {
-                                panic!("{}", injected_panic_message(idx));
-                            }
-                            engine.run_pair(q, r, config, &mut scratch)
-                        }));
-                        match caught {
-                            Ok(Ok(run)) => Ok(run),
-                            Ok(Err(e)) => Err(FaultCause::Kernel(e)),
-                            Err(payload) => {
-                                // The panic may have unwound mid-update and
-                                // left the arena inconsistent: rebuild it.
-                                scratch = engine.new_scratch();
-                                Err(FaultCause::Panic(panic_message(payload)))
-                            }
+                        Settled::Retry => {
+                            // Re-deal to the next queue on a *live* device:
+                            // a different slot picks it up when one exists,
+                            // and idle workers stay scheduled (the
+                            // settled-count wait above) until every pair
+                            // lands somewhere.
+                            let target = next_live_queue(&lost.lock(), nk, qown + 1);
+                            queues[target].lock().push_back((idx, attempts + 1));
                         }
-                    };
-                    // Cooperative deadline: an over-deadline result is
-                    // discarded (the retry recomputes it bit-identically),
-                    // so a stalled slot costs latency, never correctness.
-                    let outcome = match (outcome, deadline) {
-                        (Ok(run), Some(d)) if started.elapsed() > d => {
-                            timeouts.fetch_add(1, Ordering::Relaxed);
-                            let _ = run;
-                            Err(FaultCause::Timeout { deadline: d })
-                        }
-                        (o, _) => o,
-                    };
-                    match outcome {
-                        Ok(run) => {
-                            let b = alignment_cycles(
-                                &run.stats,
-                                device.kernel_cycle_info(),
-                                device.cycle_params(),
-                            );
-                            local.cycle_sum += fleet_cycles(
-                                &b,
-                                config.nb,
-                                d,
-                                &transfer,
-                                transfer_bytes(&run.stats, device.kernel_cycle_info()),
-                            );
-                            local.escalations += run.stats.escalations;
-                            local.outputs.push((idx, run.output));
+                        Settled::Quarantine(fault) => {
+                            faults.lock().push(fault);
                             settled.fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(cause) => {
-                            if attempts < res.max_retries {
-                                retries.fetch_add(1, Ordering::Relaxed);
-                                abort_aware_sleep(res.backoff_for(attempts + 1), abort);
-                                // Re-deal to the next queue on a *live*
-                                // device: a different slot picks it up when
-                                // one exists, and idle workers stay
-                                // scheduled (the settled-count wait above)
-                                // until every pair lands somewhere.
-                                let target = {
-                                    let l = lost.lock();
-                                    (1..d * nk)
-                                        .map(|v| (qown + v) % (d * nk))
-                                        .find(|&qi| !l[qi / nk])
-                                        .unwrap_or(qown)
-                                };
-                                queues[target].lock().push_back((idx, attempts + 1));
-                            } else {
-                                let fault = PairFault {
-                                    idx,
-                                    cause,
-                                    attempts: attempts + 1,
-                                };
-                                match res.failure_policy {
-                                    FailurePolicy::Quarantine => {
-                                        faults.lock().push(fault);
-                                        settled.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    FailurePolicy::Abort => {
-                                        let mut guard = error.lock();
-                                        if guard.is_none() {
-                                            *guard = Some(BatchError::Fault(fault));
-                                        }
-                                        abort.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                }
-                            }
+                        Settled::Abort(fault) => {
+                            error.lock().get_or_insert(BatchError::Fault(fault));
                         }
                     }
                 }
-                *results[worker].lock() = local;
+                *results[worker].lock() = (tally, outputs);
             });
         }
     })
@@ -784,26 +576,17 @@ where
     let mut faults = faults.into_inner();
     faults.sort_by_key(|f| f.idx);
 
-    let mut per_channel = vec![0usize; nk];
-    let mut per_slot = vec![vec![0usize; slots]; nk];
-    let mut per_device = vec![0usize; d];
-    let mut steals = 0usize;
-    let mut cycle_sum = 0u64;
-    let mut escalations = 0u64;
     let mut filled: Vec<Option<DpOutput<K::Score>>> = (0..n).map(|_| None).collect();
-    for (worker, result) in results.into_iter().enumerate() {
-        let done = result.into_inner();
-        let qown = worker / slots;
-        per_channel[qown % nk] += done.outputs.len();
-        per_slot[qown % nk][worker % slots] += done.outputs.len();
-        per_device[qown / nk] += done.outputs.len();
-        steals += done.stolen;
-        cycle_sum += done.cycle_sum;
-        escalations += done.escalations;
-        for (idx, out) in done.outputs {
-            filled[idx] = Some(out);
-        }
-    }
+    let tally = run.tally(
+        slots,
+        results.into_iter().map(|result| {
+            let (tally, outputs) = result.into_inner();
+            for (idx, out) in outputs {
+                filled[idx] = Some(out);
+            }
+            tally
+        }),
+    );
     debug_assert!(
         filled
             .iter()
@@ -811,34 +594,20 @@ where
             .all(|(i, o)| o.is_some() != faults.iter().any(|f| f.idx == i)),
         "every hole must have exactly one fault record"
     );
-
-    // Same formula as `Device::run`, fed by the stats already collected —
-    // over the pairs that completed.
-    let completed = n - faults.len();
-    let throughput = if completed == 0 {
-        0.0
-    } else {
-        let mean_cycles = cycle_sum as f64 / completed as f64;
-        throughput_aps(
-            mean_cycles.round().max(1.0) as u64,
-            device.freq_mhz(),
-            config,
-        )
-    };
     Ok(BatchReport {
         outputs: filled,
         faults,
-        retries: retries.into_inner(),
-        timeouts: timeouts.into_inner(),
-        per_channel,
-        per_slot,
+        retries: run.retries.into_inner(),
+        timeouts: run.timeouts.into_inner(),
+        per_channel: tally.per_channel,
+        per_slot: tally.per_slot,
         nb_slots: slots,
         devices: d,
-        per_device,
-        device_losses: device_losses.into_inner(),
-        steals,
-        throughput_aps: throughput,
-        escalations,
+        per_device: tally.per_device,
+        device_losses: run.device_losses.into_inner(),
+        steals: tally.steals,
+        throughput_aps: tally.throughput_aps,
+        escalations: tally.escalations,
     })
 }
 
@@ -878,7 +647,8 @@ mod tests {
     fn outputs_preserve_input_order_and_values() {
         let wl = workload(11);
         let params = LinearParams::<i16>::dna();
-        let rep = run_batched::<GlobalLinear>(&device(3), &params, &wl).unwrap();
+        let rep =
+            run_batched::<GlobalLinear>(&device(3), &params, &wl, BatchConfig::default()).unwrap();
         assert_eq!(rep.outputs.len(), 11);
         for (i, (q, r)) in wl.iter().enumerate() {
             let want = run_reference::<GlobalLinear>(&params, q, r, Banding::None);
@@ -890,7 +660,8 @@ mod tests {
     fn per_channel_reports_actual_execution() {
         let wl = workload(10);
         let params = LinearParams::<i16>::dna();
-        let rep = run_batched::<GlobalLinear>(&device(4), &params, &wl).unwrap();
+        let rep =
+            run_batched::<GlobalLinear>(&device(4), &params, &wl, BatchConfig::default()).unwrap();
         // Work stealing makes the exact split nondeterministic; what must
         // hold is that the per-worker counts account for every alignment
         // exactly once, channel by channel and slot by slot.
@@ -932,11 +703,10 @@ mod tests {
         let params = LinearParams::<i16>::dna();
         let dev = device(2); // NB = 2 per channel
         let single =
-            run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot())
-                .unwrap();
+            run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
         assert_eq!(single.nb_slots, 1);
         let pooled =
-            run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::slots(2)).unwrap();
+            run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::slots(2)).unwrap();
         assert_eq!(pooled.nb_slots, 2);
         assert_eq!(pooled.outputs, single.outputs);
         assert!((pooled.throughput_aps - single.throughput_aps).abs() < 1e-9);
@@ -954,13 +724,12 @@ mod tests {
         let params = LinearParams::<i16>::dna();
         let dev = device(2);
         let single =
-            run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot())
-                .unwrap();
+            run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
         assert_eq!(single.devices, 1);
         assert_eq!(single.per_device, vec![17]);
         let cfg = BatchConfig::single_slot()
             .with_fleet(FleetConfig::new(4).with_transfer(TransferModel::zero()));
-        let fleet = run_batched_with::<GlobalLinear>(&dev, &params, &wl, cfg).unwrap();
+        let fleet = run_batched::<GlobalLinear>(&dev, &params, &wl, cfg).unwrap();
         assert_eq!(fleet.devices, 4);
         assert_eq!(fleet.outputs, single.outputs);
         assert_eq!(fleet.per_device.len(), 4);
@@ -975,7 +744,7 @@ mod tests {
         );
         // A priced link slows the model back down, but never below 1 device.
         let priced = BatchConfig::single_slot().with_fleet(FleetConfig::new(4));
-        let pr = run_batched_with::<GlobalLinear>(&dev, &params, &wl, priced).unwrap();
+        let pr = run_batched::<GlobalLinear>(&dev, &params, &wl, priced).unwrap();
         assert_eq!(pr.outputs, single.outputs);
         assert!(pr.throughput_aps < fleet.throughput_aps);
     }
@@ -985,7 +754,7 @@ mod tests {
         let wl = workload(7);
         let params = LinearParams::<i16>::dna();
         let dev = device(2);
-        let rep = run_batched::<GlobalLinear>(&dev, &params, &wl).unwrap();
+        let rep = run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::default()).unwrap();
         // The engine derives throughput from the stats of its own runs; it
         // must agree with what a (separate) device-model pass reports.
         let model = dev.run::<GlobalLinear>(&params, &wl).unwrap();
@@ -1013,7 +782,8 @@ mod tests {
             wl.push((q, r.into_vec()));
         }
         let params = LinearParams::<i16>::dna();
-        let rep = run_batched::<GlobalLinear>(&device(2), &params, &wl).unwrap();
+        let rep =
+            run_batched::<GlobalLinear>(&device(2), &params, &wl, BatchConfig::default()).unwrap();
         assert_eq!(rep.per_channel.iter().sum::<usize>(), 41);
         for (i, (q, r)) in wl.iter().enumerate() {
             let want = run_reference::<GlobalLinear>(&params, q, r, Banding::None);
@@ -1025,14 +795,16 @@ mod tests {
     fn oversized_sequence_propagates_error() {
         let params = LinearParams::<i16>::dna();
         let too_long = vec![(vec![dphls_seq::Base::A; 200], vec![dphls_seq::Base::C; 50])];
-        let err = run_batched::<GlobalLinear>(&device(2), &params, &too_long);
+        let err =
+            run_batched::<GlobalLinear>(&device(2), &params, &too_long, BatchConfig::default());
         assert!(err.is_err());
     }
 
     #[test]
     fn empty_workload() {
         let params = LinearParams::<i16>::dna();
-        let rep = run_batched::<GlobalLinear>(&device(2), &params, &[]).unwrap();
+        let rep =
+            run_batched::<GlobalLinear>(&device(2), &params, &[], BatchConfig::default()).unwrap();
         assert!(rep.outputs.is_empty());
         assert_eq!(rep.steals, 0);
         assert_eq!(rep.throughput_aps, 0.0);

@@ -1,5 +1,5 @@
 //! Long-lived session mode for the streaming engine: instead of handing
-//! [`run_streamed_resilient`] a complete source iterator, a
+//! [`run_streamed_engine`] a complete source iterator, a
 //! [`StreamSession`] keeps the whole pipeline (producer channel, dealer,
 //! NB-slot workers, [`OrderedWriter`]) alive on a background thread and
 //! accepts pairs **one call at a time** — the entry-point shape a serving
@@ -16,17 +16,15 @@
 //! * under [`FailurePolicy::Quarantine`] a failing pair costs an `Err`
 //!   slot, never the session.
 //!
-//! [`run_streamed_resilient`]: crate::run_streamed_resilient
+//! [`run_streamed_engine`]: crate::run_streamed_engine
 //! [`OrderedWriter`]: crate::OrderedWriter
 //! [`FailurePolicy::Quarantine`]: crate::FailurePolicy::Quarantine
 //! [`submit`]: StreamSession::submit
 
-use crate::engine::PrecisionEngine;
+use crate::engine::{PairEngine, PrecisionEngine};
 use crate::fleet::FleetConfig;
 use crate::resilience::{panic_message, PairFault, ResilienceConfig};
-use crate::streaming::{
-    run_streamed_engine, run_streamed_fleet_resilient, StreamConfig, StreamError, StreamReport,
-};
+use crate::streaming::{run_streamed_engine, StreamConfig, StreamError, StreamReport};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dphls_core::{AdaptiveKernel, DpOutput, LaneKernel, LanePrecision};
 use dphls_systolic::Device;
@@ -65,7 +63,7 @@ struct SessionInner<K: LaneKernel> {
 }
 
 /// Join handle of the background engine thread: the pipeline's final
-/// verdict, exactly what [`run_streamed_resilient`](crate::run_streamed_resilient) returns.
+/// verdict, exactly what [`run_streamed_engine`] returns.
 type EngineHandle = JoinHandle<Result<StreamReport, StreamError<Infallible>>>;
 
 /// The streaming pipeline as a long-lived service: spawned once, fed pair
@@ -74,8 +72,7 @@ type EngineHandle = JoinHandle<Result<StreamReport, StreamError<Infallible>>>;
 ///
 /// Submissions from concurrent callers are serialized internally; each
 /// receives the input index its outputs will carry. The sink runs on the
-/// engine's worker threads exactly as in
-/// [`run_streamed_resilient`](crate::run_streamed_resilient) — hand
+/// engine's worker threads exactly as in [`run_streamed_engine`] — hand
 /// off, don't compute.
 pub struct StreamSession<K: LaneKernel> {
     inner: Mutex<SessionInner<K>>,
@@ -89,130 +86,36 @@ where
     K::Sym: Send + 'static,
 {
     /// Spawns the pipeline on a background thread and returns the live
-    /// session. `device`, `params`, `config`, and `res` have exactly their
-    /// [`run_streamed_resilient`](crate::run_streamed_resilient) meaning;
-    /// the sink receives `(input index, Ok(output) | Err(fault))` in
-    /// strict index order.
+    /// session — the one session constructor. `device`, `engine`
+    /// ([`ExactEngine`](crate::ExactEngine) for any kernel,
+    /// [`PrecisionEngine`] for runtime precision dispatch), `config`,
+    /// `fleet` and `res` have exactly their [`run_streamed_engine`]
+    /// meaning (degenerate values: [`FleetConfig::single`],
+    /// [`ResilienceConfig::disabled`]); the sink receives
+    /// `(input index, Ok(output) | Err(fault))` in strict index order. Outputs, order, and error behavior are bit-identical for
+    /// every engine precision and fleet device count; only the modeled
+    /// throughput in the final [`StreamReport`] and the host wall-clock
+    /// parallelism change.
     ///
     /// # Panics
     ///
     /// Panics if `config.buffer` or `config.window` is zero (the engine's
     /// own precondition, surfaced when the background thread starts).
-    pub fn spawn<F>(
+    pub fn spawn_engine<E, F>(
         device: Device,
-        params: K::Params,
-        config: StreamConfig,
-        res: ResilienceConfig,
-        sink: F,
-    ) -> Self
-    where
-        F: FnMut(usize, Result<DpOutput<K::Score>, PairFault>) + Send + 'static,
-    {
-        Self::spawn_fleet(device, params, config, FleetConfig::single(), res, sink)
-    }
-
-    /// [`spawn`](Self::spawn) sharded across a simulated fleet of
-    /// [`FleetConfig::devices`] devices: outputs, order, and error
-    /// behavior are bit-identical to the single-device session; only the
-    /// modeled throughput in the final [`StreamReport`] and the host
-    /// wall-clock parallelism change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.buffer` or `config.window` is zero (the engine's
-    /// own precondition, surfaced when the background thread starts).
-    pub fn spawn_fleet<F>(
-        device: Device,
-        params: K::Params,
+        engine: E,
         config: StreamConfig,
         fleet: FleetConfig,
         res: ResilienceConfig,
         sink: F,
     ) -> Self
     where
+        E: PairEngine<K> + Send + 'static,
         F: FnMut(usize, Result<DpOutput<K::Score>, PairFault>) + Send + 'static,
     {
         let (tx, rx) = bounded::<dphls_core::SeqPair<K>>(config.buffer.max(1));
         let engine = std::thread::spawn(move || {
-            run_streamed_fleet_resilient::<K, _, Infallible, F>(
-                &device,
-                &params,
-                SessionSource(rx),
-                config,
-                fleet,
-                &res,
-                None,
-                sink,
-            )
-        });
-        Self {
-            inner: Mutex::new(SessionInner {
-                tx: Some(tx),
-                submitted: 0,
-            }),
-            engine: Mutex::new(Some(engine)),
-        }
-    }
-
-    /// [`spawn`](Self::spawn) with **runtime precision dispatch** (only for
-    /// kernels with an `i8` companion, [`AdaptiveKernel`]): pairs run on
-    /// the saturating-`i8` fast path and escalate individually to the exact
-    /// `i16` engine when their guard trips. Outputs are bit-identical for
-    /// every precision; the final [`StreamReport`] carries the session's
-    /// escalation count and rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.buffer` or `config.window` is zero (the engine's
-    /// own precondition, surfaced when the background thread starts).
-    pub fn spawn_adaptive<F>(
-        device: Device,
-        params: K::Params,
-        precision: LanePrecision,
-        config: StreamConfig,
-        res: ResilienceConfig,
-        sink: F,
-    ) -> Self
-    where
-        K: AdaptiveKernel,
-        F: FnMut(usize, Result<DpOutput<i16>, PairFault>) + Send + 'static,
-    {
-        Self::spawn_adaptive_fleet(
-            device,
-            params,
-            precision,
-            config,
-            FleetConfig::single(),
-            res,
-            sink,
-        )
-    }
-
-    /// [`spawn_adaptive`](Self::spawn_adaptive) sharded across a simulated
-    /// fleet — precision dispatch and fleet topology compose freely, and
-    /// outputs stay bit-identical across both knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.buffer` or `config.window` is zero (the engine's
-    /// own precondition, surfaced when the background thread starts).
-    pub fn spawn_adaptive_fleet<F>(
-        device: Device,
-        params: K::Params,
-        precision: LanePrecision,
-        config: StreamConfig,
-        fleet: FleetConfig,
-        res: ResilienceConfig,
-        sink: F,
-    ) -> Self
-    where
-        K: AdaptiveKernel,
-        F: FnMut(usize, Result<DpOutput<i16>, PairFault>) + Send + 'static,
-    {
-        let (tx, rx) = bounded::<dphls_core::SeqPair<K>>(config.buffer.max(1));
-        let engine = std::thread::spawn(move || {
-            let engine = PrecisionEngine::<K>::new(params, precision);
-            run_streamed_engine::<K, _, _, Infallible, F>(
+            run_streamed_engine::<K, E, _, Infallible, F>(
                 &device,
                 &engine,
                 SessionSource(rx),
@@ -230,6 +133,33 @@ where
             }),
             engine: Mutex::new(Some(engine)),
         }
+    }
+
+    /// [`spawn_engine`](Self::spawn_engine) on one device with **runtime
+    /// precision dispatch** (only for kernels with an `i8` companion,
+    /// [`AdaptiveKernel`]): pairs run on the saturating-`i8` fast path and
+    /// escalate individually to the exact `i16` engine when their guard
+    /// trips. Outputs are bit-identical for every precision; the final
+    /// [`StreamReport`] carries the session's escalation count and rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.buffer` or `config.window` is zero (the engine's
+    /// own precondition, surfaced when the background thread starts).
+    pub fn spawn_adaptive<F>(
+        device: Device,
+        params: K::Params,
+        precision: LanePrecision,
+        config: StreamConfig,
+        res: ResilienceConfig,
+        sink: F,
+    ) -> Self
+    where
+        K: AdaptiveKernel,
+        F: FnMut(usize, Result<DpOutput<i16>, PairFault>) + Send + 'static,
+    {
+        let engine = PrecisionEngine::<K>::new(params, precision);
+        Self::spawn_engine(device, engine, config, FleetConfig::single(), res, sink)
     }
 
     /// Submits one pair, blocking while the engine's buffer and admission
@@ -301,8 +231,8 @@ where
     /// # Errors
     ///
     /// Whatever the underlying engine run returned — see
-    /// [`run_streamed_resilient`](crate::run_streamed_resilient). The
-    /// source is infallible here, so `StreamError::Source` cannot occur.
+    /// [`run_streamed_engine`]. The source is infallible here, so
+    /// `StreamError::Source` cannot occur.
     pub fn close(self) -> Result<StreamReport, StreamError<Infallible>> {
         self.shutdown()
             .expect("freshly consumed session closes exactly once")
@@ -340,7 +270,7 @@ impl<T> Iterator for SessionSource<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FailurePolicy;
+    use crate::{ExactEngine, FailurePolicy};
     use dphls_core::KernelConfig;
     use dphls_kernels::{GlobalLinear, LinearParams};
     use dphls_systolic::{CycleModelParams, KernelCycleInfo};
@@ -372,18 +302,20 @@ mod tests {
         let wl = workload(40);
         let dev = device(2);
         let params = LinearParams::<i16>::dna();
-        let expected = crate::run_batched::<GlobalLinear>(&dev, &params, &wl).unwrap();
+        let expected =
+            crate::run_batched::<GlobalLinear>(&dev, &params, &wl, Default::default()).unwrap();
 
         let got = Arc::new(Mutex::new(Vec::new()));
         let sink_got = Arc::clone(&got);
-        let session = StreamSession::<GlobalLinear>::spawn(
+        let session = StreamSession::<GlobalLinear>::spawn_engine(
             dev,
-            params,
+            ExactEngine::new(params),
             StreamConfig {
                 buffer: 4,
                 window: 8,
                 nb_slots: 0,
             },
+            FleetConfig::single(),
             ResilienceConfig::disabled(),
             move |idx, slot| {
                 sink_got
@@ -415,10 +347,11 @@ mod tests {
         let params = LinearParams::<i16>::dna();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink_seen = Arc::clone(&seen);
-        let session = Arc::new(StreamSession::<GlobalLinear>::spawn(
+        let session = Arc::new(StreamSession::<GlobalLinear>::spawn_engine(
             dev,
-            params,
+            ExactEngine::new(params),
             StreamConfig::default(),
+            FleetConfig::single(),
             ResilienceConfig::disabled(),
             move |idx, _| sink_seen.lock().unwrap().push(idx),
         ));
@@ -453,14 +386,15 @@ mod tests {
         let registered = Arc::new(Mutex::new(Vec::new()));
         let events = Arc::new(Mutex::new(Vec::new()));
         let (sink_reg, sink_events) = (Arc::clone(&registered), Arc::clone(&events));
-        let session = StreamSession::<GlobalLinear>::spawn(
+        let session = StreamSession::<GlobalLinear>::spawn_engine(
             dev,
-            params,
+            ExactEngine::new(params),
             StreamConfig {
                 buffer: 1,
                 window: 1,
                 nb_slots: 0,
             },
+            FleetConfig::single(),
             ResilienceConfig {
                 failure_policy: FailurePolicy::Quarantine,
                 max_retries: 0,

@@ -34,21 +34,18 @@
 //! [`run_batched`]: crate::run_batched
 
 use crate::engine::{ExactEngine, PairEngine, PrecisionEngine};
-use crate::faults::{injected_kernel_error, injected_panic_message, FaultKind, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::fleet::FleetConfig;
-use crate::resilience::{
-    abort_aware_sleep, panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig,
-};
+use crate::resilience::{panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig};
 use crate::scheduler::{cost_estimate, BatchConfig};
+use crate::slot::{next_live_queue, steal_order, take_down, PairJob, Settled, SlotRun, SlotTally};
 use crossbeam::channel::SendTimeoutError;
 use dphls_core::{AdaptiveKernel, DpOutput, KernelSpec, LaneKernel, LanePrecision};
-use dphls_systolic::{
-    alignment_cycles, fleet_cycles, throughput_aps, transfer_bytes, Device, SystolicError,
-};
+use dphls_systolic::{Device, SystolicError};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -105,8 +102,9 @@ pub struct StreamReport {
     pub devices: usize,
     /// Alignments each fleet device executed, `per_device[device]`.
     pub per_device: Vec<usize>,
-    /// Devices lost to [`FaultKind::DeviceLoss`] injections during the run
-    /// (0 without a fault plan).
+    /// Devices lost to
+    /// [`FaultKind::DeviceLoss`](crate::FaultKind::DeviceLoss) injections
+    /// during the run (0 without a fault plan).
     pub device_losses: usize,
     /// Alignments stolen across channels or devices.
     pub steals: usize,
@@ -122,7 +120,7 @@ pub struct StreamReport {
     /// plus the one pair in the producer's hand.
     pub resident_high_water: usize,
     /// Quarantined pairs, sorted by input index — empty unless
-    /// [`run_streamed_resilient`] ran under [`FailurePolicy::Quarantine`].
+    /// [`run_streamed_engine`] ran under [`FailurePolicy::Quarantine`].
     /// Each entry matches exactly one `Err` slot the sink received.
     pub faults: Vec<PairFault>,
     /// Failed or timed-out attempts that were re-dealt.
@@ -261,15 +259,14 @@ impl<S, F: FnMut(usize, S)> OrderedWriter<S, F> {
     ///
     /// # Errors
     ///
-    /// Returns [`ReorderOverflow`] if `idx` was already emitted or lies at
-    /// or beyond `next_emit + window`; the value is dropped.
+    /// Returns [`ReorderOverflow`] if `idx` was already emitted, is already
+    /// buffered awaiting emission, or lies at or beyond
+    /// `next_emit + window`; the value is dropped (a buffered first value
+    /// survives and is the one emitted).
+    #[inline] // one call per output, in the middle of every caller's loop
     pub fn push(&mut self, idx: usize, value: S) -> Result<(), ReorderOverflow> {
         if idx < self.next_emit || idx >= self.next_emit + self.window {
-            return Err(ReorderOverflow {
-                idx,
-                next_emit: self.next_emit,
-                window: self.window,
-            });
+            return Err(self.overflow(idx));
         }
         if idx == self.next_emit {
             (self.sink)(idx, value);
@@ -279,10 +276,21 @@ impl<S, F: FnMut(usize, S)> OrderedWriter<S, F> {
                 self.next_emit += 1;
             }
         } else {
-            self.pending.insert(idx, value);
+            match self.pending.entry(idx) {
+                Entry::Occupied(_) => return Err(self.overflow(idx)),
+                Entry::Vacant(slot) => slot.insert(value),
+            };
             self.high_water = self.high_water.max(self.pending.len());
         }
         Ok(())
+    }
+
+    fn overflow(&self, idx: usize) -> ReorderOverflow {
+        ReorderOverflow {
+            idx,
+            next_emit: self.next_emit,
+            window: self.window,
+        }
     }
 
     /// Next index the writer will emit (= count of emitted outputs).
@@ -342,24 +350,40 @@ struct Emit<S, F: FnMut(usize, S)> {
     resident_high_water: usize,
 }
 
-/// Per-worker execution tally, merged into the report after the join.
-#[derive(Default)]
-struct WorkerStats {
-    executed: usize,
-    cycle_sum: u64,
-    stolen: usize,
-    escalations: u64,
+impl<S, F: FnMut(usize, S)> Emit<S, F> {
+    /// Pushes one slot through the ordered writer; emission progress frees
+    /// admission slots, so it wakes the dealer.
+    fn push(&mut self, idx: usize, slot: S, space_cv: &Condvar) {
+        let before = self.writer.next_emit();
+        self.writer
+            .push(idx, slot)
+            .expect("admission gate keeps outputs inside the window");
+        if self.writer.next_emit() != before {
+            space_cv.notify_all();
+        }
+    }
+}
+
+/// Inserts `job` keeping the deque sorted by descending cost: the owner
+/// pops expensive work from the front, thieves take the cheapest from the
+/// back — the batch engine's discipline, applied incrementally.
+fn insert_ranked<Sym>(queue: &mut VecDeque<Job<Sym>>, job: Job<Sym>) {
+    let at = queue.partition_point(|j| j.cost >= job.cost);
+    queue.insert(at, job);
 }
 
 /// Aligns pairs pulled incrementally from `source` across the device's `NK`
 /// channels, emitting outputs **in input order** through `sink` as they
 /// complete. Outputs are bit-identical to [`crate::run_batched`] on the same
 /// pairs; peak resident pairs are bounded by `config.buffer + config.window`
-/// (see the module docs and [`StreamReport`]'s high-water marks).
+/// (see the module docs and [`StreamReport`]'s high-water marks). Precision
+/// is exact, the fleet is one device and resilience is disabled;
+/// [`run_streamed_engine`] is the full door.
 ///
 /// The sink receives `(input index, output)` with indices strictly
 /// increasing from 0; it is invoked from worker threads under a lock, so it
-/// should hand off rather than do heavy work.
+/// should hand off rather than do heavy work. To collect, push into a
+/// `Vec` from the sink (memory is then O(workload) again).
 ///
 /// # Errors
 ///
@@ -387,11 +411,13 @@ where
     E: Send + fmt::Display,
     F: FnMut(usize, DpOutput<K::Score>) + Send,
 {
-    run_streamed_resilient::<K, I, E, _>(
+    let engine = ExactEngine::<K>::new(params.clone());
+    run_streamed_engine::<K, _, I, E, _>(
         device,
-        params,
+        &engine,
         source,
         config,
+        FleetConfig::single(),
         &ResilienceConfig::disabled(),
         None,
         move |idx, slot| match slot {
@@ -403,157 +429,16 @@ where
     )
 }
 
-/// [`run_streamed`] plus a resilience policy and an optional fault plan:
-/// the sink receives `Result`-shaped slots — `Ok(output)` for completed
-/// pairs and `Err(`[`PairFault`]`)` for quarantined ones — still in strict
-/// input order, so order restoration survives holes. Per-pair failures
-/// (kernel errors, worker panics caught at the slot loop, cost-scaled
-/// deadline timeouts, and — under [`FailurePolicy::Quarantine`] — source
-/// errors for individual records) are retried with exponential backoff up
-/// to [`ResilienceConfig::max_retries`] times before quarantine; with
-/// [`ResilienceConfig::send_deadline`] set, a producer unable to feed the
-/// bounded channel degrades to [`StreamError::Stalled`] instead of
-/// deadlocking behind a wedged consumer.
-///
-/// The degradation contract (enforced by `tests/chaos.rs`): surviving
-/// outputs are bit-identical to a fault-free run and arrive at strictly
-/// increasing indices; every `Err` slot matches exactly one entry of
-/// [`StreamReport::faults`].
-///
-/// # Errors
-///
-/// [`StreamError::Source`] for a source error under
-/// [`FailurePolicy::Abort`] (under `Quarantine` the record is faulted and
-/// the stream continues); [`StreamError::Systolic`] /
-/// [`StreamError::Fault`] for the first pair failure under `Abort`;
-/// [`StreamError::Stalled`] when the producer's send deadline expires;
-/// [`StreamError::WorkerPanic`] if a panic escapes per-pair isolation.
-///
-/// # Panics
-///
-/// Panics if `config.buffer` or `config.window` is zero.
-pub fn run_streamed_resilient<K, I, E, F>(
-    device: &Device,
-    params: &K::Params,
-    source: I,
-    config: StreamConfig,
-    res: &ResilienceConfig,
-    plan: Option<&FaultPlan>,
-    sink: F,
-) -> Result<StreamReport, StreamError<E>>
-where
-    K: LaneKernel,
-    K::Score: Send,
-    K::Params: Sync,
-    K::Sym: Send,
-    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>> + Send,
-    E: Send + fmt::Display,
-    F: FnMut(usize, Result<DpOutput<K::Score>, PairFault>) + Send,
-{
-    run_streamed_fleet_resilient::<K, I, E, F>(
-        device,
-        params,
-        source,
-        config,
-        FleetConfig::single(),
-        res,
-        plan,
-        sink,
-    )
-}
-
-/// [`run_streamed`] sharded across a simulated fleet of
-/// [`FleetConfig::devices`] devices: outputs, order, and error behavior
-/// are bit-identical to the single-device run (enforced by
-/// `crates/host/tests/fleet.rs`); only the modeled throughput (per-device
-/// arbitration plus transfer cost, spread across the fleet — see
-/// [`dphls_systolic::fleet_cycles`]) and the wall-clock parallelism
-/// change.
-///
-/// # Errors
-///
-/// Same as [`run_streamed`].
-///
-/// # Panics
-///
-/// Panics if `config.buffer` or `config.window` is zero.
-pub fn run_streamed_fleet<K, I, E, F>(
-    device: &Device,
-    params: &K::Params,
-    source: I,
-    config: StreamConfig,
-    fleet: FleetConfig,
-    mut sink: F,
-) -> Result<StreamReport, StreamError<E>>
-where
-    K: LaneKernel,
-    K::Score: Send,
-    K::Params: Sync,
-    K::Sym: Send,
-    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>> + Send,
-    E: Send + fmt::Display,
-    F: FnMut(usize, DpOutput<K::Score>) + Send,
-{
-    run_streamed_fleet_resilient::<K, I, E, _>(
-        device,
-        params,
-        source,
-        config,
-        fleet,
-        &ResilienceConfig::disabled(),
-        None,
-        move |idx, slot| match slot {
-            Ok(out) => sink(idx, out),
-            Err(fault) => unreachable!("abort policy never emits quarantined slots: {fault}"),
-        },
-    )
-}
-
-/// [`run_streamed_resilient`] sharded across a simulated fleet — the full
-/// streaming surface (resilience policy, fault plan including
-/// [`FaultKind::DeviceLoss`], fleet topology) in one entry point.
-///
-/// # Errors
-///
-/// Exactly as [`run_streamed_resilient`].
-///
-/// # Panics
-///
-/// Panics if `config.buffer` or `config.window` is zero.
-#[allow(clippy::too_many_arguments)]
-pub fn run_streamed_fleet_resilient<K, I, E, F>(
-    device: &Device,
-    params: &K::Params,
-    source: I,
-    config: StreamConfig,
-    fleet: FleetConfig,
-    res: &ResilienceConfig,
-    plan: Option<&FaultPlan>,
-    sink: F,
-) -> Result<StreamReport, StreamError<E>>
-where
-    K: LaneKernel,
-    K::Score: Send,
-    K::Params: Sync,
-    K::Sym: Send,
-    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>> + Send,
-    E: Send + fmt::Display,
-    F: FnMut(usize, Result<DpOutput<K::Score>, PairFault>) + Send,
-{
-    let engine = ExactEngine::<K>::new(params.clone());
-    run_streamed_engine::<K, _, I, E, F>(device, &engine, source, config, fleet, res, plan, sink)
-}
-
-/// [`run_streamed_resilient`] with **runtime precision dispatch**: pairs
-/// run on the saturating-`i8` fast path and escalate individually to the
-/// exact `i16` engine when their guard trips (or run entirely exact under
-/// [`LanePrecision::Exact`]). Outputs are bit-identical for every
-/// precision; [`StreamReport::escalations`] /
+/// [`run_streamed_engine`] on one device with **runtime precision
+/// dispatch**: pairs run on the saturating-`i8` fast path and escalate
+/// individually to the exact `i16` engine when their guard trips (or run
+/// entirely exact under [`LanePrecision::Exact`]). Outputs are
+/// bit-identical for every precision; [`StreamReport::escalations`] /
 /// [`StreamReport::escalation_rate`] expose how often the fast path bailed.
 ///
 /// # Errors
 ///
-/// Exactly as [`run_streamed_resilient`].
+/// Exactly as [`run_streamed_engine`].
 ///
 /// # Panics
 ///
@@ -590,14 +475,43 @@ where
     )
 }
 
-/// The streaming pipeline, generic over the per-pair execution strategy
-/// ([`PairEngine`]): every streamed entry point funnels here. See
-/// [`run_streamed_resilient`] for the pipeline semantics — this function
-/// adds none of its own.
+/// The streaming pipeline — the full stream door, generic over the
+/// per-pair execution strategy ([`PairEngine`]: [`ExactEngine`] for any
+/// [`LaneKernel`], [`PrecisionEngine`] for runtime precision dispatch),
+/// sharded across a simulated fleet, with a resilience policy and an
+/// optional fault plan (including
+/// [`FaultKind::DeviceLoss`](crate::FaultKind::DeviceLoss)). The
+/// degenerate values are [`FleetConfig::single`],
+/// [`ResilienceConfig::disabled`] and `None`.
+///
+/// The sink receives `Result`-shaped slots — `Ok(output)` for completed
+/// pairs and `Err(`[`PairFault`]`)` for quarantined ones — still in strict
+/// input order, so order restoration survives holes. Per-pair failures
+/// (kernel errors, worker panics caught at the slot loop, cost-scaled
+/// deadline timeouts, and — under [`FailurePolicy::Quarantine`] — source
+/// errors for individual records) are retried with exponential backoff up
+/// to [`ResilienceConfig::max_retries`] times before quarantine; with
+/// [`ResilienceConfig::send_deadline`] set, a producer unable to feed the
+/// bounded channel degrades to [`StreamError::Stalled`] instead of
+/// deadlocking behind a wedged consumer.
+///
+/// The degradation contract (enforced by `tests/chaos.rs`): surviving
+/// outputs are bit-identical to a fault-free run and arrive at strictly
+/// increasing indices; every `Err` slot matches exactly one entry of
+/// [`StreamReport::faults`]. Outputs, order, and error behavior are also
+/// bit-identical for every fleet device count (enforced by
+/// `crates/host/tests/fleet.rs`); only the modeled throughput (per-device
+/// arbitration plus transfer cost, spread across the fleet — see
+/// [`dphls_systolic::fleet_cycles`]) and the wall-clock parallelism change.
 ///
 /// # Errors
 ///
-/// Exactly as [`run_streamed_resilient`].
+/// [`StreamError::Source`] for a source error under
+/// [`FailurePolicy::Abort`] (under `Quarantine` the record is faulted and
+/// the stream continues); [`StreamError::Systolic`] /
+/// [`StreamError::Fault`] for the first pair failure under `Abort`;
+/// [`StreamError::Stalled`] when the producer's send deadline expires;
+/// [`StreamError::WorkerPanic`] if a panic escapes per-pair isolation.
 ///
 /// # Panics
 ///
@@ -627,11 +541,8 @@ where
     let kernel_config = device.config();
     let nk = kernel_config.nk.max(1);
     let slots = BatchConfig::slots(config.nb_slots).resolve_slots(kernel_config);
-    let d = fleet.resolve_devices();
-    let transfer = fleet.transfer;
-    // Instrumented = any resilience mechanism or injection active; the
-    // alternative is the original zero-overhead slot loop.
-    let instrumented = !res.is_disabled() || plan.is_some_and(|p| !p.is_empty());
+    let run = SlotRun::new(device, fleet, res, plan);
+    let d = run.devices;
     let quarantine = res.failure_policy == FailurePolicy::Quarantine;
 
     let sched: Mutex<Sched<K::Sym>> = Mutex::new(Sched {
@@ -650,17 +561,24 @@ where
     });
     // Wakes the dealer blocked on a full admission window.
     let space_cv = Condvar::new();
-    let abort = AtomicBool::new(false);
+    // Raises the abort flag and wakes everything parked. Each notify
+    // bridges through its condvar's mutex: a peer holds that mutex between
+    // checking `abort` and parking, so acquiring it first guarantees the
+    // notify lands after the peer is actually waiting (no lost wakeup).
+    let abort_all = || {
+        run.abort.store(true, Ordering::Relaxed);
+        drop(sched.lock().expect("sched mutex"));
+        work_cv.notify_all();
+        drop(emit.lock().expect("emit mutex"));
+        space_cv.notify_all();
+    };
     let source_error: Mutex<Option<E>> = Mutex::new(None);
     let pair_error: Mutex<Option<PairFault>> = Mutex::new(None);
     let stalled: Mutex<Option<Duration>> = Mutex::new(None);
     let faults: Mutex<Vec<PairFault>> = Mutex::new(Vec::new());
-    let retries = AtomicUsize::new(0);
-    let timeouts = AtomicUsize::new(0);
-    let device_losses = AtomicUsize::new(0);
     // One tally per block slot, indexed `(dev * nk + ch) * slots + slot`.
-    let stats: Vec<Mutex<WorkerStats>> = (0..d * nk * slots)
-        .map(|_| Mutex::new(WorkerStats::default()))
+    let stats: Vec<Mutex<SlotTally>> = (0..d * nk * slots)
+        .map(|_| Mutex::new(SlotTally::default()))
         .collect();
 
     let (tx, rx) =
@@ -674,8 +592,7 @@ where
         // deadline configured, a consumer that stops draining degrades the
         // run to `Stalled` instead of blocking this thread forever.
         {
-            let (sched, work_cv, emit, space_cv) = (&sched, &work_cv, &emit, &space_cv);
-            let (abort, stalled) = (&abort, &stalled);
+            let (stalled, abort_all) = (&stalled, &abort_all);
             let send_deadline = res.send_deadline;
             scope.spawn(move |_| {
                 for item in source {
@@ -698,14 +615,7 @@ where
                                 Err(SendTimeoutError::Timeout(_)) => {
                                     *stalled.lock().expect("stalled mutex") =
                                         Some(started.elapsed());
-                                    abort.store(true, Ordering::Relaxed);
-                                    // Bridged notifies (see the worker abort
-                                    // path): wake the dealer and any parked
-                                    // workers so the pipeline unwinds.
-                                    drop(sched.lock().expect("sched mutex"));
-                                    work_cv.notify_all();
-                                    drop(emit.lock().expect("emit mutex"));
-                                    space_cv.notify_all();
+                                    abort_all();
                                     break;
                                 }
                             }
@@ -722,58 +632,47 @@ where
             let qown = worker / slots;
             let dev = qown / nk;
             let ch = qown % nk;
-            let (sched, work_cv, emit, space_cv) = (&sched, &work_cv, &emit, &space_cv);
-            let (abort, pair_error, stats) = (&abort, &pair_error, &stats);
-            let (faults, retries, timeouts) = (&faults, &retries, &timeouts);
-            let device_losses = &device_losses;
+            let (run, sched, work_cv, emit, space_cv) = (&run, &sched, &work_cv, &emit, &space_cv);
+            let (abort_all, pair_error, stats, faults) = (&abort_all, &pair_error, &stats, &faults);
             scope.spawn(move |_| {
                 // Every block slot owns its scratch arena.
                 let mut scratch = engine.new_scratch();
-                let mut local = WorkerStats::default();
-                'work: loop {
+                let mut tally = SlotTally::default();
+                // A job reaching a terminal state releases the busy count,
+                // so idle peers can exit once everything settles.
+                let release = || {
+                    if run.instrumented {
+                        sched.lock().expect("sched mutex").busy -= 1;
+                        work_cv.notify_all();
+                    }
+                };
+                loop {
                     // Own deque's expensive end first; then steal the
-                    // cheapest job — same-device channels before other
-                    // devices, always from the tail; then block if the
+                    // cheapest job from a victim's tail; then block if the
                     // producer may still deal more (or a busy peer may
                     // still re-deal); exit otherwise.
                     let job = {
                         let mut guard = sched.lock().expect("sched mutex");
                         loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break None;
-                            }
                             // A lost device dispatches nothing further.
-                            if guard.lost[dev] {
+                            if run.aborted() || guard.lost[dev] {
                                 break None;
                             }
-                            if let Some(job) = guard.queues[qown].pop_front() {
+                            let own = guard.queues[qown].pop_front();
+                            let job = own.or_else(|| {
+                                let stolen = steal_order(dev, ch, d, nk)
+                                    .find_map(|v| guard.queues[v].pop_back());
+                                tally.stolen += usize::from(stolen.is_some());
+                                stolen
+                            });
+                            if job.is_some() {
                                 // Counted under the same guard as the pop so
                                 // peers never observe empty queues with the
                                 // job invisibly in a hand.
-                                if instrumented {
-                                    guard.busy += 1;
-                                }
-                                break Some(job);
+                                guard.busy += usize::from(run.instrumented);
+                                break job;
                             }
-                            let mut stolen = None;
-                            'steal: for du in 0..d {
-                                let dd = (dev + du) % d;
-                                for cu in usize::from(du == 0)..nk {
-                                    let victim = dd * nk + (ch + cu) % nk;
-                                    stolen = guard.queues[victim].pop_back();
-                                    if stolen.is_some() {
-                                        break 'steal;
-                                    }
-                                }
-                            }
-                            if let Some(job) = stolen {
-                                local.stolen += 1;
-                                if instrumented {
-                                    guard.busy += 1;
-                                }
-                                break Some(job);
-                            }
-                            if !guard.producer_live && (!instrumented || guard.busy == 0) {
+                            if !guard.producer_live && guard.busy == 0 {
                                 break None;
                             }
                             guard = work_cv.wait(guard).expect("sched mutex");
@@ -781,290 +680,130 @@ where
                     };
                     let Some(job) = job else { break };
 
-                    let outcome = if !instrumented {
-                        // Original hot path: no clock, no catch_unwind.
-                        engine
-                            .run_pair(&job.q, &job.r, kernel_config, &mut scratch)
-                            .map_err(FaultCause::Kernel)
-                    } else {
-                        let deadline = res.deadline_for(job.cost);
-                        let started = Instant::now();
-                        let mut injected = plan.and_then(|p| p.worker_fault(job.idx, job.attempts));
-                        if injected == Some(FaultKind::DeviceLoss) {
-                            // Take this device down — unless it is the last
-                            // live one, in which case the injection is
-                            // ignored and the job runs normally.
-                            let took = {
-                                let mut guard = sched.lock().expect("sched mutex");
-                                let survives = !guard.lost[dev]
-                                    && guard.lost.iter().filter(|&&x| !x).count() > 1;
-                                if survives {
-                                    guard.lost[dev] = true;
-                                    // Migrate the dead device's queued jobs
-                                    // to the next live device, channel to
-                                    // channel, keeping each deque's cost
-                                    // order; the in-flight job itself fails
-                                    // below with a DeviceLost cause and
-                                    // re-enters the retry/quarantine path.
-                                    let target = (1..d)
-                                        .map(|v| (dev + v) % d)
-                                        .find(|&t| !guard.lost[t])
-                                        .expect("loss gate keeps one live device");
-                                    for c in 0..nk {
-                                        let moved: Vec<Job<K::Sym>> =
-                                            guard.queues[dev * nk + c].drain(..).collect();
-                                        for j in moved {
-                                            let queue = &mut guard.queues[target * nk + c];
-                                            let at = queue.partition_point(|x| x.cost >= j.cost);
-                                            queue.insert(at, j);
-                                        }
-                                    }
-                                }
-                                survives
-                            };
-                            if took {
-                                device_losses.fetch_add(1, Ordering::Relaxed);
-                                work_cv.notify_all();
-                            } else {
-                                injected = None;
-                            }
-                        }
-                        if let Some(FaultKind::Stall { millis }) = injected {
-                            abort_aware_sleep(Duration::from_millis(millis), abort);
-                            if abort.load(Ordering::Relaxed) {
-                                break 'work;
-                            }
-                        }
-                        let outcome = if injected == Some(FaultKind::DeviceLoss) {
-                            Err(FaultCause::DeviceLost { device: dev })
-                        } else if injected == Some(FaultKind::KernelError) {
-                            Err(FaultCause::Kernel(injected_kernel_error()))
-                        } else {
-                            let caught = catch_unwind(AssertUnwindSafe(|| {
-                                if injected == Some(FaultKind::Panic) {
-                                    panic!("{}", injected_panic_message(job.idx));
-                                }
-                                engine.run_pair(&job.q, &job.r, kernel_config, &mut scratch)
-                            }));
-                            match caught {
-                                Ok(Ok(run)) => Ok(run),
-                                Ok(Err(e)) => Err(FaultCause::Kernel(e)),
-                                Err(payload) => {
-                                    // The panic may have unwound mid-update
-                                    // and left the arena inconsistent.
-                                    scratch = engine.new_scratch();
-                                    Err(FaultCause::Panic(panic_message(payload)))
-                                }
-                            }
-                        };
-                        // Cooperative deadline: an over-deadline result is
-                        // discarded (the retry recomputes it identically).
-                        match (outcome, deadline) {
-                            (Ok(run), Some(d)) if started.elapsed() > d => {
-                                timeouts.fetch_add(1, Ordering::Relaxed);
-                                let _ = run;
-                                Err(FaultCause::Timeout { deadline: d })
-                            }
-                            (o, _) => o,
-                        }
+                    let pair = PairJob {
+                        idx: job.idx,
+                        attempts: job.attempts,
+                        cost: job.cost,
+                        q: &job.q,
+                        r: &job.r,
                     };
-
-                    match outcome {
-                        Ok(run) => {
-                            let b = alignment_cycles(
-                                &run.stats,
-                                device.kernel_cycle_info(),
-                                device.cycle_params(),
-                            );
-                            // Full-NB arbiter occupancy plus the modeled
-                            // host↔device transfer, spread across the
-                            // fleet, exactly as the batch engine folds it:
-                            // the modeled figure is independent of the host
-                            // slot count.
-                            local.cycle_sum += fleet_cycles(
-                                &b,
-                                kernel_config.nb,
-                                d,
-                                &transfer,
-                                transfer_bytes(&run.stats, device.kernel_cycle_info()),
-                            );
-                            local.escalations += run.stats.escalations;
-                            local.executed += 1;
-                            let mut e = emit.lock().expect("emit mutex");
-                            let before = e.writer.next_emit();
-                            e.writer
-                                .push(job.idx, Ok(run.output))
-                                .expect("admission gate keeps outputs inside the window");
-                            if e.writer.next_emit() != before {
-                                // Emission progress frees admission slots.
-                                space_cv.notify_all();
-                            }
-                            drop(e);
-                            if instrumented {
-                                // Terminal: release the busy count so idle
-                                // peers can exit once everything settles.
-                                sched.lock().expect("sched mutex").busy -= 1;
-                                work_cv.notify_all();
+                    let outcome = run.attempt::<K, En>(engine, &mut scratch, &pair, dev, || {
+                        let mut guard = sched.lock().expect("sched mutex");
+                        let Some(target) = take_down(&mut guard.lost, dev) else {
+                            return false;
+                        };
+                        // Migrate the dead device's queued jobs to the next
+                        // live device, channel to channel, keeping each
+                        // deque's cost order.
+                        for c in 0..nk {
+                            let moved: Vec<Job<K::Sym>> =
+                                guard.queues[dev * nk + c].drain(..).collect();
+                            for j in moved {
+                                insert_ranked(&mut guard.queues[target * nk + c], j);
                             }
                         }
-                        Err(cause) if job.attempts < res.max_retries => {
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            let _ = cause;
-                            abort_aware_sleep(res.backoff_for(job.attempts + 1), abort);
+                        drop(guard);
+                        work_cv.notify_all();
+                        true
+                    });
+                    match run.settle(&mut tally, job.idx, job.attempts, outcome) {
+                        Settled::Done(output) => {
+                            emit.lock()
+                                .expect("emit mutex")
+                                .push(job.idx, Ok(output), space_cv);
+                            release();
+                        }
+                        Settled::Retry => {
                             // Re-deal to the next queue on a *live* device
-                            // (sorted by cost like the dealer's inserts): a
+                            // (ranked by cost like the dealer's inserts): a
                             // different slot picks it up when one exists,
                             // and idle workers stay parked on the busy
                             // count until every job lands somewhere.
                             let mut guard = sched.lock().expect("sched mutex");
-                            let target = (1..d * nk)
-                                .map(|v| (qown + v) % (d * nk))
-                                .find(|&qi| !guard.lost[qi / nk])
-                                .unwrap_or(qown);
-                            let queue = &mut guard.queues[target];
-                            let at = queue.partition_point(|j| j.cost >= job.cost);
-                            queue.insert(
-                                at,
-                                Job {
-                                    attempts: job.attempts + 1,
-                                    ..job
-                                },
-                            );
+                            let target = next_live_queue(&guard.lost, nk, qown + 1);
+                            let attempts = job.attempts + 1;
+                            insert_ranked(&mut guard.queues[target], Job { attempts, ..job });
                             // The job left this worker's hand for a queue.
                             guard.busy -= 1;
                             drop(guard);
                             work_cv.notify_all();
                         }
-                        Err(cause) => {
-                            let fault = PairFault {
-                                idx: job.idx,
-                                cause,
-                                attempts: job.attempts + 1,
-                            };
-                            if quarantine {
-                                faults.lock().expect("faults mutex").push(fault.clone());
-                                // The hole is emitted through the writer so
-                                // order restoration (and the admission
-                                // window) survive it.
-                                let mut e = emit.lock().expect("emit mutex");
-                                let before = e.writer.next_emit();
-                                e.writer
-                                    .push(fault.idx, Err(fault))
-                                    .expect("admission gate keeps outputs inside the window");
-                                if e.writer.next_emit() != before {
-                                    space_cv.notify_all();
-                                }
-                                drop(e);
-                                sched.lock().expect("sched mutex").busy -= 1;
-                                work_cv.notify_all();
-                            } else {
-                                let mut guard = pair_error.lock().expect("error mutex");
-                                if guard.is_none() {
-                                    *guard = Some(fault);
-                                }
-                                drop(guard);
-                                abort.store(true, Ordering::Relaxed);
-                                // Each notify bridges through its condvar's
-                                // mutex: a peer holds that mutex between
-                                // checking `abort` and parking, so acquiring
-                                // it first guarantees the notify lands after
-                                // the peer is actually waiting (no lost
-                                // wakeup).
-                                drop(sched.lock().expect("sched mutex"));
-                                work_cv.notify_all();
-                                drop(emit.lock().expect("emit mutex"));
-                                space_cv.notify_all();
-                                break;
-                            }
+                        Settled::Quarantine(fault) => {
+                            faults.lock().expect("faults mutex").push(fault.clone());
+                            // The hole is emitted through the writer so
+                            // order restoration (and the admission window)
+                            // survive it.
+                            emit.lock()
+                                .expect("emit mutex")
+                                .push(fault.idx, Err(fault), space_cv);
+                            release();
+                        }
+                        Settled::Abort(fault) => {
+                            pair_error.lock().expect("error mutex").get_or_insert(fault);
+                            abort_all();
                         }
                     }
                 }
-                *stats[worker].lock().expect("stats mutex") = local;
+                *stats[worker].lock().expect("stats mutex") = tally;
             });
         }
 
         // Stage 2a: dealer (this thread) — receives parsed pairs, waits for
         // an admission slot, cost-ranks, and deals round-robin.
         'deal: for (next_idx, item) in rx.iter().enumerate() {
+            let item = match item {
+                Err(e) if !quarantine => {
+                    *source_error.lock().expect("error mutex") = Some(e);
+                    run.abort.store(true, Ordering::Relaxed);
+                    break 'deal;
+                }
+                item => item,
+            };
+            // Admission gate: every record occupies a writer slot, computed
+            // or not.
+            let mut em = emit.lock().expect("emit mutex");
+            loop {
+                if run.aborted() {
+                    break 'deal;
+                }
+                if next_idx < em.writer.next_emit() + config.window {
+                    break;
+                }
+                em = space_cv.wait(em).expect("emit mutex");
+            }
+            em.admitted += 1;
+            let resident = em.admitted - em.writer.next_emit();
+            em.resident_high_water = em.resident_high_water.max(resident);
             let (q, r) = match item {
                 Ok(pair) => pair,
-                Err(e) if quarantine => {
+                Err(e) => {
                     // Lenient-stream degradation: the record becomes a
-                    // quarantined slot. It still passes the admission gate
-                    // (it occupies a writer slot) and is emitted through
-                    // the writer immediately — there is nothing to compute.
+                    // quarantined slot, emitted through the writer
+                    // immediately — there is nothing to compute.
                     let fault = PairFault {
                         idx: next_idx,
                         cause: FaultCause::Source(e.to_string()),
                         attempts: 0,
                     };
                     faults.lock().expect("faults mutex").push(fault.clone());
-                    let mut em = emit.lock().expect("emit mutex");
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break 'deal;
-                        }
-                        if next_idx < em.writer.next_emit() + config.window {
-                            em.admitted += 1;
-                            let resident = em.admitted - em.writer.next_emit();
-                            em.resident_high_water = em.resident_high_water.max(resident);
-                            let before = em.writer.next_emit();
-                            em.writer
-                                .push(next_idx, Err(fault))
-                                .expect("admission gate keeps outputs inside the window");
-                            if em.writer.next_emit() != before {
-                                space_cv.notify_all();
-                            }
-                            break;
-                        }
-                        em = space_cv.wait(em).expect("emit mutex");
-                    }
+                    em.push(next_idx, Err(fault), &space_cv);
                     continue 'deal;
                 }
-                Err(e) => {
-                    *source_error.lock().expect("error mutex") = Some(e);
-                    abort.store(true, Ordering::Relaxed);
-                    break 'deal;
-                }
             };
-            {
-                let mut e = emit.lock().expect("emit mutex");
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break 'deal;
-                    }
-                    if next_idx < e.writer.next_emit() + config.window {
-                        e.admitted += 1;
-                        let resident = e.admitted - e.writer.next_emit();
-                        e.resident_high_water = e.resident_high_water.max(resident);
-                        break;
-                    }
-                    e = space_cv.wait(e).expect("emit mutex");
-                }
-            }
-            let cost = cost_estimate(q.len(), r.len(), kernel_config.banding);
+            drop(em);
             let job = Job {
                 idx: next_idx,
+                cost: cost_estimate(q.len(), r.len(), kernel_config.banding),
                 q,
                 r,
-                cost,
                 attempts: 0,
             };
             {
                 let mut guard = sched.lock().expect("sched mutex");
                 // Deal round-robin across the fleet's live devices; a lost
                 // device's deques receive nothing further.
-                let target = (0..d * nk)
-                    .map(|v| (next_idx + v) % (d * nk))
-                    .find(|&qi| !guard.lost[qi / nk])
-                    .unwrap_or(next_idx % (d * nk));
-                let queue = &mut guard.queues[target];
-                // Keep each deque sorted by descending cost: the owner pops
-                // expensive work from the front, thieves take the cheapest
-                // from the back — the batch engine's discipline, applied
-                // incrementally.
-                let at = queue.partition_point(|j| j.cost >= job.cost);
-                queue.insert(at, job);
+                let target = next_live_queue(&guard.lost, nk, next_idx);
+                insert_ranked(&mut guard.queues[target], job);
             }
             work_cv.notify_one();
         }
@@ -1098,122 +837,29 @@ where
     debug_assert!(emit.writer.is_drained(), "all admitted outputs emitted");
     let mut faults = faults.into_inner().expect("faults mutex");
     faults.sort_by_key(|f| f.idx);
-    let mut per_channel = vec![0usize; nk];
-    let mut per_slot = vec![vec![0usize; slots]; nk];
-    let mut per_device = vec![0usize; d];
-    let mut steals = 0usize;
-    let mut cycle_sum = 0u64;
-    let mut escalations = 0u64;
-    for (worker, stat) in stats.into_iter().enumerate() {
-        let s = stat.into_inner().expect("stats mutex");
-        let qown = worker / slots;
-        per_channel[qown % nk] += s.executed;
-        per_slot[qown % nk][worker % slots] += s.executed;
-        per_device[qown / nk] += s.executed;
-        steals += s.stolen;
-        cycle_sum += s.cycle_sum;
-        escalations += s.escalations;
-    }
-    let n = emit.writer.next_emit();
-    let completed = n - faults.len();
-    let throughput = if completed == 0 {
-        0.0
-    } else {
-        let mean_cycles = cycle_sum as f64 / completed as f64;
-        throughput_aps(
-            mean_cycles.round().max(1.0) as u64,
-            device.freq_mhz(),
-            kernel_config,
-        )
-    };
+    let tally = run.tally(
+        slots,
+        stats
+            .into_iter()
+            .map(|s| s.into_inner().expect("stats mutex")),
+    );
     Ok(StreamReport {
-        pairs: n,
-        per_channel,
-        per_slot,
+        pairs: emit.writer.next_emit(),
+        per_channel: tally.per_channel,
+        per_slot: tally.per_slot,
         nb_slots: slots,
         devices: d,
-        per_device,
-        device_losses: device_losses.into_inner(),
-        steals,
-        throughput_aps: throughput,
+        per_device: tally.per_device,
+        device_losses: run.device_losses.into_inner(),
+        steals: tally.steals,
+        throughput_aps: tally.throughput_aps,
         reorder_high_water: emit.writer.high_water(),
         resident_high_water: emit.resident_high_water,
         faults,
-        retries: retries.into_inner(),
-        timeouts: timeouts.into_inner(),
-        escalations,
+        retries: run.retries.into_inner(),
+        timeouts: run.timeouts.into_inner(),
+        escalations: tally.escalations,
     })
-}
-
-/// Convenience wrapper with the exact [`crate::ScheduleReport`] contract of
-/// [`crate::run_batched`]: collects the streamed outputs into an in-order
-/// `Vec` (so memory is O(workload) again — use [`run_streamed`] with a real
-/// sink for bounded-memory operation) and returns the stream report
-/// alongside for the bounded-memory evidence.
-///
-/// # Errors
-///
-/// Same as [`run_streamed`].
-pub fn run_streamed_collect<K, I, E>(
-    device: &Device,
-    params: &K::Params,
-    source: I,
-    config: StreamConfig,
-) -> Result<(crate::ScheduleReport<K::Score>, StreamReport), StreamError<E>>
-where
-    K: LaneKernel,
-    K::Score: Send,
-    K::Params: Sync,
-    K::Sym: Send,
-    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>> + Send,
-    E: Send + fmt::Display,
-{
-    run_streamed_fleet_collect::<K, I, E>(device, params, source, config, FleetConfig::single())
-}
-
-/// [`run_streamed_collect`] sharded across a simulated fleet: the collected
-/// outputs (and their order) are bit-identical to the single-device run for
-/// every device count — only the modeled throughput changes.
-///
-/// # Errors
-///
-/// Same as [`run_streamed`].
-pub fn run_streamed_fleet_collect<K, I, E>(
-    device: &Device,
-    params: &K::Params,
-    source: I,
-    config: StreamConfig,
-    fleet: FleetConfig,
-) -> Result<(crate::ScheduleReport<K::Score>, StreamReport), StreamError<E>>
-where
-    K: LaneKernel,
-    K::Score: Send,
-    K::Params: Sync,
-    K::Sym: Send,
-    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>> + Send,
-    E: Send + fmt::Display,
-{
-    let outputs: Mutex<Vec<DpOutput<K::Score>>> = Mutex::new(Vec::new());
-    let report =
-        run_streamed_fleet::<K, I, E, _>(device, params, source, config, fleet, |idx, out| {
-            let mut o = outputs.lock().expect("outputs mutex");
-            debug_assert_eq!(o.len(), idx, "sink indices are contiguous from 0");
-            o.push(out);
-        })?;
-    Ok((
-        crate::ScheduleReport {
-            outputs: outputs.into_inner().expect("outputs mutex"),
-            per_channel: report.per_channel.clone(),
-            per_slot: report.per_slot.clone(),
-            nb_slots: report.nb_slots,
-            devices: report.devices,
-            per_device: report.per_device.clone(),
-            steals: report.steals,
-            throughput_aps: report.throughput_aps,
-            escalations: report.escalations,
-        },
-        report,
-    ))
 }
 
 #[cfg(test)]
@@ -1265,26 +911,54 @@ mod tests {
 
     #[test]
     fn ordered_writer_rejects_out_of_window_and_duplicates() {
-        let mut w = OrderedWriter::new(2, |_, _: u32| {});
+        let got = std::cell::RefCell::new(Vec::new());
+        let mut w = OrderedWriter::new(2, |idx, v: u32| got.borrow_mut().push((idx, v)));
         assert!(w.push(2, 0).is_err()); // beyond [0, 2)
         w.push(0, 0).unwrap();
         assert!(w.push(0, 0).is_err()); // already emitted
         let err = w.push(3, 0).unwrap_err();
         assert_eq!(err.next_emit, 1);
         assert_eq!(err.window, 2);
+        // A duplicate of a buffered, not-yet-emitted index is rejected too,
+        // and the first value is the one emitted.
+        w.push(2, 20).unwrap();
+        let err = w.push(2, 99).unwrap_err();
+        assert_eq!((err.idx, err.next_emit), (2, 1));
+        assert_eq!(w.pending_len(), 1);
+        w.push(1, 10).unwrap(); // releases 1 and the first 2
+        assert_eq!(*got.borrow(), vec![(0, 0), (1, 10), (2, 20)]);
+    }
+
+    /// Streams `source` on the exact engine into a `Vec`, in sink order.
+    fn collect<I, E>(
+        dev: &Device,
+        source: I,
+        config: StreamConfig,
+        fleet: FleetConfig,
+    ) -> Result<(Vec<DpOutput<i16>>, StreamReport), StreamError<E>>
+    where
+        I: Iterator<Item = Result<dphls_core::SeqPair<GlobalLinear>, E>> + Send,
+        E: Send + fmt::Display,
+    {
+        let engine = ExactEngine::<GlobalLinear>::new(LinearParams::<i16>::dna());
+        let mut outputs = Vec::new();
+        let res = ResilienceConfig::disabled();
+        let report = run_streamed_engine(dev, &engine, source, config, fleet, &res, None, {
+            |_, slot| outputs.push(slot.expect("abort policy emits no quarantined slots"))
+        })?;
+        Ok((outputs, report))
     }
 
     #[test]
     fn empty_source_reports_zeroes() {
-        let params = LinearParams::<i16>::dna();
-        let (rep, stream) = run_streamed_collect::<GlobalLinear, _, Infallible>(
+        let (outputs, stream) = collect::<_, Infallible>(
             &device(2),
-            &params,
             std::iter::empty(),
             StreamConfig::default(),
+            FleetConfig::single(),
         )
         .unwrap();
-        assert!(rep.outputs.is_empty());
+        assert!(outputs.is_empty());
         assert_eq!(stream.pairs, 0);
         assert_eq!(stream.throughput_aps, 0.0);
         assert_eq!(stream.reorder_high_water, 0);
@@ -1293,17 +967,16 @@ mod tests {
     #[test]
     fn source_error_propagates_and_stops_pipeline() {
         let wl = workload(6);
-        let params = LinearParams::<i16>::dna();
         let source = wl
             .iter()
             .cloned()
             .map(Ok)
             .chain(std::iter::once(Err("broken record")));
-        let err = run_streamed_collect::<GlobalLinear, _, _>(
+        let err = collect(
             &device(2),
-            &params,
             source,
             StreamConfig::default(),
+            FleetConfig::single(),
         )
         .unwrap_err();
         assert_eq!(err, StreamError::Source("broken record"));
@@ -1311,13 +984,12 @@ mod tests {
 
     #[test]
     fn systolic_error_propagates() {
-        let params = LinearParams::<i16>::dna();
         let too_long = vec![(vec![dphls_seq::Base::A; 200], vec![dphls_seq::Base::C; 50])];
-        let err = run_streamed_collect::<GlobalLinear, _, Infallible>(
+        let err = collect::<_, Infallible>(
             &device(2),
-            &params,
             too_long.into_iter().map(Ok),
             StreamConfig::default(),
+            FleetConfig::single(),
         )
         .unwrap_err();
         assert!(matches!(err, StreamError::Systolic(_)));
@@ -1327,21 +999,19 @@ mod tests {
     fn fleet_stream_is_bit_identical_and_speeds_the_model() {
         use dphls_systolic::TransferModel;
         let wl = workload(23);
-        let params = LinearParams::<i16>::dna();
         let dev = device(2);
-        let (single, srep) = run_streamed_collect::<GlobalLinear, _, Infallible>(
+        let (single, srep) = collect::<_, Infallible>(
             &dev,
-            &params,
             wl.iter().cloned().map(Ok),
             StreamConfig::default(),
+            FleetConfig::single(),
         )
         .unwrap();
         assert_eq!(srep.devices, 1);
         assert_eq!(srep.per_device, vec![23]);
         assert_eq!(srep.device_losses, 0);
-        let (fleet, frep) = run_streamed_fleet_collect::<GlobalLinear, _, Infallible>(
+        let (fleet, frep) = collect::<_, Infallible>(
             &dev,
-            &params,
             wl.iter().cloned().map(Ok),
             StreamConfig::default(),
             FleetConfig::new(4).with_transfer(TransferModel::zero()),
@@ -1349,7 +1019,7 @@ mod tests {
         .unwrap();
         assert_eq!(frep.devices, 4);
         assert_eq!(frep.per_device.iter().sum::<usize>(), wl.len());
-        assert_eq!(fleet.outputs, single.outputs);
+        assert_eq!(fleet, single);
         assert!(
             frep.throughput_aps > srep.throughput_aps * 3.0,
             "fleet {} vs single {}",
@@ -1363,23 +1033,21 @@ mod tests {
         let wl = workload(23);
         let params = LinearParams::<i16>::dna();
         let dev = device(3);
-        let batched = crate::run_batched::<GlobalLinear>(&dev, &params, &wl).unwrap();
+        let batched =
+            crate::run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::default()).unwrap();
         for (buffer, window) in [(1, 1), (1, 2), (2, 3), (64, 4)] {
-            let (rep, stream) = run_streamed_collect::<GlobalLinear, _, Infallible>(
+            let (outputs, stream) = collect::<_, Infallible>(
                 &dev,
-                &params,
                 wl.iter().cloned().map(Ok),
                 StreamConfig {
                     buffer,
                     window,
                     nb_slots: 0,
                 },
+                FleetConfig::single(),
             )
             .unwrap();
-            assert_eq!(
-                rep.outputs, batched.outputs,
-                "buffer {buffer} window {window}"
-            );
+            assert_eq!(outputs, batched.outputs, "buffer {buffer} window {window}");
             assert!(stream.resident_high_water <= window);
             assert!(stream.reorder_high_water < window.max(1));
         }

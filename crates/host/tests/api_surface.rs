@@ -1,0 +1,88 @@
+//! Frozen-surface guard: the out-of-workspace `benchmark/` package calls
+//! exactly these four doors with exactly these argument lists, builds the
+//! config structs as full literals and reads the reports by field. It is
+//! not a workspace member, so without this file a signature drift would
+//! pass `cargo test` and break only the benchmark build.
+
+// Spelling each argument list out in full is the point of this file.
+#![allow(clippy::type_complexity)]
+
+use dphls_core::{DpOutput, LanePrecision, SeqPair};
+use dphls_host::{
+    run_batched_adaptive, run_streamed, run_streamed_adaptive, BatchConfig, BatchError,
+    BatchReport, FaultPlan, PairFault, ResilienceConfig, StreamConfig, StreamError, StreamReport,
+    StreamSession,
+};
+use dphls_kernels::{GlobalLinear, LinearParams};
+use dphls_systolic::Device;
+use std::convert::Infallible;
+
+type Pair = SeqPair<GlobalLinear>;
+type Source = std::vec::IntoIter<Result<Pair, Infallible>>;
+type Slot = Result<DpOutput<i16>, PairFault>;
+type Streamed = Result<StreamReport, StreamError<Infallible>>;
+
+#[test]
+fn benchmark_doors_keep_their_signatures() {
+    let _: fn(
+        &Device,
+        &LinearParams<i16>,
+        Source,
+        StreamConfig,
+        fn(usize, DpOutput<i16>),
+    ) -> Streamed = run_streamed::<GlobalLinear, Source, Infallible, fn(usize, DpOutput<i16>)>;
+    let _: fn(
+        &Device,
+        &LinearParams<i16>,
+        LanePrecision,
+        Source,
+        StreamConfig,
+        &ResilienceConfig,
+        Option<&FaultPlan>,
+        fn(usize, Slot),
+    ) -> Streamed = run_streamed_adaptive::<GlobalLinear, Source, Infallible, fn(usize, Slot)>;
+    let _: fn(
+        &Device,
+        &LinearParams<i16>,
+        LanePrecision,
+        &[Pair],
+        BatchConfig,
+        &ResilienceConfig,
+        Option<&FaultPlan>,
+    ) -> Result<BatchReport<i16>, BatchError> = run_batched_adaptive::<GlobalLinear>;
+    let _: fn(
+        Device,
+        LinearParams<i16>,
+        LanePrecision,
+        StreamConfig,
+        ResilienceConfig,
+        fn(usize, Slot),
+    ) -> StreamSession<GlobalLinear> =
+        StreamSession::<GlobalLinear>::spawn_adaptive::<fn(usize, Slot)>;
+}
+
+#[test]
+fn benchmark_configs_and_report_fields_keep_their_shape() {
+    let StreamConfig {
+        buffer,
+        window,
+        nb_slots,
+    } = StreamConfig::default();
+    let literal = StreamConfig {
+        buffer,
+        window,
+        nb_slots,
+    };
+    assert_eq!(literal, StreamConfig::default());
+    assert_eq!(BatchConfig::default().nb_slots, 0);
+    assert_eq!(BatchConfig::single_slot().nb_slots, 1);
+    assert!(ResilienceConfig::disabled().is_disabled());
+
+    // The report fields the benchmark reads, by name.
+    let _ = |b: BatchReport<i16>| (b.outputs, b.steals);
+    let _ = |s: StreamReport| {
+        let completed = s.completed();
+        let marks = (s.reorder_high_water, s.resident_high_water);
+        (s.pairs, completed, marks, s.retries, s.faults)
+    };
+}

@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 
 use dphls_core::{DpOutput, KernelConfig};
 use dphls_host::{
-    injected_kernel_error, injected_panic_message, run_batched, run_batched_resilient,
-    run_streamed_fleet_resilient, run_streamed_resilient, BatchError, FailurePolicy, FaultCause,
+    injected_kernel_error, injected_panic_message, run_batched, run_batched_engine,
+    run_streamed_engine, BatchConfig, BatchError, ExactEngine, FailurePolicy, FaultCause,
     FaultKind, FaultPlan, FleetConfig, PairFault, ResilienceConfig, StreamConfig, StreamError,
 };
 use dphls_kernels::{GlobalLinear, LinearParams};
@@ -74,10 +74,15 @@ fn workload(n: usize) -> Vec<(Vec<Base>, Vec<Base>)> {
         .collect()
 }
 
+/// The exact engine every non-adaptive chaos run drives.
+fn exact() -> ExactEngine<GlobalLinear> {
+    ExactEngine::new(LinearParams::<i16>::dna())
+}
+
 /// The fault-free outputs every surviving pair must match bit-for-bit.
 fn baseline(wl: &[(Vec<Base>, Vec<Base>)]) -> Vec<DpOutput<i16>> {
     let params = LinearParams::<i16>::dna();
-    run_batched::<GlobalLinear>(&device(1), &params, wl)
+    run_batched::<GlobalLinear>(&device(1), &params, wl, BatchConfig::default())
         .unwrap()
         .outputs
 }
@@ -108,20 +113,20 @@ fn stream_with_plan(
     res: &ResilienceConfig,
     plan: &FaultPlan,
 ) -> (dphls_host::StreamReport, Vec<EmittedSlot>) {
-    let params = LinearParams::<i16>::dna();
     let source = plan.wrap_source(wl.iter().cloned().map(Ok::<_, String>), |i| {
         format!("record {i} unreadable")
     });
     let emitted = Mutex::new(Vec::new());
-    let report = run_streamed_resilient::<GlobalLinear, _, _, _>(
+    let report = run_streamed_engine::<GlobalLinear, _, _, _, _>(
         &device(nk),
-        &params,
+        &exact(),
         source,
         StreamConfig {
             buffer: 4,
             window: 8,
             nb_slots: 2,
         },
+        FleetConfig::single(),
         res,
         Some(plan),
         |idx, slot| emitted.lock().unwrap().push((idx, slot)),
@@ -135,17 +140,16 @@ fn batched_sticky_faults_quarantine_with_exact_accounting() {
     silence_injected_panics();
     let wl = workload(12);
     let base = baseline(&wl);
-    let params = LinearParams::<i16>::dna();
     let plan = FaultPlan::new()
         .inject_sticky(0, STALL)
         .inject_sticky(2, FaultKind::KernelError)
         .inject_sticky(5, FaultKind::Panic);
     for nk in [1, 3] {
-        let rep = run_batched_resilient::<GlobalLinear>(
+        let rep = run_batched_engine::<GlobalLinear, _>(
             &device(nk),
-            &params,
+            &exact(),
             &wl,
-            dphls_host::BatchConfig::slots(2),
+            BatchConfig::slots(2),
             &quarantine(1),
             Some(&plan),
         )
@@ -191,17 +195,16 @@ fn batched_transient_faults_retry_to_success() {
     silence_injected_panics();
     let wl = workload(10);
     let base = baseline(&wl);
-    let params = LinearParams::<i16>::dna();
     let plan = FaultPlan::new()
         .inject(1, FaultKind::KernelError)
         .inject(3, FaultKind::Panic)
         .inject(4, STALL);
     for nk in [1, 3] {
-        let rep = run_batched_resilient::<GlobalLinear>(
+        let rep = run_batched_engine::<GlobalLinear, _>(
             &device(nk),
-            &params,
+            &exact(),
             &wl,
-            dphls_host::BatchConfig::slots(2),
+            BatchConfig::slots(2),
             &quarantine(2),
             Some(&plan),
         )
@@ -218,13 +221,12 @@ fn batched_transient_faults_retry_to_success() {
 fn batched_abort_policy_surfaces_the_fault() {
     silence_injected_panics();
     let wl = workload(6);
-    let params = LinearParams::<i16>::dna();
     let plan = FaultPlan::new().inject_sticky(3, FaultKind::Panic);
-    let err = run_batched_resilient::<GlobalLinear>(
+    let err = run_batched_engine::<GlobalLinear, _>(
         &device(2),
-        &params,
+        &exact(),
         &wl,
-        dphls_host::BatchConfig::single_slot(),
+        BatchConfig::single_slot(),
         &ResilienceConfig::disabled(),
         Some(&plan),
     )
@@ -323,15 +325,15 @@ fn streamed_transient_faults_recover_bit_identically() {
 fn streamed_abort_policy_maps_faults_onto_stream_errors() {
     silence_injected_panics();
     let wl = workload(6);
-    let params = LinearParams::<i16>::dna();
 
     // A panic under Abort is a PairFault-shaped stream error...
     let plan = FaultPlan::new().inject_sticky(2, FaultKind::Panic);
-    let err = run_streamed_resilient::<GlobalLinear, _, Infallible, _>(
+    let err = run_streamed_engine::<GlobalLinear, _, _, Infallible, _>(
         &device(2),
-        &params,
+        &exact(),
         wl.iter().cloned().map(Ok),
         StreamConfig::default(),
+        FleetConfig::single(),
         &ResilienceConfig::disabled(),
         Some(&plan),
         |_, _| {},
@@ -345,11 +347,12 @@ fn streamed_abort_policy_maps_faults_onto_stream_errors() {
 
     // ...while a kernel error keeps the pre-resilience Systolic shape.
     let plan = FaultPlan::new().inject_sticky(1, FaultKind::KernelError);
-    let err = run_streamed_resilient::<GlobalLinear, _, Infallible, _>(
+    let err = run_streamed_engine::<GlobalLinear, _, _, Infallible, _>(
         &device(2),
-        &params,
+        &exact(),
         wl.iter().cloned().map(Ok),
         StreamConfig::default(),
+        FleetConfig::single(),
         &ResilienceConfig::disabled(),
         Some(&plan),
         |_, _| {},
@@ -364,7 +367,6 @@ fn streamed_abort_policy_maps_faults_onto_stream_errors() {
 #[test]
 fn wedged_consumer_degrades_to_stalled_within_the_send_deadline() {
     let wl = workload(6);
-    let params = LinearParams::<i16>::dna();
     // Pair 0 wedges its worker for 60 s; with one slot, one buffered item,
     // and a window of one, the producer cannot make progress and must give
     // up after its 200 ms send deadline instead of deadlocking.
@@ -377,15 +379,16 @@ fn wedged_consumer_degrades_to_stalled_within_the_send_deadline() {
         send_deadline: Some(Duration::from_millis(200)),
     };
     let started = Instant::now();
-    let err = run_streamed_resilient::<GlobalLinear, _, Infallible, _>(
+    let err = run_streamed_engine::<GlobalLinear, _, _, Infallible, _>(
         &device(1),
-        &params,
+        &exact(),
         wl.iter().cloned().map(Ok),
         StreamConfig {
             buffer: 1,
             window: 1,
             nb_slots: 1,
         },
+        FleetConfig::single(),
         &res,
         Some(&plan),
         |_, _| {},
@@ -434,7 +437,7 @@ fn adaptive_escalation_faults_reconcile_exactly() {
     let hot = vec![Base::A; 64];
     wl[2] = (hot.clone(), hot.clone());
     wl[5] = (hot.clone(), hot);
-    let base = run_batched::<GlobalLinear>(&device(1), &params, &wl)
+    let base = run_batched::<GlobalLinear>(&device(1), &params, &wl, BatchConfig::default())
         .unwrap()
         .outputs;
     let precision = LanePrecision::Adaptive(I8Lanes::X16);
@@ -448,7 +451,7 @@ fn adaptive_escalation_faults_reconcile_exactly() {
         &params,
         precision,
         &wl,
-        dphls_host::BatchConfig::slots(2),
+        BatchConfig::slots(2),
         &quarantine(1),
         Some(&plan),
     )
@@ -468,7 +471,7 @@ fn adaptive_escalation_faults_reconcile_exactly() {
         &params,
         precision,
         &wl,
-        dphls_host::BatchConfig::slots(2),
+        BatchConfig::slots(2),
         &quarantine(1),
         Some(&plan),
     )
@@ -539,11 +542,10 @@ fn stream_with_plan_fleet(
     res: &ResilienceConfig,
     plan: &FaultPlan,
 ) -> (dphls_host::StreamReport, Vec<EmittedSlot>) {
-    let params = LinearParams::<i16>::dna();
     let emitted = Mutex::new(Vec::new());
-    let report = run_streamed_fleet_resilient::<GlobalLinear, _, Infallible, _>(
+    let report = run_streamed_engine::<GlobalLinear, _, _, Infallible, _>(
         &device(nk),
-        &params,
+        &exact(),
         wl.iter().cloned().map(Ok),
         StreamConfig {
             buffer: 4,
@@ -566,13 +568,12 @@ fn device_loss_is_ignored_on_a_single_device_fleet() {
     // to a fault-free one.
     let wl = workload(10);
     let base = baseline(&wl);
-    let params = LinearParams::<i16>::dna();
     let plan = FaultPlan::new().inject_sticky(3, FaultKind::DeviceLoss);
-    let rep = run_batched_resilient::<GlobalLinear>(
+    let rep = run_batched_engine::<GlobalLinear, _>(
         &device(2),
-        &params,
+        &exact(),
         &wl,
-        dphls_host::BatchConfig::single_slot(),
+        BatchConfig::single_slot(),
         &quarantine(1),
         Some(&plan),
     )
@@ -595,16 +596,15 @@ fn device_loss_is_ignored_on_a_single_device_fleet() {
 fn batched_device_loss_redeals_to_survivors_bit_identically() {
     let wl = workload(14);
     let base = baseline(&wl);
-    let params = LinearParams::<i16>::dna();
     for nk in [1, 3] {
         // Transient loss at D = 4: the pair's first device dies, the pair
         // is re-dealt to a survivor, and everything completes.
         let plan = FaultPlan::new().inject(3, FaultKind::DeviceLoss);
-        let rep = run_batched_resilient::<GlobalLinear>(
+        let rep = run_batched_engine::<GlobalLinear, _>(
             &device(nk),
-            &params,
+            &exact(),
             &wl,
-            dphls_host::BatchConfig::single_slot().with_fleet(FleetConfig::new(4)),
+            BatchConfig::single_slot().with_fleet(FleetConfig::new(4)),
             &quarantine(1),
             Some(&plan),
         )
@@ -624,11 +624,11 @@ fn batched_device_loss_redeals_to_survivors_bit_identically() {
         // device, where the injection downgrades (no survivor to take
         // over), so the pair still completes.
         let plan = FaultPlan::new().inject_sticky(5, FaultKind::DeviceLoss);
-        let rep = run_batched_resilient::<GlobalLinear>(
+        let rep = run_batched_engine::<GlobalLinear, _>(
             &device(nk),
-            &params,
+            &exact(),
             &wl,
-            dphls_host::BatchConfig::single_slot().with_fleet(FleetConfig::new(2)),
+            BatchConfig::single_slot().with_fleet(FleetConfig::new(2)),
             &quarantine(1),
             Some(&plan),
         )
@@ -645,16 +645,15 @@ fn batched_device_loss_redeals_to_survivors_bit_identically() {
 fn batched_device_loss_quarantines_exactly_once_when_retries_exhaust() {
     let wl = workload(14);
     let base = baseline(&wl);
-    let params = LinearParams::<i16>::dna();
     // Sticky loss at D = 4 with one retry: both attempts land on a device
     // with live peers, so both kill their device; the pair quarantines
     // with the loss as its cause, exactly once.
     let plan = FaultPlan::new().inject_sticky(5, FaultKind::DeviceLoss);
-    let rep = run_batched_resilient::<GlobalLinear>(
+    let rep = run_batched_engine::<GlobalLinear, _>(
         &device(2),
-        &params,
+        &exact(),
         &wl,
-        dphls_host::BatchConfig::single_slot().with_fleet(FleetConfig::new(4)),
+        BatchConfig::single_slot().with_fleet(FleetConfig::new(4)),
         &quarantine(1),
         Some(&plan),
     )
@@ -721,7 +720,6 @@ fn random_seeded_plans_reconcile_exactly_on_both_engines() {
     silence_injected_panics();
     let wl = workload(24);
     let base = baseline(&wl);
-    let params = LinearParams::<i16>::dna();
     // The same fixed seed matrix CI runs at release scale.
     for seed in [11u64, 22, 33] {
         let plan = FaultPlan::random(seed, wl.len(), 6, 200);
@@ -744,11 +742,11 @@ fn random_seeded_plans_reconcile_exactly_on_both_engines() {
             .map(|i| if i.sticky { 2 } else { 1 })
             .sum();
 
-        let rep = run_batched_resilient::<GlobalLinear>(
+        let rep = run_batched_engine::<GlobalLinear, _>(
             &device(3),
-            &params,
+            &exact(),
             &wl,
-            dphls_host::BatchConfig::slots(2),
+            BatchConfig::slots(2),
             &res,
             Some(&plan),
         )

@@ -1,6 +1,6 @@
 //! Differential suite for fleet sharding: dispatching the work queue
 //! across `D` modeled devices (`BatchConfig::with_fleet` /
-//! `run_streamed_fleet_collect`) must be observationally identical to the
+//! `run_streamed_engine`'s `fleet` argument) must be observationally identical to the
 //! single-device path — same scores, same traceback paths, same input
 //! order, same error behavior, balanced per-device accounting — for
 //! `D ∈ {1, 2, 4}`, across both the batched and the streamed engines.
@@ -9,10 +9,11 @@
 //! degenerates exactly to the single-device cycle model, and transfer
 //! cost grows monotonically with payload size.
 
+mod common;
+
+use common::collect_streamed;
 use dphls_core::{run_reference, Banding, KernelConfig};
-use dphls_host::{
-    run_batched_with, run_streamed_fleet_collect, BatchConfig, FleetConfig, StreamConfig,
-};
+use dphls_host::{run_batched, BatchConfig, FleetConfig, StreamConfig};
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
@@ -63,15 +64,14 @@ fn batched_fleet_sizes_are_bit_identical_to_single_device() {
         let config = KernelConfig::new(8, 4, nk).with_max_lengths(96, 96);
         let dev = device(config);
         let single =
-            run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot())
-                .unwrap();
+            run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
         assert_eq!(single.devices, 1);
         assert_eq!(single.per_device, vec![wl.len()]);
         for d in FLEET_SIZES {
             for transfer in [TransferModel::zero(), TransferModel::pcie()] {
                 let cfg = BatchConfig::single_slot()
                     .with_fleet(FleetConfig::new(d).with_transfer(transfer));
-                let rep = run_batched_with::<GlobalLinear>(&dev, &params, &wl, cfg).unwrap();
+                let rep = run_batched::<GlobalLinear>(&dev, &params, &wl, cfg).unwrap();
                 // Scores, tracebacks, and input order, bit for bit.
                 assert_eq!(rep.outputs, single.outputs, "nk {nk} d {d} {transfer:?}");
                 // Accounting: every pair lands on exactly one device and
@@ -89,7 +89,7 @@ fn batched_fleet_sizes_are_bit_identical_to_single_device() {
         for d in FLEET_SIZES {
             let cfg = BatchConfig::single_slot()
                 .with_fleet(FleetConfig::new(d).with_transfer(TransferModel::zero()));
-            let rep = run_batched_with::<GlobalLinear>(&dev, &params, &wl, cfg).unwrap();
+            let rep = run_batched::<GlobalLinear>(&dev, &params, &wl, cfg).unwrap();
             assert!(
                 rep.throughput_aps >= last,
                 "fleet model regressed at nk {nk} d {d}: {} < {last}",
@@ -108,8 +108,7 @@ fn streamed_fleet_sizes_are_bit_identical_to_single_device() {
         let config = KernelConfig::new(8, 4, nk).with_max_lengths(96, 96);
         let dev = device(config);
         let single =
-            run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot())
-                .unwrap();
+            run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
         for d in FLEET_SIZES {
             for (buffer, window) in [(1usize, 2usize), (4, 16), (64, 128)] {
                 let cfg = StreamConfig {
@@ -117,7 +116,7 @@ fn streamed_fleet_sizes_are_bit_identical_to_single_device() {
                     window,
                     nb_slots: 1,
                 };
-                let (rep, stream) = run_streamed_fleet_collect::<GlobalLinear, _, Infallible>(
+                let (rep, stream) = collect_streamed::<GlobalLinear, _, Infallible>(
                     &dev,
                     &params,
                     wl.iter().cloned().map(Ok),
@@ -148,7 +147,7 @@ fn fleet_outputs_match_the_reference_engine() {
     let params = LinearParams::<i16>::dna();
     let config = KernelConfig::new(8, 4, 2).with_max_lengths(96, 96);
     let cfg = BatchConfig::single_slot().with_fleet(FleetConfig::new(4));
-    let rep = run_batched_with::<GlobalLinear>(&device(config), &params, &wl, cfg).unwrap();
+    let rep = run_batched::<GlobalLinear>(&device(config), &params, &wl, cfg).unwrap();
     for (i, (q, r)) in wl.iter().enumerate() {
         let want = run_reference::<GlobalLinear>(&params, q, r, Banding::None);
         assert_eq!(rep.outputs[i], want, "pair {i}");
@@ -165,9 +164,9 @@ fn oversized_sequence_error_propagates_from_any_fleet_size() {
     wl.push((vec![Base::A; 200], vec![Base::C; 50]));
     for d in FLEET_SIZES {
         let cfg = BatchConfig::single_slot().with_fleet(FleetConfig::new(d));
-        let err = run_batched_with::<GlobalLinear>(&dev, &params, &wl, cfg);
+        let err = run_batched::<GlobalLinear>(&dev, &params, &wl, cfg);
         assert!(err.is_err(), "oversized pair must fail at d {d}");
-        let err = run_streamed_fleet_collect::<GlobalLinear, _, Infallible>(
+        let err = collect_streamed::<GlobalLinear, _, Infallible>(
             &dev,
             &params,
             wl.iter().cloned().map(Ok),
@@ -284,9 +283,9 @@ fn banded_release_scale_fleet_differential() {
     let params = LinearParams::<i16>::dna();
     let dev = device(config);
     let single =
-        run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
+        run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
     let fleet_cfg = BatchConfig::single_slot().with_fleet(FleetConfig::new(4));
-    let fleet = run_batched_with::<GlobalLinear>(&dev, &params, &wl, fleet_cfg).unwrap();
+    let fleet = run_batched::<GlobalLinear>(&dev, &params, &wl, fleet_cfg).unwrap();
     assert_eq!(fleet.outputs, single.outputs);
     assert_eq!(fleet.per_device.iter().sum::<usize>(), wl.len());
     // The acceptance gate the bench suite enforces machine-independently:
@@ -298,7 +297,7 @@ fn banded_release_scale_fleet_differential() {
         fleet.throughput_aps,
         single.throughput_aps
     );
-    let (streamed, srep) = run_streamed_fleet_collect::<GlobalLinear, _, Infallible>(
+    let (streamed, srep) = collect_streamed::<GlobalLinear, _, Infallible>(
         &dev,
         &params,
         wl.iter().cloned().map(Ok),

@@ -6,8 +6,11 @@
 //! `nb_slots ∈ {1, 2, 4}`, across both the batched and the streamed
 //! engines, on devices where `NB` actually exposes that many blocks.
 
+mod common;
+
+use common::collect_streamed;
 use dphls_core::{run_reference, Banding, KernelConfig};
-use dphls_host::{run_batched, run_batched_with, run_streamed_collect, BatchConfig, StreamConfig};
+use dphls_host::{run_batched, BatchConfig, FleetConfig, StreamConfig};
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
@@ -55,13 +58,11 @@ fn batched_slot_counts_are_bit_identical_to_single_slot() {
         let config = KernelConfig::new(8, 4, nk).with_max_lengths(96, 96);
         let dev = device(config);
         let single =
-            run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot())
-                .unwrap();
+            run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
         assert_eq!(single.nb_slots, 1);
         for slots in SLOT_COUNTS {
             let rep =
-                run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::slots(slots))
-                    .unwrap();
+                run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::slots(slots)).unwrap();
             // Scores, tracebacks, and input order, bit for bit.
             assert_eq!(rep.outputs, single.outputs, "nk {nk} slots {slots}");
             // Stats: the modeled (stats-derived) throughput is exact — the
@@ -93,8 +94,7 @@ fn streamed_slot_counts_are_bit_identical_to_single_slot() {
         let config = KernelConfig::new(8, 4, nk).with_max_lengths(96, 96);
         let dev = device(config);
         let batched =
-            run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot())
-                .unwrap();
+            run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
         for slots in SLOT_COUNTS {
             for (buffer, window) in [(1usize, 2usize), (4, 16), (64, 128)] {
                 let cfg = StreamConfig {
@@ -102,11 +102,12 @@ fn streamed_slot_counts_are_bit_identical_to_single_slot() {
                     window,
                     nb_slots: slots,
                 };
-                let (rep, stream) = run_streamed_collect::<GlobalLinear, _, Infallible>(
+                let (rep, stream) = collect_streamed::<GlobalLinear, _, Infallible>(
                     &dev,
                     &params,
                     wl.iter().cloned().map(Ok),
                     cfg,
+                    FleetConfig::single(),
                 )
                 .unwrap();
                 assert_eq!(rep.outputs, batched.outputs, "nk {nk} {cfg:?}");
@@ -137,8 +138,7 @@ fn slot_outputs_match_the_reference_engine() {
     let params = LinearParams::<i16>::dna();
     let config = KernelConfig::new(8, 4, 2).with_max_lengths(96, 96);
     let rep =
-        run_batched_with::<GlobalLinear>(&device(config), &params, &wl, BatchConfig::slots(4))
-            .unwrap();
+        run_batched::<GlobalLinear>(&device(config), &params, &wl, BatchConfig::slots(4)).unwrap();
     for (i, (q, r)) in wl.iter().enumerate() {
         let want = run_reference::<GlobalLinear>(&params, q, r, Banding::None);
         assert_eq!(rep.outputs[i], want, "pair {i}");
@@ -152,9 +152,9 @@ fn default_run_batched_matches_explicit_single_slot() {
     let wl = varied_workload(29, 64, 0xC0DE);
     let params = LinearParams::<i16>::dna();
     let dev = device(KernelConfig::new(8, 4, 2).with_max_lengths(96, 96));
-    let auto = run_batched::<GlobalLinear>(&dev, &params, &wl).unwrap();
+    let auto = run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::default()).unwrap();
     let single =
-        run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
+        run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
     assert!((1..=4).contains(&auto.nb_slots));
     assert_eq!(auto.outputs, single.outputs);
     assert!((auto.throughput_aps - single.throughput_aps).abs() < 1e-9);
@@ -166,9 +166,9 @@ fn oversized_sequence_error_propagates_from_slot_pool() {
     let dev = device(KernelConfig::new(8, 4, 2).with_max_lengths(96, 96));
     let mut wl = varied_workload(12, 64, 0xE44);
     wl.push((vec![Base::A; 200], vec![Base::C; 50]));
-    let err = run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::slots(4));
+    let err = run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::slots(4));
     assert!(err.is_err(), "oversized pair must fail at any slot count");
-    let err = run_streamed_collect::<GlobalLinear, _, Infallible>(
+    let err = collect_streamed::<GlobalLinear, _, Infallible>(
         &dev,
         &params,
         wl.into_iter().map(Ok),
@@ -177,6 +177,7 @@ fn oversized_sequence_error_propagates_from_slot_pool() {
             window: 8,
             nb_slots: 4,
         },
+        FleetConfig::single(),
     );
     assert!(err.is_err());
 }
@@ -204,12 +205,11 @@ fn banded_release_scale_slot_pool_differential() {
     let params = LinearParams::<i16>::dna();
     let dev = device(config);
     let single =
-        run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
-    let pooled =
-        run_batched_with::<GlobalLinear>(&dev, &params, &wl, BatchConfig::slots(4)).unwrap();
+        run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::single_slot()).unwrap();
+    let pooled = run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::slots(4)).unwrap();
     assert_eq!(pooled.outputs, single.outputs);
     assert!((pooled.throughput_aps - single.throughput_aps).abs() < 1e-9);
-    let (streamed, _) = run_streamed_collect::<GlobalLinear, _, Infallible>(
+    let (streamed, _) = collect_streamed::<GlobalLinear, _, Infallible>(
         &dev,
         &params,
         wl.iter().cloned().map(Ok),
@@ -217,6 +217,7 @@ fn banded_release_scale_slot_pool_differential() {
             nb_slots: 4,
             ..StreamConfig::default()
         },
+        FleetConfig::single(),
     )
     .unwrap();
     assert_eq!(streamed.outputs, single.outputs);

@@ -2,7 +2,8 @@
 //! window-respecting completion permutations, the emitted order must equal
 //! the input order and the reorder buffer must never hold `window` or more
 //! outputs (the high-water-mark counter makes the bound assertable); pushes
-//! that land outside the window must be rejected without corrupting state.
+//! that land outside the window, or duplicate an index already emitted or
+//! still buffered, must be rejected without corrupting state.
 
 use dphls_host::OrderedWriter;
 use proptest::prelude::*;
@@ -175,5 +176,34 @@ proptest! {
         prop_assert_eq!(emitted.borrow().clone(), want);
         prop_assert!(writer.is_drained());
         prop_assert_eq!(writer.high_water(), window - 1);
+    }
+
+    /// A duplicate of an index that is buffered but not yet emitted is
+    /// rejected like an already-emitted one: the writer's occupancy is
+    /// untouched and the **first** value pushed is the one the sink sees.
+    #[test]
+    fn pending_duplicates_rejected_first_value_survives(
+        window in 2usize..9,
+        pick in 0usize..64,
+    ) {
+        let emitted = RefCell::new(Vec::new());
+        let mut writer = OrderedWriter::new(window, |idx, v: usize| {
+            emitted.borrow_mut().push((idx, v));
+        });
+        // Buffer the window's tail, leaving index 0 outstanding.
+        for idx in (1..window).rev() {
+            writer.push(idx, idx).unwrap();
+        }
+        let dup = 1 + pick % (window - 1);
+        let err = writer.push(dup, dup + 1000).unwrap_err();
+        prop_assert_eq!((err.idx, err.next_emit, err.window), (dup, 0, window));
+        prop_assert_eq!(writer.pending_len(), window - 1);
+        prop_assert_eq!(writer.high_water(), window - 1);
+        prop_assert!(emitted.borrow().is_empty());
+
+        writer.push(0, 0).unwrap();
+        let want: Vec<_> = (0..window).map(|i| (i, i)).collect();
+        prop_assert_eq!(emitted.borrow().clone(), want);
+        prop_assert!(writer.is_drained());
     }
 }

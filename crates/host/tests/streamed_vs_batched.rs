@@ -5,8 +5,11 @@
 //! depths down to the fully lock-stepped depth-1 case, while its high-water
 //! marks prove the bounded-memory contract.
 
+mod common;
+
+use common::collect_streamed;
 use dphls_core::KernelConfig;
-use dphls_host::{run_batched, run_streamed_collect, StreamConfig};
+use dphls_host::{run_batched, BatchConfig, FleetConfig, StreamConfig};
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
@@ -51,12 +54,13 @@ fn assert_streamed_matches_batched(
 ) {
     let params = LinearParams::<i16>::dna();
     let dev = device(config);
-    let batched = run_batched::<GlobalLinear>(&dev, &params, wl).unwrap();
-    let (streamed, stream) = run_streamed_collect::<GlobalLinear, _, Infallible>(
+    let batched = run_batched::<GlobalLinear>(&dev, &params, wl, BatchConfig::default()).unwrap();
+    let (streamed, stream) = collect_streamed::<GlobalLinear, _, Infallible>(
         &dev,
         &params,
         wl.iter().cloned().map(Ok),
         stream_cfg,
+        FleetConfig::single(),
     )
     .unwrap();
 
@@ -128,7 +132,7 @@ fn lockstep_buffer_depth_one_window_one_is_fully_serial() {
     let config = KernelConfig::new(8, 1, 3).with_max_lengths(96, 96);
     let params = LinearParams::<i16>::dna();
     let dev = device(config);
-    let (streamed, stream) = run_streamed_collect::<GlobalLinear, _, Infallible>(
+    let (streamed, stream) = collect_streamed::<GlobalLinear, _, Infallible>(
         &dev,
         &params,
         wl.iter().cloned().map(Ok),
@@ -137,9 +141,10 @@ fn lockstep_buffer_depth_one_window_one_is_fully_serial() {
             window: 1,
             nb_slots: 0,
         },
+        FleetConfig::single(),
     )
     .unwrap();
-    let batched = run_batched::<GlobalLinear>(&dev, &params, &wl).unwrap();
+    let batched = run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::default()).unwrap();
     assert_eq!(streamed.outputs, batched.outputs);
     // Window 1 admits one pair at a time: nothing is ever held out of
     // order and at most one pair is in flight.
@@ -172,12 +177,13 @@ fn banded_10k_workload_bit_identical_and_bounded() {
 
     let params = LinearParams::<i16>::dna();
     let dev = device(config);
-    let batched = run_batched::<GlobalLinear>(&dev, &params, &wl).unwrap();
-    let (streamed, stream) = run_streamed_collect::<GlobalLinear, _, Infallible>(
+    let batched = run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::default()).unwrap();
+    let (streamed, stream) = collect_streamed::<GlobalLinear, _, Infallible>(
         &dev,
         &params,
         wl.iter().cloned().map(Ok),
         stream_cfg,
+        FleetConfig::single(),
     )
     .unwrap();
 
@@ -221,7 +227,7 @@ fn streaming_from_fasta_source_matches_batched() {
             Ok((q.dna()?.into_vec(), r.dna()?.into_vec()))
         }))
     });
-    let (streamed, _) = run_streamed_collect::<GlobalLinear, _, _>(
+    let (streamed, _) = collect_streamed::<GlobalLinear, _, _>(
         &dev,
         &params,
         source,
@@ -230,8 +236,9 @@ fn streaming_from_fasta_source_matches_batched() {
             window: 8,
             nb_slots: 0,
         },
+        FleetConfig::single(),
     )
     .unwrap();
-    let batched = run_batched::<GlobalLinear>(&dev, &params, &wl).unwrap();
+    let batched = run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::default()).unwrap();
     assert_eq!(streamed.outputs, batched.outputs);
 }

@@ -15,7 +15,7 @@
 use crate::chain::chain;
 use crate::index::{reverse_complement, KmerIndex};
 use crossbeam::channel::bounded;
-use dphls_host::OrderedWriter;
+use dphls_host::{panic_message, OrderedWriter};
 use dphls_kernels::LinearParams;
 use dphls_seq::fasta::{FastaError, FastaRecord};
 use dphls_seq::{Base, DnaSeq};
@@ -205,13 +205,28 @@ fn tally(report: &mut MapReport, outcome: &MapOutcome) {
     }
 }
 
-fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
+/// Maps one read with panic isolation: the single constructor of a read's
+/// [`MapOutcome`], shared by the serial and the streaming drivers.
+fn map_outcome(
+    index: &KmerIndex,
+    genome: &DnaSeq,
+    id: String,
+    read: &[Base],
+    cfg: &MapperConfig,
+) -> MapOutcome {
+    match catch_unwind(AssertUnwindSafe(|| map_read(index, genome, read, cfg))) {
+        Ok(Some((locus, strand, run))) => MapOutcome::Mapped(Mapping {
+            read_id: id,
+            locus,
+            strand,
+            score: run.score,
+            cells: run.cells,
+        }),
+        Ok(None) => MapOutcome::Unmapped { read_id: id },
+        Err(p) => MapOutcome::Quarantined {
+            read_id: id,
+            message: panic_message(p),
+        },
     }
 }
 
@@ -286,25 +301,7 @@ where
                             read_id: format!("<input #{idx}>"),
                             message,
                         },
-                        MapJob::Read { id, read } => {
-                            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                                map_read(index, genome, &read, cfg)
-                            }));
-                            match attempt {
-                                Ok(Some((locus, strand, run))) => MapOutcome::Mapped(Mapping {
-                                    read_id: id,
-                                    locus,
-                                    strand,
-                                    score: run.score,
-                                    cells: run.cells,
-                                }),
-                                Ok(None) => MapOutcome::Unmapped { read_id: id },
-                                Err(p) => MapOutcome::Quarantined {
-                                    read_id: id,
-                                    message: panic_text(p),
-                                },
-                            }
-                        }
+                        MapJob::Read { id, read } => map_outcome(index, genome, id, &read, cfg),
                     };
                     if out_tx.send((idx, outcome)).is_err() {
                         break;
@@ -352,25 +349,7 @@ pub fn map_batch(
 ) -> Vec<MapOutcome> {
     reads
         .iter()
-        .map(|(id, read)| {
-            let attempt = catch_unwind(AssertUnwindSafe(|| map_read(index, genome, read, cfg)));
-            match attempt {
-                Ok(Some((locus, strand, run))) => MapOutcome::Mapped(Mapping {
-                    read_id: id.clone(),
-                    locus,
-                    strand,
-                    score: run.score,
-                    cells: run.cells,
-                }),
-                Ok(None) => MapOutcome::Unmapped {
-                    read_id: id.clone(),
-                },
-                Err(p) => MapOutcome::Quarantined {
-                    read_id: id.clone(),
-                    message: panic_text(p),
-                },
-            }
-        })
+        .map(|(id, read)| map_outcome(index, genome, id.clone(), read, cfg))
         .collect()
 }
 

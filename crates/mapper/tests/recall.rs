@@ -280,3 +280,20 @@ fn batch_and_streamed_agree() {
     );
     assert_eq!(batch, streamed, "serial and streamed outcomes diverge");
 }
+
+/// Frozen-surface guard: the out-of-workspace `benchmark/` package builds
+/// the stream config as a full struct literal.
+#[test]
+fn map_stream_config_keeps_its_fields() {
+    let MapStreamConfig {
+        workers,
+        queue,
+        in_flight,
+    } = MapStreamConfig::default();
+    let literal = MapStreamConfig {
+        workers,
+        queue,
+        in_flight,
+    };
+    assert!(literal.workers >= 1 && literal.queue >= 1 && literal.in_flight >= 1);
+}

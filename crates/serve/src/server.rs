@@ -31,8 +31,8 @@ use crate::protocol::{
 };
 use dphls_core::{AdaptiveKernel, DpOutput, KernelConfig, KernelSpec, LaneKernel, LanePrecision};
 use dphls_host::{
-    FleetConfig, OrderedWriter, PairFault, ResilienceConfig, SessionClosed, StreamConfig,
-    StreamSession,
+    ExactEngine, FleetConfig, OrderedWriter, PairEngine, PairFault, PrecisionEngine,
+    ResilienceConfig, SessionClosed, StreamConfig, StreamSession,
 };
 use dphls_kernels::{
     default_banding, dispatch_dna, dispatch_dna_adaptive, AdaptiveDnaRunner, DnaKernelRunner,
@@ -225,15 +225,7 @@ impl DnaKernelRunner for SpawnSession<'_> {
     where
         K: LaneKernel + KernelSpec<Sym = Base, Score = i16> + 'static,
     {
-        let (config, stream, fleet, res) = (
-            self.config,
-            self.config.stream,
-            self.config.fleet,
-            self.config.resilience.clone(),
-        );
-        erase_session(config, self.band, move |device, sink| {
-            StreamSession::<K>::spawn_fleet(device, params, stream, fleet, res, sink)
-        })
+        erase_session::<K, _>(self.config, self.band, ExactEngine::<K>::new(params))
     }
 }
 
@@ -252,34 +244,19 @@ impl AdaptiveDnaRunner for SpawnAdaptiveSession<'_> {
     where
         K: AdaptiveKernel + KernelSpec<Sym = Base, Score = i16> + 'static,
     {
-        let (config, stream, fleet, res) = (
-            self.config,
-            self.config.stream,
-            self.config.fleet,
-            self.config.resilience.clone(),
-        );
-        let precision = self.precision;
-        erase_session(config, self.band, move |device, sink| {
-            StreamSession::<K>::spawn_adaptive_fleet(
-                device, params, precision, stream, fleet, res, sink,
-            )
-        })
+        let engine = PrecisionEngine::<K>::new(params, self.precision);
+        erase_session::<K, _>(self.config, self.band, engine)
     }
 }
 
-/// The route-resolving result sink every kernel session writes into.
-type SessionSink = Box<dyn FnMut(usize, Result<DpOutput<i16>, PairFault>) + Send>;
-
 /// Shared body of the session-spawning runners: builds the device, wires
-/// the route table into the result sink, hands both to `spawn`, and wraps
-/// the live session behind the type-erased submit/close edges.
-fn erase_session<K>(
-    config: &ServerConfig,
-    band: Option<usize>,
-    spawn: impl FnOnce(Device, SessionSink) -> StreamSession<K>,
-) -> ErasedSession
+/// the route table into the result sink, spawns the session on `engine`
+/// under the server's stream/fleet/resilience configuration, and wraps it
+/// behind the type-erased submit/close edges.
+fn erase_session<K, E>(config: &ServerConfig, band: Option<usize>, engine: E) -> ErasedSession
 where
     K: LaneKernel + KernelSpec<Sym = Base, Score = i16> + 'static,
+    E: PairEngine<K> + Send + 'static,
 {
     let mut kernel_config = KernelConfig::new(config.npe, config.nb, config.nk)
         .with_max_lengths(config.max_len, config.max_len);
@@ -298,7 +275,8 @@ where
     );
     let routes: Arc<Mutex<HashMap<usize, Route>>> = Arc::default();
     let sink_routes = Arc::clone(&routes);
-    let sink: SessionSink = Box::new(move |idx, slot: Result<DpOutput<i16>, PairFault>| {
+    // The route-resolving result sink the kernel session writes into.
+    let sink = move |idx, slot: Result<DpOutput<i16>, PairFault>| {
         let route = sink_routes
             .lock()
             .expect("routes mutex")
@@ -320,8 +298,15 @@ where
         // A hung-up writer just drops the frame; the engine is not
         // a connection's hostage.
         let _ = route.tx.send(WriterMsg::Frame(route.seq, frame));
-    });
-    let session = Arc::new(spawn(device, sink));
+    };
+    let session = Arc::new(StreamSession::<K>::spawn_engine(
+        device,
+        engine,
+        config.stream,
+        config.fleet,
+        config.resilience.clone(),
+        sink,
+    ));
     let submit_session = Arc::clone(&session);
     let submit_routes = Arc::clone(&routes);
     ErasedSession {

@@ -6,7 +6,7 @@
 //! disturbing anyone else.
 
 use dphls_core::KernelConfig;
-use dphls_host::run_batched;
+use dphls_host::{run_batched, BatchConfig};
 use dphls_kernels::{AffineParams, GlobalLinear, LinearParams, LocalAffine};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
@@ -80,12 +80,20 @@ fn concurrent_clients_get_ordered_bit_identical_responses() {
                 let dev = device();
                 let even: Vec<_> = pairs.iter().step_by(2).cloned().collect();
                 let odd: Vec<_> = pairs.iter().skip(1).step_by(2).cloned().collect();
-                let expect_lin =
-                    run_batched::<GlobalLinear>(&dev, &LinearParams::<i16>::dna(), &even)
-                        .expect("reference batch");
-                let expect_aff =
-                    run_batched::<LocalAffine>(&dev, &AffineParams::<i16>::dna(), &odd)
-                        .expect("reference batch");
+                let expect_lin = run_batched::<GlobalLinear>(
+                    &dev,
+                    &LinearParams::<i16>::dna(),
+                    &even,
+                    BatchConfig::default(),
+                )
+                .expect("reference batch");
+                let expect_aff = run_batched::<LocalAffine>(
+                    &dev,
+                    &AffineParams::<i16>::dna(),
+                    &odd,
+                    BatchConfig::default(),
+                )
+                .expect("reference batch");
 
                 let mut client = Client::connect(addr).expect("connect");
                 for (i, (q, r)) in pairs.iter().enumerate() {
@@ -244,8 +252,13 @@ fn adaptive_precision_serves_bit_identical_responses() {
         .into_iter()
         .map(|(r, q)| (q.into_vec(), r.into_vec()))
         .collect();
-    let expect = run_batched::<GlobalLinear>(&device(), &LinearParams::<i16>::dna(), &pairs)
-        .expect("reference batch");
+    let expect = run_batched::<GlobalLinear>(
+        &device(),
+        &LinearParams::<i16>::dna(),
+        &pairs,
+        BatchConfig::default(),
+    )
+    .expect("reference batch");
 
     let mut client = Client::connect(addr).expect("connect");
     for (i, (q, r)) in pairs.iter().enumerate() {

@@ -4,10 +4,11 @@
 //! functionally, accumulate cycle statistics, and report throughput.
 
 use crate::adaptive::{run_adaptive_with_scratch, AdaptiveScratch};
+use crate::block::BlockStats;
 use crate::block::{run_systolic, SystolicError, SystolicRun};
 use crate::cycles::{
-    alignment_cycles, effective_cycles_per_alignment, throughput_aps, CycleBreakdown,
-    CycleModelParams, KernelCycleInfo,
+    alignment_cycles, fleet_cycles, throughput_aps, transfer_bytes, CycleBreakdown,
+    CycleModelParams, KernelCycleInfo, TransferModel,
 };
 use dphls_core::{AdaptiveKernel, DpOutput, I8Lanes, KernelConfig, LaneKernel};
 
@@ -98,6 +99,42 @@ impl Device {
         self.freq_mhz
     }
 
+    /// Folds one completed alignment through the cycle model: its
+    /// [`alignment_cycles`] breakdown, and the effective cycles it costs a
+    /// fleet of `devices` such devices — the channel arbiter at full `NB`
+    /// occupancy (the steady state the throughput model assumes) plus the
+    /// modeled host↔device `transfer` of its payload, amortized across the
+    /// fleet ([`fleet_cycles`]). One device behind [`TransferModel::zero`]
+    /// is the bare-device figure [`Device::run`] reports. The single fold
+    /// every completion goes through, here and in the `dphls-host` engines.
+    pub fn completion_cycles(
+        &self,
+        stats: &BlockStats,
+        devices: usize,
+        transfer: &TransferModel,
+    ) -> (CycleBreakdown, u64) {
+        let b = alignment_cycles(stats, &self.kinfo, &self.cycle_params);
+        let payload = transfer_bytes(stats, &self.kinfo);
+        let cycles = fleet_cycles(&b, self.config.nb, devices, transfer, payload);
+        (b, cycles)
+    }
+
+    /// The modeled throughput of `completed` alignments that cost
+    /// `cycle_sum` effective cycles in total ([`Device::completion_cycles`]
+    /// summed): [`throughput_aps`] at the rounded mean, `0.0` for an empty
+    /// run.
+    pub fn mean_throughput_aps(&self, cycle_sum: u64, completed: usize) -> f64 {
+        if completed == 0 {
+            return 0.0;
+        }
+        let mean_cycles = cycle_sum as f64 / completed as f64;
+        throughput_aps(
+            mean_cycles.round().max(1.0) as u64,
+            self.freq_mhz,
+            &self.config,
+        )
+    }
+
     /// Runs a workload of `(query, reference)` pairs.
     ///
     /// # Errors
@@ -119,8 +156,7 @@ impl Device {
     /// each pair tries the saturating-`i8` fast engine at `lanes` width and
     /// escalates to the exact `i16` engine when its guard trips. Outputs
     /// and modeled cycles are **bit-identical** to [`Device::run`] — the
-    /// cycle model consumes geometry-driven [`BlockStats`](crate::BlockStats),
-    /// which the
+    /// cycle model consumes geometry-driven [`BlockStats`], which the
     /// escalation contract keeps width-independent — so the only new
     /// signal is [`DeviceReport::escalations`].
     ///
@@ -165,8 +201,8 @@ impl Device {
         let mut sum = CycleBreakdown::default();
         for i in 0..n_pairs {
             let run = runner(i)?;
-            let b = alignment_cycles(&run.stats, &self.kinfo, &self.cycle_params);
-            cycle_sum += effective_cycles_per_alignment(&b, &self.config);
+            let (b, cycles) = self.completion_cycles(&run.stats, 1, &TransferModel::zero());
+            cycle_sum += cycles;
             total_cells += run.stats.cells;
             escalations += run.stats.escalations;
             sum.load += b.load;
@@ -191,20 +227,11 @@ impl Device {
             overhead: sum.overhead / n,
             total: sum.total / n,
         };
-        let throughput = if n_pairs == 0 {
-            0.0
-        } else {
-            throughput_aps(
-                mean_cycles.round().max(1.0) as u64,
-                self.freq_mhz,
-                &self.config,
-            )
-        };
         Ok(DeviceReport {
             outputs,
             mean_cycles,
             mean_breakdown,
-            throughput_aps: throughput,
+            throughput_aps: self.mean_throughput_aps(cycle_sum, n_pairs),
             freq_mhz: self.freq_mhz,
             total_cells,
             escalations,

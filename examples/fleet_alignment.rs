@@ -18,7 +18,7 @@
 //! cargo run --example fleet_alignment
 //! ```
 
-use dp_hls::host::{run_batched_with, BatchConfig, FleetConfig};
+use dp_hls::host::{run_batched, BatchConfig, FleetConfig};
 use dp_hls::prelude::*;
 use dp_hls::systolic::TransferModel;
 
@@ -50,14 +50,14 @@ fn main() {
     // Baseline: one device (a degenerate fleet — FleetConfig::single() is
     // the default, so plain BatchConfig runs land here too).
     let single =
-        run_batched_with::<GlobalLinear>(&device, &params, &workload, BatchConfig::single_slot())
+        run_batched::<GlobalLinear>(&device, &params, &workload, BatchConfig::single_slot())
             .expect("single-device run");
 
     // The fleet: 4 devices behind a PCIe-class transfer model. Every
     // alignment pays `latency + ceil(payload / bandwidth)` modeled cycles
     // for the round trip (packed 2-bit sequences in, traceback path out).
     let fleet_config = FleetConfig::new(4);
-    let fleet = run_batched_with::<GlobalLinear>(
+    let fleet = run_batched::<GlobalLinear>(
         &device,
         &params,
         &workload,

@@ -110,7 +110,7 @@
 //! throughput are bit-identical:
 //!
 //! ```
-//! use dp_hls::host::{run_batched_with, BatchConfig};
+//! use dp_hls::host::{run_batched, BatchConfig};
 //! use dp_hls::prelude::*;
 //!
 //! let mut sim = ReadSimulator::new(7);
@@ -131,13 +131,13 @@
 //!
 //! // 2 channels x 4 block slots = 8 host threads, each with its own
 //! // scratch arena; outputs come back in input order.
-//! let pooled = run_batched_with::<GlobalLinear>(
+//! let pooled = run_batched::<GlobalLinear>(
 //!     &device, &params, &workload, BatchConfig::slots(4))?;
 //! assert_eq!(pooled.outputs.len(), 12);
 //! assert_eq!(pooled.nb_slots, 4);
 //!
 //! // The single-slot path (one thread per channel) is bit-identical.
-//! let single = run_batched_with::<GlobalLinear>(
+//! let single = run_batched::<GlobalLinear>(
 //!     &device, &params, &workload, BatchConfig::single_slot())?;
 //! assert_eq!(single.outputs, pooled.outputs);
 //! assert_eq!(single.throughput_aps, pooled.throughput_aps);
@@ -154,7 +154,7 @@
 //! size; only wall-clock and the modeled `fleet_cycles` throughput change:
 //!
 //! ```
-//! use dp_hls::host::{run_batched_with, BatchConfig, FleetConfig};
+//! use dp_hls::host::{run_batched, BatchConfig, FleetConfig};
 //! use dp_hls::prelude::*;
 //!
 //! let mut sim = ReadSimulator::new(7);
@@ -173,10 +173,10 @@
 //!     250.0,
 //! );
 //!
-//! let single = run_batched_with::<GlobalLinear>(
+//! let single = run_batched::<GlobalLinear>(
 //!     &device, &params, &workload, BatchConfig::single_slot())?;
 //! // 4 devices, PCIe-class transfer model, 4 x 2 channel queues.
-//! let fleet = run_batched_with::<GlobalLinear>(
+//! let fleet = run_batched::<GlobalLinear>(
 //!     &device, &params, &workload,
 //!     BatchConfig::single_slot().with_fleet(FleetConfig::new(4)))?;
 //!
@@ -197,7 +197,7 @@
 //! ## Resilience: quarantine instead of crash
 //!
 //! Both host engines take a [`host::ResilienceConfig`]
-//! ([`host::run_batched_resilient`] / [`host::run_streamed_resilient`]):
+//! ([`host::run_batched_engine`] / [`host::run_streamed_engine`]):
 //! kernel errors, worker panics, and over-deadline pairs are caught at the
 //! slot loop, retried with exponential backoff on another channel, and —
 //! under the `Quarantine` policy — an exhausted pair becomes a
@@ -206,7 +206,7 @@
 //! lines" example):
 //!
 //! ```
-//! use dp_hls::host::{run_batched_resilient, BatchConfig, ResilienceConfig};
+//! use dp_hls::host::{run_batched_engine, BatchConfig, ExactEngine, ResilienceConfig};
 //! use dp_hls::prelude::*;
 //!
 //! let mut sim = ReadSimulator::new(7);
@@ -218,7 +218,7 @@
 //!     })
 //!     .collect();
 //! workload[3].0.clear(); // an empty read the kernel will reject
-//! let params = LinearParams::<i16>::dna();
+//! let engine = ExactEngine::<GlobalLinear>::new(LinearParams::<i16>::dna());
 //! let device = Device::new(
 //!     KernelConfig::new(16, 2, 2).with_max_lengths(128, 128),
 //!     CycleModelParams::dphls(),
@@ -226,8 +226,8 @@
 //!     250.0,
 //! );
 //!
-//! let report = run_batched_resilient::<GlobalLinear>(
-//!     &device, &params, &workload, BatchConfig::default(),
+//! let report = run_batched_engine(
+//!     &device, &engine, &workload, BatchConfig::default(),
 //!     &ResilienceConfig::standard(), None,
 //! )?;
 //! assert_eq!(report.completed(), 7);          // seven pairs aligned...

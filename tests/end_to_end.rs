@@ -4,7 +4,7 @@
 
 use dp_hls::core::{run_reference, KernelConfig, LaneKernel};
 use dp_hls::fpga::synthesize;
-use dp_hls::host::{run_batched, tiled_global_affine, TilingConfig};
+use dp_hls::host::{run_batched, tiled_global_affine, BatchConfig, TilingConfig};
 use dp_hls::kernels::registry::{visit_all, CaseInfo, KernelVisitor, WorkloadSpec};
 use dp_hls::prelude::*;
 use dp_hls::systolic::run_systolic;
@@ -95,7 +95,9 @@ fn scheduler_and_device_agree_with_reference() {
         },
         250.0,
     );
-    let report = run_batched::<GlobalLinear<i16>>(&device, &params, &workload).unwrap();
+    let report =
+        run_batched::<GlobalLinear<i16>>(&device, &params, &workload, BatchConfig::default())
+            .unwrap();
     assert_eq!(report.outputs.len(), 9);
     for ((q, r), out) in workload.iter().zip(report.outputs.iter()) {
         let want = run_reference::<GlobalLinear<i16>>(&params, q, r, Banding::None);
