@@ -44,17 +44,6 @@ impl<S: Score> BestTracker<S> {
         }
     }
 
-    /// Clears the tracker for reuse under a (possibly different) objective,
-    /// leaving it exactly as [`BestTracker::new`] would. Lets the systolic
-    /// engine's scratch arena recycle trackers across alignments without
-    /// reallocating.
-    pub fn reset(&mut self, objective: Objective) {
-        self.objective = objective;
-        self.best = objective.worst();
-        self.cell = (0, 0);
-        self.any = false;
-    }
-
     /// Offers a candidate cell score.
     pub fn offer(&mut self, score: S, i: usize, j: usize) {
         let replace = !self.any

@@ -44,42 +44,35 @@ fn linear_pe<S: Score>(
     (LayerVec::splat(1, best), ptr)
 }
 
-/// Multi-lane linear PE: up to `W` wavefront cells per call in
-/// structure-of-arrays form. Bit-identical to [`linear_pe`] — the candidate
-/// order and strict-improvement tie-breaks replicate [`argmax`] exactly —
-/// but laid out as branch-free passes over `[S; W]` arrays so the
-/// saturating adds and compare/selects vectorize (the `i16` kernels at
-/// `W = 8` compile to `vpaddsw`/`vpcmpgtw`/blend chains; the `i8` fast path
-/// instantiates `W = 16`/`32` over the byte-wide equivalents).
-#[allow(clippy::too_many_arguments)]
-fn linear_pe_lanes<S: Score, const W: usize>(
+/// The linear family's lane select core: `W` cells in structure-of-arrays
+/// form. Bit-identical to [`linear_pe`] — the candidate order and
+/// strict-improvement tie-breaks replicate [`argmax`] exactly — but laid out
+/// as branch-free passes over `[S; W]` arrays so the saturating adds and
+/// compare/selects vectorize (the `i16` kernels at `W = 8` compile to
+/// `vpaddsw`/`vpcmpgtw`/blend chains; the `i8` fast path instantiates
+/// `W = 16`/`32` over the byte-wide equivalents). Both [`LaneKernel`] ports
+/// gather their neighbor streams into `d`/`u`/`l` (padded to `W`; the dead
+/// tail lanes compute garbage — saturating ops, no side effects — that the
+/// ports never write back or consult) and scatter the returned
+/// `(best, dir)` arrays out.
+#[inline]
+fn linear_select<S: Score, const W: usize>(
     p: &LinearParams<S>,
     q: &[Base],
     r_rev: &[Base],
-    diag: &[LayerVec<S>],
-    up: &[LayerVec<S>],
-    left: &[LayerVec<S>],
-    out: &mut [LayerVec<S>],
-    ptrs: &mut [TbPtr],
+    d: &[S; W],
+    u: &[S; W],
+    l: &[S; W],
     clamp_zero: bool,
-) {
+) -> ([S; W], [u8; W]) {
     let n = q.len();
     debug_assert!((1..=W).contains(&n));
-    // One up-front narrowing per slice so the gather/scatter loops below
-    // carry no per-element bounds checks.
+    // One up-front narrowing per slice so the loop below carries no
+    // per-element bounds checks.
     let (q, r_rev) = (&q[..n], &r_rev[..n]);
-    let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
     let zero = S::zero();
-    // Gather into padded fixed-width arrays; the dead tail lanes compute
-    // garbage (saturating ops, no side effects) and are never written back.
-    let mut d = [zero; W];
-    let mut u = [zero; W];
-    let mut l = [zero; W];
     let mut sub = [zero; W];
     for t in 0..n {
-        d[t] = diag[t].primary();
-        u[t] = up[t].primary();
-        l[t] = left[t].primary();
         sub[t] = p.substitution(q[t] == r_rev[n - 1 - t]);
     }
     // Fixed-trip-count arithmetic and selection: same reduction as
@@ -107,6 +100,32 @@ fn linear_pe_lanes<S: Score, const W: usize>(
         best[t] = b;
         dir[t] = dr;
     }
+    (best, dir)
+}
+
+/// Layer-vector port of [`linear_select`]: per-lane gathers from, and
+/// scatters into, one-layer [`LayerVec`]s.
+#[allow(clippy::too_many_arguments)]
+fn linear_pe_lanes<S: Score, const W: usize>(
+    p: &LinearParams<S>,
+    q: &[Base],
+    r_rev: &[Base],
+    diag: &[LayerVec<S>],
+    up: &[LayerVec<S>],
+    left: &[LayerVec<S>],
+    out: &mut [LayerVec<S>],
+    ptrs: &mut [TbPtr],
+    clamp_zero: bool,
+) {
+    let n = q.len();
+    let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
+    let (mut d, mut u, mut l) = ([S::zero(); W], [S::zero(); W], [S::zero(); W]);
+    for t in 0..n {
+        d[t] = diag[t].primary();
+        u[t] = up[t].primary();
+        l[t] = left[t].primary();
+    }
+    let (best, dir) = linear_select(p, q, r_rev, &d, &u, &l, clamp_zero);
     let (out, ptrs) = (&mut out[..n], &mut ptrs[..n]);
     for t in 0..n {
         out[t] = LayerVec::splat(1, best[t]);
@@ -114,14 +133,13 @@ fn linear_pe_lanes<S: Score, const W: usize>(
     }
 }
 
-/// Flat-port variant of [`linear_pe_lanes`] for the engine's single-layer
-/// structure-of-arrays wavefront path: the neighbor and output streams are
-/// plain score slices, so the gathers and scatters are contiguous
-/// `copy_from_slice` vector moves instead of per-lane `LayerVec` walks, and
-/// the saturation guard is fused into the lane body — one branchless
-/// OR-reduction over the freshly computed `best` array while it is still in
-/// registers (free for exact score types, whose `needs_escalation` is
-/// constant `false`). Bit-identical to [`linear_pe`] lane by lane.
+/// Flat port of [`linear_select`] for the engine's single-layer
+/// structure-of-arrays storage: the neighbor and output streams are plain
+/// score slices, so the gathers and scatters are contiguous
+/// `copy_from_slice` vector moves, and the saturation guard is fused in —
+/// one branchless OR-reduction over the real lanes of `best` while it is
+/// still in registers (free for exact score types, whose
+/// `needs_escalation` is constant `false`).
 #[allow(clippy::too_many_arguments)]
 fn linear_pe_lanes_primary<S: Score, const W: usize>(
     p: &LinearParams<S>,
@@ -135,44 +153,11 @@ fn linear_pe_lanes_primary<S: Score, const W: usize>(
     clamp_zero: bool,
 ) -> bool {
     let n = q.len();
-    debug_assert!((1..=W).contains(&n));
-    let (q, r_rev) = (&q[..n], &r_rev[..n]);
-    let zero = S::zero();
-    // Contiguous vector-copy gathers; the dead tail lanes hold zeros and
-    // compute garbage (saturating ops, no side effects) that is neither
-    // written back nor consulted by the guard.
-    let mut d = [zero; W];
-    let mut u = [zero; W];
-    let mut l = [zero; W];
-    let mut sub = [zero; W];
+    let (mut d, mut u, mut l) = ([S::zero(); W], [S::zero(); W], [S::zero(); W]);
     d[..n].copy_from_slice(&diag[..n]);
     u[..n].copy_from_slice(&up[..n]);
     l[..n].copy_from_slice(&left[..n]);
-    for t in 0..n {
-        sub[t] = p.substitution(q[t] == r_rev[n - 1 - t]);
-    }
-    // Same fixed-trip-count branchless selection as linear_pe_lanes.
-    let mut best = [zero; W];
-    let mut dir = [0u8; W];
-    for t in 0..W {
-        let mat = d[t].add(sub[t]);
-        let del = u[t].add(p.gap);
-        let ins = l[t].add(p.gap);
-        let (mut b, mut dr) = if clamp_zero {
-            let (b, won) = zero.max_with(mat);
-            (b, if won { TbPtr::DIAG.0 } else { TbPtr::END.0 })
-        } else {
-            (mat, TbPtr::DIAG.0)
-        };
-        let (m, won) = b.max_with(del);
-        b = m;
-        dr = if won { TbPtr::UP.0 } else { dr };
-        let (m, won) = b.max_with(ins);
-        b = m;
-        dr = if won { TbPtr::LEFT.0 } else { dr };
-        best[t] = b;
-        dir[t] = dr;
-    }
+    let (best, dir) = linear_select(p, q, r_rev, &d, &u, &l, clamp_zero);
     let mut escalate = false;
     for t in 0..n {
         escalate |= best[t].needs_escalation();

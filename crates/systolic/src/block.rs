@@ -16,6 +16,12 @@
 //! * each PE tracks its local best among traceback-eligible cells; a
 //!   reduction across PEs picks the block's best cell (paper §5.2).
 //!
+//! There is **one** wavefront loop. What varies is a value or a type
+//! parameter of it: scalar or multi-lane scoring (`LaneMode`), guarded or
+//! not (the adaptive `i8` path), the lane width, and how a cell is stored
+//! (`CellShape`: layer vectors, or flat scores for single-layer kernels in
+//! lane mode — chosen at compile time from the kernel's layer count).
+//!
 //! The result is bit-identical to [`dphls_core::run_reference`] (verified by
 //! differential and property tests), while also producing the structural
 //! statistics ([`BlockStats`]) the cycle model consumes.
@@ -36,8 +42,8 @@ use std::fmt;
 enum LaneMode {
     /// One [`dphls_core::KernelSpec::pe`] call per cell (the PR 1 hot path).
     Scalar,
-    /// Interior lanes scored [`LANE_WIDTH`] at a time through
-    /// [`LaneKernel::pe_lanes`]; boundary lanes peeled scalar.
+    /// Interior lanes scored a lane-width at a time through the kernel's
+    /// [`LaneKernel`] port; boundary lanes peeled scalar.
     Lanes,
 }
 
@@ -129,34 +135,66 @@ impl From<dphls_core::config::ConfigError> for SystolicError {
     }
 }
 
+/// The five cell buffers one alignment works in — the Preserved Row Score
+/// Buffer (`prev_row` / `next_row`) and the three wavefront snapshots of the
+/// DP Memory Buffer — for one cell type `C` (see [`CellShape`]).
+#[derive(Debug, Clone)]
+struct CellBufs<C> {
+    prev_row: Vec<C>,
+    next_row: Vec<C>,
+    wf_m1: Vec<C>,
+    wf_m2: Vec<C>,
+    cur: Vec<C>,
+}
+
+impl<C> CellBufs<C> {
+    fn new() -> Self {
+        Self {
+            prev_row: Vec::new(),
+            next_row: Vec::new(),
+            wf_m1: Vec::new(),
+            wf_m2: Vec::new(),
+            cur: Vec::new(),
+        }
+    }
+
+    /// Sizes the buffers for an `npe`-wide array over `r` columns and fills
+    /// every slot with `worst`. `resize` keeps capacity, so this allocates
+    /// only while the geometry is still growing, and whatever an earlier
+    /// alignment (of any kernel) left behind is overwritten.
+    fn prepare(&mut self, npe: usize, r: usize, worst: C)
+    where
+        C: Copy,
+    {
+        for buf in [&mut self.prev_row, &mut self.next_row] {
+            buf.clear();
+            buf.resize(r + 1, worst);
+        }
+        for buf in [&mut self.wf_m1, &mut self.wf_m2, &mut self.cur] {
+            buf.clear();
+            buf.resize(npe, worst);
+        }
+    }
+}
+
 /// Reusable scratch arena for the systolic engine's hot path.
 ///
-/// One alignment needs the Preserved Row Score Buffer (`prev_row` /
-/// `next_row`), the three wavefront snapshots of the DP Memory Buffer, one
+/// One alignment needs five cell buffers (`CellBufs`), one
 /// [`BestTracker`] per PE, and the banked [`TbMem`]. Allocating them per
 /// alignment dominates short-read batch workloads, so the arena owns them
 /// all and [`run_systolic_with_scratch`] reuses them across alignments:
 /// buffers are resized (`resize`, which keeps capacity) and re-initialized,
 /// never reallocated once they have grown to the workload's maximum
-/// geometry. Results are **bit-identical** to a fresh [`run_systolic`] —
-/// every buffer is restored to its pristine state before use (verified by
-/// the scratch-reuse property tests).
+/// geometry. The arena holds one `CellBufs` per storage shape — layer
+/// vectors and flat scores — so a worker that alternates kernels never
+/// re-shapes a buffer; both go through the same `prepare` routine, and the
+/// trackers and traceback memory are shared. Results are **bit-identical**
+/// to a fresh [`run_systolic`] — every buffer is restored to its pristine
+/// state before use (verified by the scratch-reuse property tests).
 #[derive(Debug, Clone)]
 pub struct SystolicScratch<S> {
-    prev_row: Vec<LayerVec<S>>,
-    next_row: Vec<LayerVec<S>>,
-    wf_m1: Vec<LayerVec<S>>,
-    wf_m2: Vec<LayerVec<S>>,
-    cur: Vec<LayerVec<S>>,
-    // Flat (primary-score-only) twins of the five buffers above, used by the
-    // structure-of-arrays wavefront loop that single-layer kernels take in
-    // lane mode ([`run_block_primary`]). Kept separate so the two loops can
-    // coexist without re-shaping buffers when a worker alternates kernels.
-    prev_row_p: Vec<S>,
-    next_row_p: Vec<S>,
-    wf_m1_p: Vec<S>,
-    wf_m2_p: Vec<S>,
-    cur_p: Vec<S>,
+    layered: CellBufs<LayerVec<S>>,
+    flat: CellBufs<S>,
     trackers: Vec<BestTracker<S>>,
     tbmem: Option<TbMem>,
 }
@@ -165,16 +203,8 @@ impl<S> SystolicScratch<S> {
     /// Creates an empty arena; buffers grow on first use.
     pub fn new() -> Self {
         Self {
-            prev_row: Vec::new(),
-            next_row: Vec::new(),
-            wf_m1: Vec::new(),
-            wf_m2: Vec::new(),
-            cur: Vec::new(),
-            prev_row_p: Vec::new(),
-            next_row_p: Vec::new(),
-            wf_m1_p: Vec::new(),
-            wf_m2_p: Vec::new(),
-            cur_p: Vec::new(),
+            layered: CellBufs::new(),
+            flat: CellBufs::new(),
             trackers: Vec::new(),
             tbmem: None,
         }
@@ -313,7 +343,8 @@ pub fn run_systolic<K: LaneKernel>(
 /// allocation).
 ///
 /// The wavefront inner loop runs in **multi-lane mode**: interior lanes are
-/// scored [`LANE_WIDTH`] at a time through [`LaneKernel::pe_lanes`] with the
+/// scored [`LANE_WIDTH`] at a time through [`LaneKernel::pe_lanes`]
+/// ([`LaneKernel::pe_lanes_primary`] for single-layer kernels) with the
 /// two boundary lanes (PE 0 reading the Preserved Row Score Buffer, and the
 /// `j = 1` lane reading column inits) peeled scalar. Use
 /// [`run_systolic_scalar_with_scratch`] to force the per-cell path.
@@ -387,7 +418,7 @@ pub fn run_systolic_scalar_with_scratch<K: LaneKernel>(
 ///
 /// Returns [`SystolicError`] if the configuration is invalid, a sequence is
 /// empty, or a sequence exceeds the configured maximum lengths.
-pub fn run_systolic_guarded_with_scratch<K: LaneKernel<LANES>, const LANES: usize>(
+pub(crate) fn run_systolic_guarded_with_scratch<K: LaneKernel<LANES>, const LANES: usize>(
     params: &K::Params,
     query: &[K::Sym],
     reference: &[K::Sym],
@@ -405,7 +436,119 @@ pub fn run_systolic_guarded_with_scratch<K: LaneKernel<LANES>, const LANES: usiz
     )
 }
 
-#[allow(clippy::too_many_arguments)]
+/// How one wavefront cell is stored and how the lane port is called on it —
+/// the one decision the wavefront loop is generic over. Both shapes walk the
+/// same cells in the same order and are bit-identical (the lane-vs-scalar
+/// and cross-precision property suites enforce it); they differ only in what
+/// the buffers hold. The loop is monomorphised per shape, so none of these
+/// calls survives as a branch.
+trait CellShape<K: LaneKernel<LANES>, const LANES: usize> {
+    /// What the Preserved Row Score Buffer and the DP Memory Buffer hold.
+    type Cell: Copy;
+
+    /// Stores a layer vector: a boundary value or a scalar
+    /// [`KernelSpec::pe`](dphls_core::KernelSpec::pe) output.
+    fn store(v: LayerVec<K::Score>) -> Self::Cell;
+
+    /// The stored cell as the layer vector the scalar PE and the best-cell
+    /// trackers read.
+    fn load(cell: Self::Cell) -> LayerVec<K::Score>;
+
+    /// Scores `q.len() ≤ LANES` consecutive interior lanes (the
+    /// [`LaneKernel`] port contract). Under `guard`, returns `true` when a
+    /// fresh output value is inside the escalation guard band
+    /// ([`Score::needs_escalation`]; constant `false` for exact score types,
+    /// where the check folds away). Without `guard` nobody reads the flag,
+    /// and a shape whose check is a separate pass skips it.
+    #[allow(clippy::too_many_arguments)]
+    fn pe_lanes(
+        params: &K::Params,
+        q: &[K::Sym],
+        r_rev: &[K::Sym],
+        diag: &[Self::Cell],
+        up: &[Self::Cell],
+        left: &[Self::Cell],
+        out: &mut [Self::Cell],
+        ptrs: &mut [TbPtr],
+        guard: bool,
+    ) -> bool;
+}
+
+/// Cells are [`LayerVec`]s scored through [`LaneKernel::pe_lanes`]; the
+/// guard scans every layer of the fresh outputs (affine H/I/D each feed
+/// later candidates). Multi-layer kernels need this shape, and
+/// [`LaneMode::Scalar`] always takes it.
+struct Layered;
+
+/// Cells are bare scores — structure-of-arrays buffers whose lane gathers
+/// and scatters are contiguous vector copies — scored through
+/// [`LaneKernel::pe_lanes_primary`], which fuses the guard flag into the
+/// lane body. Single-layer kernels in lane mode take this shape.
+struct Flat;
+
+fn escalates<S: Score>(cell: &LayerVec<S>) -> bool {
+    cell.as_slice().iter().any(|s| s.needs_escalation())
+}
+
+impl<K: LaneKernel<LANES>, const LANES: usize> CellShape<K, LANES> for Layered {
+    type Cell = LayerVec<K::Score>;
+
+    fn store(v: LayerVec<K::Score>) -> Self::Cell {
+        v
+    }
+
+    fn load(cell: Self::Cell) -> LayerVec<K::Score> {
+        cell
+    }
+
+    #[inline]
+    fn pe_lanes(
+        params: &K::Params,
+        q: &[K::Sym],
+        r_rev: &[K::Sym],
+        diag: &[Self::Cell],
+        up: &[Self::Cell],
+        left: &[Self::Cell],
+        out: &mut [Self::Cell],
+        ptrs: &mut [TbPtr],
+        guard: bool,
+    ) -> bool {
+        K::pe_lanes(params, q, r_rev, diag, up, left, out, ptrs);
+        guard && out.iter().any(escalates)
+    }
+}
+
+impl<K: LaneKernel<LANES>, const LANES: usize> CellShape<K, LANES> for Flat {
+    type Cell = K::Score;
+
+    fn store(v: LayerVec<K::Score>) -> Self::Cell {
+        v.primary()
+    }
+
+    fn load(cell: Self::Cell) -> LayerVec<K::Score> {
+        LayerVec::splat(1, cell)
+    }
+
+    #[inline]
+    fn pe_lanes(
+        params: &K::Params,
+        q: &[K::Sym],
+        r_rev: &[K::Sym],
+        diag: &[Self::Cell],
+        up: &[Self::Cell],
+        left: &[Self::Cell],
+        out: &mut [Self::Cell],
+        ptrs: &mut [TbPtr],
+        _guard: bool,
+    ) -> bool {
+        K::pe_lanes_primary(params, q, r_rev, diag, up, left, out, ptrs)
+    }
+}
+
+/// Validates the inputs and runs the wavefront loop on the storage shape the
+/// kernel and mode select: [`Flat`] for single-layer kernels in lane mode,
+/// [`Layered`] otherwise. `K::meta()` is a constant, so each instantiation
+/// keeps exactly one of the two calls.
 fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
     params: &K::Params,
     query: &[K::Sym],
@@ -416,61 +559,74 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
     guard: bool,
 ) -> Result<Option<SystolicRun<K::Score>>, SystolicError> {
     validate_inputs(config, query.len(), reference.len())?;
-    // Single-layer kernels in lane mode take the flat structure-of-arrays
-    // wavefront loop: same cells, same order, bit-identical outputs, but the
-    // DP Memory Buffer holds plain scores instead of five-slot layer vectors.
-    if mode == LaneMode::Lanes && K::meta().n_layers == 1 {
-        return run_block_primary::<K, LANES>(params, query, reference, config, scratch, guard);
-    }
+    let SystolicScratch {
+        layered,
+        flat,
+        trackers,
+        tbmem,
+    } = scratch;
+    Ok(if mode == LaneMode::Lanes && K::meta().n_layers == 1 {
+        wavefront_loop::<K, LANES, Flat>(
+            params, query, reference, config, flat, trackers, tbmem, mode, guard,
+        )
+    } else {
+        wavefront_loop::<K, LANES, Layered>(
+            params, query, reference, config, layered, trackers, tbmem, mode, guard,
+        )
+    })
+}
 
+/// The wavefront loop: chunks of `NPE` rows, anti-diagonals within a chunk,
+/// active lanes within an anti-diagonal. Returns `None` when `guard` is set
+/// and a computed value entered the escalation guard band.
+#[allow(clippy::too_many_arguments)]
+fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, Sh: CellShape<K, LANES>>(
+    params: &K::Params,
+    query: &[K::Sym],
+    reference: &[K::Sym],
+    config: &KernelConfig,
+    bufs: &mut CellBufs<Sh::Cell>,
+    trackers: &mut Vec<BestTracker<K::Score>>,
+    tbmem: &mut Option<TbMem>,
+    mode: LaneMode,
+    guard: bool,
+) -> Option<SystolicRun<K::Score>> {
     let meta = K::meta();
     let banding = config.banding;
     let (q, r) = (query.len(), reference.len());
     let npe = config.npe;
     let chunks = config.chunks_for(q);
-    let worst: LayerVec<K::Score> = LayerVec::splat(meta.n_layers, meta.objective.worst());
+    let rule = meta.traceback.best;
+    let worst = Sh::store(LayerVec::splat(meta.n_layers, meta.objective.worst()));
+    // Column-0 boundary value of row `i` (worst outside the band).
+    let col_init = |i: usize| {
+        if banding.contains(i, 0) {
+            Sh::store(K::init_col(params, i))
+        } else {
+            worst
+        }
+    };
 
     // ---- Arena preparation: resize (capacity-preserving) + re-init. ----
-    let SystolicScratch {
-        prev_row,
-        next_row,
-        wf_m1,
-        wf_m2,
-        cur,
-        trackers,
-        tbmem,
-        ..
-    } = scratch;
-
     match tbmem {
         Some(mem) => mem.reset(npe, chunks, r),
         None => *tbmem = Some(TbMem::new(npe, chunks, r)),
     }
     let tbmem = tbmem.as_mut().expect("tbmem just initialized");
-
-    trackers.truncate(npe);
-    for t in trackers.iter_mut() {
-        t.reset(meta.objective);
-    }
+    trackers.clear();
     trackers.resize_with(npe, || BestTracker::new(meta.objective));
-
-    for buf in [&mut *wf_m1, &mut *wf_m2, &mut *cur] {
-        buf.clear();
-        buf.resize(npe, worst);
-    }
-    next_row.clear();
-    next_row.resize(r + 1, worst);
-
+    bufs.prepare(npe, r, worst);
+    let CellBufs {
+        prev_row,
+        next_row,
+        wf_m1,
+        wf_m2,
+        cur,
+    } = bufs;
     // Preserved Row Score Buffer: scores of the row above the current
     // chunk's first row, indexed by column 0..=R.
-    prev_row.clear();
-    prev_row.resize(r + 1, worst);
-    let row0_band_end = match banding {
-        Banding::None => r,
-        Banding::Fixed { half_width } => half_width.min(r),
-    };
-    for (j, slot) in prev_row.iter_mut().enumerate().take(row0_band_end + 1) {
-        *slot = K::init_row(params, j);
+    for j in (0..=r).take_while(|&j| banding.contains(0, j)) {
+        prev_row[j] = Sh::store(K::init_row(params, j));
     }
 
     let mut stats = BlockStats {
@@ -492,21 +648,10 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
         };
         // Next chunk's preserved row: column 0 is the boundary value of the
         // chunk's last row.
-        for slot in next_row.iter_mut() {
-            *slot = worst;
-        }
-        let last_i = base + last_pe + 1;
-        next_row[0] = if banding.contains(last_i, 0) {
-            K::init_col(params, last_i)
-        } else {
-            worst
-        };
-        for s in wf_m1.iter_mut() {
-            *s = worst;
-        }
-        for s in wf_m2.iter_mut() {
-            *s = worst;
-        }
+        next_row.fill(worst);
+        next_row[0] = col_init(base + last_pe + 1);
+        wf_m1.fill(worst);
+        wf_m2.fill(worst);
 
         // Dead wavefronts before w_start and after w_end are skipped
         // entirely; within the window the lane bounds are closed-form, so
@@ -518,6 +663,11 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
             let (lo, hi) = window.lanes(w);
             if lo <= hi {
                 let (k_lo, k_hi) = (lo as usize, hi as usize);
+                // Per-wavefront escalation accumulator: scalar cells and
+                // lane calls all OR into it. For exact score types every
+                // contribution is the constant `false` and the accumulator
+                // (and the guarded bail-out) fold away.
+                let mut escalate = false;
 
                 // One full scalar cell: neighbor fetch mirroring the
                 // hardware buffers, PE call, tracker offer, traceback
@@ -530,39 +680,27 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
                         let k: usize = $lane;
                         let i = base + k + 1;
                         let j = w - k + 1;
-                        let left = if j == 1 {
-                            if banding.contains(i, 0) {
-                                K::init_col(params, i)
-                            } else {
-                                worst
-                            }
-                        } else {
-                            wf_m1[k]
-                        };
+                        let left = if j == 1 { col_init(i) } else { wf_m1[k] };
                         let up = if k == 0 { prev_row[j] } else { wf_m1[k - 1] };
                         let diag = if k == 0 {
                             prev_row[j - 1]
                         } else if j == 1 {
-                            if banding.contains(i - 1, 0) {
-                                K::init_col(params, i - 1)
-                            } else {
-                                worst
-                            }
+                            col_init(i - 1)
                         } else {
                             wf_m2[k - 1]
                         };
-                        let (out, ptr) =
-                            K::pe(params, query[i - 1], reference[j - 1], &diag, &up, &left);
-                        offer_if_eligible(
-                            &mut trackers[k],
-                            meta.traceback.best,
-                            out.primary(),
-                            i,
-                            j,
-                            q,
-                            r,
+                        let (out, ptr) = K::pe(
+                            params,
+                            query[i - 1],
+                            reference[j - 1],
+                            &Sh::load(diag),
+                            &Sh::load(up),
+                            &Sh::load(left),
                         );
+                        escalate |= guard && escalates(&out);
                         tbmem.write(k, c, w, ptr);
+                        offer_if_eligible(&mut trackers[k], rule, out.primary(), i, j, q, r);
+                        let out = Sh::store(out);
                         if k == last_pe {
                             next_row[j] = out;
                         }
@@ -582,8 +720,8 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
                         // j = 1 cell) reads column boundary inits. Every
                         // interior lane k has j ≥ 2 and k ≥ 1, so its
                         // neighbors are plain strided reads of the two
-                        // wavefront snapshots — exactly the shape
-                        // `pe_lanes` wants.
+                        // wavefront snapshots — exactly the shape the lane
+                        // ports want.
                         let mut k_first = k_lo;
                         if k_lo == 0 {
                             scalar_cell!(0);
@@ -601,7 +739,7 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
                             // Lane t scores cell (base+k+t+1, w-k-t+1):
                             // query symbols advance, reference symbols
                             // retreat (`r_rev` stays a plain subslice).
-                            K::pe_lanes(
+                            escalate |= Sh::pe_lanes(
                                 params,
                                 &query[base + k..base + k + n],
                                 &reference[w - k + 1 - n..w - k + 1],
@@ -610,63 +748,32 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
                                 &wf_m1[k..k + n],
                                 &mut cur[k..k + n],
                                 &mut ptrs[..n],
+                                guard,
                             );
                             tbmem.write_lanes(k, c, w, &ptrs[..n]);
-                            // Tracker offers, specialized per best-cell
-                            // rule: only local (AllCells) kernels offer
-                            // every lane; for the boundary rules at most
-                            // one last-row lane (i = q ⇔ k = q−1−base)
-                            // and one last-column lane (j = r ⇔ k = w+1−r)
-                            // exist per chunk call, so the reduction input
-                            // is identical with O(1) work. Double-offering
-                            // one cell is idempotent, but the guards below
-                            // never do.
-                            let row_lane = (q - 1).wrapping_sub(base);
-                            let col_lane = (w + 1).wrapping_sub(r);
+                            // Tracker offers. Only local (AllCells) kernels
+                            // accept every lane; under the boundary rules
+                            // at most the last-row lane (i = q ⇔
+                            // k = q−1−base) and the last-column lane (j = r
+                            // ⇔ k = w+1−r) can be eligible, so offering
+                            // just those keeps the reduction input identical
+                            // with O(1) work. (When the two coincide the
+                            // double offer is idempotent.)
                             let chunk = k..k + n;
-                            match meta.traceback.best {
-                                BestCellRule::AllCells => {
-                                    for t in 0..n {
-                                        let lane = k + t;
-                                        trackers[lane].offer(
-                                            cur[lane].primary(),
-                                            base + lane + 1,
-                                            w - lane + 1,
-                                        );
-                                    }
-                                }
-                                BestCellRule::BottomRight => {
-                                    if chunk.contains(&row_lane) && row_lane == col_lane {
-                                        trackers[row_lane].offer(cur[row_lane].primary(), q, r);
-                                    }
-                                }
-                                BestCellRule::LastRow => {
-                                    if chunk.contains(&row_lane) {
-                                        trackers[row_lane].offer(
-                                            cur[row_lane].primary(),
-                                            q,
-                                            w - row_lane + 1,
-                                        );
-                                    }
-                                }
-                                BestCellRule::LastRowOrCol => {
-                                    if chunk.contains(&row_lane) {
-                                        trackers[row_lane].offer(
-                                            cur[row_lane].primary(),
-                                            q,
-                                            w - row_lane + 1,
-                                        );
-                                    }
-                                    if chunk.contains(&col_lane) && col_lane != row_lane {
-                                        trackers[col_lane].offer(
-                                            cur[col_lane].primary(),
-                                            base + col_lane + 1,
-                                            r,
-                                        );
-                                    }
-                                }
+                            let offer = |lane: usize| {
+                                let (i, j) = (base + lane + 1, w - lane + 1);
+                                let score = Sh::load(cur[lane]).primary();
+                                offer_if_eligible(&mut trackers[lane], rule, score, i, j, q, r);
+                            };
+                            if rule == BestCellRule::AllCells {
+                                chunk.clone().for_each(offer);
+                            } else {
+                                let row_lane = (q - 1).wrapping_sub(base);
+                                let col_lane = (w + 1).wrapping_sub(r);
+                                let edges = [row_lane, col_lane].into_iter();
+                                edges.filter(|l| chunk.contains(l)).for_each(offer);
                             }
-                            if (k..k + n).contains(&last_pe) {
+                            if chunk.contains(&last_pe) {
                                 next_row[w - last_pe + 1] = cur[last_pe];
                             }
                             k += n;
@@ -677,15 +784,10 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
                 stats.wavefronts += 1;
                 // Saturation guard: a narrow-precision run is only certified
                 // bit-identical while every output-layer value stays outside
-                // the guard band. Scan the freshly computed wavefront (all
-                // layers — affine H/I/D each feed later candidates) and bail
-                // out the instant any value needs escalation.
-                if guard {
-                    for out in &cur[k_lo..=k_hi] {
-                        if out.as_slice().iter().any(|s| s.needs_escalation()) {
-                            return Ok(None);
-                        }
-                    }
+                // the guard band; bail out the instant one wavefront needs
+                // escalation.
+                if guard && escalate {
+                    return None;
                 }
             }
             // The lane bounds move down by at most one lane per wavefront,
@@ -720,7 +822,7 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
         .map(|walk| walk_traceback::<K>(&|i, j| tbmem.read_cell(i, j), best_cell, walk));
     stats.tb_steps = alignment.as_ref().map_or(0, |a| a.len() as u64);
 
-    Ok(Some(SystolicRun {
+    Some(SystolicRun {
         output: DpOutput {
             best_score,
             best_cell,
@@ -728,7 +830,7 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
             cells_computed: stats.cells,
         },
         stats,
-    }))
+    })
 }
 
 fn validate_inputs(
@@ -740,280 +842,15 @@ fn validate_inputs(
     if query_len == 0 || ref_len == 0 {
         return Err(SystolicError::EmptySequence);
     }
-    if query_len > config.max_query {
-        return Err(SystolicError::SequenceTooLong {
-            which: "query",
-            len: query_len,
-            max: config.max_query,
-        });
-    }
-    if ref_len > config.max_ref {
-        return Err(SystolicError::SequenceTooLong {
-            which: "reference",
-            len: ref_len,
-            max: config.max_ref,
-        });
+    for (which, len, max) in [
+        ("query", query_len, config.max_query),
+        ("reference", ref_len, config.max_ref),
+    ] {
+        if len > max {
+            return Err(SystolicError::SequenceTooLong { which, len, max });
+        }
     }
     Ok(())
-}
-
-/// The flat (structure-of-arrays) wavefront loop for single-layer kernels in
-/// lane mode: identical chunk/wavefront/lane geometry to [`run_block`], but
-/// the Preserved Row Score Buffer and the three DP Memory Buffer snapshots
-/// hold plain scores, interior lanes are scored through
-/// [`LaneKernel::pe_lanes_primary`] (contiguous vector-copy gathers and
-/// scatters), and the saturation guard is the lane body's fused flag instead
-/// of a separate scan over layer vectors. Bit-identical to [`run_block`] in
-/// scalar mode — the lane-vs-scalar and cross-precision property suites
-/// enforce this across the kernel family.
-#[allow(clippy::too_many_arguments)]
-fn run_block_primary<K: LaneKernel<LANES>, const LANES: usize>(
-    params: &K::Params,
-    query: &[K::Sym],
-    reference: &[K::Sym],
-    config: &KernelConfig,
-    scratch: &mut SystolicScratch<K::Score>,
-    guard: bool,
-) -> Result<Option<SystolicRun<K::Score>>, SystolicError> {
-    let meta = K::meta();
-    debug_assert_eq!(meta.n_layers, 1, "primary path requires 1-layer kernels");
-    let banding = config.banding;
-    let (q, r) = (query.len(), reference.len());
-    let npe = config.npe;
-    let chunks = config.chunks_for(q);
-    let worst: K::Score = meta.objective.worst();
-
-    // ---- Arena preparation: resize (capacity-preserving) + re-init. ----
-    let SystolicScratch {
-        prev_row_p: prev_row,
-        next_row_p: next_row,
-        wf_m1_p: wf_m1,
-        wf_m2_p: wf_m2,
-        cur_p: cur,
-        trackers,
-        tbmem,
-        ..
-    } = scratch;
-
-    match tbmem {
-        Some(mem) => mem.reset(npe, chunks, r),
-        None => *tbmem = Some(TbMem::new(npe, chunks, r)),
-    }
-    let tbmem = tbmem.as_mut().expect("tbmem just initialized");
-
-    trackers.truncate(npe);
-    for t in trackers.iter_mut() {
-        t.reset(meta.objective);
-    }
-    trackers.resize_with(npe, || BestTracker::new(meta.objective));
-
-    for buf in [&mut *wf_m1, &mut *wf_m2, &mut *cur] {
-        buf.clear();
-        buf.resize(npe, worst);
-    }
-    next_row.clear();
-    next_row.resize(r + 1, worst);
-
-    prev_row.clear();
-    prev_row.resize(r + 1, worst);
-    let row0_band_end = match banding {
-        Banding::None => r,
-        Banding::Fixed { half_width } => half_width.min(r),
-    };
-    for (j, slot) in prev_row.iter_mut().enumerate().take(row0_band_end + 1) {
-        *slot = K::init_row(params, j).primary();
-    }
-
-    let mut stats = BlockStats {
-        chunks: chunks as u64,
-        query_len: q as u64,
-        ref_len: r as u64,
-        reduction_levels: npe.next_power_of_two().trailing_zeros() as u64,
-        ..BlockStats::default()
-    };
-
-    for c in 0..chunks {
-        let base = c * npe;
-        let rows = npe.min(q - base);
-        let last_pe = rows - 1;
-        let Some(window) = ChunkWindow::new(base, rows, r, banding) else {
-            break;
-        };
-        for slot in next_row.iter_mut() {
-            *slot = worst;
-        }
-        let last_i = base + last_pe + 1;
-        next_row[0] = if banding.contains(last_i, 0) {
-            K::init_col(params, last_i).primary()
-        } else {
-            worst
-        };
-        for s in wf_m1.iter_mut() {
-            *s = worst;
-        }
-        for s in wf_m2.iter_mut() {
-            *s = worst;
-        }
-
-        for w in window.w_start..=window.w_end {
-            let (lo, hi) = window.lanes(w);
-            if lo <= hi {
-                let (k_lo, k_hi) = (lo as usize, hi as usize);
-                // Per-wavefront escalation accumulator: peeled scalar cells
-                // and lane calls all OR into it; for exact score types every
-                // contribution is the constant `false` and the accumulator
-                // (and the guarded bail-out) fold away.
-                let mut escalate = false;
-
-                // One full scalar boundary cell (see `run_block`), on flat
-                // buffers: neighbors are wrapped into one-layer vectors for
-                // the `pe` call and the output's primary value is stored.
-                macro_rules! scalar_cell {
-                    ($lane:expr) => {{
-                        let k: usize = $lane;
-                        let i = base + k + 1;
-                        let j = w - k + 1;
-                        let left = if j == 1 {
-                            if banding.contains(i, 0) {
-                                K::init_col(params, i).primary()
-                            } else {
-                                worst
-                            }
-                        } else {
-                            wf_m1[k]
-                        };
-                        let up = if k == 0 { prev_row[j] } else { wf_m1[k - 1] };
-                        let diag = if k == 0 {
-                            prev_row[j - 1]
-                        } else if j == 1 {
-                            if banding.contains(i - 1, 0) {
-                                K::init_col(params, i - 1).primary()
-                            } else {
-                                worst
-                            }
-                        } else {
-                            wf_m2[k - 1]
-                        };
-                        let (out, ptr) = K::pe(
-                            params,
-                            query[i - 1],
-                            reference[j - 1],
-                            &LayerVec::splat(1, diag),
-                            &LayerVec::splat(1, up),
-                            &LayerVec::splat(1, left),
-                        );
-                        let out = out.primary();
-                        escalate |= out.needs_escalation();
-                        offer_if_eligible(&mut trackers[k], meta.traceback.best, out, i, j, q, r);
-                        tbmem.write(k, c, w, ptr);
-                        if k == last_pe {
-                            next_row[j] = out;
-                        }
-                        cur[k] = out;
-                    }};
-                }
-
-                let mut k_first = k_lo;
-                if k_lo == 0 {
-                    scalar_cell!(0);
-                    k_first = 1;
-                }
-                let mut k_last = k_hi;
-                if k_hi == w && k_hi >= k_first {
-                    scalar_cell!(k_hi);
-                    k_last = k_hi - 1;
-                }
-                let mut ptrs = [TbPtr::END; LANES];
-                let mut k = k_first;
-                while k <= k_last {
-                    let n = LANES.min(k_last - k + 1);
-                    escalate |= K::pe_lanes_primary(
-                        params,
-                        &query[base + k..base + k + n],
-                        &reference[w - k + 1 - n..w - k + 1],
-                        &wf_m2[k - 1..k - 1 + n],
-                        &wf_m1[k - 1..k - 1 + n],
-                        &wf_m1[k..k + n],
-                        &mut cur[k..k + n],
-                        &mut ptrs[..n],
-                    );
-                    tbmem.write_lanes(k, c, w, &ptrs[..n]);
-                    // Tracker offers, specialized per best-cell rule exactly
-                    // as in `run_block`.
-                    let row_lane = (q - 1).wrapping_sub(base);
-                    let col_lane = (w + 1).wrapping_sub(r);
-                    let chunk = k..k + n;
-                    match meta.traceback.best {
-                        BestCellRule::AllCells => {
-                            for t in 0..n {
-                                let lane = k + t;
-                                trackers[lane].offer(cur[lane], base + lane + 1, w - lane + 1);
-                            }
-                        }
-                        BestCellRule::BottomRight => {
-                            if chunk.contains(&row_lane) && row_lane == col_lane {
-                                trackers[row_lane].offer(cur[row_lane], q, r);
-                            }
-                        }
-                        BestCellRule::LastRow => {
-                            if chunk.contains(&row_lane) {
-                                trackers[row_lane].offer(cur[row_lane], q, w - row_lane + 1);
-                            }
-                        }
-                        BestCellRule::LastRowOrCol => {
-                            if chunk.contains(&row_lane) {
-                                trackers[row_lane].offer(cur[row_lane], q, w - row_lane + 1);
-                            }
-                            if chunk.contains(&col_lane) && col_lane != row_lane {
-                                trackers[col_lane].offer(cur[col_lane], base + col_lane + 1, r);
-                            }
-                        }
-                    }
-                    if (k..k + n).contains(&last_pe) {
-                        next_row[w - last_pe + 1] = cur[last_pe];
-                    }
-                    k += n;
-                }
-                stats.cells += (k_hi - k_lo + 1) as u64;
-                stats.wavefronts += 1;
-                if guard && escalate {
-                    return Ok(None);
-                }
-            }
-            let (flank_lo, flank_hi) = (lo - 1, hi + 1);
-            if flank_lo >= 0 {
-                cur[flank_lo as usize] = worst;
-            }
-            if (flank_hi as usize) < npe {
-                cur[flank_hi as usize] = worst;
-            }
-            std::mem::swap(wf_m2, wf_m1);
-            std::mem::swap(wf_m1, cur);
-        }
-        std::mem::swap(prev_row, next_row);
-    }
-
-    let mut global = BestTracker::new(meta.objective);
-    for t in trackers.iter() {
-        global.merge(t);
-    }
-    let (best_score, best_cell) = global.best();
-
-    let alignment = meta
-        .traceback
-        .walk
-        .map(|walk| walk_traceback::<K>(&|i, j| tbmem.read_cell(i, j), best_cell, walk));
-    stats.tb_steps = alignment.as_ref().map_or(0, |a| a.len() as u64);
-
-    Ok(Some(SystolicRun {
-        output: DpOutput {
-            best_score,
-            best_cell,
-            alignment,
-            cells_computed: stats.cells,
-        },
-        stats,
-    }))
 }
 
 /// Convenience wrapper asserting success (for tests and examples where the
@@ -1131,6 +968,62 @@ mod tests {
                 if hw == 0 {
                     assert_eq!(got.stats.cells, b.len() as u64, "hw=0 npe={npe}");
                     assert_eq!(got.stats.wavefronts, b.len() as u64, "hw=0 npe={npe}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_window_matches_brute_force_geometry() {
+        // The closed-form window against plain enumeration with
+        // `Banding::contains`, over every small geometry.
+        let bandings = std::iter::once(Banding::None)
+            .chain((0..=4).map(|half_width| Banding::Fixed { half_width }));
+        for banding in bandings {
+            for (q, r, npe) in (1..=12usize)
+                .flat_map(|q| (1..=12usize).flat_map(move |r| (1..=6usize).map(move |n| (q, r, n))))
+            {
+                // In-band lanes of wavefront `w` in the chunk at `base`.
+                let lanes_at = |base: usize, w: usize| -> Vec<usize> {
+                    (0..npe.min(q - base))
+                        .filter(|&k| {
+                            w >= k && w - k < r && banding.contains(base + k + 1, w - k + 1)
+                        })
+                        .collect()
+                };
+                let mut band_left = false;
+                for base in (0..q).step_by(npe) {
+                    let rows = npe.min(q - base);
+                    let live: Vec<usize> = (0..rows + r - 1)
+                        .filter(|&w| !lanes_at(base, w).is_empty())
+                        .collect();
+                    let ctx = format!("{banding:?} q={q} r={r} npe={npe} base={base}");
+                    let Some(window) = ChunkWindow::new(base, rows, r, banding) else {
+                        // `None` ends the block: no cell here or below.
+                        assert!(live.is_empty(), "{ctx}: window missed cells");
+                        band_left = true;
+                        continue;
+                    };
+                    assert!(!band_left, "{ctx}: band re-entered after a None chunk");
+                    assert_eq!(
+                        (Some(&window.w_start), Some(&window.w_end)),
+                        (live.first(), live.last()),
+                        "{ctx}: wavefront interval not tight"
+                    );
+                    let mut prev: Option<(isize, isize)> = None;
+                    let (first, last) = (window.w_start, window.w_end);
+                    for w in first..=last {
+                        let (lo, hi) = window.lanes(w);
+                        let want: Vec<usize> = (lo..=hi).map(|k| k as usize).collect();
+                        assert_eq!(lanes_at(base, w), want, "{ctx} w={w}: lane range");
+                        // The flank-clear precondition: each bound moves
+                        // down the array by at most one lane per wavefront.
+                        if let Some((plo, phi)) = prev {
+                            assert!((0..=1).contains(&(lo - plo)), "{ctx} w={w}: lo jumped");
+                            assert!((0..=1).contains(&(hi - phi)), "{ctx} w={w}: hi jumped");
+                        }
+                        prev = Some((lo, hi));
+                    }
                 }
             }
         }

@@ -4,8 +4,9 @@
 //! functionally, accumulate cycle statistics, and report throughput.
 
 use crate::adaptive::{run_adaptive_with_scratch, AdaptiveScratch};
-use crate::block::BlockStats;
-use crate::block::{run_systolic, SystolicError, SystolicRun};
+use crate::block::{
+    run_systolic_with_scratch, BlockStats, SystolicError, SystolicRun, SystolicScratch,
+};
 use crate::cycles::{
     alignment_cycles, fleet_cycles, throughput_aps, transfer_bytes, CycleBreakdown,
     CycleModelParams, KernelCycleInfo, TransferModel,
@@ -146,9 +147,10 @@ impl Device {
         params: &K::Params,
         workload: &[dphls_core::SeqPair<K>],
     ) -> Result<DeviceReport<K::Score>, SystolicError> {
+        let mut scratch = SystolicScratch::new();
         self.accumulate(workload.len(), |i| {
             let (q, r) = &workload[i];
-            run_systolic::<K>(params, q, r, &self.config)
+            run_systolic_with_scratch::<K>(params, q, r, &self.config, &mut scratch)
         })
     }
 

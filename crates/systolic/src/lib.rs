@@ -47,9 +47,8 @@ pub mod xdrop;
 
 pub use adaptive::{run_adaptive, run_adaptive_with_scratch, AdaptiveScratch};
 pub use block::{
-    run_systolic, run_systolic_guarded_with_scratch, run_systolic_ok,
-    run_systolic_scalar_with_scratch, run_systolic_with_scratch, BlockStats, SystolicError,
-    SystolicRun, SystolicScratch,
+    run_systolic, run_systolic_ok, run_systolic_scalar_with_scratch, run_systolic_with_scratch,
+    BlockStats, SystolicError, SystolicRun, SystolicScratch,
 };
 pub use cycles::{
     alignment_cycles, arbitrated_cycles, effective_cycles_per_alignment, fleet_cycles,

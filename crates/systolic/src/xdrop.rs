@@ -144,9 +144,10 @@ where
         // Band: the matrix-valid i-range of wavefront k intersected with
         // the window around the previous argmax. `center + w + 1` (not
         // `+ w`) because the argmax cell's two wavefront-(k+1) children
-        // have query indices `center` and `center + 1`.
+        // have query indices `center` and `center + 1`. Saturating, so a
+        // "never prune" `half_width` of `usize::MAX` is just a wide band.
         let lo = k.saturating_sub(n).max(center.saturating_sub(w));
-        let hi = k.min(m).min(center + w + 1);
+        let hi = k.min(m).min(center.saturating_add(w).saturating_add(1));
         if lo > hi {
             // The band slid off the valid range (can only happen hard
             // against a matrix corner): nothing left to extend.
@@ -287,6 +288,22 @@ mod tests {
         assert_eq!(run.score, full_extension(&q, &r, -2));
         assert!(!run.terminated);
         assert_eq!(run.cells, (q.len() * r.len()) as u64);
+    }
+
+    #[test]
+    fn unbounded_half_width_equals_exhaustive() {
+        // `usize::MAX` is the natural "never prune" band; the window bound
+        // `center + w + 1` used to overflow on it.
+        let q: Vec<u8> = (0..40u32).map(|i| (i % 3 == 0) as u8).collect();
+        let r: Vec<u8> = (0..60u32).map(|i| (i % 3 == 0) as u8).collect();
+        let unbounded = XDropConfig {
+            half_width: usize::MAX,
+            x: i32::MAX,
+        };
+        let want = run_xdrop(&q, &r, score, -2, &XDropConfig::exhaustive(40, 60));
+        assert_eq!(want.score, 80);
+        assert_eq!(want.cells, 2400);
+        assert_eq!(run_xdrop(&q, &r, score, -2, &unbounded), want);
     }
 
     #[test]

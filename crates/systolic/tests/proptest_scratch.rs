@@ -8,7 +8,9 @@ use dphls_kernels::{
     AffineParams, GlobalAffine, GlobalLinear, LinearParams, LocalLinear, NoParams, Sdtw,
 };
 use dphls_seq::Base;
-use dphls_systolic::{run_systolic, run_systolic_with_scratch, SystolicScratch};
+use dphls_systolic::{
+    run_systolic, run_systolic_scalar_with_scratch, run_systolic_with_scratch, SystolicScratch,
+};
 use proptest::prelude::*;
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<Base>> {
@@ -93,6 +95,48 @@ proptest! {
                 &NoParams, &sq, &sr, &scfg, &mut scratch_i32,
             ).unwrap();
             prop_assert_eq!(reused.output, fresh.output);
+        }
+    }
+
+    #[test]
+    fn scratch_survives_storage_shape_switches(
+        q in dna(40),
+        r in dna(40),
+        npe in 1usize..9,
+        hw in 1usize..12,
+    ) {
+        // One `i16` arena under a worker that alternates a single-layer
+        // kernel (flat cell storage), a three-layer kernel (layer-vector
+        // storage) and the scalar mode (layer-vector storage for the
+        // single-layer kernel), at alternating geometries: the shared
+        // trackers and traceback memory and both buffer sets must come
+        // back pristine every time.
+        let lp = LinearParams::<i16>::dna();
+        let ap = AffineParams::<i16>::dna();
+        let mut scratch = SystolicScratch::new();
+        let max = q.len().max(r.len());
+        let full = KernelConfig::new(npe.min(q.len()), 1, 1).with_max_lengths(max, max);
+        let banded = KernelConfig::new(npe.min(r.len()), 1, 1)
+            .with_max_lengths(max, max)
+            .with_banding(hw);
+        for _ in 0..2 {
+            let fresh = run_systolic::<GlobalLinear>(&lp, &q, &r, &full).unwrap();
+            let flat = run_systolic_with_scratch::<GlobalLinear>(
+                &lp, &q, &r, &full, &mut scratch,
+            ).unwrap();
+            prop_assert_eq!(&flat, &fresh);
+
+            let fresh = run_systolic::<GlobalAffine<i16>>(&ap, &r, &q, &banded).unwrap();
+            let layered = run_systolic_with_scratch::<GlobalAffine<i16>>(
+                &ap, &r, &q, &banded, &mut scratch,
+            ).unwrap();
+            prop_assert_eq!(&layered, &fresh);
+
+            let fresh = run_systolic::<LocalLinear<i16>>(&lp, &q, &r, &banded).unwrap();
+            let scalar = run_systolic_scalar_with_scratch::<LocalLinear<i16>>(
+                &lp, &q, &r, &banded, &mut scratch,
+            ).unwrap();
+            prop_assert_eq!(&scalar, &fresh);
         }
     }
 }
