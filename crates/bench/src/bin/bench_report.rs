@@ -1,30 +1,32 @@
 //! Emits `BENCH_throughput.json`: wall-clock alignments/second of the
 //! naive baseline, the scalar scratch engine (PR 1), the multi-lane engine
 //! (PR 2), and the work-stealing batch engine across the standard workload
-//! matrix, plus the ISSUE 1 (≥ 2× scratch-vs-naive) and ISSUE 2 (≥ 1.3×
-//! laned-vs-scratch) acceptance measurements, the ISSUE 3 streaming
-//! comparison (streamed-vs-batched, gated ≥ 0.9×), the ISSUE 5
-//! NB-scaling point (modeled NB-vs-1 ratio, gated ≥ 3.5× at NB = 4), and
-//! the PR 6 resilience-overhead point (instrumented-vs-fast-path, gated
-//! ≥ 0.95×), the PR 7 serving point (`dphls-serve` under open-loop
-//! load vs direct streaming, gated ≥ 0.5×, with latency percentiles), and
-//! the ISSUE 8 adaptive-precision point (saturating-`i8` fast path vs the
-//! exact `i16` path, gated ≥ 1.3×, escalation rate recorded), and the
-//! ISSUE 9 mapping point (long-read recall through the `dphls-mapper`
-//! seed-chain-extend pipeline, gated ≥ 0.99 recall and ≤ 0.3× full-band
-//! DP cells, plus the sDTW squiggle-separation sub-metric, gated > 1 —
-//! all three counting-derived and enforced at every scale), and the PR 10
-//! fleet point (modeled 4-device-vs-1 sharding ratio over the banded
-//! acceptance workload, gated ≥ 3.5× machine-independently at every scale;
-//! the wall-clock device ratio rides along under the 1-core caveat).
-//! Validate or diff a report with `bench_check`.
+//! matrix, plus one section per gated measurement point (acceptance,
+//! streaming, NB scaling, fleet, resilience overhead, serving, adaptive
+//! precision, mapping). Which figures each section carries and which gates
+//! ride on them is `dphls_bench::check::SECTIONS`, rendered in
+//! docs/BENCH_HISTORY.md; the summary printed here is a loop over that
+//! table. Validate or diff a report with `bench_check`.
 //!
 //! ```text
 //! cargo run --release -p dphls-bench --bin bench_report            # full matrix
 //! cargo run --release -p dphls-bench --bin bench_report -- --scale 20 --out /tmp/t.json
 //! ```
 
-use dphls_bench::perf;
+use dphls_bench::{check, perf};
+use serde::JsonValue;
+
+/// One figure of a summary row; pass flags are shown as gate verdicts.
+fn figure(key: &str, value: &JsonValue) -> Option<String> {
+    match value {
+        JsonValue::Str(s) => Some(s.clone()),
+        JsonValue::Int(i) => Some(format!("{key}={i}")),
+        JsonValue::UInt(u) => Some(format!("{key}={u}")),
+        JsonValue::Float(f) if f.abs() >= 100.0 => Some(format!("{key}={f:.0}")),
+        JsonValue::Float(f) => Some(format!("{key}={f:.3}")),
+        _ => None,
+    }
+}
 
 fn main() {
     let mut scale = 1usize;
@@ -72,154 +74,24 @@ fn main() {
             p.batched_aps, p.batched_speedup,
         );
     }
-    eprintln!(
-        "  streaming    {} x{:<6} NK={} buffer={} window={} | batched {:>9.0} aln/s | streamed {:>9.0} ({:.2}x) {}",
-        report.streaming.workload,
-        report.streaming.pairs,
-        report.streaming.nk,
-        report.streaming.buffer,
-        report.streaming.window,
-        report.streaming.batched_aps,
-        report.streaming.streamed_aps,
-        report.streaming.ratio,
-        if report.streaming.pass {
-            format!("PASS (>= {}x)", dphls_bench::check::STREAMING_GATE)
-        } else {
-            format!("FAIL (< {}x)", dphls_bench::check::STREAMING_GATE)
-        },
-    );
-    eprintln!(
-        "  nb_scaling   {} x{:<6} NPE={} NB={} NK={} | slots1 {:>9.0} aln/s | slots{} {:>9.0} ({:.2}x wall) | modeled NBx{:.2} {}",
-        report.nb_scaling.workload,
-        report.nb_scaling.pairs,
-        report.nb_scaling.npe,
-        report.nb_scaling.nb,
-        report.nb_scaling.nk,
-        report.nb_scaling.slots1_aps,
-        report.nb_scaling.nb,
-        report.nb_scaling.slots_nb_aps,
-        report.nb_scaling.slot_ratio,
-        report.nb_scaling.modeled_nb_ratio,
-        if report.nb_scaling.pass {
-            format!("PASS (>= {}x)", dphls_bench::check::NB_MODEL_GATE)
-        } else {
-            format!("FAIL (< {}x)", dphls_bench::check::NB_MODEL_GATE)
-        },
-    );
-    eprintln!(
-        "  fleet        {} x{:<6} NPE={} NB={} NK={} D={} | d1 {:>9.0} aln/s | d{} {:>9.0} ({:.2}x wall) | modeled Dx{:.2} {}",
-        report.fleet.workload,
-        report.fleet.pairs,
-        report.fleet.npe,
-        report.fleet.nb,
-        report.fleet.nk,
-        report.fleet.devices,
-        report.fleet.d1_aps,
-        report.fleet.devices,
-        report.fleet.d_aps,
-        report.fleet.d_wall_ratio,
-        report.fleet.d_ratio,
-        if report.fleet.pass {
-            format!("PASS (>= {}x)", dphls_bench::check::FLEET_MODEL_GATE)
-        } else {
-            format!("FAIL (< {}x)", dphls_bench::check::FLEET_MODEL_GATE)
-        },
-    );
-    eprintln!(
-        "  resilience   {} x{:<6} NK={} | disabled {:>9.0} aln/s | resilient {:>9.0} ({:.2}x) {}",
-        report.resilience_overhead.workload,
-        report.resilience_overhead.pairs,
-        report.resilience_overhead.nk,
-        report.resilience_overhead.disabled_aps,
-        report.resilience_overhead.resilient_aps,
-        report.resilience_overhead.ratio,
-        if report.resilience_overhead.pass {
-            format!("PASS (>= {}x)", dphls_bench::check::RESILIENCE_GATE)
-        } else {
-            format!("FAIL (< {}x)", dphls_bench::check::RESILIENCE_GATE)
-        },
-    );
-    eprintln!(
-        "  serving      {} x{:<6} conns={} NK={} | streamed {:>9.0} aln/s | served {:>9.0} rps ({:.2}x) p50 {:.2} ms p99 {:.2} ms {}",
-        report.serving.workload,
-        report.serving.pairs,
-        report.serving.connections,
-        report.serving.nk,
-        report.serving.streamed_aps,
-        report.serving.served_rps,
-        report.serving.ratio,
-        report.serving.p50_ms,
-        report.serving.p99_ms,
-        if report.serving.pass {
-            format!("PASS (>= {}x)", dphls_bench::check::SERVING_GATE)
-        } else {
-            format!("FAIL (< {}x)", dphls_bench::check::SERVING_GATE)
-        },
-    );
-    eprintln!(
-        "  adaptive     {} x{:<6} NK={} lanes={} | exact {:>9.0} aln/s | adaptive {:>9.0} ({:.2}x) esc {:.1}% {}",
-        report.adaptive_precision.workload,
-        report.adaptive_precision.pairs,
-        report.adaptive_precision.nk,
-        report.adaptive_precision.lanes,
-        report.adaptive_precision.exact_aps,
-        report.adaptive_precision.adaptive_aps,
-        report.adaptive_precision.ratio,
-        report.adaptive_precision.escalation_rate * 100.0,
-        if report.adaptive_precision.pass {
-            format!("PASS (>= {}x)", dphls_bench::check::ADAPTIVE_GATE)
-        } else {
-            format!("FAIL (< {}x)", dphls_bench::check::ADAPTIVE_GATE)
-        },
-    );
-    eprintln!(
-        "  mapping      {} x{:<6} len {}-{} err {:.0}% | {:>9.0} reads/s | recall {:.4} {} | cells {:.3}x {} | sDTW sep {:.2}x {}",
-        report.mapping.workload,
-        report.mapping.reads,
-        report.mapping.min_len,
-        report.mapping.max_len,
-        report.mapping.error_rate * 100.0,
-        report.mapping.mapped_aps,
-        report.mapping.recall,
-        if report.mapping.recall_pass {
-            format!("PASS (>= {})", dphls_bench::check::MAPPING_RECALL_GATE)
-        } else {
-            format!("FAIL (< {})", dphls_bench::check::MAPPING_RECALL_GATE)
-        },
-        report.mapping.cells_ratio,
-        if report.mapping.cells_pass {
-            format!("PASS (<= {}x)", dphls_bench::check::MAPPING_CELLS_GATE)
-        } else {
-            format!("FAIL (> {}x)", dphls_bench::check::MAPPING_CELLS_GATE)
-        },
-        report.mapping.sdtw_separation,
-        if report.mapping.sdtw_pass {
-            format!("PASS (> {}x)", dphls_bench::check::MAPPING_SDTW_GATE)
-        } else {
-            format!("FAIL (<= {}x)", dphls_bench::check::MAPPING_SDTW_GATE)
-        },
-    );
-    eprintln!(
-        "acceptance ({} x{}): scratch/naive {:.2}x {} | laned/scratch {:.2}x {}",
-        report.acceptance.workload,
-        report.acceptance.pairs,
-        report.acceptance.speedup,
-        if report.acceptance.pass {
-            "PASS (>= 2x)"
-        } else {
-            "FAIL (< 2x)"
-        },
-        report.acceptance.lane_vs_scratch,
-        if report.acceptance.lane_pass {
-            "PASS (>= 1.3x)"
-        } else {
-            "FAIL (< 1.3x)"
-        },
-    );
-
     let json = serde_json::to_string_pretty(&report).expect("report serialization");
     std::fs::write(&out, &json).expect("write report file");
     // Self-check: the emitted file must round-trip as well-formed JSON.
-    serde_json::from_str(&json).expect("emitted report must be valid JSON");
+    let parsed = serde_json::from_str(&json).expect("emitted report must be valid JSON");
+
+    for section in &check::SECTIONS {
+        let Some(object @ JsonValue::Object(entries)) = check::get(&parsed, section.name) else {
+            continue;
+        };
+        let mut row: Vec<String> = entries.iter().filter_map(|(k, v)| figure(k, v)).collect();
+        for &(flag, field, op, threshold, _) in section.gates {
+            let (holds, fails) = op.symbols();
+            row.push(match check::get(object, flag) {
+                Some(JsonValue::Bool(true)) => format!("| {field} PASS ({holds} {threshold})"),
+                _ => format!("| {field} FAIL ({fails} {threshold})"),
+            });
+        }
+        eprintln!("  {:<12} {}", section.label, row.join(" "));
+    }
     println!("{out}");
 }

@@ -7,21 +7,42 @@
 //! speedup-ratio consistency, acceptance gates — and can diff a fresh run
 //! against the committed baseline.
 //!
+//! What each report section promises — required keys, which stored figures
+//! are quotients of which fields, its absolute gates and the scale they
+//! bind at, and which fields the regression diff compares in which
+//! direction under which caveat — is one entry of [`SECTIONS`]; [`validate`],
+//! [`compare`] and the `bench_report` summary are each one loop over it
+//! (docs/BENCH_HISTORY.md renders the table).
+//!
 //! Absolute aln/s figures are machine-dependent, so the regression gate
-//! compares only the **speedup ratios** (`scratch_speedup`, `laned_speedup`,
-//! `lane_vs_scratch`, `batched_speedup`), which track engine quality rather
+//! compares only **ratios** — per point `scratch_speedup`, `laned_speedup`,
+//! `lane_vs_scratch`, `batched_speedup` — which track engine quality rather
 //! than container luck. The `batched_speedup` of `nk > 1` points is only
 //! compared when *both* reports were recorded with more than one core —
 //! the ROADMAP's "no thread scaling on a 1-core container" caveat,
 //! machine-checked via the report's `host_cores` field.
-
 use serde::JsonValue;
+use Caveat::{OneCore, SmokeScale};
+use Scope::{EveryScale, FullScale};
 
 /// Report schema version this checker understands.
 pub const SCHEMA_VERSION: u64 = 9;
 
 /// Default relative tolerance of the regression gate (15 %).
 pub const DEFAULT_TOLERANCE: f64 = 0.15;
+
+/// Minimum scratch-vs-naive speedup of the `acceptance` point (the ISSUE 1
+/// gate): the zero-allocation, band-aware scratch engine must run the
+/// banded single-channel workload at least 2× as fast as the frozen naive
+/// engine. Both are timed single-threaded in one interleaved round, but the
+/// ratio is wall-clock: like [`STREAMING_GATE`] the absolute threshold is
+/// only enforced at or above [`STREAMING_GATE_MIN_PAIRS`] pairs.
+pub const SCRATCH_GATE: f64 = 2.0;
+
+/// Minimum laned-vs-scratch speedup of the `acceptance` point (the ISSUE 2
+/// gate): the multi-lane wavefront engine must beat the scalar scratch path
+/// by at least 1.3× on the same workload, at the same scale guard.
+pub const LANE_GATE: f64 = 1.3;
 
 /// Minimum streamed/batched throughput ratio (the ISSUE 3 streaming gate):
 /// the bounded-memory pipeline may not cost more than 10 % of the batch
@@ -121,165 +142,336 @@ pub const MAPPING_CELLS_GATE: f64 = 0.3;
 /// Deterministic workload, machine-independent, enforced at every scale.
 pub const MAPPING_SDTW_GATE: f64 = 1.0;
 
-/// Ratio fields diffed by the regression gate.
-const RATIO_KEYS: [&str; 4] = [
-    "scratch_speedup",
-    "laned_speedup",
-    "lane_vs_scratch",
-    "batched_speedup",
+/// Comparison a gate's value must satisfy against its threshold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// `value >= threshold`.
+    Ge,
+    /// `value <= threshold` (a lower-is-better figure).
+    Le,
+    /// `value > threshold`.
+    Gt,
+}
+
+impl Op {
+    /// Whether `value ⋈ threshold` holds.
+    pub fn holds(self, value: f64, threshold: f64) -> bool {
+        match self {
+            Op::Ge => value >= threshold,
+            Op::Le => value <= threshold,
+            Op::Gt => value > threshold,
+        }
+    }
+
+    /// The operator and its negation: a passing and a failing verdict's.
+    pub fn symbols(self) -> (&'static str, &'static str) {
+        match self {
+            Op::Ge => (">=", "<"),
+            Op::Le => ("<=", ">"),
+            Op::Gt => (">", "<="),
+        }
+    }
+}
+
+/// Where a gate's comparison is enforced (its flag is checked everywhere).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Counting and modeled figures: machine-independent, every scale.
+    EveryScale,
+    /// Wall-clock figures: only from [`STREAMING_GATE_MIN_PAIRS`] pairs up.
+    FullScale,
+}
+
+/// Why [`compare`] may skip a diffed figure with a note instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Caveat {
+    /// The 1-core caveat: thread-scaling ratios and raw latencies measure
+    /// queueing on a 1-core box, so they are only diffed when **both**
+    /// reports saw more than one core.
+    OneCore,
+    /// The smoke-scale caveat: figures carrying fixed per-run costs
+    /// (connection setup, session spawn) that dwarf a few milliseconds of
+    /// compute are only diffed when the current report was measured at or
+    /// above [`STREAMING_GATE_MIN_PAIRS`] pairs.
+    SmokeScale,
+}
+
+/// An absolute gate `(flag, field, op, threshold, scope)`: the stored bool
+/// `flag` must agree with `field ⋈ threshold` at every scale, and the
+/// comparison itself must hold wherever `scope` binds it. The threshold is
+/// one of the `*_GATE` constants, which carry the reason.
+pub type Gate = (&'static str, &'static str, Op, f64, Scope);
+
+/// What one report section promises. [`validate`], [`compare`] and the
+/// `bench_report` summary each loop over [`SECTIONS`]; a new measurement
+/// point is one entry. Every field a row names is a required key.
+pub struct Section {
+    /// Key of the section's object in the report.
+    pub name: &'static str,
+    /// Short name: the `bench_report` summary row and the subject of a
+    /// `… gate failed` problem.
+    pub label: &'static str,
+    /// Required keys no row below names (the rest of the `perf` struct).
+    descriptive: &'static [&'static str],
+    /// `(stored, numerator, denominator)`: stored figures that must equal
+    /// the quotient of two positive fields to 1e-6.
+    quotients: &'static [(&'static str, &'static str, &'static str)],
+    /// Absolute gates.
+    pub gates: &'static [Gate],
+    /// `(field, op, caveats)`: figures the regression diff compares — a gate
+    /// against the baseline: `Ge` holds down to `tolerance` below it, `Le`
+    /// (lower is better) up to `tolerance` above it.
+    diffs: &'static [(&'static str, Op, &'static [Caveat])],
+    /// The one-off invariant no row shape covers, returning its problem.
+    invariant: Option<fn(&JsonValue) -> Option<String>>,
+}
+
+/// `field >= min`, for a swept dimension that must actually sweep.
+fn at_least(v: &JsonValue, field: &str, min: f64) -> Option<String> {
+    let x = num(v, field).filter(|&x| x < min)?;
+    Some(format!("`{field}` is {x}, expected >= {min}"))
+}
+
+/// `lo <= hi` between two fields of one object.
+fn ordered(v: &JsonValue, lo: &str, hi: &str) -> Option<String> {
+    let (a, b) = (num(v, lo)?, num(v, hi)?);
+    (a > b).then(|| format!("`{lo}` = {a} exceeds `{hi}` = {b}"))
+}
+
+/// One `points[]` entry, checked and diffed through the same rows as the
+/// sections (prefixed `point <identity>` instead of a section name).
+static POINT: Section = Section {
+    name: "points",
+    label: "points",
+    descriptive: &["workload", "len", "pairs", "npe", "nk"],
+    quotients: &[
+        ("scratch_speedup", "scratch_aps", "naive_aps"),
+        ("laned_speedup", "laned_aps", "naive_aps"),
+        ("lane_vs_scratch", "laned_aps", "scratch_aps"),
+        ("batched_speedup", "batched_aps", "naive_aps"),
+    ],
+    gates: &[],
+    // `batched_speedup` is thread scaling only when nk > 1; `compare`
+    // lifts the caveat for single-channel points.
+    diffs: &[
+        ("scratch_speedup", Op::Ge, &[]),
+        ("laned_speedup", Op::Ge, &[]),
+        ("lane_vs_scratch", Op::Ge, &[]),
+        ("batched_speedup", Op::Ge, &[OneCore]),
+    ],
+    invariant: Some(|p| {
+        ["len", "pairs", "npe", "nk"]
+            .iter()
+            .find_map(|dim| at_least(p, dim, 1.0))
+    }),
+};
+
+/// The gate table: one entry per report section, in report order. Why a
+/// threshold has its value, scope and compare caveat is on its constant.
+pub static SECTIONS: [Section; 8] = [
+    Section {
+        name: "acceptance",
+        label: "acceptance",
+        descriptive: &["workload", "pairs"],
+        quotients: &[
+            ("speedup", "scratch_aps", "naive_aps"),
+            ("lane_vs_scratch", "laned_aps", "scratch_aps"),
+        ],
+        gates: &[
+            ("pass", "speedup", Op::Ge, SCRATCH_GATE, FullScale),
+            ("lane_pass", "lane_vs_scratch", Op::Ge, LANE_GATE, FullScale),
+        ],
+        // Both figures are copies of the banded nk=1 point's ratios, which
+        // the `points[]` diff already compares.
+        diffs: &[],
+        invariant: None,
+    },
+    Section {
+        name: "streaming",
+        label: "streaming",
+        descriptive: &[
+            "workload",
+            "pairs",
+            "nk",
+            "buffer",
+            "window",
+            "reorder_high_water",
+            "resident_high_water",
+        ],
+        quotients: &[("ratio", "streamed_aps", "batched_aps")],
+        gates: &[("pass", "ratio", Op::Ge, STREAMING_GATE, FullScale)],
+        // Both engines run the same worker threads, so the ratio tracks
+        // pipeline overhead, not thread scaling: no core-count caveat.
+        diffs: &[("ratio", Op::Ge, &[])],
+        // The bounded-memory evidence must respect the window.
+        invariant: Some(|st| ordered(st, "resident_high_water", "window")),
+    },
+    Section {
+        name: "nb_scaling",
+        label: "nb_scaling",
+        descriptive: &["workload", "pairs", "len", "npe", "nb", "nk"],
+        quotients: &[
+            ("slot_ratio", "slots_nb_aps", "slots1_aps"),
+            ("modeled_nb_ratio", "modeled_nb_aps", "modeled_nb1_aps"),
+        ],
+        gates: &[(
+            "pass",
+            "modeled_nb_ratio",
+            Op::Ge,
+            NB_MODEL_GATE,
+            EveryScale,
+        )],
+        // The wall-clock slot_ratio is thread scaling within one channel.
+        diffs: &[
+            ("modeled_nb_ratio", Op::Ge, &[]),
+            ("slot_ratio", Op::Ge, &[OneCore]),
+        ],
+        // A 1-block channel cannot demonstrate intra-channel scaling.
+        invariant: Some(|nb| at_least(nb, "nb", 2.0)),
+    },
+    Section {
+        name: "fleet",
+        label: "fleet",
+        descriptive: &["workload", "pairs", "len", "npe", "nb", "nk", "devices"],
+        quotients: &[
+            ("d_wall_ratio", "d_aps", "d1_aps"),
+            ("d_ratio", "modeled_d_aps", "modeled_d1_aps"),
+        ],
+        gates: &[("pass", "d_ratio", Op::Ge, FLEET_MODEL_GATE, EveryScale)],
+        diffs: &[
+            ("d_ratio", Op::Ge, &[]),
+            ("d_wall_ratio", Op::Ge, &[OneCore]),
+        ],
+        // A 1-device fleet cannot demonstrate cross-device scaling.
+        invariant: Some(|fl| at_least(fl, "devices", 2.0)),
+    },
+    Section {
+        name: "resilience_overhead",
+        label: "resilience",
+        descriptive: &["workload", "pairs", "nk"],
+        quotients: &[("ratio", "resilient_aps", "disabled_aps")],
+        gates: &[("pass", "ratio", Op::Ge, RESILIENCE_GATE, FullScale)],
+        // Internally paired (same worker threads, same machine): diffed
+        // regardless of core count, like the streaming ratio.
+        diffs: &[("ratio", Op::Ge, &[])],
+        invariant: None,
+    },
+    Section {
+        name: "serving",
+        label: "serving",
+        descriptive: &[
+            "workload",
+            "pairs",
+            "len",
+            "connections",
+            "nk",
+            "buffer",
+            "window",
+            "p50_ms",
+        ],
+        quotients: &[("ratio", "served_rps", "streamed_aps")],
+        gates: &[("pass", "ratio", Op::Ge, SERVING_GATE, FullScale)],
+        // Latency grows under regression, so its direction is inverted.
+        diffs: &[
+            ("ratio", Op::Ge, &[SmokeScale]),
+            ("p99_ms", Op::Le, &[SmokeScale, OneCore]),
+        ],
+        // 0 < p50_ms <= p99_ms.
+        invariant: Some(|sv| {
+            let nonpositive = num(sv, "p50_ms").is_some_and(|ms| ms <= 0.0);
+            ordered(sv, "p50_ms", "p99_ms")
+                .or_else(|| nonpositive.then(|| "latency percentiles must be positive".into()))
+        }),
+    },
+    Section {
+        name: "adaptive_precision",
+        label: "adaptive",
+        descriptive: &[
+            "workload",
+            "pairs",
+            "len",
+            "npe",
+            "nk",
+            "lanes",
+            "escalation_rate",
+        ],
+        quotients: &[("ratio", "adaptive_aps", "exact_aps")],
+        gates: &[("pass", "ratio", Op::Ge, ADAPTIVE_GATE, FullScale)],
+        // Internally paired and pure compute with no fixed per-run setup
+        // cost: diffed regardless of core count or scale.
+        diffs: &[("ratio", Op::Ge, &[])],
+        invariant: Some(|ap| {
+            let rate = num(ap, "escalation_rate").filter(|r| *r <= 0.0 || *r >= 1.0)?;
+            Some(format!(
+                "`escalation_rate` = {rate} is degenerate (must be strictly inside (0, 1))"
+            ))
+        }),
+    },
+    Section {
+        name: "mapping",
+        label: "mapping",
+        descriptive: &[
+            "workload",
+            "genome_len",
+            "min_len",
+            "max_len",
+            "error_rate",
+            "mapped",
+            "mapped_aps",
+            "reorder_high_water",
+        ],
+        quotients: &[
+            ("recall", "correct", "reads"),
+            ("cells_ratio", "xdrop_cells", "fullband_cells"),
+            ("sdtw_separation", "sdtw_neg_min", "sdtw_pos_max"),
+        ],
+        gates: &[
+            (
+                "recall_pass",
+                "recall",
+                Op::Ge,
+                MAPPING_RECALL_GATE,
+                EveryScale,
+            ),
+            (
+                "cells_pass",
+                "cells_ratio",
+                Op::Le,
+                MAPPING_CELLS_GATE,
+                EveryScale,
+            ),
+            (
+                "sdtw_pass",
+                "sdtw_separation",
+                Op::Gt,
+                MAPPING_SDTW_GATE,
+                EveryScale,
+            ),
+        ],
+        diffs: &[
+            ("recall", Op::Ge, &[]),
+            ("cells_ratio", Op::Le, &[]),
+            ("sdtw_separation", Op::Ge, &[]),
+        ],
+        invariant: None,
+    },
 ];
 
-/// Per-point throughput fields that must be present and positive.
-const APS_KEYS: [&str; 4] = ["naive_aps", "scratch_aps", "laned_aps", "batched_aps"];
-
-/// Required acceptance-object keys.
-const ACCEPTANCE_KEYS: [&str; 9] = [
-    "workload",
-    "pairs",
-    "naive_aps",
-    "scratch_aps",
-    "laned_aps",
-    "speedup",
-    "lane_vs_scratch",
-    "pass",
-    "lane_pass",
-];
-
-/// Required nb_scaling-object keys.
-const NB_SCALING_KEYS: [&str; 13] = [
-    "workload",
-    "pairs",
-    "len",
-    "npe",
-    "nb",
-    "nk",
-    "slots1_aps",
-    "slots_nb_aps",
-    "slot_ratio",
-    "modeled_nb1_aps",
-    "modeled_nb_aps",
-    "modeled_nb_ratio",
-    "pass",
-];
-
-/// Required fleet-object keys.
-const FLEET_KEYS: [&str; 14] = [
-    "workload",
-    "pairs",
-    "len",
-    "npe",
-    "nb",
-    "nk",
-    "devices",
-    "d1_aps",
-    "d_aps",
-    "d_wall_ratio",
-    "modeled_d1_aps",
-    "modeled_d_aps",
-    "d_ratio",
-    "pass",
-];
-
-/// Required streaming-object keys.
-const STREAMING_KEYS: [&str; 11] = [
-    "workload",
-    "pairs",
-    "nk",
-    "buffer",
-    "window",
-    "batched_aps",
-    "streamed_aps",
-    "ratio",
-    "pass",
-    "reorder_high_water",
-    "resident_high_water",
-];
-
-/// Required resilience_overhead-object keys.
-const RESILIENCE_KEYS: [&str; 7] = [
-    "workload",
-    "pairs",
-    "nk",
-    "disabled_aps",
-    "resilient_aps",
-    "ratio",
-    "pass",
-];
-
-/// Required serving-object keys.
-const SERVING_KEYS: [&str; 13] = [
-    "workload",
-    "pairs",
-    "len",
-    "connections",
-    "nk",
-    "buffer",
-    "window",
-    "streamed_aps",
-    "served_rps",
-    "ratio",
-    "p50_ms",
-    "p99_ms",
-    "pass",
-];
-
-/// Required adaptive_precision-object keys.
-const ADAPTIVE_PRECISION_KEYS: [&str; 11] = [
-    "workload",
-    "pairs",
-    "len",
-    "npe",
-    "nk",
-    "lanes",
-    "exact_aps",
-    "adaptive_aps",
-    "ratio",
-    "escalation_rate",
-    "pass",
-];
-
-/// Required mapping-object keys.
-const MAPPING_KEYS: [&str; 20] = [
-    "workload",
-    "reads",
-    "genome_len",
-    "min_len",
-    "max_len",
-    "error_rate",
-    "mapped",
-    "correct",
-    "recall",
-    "xdrop_cells",
-    "fullband_cells",
-    "cells_ratio",
-    "mapped_aps",
-    "reorder_high_water",
-    "sdtw_pos_max",
-    "sdtw_neg_min",
-    "sdtw_separation",
-    "recall_pass",
-    "cells_pass",
-    "sdtw_pass",
-];
-
-fn get<'a>(v: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
+/// Looks `key` up in a JSON object.
+pub fn get<'a>(v: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
     match v {
         JsonValue::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
         _ => None,
     }
 }
 
-fn as_f64(v: &JsonValue) -> Option<f64> {
-    match v {
+fn num(v: &JsonValue, key: &str) -> Option<f64> {
+    match get(v, key)? {
         JsonValue::Int(i) => Some(*i as f64),
         JsonValue::UInt(u) => Some(*u as f64),
         JsonValue::Float(f) => Some(*f),
         _ => None,
     }
-}
-
-fn num(v: &JsonValue, key: &str) -> Option<f64> {
-    get(v, key).and_then(as_f64)
 }
 
 fn text<'a>(v: &'a JsonValue, key: &str) -> Option<&'a str> {
@@ -289,11 +481,17 @@ fn text<'a>(v: &'a JsonValue, key: &str) -> Option<&'a str> {
     }
 }
 
+/// Whether a section was measured at a pair count where its wall-clock
+/// figures are signal (sections without `pairs` carry no such figure).
+fn is_full_scale(section: &JsonValue) -> bool {
+    num(section, "pairs").is_some_and(|p| p >= STREAMING_GATE_MIN_PAIRS)
+}
+
 /// A point's identity across reports: `pairs` scales with `--scale`, so the
 /// match key is everything else.
 fn point_key(p: &JsonValue) -> String {
     format!(
-        "{} len={} npe={} nk={}",
+        "point {} len={} npe={} nk={}",
         text(p, "workload").unwrap_or("?"),
         num(p, "len").unwrap_or(-1.0),
         num(p, "npe").unwrap_or(-1.0),
@@ -301,525 +499,119 @@ fn point_key(p: &JsonValue) -> String {
     )
 }
 
+impl Section {
+    /// Every key the section's object must carry: the descriptive ones
+    /// plus each field a row names.
+    fn required_keys(&self) -> Vec<&'static str> {
+        let mut keys = self.descriptive.to_vec();
+        keys.extend(self.quotients.iter().flat_map(|q| [q.0, q.1, q.2]));
+        keys.extend(self.gates.iter().flat_map(|g| [g.0, g.1]));
+        keys.extend(self.diffs.iter().map(|d| d.0));
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// Checks one object against this section's rows, prefixing every
+    /// problem with `prefix`.
+    fn validate(&self, prefix: &str, v: &JsonValue, problems: &mut Vec<String>) {
+        for field in self.required_keys() {
+            if get(v, field).is_none() {
+                problems.push(format!("{prefix}: missing `{field}`"));
+            }
+        }
+        for &(field, numer, denom) in self.quotients {
+            let (Some(hi), Some(lo)) = (num(v, numer), num(v, denom)) else {
+                continue;
+            };
+            if hi <= 0.0 || lo <= 0.0 {
+                problems.push(format!("{prefix}: `{numer}`/`{denom}` must be positive"));
+            } else if let Some(stored) = num(v, field) {
+                let derived = hi / lo;
+                if (stored - derived).abs() > 1e-6 * derived.abs().max(1.0) {
+                    problems.push(format!(
+                        "{prefix}: `{field}` = {stored} but `{numer}`/`{denom}` is {derived}"
+                    ));
+                }
+            }
+        }
+        for &(flag, field, op, threshold, scope) in self.gates {
+            match (get(v, flag), num(v, field)) {
+                (Some(JsonValue::Bool(stored)), Some(value)) => {
+                    let holds = op.holds(value, threshold);
+                    if *stored != holds {
+                        problems.push(format!(
+                            "{prefix}: `{flag}` = {stored} disagrees with \
+                             `{field}` = {value} (threshold {threshold})"
+                        ));
+                    }
+                    if !holds && (scope == Scope::EveryScale || is_full_scale(v)) {
+                        problems.push(format!(
+                            "{} gate failed: `{field}` {value} {} {threshold}",
+                            self.label,
+                            op.symbols().1
+                        ));
+                    }
+                }
+                (Some(JsonValue::Bool(_)), None) | (None, _) => {}
+                (Some(_), _) => problems.push(format!("{prefix}: `{flag}` not a bool")),
+            }
+        }
+        if let Some(problem) = self.invariant.and_then(|check| check(v)) {
+            problems.push(format!("{prefix}: {problem}"));
+        }
+    }
+}
+
+/// Validates one serialized section (a [`SECTIONS`] name) or one matrix
+/// point (`"points"`) on its own — what the `perf` tests run on each
+/// struct they measure, so a renamed field fails tier-1.
+pub fn validate_section(name: &str, value: &JsonValue) -> Vec<String> {
+    let section = SECTIONS
+        .iter()
+        .chain([&POINT])
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("`{name}` is not a report section"));
+    let mut problems = Vec::new();
+    section.validate(name, value, &mut problems);
+    problems
+}
+
 /// Validates the full report schema. Returns every problem found (an empty
 /// vector means the report is well-formed).
 pub fn validate(report: &JsonValue) -> Vec<String> {
     let mut problems = Vec::new();
-    match num(report, "version") {
-        Some(v) if v == SCHEMA_VERSION as f64 => {}
-        Some(v) => problems.push(format!("version is {v}, expected {SCHEMA_VERSION}")),
-        None => problems.push("missing `version`".into()),
+    if num(report, "version") != Some(SCHEMA_VERSION as f64) {
+        problems.push(format!("`version` missing or not {SCHEMA_VERSION}"));
     }
-    match num(report, "host_cores") {
-        Some(c) if c >= 1.0 => {}
-        Some(c) => problems.push(format!("host_cores is {c}, expected >= 1")),
-        None => problems.push("missing `host_cores`".into()),
+    if !num(report, "host_cores").is_some_and(|c| c >= 1.0) {
+        problems.push("`host_cores` missing or < 1".into());
     }
-
-    let points = match get(report, "points") {
-        Some(JsonValue::Array(pts)) if !pts.is_empty() => pts.as_slice(),
-        Some(JsonValue::Array(_)) => {
-            problems.push("`points` is empty".into());
-            &[]
-        }
-        _ => {
-            problems.push("missing `points` array".into());
-            &[]
-        }
-    };
-    let mut has_gate_point = false;
-    for p in points {
-        let key = point_key(p);
-        if text(p, "workload").is_none() {
-            problems.push(format!("point {key}: missing `workload`"));
-        }
-        for field in ["len", "pairs", "npe", "nk"] {
-            match num(p, field) {
-                Some(v) if v >= 1.0 => {}
-                _ => problems.push(format!("point {key}: `{field}` missing or < 1")),
-            }
-        }
-        for field in APS_KEYS {
-            match num(p, field) {
-                Some(v) if v > 0.0 => {}
-                _ => problems.push(format!("point {key}: `{field}` missing or <= 0")),
-            }
-        }
-        // Ratio consistency: the stored speedups must be the aps ratios.
-        let naive = num(p, "naive_aps").unwrap_or(f64::NAN);
-        let scratch = num(p, "scratch_aps").unwrap_or(f64::NAN);
-        for (ratio_key, hi, lo) in [
-            ("scratch_speedup", num(p, "scratch_aps"), naive),
-            ("laned_speedup", num(p, "laned_aps"), naive),
-            ("lane_vs_scratch", num(p, "laned_aps"), scratch),
-            ("batched_speedup", num(p, "batched_aps"), naive),
-        ] {
-            match (num(p, ratio_key), hi) {
-                (Some(stored), Some(hi)) if lo > 0.0 => {
-                    let derived = hi / lo;
-                    if (stored - derived).abs() > 1e-6 * derived.abs().max(1.0) {
-                        problems.push(format!(
-                            "point {key}: `{ratio_key}` = {stored} but aps ratio is {derived}"
-                        ));
-                    }
+    match get(report, "points") {
+        Some(JsonValue::Array(points)) if !points.is_empty() => {
+            for p in points {
+                let key = point_key(p);
+                if get(p, "workload").is_some() && text(p, "workload").is_none() {
+                    problems.push(format!("{key}: `workload` not a string"));
                 }
-                (Some(_), _) => {}
-                (None, _) => problems.push(format!("point {key}: missing `{ratio_key}`")),
+                POINT.validate(&key, p, &mut problems);
+            }
+            let is_gate_point = |p: &JsonValue| {
+                text(p, "workload").is_some_and(|w| w.starts_with("banded"))
+                    && num(p, "nk") == Some(1.0)
+            };
+            if !points.iter().any(is_gate_point) {
+                problems.push("no banded nk=1 point (the acceptance gate workload)".into());
             }
         }
-        if text(p, "workload").is_some_and(|w| w.starts_with("banded")) && num(p, "nk") == Some(1.0)
-        {
-            has_gate_point = true;
-        }
-    }
-    if !points.is_empty() && !has_gate_point {
-        problems.push("no banded nk=1 point (the acceptance gate workload)".into());
+        _ => problems.push("`points` array missing or empty".into()),
     }
 
-    match get(report, "acceptance") {
-        Some(acc) => {
-            for field in ACCEPTANCE_KEYS {
-                if get(acc, field).is_none() {
-                    problems.push(format!("acceptance: missing `{field}`"));
-                }
-            }
-            for (gate, value_key, threshold) in [
-                ("pass", "speedup", 2.0),
-                ("lane_pass", "lane_vs_scratch", 1.3),
-            ] {
-                match (get(acc, gate), num(acc, value_key)) {
-                    (Some(JsonValue::Bool(stored)), Some(v)) => {
-                        if *stored != (v >= threshold) {
-                            problems.push(format!(
-                                "acceptance: `{gate}` = {stored} disagrees with \
-                                 `{value_key}` = {v} (threshold {threshold})"
-                            ));
-                        }
-                    }
-                    (Some(JsonValue::Bool(_)), None) | (None, _) => {}
-                    (Some(_), _) => problems.push(format!("acceptance: `{gate}` not a bool")),
-                }
-            }
+    for section in &SECTIONS {
+        match get(report, section.name) {
+            Some(v) => section.validate(section.name, v, &mut problems),
+            None => problems.push(format!("missing `{}` object", section.name)),
         }
-        None => problems.push("missing `acceptance` object".into()),
-    }
-
-    match get(report, "streaming") {
-        Some(st) => {
-            for field in STREAMING_KEYS {
-                if get(st, field).is_none() {
-                    problems.push(format!("streaming: missing `{field}`"));
-                }
-            }
-            let batched = num(st, "batched_aps");
-            let streamed = num(st, "streamed_aps");
-            let ratio = num(st, "ratio");
-            if let (Some(b), Some(s)) = (batched, streamed) {
-                if b <= 0.0 || s <= 0.0 {
-                    problems.push("streaming: aps figures must be positive".into());
-                } else if let Some(stored) = ratio {
-                    let derived = s / b;
-                    if (stored - derived).abs() > 1e-6 * derived.abs().max(1.0) {
-                        problems.push(format!(
-                            "streaming: `ratio` = {stored} but aps ratio is {derived}"
-                        ));
-                    }
-                }
-            }
-            match (get(st, "pass"), ratio) {
-                (Some(JsonValue::Bool(stored)), Some(r)) => {
-                    if *stored != (r >= STREAMING_GATE) {
-                        problems.push(format!(
-                            "streaming: `pass` = {stored} disagrees with `ratio` = {r} \
-                             (threshold {STREAMING_GATE})"
-                        ));
-                    }
-                    // The gate itself: streaming overhead must not cost
-                    // more than (1 - STREAMING_GATE) of batch throughput.
-                    // Only enforced at a pair count where the wall-clock
-                    // ratio is signal (the committed baseline always is).
-                    if r < STREAMING_GATE
-                        && num(st, "pairs").is_some_and(|p| p >= STREAMING_GATE_MIN_PAIRS)
-                    {
-                        problems.push(format!(
-                            "streaming gate failed: streamed/batched ratio {r} < {STREAMING_GATE}"
-                        ));
-                    }
-                }
-                (Some(JsonValue::Bool(_)), None) | (None, _) => {}
-                (Some(_), _) => problems.push("streaming: `pass` not a bool".into()),
-            }
-            // The bounded-memory evidence must respect the window.
-            if let (Some(hw), Some(w)) = (num(st, "resident_high_water"), num(st, "window")) {
-                if hw > w {
-                    problems.push(format!(
-                        "streaming: `resident_high_water` = {hw} exceeds `window` = {w}"
-                    ));
-                }
-            }
-        }
-        None => problems.push("missing `streaming` object".into()),
-    }
-
-    match get(report, "nb_scaling") {
-        Some(nb) => {
-            for field in NB_SCALING_KEYS {
-                if get(nb, field).is_none() {
-                    problems.push(format!("nb_scaling: missing `{field}`"));
-                }
-            }
-            // The point must actually sweep NB: a 1-block channel cannot
-            // demonstrate intra-channel scaling.
-            match num(nb, "nb") {
-                Some(v) if v >= 2.0 => {}
-                Some(v) => problems.push(format!("nb_scaling: `nb` is {v}, expected >= 2")),
-                None => {}
-            }
-            // Stored ratios must be the aps ratios.
-            for (ratio_key, hi_key, lo_key) in [
-                ("slot_ratio", "slots_nb_aps", "slots1_aps"),
-                ("modeled_nb_ratio", "modeled_nb_aps", "modeled_nb1_aps"),
-            ] {
-                if let (Some(stored), Some(hi), Some(lo)) =
-                    (num(nb, ratio_key), num(nb, hi_key), num(nb, lo_key))
-                {
-                    if lo <= 0.0 || hi <= 0.0 {
-                        problems.push(format!(
-                            "nb_scaling: `{hi_key}`/`{lo_key}` must be positive"
-                        ));
-                    } else {
-                        let derived = hi / lo;
-                        if (stored - derived).abs() > 1e-6 * derived.abs().max(1.0) {
-                            problems.push(format!(
-                                "nb_scaling: `{ratio_key}` = {stored} but aps ratio is {derived}"
-                            ));
-                        }
-                    }
-                }
-            }
-            match (get(nb, "pass"), num(nb, "modeled_nb_ratio")) {
-                (Some(JsonValue::Bool(stored)), Some(r)) => {
-                    if *stored != (r >= NB_MODEL_GATE) {
-                        problems.push(format!(
-                            "nb_scaling: `pass` = {stored} disagrees with \
-                             `modeled_nb_ratio` = {r} (threshold {NB_MODEL_GATE})"
-                        ));
-                    }
-                    // The gate itself. The modeled ratio is stats-derived
-                    // (machine-independent), so unlike the wall-clock
-                    // streaming gate it is enforced at every pair count.
-                    if r < NB_MODEL_GATE {
-                        problems.push(format!(
-                            "nb_scaling gate failed: modeled NB ratio {r} < {NB_MODEL_GATE}"
-                        ));
-                    }
-                }
-                (Some(JsonValue::Bool(_)), None) | (None, _) => {}
-                (Some(_), _) => problems.push("nb_scaling: `pass` not a bool".into()),
-            }
-        }
-        None => problems.push("missing `nb_scaling` object".into()),
-    }
-
-    match get(report, "fleet") {
-        Some(fl) => {
-            for field in FLEET_KEYS {
-                if get(fl, field).is_none() {
-                    problems.push(format!("fleet: missing `{field}`"));
-                }
-            }
-            // The point must actually shard: a 1-device fleet cannot
-            // demonstrate cross-device scaling.
-            match num(fl, "devices") {
-                Some(v) if v >= 2.0 => {}
-                Some(v) => problems.push(format!("fleet: `devices` is {v}, expected >= 2")),
-                None => {}
-            }
-            // Stored ratios must be the aps ratios.
-            for (ratio_key, hi_key, lo_key) in [
-                ("d_wall_ratio", "d_aps", "d1_aps"),
-                ("d_ratio", "modeled_d_aps", "modeled_d1_aps"),
-            ] {
-                if let (Some(stored), Some(hi), Some(lo)) =
-                    (num(fl, ratio_key), num(fl, hi_key), num(fl, lo_key))
-                {
-                    if lo <= 0.0 || hi <= 0.0 {
-                        problems.push(format!("fleet: `{hi_key}`/`{lo_key}` must be positive"));
-                    } else {
-                        let derived = hi / lo;
-                        if (stored - derived).abs() > 1e-6 * derived.abs().max(1.0) {
-                            problems.push(format!(
-                                "fleet: `{ratio_key}` = {stored} but aps ratio is {derived}"
-                            ));
-                        }
-                    }
-                }
-            }
-            match (get(fl, "pass"), num(fl, "d_ratio")) {
-                (Some(JsonValue::Bool(stored)), Some(r)) => {
-                    if *stored != (r >= FLEET_MODEL_GATE) {
-                        problems.push(format!(
-                            "fleet: `pass` = {stored} disagrees with \
-                             `d_ratio` = {r} (threshold {FLEET_MODEL_GATE})"
-                        ));
-                    }
-                    // The gate itself. The modeled fleet ratio is
-                    // stats-derived (machine-independent), so like the
-                    // nb_scaling gate it is enforced at every pair count.
-                    if r < FLEET_MODEL_GATE {
-                        problems.push(format!(
-                            "fleet gate failed: modeled fleet ratio {r} < {FLEET_MODEL_GATE}"
-                        ));
-                    }
-                }
-                (Some(JsonValue::Bool(_)), None) | (None, _) => {}
-                (Some(_), _) => problems.push("fleet: `pass` not a bool".into()),
-            }
-        }
-        None => problems.push("missing `fleet` object".into()),
-    }
-
-    match get(report, "resilience_overhead") {
-        Some(ro) => {
-            for field in RESILIENCE_KEYS {
-                if get(ro, field).is_none() {
-                    problems.push(format!("resilience_overhead: missing `{field}`"));
-                }
-            }
-            let ratio = num(ro, "ratio");
-            if let (Some(d), Some(r)) = (num(ro, "disabled_aps"), num(ro, "resilient_aps")) {
-                if d <= 0.0 || r <= 0.0 {
-                    problems.push("resilience_overhead: aps figures must be positive".into());
-                } else if let Some(stored) = ratio {
-                    let derived = r / d;
-                    if (stored - derived).abs() > 1e-6 * derived.abs().max(1.0) {
-                        problems.push(format!(
-                            "resilience_overhead: `ratio` = {stored} but aps ratio is {derived}"
-                        ));
-                    }
-                }
-            }
-            match (get(ro, "pass"), ratio) {
-                (Some(JsonValue::Bool(stored)), Some(r)) => {
-                    if *stored != (r >= RESILIENCE_GATE) {
-                        problems.push(format!(
-                            "resilience_overhead: `pass` = {stored} disagrees with \
-                             `ratio` = {r} (threshold {RESILIENCE_GATE})"
-                        ));
-                    }
-                    // The gate itself: the instrumented path may not cost
-                    // more than (1 - RESILIENCE_GATE) of fault-free
-                    // throughput. Wall-clock, so only enforced at a pair
-                    // count where the ratio is signal.
-                    if r < RESILIENCE_GATE
-                        && num(ro, "pairs").is_some_and(|p| p >= STREAMING_GATE_MIN_PAIRS)
-                    {
-                        problems.push(format!(
-                            "resilience gate failed: resilient/disabled ratio {r} \
-                             < {RESILIENCE_GATE}"
-                        ));
-                    }
-                }
-                (Some(JsonValue::Bool(_)), None) | (None, _) => {}
-                (Some(_), _) => problems.push("resilience_overhead: `pass` not a bool".into()),
-            }
-        }
-        None => problems.push("missing `resilience_overhead` object".into()),
-    }
-
-    match get(report, "serving") {
-        Some(sv) => {
-            for field in SERVING_KEYS {
-                if get(sv, field).is_none() {
-                    problems.push(format!("serving: missing `{field}`"));
-                }
-            }
-            let ratio = num(sv, "ratio");
-            if let (Some(st), Some(rps)) = (num(sv, "streamed_aps"), num(sv, "served_rps")) {
-                if st <= 0.0 || rps <= 0.0 {
-                    problems.push("serving: throughput figures must be positive".into());
-                } else if let Some(stored) = ratio {
-                    let derived = rps / st;
-                    if (stored - derived).abs() > 1e-6 * derived.abs().max(1.0) {
-                        problems.push(format!(
-                            "serving: `ratio` = {stored} but served/streamed is {derived}"
-                        ));
-                    }
-                }
-            }
-            // Latency percentiles must be positive and ordered.
-            if let (Some(p50), Some(p99)) = (num(sv, "p50_ms"), num(sv, "p99_ms")) {
-                if p50 <= 0.0 || p99 <= 0.0 {
-                    problems.push("serving: latency percentiles must be positive".into());
-                } else if p50 > p99 {
-                    problems.push(format!(
-                        "serving: `p50_ms` = {p50} exceeds `p99_ms` = {p99}"
-                    ));
-                }
-            }
-            match (get(sv, "pass"), ratio) {
-                (Some(JsonValue::Bool(stored)), Some(r)) => {
-                    if *stored != (r >= SERVING_GATE) {
-                        problems.push(format!(
-                            "serving: `pass` = {stored} disagrees with `ratio` = {r} \
-                             (threshold {SERVING_GATE})"
-                        ));
-                    }
-                    // The gate itself: the front end may not forfeit more
-                    // than (1 - SERVING_GATE) of streamed throughput.
-                    // Wall-clock, so only enforced at a pair count where
-                    // the ratio is signal.
-                    if r < SERVING_GATE
-                        && num(sv, "pairs").is_some_and(|p| p >= STREAMING_GATE_MIN_PAIRS)
-                    {
-                        problems.push(format!(
-                            "serving gate failed: served/streamed ratio {r} < {SERVING_GATE}"
-                        ));
-                    }
-                }
-                (Some(JsonValue::Bool(_)), None) | (None, _) => {}
-                (Some(_), _) => problems.push("serving: `pass` not a bool".into()),
-            }
-        }
-        None => problems.push("missing `serving` object".into()),
-    }
-
-    match get(report, "adaptive_precision") {
-        Some(ap) => {
-            for field in ADAPTIVE_PRECISION_KEYS {
-                if get(ap, field).is_none() {
-                    problems.push(format!("adaptive_precision: missing `{field}`"));
-                }
-            }
-            let ratio = num(ap, "ratio");
-            if let (Some(e), Some(a)) = (num(ap, "exact_aps"), num(ap, "adaptive_aps")) {
-                if e <= 0.0 || a <= 0.0 {
-                    problems.push("adaptive_precision: aps figures must be positive".into());
-                } else if let Some(stored) = ratio {
-                    let derived = a / e;
-                    if (stored - derived).abs() > 1e-6 * derived.abs().max(1.0) {
-                        problems.push(format!(
-                            "adaptive_precision: `ratio` = {stored} but aps ratio is {derived}"
-                        ));
-                    }
-                }
-            }
-            // The escalation rate must be non-degenerate at every scale:
-            // 0 means the guard was never exercised, 1 means the `i8`
-            // path never served a pair — either way the ratio measures
-            // the wrong thing.
-            if let Some(rate) = num(ap, "escalation_rate") {
-                if rate <= 0.0 || rate >= 1.0 {
-                    problems.push(format!(
-                        "adaptive_precision: `escalation_rate` = {rate} is degenerate \
-                         (must be strictly inside (0, 1))"
-                    ));
-                }
-            }
-            match (get(ap, "pass"), ratio) {
-                (Some(JsonValue::Bool(stored)), Some(r)) => {
-                    if *stored != (r >= ADAPTIVE_GATE) {
-                        problems.push(format!(
-                            "adaptive_precision: `pass` = {stored} disagrees with \
-                             `ratio` = {r} (threshold {ADAPTIVE_GATE})"
-                        ));
-                    }
-                    // The gate itself: the fast path must beat exact by
-                    // the gated margin. Wall-clock, so only enforced at a
-                    // pair count where the ratio is signal.
-                    if r < ADAPTIVE_GATE
-                        && num(ap, "pairs").is_some_and(|p| p >= STREAMING_GATE_MIN_PAIRS)
-                    {
-                        problems.push(format!(
-                            "adaptive gate failed: adaptive/exact ratio {r} < {ADAPTIVE_GATE}"
-                        ));
-                    }
-                }
-                (Some(JsonValue::Bool(_)), None) | (None, _) => {}
-                (Some(_), _) => problems.push("adaptive_precision: `pass` not a bool".into()),
-            }
-        }
-        None => problems.push("missing `adaptive_precision` object".into()),
-    }
-
-    match get(report, "mapping") {
-        Some(mp) => {
-            for field in MAPPING_KEYS {
-                if get(mp, field).is_none() {
-                    problems.push(format!("mapping: missing `{field}`"));
-                }
-            }
-            // Stored derived figures must match their inputs.
-            for (ratio_key, hi_key, lo_key) in [
-                ("recall", "correct", "reads"),
-                ("cells_ratio", "xdrop_cells", "fullband_cells"),
-                ("sdtw_separation", "sdtw_neg_min", "sdtw_pos_max"),
-            ] {
-                if let (Some(stored), Some(hi), Some(lo)) =
-                    (num(mp, ratio_key), num(mp, hi_key), num(mp, lo_key))
-                {
-                    if lo <= 0.0 {
-                        problems.push(format!("mapping: `{lo_key}` must be positive"));
-                    } else {
-                        let derived = hi / lo;
-                        if (stored - derived).abs() > 1e-6 * derived.abs().max(1.0) {
-                            problems.push(format!(
-                                "mapping: `{ratio_key}` = {stored} but derived ratio is {derived}"
-                            ));
-                        }
-                    }
-                }
-            }
-            // All three gates are counting figures over deterministic
-            // workloads (machine-independent), so — NB-model discipline —
-            // they are enforced at every scale, with no min-pairs guard.
-            // Note the inverted direction of the cells gate.
-            for (flag_key, value_key, value, holds, direction, gate) in [
-                (
-                    "recall_pass",
-                    "recall",
-                    num(mp, "recall"),
-                    num(mp, "recall").map(|v| v >= MAPPING_RECALL_GATE),
-                    "<",
-                    MAPPING_RECALL_GATE,
-                ),
-                (
-                    "cells_pass",
-                    "cells_ratio",
-                    num(mp, "cells_ratio"),
-                    num(mp, "cells_ratio").map(|v| v <= MAPPING_CELLS_GATE),
-                    ">",
-                    MAPPING_CELLS_GATE,
-                ),
-                (
-                    "sdtw_pass",
-                    "sdtw_separation",
-                    num(mp, "sdtw_separation"),
-                    num(mp, "sdtw_separation").map(|v| v > MAPPING_SDTW_GATE),
-                    "<=",
-                    MAPPING_SDTW_GATE,
-                ),
-            ] {
-                match (get(mp, flag_key), value, holds) {
-                    (Some(JsonValue::Bool(stored)), Some(v), Some(ok)) => {
-                        if *stored != ok {
-                            problems.push(format!(
-                                "mapping: `{flag_key}` = {stored} disagrees with \
-                                 `{value_key}` = {v} (threshold {gate})"
-                            ));
-                        }
-                        if !ok {
-                            problems.push(format!(
-                                "mapping gate failed: `{value_key}` {v} {direction} {gate}"
-                            ));
-                        }
-                    }
-                    (Some(JsonValue::Bool(_)), None, _) | (None, _, _) => {}
-                    (Some(_), _, _) => problems.push(format!("mapping: `{flag_key}` not a bool")),
-                }
-            }
-        }
-        None => problems.push("missing `mapping` object".into()),
     }
     problems
 }
@@ -834,9 +626,9 @@ pub struct Comparison {
 }
 
 /// Diffs `current` against `baseline`: every baseline point must exist in
-/// the current report, and no speedup ratio may fall more than `tolerance`
-/// (relative) below the baseline value. Thread-scaling ratios of `nk > 1`
-/// points are skipped unless both reports saw more than one core.
+/// the current report, and no diffed field of a point or a section may be
+/// more than `tolerance` (relative) worse than the baseline value, unless
+/// the row's caveat skips it with a note.
 pub fn compare(current: &JsonValue, baseline: &JsonValue, tolerance: f64) -> Comparison {
     let mut cmp = Comparison::default();
     let (Some(JsonValue::Array(base_pts)), Some(JsonValue::Array(cur_pts))) =
@@ -846,309 +638,65 @@ pub fn compare(current: &JsonValue, baseline: &JsonValue, tolerance: f64) -> Com
         return cmp;
     };
     let cores = |r| num(r, "host_cores").unwrap_or(1.0);
-    let multicore = cores(baseline) > 1.0 && cores(current) > 1.0;
-    if !multicore {
-        cmp.notes.push(format!(
-            "1-core caveat active (baseline {} cores, current {} cores): \
-             nk>1 batched_speedup comparisons skipped",
-            cores(baseline),
-            cores(current)
-        ));
-    }
+    let (base_cores, cur_cores) = (cores(baseline), cores(current));
+    let multicore = base_cores > 1.0 && cur_cores > 1.0;
+
+    // One object's rows. `scales_threads` is whether the 1-core caveat
+    // applies to this object at all.
+    let diff = |cmp: &mut Comparison, s: &Section, prefix: &str, cur, base, scales_threads| {
+        for &(field, op, caveats) in s.diffs {
+            let (Some(base), Some(now)) = (num(base, field), num(cur, field)) else {
+                cmp.regressions
+                    .push(format!("{prefix}: `{field}` missing on one side"));
+                continue;
+            };
+            if caveats.contains(&SmokeScale) && !is_full_scale(cur) {
+                cmp.notes.push(format!(
+                    "smoke-scale caveat: {prefix} `{field}` comparison skipped \
+                     (current < {STREAMING_GATE_MIN_PAIRS} pairs)"
+                ));
+            } else if caveats.contains(&OneCore) && scales_threads && !multicore {
+                cmp.notes.push(format!(
+                    "1-core caveat: {prefix} `{field}` comparison skipped \
+                     (baseline {base_cores} cores, current {cur_cores} cores)"
+                ));
+            } else {
+                let floor = base * (1.0 - tolerance);
+                let ceiling = base * (1.0 + tolerance);
+                let (worse, better, kind, bound) = match op {
+                    Op::Le => (now > ceiling, now < floor, "ceiling", ceiling),
+                    Op::Ge | Op::Gt => (now < floor, now > ceiling, "floor", floor),
+                };
+                if worse {
+                    cmp.regressions.push(format!(
+                        "{prefix}: `{field}` regressed {base:.3} -> {now:.3} \
+                         ({kind} {bound:.3} at {:.0}% tolerance)",
+                        tolerance * 100.0
+                    ));
+                } else if better {
+                    cmp.notes.push(format!(
+                        "{prefix}: `{field}` improved {base:.3} -> {now:.3}"
+                    ));
+                }
+            }
+        }
+    };
 
     for bp in base_pts {
         let key = point_key(bp);
         let Some(cp) = cur_pts.iter().find(|cp| point_key(cp) == key) else {
             cmp.regressions
-                .push(format!("point {key}: missing from current report"));
+                .push(format!("{key}: missing from current report"));
             continue;
         };
-        for ratio in RATIO_KEYS {
-            let nk = num(bp, "nk").unwrap_or(1.0);
-            if ratio == "batched_speedup" && nk > 1.0 && !multicore {
-                continue;
-            }
-            let (Some(base), Some(cur)) = (num(bp, ratio), num(cp, ratio)) else {
-                cmp.regressions
-                    .push(format!("point {key}: `{ratio}` missing on one side"));
-                continue;
-            };
-            let floor = base * (1.0 - tolerance);
-            if cur < floor {
-                cmp.regressions.push(format!(
-                    "point {key}: `{ratio}` regressed {base:.3} -> {cur:.3} \
-                     (floor {floor:.3} at {:.0}% tolerance)",
-                    tolerance * 100.0
-                ));
-            } else if cur > base * (1.0 + tolerance) {
-                cmp.notes.push(format!(
-                    "point {key}: `{ratio}` improved {base:.3} -> {cur:.3}"
-                ));
-            }
-        }
+        // A single-channel point's `batched_speedup` is not thread scaling,
+        // so only nk > 1 points carry the 1-core caveat.
+        let scales_threads = num(bp, "nk").is_some_and(|nk| nk > 1.0);
+        diff(&mut cmp, &POINT, &key, cp, bp, scales_threads);
     }
-
-    // The streaming ratio tracks pipeline overhead, not thread scaling
-    // (both engines run the same worker threads), so it is compared
-    // regardless of core count.
-    let streaming_ratio = |r| get(r, "streaming").and_then(|st| num(st, "ratio"));
-    match (streaming_ratio(baseline), streaming_ratio(current)) {
-        (Some(base), Some(cur)) => {
-            let floor = base * (1.0 - tolerance);
-            if cur < floor {
-                cmp.regressions.push(format!(
-                    "streaming: `ratio` regressed {base:.3} -> {cur:.3} \
-                     (floor {floor:.3} at {:.0}% tolerance)",
-                    tolerance * 100.0
-                ));
-            } else if cur > base * (1.0 + tolerance) {
-                cmp.notes
-                    .push(format!("streaming: `ratio` improved {base:.3} -> {cur:.3}"));
-            }
-        }
-        (Some(_), None) => cmp
-            .regressions
-            .push("streaming: `ratio` missing from current report".into()),
-        (None, _) => {}
-    }
-
-    // The resilience-overhead ratio is internally paired (both runs use
-    // the same worker threads on the same machine), so like the streaming
-    // ratio it is compared regardless of core count.
-    let resilience_ratio = |r| get(r, "resilience_overhead").and_then(|ro| num(ro, "ratio"));
-    match (resilience_ratio(baseline), resilience_ratio(current)) {
-        (Some(base), Some(cur)) => {
-            let floor = base * (1.0 - tolerance);
-            if cur < floor {
-                cmp.regressions.push(format!(
-                    "resilience_overhead: `ratio` regressed {base:.3} -> {cur:.3} \
-                     (floor {floor:.3} at {:.0}% tolerance)",
-                    tolerance * 100.0
-                ));
-            } else if cur > base * (1.0 + tolerance) {
-                cmp.notes.push(format!(
-                    "resilience_overhead: `ratio` improved {base:.3} -> {cur:.3}"
-                ));
-            }
-        }
-        (Some(_), None) => cmp
-            .regressions
-            .push("resilience_overhead: `ratio` missing from current report".into()),
-        (None, _) => {}
-    }
-
-    // The serving ratio is internally paired (the direct streamed run and
-    // the served run share the machine), so it is compared regardless of
-    // core count — but unlike the streaming/resilience ratios it also
-    // carries fixed per-run costs (connection setup, session spawn, load
-    // rounds) that dwarf a few milliseconds of compute, so smoke-scale
-    // runs are skipped with a note rather than diffed: only a current
-    // report measured at the same ≥ 2 000 pairs as the absolute gate is
-    // comparable. The latency percentiles are raw wall-clock figures; on a
-    // 1-core box they mostly measure queueing behind a saturated engine,
-    // so `p99_ms` is only diffed when both reports saw more than one core
-    // (latency grows under regression, so the direction is inverted).
-    let serving_field = |r, key: &str| get(r, "serving").and_then(|sv| num(sv, key));
-    let serving_full_scale =
-        serving_field(current, "pairs").is_some_and(|p| p >= STREAMING_GATE_MIN_PAIRS);
-    match (
-        serving_field(baseline, "ratio"),
-        serving_field(current, "ratio"),
-    ) {
-        (Some(_), Some(_)) if !serving_full_scale => cmp.notes.push(format!(
-            "smoke-scale caveat: serving `ratio` comparison skipped \
-             (current < {STREAMING_GATE_MIN_PAIRS} pairs)"
-        )),
-        (Some(base), Some(cur)) => {
-            let floor = base * (1.0 - tolerance);
-            if cur < floor {
-                cmp.regressions.push(format!(
-                    "serving: `ratio` regressed {base:.3} -> {cur:.3} \
-                     (floor {floor:.3} at {:.0}% tolerance)",
-                    tolerance * 100.0
-                ));
-            } else if cur > base * (1.0 + tolerance) {
-                cmp.notes
-                    .push(format!("serving: `ratio` improved {base:.3} -> {cur:.3}"));
-            }
-        }
-        (Some(_), None) => cmp
-            .regressions
-            .push("serving: `ratio` missing from current report".into()),
-        (None, _) => {}
-    }
-    match (
-        serving_field(baseline, "p99_ms"),
-        serving_field(current, "p99_ms"),
-    ) {
-        (Some(_), Some(_)) if !serving_full_scale => cmp.notes.push(format!(
-            "smoke-scale caveat: serving `p99_ms` comparison skipped \
-             (current < {STREAMING_GATE_MIN_PAIRS} pairs)"
-        )),
-        (Some(base), Some(cur)) if multicore => {
-            let ceiling = base * (1.0 + tolerance);
-            if cur > ceiling {
-                cmp.regressions.push(format!(
-                    "serving: `p99_ms` regressed {base:.3} -> {cur:.3} \
-                     (ceiling {ceiling:.3} at {:.0}% tolerance)",
-                    tolerance * 100.0
-                ));
-            } else if cur < base * (1.0 - tolerance) {
-                cmp.notes
-                    .push(format!("serving: `p99_ms` improved {base:.3} -> {cur:.3}"));
-            }
-        }
-        // Symmetric caveat: latency is only comparable when BOTH reports
-        // saw more than one core — a 1-core measurement on either side
-        // (baseline or current) is queueing noise, not signal.
-        (Some(_), Some(_)) => cmp.notes.push(format!(
-            "1-core caveat: serving `p99_ms` comparison skipped \
-             (baseline {} cores, current {} cores)",
-            cores(baseline),
-            cores(current)
-        )),
-        (Some(_), None) => cmp
-            .regressions
-            .push("serving: `p99_ms` missing from current report".into()),
-        (None, _) => {}
-    }
-
-    // The adaptive-precision ratio is internally paired (the exact and
-    // fast-path runs share the engine machinery and the machine), and the
-    // point is pure compute with no fixed per-run setup costs, so like the
-    // resilience ratio it is compared regardless of core count or scale.
-    let adaptive_ratio = |r| get(r, "adaptive_precision").and_then(|ap| num(ap, "ratio"));
-    match (adaptive_ratio(baseline), adaptive_ratio(current)) {
-        (Some(base), Some(cur)) => {
-            let floor = base * (1.0 - tolerance);
-            if cur < floor {
-                cmp.regressions.push(format!(
-                    "adaptive_precision: `ratio` regressed {base:.3} -> {cur:.3} \
-                     (floor {floor:.3} at {:.0}% tolerance)",
-                    tolerance * 100.0
-                ));
-            } else if cur > base * (1.0 + tolerance) {
-                cmp.notes.push(format!(
-                    "adaptive_precision: `ratio` improved {base:.3} -> {cur:.3}"
-                ));
-            }
-        }
-        (Some(_), None) => cmp
-            .regressions
-            .push("adaptive_precision: `ratio` missing from current report".into()),
-        (None, _) => {}
-    }
-
-    // nb_scaling: the modeled ratio is machine-independent and always
-    // diffed; the wall-clock slot_ratio is thread scaling within one
-    // channel, so it carries the same 1-core caveat as `batched_speedup`.
-    let nb_field = |r, key: &str| get(r, "nb_scaling").and_then(|nb| num(nb, key));
-    let mut nb_ratio_keys: Vec<&str> = vec!["modeled_nb_ratio"];
-    if multicore {
-        nb_ratio_keys.push("slot_ratio");
-    } else if nb_field(baseline, "slot_ratio").is_some() {
-        cmp.notes
-            .push("1-core caveat: nb_scaling `slot_ratio` comparison skipped".into());
-    }
-    for key in nb_ratio_keys {
-        match (nb_field(baseline, key), nb_field(current, key)) {
-            (Some(base), Some(cur)) => {
-                let floor = base * (1.0 - tolerance);
-                if cur < floor {
-                    cmp.regressions.push(format!(
-                        "nb_scaling: `{key}` regressed {base:.3} -> {cur:.3} \
-                         (floor {floor:.3} at {:.0}% tolerance)",
-                        tolerance * 100.0
-                    ));
-                } else if cur > base * (1.0 + tolerance) {
-                    cmp.notes.push(format!(
-                        "nb_scaling: `{key}` improved {base:.3} -> {cur:.3}"
-                    ));
-                }
-            }
-            (Some(_), None) => cmp
-                .regressions
-                .push(format!("nb_scaling: `{key}` missing from current report")),
-            (None, _) => {}
-        }
-    }
-
-    // fleet: the modeled device-sharding ratio is machine-independent and
-    // always diffed; the wall-clock d_wall_ratio pits D host dispatchers
-    // against one, so it carries the same 1-core caveat as `slot_ratio`.
-    let fleet_field = |r, key: &str| get(r, "fleet").and_then(|fl| num(fl, key));
-    let mut fleet_ratio_keys: Vec<&str> = vec!["d_ratio"];
-    if multicore {
-        fleet_ratio_keys.push("d_wall_ratio");
-    } else if fleet_field(baseline, "d_wall_ratio").is_some() {
-        cmp.notes
-            .push("1-core caveat: fleet `d_wall_ratio` comparison skipped".into());
-    }
-    for key in fleet_ratio_keys {
-        match (fleet_field(baseline, key), fleet_field(current, key)) {
-            (Some(base), Some(cur)) => {
-                let floor = base * (1.0 - tolerance);
-                if cur < floor {
-                    cmp.regressions.push(format!(
-                        "fleet: `{key}` regressed {base:.3} -> {cur:.3} \
-                         (floor {floor:.3} at {:.0}% tolerance)",
-                        tolerance * 100.0
-                    ));
-                } else if cur > base * (1.0 + tolerance) {
-                    cmp.notes
-                        .push(format!("fleet: `{key}` improved {base:.3} -> {cur:.3}"));
-                }
-            }
-            (Some(_), None) => cmp
-                .regressions
-                .push(format!("fleet: `{key}` missing from current report")),
-            (None, _) => {}
-        }
-    }
-
-    // The mapping figures are counting ratios over deterministic workloads
-    // (machine-independent), so like `modeled_nb_ratio` they are compared
-    // regardless of core count or scale. `cells_ratio` is lower-is-better,
-    // so its regression direction is inverted.
-    let map_field = |r, key: &str| get(r, "mapping").and_then(|mp| num(mp, key));
-    for (key, lower_is_better) in [
-        ("recall", false),
-        ("cells_ratio", true),
-        ("sdtw_separation", false),
-    ] {
-        match (map_field(baseline, key), map_field(current, key)) {
-            (Some(base), Some(cur)) => {
-                let worse = if lower_is_better {
-                    cur > base * (1.0 + tolerance)
-                } else {
-                    cur < base * (1.0 - tolerance)
-                };
-                let better = if lower_is_better {
-                    cur < base * (1.0 - tolerance)
-                } else {
-                    cur > base * (1.0 + tolerance)
-                };
-                if worse {
-                    let (kind, bound) = if lower_is_better {
-                        ("ceiling", base * (1.0 + tolerance))
-                    } else {
-                        ("floor", base * (1.0 - tolerance))
-                    };
-                    cmp.regressions.push(format!(
-                        "mapping: `{key}` regressed {base:.3} -> {cur:.3} \
-                         ({kind} {bound:.3} at {:.0}% tolerance)",
-                        tolerance * 100.0
-                    ));
-                } else if better {
-                    cmp.notes
-                        .push(format!("mapping: `{key}` improved {base:.3} -> {cur:.3}"));
-                }
-            }
-            (Some(_), None) => cmp
-                .regressions
-                .push(format!("mapping: `{key}` missing from current report")),
-            (None, _) => {}
-        }
+    for s in &SECTIONS {
+        let of = |r| get(r, s.name).unwrap_or(&JsonValue::Null);
+        diff(&mut cmp, s, s.name, of(current), of(baseline), true);
     }
     cmp
 }
@@ -1376,6 +924,114 @@ mod tests {
             problems.iter().any(|p| p.contains("lane_pass")),
             "{problems:?}"
         );
+    }
+
+    /// The fixture's acceptance object is measured at 100 pairs (below the
+    /// guard); this lifts it to the committed baseline's scale.
+    fn acceptance_at_full_scale(s: String) -> String {
+        s.replace(
+            "\"banded_w16\", \"pairs\": 100,",
+            "\"banded_w16\", \"pairs\": 10000,",
+        )
+    }
+
+    #[test]
+    fn acceptance_gates_are_enforced_at_full_scale() {
+        // A consistent but failing laned-vs-scratch ratio at full scale...
+        let problems = validate(&parse(&acceptance_at_full_scale(report_json(1.1, 1))));
+        assert!(
+            problems
+                .iter()
+                .any(|p| p.contains("acceptance gate failed: `lane_vs_scratch`")),
+            "{problems:?}"
+        );
+        // ...and a consistent but failing scratch-vs-naive speedup.
+        let slow_scratch = report_json(1.5, 1)
+            .replace(
+                "\"naive_aps\": 1000.0, \"scratch_aps\": 2000.0, \"laned_aps\"",
+                "\"naive_aps\": 1250.0, \"scratch_aps\": 2000.0, \"laned_aps\"",
+            )
+            .replace("\"speedup\": 2.0,", "\"speedup\": 1.6,")
+            .replace(
+                "\"pass\": true, \"lane_pass\"",
+                "\"pass\": false, \"lane_pass\"",
+            );
+        let problems = validate(&parse(&acceptance_at_full_scale(slow_scratch.clone())));
+        assert!(
+            problems
+                .iter()
+                .any(|p| p.contains("acceptance gate failed: `speedup`")),
+            "{problems:?}"
+        );
+        // Both are wall-clock: a smoke-scale run keeps only the flag check.
+        for small in [report_json(1.1, 1), slow_scratch] {
+            assert_eq!(validate(&parse(&small)), Vec::<String>::new());
+        }
+    }
+
+    #[test]
+    fn acceptance_ratios_are_cross_checked_against_their_rates() {
+        let s = report_json(1.5, 1).replace("\"speedup\": 2.0,", "\"speedup\": 2.5,");
+        let problems = validate(&parse(&s));
+        assert!(
+            problems.iter().any(|p| p.contains("acceptance: `speedup`")),
+            "{problems:?}"
+        );
+        let s = report_json(1.5, 1).replace(
+            "\"speedup\": 2.0, \"lane_vs_scratch\": 1.5",
+            "\"speedup\": 2.0, \"lane_vs_scratch\": 1.4",
+        );
+        let problems = validate(&parse(&s));
+        assert!(
+            problems
+                .iter()
+                .any(|p| p.contains("acceptance: `lane_vs_scratch`")),
+            "{problems:?}"
+        );
+    }
+
+    /// The table itself: a row that named a non-existent field would never
+    /// fire, so every section's required keys must be exactly the keys of
+    /// the committed baseline's object, which must pass every row.
+    #[test]
+    fn gate_table_matches_the_committed_baseline() {
+        let baseline = parse(include_str!("../../../BENCH_throughput.json"));
+        let mut seen = Vec::new();
+        for s in SECTIONS.iter().chain([&POINT]) {
+            assert!(!seen.contains(&s.name), "duplicate section `{}`", s.name);
+            seen.push(s.name);
+            let required = s.required_keys();
+            let named = (s.quotients.iter().flat_map(|q| [q.0, q.1, q.2]))
+                .chain(s.gates.iter().flat_map(|g| [g.0, g.1]))
+                .chain(s.diffs.iter().map(|d| d.0));
+            for field in named {
+                assert!(required.contains(&field), "{}: `{field}`", s.name);
+            }
+            // A diff is a Ge or Le gate against the baseline, and a row
+            // scoped to full scale needs a `pairs` to read the scale off.
+            assert!(s.diffs.iter().all(|d| d.1 != Op::Gt), "{}", s.name);
+            let scaled = s.gates.iter().any(|g| g.4 == FullScale)
+                || s.diffs.iter().any(|d| d.2.contains(&SmokeScale));
+            assert!(!scaled || required.contains(&"pairs"), "{}", s.name);
+
+            let objects: Vec<&JsonValue> = match get(&baseline, s.name) {
+                Some(JsonValue::Array(points)) => points.iter().collect(),
+                Some(object) => vec![object],
+                None => panic!("baseline lacks `{}`", s.name),
+            };
+            for object in objects {
+                let JsonValue::Object(entries) = object else {
+                    panic!("`{}` is not an object", s.name);
+                };
+                let mut keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+                keys.sort_unstable();
+                assert_eq!(keys, required, "{}", s.name);
+                assert_eq!(validate_section(s.name, object), Vec::<String>::new());
+            }
+        }
+        assert_eq!(validate(&baseline), Vec::<String>::new());
+        let cmp = compare(&baseline, &baseline, DEFAULT_TOLERANCE);
+        assert!(cmp.regressions.is_empty(), "{cmp:?}");
     }
 
     #[test]

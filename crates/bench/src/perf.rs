@@ -11,11 +11,12 @@
 //! baseline in CI; `benches/throughput.rs` and `benches/lanes.rs` expose
 //! the same measurements under criterion.
 
+use crate::check;
 use crate::naive::run_systolic_naive;
 use dphls_core::{Banding, I8Lanes, KernelConfig, LaneKernel, LanePrecision};
 use dphls_host::{
     run_batched, run_batched_adaptive, run_batched_engine, run_streamed, BatchConfig, ExactEngine,
-    FleetConfig, ResilienceConfig, StreamConfig,
+    FleetConfig, ResilienceConfig, StreamConfig, StreamReport,
 };
 use dphls_kernels::{
     default_banding, AffineParams, GlobalAffine, GlobalLinear, LinearParams, NoParams, Sdtw,
@@ -362,8 +363,8 @@ pub struct AdaptivePrecision {
 /// (`dphls-mapper`) streaming simulated long reads (1–5 kb, ~5% PacBio-CLR
 /// error, both strands) against a 1 MiB reference. Two machine-independent
 /// counting gates ride on it: recall at the true locus must be at least
-/// [`crate::check::MAPPING_RECALL_GATE`], and the X-drop extension stage
-/// must touch at most [`crate::check::MAPPING_CELLS_GATE`] of the DP cells
+/// [`check::MAPPING_RECALL_GATE`], and the X-drop extension stage
+/// must touch at most [`check::MAPPING_CELLS_GATE`] of the DP cells
 /// a fixed 128-wide band over the same (read × window) problems would pay.
 /// Both are deterministic for the fixed workload seed, so `bench_check`
 /// enforces them at every scale (the NB-model-gate discipline), unlike the
@@ -459,9 +460,12 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// (query, reference) pairs, the shape every DNA engine entry point takes.
+pub type Workload = Vec<(Vec<Base>, Vec<Base>)>;
+
 /// Deterministic read-pair workload: reference windows + noisy reads of
 /// equal length (the paper's §6.1 short-read shape).
-pub fn make_workload(pairs: usize, len: usize, seed: u64) -> Vec<(Vec<Base>, Vec<Base>)> {
+pub fn make_workload(pairs: usize, len: usize, seed: u64) -> Workload {
     let mut sim = ReadSimulator::new(seed);
     sim.read_pairs(pairs, len, 0.2)
         .into_iter()
@@ -498,8 +502,86 @@ fn device_for(config: KernelConfig) -> Device {
     )
 }
 
-fn aps(pairs: usize, start: Instant) -> f64 {
-    pairs as f64 / start.elapsed().as_secs_f64().max(1e-9)
+const VALID: &str = "bench workload must be valid";
+
+/// Wall-clock items/second of one pass over `n` items, with the pass's
+/// result (kept opaque to the optimiser).
+fn timed<T>(n: usize, pass: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let out = std::hint::black_box(pass());
+    (n as f64 / start.elapsed().as_secs_f64().max(1e-9), out)
+}
+
+/// The timing discipline of every gate point: `round` times a base and a
+/// variant engine back to back — internally paired, so each round's
+/// variant/base ratio is a coherent sample — and returns `(base_aps,
+/// variant_aps, extra)`; the result is the round with the MEDIAN ratio,
+/// taken WHOLESALE as `(base_aps, variant_aps, ratio, extra)`, so rates and
+/// whatever rides along (high-water marks, latencies) come from that same
+/// run. The matrix points pick a best-coherent round because their payload
+/// is a trend; a gate point's payload is a hard threshold, where one freak
+/// round — fast or slow — must never be the sample the gate reads. The
+/// median is robust to both tails, and an absolute threshold gets more
+/// rounds than the relative-only matrix points.
+fn median_ratio_round<X>(
+    pairs: usize,
+    mut round: impl FnMut() -> (f64, f64, X),
+) -> (f64, f64, f64, X) {
+    let rounds = (6_000 / pairs.max(1)).clamp(3, 8);
+    let mut samples: Vec<_> = (0..rounds).map(|_| round()).collect();
+    samples.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    let (base, variant, extra) = samples.swap_remove(samples.len() / 2);
+    (base, variant, variant / base.max(1e-9), extra)
+}
+
+/// The banded acceptance workload shape (`banded_w16`, len 256, NPE 32).
+const GATE_HALF_WIDTH: usize = 16;
+const GATE_KIND: WorkloadKind = WorkloadKind::Banded {
+    half_width: GATE_HALF_WIDTH,
+};
+const GATE_LEN: usize = 256;
+const GATE_NPE: usize = 32;
+
+/// The fixture the streaming, NB-scaling, fleet and resilience points
+/// share: the 10k-pair banded acceptance workload (divided by `scale`) and
+/// one device per requested `(NB, NK)` shape.
+fn banded_fixture<const N: usize>(
+    scale: usize,
+    shapes: [(usize, usize); N],
+) -> (Workload, [Device; N]) {
+    let devices = shapes.map(|(nb, nk)| {
+        device_for(
+            KernelConfig::new(GATE_NPE, nb, nk)
+                .with_max_lengths(GATE_LEN, GATE_LEN)
+                .with_banding(GATE_HALF_WIDTH),
+        )
+    });
+    (
+        make_workload(10_000 / scale.max(1), GATE_LEN, 0xD9),
+        devices,
+    )
+}
+
+/// One timed pass of the streaming pipeline fed `workload` pair by pair,
+/// its outputs discarded.
+fn timed_streamed(
+    device: &Device,
+    workload: &Workload,
+    stream_cfg: StreamConfig,
+) -> (f64, StreamReport) {
+    let params = LinearParams::<i16>::dna();
+    timed(workload.len(), || {
+        run_streamed::<GlobalLinear, _, std::convert::Infallible, _>(
+            device,
+            &params,
+            workload.iter().cloned().map(Ok),
+            stream_cfg,
+            |_, out| {
+                std::hint::black_box(&out);
+            },
+        )
+        .expect(VALID)
+    })
 }
 
 fn measure_kernel<K>(
@@ -532,37 +614,30 @@ where
     let mut scratch = SystolicScratch::new();
     let mut rates: Vec<[f64; 4]> = Vec::with_capacity(rounds);
     for _ in 0..rounds {
-        let start = Instant::now();
-        for (q, r) in workload {
-            std::hint::black_box(run_systolic_naive::<K>(params, q, r, &config));
-        }
-        let naive = aps(n, start);
-
-        let start = Instant::now();
-        for (q, r) in workload {
-            std::hint::black_box(
-                run_systolic_scalar_with_scratch::<K>(params, q, r, &config, &mut scratch)
-                    .expect("bench workload must be valid"),
-            );
-        }
-        let scratch_aps = aps(n, start);
-
-        let start = Instant::now();
-        for (q, r) in workload {
-            std::hint::black_box(
-                run_systolic_with_scratch::<K>(params, q, r, &config, &mut scratch)
-                    .expect("bench workload must be valid"),
-            );
-        }
-        let laned = aps(n, start);
-
-        let start = Instant::now();
-        std::hint::black_box(
-            run_batched::<K>(&device, params, workload, BatchConfig::default())
-                .expect("bench workload must be valid"),
-        );
-        let batched = aps(n, start);
-
+        let (naive, ()) = timed(n, || {
+            for (q, r) in workload {
+                std::hint::black_box(run_systolic_naive::<K>(params, q, r, &config));
+            }
+        });
+        let (scratch_aps, ()) = timed(n, || {
+            for (q, r) in workload {
+                std::hint::black_box(
+                    run_systolic_scalar_with_scratch::<K>(params, q, r, &config, &mut scratch)
+                        .expect(VALID),
+                );
+            }
+        });
+        let (laned, ()) = timed(n, || {
+            for (q, r) in workload {
+                std::hint::black_box(
+                    run_systolic_with_scratch::<K>(params, q, r, &config, &mut scratch)
+                        .expect(VALID),
+                );
+            }
+        });
+        let (batched, _) = timed(n, || {
+            run_batched::<K>(&device, params, workload, BatchConfig::default()).expect(VALID)
+        });
         rates.push([naive, scratch_aps, laned, batched]);
     }
 
@@ -620,7 +695,6 @@ pub fn measure_point(spec: &PointSpec) -> ThroughputPoint {
 /// runs use `scale > 1`; the recorded report uses `scale = 1`).
 pub fn standard_points(scale: usize) -> Vec<PointSpec> {
     let s = scale.max(1);
-    let banded = WorkloadKind::Banded { half_width: 16 };
     vec![
         PointSpec {
             kind: WorkloadKind::Linear,
@@ -644,261 +718,137 @@ pub fn standard_points(scale: usize) -> Vec<PointSpec> {
             nk: 4,
         },
         PointSpec {
-            kind: banded,
-            len: 256,
+            kind: GATE_KIND,
+            len: GATE_LEN,
             pairs: 10_000 / s,
-            npe: 32,
+            npe: GATE_NPE,
             nk: 1,
         },
         PointSpec {
-            kind: banded,
-            len: 256,
+            kind: GATE_KIND,
+            len: GATE_LEN,
             pairs: 10_000 / s,
-            npe: 32,
+            npe: GATE_NPE,
             nk: 4,
         },
     ]
 }
 
 /// Measures the streaming pipeline against the batch engine on the 10k-pair
-/// banded workload (scaled by `scale`), timed in interleaved rounds with a
-/// representative round taken wholesale — the same ratio-pairing discipline
-/// (and rationale) as the engine-matrix measurement in [`measure_point`].
+/// banded workload (scaled by `scale`), timed in interleaved rounds with the
+/// median-ratio round taken wholesale (`median_ratio_round`).
 pub fn measure_streaming(scale: usize) -> StreamingComparison {
-    let s = scale.max(1);
-    let pairs = 10_000 / s;
-    let len = 256usize;
     let nk = 4usize;
-    let half_width = 16usize;
     let stream_cfg = StreamConfig::default();
-    let workload = make_workload(pairs, len, 0xD9);
+    let (workload, [device]) = banded_fixture(scale, [(1, nk)]);
     let params = LinearParams::<i16>::dna();
-    let config = KernelConfig::new(32, 1, nk)
-        .with_max_lengths(len, len)
-        .with_banding(half_width);
-    let device = device_for(config);
     let n = workload.len();
-
-    // The streaming gate is an *absolute* threshold (ratio >= 0.9), so it
-    // gets more rounds than the relative-only matrix points: one noisy
-    // round must never be the round the gate reads.
-    let rounds = (6_000 / pairs.max(1)).clamp(3, 8);
-    struct Round {
-        batched: f64,
-        streamed: f64,
-        reorder_high_water: usize,
-        resident_high_water: usize,
-    }
-    let mut samples: Vec<Round> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let start = Instant::now();
-        std::hint::black_box(
+    let (batched_aps, streamed_aps, ratio, report) = median_ratio_round(n, || {
+        let (batched, _) = timed(n, || {
             run_batched::<GlobalLinear>(&device, &params, &workload, BatchConfig::default())
-                .expect("bench workload must be valid"),
-        );
-        let batched = aps(n, start);
-
-        let start = Instant::now();
-        let report = run_streamed::<GlobalLinear, _, std::convert::Infallible, _>(
-            &device,
-            &params,
-            workload.iter().cloned().map(Ok),
-            stream_cfg,
-            |_, out| {
-                std::hint::black_box(&out);
-            },
-        )
-        .expect("bench workload must be valid");
-        let streamed = aps(n, start);
-
-        samples.push(Round {
-            batched,
-            streamed,
-            reorder_high_water: report.reorder_high_water,
-            resident_high_water: report.resident_high_water,
+                .expect(VALID)
         });
-    }
-
-    // The reported value is the round with the MEDIAN streamed/batched
-    // ratio (rounds are internally paired, so each round's ratio is a
-    // coherent sample), taken WHOLESALE — aps figures and high-water marks
-    // from that same run. The matrix points pick a best-coherent round
-    // because their payload is a trend; this point's payload is a hard
-    // overhead *gate*, where one freak round — fast or slow — must never
-    // be the sample the gate reads. The median is robust to both tails.
-    let round_ratio = |r: &Round| r.streamed / r.batched.max(1e-9);
-    samples.sort_by(|a, b| round_ratio(a).total_cmp(&round_ratio(b)));
-    let pick = &samples[samples.len() / 2];
-    let ratio = round_ratio(pick);
+        let (streamed, report) = timed_streamed(&device, &workload, stream_cfg);
+        (batched, streamed, report)
+    });
     StreamingComparison {
-        workload: format!("banded_w{half_width}"),
-        pairs,
+        workload: GATE_KIND.name(),
+        pairs: n,
         nk,
         buffer: stream_cfg.buffer,
         window: stream_cfg.window,
-        batched_aps: pick.batched,
-        streamed_aps: pick.streamed,
+        batched_aps,
+        streamed_aps,
         ratio,
-        pass: ratio >= crate::check::STREAMING_GATE,
-        reorder_high_water: pick.reorder_high_water,
-        resident_high_water: pick.resident_high_water,
+        pass: ratio >= check::STREAMING_GATE,
+        reorder_high_water: report.reorder_high_water,
+        resident_high_water: report.resident_high_water,
     }
 }
 
 /// Measures NB-block scaling on the banded acceptance workload (scaled by
 /// `scale`): wall-clock 1-slot vs `NB`-slot host execution on an `NB = 4`
-/// single-channel device, timed in interleaved rounds with the median-ratio
-/// round taken wholesale (the gate-point discipline of
-/// [`measure_streaming`]), plus the machine-independent modeled NB-vs-1
-/// throughput ratio, which only needs one deterministic stats pass per
-/// configuration.
+/// single-channel device under `median_ratio_round`, plus the
+/// machine-independent modeled NB-vs-1 throughput ratio, which only needs
+/// one deterministic stats pass per configuration.
 pub fn measure_nb_scaling(scale: usize) -> NbScaling {
-    let s = scale.max(1);
-    let pairs = 10_000 / s;
-    let len = 256usize;
-    let npe = 32usize;
-    let nb = 4usize;
-    let nk = 1usize;
-    let half_width = 16usize;
-    let workload = make_workload(pairs, len, 0xD9);
+    let (nb, nk) = (4usize, 1usize);
+    let (workload, [device_nb, device_nb1]) = banded_fixture(scale, [(nb, nk), (1, nk)]);
     let params = LinearParams::<i16>::dna();
-    let base = KernelConfig::new(npe, nb, nk)
-        .with_max_lengths(len, len)
-        .with_banding(half_width);
-    let device_nb = device_for(base);
-    let device_nb1 = device_for(
-        KernelConfig::new(npe, 1, nk)
-            .with_max_lengths(len, len)
-            .with_banding(half_width),
-    );
     let n = workload.len();
+    let run = |device, slots| {
+        run_batched::<GlobalLinear>(device, &params, &workload, slots).expect(VALID)
+    };
 
     // Modeled figures are derived from BlockStats, so they are exact and
     // machine-independent. The NB=1 configuration needs its own functional
-    // pass; the NB=4 figure is read off the first timed round below (it is
+    // pass; the NB=4 figure is read off the timed single-slot runs (it is
     // slot-count-independent — the invariant `tests/nb_slots.rs` holds).
-    let modeled_nb1_aps =
-        run_batched::<GlobalLinear>(&device_nb1, &params, &workload, BatchConfig::single_slot())
-            .expect("bench workload must be valid")
-            .throughput_aps;
-    let mut modeled_nb_aps = 0.0f64;
-
-    // Wall-clock slot scaling: interleaved rounds, median ratio wholesale
-    // (one freak round must never be the sample a report reader compares).
-    let rounds = (6_000 / pairs.max(1)).clamp(3, 8);
-    let mut samples: Vec<(f64, f64)> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let report = std::hint::black_box(
-            run_batched::<GlobalLinear>(&device_nb, &params, &workload, BatchConfig::single_slot())
-                .expect("bench workload must be valid"),
-        );
-        let slots1 = aps(n, start);
-        modeled_nb_aps = report.throughput_aps;
-
-        let start = Instant::now();
-        std::hint::black_box(
-            run_batched::<GlobalLinear>(&device_nb, &params, &workload, BatchConfig::slots(nb))
-                .expect("bench workload must be valid"),
-        );
-        let slots_nb = aps(n, start);
-        samples.push((slots1, slots_nb));
-    }
-    samples.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
-    let (slots1_aps, slots_nb_aps) = samples[samples.len() / 2];
+    let modeled_nb1_aps = run(&device_nb1, BatchConfig::single_slot()).throughput_aps;
+    let (slots1_aps, slots_nb_aps, slot_ratio, modeled_nb_aps) = median_ratio_round(n, || {
+        let (slots1, report) = timed(n, || run(&device_nb, BatchConfig::single_slot()));
+        let (slots_nb, _) = timed(n, || run(&device_nb, BatchConfig::slots(nb)));
+        (slots1, slots_nb, report.throughput_aps)
+    });
 
     let modeled_nb_ratio = modeled_nb_aps / modeled_nb1_aps.max(1e-9);
     NbScaling {
-        workload: format!("banded_w{half_width}"),
-        pairs,
-        len,
-        npe,
+        workload: GATE_KIND.name(),
+        pairs: n,
+        len: GATE_LEN,
+        npe: GATE_NPE,
         nb,
         nk,
         slots1_aps,
         slots_nb_aps,
-        slot_ratio: slots_nb_aps / slots1_aps.max(1e-9),
+        slot_ratio,
         modeled_nb1_aps,
         modeled_nb_aps,
         modeled_nb_ratio,
-        pass: modeled_nb_ratio >= crate::check::NB_MODEL_GATE,
+        pass: modeled_nb_ratio >= check::NB_MODEL_GATE,
     }
 }
 
 /// Measures fleet sharding on the banded acceptance workload (scaled by
-/// `scale`): wall-clock single-device vs `devices`-sharded execution,
-/// timed in interleaved rounds with the median-ratio round taken
-/// wholesale (the gate-point discipline of [`measure_streaming`]), plus
-/// the machine-independent modeled fleet-vs-1 throughput ratio over a
-/// PCIe-class link, which only needs one deterministic stats pass per
-/// configuration.
+/// `scale`): wall-clock single-device vs `devices`-sharded execution under
+/// `median_ratio_round`, plus the machine-independent modeled fleet-vs-1
+/// throughput ratio over a PCIe-class link, read off the same runs.
 pub fn measure_fleet(scale: usize) -> Fleet {
-    let s = scale.max(1);
-    let pairs = 10_000 / s;
-    let len = 256usize;
-    let npe = 32usize;
-    let nb = 4usize;
-    let nk = 1usize;
-    let devices = 4usize;
-    let half_width = 16usize;
-    let workload = make_workload(pairs, len, 0xD9);
+    let (nb, nk, devices) = (4usize, 1usize, 4usize);
+    let (workload, [device]) = banded_fixture(scale, [(nb, nk)]);
     let params = LinearParams::<i16>::dna();
-    let config = KernelConfig::new(npe, nb, nk)
-        .with_max_lengths(len, len)
-        .with_banding(half_width);
-    let device = device_for(config);
     let n = workload.len();
     let single = BatchConfig::single_slot();
     let sharded = BatchConfig::single_slot().with_fleet(FleetConfig::new(devices));
+    let run = |cfg| run_batched::<GlobalLinear>(&device, &params, &workload, cfg).expect(VALID);
 
     // Modeled figures are derived from BlockStats, so they are exact and
-    // machine-independent; they are read off the first timed round below
-    // (modeled throughput is wall-clock-independent — the invariant
+    // machine-independent; they are read off the timed runs (modeled
+    // throughput is wall-clock-independent — the invariant
     // `tests/fleet.rs` holds).
-    let mut modeled_d1_aps = 0.0f64;
-    let mut modeled_d_aps = 0.0f64;
-
-    // Wall-clock sharding: interleaved rounds, median ratio wholesale
-    // (one freak round must never be the sample a report reader compares).
-    let rounds = (6_000 / pairs.max(1)).clamp(3, 8);
-    let mut samples: Vec<(f64, f64)> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let start = Instant::now();
-        let report = std::hint::black_box(
-            run_batched::<GlobalLinear>(&device, &params, &workload, single)
-                .expect("bench workload must be valid"),
-        );
-        let d1 = aps(n, start);
-        modeled_d1_aps = report.throughput_aps;
-
-        let start = Instant::now();
-        let report = std::hint::black_box(
-            run_batched::<GlobalLinear>(&device, &params, &workload, sharded)
-                .expect("bench workload must be valid"),
-        );
-        let d = aps(n, start);
-        modeled_d_aps = report.throughput_aps;
-        samples.push((d1, d));
-    }
-    samples.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
-    let (d1_aps, d_aps) = samples[samples.len() / 2];
+    let (d1_aps, d_aps, d_wall_ratio, (modeled_d1_aps, modeled_d_aps)) =
+        median_ratio_round(n, || {
+            let (d1, report1) = timed(n, || run(single));
+            let (d, report) = timed(n, || run(sharded));
+            (d1, d, (report1.throughput_aps, report.throughput_aps))
+        });
 
     let d_ratio = modeled_d_aps / modeled_d1_aps.max(1e-9);
     Fleet {
-        workload: format!("banded_w{half_width}"),
-        pairs,
-        len,
-        npe,
+        workload: GATE_KIND.name(),
+        pairs: n,
+        len: GATE_LEN,
+        npe: GATE_NPE,
         nb,
         nk,
         devices,
         d1_aps,
         d_aps,
-        d_wall_ratio: d_aps / d1_aps.max(1e-9),
+        d_wall_ratio,
         modeled_d1_aps,
         modeled_d_aps,
         d_ratio,
-        pass: d_ratio >= crate::check::FLEET_MODEL_GATE,
+        pass: d_ratio >= check::FLEET_MODEL_GATE,
     }
 }
 
@@ -907,74 +857,36 @@ pub fn measure_fleet(scale: usize) -> Fleet {
 /// [`run_batched_engine`] under [`ResilienceConfig::standard`] (deadline
 /// `Instant` reads, `catch_unwind` frame, retry bookkeeping — but zero
 /// faults) against the same engine under [`ResilienceConfig::disabled`]
-/// (the legacy fast path). Interleaved rounds, median ratio taken
-/// wholesale — the gate-point discipline of [`measure_streaming`].
+/// (the legacy fast path), under `median_ratio_round`.
 pub fn measure_resilience_overhead(scale: usize) -> ResilienceOverhead {
-    let s = scale.max(1);
-    let pairs = 10_000 / s;
-    let len = 256usize;
     let nk = 4usize;
-    let half_width = 16usize;
-    let workload = make_workload(pairs, len, 0xD9);
+    let (workload, [device]) = banded_fixture(scale, [(1, nk)]);
     let engine = ExactEngine::<GlobalLinear>::new(LinearParams::<i16>::dna());
-    let config = KernelConfig::new(32, 1, nk)
-        .with_max_lengths(len, len)
-        .with_banding(half_width);
-    let device = device_for(config);
     let n = workload.len();
-    let disabled = ResilienceConfig::disabled();
-    let standard = ResilienceConfig::standard();
+    let run = |resilience| {
+        let cfg = BatchConfig::default();
+        run_batched_engine::<GlobalLinear, _>(&device, &engine, &workload, cfg, resilience, None)
+            .expect(VALID)
+    };
+    let (disabled, standard) = (ResilienceConfig::disabled(), ResilienceConfig::standard());
 
-    // Like the streaming point, this gate is an absolute threshold, so one
-    // freak round must never be the sample it reads: interleaved rounds,
-    // median ratio wholesale.
-    let rounds = (6_000 / pairs.max(1)).clamp(3, 8);
-    let mut samples: Vec<(f64, f64)> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let start = Instant::now();
-        std::hint::black_box(
-            run_batched_engine::<GlobalLinear, _>(
-                &device,
-                &engine,
-                &workload,
-                BatchConfig::default(),
-                &disabled,
-                None,
-            )
-            .expect("bench workload must be valid"),
-        );
-        let disabled_aps = aps(n, start);
-
-        let start = Instant::now();
-        let report = std::hint::black_box(
-            run_batched_engine::<GlobalLinear, _>(
-                &device,
-                &engine,
-                &workload,
-                BatchConfig::default(),
-                &standard,
-                None,
-            )
-            .expect("bench workload must be valid"),
-        );
-        let resilient_aps = aps(n, start);
+    let (disabled_aps, resilient_aps, ratio, ()) = median_ratio_round(n, || {
+        let (disabled_aps, _) = timed(n, || run(&disabled));
+        let (resilient_aps, report) = timed(n, || run(&standard));
         assert!(
             report.faults.is_empty() && report.retries == 0,
             "fault-free workload must not fault or retry"
         );
-        samples.push((disabled_aps, resilient_aps));
-    }
-    samples.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
-    let (disabled_aps, resilient_aps) = samples[samples.len() / 2];
-    let ratio = resilient_aps / disabled_aps.max(1e-9);
+        (disabled_aps, resilient_aps, ())
+    });
     ResilienceOverhead {
-        workload: format!("banded_w{half_width}"),
-        pairs,
+        workload: GATE_KIND.name(),
+        pairs: n,
         nk,
         disabled_aps,
         resilient_aps,
         ratio,
-        pass: ratio >= crate::check::RESILIENCE_GATE,
+        pass: ratio >= check::RESILIENCE_GATE,
     }
 }
 
@@ -983,11 +895,10 @@ pub fn measure_resilience_overhead(scale: usize) -> ResilienceOverhead {
 /// by `scale`). One in-process server (banded DNA session, NK channels)
 /// survives all rounds so every round hits a warm engine; each round pairs
 /// one direct streamed run with one `dphls-load` run over the same read
-/// distribution and takes the `served_rps / streamed_aps` ratio.
-/// Interleaved rounds, median ratio taken wholesale — the gate-point
-/// discipline of [`measure_streaming`]. Latency percentiles ride along
-/// from the median round but are wall-clock figures; `bench_check` only
-/// diffs them between multi-core reports.
+/// distribution and takes the `served_rps / streamed_aps` ratio, under
+/// `median_ratio_round`. Latency percentiles ride along from the median
+/// round but are wall-clock figures; `bench_check` only diffs them between
+/// multi-core reports.
 pub fn measure_serving(scale: usize) -> Serving {
     let s = scale.max(1);
     let connections = 4usize;
@@ -1025,65 +936,33 @@ pub fn measure_serving(scale: usize) -> Serving {
     // same read distribution (untruncated, like the wire path).
     let half_width =
         default_banding(&load.kernel).expect("load kernel is banded with a default width");
-    let params = LinearParams::<i16>::dna();
     let config = KernelConfig::new(32, 1, nk)
         .with_max_lengths(max_len, max_len)
         .with_banding(half_width);
     let device = device_for(config);
     let mut sim = ReadSimulator::new(load.seed);
-    let workload: Vec<(Vec<Base>, Vec<Base>)> = sim
+    let workload: Workload = sim
         .read_pairs(pairs, len, 0.2)
         .into_iter()
         .map(|(r, q)| (q.into_vec(), r.into_vec()))
         .collect();
-    let n = workload.len();
 
-    // Absolute-threshold gate: interleaved rounds, median ratio wholesale.
-    let rounds = (6_000 / pairs.max(1)).clamp(3, 8);
-    struct Round {
-        streamed: f64,
-        served: f64,
-        p50_ms: f64,
-        p99_ms: f64,
-    }
-    let mut samples: Vec<Round> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let start = Instant::now();
-        run_streamed::<GlobalLinear, _, std::convert::Infallible, _>(
-            &device,
-            &params,
-            workload.iter().cloned().map(Ok),
-            stream_cfg,
-            |_, out| {
-                std::hint::black_box(&out);
-            },
-        )
-        .expect("bench workload must be valid");
-        let streamed = aps(n, start);
-
+    let (streamed_aps, served_rps, ratio, (p50_ms, p99_ms)) = median_ratio_round(pairs, || {
+        let (streamed, _) = timed_streamed(&device, &workload, stream_cfg);
         let report = run_load(addr, &load).expect("load run against the in-process server");
         assert_eq!(
             report.error_frames, 0,
             "bench load must be served without quarantine"
         );
         assert_eq!(report.completed as usize, pairs, "every request answered");
-        samples.push(Round {
-            streamed,
-            served: report.rps,
-            p50_ms: report.p50_ms,
-            p99_ms: report.p99_ms,
-        });
-    }
+        (streamed, report.rps, (report.p50_ms, report.p99_ms))
+    });
     let stats = server.shutdown();
     assert_eq!(
         stats.error_frames, 0,
         "bench server must not synthesize error frames"
     );
 
-    let round_ratio = |r: &Round| r.served / r.streamed.max(1e-9);
-    samples.sort_by(|a, b| round_ratio(a).total_cmp(&round_ratio(b)));
-    let pick = &samples[samples.len() / 2];
-    let ratio = round_ratio(pick);
     Serving {
         workload: load.kernel.clone(),
         pairs,
@@ -1092,21 +971,19 @@ pub fn measure_serving(scale: usize) -> Serving {
         nk,
         buffer: stream_cfg.buffer,
         window: stream_cfg.window,
-        streamed_aps: pick.streamed,
-        served_rps: pick.served,
+        streamed_aps,
+        served_rps,
         ratio,
-        p50_ms: pick.p50_ms,
-        p99_ms: pick.p99_ms,
-        pass: ratio >= crate::check::SERVING_GATE,
+        p50_ms,
+        p99_ms,
+        pass: ratio >= check::SERVING_GATE,
     }
 }
 
 /// Measures the adaptive-precision fast path against the exact path on a
 /// short-read banded workload (scaled by `scale`): the same
 /// [`run_batched_adaptive`] engine under [`LanePrecision::Adaptive`] (32
-/// `i8` lanes) and [`LanePrecision::Exact`], timed in interleaved rounds
-/// with the median-ratio round taken wholesale — the gate-point discipline
-/// of [`measure_streaming`].
+/// `i8` lanes) and [`LanePrecision::Exact`], under `median_ratio_round`.
 ///
 /// Workload shape, chosen so the guard band does the intended split:
 /// * clean reads are 120 bases under unit scoring (`+1/−1/−1`) and a
@@ -1170,7 +1047,7 @@ pub fn measure_adaptive_precision(scale: usize) -> AdaptivePrecision {
             &res,
             None,
         )
-        .expect("bench workload must be valid")
+        .expect(VALID)
     };
 
     // Functional pre-flight (untimed): the fast path must be bit-identical
@@ -1188,22 +1065,11 @@ pub fn measure_adaptive_precision(scale: usize) -> AdaptivePrecision {
     );
     let escalation_rate = adaptive_ref.escalation_rate();
 
-    // Absolute-threshold gate: interleaved rounds, median ratio wholesale.
-    let rounds = (6_000 / pairs.max(1)).clamp(3, 8);
-    let mut samples: Vec<(f64, f64)> = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let start = Instant::now();
-        std::hint::black_box(run(LanePrecision::Exact));
-        let exact_aps = aps(n, start);
-
-        let start = Instant::now();
-        std::hint::black_box(run(LanePrecision::Adaptive(lanes)));
-        let adaptive_aps = aps(n, start);
-        samples.push((exact_aps, adaptive_aps));
-    }
-    samples.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
-    let (exact_aps, adaptive_aps) = samples[samples.len() / 2];
-    let ratio = adaptive_aps / exact_aps.max(1e-9);
+    let (exact_aps, adaptive_aps, ratio, ()) = median_ratio_round(pairs, || {
+        let (exact_aps, _) = timed(n, || run(LanePrecision::Exact));
+        let (adaptive_aps, _) = timed(n, || run(LanePrecision::Adaptive(lanes)));
+        (exact_aps, adaptive_aps, ())
+    });
     AdaptivePrecision {
         workload: format!("banded_w{half_width}"),
         pairs,
@@ -1215,7 +1081,7 @@ pub fn measure_adaptive_precision(scale: usize) -> AdaptivePrecision {
         adaptive_aps,
         ratio,
         escalation_rate,
-        pass: ratio >= crate::check::ADAPTIVE_GATE,
+        pass: ratio >= check::ADAPTIVE_GATE,
     }
 }
 
@@ -1293,9 +1159,7 @@ pub fn measure_mapping(scale: usize) -> Mapping {
     let mut samples: Vec<f64> = Vec::with_capacity(rounds);
     for _ in 0..rounds {
         let mut sink = Vec::with_capacity(reads_n);
-        let start = Instant::now();
-        std::hint::black_box(run(&mut sink));
-        samples.push(aps(reads_n, start));
+        samples.push(timed(reads_n, || run(&mut sink)).0);
     }
     samples.sort_by(f64::total_cmp);
     let mapped_aps = samples[samples.len() / 2];
@@ -1354,9 +1218,25 @@ pub fn measure_mapping(scale: usize) -> Mapping {
         sdtw_pos_max,
         sdtw_neg_min,
         sdtw_separation,
-        recall_pass: recall >= crate::check::MAPPING_RECALL_GATE,
-        cells_pass: cells_ratio <= crate::check::MAPPING_CELLS_GATE,
-        sdtw_pass: sdtw_separation > crate::check::MAPPING_SDTW_GATE,
+        recall_pass: recall >= check::MAPPING_RECALL_GATE,
+        cells_pass: cells_ratio <= check::MAPPING_CELLS_GATE,
+        sdtw_pass: sdtw_separation > check::MAPPING_SDTW_GATE,
+    }
+}
+
+/// The acceptance measurements: the banded single-channel point's two
+/// single-thread ratios against their gates.
+fn acceptance_of(gate: &ThroughputPoint) -> Acceptance {
+    Acceptance {
+        workload: gate.workload.clone(),
+        pairs: gate.pairs,
+        naive_aps: gate.naive_aps,
+        scratch_aps: gate.scratch_aps,
+        laned_aps: gate.laned_aps,
+        speedup: gate.scratch_speedup,
+        lane_vs_scratch: gate.lane_vs_scratch,
+        pass: gate.scratch_speedup >= check::SCRATCH_GATE,
+        lane_pass: gate.lane_vs_scratch >= check::LANE_GATE,
     }
 }
 
@@ -1368,22 +1248,11 @@ pub fn build_report(scale: usize) -> ThroughputReport {
         .iter()
         .find(|p| p.workload.starts_with("banded") && p.nk == 1)
         .expect("matrix contains the banded acceptance point");
-    let acceptance = Acceptance {
-        workload: gate.workload.clone(),
-        pairs: gate.pairs,
-        naive_aps: gate.naive_aps,
-        scratch_aps: gate.scratch_aps,
-        laned_aps: gate.laned_aps,
-        speedup: gate.scratch_speedup,
-        lane_vs_scratch: gate.lane_vs_scratch,
-        pass: gate.scratch_speedup >= 2.0,
-        lane_pass: gate.lane_vs_scratch >= 1.3,
-    };
     ThroughputReport {
-        version: 9,
+        version: check::SCHEMA_VERSION as u32,
         host_cores: host_cores(),
+        acceptance: acceptance_of(gate),
         points,
-        acceptance,
         streaming: measure_streaming(scale),
         nb_scaling: measure_nb_scaling(scale),
         fleet: measure_fleet(scale),
@@ -1398,22 +1267,42 @@ pub fn build_report(scale: usize) -> ThroughputReport {
 mod tests {
     use super::*;
 
+    /// Serializes `value`, checks it round-trips as JSON, and runs it
+    /// through its section's rows of the `check` gate table — so a renamed
+    /// or dropped field fails here, not first in the CI smoke step.
+    fn assert_section_valid(section: &str, value: &impl Serialize) {
+        let json = serde_json::to_string_pretty(value).unwrap();
+        let parsed = serde_json::from_str(&json).expect("serializes to valid JSON");
+        assert_eq!(
+            check::validate_section(section, &parsed),
+            Vec::<String>::new()
+        );
+    }
+
+    const TINY: PointSpec = PointSpec {
+        kind: WorkloadKind::Banded { half_width: 8 },
+        len: 64,
+        pairs: 20,
+        npe: 8,
+        nk: 2,
+    };
+
     #[test]
     fn tiny_matrix_measures_and_serializes() {
-        let spec = PointSpec {
-            kind: WorkloadKind::Banded { half_width: 8 },
-            len: 64,
-            pairs: 20,
-            npe: 8,
-            nk: 2,
-        };
-        let p = measure_point(&spec);
+        let p = measure_point(&TINY);
         assert!(p.naive_aps > 0.0 && p.scratch_aps > 0.0 && p.batched_aps > 0.0);
         assert!(p.laned_aps > 0.0 && p.lane_vs_scratch > 0.0);
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        assert!(json.contains("\"scratch_speedup\""));
-        assert!(json.contains("\"lane_vs_scratch\""));
-        serde_json::from_str(&json).expect("point serializes to valid JSON");
+        assert_section_valid("points", &p);
+    }
+
+    #[test]
+    fn acceptance_measures_and_serializes() {
+        let p = measure_point(&TINY);
+        let acc = acceptance_of(&p);
+        assert_eq!((acc.pairs, acc.speedup), (20, p.scratch_speedup));
+        assert_eq!(acc.pass, acc.speedup >= check::SCRATCH_GATE);
+        assert_eq!(acc.lane_pass, acc.lane_vs_scratch >= check::LANE_GATE);
+        assert_section_valid("acceptance", &acc);
     }
 
     #[test]
@@ -1428,14 +1317,12 @@ mod tests {
         // 4-block channel models (essentially exactly) 4x a 1-block channel
         // at any pair count — the machine-independent gate value.
         assert!(
-            p.modeled_nb_ratio >= crate::check::NB_MODEL_GATE && p.modeled_nb_ratio <= 4.0 + 1e-6,
+            p.modeled_nb_ratio >= check::NB_MODEL_GATE && p.modeled_nb_ratio <= 4.0 + 1e-6,
             "modeled NB ratio {}",
             p.modeled_nb_ratio
         );
         assert!(p.pass);
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        assert!(json.contains("\"modeled_nb_ratio\""));
-        serde_json::from_str(&json).expect("point serializes to valid JSON");
+        assert_section_valid("nb_scaling", &p);
     }
 
     #[test]
@@ -1452,14 +1339,12 @@ mod tests {
         // value (NB-model discipline: deterministic, enforced at every
         // scale).
         assert!(
-            p.d_ratio >= crate::check::FLEET_MODEL_GATE && p.d_ratio <= 4.0 + 1e-6,
+            p.d_ratio >= check::FLEET_MODEL_GATE && p.d_ratio <= 4.0 + 1e-6,
             "modeled fleet ratio {}",
             p.d_ratio
         );
         assert!(p.pass);
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        assert!(json.contains("\"d_ratio\""));
-        serde_json::from_str(&json).expect("point serializes to valid JSON");
+        assert_section_valid("fleet", &p);
     }
 
     #[test]
@@ -1468,10 +1353,8 @@ mod tests {
         assert_eq!(p.pairs, 20);
         assert!(p.disabled_aps > 0.0 && p.resilient_aps > 0.0 && p.ratio > 0.0);
         assert!((p.ratio - p.resilient_aps / p.disabled_aps).abs() < 1e-9);
-        assert_eq!(p.pass, p.ratio >= crate::check::RESILIENCE_GATE);
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        assert!(json.contains("\"resilient_aps\""));
-        serde_json::from_str(&json).expect("point serializes to valid JSON");
+        assert_eq!(p.pass, p.ratio >= check::RESILIENCE_GATE);
+        assert_section_valid("resilience_overhead", &p);
     }
 
     #[test]
@@ -1482,10 +1365,8 @@ mod tests {
         assert!(p.streamed_aps > 0.0 && p.served_rps > 0.0 && p.ratio > 0.0);
         assert!((p.ratio - p.served_rps / p.streamed_aps).abs() < 1e-9);
         assert!(p.p50_ms > 0.0 && p.p50_ms <= p.p99_ms);
-        assert_eq!(p.pass, p.ratio >= crate::check::SERVING_GATE);
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        assert!(json.contains("\"served_rps\""));
-        serde_json::from_str(&json).expect("point serializes to valid JSON");
+        assert_eq!(p.pass, p.ratio >= check::SERVING_GATE);
+        assert_section_valid("serving", &p);
     }
 
     #[test]
@@ -1498,10 +1379,8 @@ mod tests {
         // The planted escalators keep the rate strictly non-degenerate at
         // every scale: 1 of 20 pairs here.
         assert!((p.escalation_rate - 0.05).abs() < 1e-9);
-        assert_eq!(p.pass, p.ratio >= crate::check::ADAPTIVE_GATE);
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        assert!(json.contains("\"escalation_rate\""));
-        serde_json::from_str(&json).expect("point serializes to valid JSON");
+        assert_eq!(p.pass, p.ratio >= check::ADAPTIVE_GATE);
+        assert_section_valid("adaptive_precision", &p);
     }
 
     #[test]
@@ -1520,10 +1399,7 @@ mod tests {
         assert!(p.sdtw_pos_max > 0.0 && p.sdtw_neg_min > p.sdtw_pos_max);
         assert!(p.sdtw_separation > 1.0 && p.sdtw_pass);
         assert!(p.mapped_aps > 0.0);
-        let json = serde_json::to_string_pretty(&p).unwrap();
-        assert!(json.contains("\"cells_ratio\""));
-        assert!(json.contains("\"sdtw_separation\""));
-        serde_json::from_str(&json).expect("point serializes to valid JSON");
+        assert_section_valid("mapping", &p);
     }
 
     #[test]
@@ -1531,12 +1407,10 @@ mod tests {
         let s = measure_streaming(500); // 20 pairs
         assert_eq!(s.pairs, 20);
         assert!(s.batched_aps > 0.0 && s.streamed_aps > 0.0 && s.ratio > 0.0);
-        assert_eq!(s.pass, s.ratio >= crate::check::STREAMING_GATE);
+        assert_eq!(s.pass, s.ratio >= check::STREAMING_GATE);
         assert!((s.ratio - s.streamed_aps / s.batched_aps).abs() < 1e-9);
         assert!(s.resident_high_water <= s.window);
         assert!(s.reorder_high_water < s.window);
-        let json = serde_json::to_string_pretty(&s).unwrap();
-        assert!(json.contains("\"ratio\""));
-        serde_json::from_str(&json).expect("comparison serializes to valid JSON");
+        assert_section_valid("streaming", &s);
     }
 }
