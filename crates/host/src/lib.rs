@@ -10,8 +10,12 @@
 //! run and exact precision are degenerate *values* of the full doors'
 //! arguments ([`FleetConfig::single`], [`ResilienceConfig::disabled`],
 //! `None` for the [`FaultPlan`], an [`ExactEngine`]), not separate
-//! functions; what happens to one pair in one block slot is one private
-//! body (`slot.rs`) under both engines.
+//! functions. The engines themselves are two front ends onto one private
+//! work-stealing pool (`pool.rs`: the deques, the idle rule, retry
+//! re-deal, device-loss migration) running one private per-pair body
+//! (`slot.rs`): the batch engine pre-fills the pool and starts it closed,
+//! the streaming engine deals into it while its producer is live — a
+//! batch is a stream whose producer has already finished.
 //!
 //! | Door | Role |
 //! |------|------|
@@ -49,6 +53,7 @@
 pub mod engine;
 pub mod faults;
 pub mod fleet;
+mod pool;
 pub mod resilience;
 pub mod scheduler;
 pub mod session;

@@ -1,0 +1,639 @@
+//! The work-stealing pool under both host engines: `D × NK` cost-ranked
+//! deques, the fleet's per-device loss flags, the count of jobs in a
+//! worker's hand and the "more work may still be dealt" flag, all under
+//! **one** mutex and condvar, drained by one worker loop.
+//!
+//! A batch is a stream whose producer has already finished: the batch
+//! engine pre-fills the deques and starts the pool *closed*, the streaming
+//! engine starts it *open*, [`deal`](Pool::deal)s as pairs are admitted and
+//! [`close`](Pool::close)s it when the source ends. An idle worker parks
+//! while the pool is open or a peer still holds a job (which it may
+//! re-deal), and exits otherwise — so "exit on drain" and "park while the
+//! producer is live" are the two values of that one flag. The front ends
+//! differ only in the job payload (a borrowed pair of the caller's slice vs
+//! an owned pair), the closure that receives each terminal slot, and
+//! `open`.
+
+use std::borrow::Borrow;
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
+
+use dphls_core::{DpOutput, KernelSpec, SeqPair};
+
+use crate::engine::PairEngine;
+use crate::resilience::PairFault;
+use crate::slot::{
+    next_live_queue, steal_order, take_down, PairJob, RunTally, Settled, SlotRun, SlotTally,
+};
+
+/// A queued pair: its input index, how often it was already attempted
+/// (retries re-enter the deques with `attempts` bumped), its cost estimate
+/// in DP cells (ranks the deque, scales the deadline), and the sequences.
+pub(crate) struct Job<P> {
+    pub idx: usize,
+    pub attempts: u32,
+    pub cost: u64,
+    pub pair: P,
+}
+
+impl<P> Job<P> {
+    /// A not-yet-attempted job.
+    pub fn new(idx: usize, cost: u64, pair: P) -> Self {
+        Job {
+            idx,
+            attempts: 0,
+            cost,
+            pair,
+        }
+    }
+}
+
+struct Sched<P> {
+    /// Queue `dev * nk + ch`, each sorted by descending cost: the owner
+    /// pops expensive work from the front, thieves take the cheapest from
+    /// the back.
+    queues: Vec<VecDeque<Job<P>>>,
+    /// One flag per fleet device; a lost device dispatches nothing more.
+    lost: Vec<bool>,
+    /// Jobs popped but not yet terminal (output, quarantine, or re-deal),
+    /// so idle peers outwait a retry or a lost device's re-deals instead of
+    /// exiting early; maintained on the instrumented path only (nothing is
+    /// re-dealt otherwise).
+    busy: usize,
+    /// More work may still be dealt.
+    open: bool,
+    /// What each worker executed, indexed `(dev * nk + ch) * slots + slot`
+    /// and written as that worker leaves.
+    tallies: Vec<SlotTally>,
+    /// The first pair to run out of retries under the abort policy.
+    aborted: Option<PairFault>,
+}
+
+impl<P> Sched<P> {
+    /// Inserts `job` into the first queue at or after `from` whose device
+    /// is live, keeping that deque sorted by descending cost.
+    fn insert(&mut self, nk: usize, from: usize, job: Job<P>) {
+        let target = next_live_queue(&self.lost, nk, from);
+        insert_ranked(&mut self.queues[target], job);
+    }
+}
+
+fn insert_ranked<P>(queue: &mut VecDeque<Job<P>>, job: Job<P>) {
+    let at = queue.partition_point(|j| j.cost >= job.cost);
+    queue.insert(at, job);
+}
+
+/// See the module docs.
+pub(crate) struct Pool<'a, P> {
+    run: &'a SlotRun<'a>,
+    sched: Mutex<Sched<P>>,
+    /// Wakes workers parked on empty deques.
+    work_cv: Condvar,
+    nk: usize,
+    slots: usize,
+}
+
+impl<'a, P> Pool<'a, P> {
+    /// The pool of `run`'s fleet — `D × NK` deques, `slots` workers each —
+    /// holding `ranked`: jobs in descending cost order, dealt round-robin
+    /// so every channel of every device starts with a balanced mix of
+    /// expensive and cheap work.
+    pub fn new(
+        run: &'a SlotRun<'a>,
+        slots: usize,
+        open: bool,
+        ranked: impl IntoIterator<Item = Job<P>>,
+    ) -> Self {
+        let nk = run.device.config().nk.max(1);
+        let mut queues: Vec<VecDeque<Job<P>>> =
+            (0..run.devices * nk).map(|_| VecDeque::new()).collect();
+        for (rank, job) in ranked.into_iter().enumerate() {
+            queues[rank % (run.devices * nk)].push_back(job);
+        }
+        Pool {
+            run,
+            sched: Mutex::new(Sched {
+                tallies: vec![SlotTally::default(); queues.len() * slots],
+                queues,
+                lost: vec![false; run.devices],
+                busy: 0,
+                open,
+                aborted: None,
+            }),
+            work_cv: Condvar::new(),
+            nk,
+            slots,
+        }
+    }
+
+    /// Worker threads the front end must spawn: [`work`](Self::work) once
+    /// for each of `0..workers()`.
+    pub fn workers(&self) -> usize {
+        self.run.devices * self.nk * self.slots
+    }
+
+    /// After every worker has left: the report figures summed over them,
+    /// and the fault that aborted the run, if a pair did.
+    pub fn finish(self) -> (RunTally, Option<PairFault>) {
+        let sched = self.sched.into_inner().expect("pool mutex");
+        let tally = self.run.tally(self.slots, sched.tallies.into_iter());
+        (tally, sched.aborted)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Sched<P>> {
+        self.sched.lock().expect("pool mutex")
+    }
+
+    /// Queues `job` on the first live queue at or after `from`.
+    pub fn deal(&self, from: usize, job: Job<P>) {
+        self.lock().insert(self.nk, from, job);
+        self.work_cv.notify_one();
+    }
+
+    /// No more work will be dealt: idle workers exit once nothing is in a
+    /// peer's hand.
+    pub fn close(&self) {
+        self.lock().open = false;
+        self.work_cv.notify_all();
+    }
+
+    /// Wakes every parked worker after the run's abort flag was raised.
+    /// Bridges through the mutex: a worker holds it between checking the
+    /// flag and parking, so acquiring it first guarantees the notify lands
+    /// after that worker is actually waiting (no lost wakeup).
+    pub fn wake_all(&self) {
+        drop(self.lock());
+        self.work_cv.notify_all();
+    }
+
+    /// One block slot's life: worker number `worker` (slot `worker % slots`
+    /// of queue `worker / slots`) pops its own deque's expensive end, else
+    /// steals the cheapest job from a victim's tail, else parks or exits;
+    /// attempts each job, re-deals retries, and hands every terminal slot —
+    /// an output or a quarantine record — to `report`. Returns when the
+    /// pool is drained and closed, its device is lost, or the run aborted.
+    pub fn work<K, E>(
+        &self,
+        engine: &E,
+        worker: usize,
+        mut report: impl FnMut(usize, Result<DpOutput<K::Score>, PairFault>),
+    ) where
+        K: KernelSpec,
+        E: PairEngine<K>,
+        P: Borrow<SeqPair<K>>,
+    {
+        let run = self.run;
+        let qown = worker / self.slots;
+        let dev = qown / self.nk;
+        // Every block slot owns its scratch arena: the per-alignment hot
+        // path stays allocation-free at any slot count.
+        let mut scratch = engine.new_scratch();
+        let mut tally = SlotTally::default();
+        while let Some(job) = self.next_job(qown, &mut tally) {
+            let (q, r) = job.pair.borrow();
+            let pair = PairJob {
+                idx: job.idx,
+                attempts: job.attempts,
+                cost: job.cost,
+                q,
+                r,
+            };
+            let outcome =
+                run.attempt::<K, E>(engine, &mut scratch, &pair, dev, || self.lose_device(dev));
+            match run.settle(&mut tally, job.idx, job.attempts, outcome) {
+                Settled::Done(output) => {
+                    report(job.idx, Ok(output));
+                    self.release();
+                }
+                Settled::Retry => {
+                    // Re-deal to the next queue on a *live* device: a
+                    // different slot picks it up when one exists, and idle
+                    // workers stay parked on the busy count until every job
+                    // lands somewhere.
+                    let attempts = job.attempts + 1;
+                    let mut guard = self.lock();
+                    guard.insert(self.nk, qown + 1, Job { attempts, ..job });
+                    // The job left this worker's hand for a queue.
+                    guard.busy -= usize::from(run.instrumented);
+                    drop(guard);
+                    self.work_cv.notify_all();
+                }
+                Settled::Quarantine(fault) => {
+                    report(fault.idx, Err(fault));
+                    self.release();
+                }
+                Settled::Abort(fault) => {
+                    // `settle` raised the abort flag; storing the fault
+                    // takes the lock `wake_all` would bridge through.
+                    self.lock().aborted.get_or_insert(fault);
+                    self.work_cv.notify_all();
+                    break;
+                }
+            }
+        }
+        self.lock().tallies[worker] = tally;
+    }
+
+    fn next_job(&self, qown: usize, tally: &mut SlotTally) -> Option<Job<P>> {
+        let run = self.run;
+        let (dev, ch) = (qown / self.nk, qown % self.nk);
+        let mut guard = self.lock();
+        loop {
+            // A lost device dispatches nothing further; its queued work was
+            // migrated when the loss fired.
+            if run.aborted() || guard.lost[dev] {
+                return None;
+            }
+            // The slots of one channel share its deque, so intra-channel
+            // dispatch is not a steal.
+            let own = guard.queues[qown].pop_front();
+            let job = own.or_else(|| {
+                let stolen = steal_order(dev, ch, run.devices, self.nk)
+                    .find_map(|v| guard.queues[v].pop_back());
+                tally.stolen += usize::from(stolen.is_some());
+                stolen
+            });
+            if job.is_some() {
+                // Counted under the same guard as the pop so peers never
+                // observe empty queues with the job invisibly in a hand.
+                guard.busy += usize::from(run.instrumented);
+                return job;
+            }
+            if !guard.open && guard.busy == 0 {
+                return None;
+            }
+            guard = self.work_cv.wait(guard).expect("pool mutex");
+        }
+    }
+
+    /// A job reached a terminal state. That can end a peer's wait only by
+    /// taking `busy` to 0 on a closed pool, so only that transition wakes.
+    fn release(&self) {
+        if self.run.instrumented {
+            let mut guard = self.lock();
+            guard.busy -= 1;
+            if guard.busy == 0 && !guard.open {
+                drop(guard);
+                self.work_cv.notify_all();
+            }
+        }
+    }
+
+    /// The device-loss gate of [`SlotRun::attempt`]: takes `dev` down and
+    /// migrates its queued jobs to the next live device, channel to
+    /// channel, keeping each deque's cost order — unless `dev` is already
+    /// lost or is the last live device.
+    fn lose_device(&self, dev: usize) -> bool {
+        let mut guard = self.lock();
+        let Some(target) = take_down(&mut guard.lost, dev) else {
+            return false;
+        };
+        for c in 0..self.nk {
+            for job in std::mem::take(&mut guard.queues[dev * self.nk + c]) {
+                insert_ranked(&mut guard.queues[target * self.nk + c], job);
+            }
+        }
+        drop(guard);
+        // Wakes the lost device's parked slots (they exit) and the
+        // survivors (they pick the migrated work up).
+        self.work_cv.notify_all();
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::ExactEngine;
+    use crate::faults::{injected_kernel_error, FaultKind, FaultPlan};
+    use crate::fleet::FleetConfig;
+    use crate::resilience::{FailurePolicy, FaultCause, ResilienceConfig};
+    use dphls_core::KernelConfig;
+    use dphls_kernels::{GlobalLinear, LinearParams};
+    use dphls_seq::Base;
+    use dphls_systolic::{
+        CycleModelParams, Device, KernelCycleInfo, SystolicError, SystolicRun, SystolicScratch,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+
+    type Pair = SeqPair<GlobalLinear>;
+
+    fn device(nk: usize) -> Device {
+        Device::new(
+            KernelConfig::new(8, 2, nk).with_max_lengths(96, 96),
+            CycleModelParams::dphls(),
+            KernelCycleInfo {
+                sym_bits: 2,
+                has_walk: true,
+                ii: 1,
+            },
+            250.0,
+        )
+    }
+
+    /// The exact engine behind a call counter; the first `fail_first` calls
+    /// fail with a kernel error.
+    struct Stub {
+        inner: ExactEngine<GlobalLinear>,
+        calls: AtomicUsize,
+        fail_first: usize,
+    }
+
+    impl Stub {
+        fn failing(fail_first: usize) -> Self {
+            Stub {
+                inner: ExactEngine::new(LinearParams::<i16>::dna()),
+                calls: AtomicUsize::new(0),
+                fail_first,
+            }
+        }
+    }
+
+    impl PairEngine<GlobalLinear> for Stub {
+        type Scratch = SystolicScratch<i16>;
+
+        fn new_scratch(&self) -> Self::Scratch {
+            SystolicScratch::new()
+        }
+
+        fn run_pair(
+            &self,
+            q: &[Base],
+            r: &[Base],
+            config: &KernelConfig,
+            scratch: &mut Self::Scratch,
+        ) -> Result<SystolicRun<i16>, SystolicError> {
+            if self.calls.fetch_add(1, Ordering::Relaxed) < self.fail_first {
+                return Err(injected_kernel_error());
+            }
+            self.inner.run_pair(q, r, config, scratch)
+        }
+    }
+
+    /// `n` jobs in descending cost order (pair `idx` is `n - idx + 7` bases
+    /// long), as [`Pool::new`] expects them.
+    fn ranked(n: usize) -> impl Iterator<Item = Job<Pair>> {
+        (0..n).map(move |idx| {
+            let len = n - idx + 7;
+            let seq = |shift: usize| -> Vec<Base> {
+                (0..len)
+                    .map(|i| [Base::A, Base::C, Base::G, Base::T][(i * shift + idx) % 4])
+                    .collect()
+            };
+            Job::new(idx, (len * len) as u64, (seq(1), seq(3)))
+        })
+    }
+
+    fn quarantine(max_retries: u32) -> ResilienceConfig {
+        ResilienceConfig {
+            max_retries,
+            failure_policy: FailurePolicy::Quarantine,
+            ..ResilienceConfig::disabled()
+        }
+    }
+
+    /// What the workers of one pool run saw, summed.
+    struct Drained {
+        /// `(idx, completed)` of every terminal slot, sorted by `idx`.
+        reports: Vec<(usize, bool)>,
+        /// Pairs each worker executed.
+        executed: Vec<usize>,
+        aborted: Option<PairFault>,
+    }
+
+    /// Runs every worker of `pool` on its own thread, calls `during` on this
+    /// one, and joins.
+    fn drain(pool: &Pool<'_, Pair>, engine: &Stub, during: impl FnOnce()) -> Drained {
+        let mut reports = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..pool.workers())
+                .map(|worker| {
+                    scope.spawn(move || {
+                        let mut reports = Vec::new();
+                        pool.work::<GlobalLinear, _>(engine, worker, |idx, slot| {
+                            reports.push((idx, slot.is_ok()));
+                        });
+                        reports
+                    })
+                })
+                .collect();
+            during();
+            let joined = handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread"));
+            joined.flatten().collect::<Vec<_>>()
+        });
+        reports.sort_unstable();
+        let sched = pool.lock();
+        Drained {
+            reports,
+            executed: sched.tallies.iter().map(|t| t.executed).collect(),
+            aborted: sched.aborted.clone(),
+        }
+    }
+
+    fn all_completed(n: usize) -> Vec<(usize, bool)> {
+        (0..n).map(|idx| (idx, true)).collect()
+    }
+
+    #[test]
+    fn closed_prefilled_pool_is_drained_exactly_once_and_every_worker_exits() {
+        let dev = device(2);
+        for res in [ResilienceConfig::disabled(), quarantine(1)] {
+            let run = SlotRun::new(&dev, FleetConfig::new(2), &res, None);
+            let pool = Pool::new(&run, 2, false, ranked(40));
+            {
+                // Rank `i` went to queue `i % 4`, so each deque is ranked.
+                let sched = pool.lock();
+                for (qi, queue) in sched.queues.iter().enumerate() {
+                    let idxs: Vec<_> = queue.iter().map(|j| j.idx).collect();
+                    assert_eq!(idxs, (qi..40).step_by(4).collect::<Vec<_>>());
+                }
+            }
+            let engine = Stub::failing(0);
+            let drained = drain(&pool, &engine, || ());
+            assert_eq!(drained.reports, all_completed(40));
+            assert_eq!(drained.executed.len(), 8);
+            assert_eq!(drained.executed.iter().sum::<usize>(), 40);
+            assert_eq!(engine.calls.load(Ordering::Relaxed), 40);
+            assert!(drained.aborted.is_none());
+            let sched = pool.lock();
+            assert_eq!(sched.busy, 0);
+            assert!(sched.queues.iter().all(VecDeque::is_empty));
+        }
+    }
+
+    #[test]
+    fn open_empty_pool_parks_workers_until_close() {
+        let dev = device(2);
+        for res in [ResilienceConfig::disabled(), quarantine(1)] {
+            let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+            let pool: Pool<Pair> = Pool::new(&run, 2, true, std::iter::empty());
+            let engine = Stub::failing(0);
+            let exited = AtomicUsize::new(0);
+            let (tx, rx) = mpsc::channel();
+            std::thread::scope(|scope| {
+                for worker in 0..4 {
+                    let (pool, engine, exited, tx) = (&pool, &engine, &exited, tx.clone());
+                    scope.spawn(move || {
+                        pool.work::<GlobalLinear, _>(engine, worker, |idx, slot| {
+                            tx.send((idx, slot.is_ok())).expect("test receiver");
+                        });
+                        exited.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+                // Dealt into an empty open pool, every job is still executed …
+                for job in ranked(6) {
+                    pool.deal(job.idx, job);
+                }
+                let mut reports: Vec<_> = (0..6).map(|_| rx.recv().expect("a report")).collect();
+                reports.sort_unstable();
+                assert_eq!(reports, all_completed(6));
+                // … and drained again, the open pool lets no worker leave.
+                assert_eq!(exited.load(Ordering::SeqCst), 0);
+                pool.close();
+            });
+            assert_eq!(exited.load(Ordering::SeqCst), 4);
+            assert!(rx.try_recv().is_err(), "nothing ran twice");
+        }
+    }
+
+    #[test]
+    fn retry_redealt_after_every_queue_drained_is_still_executed() {
+        // The only job fails once while in a hand — every deque is empty
+        // when it is re-dealt. Instrumented peers outwait it on the busy
+        // count; uninstrumented ones may have left, and the retrying worker
+        // steals its own re-deal back.
+        for (nk, instrumented) in [(1, true), (1, false), (3, true), (3, false)] {
+            let dev = device(nk);
+            let res = quarantine(1);
+            let mut run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+            run.instrumented = instrumented;
+            let pool = Pool::new(&run, 1, false, ranked(1));
+            let engine = Stub::failing(1);
+            let drained = drain(&pool, &engine, || ());
+            assert_eq!(drained.reports, vec![(0, true)], "nk {nk} {instrumented}");
+            assert_eq!(engine.calls.load(Ordering::Relaxed), 2);
+            assert_eq!(run.retries.load(Ordering::Relaxed), 1);
+            assert_eq!(pool.lock().busy, 0);
+        }
+    }
+
+    #[test]
+    fn out_of_retries_is_reported_as_a_quarantined_slot() {
+        let dev = device(2);
+        let res = quarantine(1);
+        let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+        let pool = Pool::new(&run, 2, false, ranked(1));
+        let engine = Stub::failing(usize::MAX);
+        let drained = drain(&pool, &engine, || ());
+        assert_eq!(drained.reports, vec![(0, false)]);
+        assert_eq!(engine.calls.load(Ordering::Relaxed), 2);
+        assert!(drained.aborted.is_none());
+    }
+
+    #[test]
+    fn device_loss_migrates_every_queued_job_and_spares_the_last_device() {
+        let dev = device(2);
+        let res = quarantine(1);
+        let run = SlotRun::new(&dev, FleetConfig::new(3), &res, None);
+        let pool = Pool::new(&run, 1, false, ranked(12));
+        let queue_idxs =
+            |qi: usize| -> Vec<usize> { pool.lock().queues[qi].iter().map(|j| j.idx).collect() };
+        // Device 1's channels move to device 2, channel to channel, merged
+        // by cost (lower index = more expensive here).
+        assert!(pool.lose_device(1));
+        assert!(!pool.lose_device(1), "already lost");
+        assert_eq!(queue_idxs(2), Vec::<usize>::new());
+        assert_eq!(queue_idxs(3), Vec::<usize>::new());
+        assert_eq!(queue_idxs(4), vec![2, 4, 8, 10]);
+        assert_eq!(queue_idxs(5), vec![3, 5, 9, 11]);
+        assert!(pool.lose_device(2));
+        assert_eq!(queue_idxs(0), vec![0, 2, 4, 6, 8, 10]);
+        assert_eq!(queue_idxs(1), vec![1, 3, 5, 7, 9, 11]);
+        assert!(!pool.lose_device(0), "the last live device stays");
+        assert_eq!(pool.lock().lost, vec![false, true, true]);
+        // New work skips the lost devices' queues.
+        pool.deal(3, Job::new(12, 1, (vec![Base::A; 4], vec![Base::A; 4])));
+        assert_eq!(queue_idxs(0).last(), Some(&12));
+
+        let engine = Stub::failing(0);
+        let drained = drain(&pool, &engine, || ());
+        assert_eq!(drained.reports, all_completed(13));
+        // Only device 0's two slots dispatched anything.
+        assert_eq!(drained.executed[2..], [0; 4]);
+        assert_eq!(drained.executed.iter().sum::<usize>(), 13);
+    }
+
+    #[test]
+    fn device_loss_under_contention_loses_and_duplicates_nothing() {
+        let dev = device(2);
+        let res = quarantine(2);
+        // More loss injections than the fleet can honour: whichever slots
+        // draw them, at most `D - 1` fire.
+        let plan = [3, 17, 31, 45].iter().fold(FaultPlan::new(), |p, &idx| {
+            p.inject(idx, FaultKind::DeviceLoss)
+        });
+        for open in [false, true] {
+            let run = SlotRun::new(&dev, FleetConfig::new(3), &res, Some(&plan));
+            let pool = if open {
+                Pool::new(&run, 2, true, std::iter::empty())
+            } else {
+                Pool::new(&run, 2, false, ranked(60))
+            };
+            let engine = Stub::failing(0);
+            let drained = drain(&pool, &engine, || {
+                if open {
+                    for job in ranked(60) {
+                        pool.deal(job.idx, job);
+                    }
+                    pool.close();
+                }
+            });
+            assert_eq!(drained.reports, all_completed(60), "open {open}");
+            assert_eq!(drained.executed.iter().sum::<usize>(), 60);
+            let losses = run.device_losses.load(Ordering::Relaxed);
+            assert!((1..=2).contains(&losses), "{losses} losses");
+            let sched = pool.lock();
+            assert_eq!(sched.lost.iter().filter(|&&l| l).count(), losses);
+            // Each loss failed exactly the pair in flight on it, once.
+            assert_eq!(run.retries.load(Ordering::Relaxed), losses);
+            assert_eq!(engine.calls.load(Ordering::Relaxed), 60);
+            assert_eq!(sched.busy, 0);
+        }
+    }
+
+    #[test]
+    fn abort_wakes_parked_workers_of_an_open_pool() {
+        let dev = device(2);
+        // Raised from outside (a source error, a producer stall) …
+        let res = ResilienceConfig::disabled();
+        let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+        let pool: Pool<Pair> = Pool::new(&run, 2, true, std::iter::empty());
+        let engine = Stub::failing(0);
+        let drained = drain(&pool, &engine, || {
+            run.abort.store(true, Ordering::Relaxed);
+            pool.wake_all();
+        });
+        assert!(drained.reports.is_empty() && drained.aborted.is_none());
+
+        // … or by a pair out of retries under the Abort policy: the pool
+        // keeps the fault, and every worker leaves while it is still open.
+        let res = ResilienceConfig {
+            max_retries: 1,
+            ..ResilienceConfig::disabled()
+        };
+        let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+        let pool: Pool<Pair> = Pool::new(&run, 2, true, std::iter::empty());
+        let engine = Stub::failing(usize::MAX);
+        let drained = drain(&pool, &engine, || {
+            let job = ranked(1).next().expect("one job");
+            pool.deal(0, job);
+        });
+        assert!(run.aborted());
+        assert!(drained.reports.is_empty());
+        let fault = drained.aborted.expect("the abort fault");
+        assert_eq!((fault.idx, fault.attempts), (0, 2));
+        assert_eq!(fault.cause, FaultCause::Kernel(injected_kernel_error()));
+    }
+}

@@ -39,10 +39,9 @@
 //!   [`ResilienceConfig`] through the slot loop: kernel errors, worker
 //!   panics (caught at the slot loop), and cost-scaled deadline timeouts
 //!   are retried with backoff on another channel and then quarantined into
-//!   [`BatchReport::faults`] instead of tearing down the run. The per-pair
-//!   slot body is shared with the streaming engine
-//!   (`crates/host/src/slot.rs`); see `crates/host/src/resilience.rs` and
-//!   the chaos suite (`crates/host/tests/chaos.rs`).
+//!   [`BatchReport::faults`] instead of tearing down the run; see
+//!   `crates/host/src/resilience.rs` and the chaos suite
+//!   (`crates/host/tests/chaos.rs`).
 //! * **Fleet sharding** — [`BatchConfig::fleet`] replicates the whole
 //!   `NK × nb_slots` pool across `D` simulated devices: the ranked queue is
 //!   dealt across `D × NK` per-device deques, idle devices steal from busy
@@ -55,6 +54,14 @@
 //!   `crates/host/tests/fleet.rs`); only the modeled throughput and the
 //!   wall-clock parallelism change.
 //!
+//! The deques, the worker loop and the retry/device-loss protocol are not
+//! this module's: they are the pool (`crates/host/src/pool.rs`) the
+//! streaming engine also runs on. [`run_batched_engine`] is the front end
+//! that ranks the whole slice, hands the pool the ranking pre-dealt and
+//! **closed** — a stream whose producer has already finished, so workers
+//! exit on drain — and merges the per-slot output vectors back into input
+//! order.
+//!
 //! [`KernelConfig::nb`]: dphls_core::KernelConfig
 //! [`arbitrated_cycles`]: dphls_systolic::arbitrated_cycles
 //! [`fleet_cycles`]: dphls_systolic::fleet_cycles
@@ -66,16 +73,14 @@ use dphls_core::{
 };
 use dphls_systolic::Device;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 use crate::engine::{ExactEngine, PairEngine, PrecisionEngine};
 use crate::faults::FaultPlan;
 use crate::fleet::FleetConfig;
+use crate::pool::{Job, Pool};
 use crate::resilience::{panic_message, PairFault, ResilienceConfig};
-use crate::slot::{next_live_queue, steal_order, take_down, PairJob, Settled, SlotRun, SlotTally};
+use crate::slot::SlotRun;
 
 /// Host-side execution knobs of the batch engine (the device side lives in
 /// [`KernelConfig`]).
@@ -426,167 +431,56 @@ where
     K::Score: Send,
 {
     let config = device.config();
-    let nk = config.nk.max(1);
     let slots = batch.resolve_slots(config);
     let run = SlotRun::new(device, batch.fleet, res, plan);
-    let d = run.devices;
     let n = workload.len();
 
-    // Rank by descending cost estimate, then deal round-robin across the
-    // fleet's `D × NK` per-device channel deques (queue `dev * nk + ch`)
-    // so every channel of every device starts with a balanced mix of
-    // expensive and cheap work. Queue entries carry the pair's attempt
-    // count so retries re-enter the same dispatch discipline.
-    let cost = |idx: usize| {
-        let (q, r) = &workload[idx];
-        cost_estimate(q.len(), r.len(), config.banding)
-    };
-    let mut ranked: Vec<usize> = (0..n).collect();
-    ranked.sort_by_key(|&i| std::cmp::Reverse(cost(i)));
-    let queues: Vec<Mutex<VecDeque<(usize, u32)>>> = (0..d * nk)
-        .map(|qi| {
-            Mutex::new(
-                ranked
-                    .iter()
-                    .copied()
-                    .skip(qi)
-                    .step_by(d * nk)
-                    .map(|idx| (idx, 0))
-                    .collect(),
-            )
+    // Rank by descending cost estimate; the pool deals the ranking
+    // round-robin across the fleet's `D × NK` per-device channel deques and
+    // starts closed — a stream whose producer has already finished.
+    let mut ranked: Vec<Job<&dphls_core::SeqPair<K>>> = workload
+        .iter()
+        .enumerate()
+        .map(|(idx, pair)| {
+            let cost = cost_estimate(pair.0.len(), pair.1.len(), config.banding);
+            Job::new(idx, cost, pair)
         })
         .collect();
+    ranked.sort_by_key(|job| std::cmp::Reverse(job.cost));
+    let pool = Pool::new(&run, slots, false, ranked);
+    let workers = pool.workers();
 
-    /// One block slot's `(input index, output)` pairs, merged into input
-    /// order after the join, next to its execution tally.
-    type SlotResult<S> = (SlotTally, Vec<(usize, DpOutput<S>)>);
-
-    let error: Mutex<Option<BatchError>> = Mutex::new(None);
     let faults: Mutex<Vec<PairFault>> = Mutex::new(Vec::new());
-    // Per-device loss flags: a lost device's workers stop dispatching and
-    // its queued pairs migrate to a survivor. The same lock guards the
-    // "never lose the last live device" invariant.
-    let lost: Mutex<Vec<bool>> = Mutex::new(vec![false; d]);
-    // Pairs that reached a terminal state (output or quarantine record).
-    // Instrumented workers idle-wait on this instead of exiting when the
-    // queues drain, because retries and device-loss migrations can re-fill
-    // a queue after its workers would otherwise have left.
-    let settled = AtomicUsize::new(0);
-    // One result cell per block slot, indexed `(dev * nk + ch) * slots + slot`.
-    let results: Vec<Mutex<SlotResult<K::Score>>> = (0..d * nk * slots)
-        .map(|_| Mutex::new((SlotTally::default(), Vec::new())))
-        .collect();
+    let filled: Mutex<Vec<Option<DpOutput<K::Score>>>> = Mutex::new((0..n).map(|_| None).collect());
 
     crossbeam::scope(|scope| {
-        for worker in 0..d * nk * slots {
-            let qown = worker / slots;
-            let dev = qown / nk;
-            let ch = qown % nk;
-            let (run, queues, error, results) = (&run, &queues, &error, &results);
-            let (faults, lost, settled, cost) = (&faults, &lost, &settled, &cost);
+        for worker in 0..workers {
+            let (pool, faults, filled) = (&pool, &faults, &filled);
             scope.spawn(move |_| {
-                // Every block slot owns its scratch arena: the per-alignment
-                // hot path stays allocation-free at any slot count.
-                let mut scratch = engine.new_scratch();
-                let mut tally = SlotTally::default();
-                let mut outputs = Vec::with_capacity(n / (d * nk * slots) + 1);
-                while !run.aborted() {
-                    // A lost device dispatches nothing further; its queued
-                    // work was migrated when the loss fired.
-                    if run.instrumented && lost.lock()[dev] {
-                        break;
-                    }
-                    // Own channel's queue first (expensive end), then steal
-                    // the cheapest remaining job from a victim's tail. The
-                    // slots of one channel share its deque, so
-                    // intra-channel dispatch is not a steal.
-                    let own = queues[qown].lock().pop_front();
-                    let job = own.or_else(|| {
-                        let stolen =
-                            steal_order(dev, ch, d, nk).find_map(|v| queues[v].lock().pop_back());
-                        tally.stolen += usize::from(stolen.is_some());
-                        stolen
-                    });
-                    let Some((idx, attempts)) = job else {
-                        if !run.instrumented || settled.load(Ordering::Relaxed) >= n {
-                            break;
-                        }
-                        // Retries and device-loss migrations can re-fill a
-                        // queue after a drain: stay scheduled until every
-                        // pair has an output or a fault record.
-                        std::thread::sleep(Duration::from_micros(50));
-                        continue;
-                    };
-                    let (q, r) = &workload[idx];
-                    let job = PairJob {
-                        idx,
-                        attempts,
-                        cost: cost(idx),
-                        q,
-                        r,
-                    };
-                    let outcome = run.attempt::<K, E>(engine, &mut scratch, &job, dev, || {
-                        let Some(target) = take_down(&mut lost.lock(), dev) else {
-                            return false;
-                        };
-                        // Migrate the dead device's queued pairs to the next
-                        // live device, channel to channel and in order.
-                        for c in 0..nk {
-                            let mut moved = std::mem::take(&mut *queues[dev * nk + c].lock());
-                            queues[target * nk + c].lock().append(&mut moved);
-                        }
-                        true
-                    });
-                    match run.settle(&mut tally, idx, attempts, outcome) {
-                        Settled::Done(output) => {
-                            outputs.push((idx, output));
-                            // Only instrumented workers read the count; the
-                            // plain hot path shares no written cache line.
-                            if run.instrumented {
-                                settled.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Settled::Retry => {
-                            // Re-deal to the next queue on a *live* device:
-                            // a different slot picks it up when one exists,
-                            // and idle workers stay scheduled (the
-                            // settled-count wait above) until every pair
-                            // lands somewhere.
-                            let target = next_live_queue(&lost.lock(), nk, qown + 1);
-                            queues[target].lock().push_back((idx, attempts + 1));
-                        }
-                        Settled::Quarantine(fault) => {
-                            faults.lock().push(fault);
-                            settled.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Settled::Abort(fault) => {
-                            error.lock().get_or_insert(BatchError::Fault(fault));
-                        }
-                    }
+                // Collected per slot and merged into input order once, as
+                // the slot leaves: the hot path shares no written line.
+                let mut outputs = Vec::with_capacity(n / workers + 1);
+                pool.work::<K, E>(engine, worker, |idx, slot| match slot {
+                    Ok(output) => outputs.push((idx, output)),
+                    Err(fault) => faults.lock().push(fault),
+                });
+                let mut filled = filled.lock();
+                for (idx, output) in outputs {
+                    filled[idx] = Some(output);
                 }
-                *results[worker].lock() = (tally, outputs);
             });
         }
     })
     .map_err(|payload| BatchError::WorkerPanic(panic_message(payload)))?;
 
-    if let Some(e) = error.into_inner() {
-        return Err(e);
+    let (tally, aborted) = pool.finish();
+    if let Some(fault) = aborted {
+        return Err(BatchError::Fault(fault));
     }
     let mut faults = faults.into_inner();
     faults.sort_by_key(|f| f.idx);
 
-    let mut filled: Vec<Option<DpOutput<K::Score>>> = (0..n).map(|_| None).collect();
-    let tally = run.tally(
-        slots,
-        results.into_iter().map(|result| {
-            let (tally, outputs) = result.into_inner();
-            for (idx, out) in outputs {
-                filled[idx] = Some(out);
-            }
-            tally
-        }),
-    );
+    let filled = filled.into_inner();
     debug_assert!(
         filled
             .iter()
@@ -602,7 +496,7 @@ where
         per_channel: tally.per_channel,
         per_slot: tally.per_slot,
         nb_slots: slots,
-        devices: d,
+        devices: run.devices,
         per_device: tally.per_device,
         device_losses: run.device_losses.into_inner(),
         steals: tally.steals,

@@ -2,13 +2,13 @@
 //! streaming engines: the attempt (fault injection → device-loss gate →
 //! stall → panic isolation → cost-scaled deadline), the settlement of its
 //! result (done / retry / quarantine / abort), the completion fold into the
-//! cycle model, the two-tier steal order, and the per-slot tally both
-//! reports are assembled from.
+//! cycle model, the two-tier steal order and device-failover helpers, and
+//! the per-slot tally both reports are assembled from.
 //!
-//! The engines keep their own queue and idle discipline (the batch engine
-//! borrows a slice and exits on drain; the streaming engine owns its jobs
-//! and parks on condvars under an admission window) and their own reaction
-//! to each [`Settled`] verdict; everything else about a slot lives here.
+//! The queues these run over, the worker loop that calls [`SlotRun::attempt`]
+//! and [`SlotRun::settle`], and the reaction to each [`Settled`] verdict
+//! exist once too, in the pool (`pool.rs`); the engines are two front ends
+//! onto it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -69,7 +69,7 @@ pub(crate) enum Settled<S> {
 }
 
 /// Per-slot execution tally, merged into the report after the join.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct SlotTally {
     pub executed: usize,
     pub cycle_sum: u64,
@@ -114,8 +114,8 @@ impl<'a> SlotRun<'a> {
     }
 
     /// Runs `job` once on the slot of fleet device `dev`. `lose_device` is
-    /// consulted only for an injected [`FaultKind::DeviceLoss`]: it takes
-    /// `dev` down and migrates its queued work (see [`take_down`]) and
+    /// consulted only for an injected [`FaultKind::DeviceLoss`]: the pool
+    /// takes `dev` down and migrates its queued work (see [`take_down`]) and
     /// reports whether it did — `false` means `dev` is the last live device,
     /// the injection is ignored and the pair runs normally.
     pub fn attempt<K, E>(

@@ -13,15 +13,17 @@
 //!    by more than `buffer` pairs.
 //! 2. **Dealer + workers** — the calling thread receives pairs, cost-ranks
 //!    each one (same estimate as [`run_batched`]), and deals it round-robin
-//!    into the per-channel deques, **admission-gated** so at most
+//!    into the pool's per-channel deques, **admission-gated** so at most
 //!    [`StreamConfig::window`] pairs are in flight between admission and
 //!    ordered emission. Each channel is drained by up to
 //!    [`StreamConfig::nb_slots`] **block-slot** threads (the device's `NB`
 //!    blocks per channel, mirrored host-side exactly as in
 //!    [`crate::BatchConfig`]), every slot with its own scratch arena. The
-//!    deques carry a "producer still live" state: a worker finding every
-//!    deque empty blocks on a condvar instead of exiting, and steals the
-//!    cheapest job from a neighbor's tail exactly as the batch engine does.
+//!    pool (`crates/host/src/pool.rs`) is the batch engine's, started
+//!    **open**: while the producer is live a worker finding every deque
+//!    empty parks instead of exiting, and the dealer closes the pool when
+//!    the source ends. This module keeps only the producer, the dealer
+//!    with its admission window, and the ordered emission.
 //! 3. **[`OrderedWriter`]** — workers complete alignments out of input order;
 //!    the writer restores input order with a reorder buffer whose occupancy
 //!    is bounded by the admission window, invoking the caller's sink as soon
@@ -36,14 +38,15 @@
 use crate::engine::{ExactEngine, PairEngine, PrecisionEngine};
 use crate::faults::FaultPlan;
 use crate::fleet::FleetConfig;
+use crate::pool::{Job, Pool};
 use crate::resilience::{panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig};
 use crate::scheduler::{cost_estimate, BatchConfig};
-use crate::slot::{next_live_queue, steal_order, take_down, PairJob, Settled, SlotRun, SlotTally};
+use crate::slot::SlotRun;
 use crossbeam::channel::SendTimeoutError;
 use dphls_core::{AdaptiveKernel, DpOutput, KernelSpec, LaneKernel, LanePrecision};
 use dphls_systolic::{Device, SystolicError};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{Condvar, Mutex};
@@ -314,33 +317,6 @@ impl<S, F: FnMut(usize, S)> OrderedWriter<S, F> {
     }
 }
 
-/// A job dealt into a channel deque: the pair, its input index, its
-/// cost-estimate rank, and how many times it has already been attempted
-/// (retries re-enter the deques with `attempts` bumped).
-struct Job<Sym> {
-    idx: usize,
-    q: Vec<Sym>,
-    r: Vec<Sym>,
-    cost: u64,
-    attempts: u32,
-}
-
-/// Deque state shared by the dealer and the workers: the per-device
-/// per-channel job queues (queue `dev * nk + ch`) plus the "producer still
-/// live" flag that turns steal-on-empty from an exit condition into a
-/// blocking wait, the fleet's per-device loss flags, and the count of jobs
-/// currently in a worker's hand (so survivors outwait a lost device's
-/// re-deals instead of exiting early).
-struct Sched<Sym> {
-    queues: Vec<VecDeque<Job<Sym>>>,
-    producer_live: bool,
-    /// One flag per fleet device; a lost device dispatches nothing more.
-    lost: Vec<bool>,
-    /// Jobs popped but not yet terminal (output, quarantine, or re-deal);
-    /// maintained on the instrumented path only.
-    busy: usize,
-}
-
 /// Writer-side shared state: the ordered sink plus admission accounting.
 struct Emit<S, F: FnMut(usize, S)> {
     writer: OrderedWriter<S, F>,
@@ -362,14 +338,6 @@ impl<S, F: FnMut(usize, S)> Emit<S, F> {
             space_cv.notify_all();
         }
     }
-}
-
-/// Inserts `job` keeping the deque sorted by descending cost: the owner
-/// pops expensive work from the front, thieves take the cheapest from the
-/// back — the batch engine's discipline, applied incrementally.
-fn insert_ranked<Sym>(queue: &mut VecDeque<Job<Sym>>, job: Job<Sym>) {
-    let at = queue.partition_point(|j| j.cost >= job.cost);
-    queue.insert(at, job);
 }
 
 /// Aligns pairs pulled incrementally from `source` across the device's `NK`
@@ -539,20 +507,13 @@ where
     assert!(config.buffer > 0, "stream buffer depth must be >= 1");
     assert!(config.window > 0, "stream window must be >= 1");
     let kernel_config = device.config();
-    let nk = kernel_config.nk.max(1);
     let slots = BatchConfig::slots(config.nb_slots).resolve_slots(kernel_config);
     let run = SlotRun::new(device, fleet, res, plan);
-    let d = run.devices;
     let quarantine = res.failure_policy == FailurePolicy::Quarantine;
 
-    let sched: Mutex<Sched<K::Sym>> = Mutex::new(Sched {
-        queues: (0..d * nk).map(|_| VecDeque::new()).collect(),
-        producer_live: true,
-        lost: vec![false; d],
-        busy: 0,
-    });
-    // Wakes workers blocked on empty deques.
-    let work_cv = Condvar::new();
+    // Open: the dealer inserts as pairs are admitted and closes the pool
+    // when the source ends.
+    let pool: Pool<dphls_core::SeqPair<K>> = Pool::new(&run, slots, true, std::iter::empty());
     type SlotOutcome<S> = Result<DpOutput<S>, PairFault>;
     let emit: Mutex<Emit<SlotOutcome<K::Score>, F>> = Mutex::new(Emit {
         writer: OrderedWriter::new(config.window, sink),
@@ -567,19 +528,13 @@ where
     // notify lands after the peer is actually waiting (no lost wakeup).
     let abort_all = || {
         run.abort.store(true, Ordering::Relaxed);
-        drop(sched.lock().expect("sched mutex"));
-        work_cv.notify_all();
+        pool.wake_all();
         drop(emit.lock().expect("emit mutex"));
         space_cv.notify_all();
     };
     let source_error: Mutex<Option<E>> = Mutex::new(None);
-    let pair_error: Mutex<Option<PairFault>> = Mutex::new(None);
     let stalled: Mutex<Option<Duration>> = Mutex::new(None);
     let faults: Mutex<Vec<PairFault>> = Mutex::new(Vec::new());
-    // One tally per block slot, indexed `(dev * nk + ch) * slots + slot`.
-    let stats: Vec<Mutex<SlotTally>> = (0..d * nk * slots)
-        .map(|_| Mutex::new(SlotTally::default()))
-        .collect();
 
     let (tx, rx) =
         crossbeam::channel::bounded::<Result<(Vec<K::Sym>, Vec<K::Sym>), E>>(config.buffer);
@@ -626,125 +581,24 @@ where
         }
 
         // Stage 2b: block-slot workers (`nb_slots` threads per NK channel
-        // per fleet device; the slots of one channel share its deque, so
-        // dispatch within a channel is not a steal).
-        for worker in 0..d * nk * slots {
-            let qown = worker / slots;
-            let dev = qown / nk;
-            let ch = qown % nk;
-            let (run, sched, work_cv, emit, space_cv) = (&run, &sched, &work_cv, &emit, &space_cv);
-            let (abort_all, pair_error, stats, faults) = (&abort_all, &pair_error, &stats, &faults);
+        // per fleet device), each one worker of the shared pool.
+        for worker in 0..pool.workers() {
+            let (pool, emit, space_cv) = (&pool, &emit, &space_cv);
+            let (run, abort_all, faults) = (&run, &abort_all, &faults);
             scope.spawn(move |_| {
-                // Every block slot owns its scratch arena.
-                let mut scratch = engine.new_scratch();
-                let mut tally = SlotTally::default();
-                // A job reaching a terminal state releases the busy count,
-                // so idle peers can exit once everything settles.
-                let release = || {
-                    if run.instrumented {
-                        sched.lock().expect("sched mutex").busy -= 1;
-                        work_cv.notify_all();
+                pool.work::<K, En>(engine, worker, |idx, slot| {
+                    if let Err(fault) = &slot {
+                        faults.lock().expect("faults mutex").push(fault.clone());
                     }
-                };
-                loop {
-                    // Own deque's expensive end first; then steal the
-                    // cheapest job from a victim's tail; then block if the
-                    // producer may still deal more (or a busy peer may
-                    // still re-deal); exit otherwise.
-                    let job = {
-                        let mut guard = sched.lock().expect("sched mutex");
-                        loop {
-                            // A lost device dispatches nothing further.
-                            if run.aborted() || guard.lost[dev] {
-                                break None;
-                            }
-                            let own = guard.queues[qown].pop_front();
-                            let job = own.or_else(|| {
-                                let stolen = steal_order(dev, ch, d, nk)
-                                    .find_map(|v| guard.queues[v].pop_back());
-                                tally.stolen += usize::from(stolen.is_some());
-                                stolen
-                            });
-                            if job.is_some() {
-                                // Counted under the same guard as the pop so
-                                // peers never observe empty queues with the
-                                // job invisibly in a hand.
-                                guard.busy += usize::from(run.instrumented);
-                                break job;
-                            }
-                            if !guard.producer_live && guard.busy == 0 {
-                                break None;
-                            }
-                            guard = work_cv.wait(guard).expect("sched mutex");
-                        }
-                    };
-                    let Some(job) = job else { break };
-
-                    let pair = PairJob {
-                        idx: job.idx,
-                        attempts: job.attempts,
-                        cost: job.cost,
-                        q: &job.q,
-                        r: &job.r,
-                    };
-                    let outcome = run.attempt::<K, En>(engine, &mut scratch, &pair, dev, || {
-                        let mut guard = sched.lock().expect("sched mutex");
-                        let Some(target) = take_down(&mut guard.lost, dev) else {
-                            return false;
-                        };
-                        // Migrate the dead device's queued jobs to the next
-                        // live device, channel to channel, keeping each
-                        // deque's cost order.
-                        for c in 0..nk {
-                            let moved: Vec<Job<K::Sym>> =
-                                guard.queues[dev * nk + c].drain(..).collect();
-                            for j in moved {
-                                insert_ranked(&mut guard.queues[target * nk + c], j);
-                            }
-                        }
-                        drop(guard);
-                        work_cv.notify_all();
-                        true
-                    });
-                    match run.settle(&mut tally, job.idx, job.attempts, outcome) {
-                        Settled::Done(output) => {
-                            emit.lock()
-                                .expect("emit mutex")
-                                .push(job.idx, Ok(output), space_cv);
-                            release();
-                        }
-                        Settled::Retry => {
-                            // Re-deal to the next queue on a *live* device
-                            // (ranked by cost like the dealer's inserts): a
-                            // different slot picks it up when one exists,
-                            // and idle workers stay parked on the busy
-                            // count until every job lands somewhere.
-                            let mut guard = sched.lock().expect("sched mutex");
-                            let target = next_live_queue(&guard.lost, nk, qown + 1);
-                            let attempts = job.attempts + 1;
-                            insert_ranked(&mut guard.queues[target], Job { attempts, ..job });
-                            // The job left this worker's hand for a queue.
-                            guard.busy -= 1;
-                            drop(guard);
-                            work_cv.notify_all();
-                        }
-                        Settled::Quarantine(fault) => {
-                            faults.lock().expect("faults mutex").push(fault.clone());
-                            // The hole is emitted through the writer so
-                            // order restoration (and the admission window)
-                            // survive it.
-                            emit.lock()
-                                .expect("emit mutex")
-                                .push(fault.idx, Err(fault), space_cv);
-                            release();
-                        }
-                        Settled::Abort(fault) => {
-                            pair_error.lock().expect("error mutex").get_or_insert(fault);
-                            abort_all();
-                        }
-                    }
+                    // A quarantine hole goes through the writer like an
+                    // output, so order restoration (and the admission
+                    // window) survive it.
+                    emit.lock().expect("emit mutex").push(idx, slot, space_cv);
+                });
+                // A pair that aborted the run must also wake the dealer.
+                if run.aborted() {
+                    abort_all();
                 }
-                *stats[worker].lock().expect("stats mutex") = tally;
             });
         }
 
@@ -774,7 +628,7 @@ where
             em.admitted += 1;
             let resident = em.admitted - em.writer.next_emit();
             em.resident_high_water = em.resident_high_water.max(resident);
-            let (q, r) = match item {
+            let pair = match item {
                 Ok(pair) => pair,
                 Err(e) => {
                     // Lenient-stream degradation: the record becomes a
@@ -791,27 +645,15 @@ where
                 }
             };
             drop(em);
-            let job = Job {
-                idx: next_idx,
-                cost: cost_estimate(q.len(), r.len(), kernel_config.banding),
-                q,
-                r,
-                attempts: 0,
-            };
-            {
-                let mut guard = sched.lock().expect("sched mutex");
-                // Deal round-robin across the fleet's live devices; a lost
-                // device's deques receive nothing further.
-                let target = next_live_queue(&guard.lost, nk, next_idx);
-                insert_ranked(&mut guard.queues[target], job);
-            }
-            work_cv.notify_one();
+            // Deal round-robin across the fleet's live devices; a lost
+            // device's deques receive nothing further.
+            let cost = cost_estimate(pair.0.len(), pair.1.len(), kernel_config.banding);
+            pool.deal(next_idx, Job::new(next_idx, cost, pair));
         }
         // Hang up on the producer (unblocks a full-channel send on abort)
-        // and flip the deques out of their "producer live" state.
+        // and close the pool: idle workers exit on drain from here on.
         drop(rx);
-        sched.lock().expect("sched mutex").producer_live = false;
-        work_cv.notify_all();
+        pool.close();
     })
     .map_err(|payload| StreamError::WorkerPanic(panic_message(payload)))?;
 
@@ -821,7 +663,8 @@ where
     if let Some(waited) = stalled.into_inner().expect("stalled mutex") {
         return Err(StreamError::Stalled { waited });
     }
-    if let Some(fault) = pair_error.into_inner().expect("error mutex") {
+    let (tally, aborted) = pool.finish();
+    if let Some(fault) = aborted {
         return Err(match fault {
             // Back-compat: a kernel failure under Abort surfaces exactly as
             // it did before the resilience layer existed.
@@ -837,18 +680,12 @@ where
     debug_assert!(emit.writer.is_drained(), "all admitted outputs emitted");
     let mut faults = faults.into_inner().expect("faults mutex");
     faults.sort_by_key(|f| f.idx);
-    let tally = run.tally(
-        slots,
-        stats
-            .into_iter()
-            .map(|s| s.into_inner().expect("stats mutex")),
-    );
     Ok(StreamReport {
         pairs: emit.writer.next_emit(),
         per_channel: tally.per_channel,
         per_slot: tally.per_slot,
         nb_slots: slots,
-        devices: d,
+        devices: run.devices,
         per_device: tally.per_device,
         device_losses: run.device_losses.into_inner(),
         steals: tally.steals,

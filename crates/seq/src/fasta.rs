@@ -6,12 +6,13 @@
 //! the whole-text batch [`parse`] and the incremental pull-based
 //! [`FastaStream`] that reads one record at a time from any [`BufRead`]
 //! source (the front end of the host streaming pipeline, which must not
-//! materialize the workload). Both forms share the same [`FastaError`]
-//! surface, record semantics, and 1-based error line numbers; the
-//! differential suite in `tests/fasta_stream.rs` holds them identical.
+//! materialize the workload). There is one parser: [`parse`] is the strict
+//! stream over the text's bytes, collected, so both forms share the same
+//! [`FastaError`] surface, record semantics, and 1-based error line
+//! numbers; the differential suite in `tests/fasta_stream.rs` pins them.
 //! DNA and protein records are parsed through the same machinery.
 
-use crate::{AminoAcid, Base, DnaSeq, ProteinSeq, Sequence};
+use crate::{AminoAcid, Base, DnaSeq, ProteinSeq, Sequence, Symbol};
 use std::fmt;
 use std::io::BufRead;
 
@@ -28,9 +29,7 @@ pub struct FastaRecord {
 
 impl FastaRecord {
     /// Builds an empty record from the text after a `>`: id up to the first
-    /// whitespace, the rest (trimmed) as the description. Shared by the
-    /// batch and incremental parsers so their header semantics cannot
-    /// drift apart.
+    /// whitespace, the rest (trimmed) as the description.
     fn from_header(header: &str) -> Self {
         let mut parts = header.splitn(2, char::is_whitespace);
         FastaRecord {
@@ -41,10 +40,25 @@ impl FastaRecord {
     }
 
     /// Appends one sequence line, dropping any whitespace inside it.
-    /// Shared by the batch and incremental parsers.
     fn push_seq_line(&mut self, line: &str) {
         self.sequence
             .extend(line.chars().filter(|c| !c.is_whitespace()));
+    }
+
+    /// Converts every sequence character through `from_char`, failing on
+    /// the first one it rejects. The error (which clones the id) is built
+    /// only on that path, not per symbol.
+    fn symbols<T: Symbol>(
+        &self,
+        from_char: impl Fn(char) -> Option<T>,
+    ) -> Result<Sequence<T>, FastaError> {
+        let symbols = self.sequence.chars().map(|c| {
+            from_char(c).ok_or_else(|| FastaError::BadSymbol {
+                id: self.id.clone(),
+                symbol: c,
+            })
+        });
+        symbols.collect::<Result<Vec<T>, _>>().map(Sequence::new)
     }
 
     /// Interprets the record's sequence as DNA.
@@ -53,17 +67,7 @@ impl FastaRecord {
     ///
     /// Returns [`FastaError::BadSymbol`] on the first non-ACGTU character.
     pub fn dna(&self) -> Result<DnaSeq, FastaError> {
-        let seq: Result<Vec<Base>, FastaError> = self
-            .sequence
-            .chars()
-            .map(|c| {
-                Base::from_char(c).ok_or(FastaError::BadSymbol {
-                    id: self.id.clone(),
-                    symbol: c,
-                })
-            })
-            .collect();
-        Ok(Sequence::new(seq?))
+        self.symbols(Base::from_char)
     }
 
     /// Interprets the record's sequence as a protein.
@@ -73,17 +77,7 @@ impl FastaRecord {
     /// Returns [`FastaError::BadSymbol`] on the first non-amino-acid
     /// character.
     pub fn protein(&self) -> Result<ProteinSeq, FastaError> {
-        let seq: Result<Vec<AminoAcid>, FastaError> = self
-            .sequence
-            .chars()
-            .map(|c| {
-                AminoAcid::from_char(c).ok_or(FastaError::BadSymbol {
-                    id: self.id.clone(),
-                    symbol: c,
-                })
-            })
-            .collect();
-        Ok(Sequence::new(seq?))
+        self.symbols(AminoAcid::from_char)
     }
 }
 
@@ -136,12 +130,14 @@ impl fmt::Display for FastaError {
 
 impl std::error::Error for FastaError {}
 
-/// Parses FASTA text into raw records.
+/// Parses FASTA text into raw records: the strict [`FastaStream`] over the
+/// text, collected — nothing is returned on a malformed file.
 ///
 /// # Errors
 ///
-/// Returns [`FastaError`] on data before the first header or an empty
-/// record.
+/// Returns the first [`FastaError`] in file order: data before the first
+/// header, or an empty record (comment and blank lines count toward the
+/// reported line number — it indexes *file* lines, not logical ones).
 ///
 /// # Example
 ///
@@ -154,35 +150,7 @@ impl std::error::Error for FastaError {}
 /// # Ok::<(), dphls_seq::fasta::FastaError>(())
 /// ```
 pub fn parse(text: &str) -> Result<Vec<FastaRecord>, FastaError> {
-    let mut records: Vec<FastaRecord> = Vec::new();
-    // Header line of each record, parallel to `records`, so empty-record
-    // errors can point at the offending `>` line. Comment and blank lines
-    // still advance `lineno` (it indexes *file* lines, not logical ones).
-    let mut header_lines: Vec<usize> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with(';') {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('>') {
-            records.push(FastaRecord::from_header(header));
-            header_lines.push(lineno + 1);
-        } else {
-            let Some(rec) = records.last_mut() else {
-                return Err(FastaError::MissingHeader { line: lineno + 1 });
-            };
-            rec.push_seq_line(line);
-        }
-    }
-    for (rec, &line) in records.iter().zip(&header_lines) {
-        if rec.sequence.is_empty() {
-            return Err(FastaError::EmptyRecord {
-                id: rec.id.clone(),
-                line,
-            });
-        }
-    }
-    Ok(records)
+    FastaStream::new(text.as_bytes()).collect()
 }
 
 /// Pull-based incremental FASTA parser: an iterator yielding one
@@ -190,13 +158,12 @@ pub fn parse(text: &str) -> Result<Vec<FastaRecord>, FastaError> {
 /// record under construction in memory. This is the producer end of the
 /// host streaming pipeline, where the workload must never be materialized.
 ///
-/// Semantics match [`parse`] exactly — trimmed lines, `;` comments, wrapped
-/// sequence data, CRLF tolerance, the same [`FastaError`] values with the
-/// same 1-based line numbers — with one inherent difference: [`parse`]
-/// returns nothing on a malformed file, while the stream yields every
-/// record that *precedes* the malformed one before yielding the error.
-/// The differential tests in `tests/fasta_stream.rs` pin both halves of
-/// that contract. After yielding an error the iterator is fused (returns
+/// Lines are trimmed (so CRLF is tolerated), `;` lines are comments,
+/// sequence data may wrap, and errors carry 1-based file line numbers.
+/// [`parse`] is this stream collected, so it returns nothing on a malformed
+/// file, while the stream yields every record that *precedes* the
+/// malformed one before yielding the error (`tests/fasta_stream.rs` pins
+/// both halves). After yielding an error the iterator is fused (returns
 /// `None` forever) — unless [`lenient`](FastaStream::lenient) mode is on,
 /// where malformed records are yielded as per-record errors (with their
 /// line numbers) and parsing continues with the next record.
@@ -268,8 +235,7 @@ impl<R: BufRead> FastaStream<R> {
         self
     }
 
-    /// Closes the pending record: errors if it never saw sequence data,
-    /// exactly as [`parse`]'s end-of-text sweep would.
+    /// Closes the pending record: errors if it never saw sequence data.
     fn finish_pending(
         pending: Option<(FastaRecord, usize)>,
     ) -> Option<Result<FastaRecord, FastaError>> {
