@@ -1,91 +1,97 @@
-//! Criterion bench of the multi-lane wavefront engine (ISSUE 2): the PR 1
-//! scalar scratch path vs the LANE_WIDTH-chunked lane path, on the same
-//! 10k-pair-class banded short-read workload the acceptance gate uses
-//! (shrunk to criterion-sample size), plus the affine kernel where the
-//! three-layer SoA recurrence shows the largest win.
+//! Criterion bench of the multi-lane wavefront engine: the PR 1 scalar
+//! scratch path vs the lane path, each pair through the public engine doors
+//! so what is timed is the path the engine really takes.
+//!
+//! * `lanes`: the 10k-pair-class banded short-read workload the acceptance
+//!   gate uses (shrunk to criterion-sample size) for the chunked single-layer
+//!   port, plus the 3-layer affine kernel on the same 256-bp pairs.
+//! * `lanes_long`: 1500-bp full-matrix pairs at NPE 64 — the
+//!   `stream_long_affine` geometry — for the kernels that score a whole
+//!   wavefront per call over layer planes (`GlobalAffine`, `GlobalTwoPiece`).
+//!   The out-of-workspace `kernels.pe_lanes_gcups` rung times the `LayerVec`
+//!   port, which the engine no longer calls for multi-layer kernels; this
+//!   group is the in-workspace reading of the live path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dphls_bench::perf::make_workload;
-use dphls_core::KernelConfig;
-use dphls_kernels::{AffineParams, GlobalAffine, GlobalLinear, LinearParams};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
+use dphls_bench::perf::{make_workload, Workload};
+use dphls_core::{KernelConfig, LaneKernel};
+use dphls_kernels::{
+    AffineParams, GlobalAffine, GlobalLinear, GlobalTwoPiece, LinearParams, TwoPieceParams,
+};
+use dphls_seq::Base;
 use dphls_systolic::{
     run_systolic_scalar_with_scratch, run_systolic_with_scratch, SystolicScratch,
 };
 use std::time::Duration;
 
+/// Benches `workload` through the scalar and the lane engine as
+/// `<name>_scalar` / `<name>_laned`.
+fn scalar_vs_laned<K: LaneKernel<Sym = Base>>(
+    g: &mut BenchmarkGroup<'_>,
+    name: &str,
+    params: &K::Params,
+    config: &KernelConfig,
+    workload: &Workload,
+) {
+    let pairs = workload.len();
+    let scalar = BenchmarkId::new(&format!("{name}_scalar"), pairs);
+    g.bench_with_input(scalar, &pairs, |b, _| {
+        let mut scratch = SystolicScratch::new();
+        b.iter(|| {
+            for (q, r) in workload {
+                run_systolic_scalar_with_scratch::<K>(params, q, r, config, &mut scratch).unwrap();
+            }
+        })
+    });
+    let laned = BenchmarkId::new(&format!("{name}_laned"), pairs);
+    g.bench_with_input(laned, &pairs, |b, _| {
+        let mut scratch = SystolicScratch::new();
+        b.iter(|| {
+            for (q, r) in workload {
+                run_systolic_with_scratch::<K>(params, q, r, config, &mut scratch).unwrap();
+            }
+        })
+    });
+}
+
 fn bench_lanes(c: &mut Criterion) {
     let pairs = 200usize;
     let len = 256usize;
     let workload = make_workload(pairs, len, 0xD9);
-    let linear = LinearParams::<i16>::dna();
-    let affine = AffineParams::<i16>::dna();
-    let banded_cfg = KernelConfig::new(32, 1, 1)
-        .with_max_lengths(len, len)
-        .with_banding(16);
     let full_cfg = KernelConfig::new(32, 1, 1).with_max_lengths(len, len);
+    let banded_cfg = full_cfg.with_banding(16);
 
     let mut g = c.benchmark_group("lanes");
     g.sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2))
         .throughput(Throughput::Elements(pairs as u64));
-
-    g.bench_with_input(BenchmarkId::new("banded_scalar", pairs), &pairs, |b, _| {
-        let mut scratch = SystolicScratch::new();
-        b.iter(|| {
-            for (q, r) in &workload {
-                run_systolic_scalar_with_scratch::<GlobalLinear>(
-                    &linear,
-                    q,
-                    r,
-                    &banded_cfg,
-                    &mut scratch,
-                )
-                .unwrap();
-            }
-        })
-    });
-    g.bench_with_input(BenchmarkId::new("banded_laned", pairs), &pairs, |b, _| {
-        let mut scratch = SystolicScratch::new();
-        b.iter(|| {
-            for (q, r) in &workload {
-                run_systolic_with_scratch::<GlobalLinear>(&linear, q, r, &banded_cfg, &mut scratch)
-                    .unwrap();
-            }
-        })
-    });
-    g.bench_with_input(BenchmarkId::new("affine_scalar", pairs), &pairs, |b, _| {
-        let mut scratch = SystolicScratch::new();
-        b.iter(|| {
-            for (q, r) in &workload {
-                run_systolic_scalar_with_scratch::<GlobalAffine<i16>>(
-                    &affine,
-                    q,
-                    r,
-                    &full_cfg,
-                    &mut scratch,
-                )
-                .unwrap();
-            }
-        })
-    });
-    g.bench_with_input(BenchmarkId::new("affine_laned", pairs), &pairs, |b, _| {
-        let mut scratch = SystolicScratch::new();
-        b.iter(|| {
-            for (q, r) in &workload {
-                run_systolic_with_scratch::<GlobalAffine<i16>>(
-                    &affine,
-                    q,
-                    r,
-                    &full_cfg,
-                    &mut scratch,
-                )
-                .unwrap();
-            }
-        })
-    });
+    let linear = LinearParams::<i16>::dna();
+    scalar_vs_laned::<GlobalLinear>(&mut g, "banded", &linear, &banded_cfg, &workload);
+    let affine = AffineParams::<i16>::dna();
+    scalar_vs_laned::<GlobalAffine<i16>>(&mut g, "affine", &affine, &full_cfg, &workload);
     g.finish();
 }
 
-criterion_group!(benches, bench_lanes);
+fn bench_lanes_long(c: &mut Criterion) {
+    let pairs = 4usize;
+    let len = 1500usize;
+    let workload = make_workload(pairs, len, 0xD9);
+    let config = KernelConfig::new(64, 1, 1).with_max_lengths(len, len);
+
+    let mut g = c.benchmark_group("lanes_long");
+    g.sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2))
+        .throughput(Throughput::Elements((pairs * len * len) as u64));
+    let affine = AffineParams::<i16>::dna();
+    scalar_vs_laned::<GlobalAffine<i16>>(&mut g, "affine", &affine, &config, &workload);
+    let two_piece = TwoPieceParams::<i32>::dna();
+    scalar_vs_laned::<GlobalTwoPiece>(&mut g, "two_piece", &two_piece, &config, &workload);
+    g.finish();
+}
+
+criterion_group!(benches, bench_lanes, bench_lanes_long);
 criterion_main!(benches);

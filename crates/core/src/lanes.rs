@@ -5,25 +5,43 @@
 //! each other, only on the two previous wavefronts. [`KernelSpec::pe`]
 //! scores one cell per call, which forces the engine through a function
 //! call, three [`LayerVec`] copies, and branchy `argmax` selection per cell.
-//! [`LaneKernel::pe_lanes`] scores up to [`LANE_WIDTH`] *consecutive* lanes
-//! of one wavefront in a single call, so kernels can lay their recurrence
-//! out structure-of-arrays over fixed-width chunks: straight-line saturating
-//! adds and compare/select chains over `[S; LANE_WIDTH]` arrays that LLVM
-//! turns into vector instructions (`vpaddsw`/`vpmaxsw`-class code for the
-//! `i16` alignment kernels) with no `portable_simd` / nightly dependency.
+//! The lane ports score many cells of one wavefront per call over
+//! structure-of-arrays storage, so kernels can write their recurrence as
+//! straight-line saturating adds and compare/select chains that LLVM turns
+//! into vector instructions (`vpaddsw`/`vpmaxsw`-class code for the `i16`
+//! alignment kernels) with no `portable_simd` / nightly dependency.
 //!
-//! The trait carries a **scalar fallback**: the default `pe_lanes` body just
-//! loops [`KernelSpec::pe`] over the lanes, so every kernel gets a correct
-//! (if unvectorized) lane implementation for free and the back-end can
-//! require `K: LaneKernel` unconditionally. Kernels that override the
-//! default (the linear and affine families in `dphls-kernels`) must stay
-//! **bit-identical** to the scalar path — same saturating
-//! [`Score`] ops,
-//! same candidate order and strict-improvement tie-breaks as
-//! [`crate::score::argmax`] — which the lane-vs-scalar property suite
-//! enforces across scores *and* traceback pointers.
+//! There are three ports, and the engine calls exactly two of them:
+//!
+//! * [`LaneKernel::pe_wavefront`] scores the **whole interior lane range of
+//!   a wavefront in one call** over per-layer planes — the paper's "each
+//!   scoring layer is its own partitioned array" (§5.1). The engine calls it
+//!   for every multi-layer kernel; the affine and two-piece families in
+//!   `dphls-kernels` override it with one exact-`n` loop over the planes,
+//!   every other kernel takes the default per-lane [`KernelSpec::pe`] loop.
+//! * [`LaneKernel::pe_lanes_primary`] scores up to `LANES` lanes per call
+//!   over flat score slices, padded to the full width inside the kernel. The
+//!   engine calls it, in chunks over plane 0, for every single-layer kernel;
+//!   the linear family overrides it. It stays chunked because a band-clipped
+//!   short-read wavefront is ~19 cells: the padded fixed-width body has no
+//!   remainder loop, and on that workload an exact-`n` body measured 6–16 %
+//!   slower end to end.
+//! * [`LaneKernel::pe_lanes`] is the same chunk over [`LayerVec`]s. Nothing
+//!   in the engine calls it any more; it is kept as the array-of-structures
+//!   door measurement code times, and its default body transposes into
+//!   planes and defers to [`LaneKernel::pe_wavefront`], so it still runs the
+//!   kernel's live recurrence.
+//!
+//! Every default bottoms out in [`KernelSpec::pe`] (both chunked ports
+//! default to `pe_wavefront`, which defaults to a per-lane `pe` loop), so
+//! each kernel gets correct lane ports for free and the back-end can require
+//! `K: LaneKernel` unconditionally. Overrides must stay **bit-identical** to the scalar
+//! path — same saturating [`Score`] ops, same candidate order and
+//! strict-improvement tie-breaks as [`crate::score::argmax`] — which the
+//! lane-vs-scalar property suite enforces across scores *and* traceback
+//! pointers.
 
-use crate::kernel::{KernelSpec, LayerVec};
+use crate::kernel::{KernelSpec, LayerVec, MAX_LAYERS};
 use crate::score::Score;
 use crate::traceback::TbPtr;
 
@@ -93,37 +111,96 @@ pub enum LanePrecision {
 
 /// A kernel that can score a contiguous run of wavefront lanes per call.
 ///
-/// `LANES` is the chunk width of one `pe_lanes` call. It defaults to
-/// [`LANE_WIDTH`], so `K: LaneKernel` (and every existing bound in the
-/// engines) keeps meaning the 8-lane exact path; the adaptive `i8` path
-/// instantiates the same kernels at [`I8_LANES_NARROW`] / [`I8_LANES_WIDE`].
+/// `LANES` is the chunk width of one `pe_lanes` / `pe_lanes_primary` call. It
+/// defaults to [`LANE_WIDTH`], so `K: LaneKernel` (and every existing bound
+/// in the engines) keeps meaning the 8-lane exact path; the adaptive `i8`
+/// path instantiates the same kernels at [`I8_LANES_NARROW`] /
+/// [`I8_LANES_WIDE`]. [`LaneKernel::pe_wavefront`] has no width: it scores
+/// however many lanes it is handed.
 ///
 /// # Lane geometry
 ///
 /// Lane `t` of a call scores DP cell `(i₀ + t, j₀ − t)` — consecutive lanes
 /// walk *down* the anti-diagonal, so query symbols advance forward while
-/// reference symbols advance backward. The engine passes:
+/// reference symbols advance backward. Every port is passed:
 ///
 /// * `q`: `n` query symbols, lane `t` reads `q[t]`;
-/// * `r_rev`: `n` reference symbols **in memory order** (a plain subslice of
-///   the reference), lane `t` reads `r_rev[n − 1 − t]`;
-/// * `diag`/`up`/`left`: `n` neighbor vectors each, lane `t` reads index `t`;
-/// * `out`/`ptrs`: `n` output slots, lane `t` writes index `t`.
+/// * `n` reference symbols — see each port for their order;
+/// * `diag`/`up`/`left`: the three neighbor streams, lane `t` reads index `t`;
+/// * `out`/`ptrs`: the output streams, lane `t` writes index `t`.
 ///
-/// All seven slices have the same length `n`, with `1 ≤ n ≤ LANES`.
-/// The engine guarantees every lane is in-band and in-matrix and that the
-/// neighbor vectors are already populated — the same contract as
+/// All streams have the same length `n ≥ 1` (`n ≤ LANES` for the two chunked
+/// ports). The engine guarantees every lane is in-band and in-matrix and
+/// that the neighbor values are already populated — the same contract as
 /// [`KernelSpec::pe`], widened.
 pub trait LaneKernel<const LANES: usize = { LANE_WIDTH }>: KernelSpec {
-    /// Scores `q.len()` consecutive lanes of one wavefront.
+    /// Scores `ptrs.len()` consecutive lanes of one wavefront — as many as
+    /// the wavefront has — over **layer planes**.
+    ///
+    /// `diag`, `up`, `left` and `out` each hold one slice per scoring layer
+    /// ([`KernelMeta::n_layers`](crate::KernelMeta) of them, layer 0 first),
+    /// every slice `n` scores long; `r` is a forward slice of the **reversed**
+    /// reference, so lane `t` reads `r[t]` beside `q[t]`. `ptrs` is the
+    /// wavefront's row of the traceback memory itself, written in place.
+    ///
+    /// Returns `true` when any layer of any lane's output is inside the
+    /// escalation guard band ([`Score::needs_escalation`]); exact score
+    /// types return `false` and the check compiles away.
     ///
     /// The default implementation is the scalar fallback: one
     /// [`KernelSpec::pe`] call per lane. Overrides must produce bit-identical
-    /// scores and traceback pointers.
+    /// scores, traceback pointers and guard flag.
     ///
     /// The eight parameters mirror the hardware port list (three neighbor
     /// streams, two symbol streams, two result streams) — grouping them
     /// into a struct would only add a copy to the hot path.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn pe_wavefront(
+        params: &Self::Params,
+        q: &[Self::Sym],
+        r: &[Self::Sym],
+        diag: &[&[Self::Score]],
+        up: &[&[Self::Score]],
+        left: &[&[Self::Score]],
+        out: &mut [&mut [Self::Score]],
+        ptrs: &mut [TbPtr],
+    ) -> bool {
+        let cell = |planes: &[&[Self::Score]], t: usize| {
+            let mut v = LayerVec::splat(planes.len(), planes[0][t]);
+            for (layer, plane) in planes.iter().enumerate().skip(1) {
+                v.set(layer, plane[t]);
+            }
+            v
+        };
+        let mut escalate = false;
+        for (t, ptr) in ptrs.iter_mut().enumerate() {
+            let (o, p) = Self::pe(
+                params,
+                q[t],
+                r[t],
+                &cell(diag, t),
+                &cell(up, t),
+                &cell(left, t),
+            );
+            for (plane, &score) in out.iter_mut().zip(o.as_slice()) {
+                plane[t] = score;
+                escalate |= score.needs_escalation();
+            }
+            *ptr = p;
+        }
+        escalate
+    }
+
+    /// Scores `q.len() ≤ LANES` consecutive lanes over [`LayerVec`]s, with
+    /// the reference symbols **in memory order** (`r_rev` is a plain subslice
+    /// of the reference; lane `t` reads `r_rev[n − 1 − t]`).
+    ///
+    /// The engine does not call this port; it is the array-of-structures
+    /// door that measurement code outside the workspace times. The default
+    /// implementation transposes the chunk into `[[Score; LANES]; MAX_LAYERS]`
+    /// planes, calls [`Self::pe_wavefront`] and transposes back, so it runs
+    /// whatever recurrence the kernel's plane port runs.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn pe_lanes(
@@ -150,20 +227,46 @@ pub trait LaneKernel<const LANES: usize = { LANE_WIDTH }>: KernelSpec {
                 && ptrs.len() == n,
             "lane slices must agree on the lane count"
         );
+        let layers = Self::meta().n_layers;
+        let planes = [[Self::Score::zero(); LANES]; MAX_LAYERS];
+        let (mut d, mut u, mut l, mut o) = (planes, planes, planes, planes);
+        let mut r = [r_rev[0]; LANES];
         for t in 0..n {
-            let (o, p) = Self::pe(params, q[t], r_rev[n - 1 - t], &diag[t], &up[t], &left[t]);
-            out[t] = o;
-            ptrs[t] = p;
+            r[t] = r_rev[n - 1 - t];
+            for layer in 0..layers {
+                d[layer][t] = diag[t].get(layer);
+                u[layer][t] = up[t].get(layer);
+                l[layer][t] = left[t].get(layer);
+            }
+        }
+        let [dv, uv, lv] = [&d, &u, &l].map(|planes| planes.each_ref().map(|p| &p[..n]));
+        Self::pe_wavefront(
+            params,
+            q,
+            &r[..n],
+            &dv[..layers],
+            &uv[..layers],
+            &lv[..layers],
+            &mut o.each_mut().map(|p| &mut p[..n])[..layers],
+            ptrs,
+        );
+        for (t, cell) in out.iter_mut().enumerate() {
+            *cell = LayerVec::splat(layers, o[0][t]);
+            for (layer, plane) in o.iter().enumerate().take(layers).skip(1) {
+                cell.set(layer, plane[t]);
+            }
         }
     }
 
-    /// Scores `q.len()` consecutive lanes with **flat single-layer ports**:
-    /// the neighbor and output streams are plain `&[Score]` slices instead of
-    /// [`LayerVec`] vectors. The engine calls this (never [`Self::pe_lanes`])
-    /// for kernels whose [`KernelMeta::n_layers`](crate::KernelMeta) is 1, so
-    /// the wavefront buffers stay structure-of-arrays end to end: gathers and
-    /// scatters become contiguous vector copies instead of per-lane strided
-    /// walks over five-slot layer vectors.
+    /// Scores `q.len() ≤ LANES` consecutive lanes with **flat single-layer
+    /// ports**: the neighbor and output streams are plain `&[Score]` slices —
+    /// in the engine, runs of plane 0 — and the reference symbols are in
+    /// memory order as for [`Self::pe_lanes`]. The engine calls this, in
+    /// `LANES`-wide chunks, for kernels whose
+    /// [`KernelMeta::n_layers`](crate::KernelMeta) is 1: an override can pad
+    /// every chunk to the full width and run a fixed-trip-count body with no
+    /// remainder loop, which is what wins on band-clipped short-read
+    /// wavefronts.
     ///
     /// Returns `true` when any **real** lane's output value is inside the
     /// escalation guard band ([`Score::needs_escalation`]) — the saturation
@@ -172,10 +275,10 @@ pub trait LaneKernel<const LANES: usize = { LANE_WIDTH }>: KernelSpec {
     /// whole check compiles away; padded dead lanes are never consulted (they
     /// compute garbage that must not trip the guard).
     ///
-    /// The default implementation wraps the flat ports into one-layer
-    /// [`LayerVec`]s and defers to [`Self::pe_lanes`], which is bit-identical
-    /// for any single-layer kernel (its PE can only consult the primary
-    /// layer). Multi-layer kernels must not be called through this port.
+    /// The default implementation reverses the chunk's reference symbols and
+    /// defers to [`Self::pe_wavefront`] — flat single-layer streams *are*
+    /// one-plane streams. Multi-layer kernels must not be called through
+    /// this port.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn pe_lanes_primary(
@@ -198,33 +301,20 @@ pub trait LaneKernel<const LANES: usize = { LANE_WIDTH }>: KernelSpec {
             (1..=LANES).contains(&n),
             "lane call must score 1..=LANES cells"
         );
-        let fill = LayerVec::splat(1, Self::Score::zero());
-        let mut dv = [fill; LANES];
-        let mut uv = [fill; LANES];
-        let mut lv = [fill; LANES];
-        let mut ov = [fill; LANES];
-        for t in 0..n {
-            dv[t] = LayerVec::splat(1, diag[t]);
-            uv[t] = LayerVec::splat(1, up[t]);
-            lv[t] = LayerVec::splat(1, left[t]);
+        let mut r = [r_rev[0]; LANES];
+        for (t, sym) in r_rev.iter().rev().enumerate() {
+            r[t] = *sym;
         }
-        Self::pe_lanes(
+        Self::pe_wavefront(
             params,
             q,
-            r_rev,
-            &dv[..n],
-            &uv[..n],
-            &lv[..n],
-            &mut ov[..n],
+            &r[..n],
+            &[diag],
+            &[up],
+            &[left],
+            &mut [out],
             ptrs,
-        );
-        let mut escalate = false;
-        for t in 0..n {
-            let o = ov[t].primary();
-            out[t] = o;
-            escalate |= o.needs_escalation();
-        }
-        escalate
+        )
     }
 }
 
@@ -319,10 +409,29 @@ mod tests {
         let mut out = [LayerVec::splat(1, 0i32); 4];
         let mut ptrs = [TbPtr::END; 4];
         <Fallback as LaneKernel>::pe_lanes(&(), &q, &r_rev, &diag, &up, &left, &mut out, &mut ptrs);
+        // The flat port's default takes the same chunk as bare scores.
+        let flat = |cells: &[LayerVec<i32>; 4]| cells.map(|c| c.primary());
+        let (mut flat_out, mut flat_ptrs) = ([0i32; 4], [TbPtr::END; 4]);
+        let escalate = <Fallback as LaneKernel>::pe_lanes_primary(
+            &(),
+            &q,
+            &r_rev,
+            &flat(&diag),
+            &flat(&up),
+            &flat(&left),
+            &mut flat_out,
+            &mut flat_ptrs,
+        );
+        assert!(!escalate, "exact scores never escalate");
         for t in 0..4 {
             let (want, wptr) = Fallback::pe(&(), q[t], r_rev[3 - t], &diag[t], &up[t], &left[t]);
             assert_eq!(out[t], want, "lane {t}");
             assert_eq!(ptrs[t], wptr, "lane {t}");
+            assert_eq!(
+                (flat_out[t], flat_ptrs[t]),
+                (want.primary(), wptr),
+                "lane {t}"
+            );
         }
     }
 

@@ -63,72 +63,64 @@ fn affine_pe<S: Score>(
     )
 }
 
-/// Multi-lane affine PE: up to `W` wavefront cells per call,
-/// all three layers (H/I/D) in structure-of-arrays form. Bit-identical to
+/// The affine family's plane body: one wavefront's lanes in a single
+/// exact-`n` loop over the layer planes (H/I/D each its own slice, the
+/// pointers written straight into the traceback row). Bit-identical to
 /// [`affine_pe`] — same [`Score::max_with`] "rhs wins only if strictly
 /// greater" semantics for the gap-open decisions and the same [`argmax`]
-/// candidate order for the H layer — with the per-layer passes laid out as
-/// straight-line array loops the autovectorizer can widen (`W = 8` for the
-/// exact `i16` path, `W = 16`/`32` for the `i8` fast path).
+/// candidate order for the H layer — expressed as branchless compare/select
+/// chains so the autovectorizer can widen the loop at whatever width the
+/// score type allows. Returns the fused saturation-guard flag over all three
+/// output layers (constant `false` for exact score types).
+///
+/// Every plane is its own slice parameter on purpose: the compiler knows
+/// the seven inputs and four outputs cannot overlap only while each is a
+/// top-level `&` / `&mut` argument. Indexed out of the port's slice-of-slices
+/// (or out of a tuple) the same body vectorizes behind ~25 run-time overlap
+/// checks per call and falls back to scalar code below 16 lanes.
 #[allow(clippy::too_many_arguments)]
-fn affine_pe_lanes<S: Score, const W: usize>(
+fn affine_planes<S: Score, const CLAMP_ZERO: bool>(
     p: &AffineParams<S>,
     q: &[Base],
-    r_rev: &[Base],
-    diag: &[LayerVec<S>],
-    up: &[LayerVec<S>],
-    left: &[LayerVec<S>],
-    out: &mut [LayerVec<S>],
+    r: &[Base],
+    h_diag: &[S],
+    h_up: &[S],
+    i_up: &[S],
+    h_left: &[S],
+    d_left: &[S],
+    h_out: &mut [S],
+    i_out: &mut [S],
+    d_out: &mut [S],
     ptrs: &mut [TbPtr],
-    clamp_zero: bool,
-) {
-    let n = q.len();
-    debug_assert!((1..=W).contains(&n));
-    // One up-front narrowing per slice so the gather/scatter loops below
-    // carry no per-element bounds checks.
-    let (q, r_rev) = (&q[..n], &r_rev[..n]);
-    let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
+) -> bool {
+    // One up-front narrowing per stream so the loop below carries no
+    // per-element bounds checks, and the parameters in locals so the
+    // substitution score is a select between two registers, not a load.
+    let n = ptrs.len();
+    let (q, r, h_diag) = (&q[..n], &r[..n], &h_diag[..n]);
+    let (h_up, i_up, h_left, d_left) = (&h_up[..n], &i_up[..n], &h_left[..n], &d_left[..n]);
+    let (h_out, i_out, d_out) = (&mut h_out[..n], &mut i_out[..n], &mut d_out[..n]);
+    let AffineParams {
+        match_score,
+        mismatch,
+        gap_open,
+        gap_extend,
+    } = *p;
     let zero = S::zero();
-    // Gather the three layers into padded fixed-width arrays; dead tail
-    // lanes compute garbage (saturating ops, no side effects) and are never
-    // written back.
-    let mut h_up = [zero; W];
-    let mut i_up = [zero; W];
-    let mut h_left = [zero; W];
-    let mut d_left = [zero; W];
-    let mut h_diag = [zero; W];
-    let mut sub = [zero; W];
+    let mut escalate = false;
     for t in 0..n {
-        h_up[t] = up[t].get(0);
-        i_up[t] = up[t].get(1);
-        h_left[t] = left[t].get(0);
-        d_left[t] = left[t].get(2);
-        h_diag[t] = diag[t].get(0);
-        sub[t] = if q[t] == r_rev[n - 1 - t] {
-            p.match_score
-        } else {
-            p.mismatch
-        };
-    }
-    // Fixed-trip-count recurrence: identical `max_with` ("rhs wins only if
-    // strictly greater") semantics and argmax candidate order as the scalar
-    // PE, expressed as branchless compare/select chains.
-    let mut h_out = [zero; W];
-    let mut i_out = [zero; W];
-    let mut d_out = [zero; W];
-    let mut ptr_out = [0u8; W];
-    for t in 0..W {
         // I(i,j) = max(H(i-1,j) + open, I(i-1,j) + extend)
-        let i_open = h_up[t].add(p.gap_open);
-        let i_ext = i_up[t].add(p.gap_extend);
+        let i_open = h_up[t].add(gap_open);
+        let i_ext = i_up[t].add(gap_extend);
         let (i_val, i_opened) = i_ext.max_with(i_open);
         // D(i,j) = max(H(i,j-1) + open, D(i,j-1) + extend)
-        let d_open = h_left[t].add(p.gap_open);
-        let d_ext = d_left[t].add(p.gap_extend);
+        let d_open = h_left[t].add(gap_open);
+        let d_ext = d_left[t].add(gap_extend);
         let (d_val, d_opened) = d_ext.max_with(d_open);
         // H = argmax([(0, END)?, (mat, DIAG), (I, UP), (D, LEFT)]).
-        let mat = h_diag[t].add(sub[t]);
-        let (mut h, mut dir) = if clamp_zero {
+        let sub = if q[t] == r[t] { match_score } else { mismatch };
+        let mat = h_diag[t].add(sub);
+        let (mut h, mut dir) = if CLAMP_ZERO {
             let (b, won) = zero.max_with(mat);
             (b, if won { TbPtr::DIAG.0 } else { TbPtr::END.0 })
         } else {
@@ -143,14 +135,12 @@ fn affine_pe_lanes<S: Score, const W: usize>(
         h_out[t] = h;
         i_out[t] = i_val;
         d_out[t] = d_val;
-        ptr_out[t] =
-            dir | ((i_opened as u8 * FLAG_I_OPEN) << 2) | ((d_opened as u8 * FLAG_D_OPEN) << 2);
+        let i_flag = if i_opened { FLAG_I_OPEN << 2 } else { 0 };
+        let d_flag = if d_opened { FLAG_D_OPEN << 2 } else { 0 };
+        ptrs[t] = TbPtr(dir | i_flag | d_flag);
+        escalate |= h.needs_escalation() | i_val.needs_escalation() | d_val.needs_escalation();
     }
-    let (out, ptrs) = (&mut out[..n], &mut ptrs[..n]);
-    for t in 0..n {
-        out[t] = LayerVec::from_slice(&[h_out[t], i_out[t], d_out[t]]);
-        ptrs[t] = TbPtr(ptr_out[t]);
-    }
+    escalate
 }
 
 /// The three-state affine traceback FSM: in `INS`/`DEL` the walk follows the
@@ -247,17 +237,33 @@ macro_rules! affine_kernel {
 
         impl<S: Score, const W: usize> LaneKernel<W> for $name<S> {
             #[inline]
-            fn pe_lanes(
+            fn pe_wavefront(
                 params: &Self::Params,
                 q: &[Base],
-                r_rev: &[Base],
-                diag: &[LayerVec<S>],
-                up: &[LayerVec<S>],
-                left: &[LayerVec<S>],
-                out: &mut [LayerVec<S>],
+                r: &[Base],
+                diag: &[&[S]],
+                up: &[&[S]],
+                left: &[&[S]],
+                out: &mut [&mut [S]],
                 ptrs: &mut [TbPtr],
-            ) {
-                affine_pe_lanes::<S, W>(params, q, r_rev, diag, up, left, out, ptrs, $clamp)
+            ) -> bool {
+                let [h_out, i_out, d_out] = out else {
+                    panic!("affine kernels score three layers");
+                };
+                affine_planes::<S, $clamp>(
+                    params,
+                    q,
+                    r,
+                    diag[0],
+                    up[0],
+                    up[1],
+                    left[0],
+                    left[2],
+                    h_out,
+                    i_out,
+                    d_out,
+                    ptrs,
+                )
             }
         }
 
@@ -301,9 +307,9 @@ affine_kernel!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane_check::{check_plane_port, LANE_COUNTS};
     use crate::linear::{GlobalLinear, LocalLinear};
     use crate::params::LinearParams;
-    use dphls_core::LANE_WIDTH;
     use dphls_core::{run_reference, run_reference_full, Banding};
     use dphls_seq::DnaSeq;
 
@@ -453,8 +459,10 @@ mod tests {
 
     #[test]
     fn pe_lanes_matches_scalar_pe_lane_by_lane() {
-        // Direct check of the three-layer vectorized override: H/I/D values,
-        // direction bits, and gap-open flags must all match the scalar PE.
+        // The `LayerVec` door has no override of its own any more: its
+        // default transposes into planes and runs the plane body, so H/I/D
+        // values, direction bits and gap-open flags must still match the
+        // scalar PE, clamp off (global) and on (local).
         let p = p16();
         let q: Vec<Base> = dna("ACGTACGT").into_vec();
         let r_rev: Vec<Base> = dna("CAGTTCGA").into_vec();
@@ -473,9 +481,12 @@ mod tests {
         for clamp in [false, true] {
             let mut out = vec![LayerVec::splat(3, 0i16); n];
             let mut ptrs = vec![TbPtr::END; n];
-            affine_pe_lanes::<i16, LANE_WIDTH>(
-                &p, &q, &r_rev, &diag, &up, &left, &mut out, &mut ptrs, clamp,
-            );
+            let port = if clamp {
+                <LocalAffine as LaneKernel>::pe_lanes
+            } else {
+                <GlobalAffine as LaneKernel>::pe_lanes
+            };
+            port(&p, &q, &r_rev, &diag, &up, &left, &mut out, &mut ptrs);
             for t in 0..n {
                 let (want, wptr) = affine_pe(
                     &p,
@@ -489,6 +500,30 @@ mod tests {
                 assert_eq!(out[t], want, "lane {t} clamp={clamp}");
                 assert_eq!(ptrs[t], wptr, "lane {t} clamp={clamp}");
             }
+        }
+    }
+
+    #[test]
+    fn plane_port_matches_scalar_pe_at_every_width_and_precision() {
+        // Exact scores never raise the guard; the i8 rails and sentinels do,
+        // and the fused flag must equal the per-lane scan exactly.
+        let hot16 = (-300, 600);
+        assert_eq!(
+            check_plane_port::<GlobalAffine>(&p16(), hot16, "global i16"),
+            0
+        );
+        assert_eq!(
+            check_plane_port::<LocalAffine>(&p16(), hot16, "local i16"),
+            0
+        );
+        let p8 = p16().narrow_i8().expect("DNA parameters fit i8");
+        let hot8 = (-60, 188);
+        for flagged in [
+            check_plane_port::<GlobalAffine<i8>>(&p8, hot8, "global i8"),
+            check_plane_port::<BandedLocalAffine<i8>>(&p8, hot8, "banded local i8"),
+        ] {
+            // At least every all-worst case: the gap layers stay sentinels.
+            assert!(flagged >= LANE_COUNTS.len(), "{flagged} cases flagged");
         }
     }
 

@@ -44,10 +44,15 @@
 // DP scoring matrices are naturally index-addressed; the range-loop lint
 // fights the domain idiom here.
 #![allow(clippy::needless_range_loop)]
+// Held by the compiler, not by review. `deny` rather than `forbid`, so the
+// one intrinsics module ROADMAP item 2(i) foresees can opt in where it shows.
+#![deny(unsafe_code)]
 
 pub mod affine;
 pub mod dispatch;
 pub mod dtw;
+#[cfg(test)]
+mod lane_check;
 pub mod linear;
 pub mod params;
 pub mod profile;

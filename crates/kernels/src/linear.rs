@@ -50,10 +50,10 @@ fn linear_pe<S: Score>(
 /// as branch-free passes over `[S; W]` arrays so the saturating adds and
 /// compare/selects vectorize (the `i16` kernels at `W = 8` compile to
 /// `vpaddsw`/`vpcmpgtw`/blend chains; the `i8` fast path instantiates
-/// `W = 16`/`32` over the byte-wide equivalents). Both [`LaneKernel`] ports
-/// gather their neighbor streams into `d`/`u`/`l` (padded to `W`; the dead
+/// `W = 16`/`32` over the byte-wide equivalents). The flat port below
+/// gathers its neighbor streams into `d`/`u`/`l` (padded to `W`; the dead
 /// tail lanes compute garbage — saturating ops, no side effects — that the
-/// ports never write back or consult) and scatter the returned
+/// port never writes back or consults) and scatters the returned
 /// `(best, dir)` arrays out.
 #[inline]
 fn linear_select<S: Score, const W: usize>(
@@ -101,36 +101,6 @@ fn linear_select<S: Score, const W: usize>(
         dir[t] = dr;
     }
     (best, dir)
-}
-
-/// Layer-vector port of [`linear_select`]: per-lane gathers from, and
-/// scatters into, one-layer [`LayerVec`]s.
-#[allow(clippy::too_many_arguments)]
-fn linear_pe_lanes<S: Score, const W: usize>(
-    p: &LinearParams<S>,
-    q: &[Base],
-    r_rev: &[Base],
-    diag: &[LayerVec<S>],
-    up: &[LayerVec<S>],
-    left: &[LayerVec<S>],
-    out: &mut [LayerVec<S>],
-    ptrs: &mut [TbPtr],
-    clamp_zero: bool,
-) {
-    let n = q.len();
-    let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
-    let (mut d, mut u, mut l) = ([S::zero(); W], [S::zero(); W], [S::zero(); W]);
-    for t in 0..n {
-        d[t] = diag[t].primary();
-        u[t] = up[t].primary();
-        l[t] = left[t].primary();
-    }
-    let (best, dir) = linear_select(p, q, r_rev, &d, &u, &l, clamp_zero);
-    let (out, ptrs) = (&mut out[..n], &mut ptrs[..n]);
-    for t in 0..n {
-        out[t] = LayerVec::splat(1, best[t]);
-        ptrs[t] = TbPtr(dir[t]);
-    }
 }
 
 /// Flat port of [`linear_select`] for the engine's single-layer
@@ -249,20 +219,6 @@ macro_rules! linear_kernel {
         }
 
         impl<S: Score, const W: usize> LaneKernel<W> for $name<S> {
-            #[inline]
-            fn pe_lanes(
-                params: &Self::Params,
-                q: &[Base],
-                r_rev: &[Base],
-                diag: &[LayerVec<S>],
-                up: &[LayerVec<S>],
-                left: &[LayerVec<S>],
-                out: &mut [LayerVec<S>],
-                ptrs: &mut [TbPtr],
-            ) {
-                linear_pe_lanes::<S, W>(params, q, r_rev, diag, up, left, out, ptrs, $clamp)
-            }
-
             #[inline]
             fn pe_lanes_primary(
                 params: &Self::Params,
@@ -528,36 +484,45 @@ mod tests {
 
     #[test]
     fn pe_lanes_matches_scalar_pe_lane_by_lane() {
-        // Direct unit check of the vectorized override against the scalar
-        // recurrence, including the local (clamp-zero) variant's END ties.
+        // Direct unit check of the vectorized flat port against the scalar
+        // recurrence, including the local (clamp-zero) variant's END ties
+        // and a partial chunk whose padded tail must stay unwritten.
         let p = LinearParams::<i16>::dna();
         let q: Vec<Base> = dna("ACGTACGT").into_vec();
         let r_rev: Vec<Base> = dna("TGCATGCA").into_vec();
-        let n = q.len();
-        let mk = |vals: &[i16]| -> Vec<LayerVec<i16>> {
-            vals.iter().map(|&v| LayerVec::splat(1, v)).collect()
-        };
-        let diag = mk(&[0, 2, -4, 6, 0, -2, 4, 1]);
-        let up = mk(&[1, -1, 3, 3, 0, 5, -6, 2]);
-        let left = mk(&[-2, 4, 4, -3, 0, 1, 2, 2]);
+        let diag = [0i16, 2, -4, 6, 0, -2, 4, 1];
+        let up = [1i16, -1, 3, 3, 0, 5, -6, 2];
+        let left = [-2i16, 4, 4, -3, 0, 1, 2, 2];
         for clamp in [false, true] {
-            let mut out = vec![LayerVec::splat(1, 0i16); n];
-            let mut ptrs = vec![TbPtr::END; n];
-            linear_pe_lanes::<i16, LANE_WIDTH>(
-                &p, &q, &r_rev, &diag, &up, &left, &mut out, &mut ptrs, clamp,
-            );
-            for t in 0..n {
-                let (want, wptr) = linear_pe(
+            for n in [q.len(), 5] {
+                let mut out = [i16::MIN; LANE_WIDTH];
+                let mut ptrs = [TbPtr::END; LANE_WIDTH];
+                let escalate = linear_pe_lanes_primary::<i16, LANE_WIDTH>(
                     &p,
-                    q[t],
-                    r_rev[n - 1 - t],
-                    &diag[t],
-                    &up[t],
-                    &left[t],
+                    &q[..n],
+                    &r_rev[..n],
+                    &diag[..n],
+                    &up[..n],
+                    &left[..n],
+                    &mut out[..n],
+                    &mut ptrs[..n],
                     clamp,
                 );
-                assert_eq!(out[t], want, "lane {t} clamp={clamp}");
-                assert_eq!(ptrs[t], wptr, "lane {t} clamp={clamp}");
+                assert!(!escalate, "exact scores never escalate");
+                for t in 0..n {
+                    let (want, wptr) = linear_pe(
+                        &p,
+                        q[t],
+                        r_rev[n - 1 - t],
+                        &LayerVec::splat(1, diag[t]),
+                        &LayerVec::splat(1, up[t]),
+                        &LayerVec::splat(1, left[t]),
+                        clamp,
+                    );
+                    assert_eq!(out[t], want.primary(), "lane {t} clamp={clamp} n={n}");
+                    assert_eq!(ptrs[t], wptr, "lane {t} clamp={clamp} n={n}");
+                }
+                assert!(out[n..].iter().all(|&s| s == i16::MIN), "tail written");
             }
         }
     }

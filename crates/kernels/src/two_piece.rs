@@ -11,8 +11,8 @@
 use crate::params::TwoPieceParams;
 use dphls_core::score::argmax;
 use dphls_core::{
-    KernelId, KernelMeta, KernelSpec, LayerVec, Objective, Score, TbMove, TbPtr, TbState,
-    TracebackSpec,
+    KernelId, KernelMeta, KernelSpec, LaneKernel, LayerVec, Objective, Score, TbMove, TbPtr,
+    TbState, TracebackSpec,
 };
 use dphls_seq::Base;
 use std::marker::PhantomData;
@@ -67,6 +67,87 @@ fn pe_impl<S: Score>(
         LayerVec::from_slice(&[h, i1, d1, i2, d2]),
         TbPtr(src | flags),
     )
+}
+
+/// The two-piece family's plane body: one wavefront's lanes in a single
+/// exact-`n` loop over the five layer planes, pointers written straight into
+/// the traceback row. Bit-identical to [`pe_impl`] — each gap layer keeps
+/// its extension unless opening is strictly better, and the source index is
+/// built with [`argmax`]'s order (diag, I₁, D₁, I₂, D₂; a later candidate
+/// wins only if strictly greater) as a compare/select chain the
+/// autovectorizer can widen. Returns the fused saturation-guard flag over
+/// all five output layers (constant `false` for exact score types).
+///
+/// Every plane is its own slice parameter so the compiler knows none of the
+/// nine inputs and six outputs overlap (see `affine_planes`).
+#[allow(clippy::too_many_arguments)]
+fn two_piece_planes<S: Score>(
+    p: &TwoPieceParams<S>,
+    q: &[Base],
+    r: &[Base],
+    h_diag: &[S],
+    h_up: &[S],
+    i1_up: &[S],
+    i2_up: &[S],
+    h_left: &[S],
+    d1_left: &[S],
+    d2_left: &[S],
+    h_out: &mut [S],
+    i1_out: &mut [S],
+    d1_out: &mut [S],
+    i2_out: &mut [S],
+    d2_out: &mut [S],
+    ptrs: &mut [TbPtr],
+) -> bool {
+    // One up-front narrowing per stream so the loop below carries no
+    // per-element bounds checks, and the parameters in locals so the
+    // substitution score is a select between two registers, not a load.
+    let n = ptrs.len();
+    let (q, r, h_diag) = (&q[..n], &r[..n], &h_diag[..n]);
+    let (h_up, i1_up, i2_up) = (&h_up[..n], &i1_up[..n], &i2_up[..n]);
+    let (h_left, d1_left, d2_left) = (&h_left[..n], &d1_left[..n], &d2_left[..n]);
+    let (h_out, i1_out, d1_out) = (&mut h_out[..n], &mut i1_out[..n], &mut d1_out[..n]);
+    let (i2_out, d2_out) = (&mut i2_out[..n], &mut d2_out[..n]);
+    let TwoPieceParams {
+        match_score,
+        mismatch,
+        gap_open1,
+        gap_extend1,
+        gap_open2,
+        gap_extend2,
+    } = *p;
+    let mut escalate = false;
+    for t in 0..n {
+        let (i1, i1_open) = (i1_up[t].add(gap_extend1)).max_with(h_up[t].add(gap_open1));
+        let (d1, d1_open) = (d1_left[t].add(gap_extend1)).max_with(h_left[t].add(gap_open1));
+        let (i2, i2_open) = (i2_up[t].add(gap_extend2)).max_with(h_up[t].add(gap_open2));
+        let (d2, d2_open) = (d2_left[t].add(gap_extend2)).max_with(h_left[t].add(gap_open2));
+        let sub = if q[t] == r[t] { match_score } else { mismatch };
+        let (mut h, mut ptr) = (h_diag[t].add(sub), 0u8);
+        for (gap, src) in [(i1, 1u8), (d1, 2), (i2, 3), (d2, 4)] {
+            let (best, won) = h.max_with(gap);
+            h = best;
+            ptr = if won { src } else { ptr };
+        }
+        for (open, flag) in [
+            (i1_open, OPEN_I1),
+            (d1_open, OPEN_D1),
+            (i2_open, OPEN_I2),
+            (d2_open, OPEN_D2),
+        ] {
+            ptr |= if open { flag } else { 0 };
+        }
+        h_out[t] = h;
+        i1_out[t] = i1;
+        d1_out[t] = d1;
+        i2_out[t] = i2;
+        d2_out[t] = d2;
+        ptrs[t] = TbPtr(ptr);
+        escalate |= [h, i1, d1, i2, d2]
+            .iter()
+            .fold(false, |any, s| any | s.needs_escalation());
+    }
+    escalate
 }
 
 fn tb_impl(state: TbState, ptr: TbPtr) -> (TbState, TbMove) {
@@ -167,9 +248,41 @@ macro_rules! two_piece_kernel {
             }
         }
 
-        // Five-layer recurrence: the scalar lane fallback is already
-        // memory-bound on the H/I₁/D₁/I₂/D₂ traffic, so no override.
-        impl<S: Score, const W: usize> dphls_core::LaneKernel<W> for $name<S> {}
+        impl<S: Score, const W: usize> LaneKernel<W> for $name<S> {
+            #[inline]
+            fn pe_wavefront(
+                params: &Self::Params,
+                q: &[Base],
+                r: &[Base],
+                diag: &[&[S]],
+                up: &[&[S]],
+                left: &[&[S]],
+                out: &mut [&mut [S]],
+                ptrs: &mut [TbPtr],
+            ) -> bool {
+                let [h_out, i1_out, d1_out, i2_out, d2_out] = out else {
+                    panic!("two-piece kernels score five layers");
+                };
+                two_piece_planes(
+                    params,
+                    q,
+                    r,
+                    diag[H],
+                    up[H],
+                    up[I1],
+                    up[I2],
+                    left[H],
+                    left[D1],
+                    left[D2],
+                    h_out,
+                    i1_out,
+                    d1_out,
+                    i2_out,
+                    d2_out,
+                    ptrs,
+                )
+            }
+        }
     };
 }
 
@@ -189,6 +302,7 @@ two_piece_kernel!(
 mod tests {
     use super::*;
     use crate::affine::GlobalAffine;
+    use crate::lane_check::{check_plane_port, LANE_COUNTS};
     use crate::params::AffineParams;
     use dphls_core::{run_reference, Banding};
     use dphls_seq::DnaSeq;
@@ -272,6 +386,25 @@ mod tests {
         // k=30: piece1 = -4-58 = -62, piece2 = -24-29 = -53 -> H = -53
         assert_eq!(GlobalTwoPiece::<i32>::init_row(&pp, 30).get(H), -53);
         assert_eq!(GlobalTwoPiece::<i32>::init_row(&pp, 0).get(H), 0);
+    }
+
+    #[test]
+    fn plane_port_matches_scalar_pe_at_every_width_and_precision() {
+        // Five planes, source index, four open flags and the fused guard
+        // against `pe_impl`, at the default i32, at i16, and at i8 where the
+        // rails and sentinels must raise the flag exactly when a lane does.
+        assert_eq!(
+            check_plane_port::<GlobalTwoPiece>(&p(), (-3000, 6000), "i32"),
+            0
+        );
+        let p16 = TwoPieceParams::<i16>::dna();
+        assert_eq!(
+            check_plane_port::<BandedGlobalTwoPiece<i16>>(&p16, (-300, 600), "i16"),
+            0
+        );
+        let p8 = TwoPieceParams::<i8>::dna();
+        let flagged = check_plane_port::<GlobalTwoPiece<i8>>(&p8, (-60, 188), "i8");
+        assert!(flagged >= LANE_COUNTS.len(), "{flagged} cases flagged");
     }
 
     #[test]

@@ -17,10 +17,33 @@
 //!   reduction across PEs picks the block's best cell (paper §5.2).
 //!
 //! There is **one** wavefront loop. What varies is a value or a type
-//! parameter of it: scalar or multi-lane scoring (`LaneMode`), guarded or
-//! not (the adaptive `i8` path), the lane width, and how a cell is stored
-//! (`CellShape`: layer vectors, or flat scores for single-layer kernels in
-//! lane mode — chosen at compile time from the kernel's layer count).
+//! parameter of it: guarded or not (the adaptive `i8` path), the lane width,
+//! and the **mode** — how the five buffers hold their cells and how one
+//! wavefront's lanes are scored over them (`Wavefronts`):
+//!
+//! * **scalar mode** (`Layered`) keeps whole [`LayerVec`] cells and calls
+//!   [`KernelSpec::pe`] once per cell — the PR 1 path, kept as the comparand
+//!   every lane change is measured and differentially tested against;
+//! * **lane mode** (`Planes`) has one storage for every kernel: each buffer
+//!   is `n_layers` contiguous planes of bare scores (the paper's "each
+//!   scoring layer is its own partitioned array"), and each wavefront plane
+//!   has one extra **leading slot** — PE 0's port onto the Preserved Row
+//!   Score Buffer. Slot 0 of the two previous wavefronts is kept loaded with
+//!   `prev_row[j]` / `prev_row[j − 1]` for the column PE 0 is in, so lane 0
+//!   finds `up` and `diag` exactly where every other lane finds its upper
+//!   neighbour and the whole lane range is one run of equal-length plane
+//!   subslices. Only the `j = 1` lane, whose neighbours are column-0
+//!   boundary values, is peeled scalar.
+//!
+//!   Multi-layer kernels score that run in **one call per wavefront**
+//!   ([`LaneKernel::pe_wavefront`]) that reads the reference through a
+//!   per-alignment reversed copy, so query and reference are both forward
+//!   slices, and writes its pointers straight into the [`TbMem`] row.
+//!   Single-layer kernels score it in `LANES`-wide padded chunks over plane 0
+//!   ([`LaneKernel::pe_lanes_primary`]): a band-clipped short-read wavefront
+//!   is ~19 cells, where the padded fixed-width body beats an exact-length
+//!   loop with a remainder (by 6–16 % end to end in ISSUE 20's scratch
+//!   runs). The choice is the kernel's layer count, a compile-time constant.
 //!
 //! The result is bit-identical to [`dphls_core::run_reference`] (verified by
 //! differential and property tests), while also producing the structural
@@ -29,9 +52,12 @@
 use crate::tbmem::TbMem;
 use dphls_core::reference::{offer_if_eligible, walk_traceback, BestTracker};
 use dphls_core::{
-    Banding, BestCellRule, DpOutput, KernelConfig, LaneKernel, LayerVec, Score, TbPtr, LANE_WIDTH,
+    Banding, BestCellRule, DpOutput, KernelConfig, KernelSpec, LaneKernel, LayerVec, Score,
+    LANE_WIDTH, MAX_LAYERS,
 };
+use std::any::Any;
 use std::fmt;
+use std::mem;
 
 /// How the engine scores the active lanes of each wavefront.
 ///
@@ -42,8 +68,8 @@ use std::fmt;
 enum LaneMode {
     /// One [`dphls_core::KernelSpec::pe`] call per cell (the PR 1 hot path).
     Scalar,
-    /// Interior lanes scored a lane-width at a time through the kernel's
-    /// [`LaneKernel`] port; boundary lanes peeled scalar.
+    /// Every lane but the `j = 1` one scored through the kernel's
+    /// [`LaneKernel`] ports over layer planes.
     Lanes,
 }
 
@@ -137,7 +163,8 @@ impl From<dphls_core::config::ConfigError> for SystolicError {
 
 /// The five cell buffers one alignment works in — the Preserved Row Score
 /// Buffer (`prev_row` / `next_row`) and the three wavefront snapshots of the
-/// DP Memory Buffer — for one cell type `C` (see [`CellShape`]).
+/// DP Memory Buffer — over one element type `C`: whole [`LayerVec`] cells
+/// ([`Layered`]) or bare scores laid out in layer planes ([`Planes`]).
 #[derive(Debug, Clone)]
 struct CellBufs<C> {
     prev_row: Vec<C>,
@@ -158,43 +185,125 @@ impl<C> CellBufs<C> {
         }
     }
 
-    /// Sizes the buffers for an `npe`-wide array over `r` columns and fills
-    /// every slot with `worst`. `resize` keeps capacity, so this allocates
-    /// only while the geometry is still growing, and whatever an earlier
-    /// alignment (of any kernel) left behind is overwritten.
-    fn prepare(&mut self, npe: usize, r: usize, worst: C)
+    /// Sizes the two row buffers to `row_len` and the three wavefront
+    /// buffers to `wf_len` elements, every one of them `worst`. `resize`
+    /// keeps capacity, so this allocates only while the geometry is still
+    /// growing, and whatever an earlier alignment (of any kernel, with any
+    /// plane count or stride) left behind is overwritten.
+    fn prepare(&mut self, row_len: usize, wf_len: usize, worst: C)
     where
         C: Copy,
     {
         for buf in [&mut self.prev_row, &mut self.next_row] {
             buf.clear();
-            buf.resize(r + 1, worst);
+            buf.resize(row_len, worst);
         }
         for buf in [&mut self.wf_m1, &mut self.wf_m2, &mut self.cur] {
             buf.clear();
-            buf.resize(npe, worst);
+            buf.resize(wf_len, worst);
         }
+    }
+}
+
+/// Scalar mode's storage: array-of-structures, one [`LayerVec`] per cell,
+/// `R + 1` columns a row buffer and `NPE` lanes a wavefront buffer.
+#[derive(Debug, Clone)]
+struct Layered<S>(CellBufs<LayerVec<S>>);
+
+/// Lane mode's storage, for every kernel: each buffer is `n_layers`
+/// contiguous planes of scores. A row plane is `R + 1` columns; a wavefront
+/// plane is `NPE + 1` slots — slot 0 is PE 0's port onto the Preserved Row
+/// Score Buffer and lane `k` lives in slot `k + 1`, so lane `k` reads `left`
+/// from slot `k + 1` and `up` / `diag` from slot `k` with no case for PE 0.
+#[derive(Debug, Clone)]
+struct Planes<S>(CellBufs<S>);
+
+/// Cell `idx` of a planar buffer (plane `l` starts at `l · stride`).
+#[inline]
+fn gather<S: Score>(planes: &[S], stride: usize, layers: usize, idx: usize) -> LayerVec<S> {
+    let mut cell = LayerVec::splat(layers, planes[idx]);
+    for layer in 1..layers {
+        cell.set(layer, planes[layer * stride + idx]);
+    }
+    cell
+}
+
+/// Stores `cell` as cell `idx` of a planar buffer.
+#[inline]
+fn scatter<S: Score>(planes: &mut [S], stride: usize, idx: usize, cell: &LayerVec<S>) {
+    for (layer, &score) in cell.as_slice().iter().enumerate() {
+        planes[layer * stride + idx] = score;
+    }
+}
+
+/// Slots `from..from + n` of each plane of a planar buffer (which holds
+/// nothing but its planes), as the per-layer slice list
+/// [`LaneKernel::pe_wavefront`] takes; entries past the last plane are empty.
+#[inline]
+fn plane_runs<S>(planes: &[S], stride: usize, from: usize, n: usize) -> [&[S]; MAX_LAYERS] {
+    let mut planes = planes.chunks(stride);
+    std::array::from_fn(|_| {
+        planes
+            .next()
+            .map_or(&[][..], |plane| &plane[from..from + n])
+    })
+}
+
+/// The reference of the alignment in flight, reversed: lanes walk down an
+/// anti-diagonal, so reference symbols retreat as query symbols advance, and
+/// over the reversed copy both are forward slices. The arena is typed by
+/// score alone, so the symbol vector is held type-erased (symbols are
+/// `'static`): refilled in place run after run — it grows like every other
+/// buffer and then stops allocating — and re-made only when a run's symbol
+/// type differs from the last one's.
+#[derive(Debug, Default)]
+struct RevRef(Option<Box<dyn Any + Send + Sync>>);
+
+impl RevRef {
+    fn fill<Sym: Copy + Send + Sync + 'static>(&mut self, reference: &[Sym]) -> &[Sym] {
+        if !self.0.as_ref().is_some_and(|held| held.is::<Vec<Sym>>()) {
+            self.0 = Some(Box::new(Vec::<Sym>::new()));
+        }
+        let held = self
+            .0
+            .as_mut()
+            .and_then(|held| held.downcast_mut::<Vec<Sym>>());
+        let held = held.expect("the slot was just made to hold this symbol type");
+        held.clear();
+        held.extend(reference.iter().rev());
+        held
+    }
+}
+
+/// The slot is rewritten before every read, so a cloned arena starts with
+/// an empty one and grows its own.
+impl Clone for RevRef {
+    fn clone(&self) -> Self {
+        Self(None)
     }
 }
 
 /// Reusable scratch arena for the systolic engine's hot path.
 ///
 /// One alignment needs five cell buffers (`CellBufs`), one
-/// [`BestTracker`] per PE, and the banked [`TbMem`]. Allocating them per
+/// [`BestTracker`] per PE, the banked [`TbMem`] and, for multi-layer kernels
+/// in lane mode, a reversed copy of the reference. Allocating them per
 /// alignment dominates short-read batch workloads, so the arena owns them
 /// all and [`run_systolic_with_scratch`] reuses them across alignments:
 /// buffers are resized (`resize`, which keeps capacity) and re-initialized,
 /// never reallocated once they have grown to the workload's maximum
-/// geometry. The arena holds one `CellBufs` per storage shape — layer
-/// vectors and flat scores — so a worker that alternates kernels never
-/// re-shapes a buffer; both go through the same `prepare` routine, and the
-/// trackers and traceback memory are shared. Results are **bit-identical**
-/// to a fresh [`run_systolic`] — every buffer is restored to its pristine
-/// state before use (verified by the scratch-reuse property tests).
+/// geometry. The arena holds one `CellBufs` per mode — layer-vector cells
+/// for the scalar loop, score planes for the lane loop — so a worker that
+/// alternates modes never re-shapes a buffer; every lane-mode kernel shares
+/// the planes (their count and stride are set per run), and the trackers and
+/// traceback memory are shared by all. Results are **bit-identical** to a
+/// fresh [`run_systolic`] — every buffer is restored to its pristine state
+/// before use (verified by the scratch-reuse property tests).
 #[derive(Debug, Clone)]
 pub struct SystolicScratch<S> {
-    layered: CellBufs<LayerVec<S>>,
-    flat: CellBufs<S>,
+    layered: Layered<S>,
+    planes: Planes<S>,
+    r_rev: RevRef,
     trackers: Vec<BestTracker<S>>,
     tbmem: Option<TbMem>,
 }
@@ -203,8 +312,9 @@ impl<S> SystolicScratch<S> {
     /// Creates an empty arena; buffers grow on first use.
     pub fn new() -> Self {
         Self {
-            layered: CellBufs::new(),
-            flat: CellBufs::new(),
+            layered: Layered(CellBufs::new()),
+            planes: Planes(CellBufs::new()),
+            r_rev: RevRef::default(),
             trackers: Vec::new(),
             tbmem: None,
         }
@@ -342,12 +452,14 @@ pub fn run_systolic<K: LaneKernel>(
 /// **no heap allocation** (the returned alignment path is the only output
 /// allocation).
 ///
-/// The wavefront inner loop runs in **multi-lane mode**: interior lanes are
-/// scored [`LANE_WIDTH`] at a time through [`LaneKernel::pe_lanes`]
-/// ([`LaneKernel::pe_lanes_primary`] for single-layer kernels) with the
-/// two boundary lanes (PE 0 reading the Preserved Row Score Buffer, and the
-/// `j = 1` lane reading column inits) peeled scalar. Use
-/// [`run_systolic_scalar_with_scratch`] to force the per-cell path.
+/// The wavefront inner loop runs in **multi-lane mode** over layer planes:
+/// a multi-layer kernel scores each wavefront's lanes in one
+/// [`LaneKernel::pe_wavefront`] call, a single-layer kernel in
+/// [`LANE_WIDTH`]-wide [`LaneKernel::pe_lanes_primary`] chunks; PE 0 reads
+/// the Preserved Row Score Buffer through the planes' leading slot like any
+/// other lane reads its neighbour, and only the `j = 1` lane (column inits)
+/// is peeled scalar. Use [`run_systolic_scalar_with_scratch`] to force the
+/// per-cell path.
 ///
 /// # Errors
 ///
@@ -436,119 +548,336 @@ pub(crate) fn run_systolic_guarded_with_scratch<K: LaneKernel<LANES>, const LANE
     )
 }
 
-/// How one wavefront cell is stored and how the lane port is called on it —
-/// the one decision the wavefront loop is generic over. Both shapes walk the
-/// same cells in the same order and are bit-identical (the lane-vs-scalar
-/// and cross-precision property suites enforce it); they differ only in what
-/// the buffers hold. The loop is monomorphised per shape, so none of these
-/// calls survives as a branch.
-trait CellShape<K: LaneKernel<LANES>, const LANES: usize> {
-    /// What the Preserved Row Score Buffer and the DP Memory Buffer hold.
-    type Cell: Copy;
-
-    /// Stores a layer vector: a boundary value or a scalar
-    /// [`KernelSpec::pe`](dphls_core::KernelSpec::pe) output.
-    fn store(v: LayerVec<K::Score>) -> Self::Cell;
-
-    /// The stored cell as the layer vector the scalar PE and the best-cell
-    /// trackers read.
-    fn load(cell: Self::Cell) -> LayerVec<K::Score>;
-
-    /// Scores `q.len() ≤ LANES` consecutive interior lanes (the
-    /// [`LaneKernel`] port contract). Under `guard`, returns `true` when a
-    /// fresh output value is inside the escalation guard band
-    /// ([`Score::needs_escalation`]; constant `false` for exact score types,
-    /// where the check folds away). Without `guard` nobody reads the flag,
-    /// and a shape whose check is a separate pass skips it.
-    #[allow(clippy::too_many_arguments)]
-    fn pe_lanes(
-        params: &K::Params,
-        q: &[K::Sym],
-        r_rev: &[K::Sym],
-        diag: &[Self::Cell],
-        up: &[Self::Cell],
-        left: &[Self::Cell],
-        out: &mut [Self::Cell],
-        ptrs: &mut [TbPtr],
-        guard: bool,
-    ) -> bool;
+/// What every step of the wavefront loop works on besides the cell buffers:
+/// the inputs, the chunk in progress, and the sinks each scored cell feeds.
+struct Cx<'a, K: KernelSpec> {
+    params: &'a K::Params,
+    query: &'a [K::Sym],
+    reference: &'a [K::Sym],
+    /// `reference` reversed, for [`LaneKernel::pe_wavefront`]; empty in any
+    /// run that does not call that port.
+    r_rev: &'a [K::Sym],
+    banding: Banding,
+    npe: usize,
+    rule: BestCellRule,
+    /// Every layer at the objective's worst value: what an out-of-band or
+    /// out-of-matrix neighbour reads as.
+    worst: LayerVec<K::Score>,
+    tbmem: &'a mut TbMem,
+    trackers: &'a mut [BestTracker<K::Score>],
+    /// Chunk index, its first row minus one, and its last PE's lane.
+    c: usize,
+    base: usize,
+    last_pe: usize,
+    /// Set once any scored value is inside the escalation guard band
+    /// ([`Score::needs_escalation`]); scalar cells and lane calls all OR
+    /// into it. For exact score types every contribution is the constant
+    /// `false`, and the flag and the guarded bail-out fold away.
+    escalate: bool,
 }
 
-/// Cells are [`LayerVec`]s scored through [`LaneKernel::pe_lanes`]; the
-/// guard scans every layer of the fresh outputs (affine H/I/D each feed
-/// later candidates). Multi-layer kernels need this shape, and
-/// [`LaneMode::Scalar`] always takes it.
-struct Layered;
-
-/// Cells are bare scores — structure-of-arrays buffers whose lane gathers
-/// and scatters are contiguous vector copies — scored through
-/// [`LaneKernel::pe_lanes_primary`], which fuses the guard flag into the
-/// lane body. Single-layer kernels in lane mode take this shape.
-struct Flat;
-
-fn escalates<S: Score>(cell: &LayerVec<S>) -> bool {
-    cell.as_slice().iter().any(|s| s.needs_escalation())
-}
-
-impl<K: LaneKernel<LANES>, const LANES: usize> CellShape<K, LANES> for Layered {
-    type Cell = LayerVec<K::Score>;
-
-    fn store(v: LayerVec<K::Score>) -> Self::Cell {
-        v
+impl<K: KernelSpec> Cx<'_, K> {
+    /// Column-0 boundary value of row `i` (worst outside the band).
+    fn col_init(&self, i: usize) -> LayerVec<K::Score> {
+        if self.banding.contains(i, 0) {
+            K::init_col(self.params, i)
+        } else {
+            self.worst
+        }
     }
 
-    fn load(cell: Self::Cell) -> LayerVec<K::Score> {
-        cell
-    }
-
-    #[inline]
-    fn pe_lanes(
-        params: &K::Params,
-        q: &[K::Sym],
-        r_rev: &[K::Sym],
-        diag: &[Self::Cell],
-        up: &[Self::Cell],
-        left: &[Self::Cell],
-        out: &mut [Self::Cell],
-        ptrs: &mut [TbPtr],
-        guard: bool,
-    ) -> bool {
-        K::pe_lanes(params, q, r_rev, diag, up, left, out, ptrs);
-        guard && out.iter().any(escalates)
+    /// One full scalar cell, lane `k` of wavefront `w`: PE call, guard scan,
+    /// traceback write, tracker offer. Every cell in scalar mode and the
+    /// peeled `j = 1` cell in lane mode; the caller fetches the neighbours
+    /// from, and stores the result in, its own buffers.
+    ///
+    /// Inlined by force: as a real call it takes the context's address, and
+    /// from then on every field the loop reads lives in memory, not in a
+    /// register (measured 5–8 % on 120-bp banded `i8` pairs).
+    #[inline(always)]
+    fn cell(
+        &mut self,
+        k: usize,
+        w: usize,
+        diag: &LayerVec<K::Score>,
+        up: &LayerVec<K::Score>,
+        left: &LayerVec<K::Score>,
+    ) -> LayerVec<K::Score> {
+        let (i, j) = (self.base + k + 1, w - k + 1);
+        let (q, r) = (self.query, self.reference);
+        let (out, ptr) = K::pe(self.params, q[i - 1], r[j - 1], diag, up, left);
+        self.escalate |= out.as_slice().iter().any(|s| s.needs_escalation());
+        self.tbmem.write(k, self.c, w, ptr);
+        let tracker = &mut self.trackers[k];
+        offer_if_eligible(tracker, self.rule, out.primary(), i, j, q.len(), r.len());
+        out
     }
 }
 
-impl<K: LaneKernel<LANES>, const LANES: usize> CellShape<K, LANES> for Flat {
-    type Cell = K::Score;
+/// One mode of the wavefront loop: how the five buffers hold their cells and
+/// how a wavefront's lanes are scored over them. Both modes walk the same
+/// cells in the same order and are bit-identical (the lane-vs-scalar and
+/// cross-precision property suites enforce it). The loop is monomorphised
+/// per mode, so none of these calls survives as a branch.
+trait Wavefronts<K: LaneKernel<LANES>, const LANES: usize> {
+    /// Sizes the buffers for this run, every slot `worst`, and loads the
+    /// in-band part of boundary row 0 into the Preserved Row Score Buffer.
+    fn prepare(&mut self, cx: &Cx<'_, K>);
 
-    fn store(v: LayerVec<K::Score>) -> Self::Cell {
-        v.primary()
+    /// Readies the chunk-local buffers for a chunk whose first live
+    /// wavefront is `w_start`: the next preserved row (column 0 is the
+    /// boundary value of the chunk's last row) and the wavefront snapshots.
+    fn begin_chunk(&mut self, cx: &Cx<'_, K>, w_start: usize);
+
+    /// Scores lanes `k_lo..=k_hi` of wavefront `w` — all in-band and
+    /// in-matrix — into `cur`, the traceback memory, the trackers and, for
+    /// the chunk's last PE, the next preserved row.
+    fn score(&mut self, cx: &mut Cx<'_, K>, w: usize, k_lo: usize, k_hi: usize);
+
+    /// Closes wavefront `w`, whose lane bounds were `lo..=hi` (empty when
+    /// `lo = hi + 1`), and rotates the snapshots. The bounds move down by
+    /// at most one lane per wavefront, so clearing one lane on each flank
+    /// keeps every stale entry the next two wavefronts can read at the
+    /// worst value — exactly what a full-lane scan would produce. For an
+    /// empty wavefront the two flanks are lanes `hi` and `lo` themselves,
+    /// covering everything the next wavefronts can read.
+    fn rotate(&mut self, cx: &Cx<'_, K>, w: usize, lo: isize, hi: isize);
+
+    /// The chunk's captured last row becomes the next chunk's preserved row.
+    fn end_chunk(&mut self);
+}
+
+impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Layered<K::Score> {
+    fn prepare(&mut self, cx: &Cx<'_, K>) {
+        let r = cx.reference.len();
+        self.0.prepare(r + 1, cx.npe, cx.worst);
+        for j in (0..=r).take_while(|&j| cx.banding.contains(0, j)) {
+            self.0.prev_row[j] = K::init_row(cx.params, j);
+        }
     }
 
-    fn load(cell: Self::Cell) -> LayerVec<K::Score> {
-        LayerVec::splat(1, cell)
+    fn begin_chunk(&mut self, cx: &Cx<'_, K>, _w_start: usize) {
+        let bufs = &mut self.0;
+        bufs.next_row.fill(cx.worst);
+        bufs.next_row[0] = cx.col_init(cx.base + cx.last_pe + 1);
+        bufs.wf_m1.fill(cx.worst);
+        bufs.wf_m2.fill(cx.worst);
     }
 
-    #[inline]
-    fn pe_lanes(
-        params: &K::Params,
-        q: &[K::Sym],
-        r_rev: &[K::Sym],
-        diag: &[Self::Cell],
-        up: &[Self::Cell],
-        left: &[Self::Cell],
-        out: &mut [Self::Cell],
-        ptrs: &mut [TbPtr],
-        _guard: bool,
-    ) -> bool {
-        K::pe_lanes_primary(params, q, r_rev, diag, up, left, out, ptrs)
+    fn score(&mut self, cx: &mut Cx<'_, K>, w: usize, k_lo: usize, k_hi: usize) {
+        let CellBufs {
+            prev_row,
+            next_row,
+            wf_m1,
+            wf_m2,
+            cur,
+        } = &mut self.0;
+        for k in k_lo..=k_hi {
+            // Neighbour fetch mirroring the hardware buffers: PE 0 reads the
+            // preserved row, the `j = 1` cell reads column inits.
+            let (i, j) = (cx.base + k + 1, w - k + 1);
+            let left = if j == 1 { cx.col_init(i) } else { wf_m1[k] };
+            let up = if k == 0 { prev_row[j] } else { wf_m1[k - 1] };
+            let diag = if k == 0 {
+                prev_row[j - 1]
+            } else if j == 1 {
+                cx.col_init(i - 1)
+            } else {
+                wf_m2[k - 1]
+            };
+            let out = cx.cell(k, w, &diag, &up, &left);
+            if k == cx.last_pe {
+                next_row[j] = out;
+            }
+            cur[k] = out;
+        }
+    }
+
+    fn rotate(&mut self, cx: &Cx<'_, K>, _w: usize, lo: isize, hi: isize) {
+        let bufs = &mut self.0;
+        if lo >= 1 {
+            bufs.cur[lo as usize - 1] = cx.worst;
+        }
+        if ((hi + 1) as usize) < cx.npe {
+            bufs.cur[(hi + 1) as usize] = cx.worst;
+        }
+        mem::swap(&mut bufs.wf_m2, &mut bufs.wf_m1);
+        mem::swap(&mut bufs.wf_m1, &mut bufs.cur);
+    }
+
+    fn end_chunk(&mut self) {
+        mem::swap(&mut self.0.prev_row, &mut self.0.next_row);
     }
 }
 
-/// Validates the inputs and runs the wavefront loop on the storage shape the
-/// kernel and mode select: [`Flat`] for single-layer kernels in lane mode,
-/// [`Layered`] otherwise. `K::meta()` is a constant, so each instantiation
-/// keeps exactly one of the two calls.
+/// Loads PE 0's port: slot 0 of every plane of the wavefront buffer `wf`
+/// takes column `j` of the preserved row — `worst` once `j` passes the last
+/// column, where lane 0 is out of the matrix and nothing reads the slot.
+/// (Inlined by force for the same reason as [`Cx::cell`].)
+#[inline(always)]
+fn feed<K: KernelSpec>(cx: &Cx<'_, K>, wf: &mut [K::Score], prev_row: &[K::Score], j: usize) {
+    let (row, slots) = (cx.reference.len() + 1, cx.npe + 1);
+    for layer in 0..K::meta().n_layers {
+        wf[layer * slots] = if j < row {
+            prev_row[layer * row + j]
+        } else {
+            cx.worst.primary()
+        };
+    }
+}
+
+impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K::Score> {
+    fn prepare(&mut self, cx: &Cx<'_, K>) {
+        let (layers, row) = (K::meta().n_layers, cx.reference.len() + 1);
+        let worst = cx.worst.primary();
+        self.0.prepare(layers * row, layers * (cx.npe + 1), worst);
+        for j in (0..row).take_while(|&j| cx.banding.contains(0, j)) {
+            scatter(&mut self.0.prev_row, row, j, &K::init_row(cx.params, j));
+        }
+    }
+
+    fn begin_chunk(&mut self, cx: &Cx<'_, K>, w_start: usize) {
+        let bufs = &mut self.0;
+        let worst = cx.worst.primary();
+        bufs.next_row.fill(worst);
+        let corner = cx.col_init(cx.base + cx.last_pe + 1);
+        scatter(&mut bufs.next_row, cx.reference.len() + 1, 0, &corner);
+        bufs.wf_m1.fill(worst);
+        bufs.wf_m2.fill(worst);
+        // Lane 0 of the first wavefront sits in column `w_start + 1`.
+        feed(cx, &mut bufs.wf_m2, &bufs.prev_row, w_start);
+        feed(cx, &mut bufs.wf_m1, &bufs.prev_row, w_start + 1);
+    }
+
+    fn score(&mut self, cx: &mut Cx<'_, K>, w: usize, k_lo: usize, k_hi: usize) {
+        let layers = K::meta().n_layers;
+        let (q_len, r_len) = (cx.query.len(), cx.reference.len());
+        let (row, slots) = (r_len + 1, cx.npe + 1);
+        let (wf_m1, wf_m2) = (&self.0.wf_m1[..], &self.0.wf_m2[..]);
+        let (cur, next_row) = (&mut self.0.cur[..], &mut self.0.next_row[..]);
+
+        // Peel the one irregular lane: k = w is the `j = 1` cell, whose
+        // `left` (and, below PE 0, `diag`) is a column-0 boundary value
+        // rather than a buffer entry. Its `up` is slot k like any lane's.
+        // Every other lane has j ≥ 2, so its neighbours are plain reads of
+        // the two snapshots: the interior is lanes `k_lo..k_end`.
+        let mut k_end = k_hi + 1;
+        if k_hi == w {
+            k_end = k_hi;
+            let i = cx.base + k_hi + 1;
+            let diag = match k_hi {
+                0 => gather(wf_m2, slots, layers, 0),
+                _ => cx.col_init(i - 1),
+            };
+            let up = gather(wf_m1, slots, layers, k_hi);
+            let out = cx.cell(k_hi, w, &diag, &up, &cx.col_init(i));
+            scatter(cur, slots, k_hi + 1, &out);
+            if k_hi == cx.last_pe {
+                scatter(next_row, row, 1, &out);
+            }
+        }
+        if k_lo >= k_end {
+            return;
+        }
+
+        // Lane t of the interior scores cell (base+k_lo+t+1, w−k_lo−t+1):
+        // query symbols advance, reference symbols retreat. The pointers go
+        // straight into the wavefront's row of the traceback memory.
+        let n = k_end - k_lo;
+        let q = &cx.query[cx.base + k_lo..cx.base + k_end];
+        let ptrs = cx.tbmem.lanes_mut(k_lo, cx.c, w, n);
+        if layers == 1 {
+            for off in (0..n).step_by(LANES) {
+                let (k, m) = (k_lo + off, LANES.min(n - off));
+                cx.escalate |= K::pe_lanes_primary(
+                    cx.params,
+                    &q[off..off + m],
+                    &cx.reference[w + 1 - k - m..w + 1 - k],
+                    &wf_m2[k..k + m],
+                    &wf_m1[k..k + m],
+                    &wf_m1[k + 1..k + 1 + m],
+                    &mut cur[k + 1..k + 1 + m],
+                    &mut ptrs[off..off + m],
+                );
+            }
+        } else {
+            // Column j = w−k_lo+1 is element r_len−j of the reversed
+            // reference (j ≤ r_len, so the sum stays non-negative).
+            let r0 = r_len - 1 + k_lo - w;
+            let diag = plane_runs(wf_m2, slots, k_lo, n);
+            let up = plane_runs(wf_m1, slots, k_lo, n);
+            let left = plane_runs(wf_m1, slots, k_lo + 1, n);
+            let mut planes = cur.chunks_mut(slots);
+            let mut out: [&mut [K::Score]; MAX_LAYERS] = std::array::from_fn(|_| {
+                let plane = planes.next();
+                plane.map_or(Default::default(), |plane| &mut plane[k_lo + 1..k_end + 1])
+            });
+            cx.escalate |= K::pe_wavefront(
+                cx.params,
+                q,
+                &cx.r_rev[r0..r0 + n],
+                &diag[..layers],
+                &up[..layers],
+                &left[..layers],
+                &mut out[..layers],
+                ptrs,
+            );
+        }
+
+        // Tracker offers. Only local (AllCells) kernels accept every lane;
+        // under the boundary rules at most the last-row lane (i = q ⇔
+        // k = q−1−base) and the last-column lane (j = r ⇔ k = w+1−r) can be
+        // eligible, so offering just those keeps the reduction input
+        // identical with O(1) work. (When the two coincide the double offer
+        // is idempotent.)
+        let lanes = k_lo..k_end;
+        let offer = |lane: usize| {
+            let (i, j) = (cx.base + lane + 1, w - lane + 1);
+            let tracker = &mut cx.trackers[lane];
+            offer_if_eligible(tracker, cx.rule, cur[lane + 1], i, j, q_len, r_len);
+        };
+        if cx.rule == BestCellRule::AllCells {
+            lanes.clone().for_each(offer);
+        } else {
+            let row_lane = (q_len - 1).wrapping_sub(cx.base);
+            let col_lane = (w + 1).wrapping_sub(r_len);
+            let edges = [row_lane, col_lane].into_iter();
+            edges.filter(|l| lanes.contains(l)).for_each(offer);
+        }
+        if lanes.contains(&cx.last_pe) {
+            let (j, slot) = (w - cx.last_pe + 1, cx.last_pe + 1);
+            for layer in 0..layers {
+                next_row[layer * row + j] = cur[layer * slots + slot];
+            }
+        }
+    }
+
+    fn rotate(&mut self, cx: &Cx<'_, K>, w: usize, lo: isize, hi: isize) {
+        let bufs = &mut self.0;
+        let (slots, worst) = (cx.npe + 1, cx.worst.primary());
+        // Flank lanes lo − 1 and hi + 1 are slots lo and hi + 2; slot 0 is
+        // no lane and is never cleared.
+        for layer in 0..K::meta().n_layers {
+            let plane = &mut bufs.cur[layer * slots..];
+            if lo >= 1 {
+                plane[lo as usize] = worst;
+            }
+            if ((hi + 1) as usize) < cx.npe {
+                plane[(hi + 2) as usize] = worst;
+            }
+        }
+        // Lane 0 of the next wavefront sits in column `w + 2`.
+        feed(cx, &mut bufs.cur, &bufs.prev_row, w + 2);
+        mem::swap(&mut bufs.wf_m2, &mut bufs.wf_m1);
+        mem::swap(&mut bufs.wf_m1, &mut bufs.cur);
+    }
+
+    fn end_chunk(&mut self) {
+        mem::swap(&mut self.0.prev_row, &mut self.0.next_row);
+    }
+}
+
+/// Validates the inputs and runs the wavefront loop in the given mode.
 fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
     params: &K::Params,
     query: &[K::Sym],
@@ -561,18 +890,36 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
     validate_inputs(config, query.len(), reference.len())?;
     let SystolicScratch {
         layered,
-        flat,
+        planes,
+        r_rev,
         trackers,
         tbmem,
     } = scratch;
-    Ok(if mode == LaneMode::Lanes && K::meta().n_layers == 1 {
-        wavefront_loop::<K, LANES, Flat>(
-            params, query, reference, config, flat, trackers, tbmem, mode, guard,
-        )
-    } else {
-        wavefront_loop::<K, LANES, Layered>(
-            params, query, reference, config, layered, trackers, tbmem, mode, guard,
-        )
+    Ok(match mode {
+        LaneMode::Scalar => wavefront_loop::<K, LANES, _>(
+            params,
+            query,
+            reference,
+            &[],
+            config,
+            layered,
+            trackers,
+            tbmem,
+            guard,
+        ),
+        LaneMode::Lanes => {
+            // Only the whole-wavefront port reads the reversed reference;
+            // `K::meta()` is a constant, so single-layer kernels never pay
+            // for the copy.
+            let r_rev = if K::meta().n_layers > 1 {
+                r_rev.fill(reference)
+            } else {
+                &[]
+            };
+            wavefront_loop::<K, LANES, _>(
+                params, query, reference, r_rev, config, planes, trackers, tbmem, guard,
+            )
+        }
     })
 }
 
@@ -580,15 +927,15 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
 /// active lanes within an anti-diagonal. Returns `None` when `guard` is set
 /// and a computed value entered the escalation guard band.
 #[allow(clippy::too_many_arguments)]
-fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, Sh: CellShape<K, LANES>>(
+fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, B: Wavefronts<K, LANES>>(
     params: &K::Params,
     query: &[K::Sym],
     reference: &[K::Sym],
+    r_rev: &[K::Sym],
     config: &KernelConfig,
-    bufs: &mut CellBufs<Sh::Cell>,
+    bufs: &mut B,
     trackers: &mut Vec<BestTracker<K::Score>>,
     tbmem: &mut Option<TbMem>,
-    mode: LaneMode,
     guard: bool,
 ) -> Option<SystolicRun<K::Score>> {
     let meta = K::meta();
@@ -596,38 +943,31 @@ fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, Sh: CellShape<K, LAN
     let (q, r) = (query.len(), reference.len());
     let npe = config.npe;
     let chunks = config.chunks_for(q);
-    let rule = meta.traceback.best;
-    let worst = Sh::store(LayerVec::splat(meta.n_layers, meta.objective.worst()));
-    // Column-0 boundary value of row `i` (worst outside the band).
-    let col_init = |i: usize| {
-        if banding.contains(i, 0) {
-            Sh::store(K::init_col(params, i))
-        } else {
-            worst
-        }
-    };
 
     // ---- Arena preparation: resize (capacity-preserving) + re-init. ----
     match tbmem {
         Some(mem) => mem.reset(npe, chunks, r),
         None => *tbmem = Some(TbMem::new(npe, chunks, r)),
     }
-    let tbmem = tbmem.as_mut().expect("tbmem just initialized");
     trackers.clear();
     trackers.resize_with(npe, || BestTracker::new(meta.objective));
-    bufs.prepare(npe, r, worst);
-    let CellBufs {
-        prev_row,
-        next_row,
-        wf_m1,
-        wf_m2,
-        cur,
-    } = bufs;
-    // Preserved Row Score Buffer: scores of the row above the current
-    // chunk's first row, indexed by column 0..=R.
-    for j in (0..=r).take_while(|&j| banding.contains(0, j)) {
-        prev_row[j] = Sh::store(K::init_row(params, j));
-    }
+    let mut cx = Cx::<K> {
+        params,
+        query,
+        reference,
+        r_rev,
+        banding,
+        npe,
+        rule: meta.traceback.best,
+        worst: LayerVec::splat(meta.n_layers, meta.objective.worst()),
+        tbmem: tbmem.as_mut().expect("tbmem just initialized"),
+        trackers,
+        c: 0,
+        base: 0,
+        last_pe: 0,
+        escalate: false,
+    };
+    bufs.prepare(&cx);
 
     let mut stats = BlockStats {
         chunks: chunks as u64,
@@ -640,18 +980,13 @@ fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, Sh: CellShape<K, LAN
     for c in 0..chunks {
         let base = c * npe;
         let rows = npe.min(q - base);
-        let last_pe = rows - 1;
         let Some(window) = ChunkWindow::new(base, rows, r, banding) else {
             // The band has exited the matrix below this chunk; every later
             // chunk starts even deeper, so the block is done.
             break;
         };
-        // Next chunk's preserved row: column 0 is the boundary value of the
-        // chunk's last row.
-        next_row.fill(worst);
-        next_row[0] = col_init(base + last_pe + 1);
-        wf_m1.fill(worst);
-        wf_m2.fill(worst);
+        (cx.c, cx.base, cx.last_pe) = (c, base, rows - 1);
+        bufs.begin_chunk(&cx, window.w_start);
 
         // Dead wavefronts before w_start and after w_end are skipped
         // entirely; within the window the lane bounds are closed-form, so
@@ -662,160 +997,30 @@ fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, Sh: CellShape<K, LAN
         for w in window.w_start..=window.w_end {
             let (lo, hi) = window.lanes(w);
             if lo <= hi {
-                let (k_lo, k_hi) = (lo as usize, hi as usize);
-                // Per-wavefront escalation accumulator: scalar cells and
-                // lane calls all OR into it. For exact score types every
-                // contribution is the constant `false` and the accumulator
-                // (and the guarded bail-out) fold away.
-                let mut escalate = false;
-
-                // One full scalar cell: neighbor fetch mirroring the
-                // hardware buffers, PE call, tracker offer, traceback
-                // write, preserved-row capture. Used for every lane in
-                // scalar mode and for the peeled boundary lanes in lane
-                // mode. (A macro, not a closure: a closure would hold all
-                // its captured borrows across the lane-chunk calls below.)
-                macro_rules! scalar_cell {
-                    ($lane:expr) => {{
-                        let k: usize = $lane;
-                        let i = base + k + 1;
-                        let j = w - k + 1;
-                        let left = if j == 1 { col_init(i) } else { wf_m1[k] };
-                        let up = if k == 0 { prev_row[j] } else { wf_m1[k - 1] };
-                        let diag = if k == 0 {
-                            prev_row[j - 1]
-                        } else if j == 1 {
-                            col_init(i - 1)
-                        } else {
-                            wf_m2[k - 1]
-                        };
-                        let (out, ptr) = K::pe(
-                            params,
-                            query[i - 1],
-                            reference[j - 1],
-                            &Sh::load(diag),
-                            &Sh::load(up),
-                            &Sh::load(left),
-                        );
-                        escalate |= guard && escalates(&out);
-                        tbmem.write(k, c, w, ptr);
-                        offer_if_eligible(&mut trackers[k], rule, out.primary(), i, j, q, r);
-                        let out = Sh::store(out);
-                        if k == last_pe {
-                            next_row[j] = out;
-                        }
-                        cur[k] = out;
-                    }};
-                }
-
-                match mode {
-                    LaneMode::Scalar => {
-                        for k in k_lo..=k_hi {
-                            scalar_cell!(k);
-                        }
-                    }
-                    LaneMode::Lanes => {
-                        // Peel the two irregular lanes: PE 0 reads the
-                        // Preserved Row Score Buffer, and lane k = w (the
-                        // j = 1 cell) reads column boundary inits. Every
-                        // interior lane k has j ≥ 2 and k ≥ 1, so its
-                        // neighbors are plain strided reads of the two
-                        // wavefront snapshots — exactly the shape the lane
-                        // ports want.
-                        let mut k_first = k_lo;
-                        if k_lo == 0 {
-                            scalar_cell!(0);
-                            k_first = 1;
-                        }
-                        let mut k_last = k_hi;
-                        if k_hi == w && k_hi >= k_first {
-                            scalar_cell!(k_hi);
-                            k_last = k_hi - 1;
-                        }
-                        let mut ptrs = [TbPtr::END; LANES];
-                        let mut k = k_first;
-                        while k <= k_last {
-                            let n = LANES.min(k_last - k + 1);
-                            // Lane t scores cell (base+k+t+1, w-k-t+1):
-                            // query symbols advance, reference symbols
-                            // retreat (`r_rev` stays a plain subslice).
-                            escalate |= Sh::pe_lanes(
-                                params,
-                                &query[base + k..base + k + n],
-                                &reference[w - k + 1 - n..w - k + 1],
-                                &wf_m2[k - 1..k - 1 + n],
-                                &wf_m1[k - 1..k - 1 + n],
-                                &wf_m1[k..k + n],
-                                &mut cur[k..k + n],
-                                &mut ptrs[..n],
-                                guard,
-                            );
-                            tbmem.write_lanes(k, c, w, &ptrs[..n]);
-                            // Tracker offers. Only local (AllCells) kernels
-                            // accept every lane; under the boundary rules
-                            // at most the last-row lane (i = q ⇔
-                            // k = q−1−base) and the last-column lane (j = r
-                            // ⇔ k = w+1−r) can be eligible, so offering
-                            // just those keeps the reduction input identical
-                            // with O(1) work. (When the two coincide the
-                            // double offer is idempotent.)
-                            let chunk = k..k + n;
-                            let offer = |lane: usize| {
-                                let (i, j) = (base + lane + 1, w - lane + 1);
-                                let score = Sh::load(cur[lane]).primary();
-                                offer_if_eligible(&mut trackers[lane], rule, score, i, j, q, r);
-                            };
-                            if rule == BestCellRule::AllCells {
-                                chunk.clone().for_each(offer);
-                            } else {
-                                let row_lane = (q - 1).wrapping_sub(base);
-                                let col_lane = (w + 1).wrapping_sub(r);
-                                let edges = [row_lane, col_lane].into_iter();
-                                edges.filter(|l| chunk.contains(l)).for_each(offer);
-                            }
-                            if chunk.contains(&last_pe) {
-                                next_row[w - last_pe + 1] = cur[last_pe];
-                            }
-                            k += n;
-                        }
-                    }
-                }
-                stats.cells += (k_hi - k_lo + 1) as u64;
+                bufs.score(&mut cx, w, lo as usize, hi as usize);
+                stats.cells += (hi - lo + 1) as u64;
                 stats.wavefronts += 1;
                 // Saturation guard: a narrow-precision run is only certified
                 // bit-identical while every output-layer value stays outside
                 // the guard band; bail out the instant one wavefront needs
                 // escalation.
-                if guard && escalate {
+                if guard && cx.escalate {
                     return None;
                 }
             }
-            // The lane bounds move down by at most one lane per wavefront,
-            // so clearing one lane on each flank keeps every stale entry
-            // the next two wavefronts can read at the worst value — exactly
-            // what the full-lane scan produced. For an empty wavefront
-            // (lo = hi + 1) the two flanks are lanes hi and lo themselves,
-            // covering everything the next wavefronts can read.
-            let (flank_lo, flank_hi) = (lo - 1, hi + 1);
-            if flank_lo >= 0 {
-                cur[flank_lo as usize] = worst;
-            }
-            if (flank_hi as usize) < npe {
-                cur[flank_hi as usize] = worst;
-            }
-            std::mem::swap(wf_m2, wf_m1);
-            std::mem::swap(wf_m1, cur);
+            bufs.rotate(&cx, w, lo, hi);
         }
-        std::mem::swap(prev_row, next_row);
+        bufs.end_chunk();
     }
 
     // Reduction over per-PE local bests (paper §5.2).
     let mut global = BestTracker::new(meta.objective);
-    for t in trackers.iter() {
+    for t in cx.trackers.iter() {
         global.merge(t);
     }
     let (best_score, best_cell) = global.best();
 
+    let tbmem = &*cx.tbmem;
     let alignment = meta
         .traceback
         .walk
@@ -872,7 +1077,10 @@ pub fn run_systolic_ok<K: LaneKernel>(
 mod tests {
     use super::*;
     use dphls_core::{run_reference, Banding};
-    use dphls_kernels::{GlobalLinear, LinearParams};
+    use dphls_kernels::{
+        AffineParams, GlobalAffine, GlobalLinear, GlobalTwoPiece, LinearParams, LocalAffine,
+        TwoPieceParams,
+    };
     use dphls_seq::DnaSeq;
 
     fn dna(s: &str) -> DnaSeq {
@@ -969,6 +1177,51 @@ mod tests {
                     assert_eq!(got.stats.cells, b.len() as u64, "hw=0 npe={npe}");
                     assert_eq!(got.stats.wavefronts, b.len() as u64, "hw=0 npe={npe}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_layer_edge_geometry_matches_reference() {
+        // The PE 0 feed slot and the `j = 1` peel where the geometry leaves
+        // them least room, for the kernels that score whole wavefronts over
+        // three and five planes (global and all-cells tracking).
+        let a = dna("ACGTTGCATGCCAGT");
+        let b = dna("AGGTTGCTTGCAGTA");
+        let shapes = [
+            (9, 11, 1), // NPE = 1: every lane is PE 0, every chunk one row
+            (9, 11, 9), // NPE = q: a single chunk
+            (1, 11, 1), // q = 1
+            (9, 1, 4),  // r = 1: every cell is a `j = 1` cell
+            (1, 1, 1),
+            (9, 11, 4),  // the last chunk is one row (9 = 2·4 + 1)
+            (11, 9, 5),  // ...and taller than wide
+            (15, 15, 8), // wavefronts on both sides of eight lanes
+        ];
+        let bandings = [
+            Banding::None,
+            Banding::Fixed { half_width: 0 },
+            Banding::Fixed { half_width: 1 },
+        ];
+        for (q_len, r_len, npe) in shapes {
+            let (q, r) = (&a.as_slice()[..q_len], &b.as_slice()[..r_len]);
+            for banding in bandings {
+                let config = KernelConfig {
+                    banding,
+                    ..cfg(npe)
+                };
+                let ctx = format!("q={q_len} r={r_len} npe={npe} {banding:?}");
+                let pa = AffineParams::<i16>::dna();
+                let want = run_reference::<GlobalAffine>(&pa, q, r, banding);
+                let got = run_systolic_ok::<GlobalAffine>(&pa, q, r, &config);
+                assert_eq!(got.output, want, "global affine {ctx}");
+                let want = run_reference::<LocalAffine>(&pa, q, r, banding);
+                let got = run_systolic_ok::<LocalAffine>(&pa, q, r, &config);
+                assert_eq!(got.output, want, "local affine {ctx}");
+                let pt = TwoPieceParams::<i16>::dna();
+                let want = run_reference::<GlobalTwoPiece<i16>>(&pt, q, r, banding);
+                let got = run_systolic_ok::<GlobalTwoPiece<i16>>(&pt, q, r, &config);
+                assert_eq!(got.output, want, "two-piece {ctx}");
             }
         }
     }

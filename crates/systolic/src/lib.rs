@@ -37,6 +37,9 @@
 // undocumented items are a build error, and CI keeps `cargo doc` warning-free.
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+// Held by the compiler, not by review. `deny` rather than `forbid`, so the
+// one intrinsics module ROADMAP item 2(i) foresees can opt in where it shows.
+#![deny(unsafe_code)]
 
 pub mod adaptive;
 pub mod block;

@@ -19,10 +19,12 @@ use dphls_core::TbPtr;
 ///
 /// The `NPE` banks are stored interleaved in one flat allocation,
 /// **wavefront-major**: entry `(k, addr)` lives at `addr · NPE + k`. Since
-/// all lanes of one wavefront share one address (§5.2), the multi-lane store
-/// [`TbMem::write_lanes`] is a single contiguous `memcpy` of the lane
-/// pointers, and consecutive wavefronts advance linearly through memory —
-/// the software analogue of the banks' parallel same-address write ports.
+/// all lanes of one wavefront share one address (§5.2), their pointers are
+/// adjacent entries: [`TbMem::lanes_mut`] hands the multi-lane engine that
+/// run as one slice, the lane ports write their pointers into it in place
+/// (no staging copy), and consecutive wavefronts advance linearly through
+/// memory — the software analogue of the banks' parallel same-address write
+/// ports.
 #[derive(Debug, Clone)]
 pub struct TbMem {
     npe: usize,
@@ -128,27 +130,26 @@ impl TbMem {
         self.writes += 1;
     }
 
-    /// Writes the pointers PEs `k0..k0 + ptrs.len()` produced at wavefront
-    /// `w` of chunk `c` — the multi-lane engine's widened store. All lanes
-    /// of one wavefront share the same coalesced address in their own banks
-    /// (the §5.2 regular-access property), so the address computes once per
-    /// call instead of once per cell.
+    /// The entries PEs `k0..k0 + n` write at wavefront `w` of chunk `c`, for
+    /// the multi-lane engine to fill in place and counted as `n` writes. All
+    /// lanes of one wavefront share the same coalesced address in their own
+    /// banks (the §5.2 regular-access property), so the address computes
+    /// once per wavefront instead of once per cell.
     ///
     /// # Panics
     ///
     /// Panics if the address falls outside a bank or a lane index exceeds
     /// `NPE`.
-    pub fn write_lanes(&mut self, k0: usize, c: usize, w: usize, ptrs: &[TbPtr]) {
+    #[inline]
+    pub fn lanes_mut(&mut self, k0: usize, c: usize, w: usize, n: usize) -> &mut [TbPtr] {
         let addr = c * Self::wavefronts_per_chunk(self.npe, self.ref_len) + w;
         assert!(
-            k0 + ptrs.len() <= self.npe && addr < self.depth,
+            k0 + n <= self.npe && addr < self.depth,
             "tbmem lane write out of range"
         );
         let base = addr * self.npe + k0;
-        // One contiguous store: in the wavefront-major layout the lanes'
-        // same-address writes are adjacent entries.
-        self.cells[base..base + ptrs.len()].copy_from_slice(ptrs);
-        self.writes += ptrs.len() as u64;
+        self.writes += n as u64;
+        &mut self.cells[base..base + n]
     }
 
     /// Reads the pointer of matrix cell `(i, j)` (both 1-based).
@@ -229,11 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn write_lanes_matches_per_cell_writes() {
+    fn lanes_mut_matches_per_cell_writes() {
         let mut a = TbMem::new(8, 2, 16);
         let mut b = TbMem::new(8, 2, 16);
         let ptrs = [TbPtr::DIAG, TbPtr::UP, TbPtr::LEFT, TbPtr::DIAG];
-        a.write_lanes(3, 1, 7, &ptrs);
+        a.lanes_mut(3, 1, 7, ptrs.len()).copy_from_slice(&ptrs);
         for (t, &p) in ptrs.iter().enumerate() {
             b.write(3 + t, 1, 7, p);
         }
@@ -246,6 +247,12 @@ mod tests {
             assert_eq!(a.read_cell(i, j), p, "lane {k}");
             assert_eq!(b.read_cell(i, j), p, "lane {k}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane write out of range")]
+    fn lanes_mut_rejects_a_run_past_the_last_bank() {
+        TbMem::new(8, 2, 16).lanes_mut(6, 0, 0, 3);
     }
 
     #[test]

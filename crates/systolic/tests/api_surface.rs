@@ -1,15 +1,18 @@
 //! Frozen-surface guard: the out-of-workspace `benchmark/` package
 //! (`src/{ladder,stream,inputs,map}.rs`) calls exactly these engine doors
-//! and both `LaneKernel` ports with exactly these argument lists. It is not
-//! a workspace member, so without this file a signature drift would pass
-//! `cargo test` and break only the benchmark build.
+//! and the two chunked `LaneKernel` ports with exactly these argument lists.
+//! It is not a workspace member, so without this file a signature drift
+//! would pass `cargo test` and break only the benchmark build. The
+//! whole-wavefront plane port is pinned here too: it is what the engine
+//! calls for multi-layer kernels, and the door the benchmark's lane-body
+//! rung is to be repointed at.
 
 // Spelling each argument list out in full is the point of this file.
 #![allow(clippy::type_complexity)]
 
 use dphls_core::{
-    AdaptiveKernel, I8Lanes, KernelConfig, LaneKernel, LayerVec, Score, TbPtr, I8_LANES_WIDE,
-    LANE_WIDTH,
+    AdaptiveKernel, I8Lanes, KernelConfig, KernelSpec, LaneKernel, LayerVec, Score, TbPtr,
+    I8_LANES_WIDE, LANE_WIDTH,
 };
 use dphls_kernels::{AffineParams, GlobalAffine, GlobalLinear, LinearParams};
 use dphls_seq::{Base, DnaSeq};
@@ -139,4 +142,49 @@ fn lane_ports_keep_their_signatures() {
     ));
     assert!(!bare_lanes::<GlobalLinear, LANE_WIDTH>(&linear, &syms));
     assert!(!bare_lanes::<Lo, I8_LANES_WIDE>(&narrow, &syms));
+}
+
+#[test]
+fn plane_port_keeps_its_signature() {
+    let port: fn(
+        &AffineParams<i16>,
+        &[Base],
+        &[Base],
+        &[&[i16]],
+        &[&[i16]],
+        &[&[i16]],
+        &mut [&mut [i16]],
+        &mut [TbPtr],
+    ) -> bool = <GlobalAffine<i16> as LaneKernel>::pe_wavefront;
+
+    // Called as the engine calls it: one slice per layer, symbols forward on
+    // both sides, pointers written in place, guard flag returned.
+    let (q, r) = pair();
+    let n = q.len();
+    let params = AffineParams::<i16>::dna();
+    let planes = [vec![0i16; n], vec![-7i16; n], vec![-9i16; n]];
+    let views = planes.each_ref().map(Vec::as_slice);
+    let mut out = [vec![0i16; n], vec![0i16; n], vec![0i16; n]];
+    let mut ptrs = vec![TbPtr::END; n];
+    let escalate = port(
+        &params,
+        &q,
+        &r,
+        &views,
+        &views,
+        &views,
+        &mut out.each_mut().map(Vec::as_mut_slice),
+        &mut ptrs,
+    );
+    assert!(!escalate, "exact scores never escalate");
+    let cell = LayerVec::from_slice(&[0i16, -7, -9]);
+    for t in 0..n {
+        let (want, want_ptr) = GlobalAffine::<i16>::pe(&params, q[t], r[t], &cell, &cell, &cell);
+        assert_eq!(
+            [out[0][t], out[1][t], out[2][t]],
+            want.as_slice(),
+            "lane {t}"
+        );
+        assert_eq!(ptrs[t], want_ptr, "lane {t}");
+    }
 }

@@ -1,11 +1,14 @@
 //! Property-based verification of the multi-lane wavefront engine: for
-//! every kernel family with a vectorized `pe_lanes` override (the linear
-//! NW/SW group and the affine group) — and one fallback kernel for the
-//! default path — the laned engine must be **bit-identical** to the forced
-//! scalar engine across random sequences, band widths (including the
-//! degenerate `half_width` 0/1 bands), NPE shapes, and scoring-parameter
-//! scale factors. Identity covers scores, best cells, the full traceback
-//! path, and the structural statistics the cycle model consumes.
+//! every kernel family with a vectorized lane port — the linear NW/SW group
+//! (chunked `pe_lanes_primary`), the affine group and the two-piece group
+//! (whole-wavefront `pe_wavefront` over three and five layer planes) — the
+//! laned engine must be **bit-identical** to the forced scalar engine across
+//! random sequences, band widths (including the degenerate `half_width` 0/1
+//! bands), NPE shapes, and scoring-parameter scale factors. Identity covers
+//! scores, best cells, the full traceback path, and the structural
+//! statistics the cycle model consumes. (Kernels on the default ports are
+//! held to the reference engine, through the same lane loop, by
+//! `differential.rs`.)
 //!
 //! The suite doubles as the **cross-precision differential** check: for
 //! every [`AdaptiveKernel`] the saturating-`i8` adaptive driver — at both
@@ -15,8 +18,9 @@
 
 use dphls_core::{AdaptiveKernel, Banding, I8Lanes, KernelConfig, LaneKernel};
 use dphls_kernels::{
-    AffineParams, BandedGlobalLinear, BandedLocalAffine, GlobalAffine, GlobalLinear,
-    GlobalTwoPiece, LinearParams, LocalAffine, LocalLinear, Overlap, SemiGlobal, TwoPieceParams,
+    AffineParams, BandedGlobalLinear, BandedGlobalTwoPiece, BandedLocalAffine, GlobalAffine,
+    GlobalLinear, GlobalTwoPiece, LinearParams, LocalAffine, LocalLinear, Overlap, SemiGlobal,
+    TwoPieceParams,
 };
 use dphls_seq::Base;
 use dphls_systolic::{
@@ -196,18 +200,26 @@ proptest! {
         }
     }
 
-    /// A five-layer kernel without an override: the scalar fallback through
-    /// the chunked engine must still match the forced scalar loop.
+    /// Two-piece family (five layers, a 3-bit source index and four open
+    /// flags in the pointer): full-matrix #5 and banded #13, down to the
+    /// degenerate bands where every lane is PE 0 or the `j = 1` cell.
     #[test]
-    fn laned_matches_scalar_two_piece_fallback(
+    fn laned_matches_scalar_two_piece(
         q in dna(36),
         r in dna(36),
         npe in 1usize..9,
+        hw in (0usize..13).prop_map(|v| (v < 12).then_some(v)),
     ) {
         let p = TwoPieceParams::<i16>::dna();
-        assert_lanes_match_scalar::<GlobalTwoPiece<i16>>(
-            &p, &q, &r, npe, Banding::None, &format!("two-piece npe={npe}"),
-        );
+        let ctx = format!("two-piece npe={npe} hw={hw:?}");
+        match hw {
+            Some(half_width) => assert_lanes_match_scalar::<BandedGlobalTwoPiece<i16>>(
+                &p, &q, &r, npe, Banding::Fixed { half_width }, &ctx,
+            ),
+            None => assert_lanes_match_scalar::<GlobalTwoPiece<i16>>(
+                &p, &q, &r, npe, Banding::None, &ctx,
+            ),
+        }
     }
 
     /// Cross-precision differential, linear family: every linear adaptive
@@ -325,8 +337,8 @@ fn degenerate_bands_and_lane_boundaries_deterministic() {
 }
 
 /// Partial-lane tail regression: when a wavefront chunk is shorter than
-/// the lane width (`n = LANES.min(k_last - k + 1)` in `block.rs`), the
-/// unused trailing lanes must never offer tracker candidates or traceback
+/// the lane width (`m = LANES.min(n - off)` in `block.rs`), the unused
+/// trailing lanes must never offer tracker candidates or traceback
 /// pointers. Band half-widths are chosen so the chunk lengths `2*hw + 1`
 /// straddle every lane width in play — 8 (exact engine), 16 and 32 (the
 /// `i8` fast path) — and the kernels use all-cells tracking, where one

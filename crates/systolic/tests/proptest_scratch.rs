@@ -5,7 +5,8 @@
 
 use dphls_core::{Banding, KernelConfig};
 use dphls_kernels::{
-    AffineParams, GlobalAffine, GlobalLinear, LinearParams, LocalLinear, NoParams, Sdtw,
+    AffineParams, GlobalAffine, GlobalLinear, GlobalTwoPiece, LinearParams, LocalLinear, NoParams,
+    Sdtw, TwoPieceParams,
 };
 use dphls_seq::Base;
 use dphls_systolic::{
@@ -105,36 +106,47 @@ proptest! {
         npe in 1usize..9,
         hw in 1usize..12,
     ) {
-        // One `i16` arena under a worker that alternates a single-layer
-        // kernel (flat cell storage), a three-layer kernel (layer-vector
-        // storage) and the scalar mode (layer-vector storage for the
-        // single-layer kernel), at alternating geometries: the shared
-        // trackers and traceback memory and both buffer sets must come
-        // back pristine every time.
+        // One `i16` arena under a worker that alternates a single-layer, a
+        // three-layer and a five-layer kernel — all three share the lane
+        // mode's planes, whose plane count and stride change from one run
+        // to the next — with the scalar mode (layer-vector cells), over
+        // shrinking and growing prefixes of the pair: the shared trackers,
+        // traceback memory and reversed reference and both buffer sets must
+        // come back pristine every time.
         let lp = LinearParams::<i16>::dna();
         let ap = AffineParams::<i16>::dna();
+        let tp = TwoPieceParams::<i16>::dna();
         let mut scratch = SystolicScratch::new();
-        let max = q.len().max(r.len());
-        let full = KernelConfig::new(npe.min(q.len()), 1, 1).with_max_lengths(max, max);
-        let banded = KernelConfig::new(npe.min(r.len()), 1, 1)
-            .with_max_lengths(max, max)
-            .with_banding(hw);
-        for _ in 0..2 {
-            let fresh = run_systolic::<GlobalLinear>(&lp, &q, &r, &full).unwrap();
-            let flat = run_systolic_with_scratch::<GlobalLinear>(
-                &lp, &q, &r, &full, &mut scratch,
-            ).unwrap();
-            prop_assert_eq!(&flat, &fresh);
+        let (ql, rl) = (q.len(), r.len());
+        for (ql, rl) in [(ql, rl), (ql.div_ceil(3), rl.div_ceil(2)), (ql, 1), (1, rl), (ql, rl)] {
+            let (q, r) = (&q[..ql], &r[..rl]);
+            let max = ql.max(rl);
+            let full = KernelConfig::new(npe.min(ql), 1, 1).with_max_lengths(max, max);
+            let banded = KernelConfig::new(npe.min(rl), 1, 1)
+                .with_max_lengths(max, max)
+                .with_banding(hw);
 
-            let fresh = run_systolic::<GlobalAffine<i16>>(&ap, &r, &q, &banded).unwrap();
-            let layered = run_systolic_with_scratch::<GlobalAffine<i16>>(
-                &ap, &r, &q, &banded, &mut scratch,
+            let fresh = run_systolic::<GlobalLinear>(&lp, q, r, &full).unwrap();
+            let one_plane = run_systolic_with_scratch::<GlobalLinear>(
+                &lp, q, r, &full, &mut scratch,
             ).unwrap();
-            prop_assert_eq!(&layered, &fresh);
+            prop_assert_eq!(&one_plane, &fresh);
 
-            let fresh = run_systolic::<LocalLinear<i16>>(&lp, &q, &r, &banded).unwrap();
+            let fresh = run_systolic::<GlobalAffine<i16>>(&ap, r, q, &banded).unwrap();
+            let three_planes = run_systolic_with_scratch::<GlobalAffine<i16>>(
+                &ap, r, q, &banded, &mut scratch,
+            ).unwrap();
+            prop_assert_eq!(&three_planes, &fresh);
+
+            let fresh = run_systolic::<GlobalTwoPiece<i16>>(&tp, q, r, &full).unwrap();
+            let five_planes = run_systolic_with_scratch::<GlobalTwoPiece<i16>>(
+                &tp, q, r, &full, &mut scratch,
+            ).unwrap();
+            prop_assert_eq!(&five_planes, &fresh);
+
+            let fresh = run_systolic::<LocalLinear<i16>>(&lp, r, q, &banded).unwrap();
             let scalar = run_systolic_scalar_with_scratch::<LocalLinear<i16>>(
-                &lp, &q, &r, &banded, &mut scratch,
+                &lp, r, q, &banded, &mut scratch,
             ).unwrap();
             prop_assert_eq!(&scalar, &fresh);
         }

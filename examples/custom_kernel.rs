@@ -71,7 +71,8 @@ impl KernelSpec for EditDistance {
 }
 
 // One empty impl opts the custom kernel into the multi-lane systolic
-// engine via the scalar fallback; override `pe_lanes` to vectorize.
+// engine via the scalar fallback; a single-layer kernel like this one
+// overrides `pe_lanes_primary` to vectorize (`pe_wavefront` for more layers).
 impl LaneKernel for EditDistance {}
 
 /// The counting-instrumented twin (same recurrence, measured operators).
