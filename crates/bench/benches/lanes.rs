@@ -11,6 +11,11 @@
 //!   The out-of-workspace `kernels.pe_lanes_gcups` rung times the `LayerVec`
 //!   port, which the engine no longer calls for multi-layer kernels; this
 //!   group is the in-workspace reading of the live path.
+//! * `xdrop`: one 3 kb read at 5 % error against its candidate window through
+//!   `run_xdrop` at the mapper's default `XDropConfig` — the `map_long_reads`
+//!   extension step, throughput in anti-diagonals (ns per wavefront is the
+//!   reciprocal), a two-second reading of the loop the traced benchmark run
+//!   takes half a minute to reach.
 
 use criterion::{
     criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
@@ -20,9 +25,11 @@ use dphls_core::{KernelConfig, LaneKernel};
 use dphls_kernels::{
     AffineParams, GlobalAffine, GlobalLinear, GlobalTwoPiece, LinearParams, TwoPieceParams,
 };
+use dphls_mapper::MapperConfig;
+use dphls_seq::gen::{ErrorModel, ReadSimulator};
 use dphls_seq::Base;
 use dphls_systolic::{
-    run_systolic_scalar_with_scratch, run_systolic_with_scratch, SystolicScratch,
+    run_systolic_scalar_with_scratch, run_systolic_with_scratch, run_xdrop, SystolicScratch,
 };
 use std::time::Duration;
 
@@ -93,5 +100,38 @@ fn bench_lanes_long(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_lanes, bench_lanes_long);
+fn bench_xdrop(c: &mut Criterion) {
+    let cfg = MapperConfig::default();
+    let mut sim = ReadSimulator::new(0xD9).error_model(ErrorModel::PACBIO_CLR);
+    let read = sim.simulate_read(3_000, 0.05);
+    // The window `map_read` cuts: read length plus an eighth plus slack.
+    let span = read.read.len() + read.read.len() / 8 + cfg.window_slack;
+    let window = sim.genome().window(read.start, span);
+    let (q, r) = (read.read.as_slice(), window.as_slice());
+    let extend = || {
+        run_xdrop(
+            q,
+            r,
+            |a, b| cfg.params.substitution(a == b),
+            cfg.params.gap,
+            &cfg.xdrop,
+        )
+    };
+    let run = extend();
+    assert!(run.score > 3_000, "the read lost its window: {run:?}");
+
+    let mut g = c.benchmark_group("xdrop");
+    g.sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2))
+        .throughput(Throughput::Elements(run.wavefronts));
+    g.bench_with_input(
+        BenchmarkId::new("read_3kb_wavefronts", run.wavefronts),
+        &run.wavefronts,
+        |b, _| b.iter(extend),
+    );
+    g.finish();
+}
+
+criterion_group!(benches, bench_lanes, bench_lanes_long, bench_xdrop);
 criterion_main!(benches);

@@ -14,6 +14,7 @@
 
 use dphls_seq::{Base, DnaSeq};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Seeding parameters: k-mer size, minimizer window, repeat cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +60,7 @@ impl Seed {
 #[derive(Debug, Clone)]
 pub struct KmerIndex {
     cfg: IndexConfig,
-    buckets: HashMap<u64, Vec<u32>>,
+    buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHasher>>,
     masked: usize,
     selected: usize,
 }
@@ -73,11 +74,30 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Packs `seq[pos .. pos + k]` into 2-bit codes (A=0 … T=3).
-fn pack(seq: &[Base], pos: usize, k: usize) -> u64 {
-    seq[pos..pos + k]
-        .iter()
-        .fold(0u64, |acc, b| (acc << 2) | b.code() as u64)
+/// Hasher of the bucket map: its keys are already-packed k-mers, so one
+/// [`mix`] round (a bijection on `u64`) replaces SipHash-ing eight bytes on
+/// every reference minimizer at build time and every read minimizer at
+/// lookup. Not keyed: a reference crafted against `mix` can slow its own
+/// index down, which the bucket cap does not bound.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix(self.0 ^ key);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // `u64` keys arrive through `write_u64`; this is the trait's
+        // required method, kept total.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
 }
 
 /// The minimizer positions of `seq`: for every window of `w` consecutive
@@ -92,7 +112,17 @@ pub fn minimizers(seq: &[Base], k: usize, w: usize) -> Vec<(u32, u64)> {
         return Vec::new();
     }
     let n_kmers = seq.len() - k + 1;
-    let keys: Vec<u64> = (0..n_kmers).map(|p| pack(seq, p, k)).collect();
+    // Rolling 2-bit pack (A=0 … T=3): each base shifts in once and falls
+    // off the top after k positions.
+    let mask = (1u64 << (2 * k)) - 1;
+    let mut key = 0u64;
+    let mut keys: Vec<u64> = Vec::with_capacity(n_kmers);
+    for (p, b) in seq.iter().enumerate() {
+        key = ((key << 2) | u64::from(b.code())) & mask;
+        if p + 1 >= k {
+            keys.push(key);
+        }
+    }
     if w == 1 {
         return keys
             .iter()
@@ -134,7 +164,7 @@ impl KmerIndex {
         );
         let mins = minimizers(genome.as_slice(), cfg.k, cfg.w);
         let selected = mins.len();
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut buckets: HashMap<u64, Vec<u32>, _> = HashMap::default();
         for (pos, key) in mins {
             buckets.entry(key).or_default().push(pos);
         }
@@ -203,6 +233,14 @@ mod tests {
         GenomeGenerator::new(seed).generate(len)
     }
 
+    /// Packs `seq[pos .. pos + k]` into 2-bit codes (A=0 … T=3), a base at
+    /// a time: what the rolling pack of [`minimizers`] has to equal.
+    fn pack(seq: &[Base], pos: usize, k: usize) -> u64 {
+        seq[pos..pos + k]
+            .iter()
+            .fold(0u64, |acc, b| (acc << 2) | b.code() as u64)
+    }
+
     #[test]
     fn dense_index_recovers_every_position() {
         let g = genome(500, 1);
@@ -219,6 +257,79 @@ mod tests {
                 "position {p} missing from its bucket"
             );
         }
+    }
+
+    /// `minimizers` as first written: every key folded from its k bases,
+    /// every window's leftmost minimum found by rescanning it.
+    fn minimizers_by_fold(seq: &[Base], k: usize, w: usize) -> Vec<(u32, u64)> {
+        let Some(n_kmers) = (seq.len() + 1).checked_sub(k) else {
+            return Vec::new();
+        };
+        let keys: Vec<u64> = (0..n_kmers).map(|p| pack(seq, p, k)).collect();
+        let mut out: Vec<(u32, u64)> = Vec::new();
+        for win_lo in 0..(n_kmers + 1).saturating_sub(w) {
+            let best = (win_lo..win_lo + w).min_by_key(|&p| mix(keys[p])).unwrap();
+            if out.last().map(|&(p, _)| p as usize) != Some(best) {
+                out.push((best as u32, keys[best]));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rolling_keys_equal_the_per_position_fold() {
+        // The edges of the rolling pack: k = 1 (mask of two bits), k = 31
+        // (62 of 64 bits, nothing may survive above the mask), a sequence
+        // of exactly one k-mer, one base short of one, and the default.
+        let g = genome(700, 9);
+        for k in [1usize, 2, 15, 30, 31] {
+            for w in [1usize, 2, 5, 9] {
+                for len in [k - 1, k, k + 1, k + w - 1, k + w, 700] {
+                    let seq = &g.as_slice()[..len.min(700)];
+                    assert_eq!(
+                        minimizers(seq, k, w),
+                        minimizers_by_fold(seq, k, w),
+                        "k {k} w {w} len {len}"
+                    );
+                }
+            }
+        }
+        let poly_t = [Base::T; 40];
+        assert_eq!(minimizers(&poly_t, 31, 1)[9], (9, (1u64 << 62) - 1));
+        assert_eq!(minimizers(&poly_t, 1, 1)[39], (39, 3));
+    }
+
+    #[test]
+    fn index_accounting_and_seed_order_do_not_depend_on_the_hasher() {
+        // Counted the slow way from the minimizer list itself.
+        let g = genome(30_000, 6);
+        let cfg = IndexConfig {
+            k: 9,
+            w: 4,
+            bucket_cap: 3,
+        };
+        let idx = KmerIndex::build(&g, cfg);
+        let mins = minimizers(g.as_slice(), cfg.k, cfg.w);
+        let mut by_key = std::collections::BTreeMap::<u64, Vec<u32>>::new();
+        for &(pos, key) in &mins {
+            by_key.entry(key).or_default().push(pos);
+        }
+        let kept = by_key.values().filter(|v| v.len() <= cfg.bucket_cap);
+        assert_eq!(idx.selected_minimizers(), mins.len());
+        assert_eq!(idx.buckets(), kept.clone().count());
+        assert_eq!(idx.masked_buckets(), by_key.len() - idx.buckets());
+        assert!(idx.masked_buckets() > 0, "nothing exercised the cap");
+        let read = g.window(12_345, 400);
+        let want: Vec<Seed> = minimizers(read.as_slice(), cfg.k, cfg.w)
+            .into_iter()
+            .flat_map(|(read_pos, key)| {
+                let hits = by_key.get(&key).filter(|v| v.len() <= cfg.bucket_cap);
+                hits.into_iter()
+                    .flatten()
+                    .map(move |&ref_pos| Seed { read_pos, ref_pos })
+            })
+            .collect();
+        assert_eq!(idx.seeds(read.as_slice()), want);
     }
 
     #[test]

@@ -176,10 +176,10 @@ pub fn map_read(
     // drift (the true span exceeds the read length when deletions
     // dominate) plus slack for the locus estimate's own error.
     let span = oriented.len() + oriented.len() / 8 + cfg.window_slack;
-    let window = genome.window(locus, span.min(genome.len() - locus));
+    let window = &genome.as_slice()[locus..locus + span.min(genome.len() - locus)];
     let run = run_xdrop(
         oriented,
-        window.as_slice(),
+        window,
         |a, b| cfg.params.substitution(a == b),
         cfg.params.gap,
         &cfg.xdrop,
