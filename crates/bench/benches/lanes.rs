@@ -11,6 +11,15 @@
 //!   The out-of-workspace `kernels.pe_lanes_gcups` rung times the `LayerVec`
 //!   port, which the engine no longer calls for multi-layer kernels; this
 //!   group is the in-workspace reading of the live path.
+//! * `grouped`: the `stream_short_adaptive` pair shape (120 bp, unit scoring,
+//!   band w20, NPE 120, every 20th pair a planted escalator) through the
+//!   adaptive wavefront engine one pair at a time, and through the grouped
+//!   (inter-sequence) engine at 1, 2, 4, 8, 16 and 32 pairs a pass — 16 or
+//!   fewer on the 16-lane body, 32 on the 32-lane one, which the adaptive
+//!   driver does not instantiate (this row is the reading that would justify
+//!   it) — escalation re-runs included, with no break-even gate in the way.
+//!   Elements are pairs, so the reciprocal is µs a pair: where the constants
+//!   of `dphls_systolic::adaptive` come from.
 //! * `xdrop`: one 3 kb read at 5 % error against its candidate window through
 //!   `run_xdrop` at the mapper's default `XDropConfig` — the `map_long_reads`
 //!   extension step, throughput in anti-diagonals (ns per wavefront is the
@@ -21,7 +30,9 @@ use criterion::{
     criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
 use dphls_bench::perf::{make_workload, Workload};
-use dphls_core::{KernelConfig, LaneKernel};
+use dphls_core::{
+    AdaptiveKernel, I8Lanes, KernelConfig, LaneKernel, I8_LANES_NARROW, I8_LANES_WIDE,
+};
 use dphls_kernels::{
     AffineParams, GlobalAffine, GlobalLinear, GlobalTwoPiece, LinearParams, TwoPieceParams,
 };
@@ -29,7 +40,8 @@ use dphls_mapper::MapperConfig;
 use dphls_seq::gen::{ErrorModel, ReadSimulator};
 use dphls_seq::Base;
 use dphls_systolic::{
-    run_systolic_scalar_with_scratch, run_systolic_with_scratch, run_xdrop, SystolicScratch,
+    run_adaptive_with_scratch, run_group_with_scratch, run_systolic_scalar_with_scratch,
+    run_systolic_with_scratch, run_xdrop, AdaptiveScratch, GroupScratch, SystolicScratch,
 };
 use std::time::Duration;
 
@@ -100,6 +112,95 @@ fn bench_lanes_long(c: &mut Criterion) {
     g.finish();
 }
 
+/// One pass of the grouped engine over `pairs` at `L` lanes, tripped members
+/// re-run on the exact engine: what `run_adaptive_group_with_scratch` does
+/// for a group it accepts. Returns how many members escalated.
+fn grouped_pass<const L: usize>(
+    lo: &LinearParams<i8>,
+    params: &LinearParams<i16>,
+    pairs: &[(&[Base], &[Base])],
+    config: &KernelConfig,
+    narrow: &mut GroupScratch<i8, L>,
+    exact: &mut SystolicScratch<i16>,
+) -> usize
+where
+    <GlobalLinear as AdaptiveKernel>::Lo: LaneKernel<L>,
+{
+    type Lo = <GlobalLinear as AdaptiveKernel>::Lo;
+    let slots = run_group_with_scratch::<Lo, L>(lo, pairs, config, narrow);
+    let mut escalated = 0;
+    for (slot, (q, r)) in slots.into_iter().zip(pairs) {
+        if slot.expect("valid pair").is_none() {
+            run_systolic_with_scratch::<GlobalLinear>(params, q, r, config, exact).unwrap();
+            escalated += 1;
+        }
+    }
+    escalated
+}
+
+fn bench_grouped(c: &mut Criterion) {
+    let pairs = 640usize;
+    let len = 120usize;
+    let mut workload = make_workload(pairs, len, 0xD9);
+    for (q, r) in workload.iter_mut().skip(3).step_by(20) {
+        *q = r.clone();
+        q[..44].fill(Base::A);
+        r[..44].fill(Base::C);
+    }
+    let views: Vec<(&[Base], &[Base])> = workload
+        .iter()
+        .map(|(q, r)| (q.as_slice(), r.as_slice()))
+        .collect();
+    let config = KernelConfig::new(len, 1, 1)
+        .with_max_lengths(len, len)
+        .with_banding(20);
+    let params = LinearParams::<i16>::unit();
+    let lo = GlobalLinear::lo_params(&params).expect("unit scoring fits i8");
+
+    let mut g = c.benchmark_group("grouped");
+    g.sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2))
+        .throughput(Throughput::Elements(pairs as u64));
+    g.bench_with_input(BenchmarkId::new("wavefront", pairs), &pairs, |b, _| {
+        let mut scratch = AdaptiveScratch::new();
+        b.iter(|| {
+            for (q, r) in &views {
+                run_adaptive_with_scratch::<GlobalLinear>(
+                    &params,
+                    Some(&lo),
+                    I8Lanes::X32,
+                    q,
+                    r,
+                    &config,
+                    &mut scratch,
+                )
+                .unwrap();
+            }
+        })
+    });
+    for size in [1usize, 2, 4, 8, 16, 32] {
+        let id = BenchmarkId::new(&format!("group_of_{size}"), pairs);
+        g.bench_with_input(id, &pairs, |b, _| {
+            let mut narrow = GroupScratch::<i8, { I8_LANES_NARROW }>::new();
+            let mut wide = GroupScratch::<i8, { I8_LANES_WIDE }>::new();
+            let mut exact = SystolicScratch::new();
+            b.iter(|| {
+                let mut escalated = 0;
+                for group in views.chunks(size) {
+                    escalated += if size <= I8_LANES_NARROW {
+                        grouped_pass(&lo, &params, group, &config, &mut narrow, &mut exact)
+                    } else {
+                        grouped_pass(&lo, &params, group, &config, &mut wide, &mut exact)
+                    };
+                }
+                assert_eq!(escalated, pairs / 20);
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_xdrop(c: &mut Criterion) {
     let cfg = MapperConfig::default();
     let mut sim = ReadSimulator::new(0xD9).error_model(ErrorModel::PACBIO_CLR);
@@ -133,5 +234,11 @@ fn bench_xdrop(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_lanes, bench_lanes_long, bench_xdrop);
+criterion_group!(
+    benches,
+    bench_lanes,
+    bench_lanes_long,
+    bench_grouped,
+    bench_xdrop
+);
 criterion_main!(benches);

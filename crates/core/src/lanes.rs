@@ -11,35 +11,42 @@
 //! into vector instructions (`vpaddsw`/`vpmaxsw`-class code for the `i16`
 //! alignment kernels) with no `portable_simd` / nightly dependency.
 //!
-//! There are three ports, and the engine calls exactly two of them:
+//! There are four ports, and the engines call exactly three of them:
 //!
 //! * [`LaneKernel::pe_wavefront`] scores the **whole interior lane range of
 //!   a wavefront in one call** over per-layer planes — the paper's "each
-//!   scoring layer is its own partitioned array" (§5.1). The engine calls it
-//!   for every multi-layer kernel; the affine and two-piece families in
-//!   `dphls-kernels` override it with one exact-`n` loop over the planes,
+//!   scoring layer is its own partitioned array" (§5.1). The wavefront engine
+//!   calls it for every multi-layer kernel; the affine and two-piece families
+//!   in `dphls-kernels` override it with one exact-`n` loop over the planes,
 //!   every other kernel takes the default per-lane [`KernelSpec::pe`] loop.
 //! * [`LaneKernel::pe_lanes_primary`] scores up to `LANES` lanes per call
 //!   over flat score slices, padded to the full width inside the kernel. The
-//!   engine calls it, in chunks over plane 0, for every single-layer kernel;
-//!   the linear family overrides it. It stays chunked because a band-clipped
-//!   short-read wavefront is ~19 cells: the padded fixed-width body has no
-//!   remainder loop, and on that workload an exact-`n` body measured 6–16 %
-//!   slower end to end.
-//! * [`LaneKernel::pe_lanes`] is the same chunk over [`LayerVec`]s. Nothing
-//!   in the engine calls it any more; it is kept as the array-of-structures
-//!   door measurement code times, and its default body transposes into
-//!   planes and defers to [`LaneKernel::pe_wavefront`], so it still runs the
-//!   kernel's live recurrence.
+//!   wavefront engine calls it, in chunks over plane 0, for every
+//!   single-layer kernel; the linear family overrides it. It stays chunked
+//!   because a band-clipped short-read wavefront is ~19 cells: the padded
+//!   fixed-width body has no remainder loop, and on that workload an
+//!   exact-`n` body measured 6–16 % slower end to end.
+//! * [`LaneKernel::pe_group`] scores `LANES` **independent** cells: lane `t`
+//!   belongs to pair `t` of a group, not to row `t` of an anti-diagonal. The
+//!   grouped (inter-sequence) engine calls it, once per cell of a band row,
+//!   for single-layer kernels; every stream is a full-width array read
+//!   forward, so there is no reversed reference, no partial chunk and no
+//!   copy. The linear family overrides it with the same select core its
+//!   `pe_lanes_primary` wraps — the recurrence is stated once.
+//! * [`LaneKernel::pe_lanes`] is the wavefront chunk over [`LayerVec`]s.
+//!   Nothing in the engines calls it any more; it is kept as the
+//!   array-of-structures door measurement code times, and its default body
+//!   transposes into planes and defers to [`LaneKernel::pe_wavefront`], so it
+//!   still runs the kernel's live recurrence.
 //!
 //! Every default bottoms out in [`KernelSpec::pe`] (both chunked ports
-//! default to `pe_wavefront`, which defaults to a per-lane `pe` loop), so
-//! each kernel gets correct lane ports for free and the back-end can require
-//! `K: LaneKernel` unconditionally. Overrides must stay **bit-identical** to the scalar
-//! path — same saturating [`Score`] ops, same candidate order and
-//! strict-improvement tie-breaks as [`crate::score::argmax`] — which the
-//! lane-vs-scalar property suite enforces across scores *and* traceback
-//! pointers.
+//! default to `pe_wavefront`, which like `pe_group` defaults to a per-lane
+//! `pe` loop), so each kernel gets correct lane ports for free and the
+//! back-end can require `K: LaneKernel` unconditionally. Overrides must stay
+//! **bit-identical** to the scalar path — same saturating [`Score`] ops, same
+//! candidate order and strict-improvement tie-breaks as
+//! [`crate::score::argmax`] — which the lane-vs-scalar and grouped property
+//! suites enforce across scores *and* traceback pointers.
 
 use crate::kernel::{KernelSpec, LayerVec, MAX_LAYERS};
 use crate::score::Score;
@@ -132,7 +139,8 @@ pub enum LanePrecision {
 /// All streams have the same length `n ≥ 1` (`n ≤ LANES` for the two chunked
 /// ports). The engine guarantees every lane is in-band and in-matrix and
 /// that the neighbor values are already populated — the same contract as
-/// [`KernelSpec::pe`], widened.
+/// [`KernelSpec::pe`], widened. [`LaneKernel::pe_group`] alone has no such
+/// geometry: its lanes are cells of `LANES` different alignments.
 pub trait LaneKernel<const LANES: usize = { LANE_WIDTH }>: KernelSpec {
     /// Scores `ptrs.len()` consecutive lanes of one wavefront — as many as
     /// the wavefront has — over **layer planes**.
@@ -316,6 +324,53 @@ pub trait LaneKernel<const LANES: usize = { LANE_WIDTH }>: KernelSpec {
             ptrs,
         )
     }
+
+    /// Scores `LANES` **independent** cells of a single-layer kernel: lane
+    /// `t` is a cell of its own alignment — the grouped engine puts pair `t`
+    /// of a group in lane `t` — so nothing relates one lane's position to
+    /// another's and every stream is a full-width array read **forward**
+    /// (`q[t]` beside `r[t]`, no reversed reference, no partial chunk).
+    ///
+    /// There is no guard flag to return: the lanes are different pairs, each
+    /// with a guard of its own, and which lanes are real at a cell only the
+    /// caller knows — it reads [`Score::needs_escalation`] off `out` itself,
+    /// after the row, where that is off the recurrence's critical path.
+    ///
+    /// The default implementation is the scalar fallback, one
+    /// [`KernelSpec::pe`] call per lane; the linear family overrides it with
+    /// the select core its [`Self::pe_lanes_primary`] wraps. Multi-layer
+    /// kernels must not be called through this port.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn pe_group(
+        params: &Self::Params,
+        q: &[Self::Sym; LANES],
+        r: &[Self::Sym; LANES],
+        diag: &[Self::Score; LANES],
+        up: &[Self::Score; LANES],
+        left: &[Self::Score; LANES],
+        out: &mut [Self::Score; LANES],
+        ptrs: &mut [TbPtr; LANES],
+    ) {
+        debug_assert_eq!(
+            Self::meta().n_layers,
+            1,
+            "pe_group is only defined for single-layer kernels"
+        );
+        let cell = |score| LayerVec::splat(1, score);
+        for t in 0..LANES {
+            let (o, p) = Self::pe(
+                params,
+                q[t],
+                r[t],
+                &cell(diag[t]),
+                &cell(up[t]),
+                &cell(left[t]),
+            );
+            out[t] = o.primary();
+            ptrs[t] = p;
+        }
+    }
 }
 
 /// An exact-`i16` kernel with a saturating-`i8` companion — the dispatch
@@ -432,6 +487,31 @@ mod tests {
                 (want.primary(), wptr),
                 "lane {t}"
             );
+        }
+    }
+
+    #[test]
+    fn group_port_fallback_scores_independent_cells() {
+        // Lane t is a cell of its own: symbols and neighbours unrelated to
+        // the other lanes', read forward.
+        let q = [1i16, 2, 3, 4, 5, 6, 7, 8];
+        let r = [1i16, 9, 3, 9, 5, 9, 7, 9];
+        let diag = [0i32, 1, 2, 3, 4, 5, 6, 7];
+        let up = [5i32, 4, 3, 2, 1, 0, -1, -2];
+        let left = [1i32; 8];
+        let (mut out, mut ptrs) = ([0i32; 8], [TbPtr::END; 8]);
+        <Fallback as LaneKernel>::pe_group(&(), &q, &r, &diag, &up, &left, &mut out, &mut ptrs);
+        for t in 0..8 {
+            let cell = |v| LayerVec::splat(1, v);
+            let (want, wptr) = Fallback::pe(
+                &(),
+                q[t],
+                r[t],
+                &cell(diag[t]),
+                &cell(up[t]),
+                &cell(left[t]),
+            );
+            assert_eq!((out[t], ptrs[t]), (want.primary(), wptr), "lane {t}");
         }
     }
 

@@ -13,12 +13,25 @@
 //! Both produce bit-identical outputs (the adaptive escalation contract —
 //! see `crates/systolic/src/adaptive.rs`); the only report-visible
 //! difference is the escalation counter.
+//!
+//! An engine may also score several pairs in one pass
+//! ([`PairEngine::group_width`] / [`PairEngine::run_group`]): the adaptive
+//! engine does, on the inter-sequence `i8` engine
+//! (`crates/systolic/src/group.rs`), with every pair's result equal to its
+//! [`PairEngine::run_pair`]. The exact engine does not, on purpose:
+//! `bench_check`'s `resilience_overhead` and `streaming` ratios are taken on
+//! it with an instrumented run on one side, and instrumented runs stay per
+//! pair (see `pool.rs`), so a gain on the uninstrumented side alone would
+//! read as overhead.
 
 use dphls_core::{AdaptiveKernel, I8Lanes, KernelConfig, KernelSpec, LaneKernel, LanePrecision};
 use dphls_systolic::{
-    run_adaptive_with_scratch, run_systolic_with_scratch, AdaptiveScratch, SystolicError,
-    SystolicRun, SystolicScratch,
+    run_adaptive_group_with_scratch, run_adaptive_with_scratch, run_systolic_with_scratch,
+    AdaptiveScratch, PairRef, SystolicError, SystolicRun, SystolicScratch, GROUP_CELLS_MAX,
 };
+
+/// One pair's outcome, as [`PairEngine::run_pair`] returns it.
+pub type PairResult<S> = Result<SystolicRun<S>, SystolicError>;
 
 /// One pair in, one run out: the strategy object the host schedulers thread
 /// through their worker loops. Implementations must be cheap to share
@@ -46,6 +59,40 @@ pub trait PairEngine<K: KernelSpec>: Sync {
         config: &KernelConfig,
         scratch: &mut Self::Scratch,
     ) -> Result<SystolicRun<K::Score>, SystolicError>;
+
+    /// Most pairs one [`run_group`](Self::run_group) call can score in a
+    /// single pass — what a scheduler may usefully hand it at once. 1 (the
+    /// default) means the engine gains nothing from company.
+    fn group_width(&self) -> usize {
+        1
+    }
+
+    /// Largest cost estimate (DP cells) of a pair still worth handing to
+    /// [`run_group`](Self::run_group) in company: above it the engine would
+    /// run the pair alone anyway, so a scheduler leaves it where a peer can
+    /// steal it. No bound by default.
+    fn group_cost_max(&self) -> u64 {
+        u64::MAX
+    }
+
+    /// Runs `pairs` and appends one result per pair to `out`, in order, each
+    /// equal to what [`run_pair`](Self::run_pair) returns for that pair
+    /// alone — a failing pair fails alone. Returns how many grouped passes
+    /// it took (0 when every pair went its own way, as in the default).
+    fn run_group(
+        &self,
+        pairs: &[PairRef<'_, K::Sym>],
+        config: &KernelConfig,
+        scratch: &mut Self::Scratch,
+        out: &mut Vec<PairResult<K::Score>>,
+    ) -> usize {
+        out.extend(
+            pairs
+                .iter()
+                .map(|(q, r)| self.run_pair(q, r, config, scratch)),
+        );
+        0
+    }
 }
 
 /// The exact path: every pair runs once at the kernel's native score width
@@ -133,6 +180,41 @@ impl<K: AdaptiveKernel> PairEngine<K> for AdaptiveEngine<K> {
             scratch,
         )
     }
+
+    /// The `i8` lane count the caller chose, when the narrow path is live
+    /// and the kernel is one the inter-sequence engine takes (a single
+    /// scoring layer). It is how many pairs a worker takes in one pop; the
+    /// passes themselves are 16 lanes wide, so 32 pairs are two.
+    fn group_width(&self) -> usize {
+        let single_layer = <K::Lo as KernelSpec>::meta().n_layers == 1;
+        match self.lo_params {
+            Some(_) if single_layer => self.lanes.width(),
+            _ => 1,
+        }
+    }
+
+    /// Where a pass's pointer rows would leave L2.
+    fn group_cost_max(&self) -> u64 {
+        GROUP_CELLS_MAX
+    }
+
+    fn run_group(
+        &self,
+        pairs: &[PairRef<'_, K::Sym>],
+        config: &KernelConfig,
+        scratch: &mut Self::Scratch,
+        out: &mut Vec<PairResult<i16>>,
+    ) -> usize {
+        run_adaptive_group_with_scratch::<K>(
+            &self.params,
+            self.lo_params.as_ref(),
+            self.lanes,
+            pairs,
+            config,
+            scratch,
+            out,
+        )
+    }
 }
 
 /// Either engine behind one type, so callers can pick the precision at
@@ -170,6 +252,31 @@ pub enum PrecisionScratch<S> {
     Adaptive(AdaptiveScratch),
 }
 
+// A worker's scratch always comes from its engine's `new_scratch`, so the
+// variant can only disagree with the engine's through a caller bug; rebuild
+// rather than corrupt.
+impl<S> PrecisionScratch<S> {
+    fn exact(&mut self) -> &mut SystolicScratch<S> {
+        if !matches!(self, Self::Exact(_)) {
+            *self = Self::Exact(SystolicScratch::new());
+        }
+        match self {
+            Self::Exact(arena) => arena,
+            Self::Adaptive(_) => unreachable!("just made exact"),
+        }
+    }
+
+    fn adaptive(&mut self) -> &mut AdaptiveScratch {
+        if !matches!(self, Self::Adaptive(_)) {
+            *self = Self::Adaptive(AdaptiveScratch::new());
+        }
+        match self {
+            Self::Adaptive(arena) => arena,
+            Self::Exact(_) => unreachable!("just made adaptive"),
+        }
+    }
+}
+
 impl<K: AdaptiveKernel> PairEngine<K> for PrecisionEngine<K> {
     type Scratch = PrecisionScratch<i16>;
 
@@ -187,26 +294,36 @@ impl<K: AdaptiveKernel> PairEngine<K> for PrecisionEngine<K> {
         config: &KernelConfig,
         scratch: &mut Self::Scratch,
     ) -> Result<SystolicRun<i16>, SystolicError> {
-        match (self, scratch) {
-            (Self::Exact(e), PrecisionScratch::Exact(s)) => e.run_pair(q, r, config, s),
-            (Self::Adaptive(e), PrecisionScratch::Adaptive(s)) => e.run_pair(q, r, config, s),
-            // A worker's scratch always comes from this engine's
-            // `new_scratch`, so the variants can only disagree through a
-            // caller bug; rebuild rather than corrupt.
-            (Self::Exact(e), s) => {
-                *s = PrecisionScratch::Exact(SystolicScratch::new());
-                let PrecisionScratch::Exact(inner) = s else {
-                    unreachable!()
-                };
-                e.run_pair(q, r, config, inner)
-            }
-            (Self::Adaptive(e), s) => {
-                *s = PrecisionScratch::Adaptive(AdaptiveScratch::new());
-                let PrecisionScratch::Adaptive(inner) = s else {
-                    unreachable!()
-                };
-                e.run_pair(q, r, config, inner)
-            }
+        match self {
+            Self::Exact(e) => e.run_pair(q, r, config, scratch.exact()),
+            Self::Adaptive(e) => e.run_pair(q, r, config, scratch.adaptive()),
+        }
+    }
+
+    fn group_width(&self) -> usize {
+        match self {
+            Self::Exact(e) => PairEngine::<K>::group_width(e),
+            Self::Adaptive(e) => e.group_width(),
+        }
+    }
+
+    fn group_cost_max(&self) -> u64 {
+        match self {
+            Self::Exact(e) => PairEngine::<K>::group_cost_max(e),
+            Self::Adaptive(e) => e.group_cost_max(),
+        }
+    }
+
+    fn run_group(
+        &self,
+        pairs: &[PairRef<'_, K::Sym>],
+        config: &KernelConfig,
+        scratch: &mut Self::Scratch,
+        out: &mut Vec<PairResult<i16>>,
+    ) -> usize {
+        match self {
+            Self::Exact(e) => e.run_group(pairs, config, scratch.exact(), out),
+            Self::Adaptive(e) => e.run_group(pairs, config, scratch.adaptive(), out),
         }
     }
 }

@@ -61,7 +61,9 @@ mod slot;
 pub mod streaming;
 pub mod tiling;
 
-pub use engine::{AdaptiveEngine, ExactEngine, PairEngine, PrecisionEngine, PrecisionScratch};
+pub use engine::{
+    AdaptiveEngine, ExactEngine, PairEngine, PairResult, PrecisionEngine, PrecisionScratch,
+};
 pub use faults::{injected_kernel_error, injected_panic_message, FaultKind, FaultPlan, Injection};
 pub use fleet::FleetConfig;
 pub use resilience::{panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig};

@@ -13,15 +13,36 @@
 //! differ only in the job payload (a borrowed pair of the caller's slice vs
 //! an owned pair), the closure that receives each terminal slot, and
 //! `open`.
+//!
+//! **Group pops.** For an engine that scores several pairs in one pass
+//! ([`PairEngine::group_width`] > 1) a worker that popped a job off its *own*
+//! deque takes the like-cost jobs behind it under the same lock — the deques
+//! are cost-ranked, so the front's neighbours are the pairs most like it —
+//! and hands the lot to [`PairEngine::run_group`]; every member is then
+//! settled and reported on its own, exactly as if it had been popped alone.
+//! A front the engine would not group at all
+//! ([`PairEngine::group_cost_max`]) goes alone and leaves its neighbours
+//! where a peer can steal them. A pop takes what is there and never waits
+//! for a group to fill: a deque holding one job (the lockstep latency probe,
+//! a worker out-running the parser) yields that job, which runs through
+//! `run_pair` as before. Stolen jobs are never grouped (a thief takes the
+//! victim's cheapest job to rebalance, not a pass's worth), and neither is
+//! anything on an **instrumented** run: fault injection, deadlines, retries
+//! and `catch_unwind` are per pair, and a failed member re-dealt alone out
+//! of a group is not built yet. On an uninstrumented run a member's kernel
+//! error under the abort policy surfaces after its whole group was scored:
+//! the members ahead of it in the hand are reported, it is the abort fault,
+//! the ones behind it are dropped — what the per-pair loop reports too.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use dphls_core::{DpOutput, KernelSpec, SeqPair};
+use dphls_systolic::SystolicRun;
 
 use crate::engine::PairEngine;
-use crate::resilience::PairFault;
+use crate::resilience::{FaultCause, PairFault};
 use crate::slot::{
     next_live_queue, steal_order, take_down, PairJob, RunTally, Settled, SlotRun, SlotTally,
 };
@@ -78,9 +99,45 @@ impl<P> Sched<P> {
     }
 }
 
+/// Whether a job of cost `follower` may share a grouped pass led by a job of
+/// cost `leader` (the deque's front, so `follower ≤ leader`). A pass costs
+/// what its longest member costs, whatever else it holds, and that is about
+/// what the leader costs alone (120-bp w20 pairs: a 16-lane pass 15 µs, the
+/// leader alone 12.6); so a follower rides for the price of its traceback,
+/// and the only thing it can lose is the cheaper pass it would have shared
+/// with jobs of its own size, whose fill shrinks with their band area. At
+/// half the leader's cost that pass is worth about what the padding here
+/// wastes. Half is a round number on that line, not a tuned one.
+fn rides_with(leader: u64, follower: u64) -> bool {
+    follower >= leader / 2
+}
+
 fn insert_ranked<P>(queue: &mut VecDeque<Job<P>>, job: Job<P>) {
     let at = queue.partition_point(|j| j.cost >= job.cost);
     queue.insert(at, job);
+}
+
+/// One block slot between two pops: the queue it owns a share of, its
+/// scratch arena (the per-alignment hot path stays allocation-free at any
+/// slot count), its tally, the jobs in its hand and their outcomes.
+struct Slot<K: KernelSpec, E: PairEngine<K>, P> {
+    qown: usize,
+    scratch: E::Scratch,
+    tally: SlotTally,
+    hand: Vec<Job<P>>,
+    outcomes: Vec<Result<SystolicRun<K::Score>, FaultCause>>,
+}
+
+impl<K: KernelSpec, E: PairEngine<K>, P> Slot<K, E, P> {
+    fn new(engine: &E, qown: usize) -> Self {
+        Slot {
+            qown,
+            scratch: engine.new_scratch(),
+            tally: SlotTally::default(),
+            hand: Vec::new(),
+            outcomes: Vec::new(),
+        }
+    }
 }
 
 /// See the module docs.
@@ -182,14 +239,44 @@ impl<'a, P> Pool<'a, P> {
         E: PairEngine<K>,
         P: Borrow<SeqPair<K>>,
     {
+        let mut slot = Slot::new(engine, worker / self.slots);
+        // Instrumented runs attempt pair by pair (see the module docs).
+        let (width, cost_max) = if self.run.instrumented {
+            (1, 0)
+        } else {
+            (engine.group_width(), engine.group_cost_max())
+        };
+        while self.next_jobs(slot.qown, &mut slot.tally, width, cost_max, &mut slot.hand)
+            && self.run_hand(engine, &mut slot, &mut report)
+        {}
+        self.lock().tallies[worker] = slot.tally;
+    }
+
+    /// Runs the jobs in `slot`'s hand — one through [`SlotRun::attempt`],
+    /// several through one [`PairEngine::run_group`] call — and settles each
+    /// on its own: an output or a quarantine record goes to `report`, a
+    /// retry back to a queue. `false` means the run aborted.
+    fn run_hand<K, E>(
+        &self,
+        engine: &E,
+        slot: &mut Slot<K, E, P>,
+        report: &mut impl FnMut(usize, Result<DpOutput<K::Score>, PairFault>),
+    ) -> bool
+    where
+        K: KernelSpec,
+        E: PairEngine<K>,
+        P: Borrow<SeqPair<K>>,
+    {
         let run = self.run;
-        let qown = worker / self.slots;
-        let dev = qown / self.nk;
-        // Every block slot owns its scratch arena: the per-alignment hot
-        // path stays allocation-free at any slot count.
-        let mut scratch = engine.new_scratch();
-        let mut tally = SlotTally::default();
-        while let Some(job) = self.next_job(qown, &mut tally) {
+        let dev = slot.qown / self.nk;
+        let Slot {
+            scratch,
+            tally,
+            hand,
+            outcomes,
+            ..
+        } = slot;
+        if let [job] = &hand[..] {
             let (q, r) = job.pair.borrow();
             let pair = PairJob {
                 idx: job.idx,
@@ -198,9 +285,19 @@ impl<'a, P> Pool<'a, P> {
                 q,
                 r,
             };
-            let outcome =
-                run.attempt::<K, E>(engine, &mut scratch, &pair, dev, || self.lose_device(dev));
-            match run.settle(&mut tally, job.idx, job.attempts, outcome) {
+            let lose = || self.lose_device(dev);
+            outcomes.push(run.attempt::<K, E>(engine, scratch, &pair, dev, lose));
+        } else {
+            let views = hand.iter().map(|job| {
+                let (q, r) = job.pair.borrow();
+                (&q[..], &r[..])
+            });
+            let (pairs, mut runs) = (views.collect::<Vec<_>>(), Vec::with_capacity(hand.len()));
+            tally.groups += engine.run_group(&pairs, run.device.config(), scratch, &mut runs);
+            outcomes.extend(runs.into_iter().map(|run| run.map_err(FaultCause::Kernel)));
+        }
+        for (job, outcome) in hand.drain(..).zip(outcomes.drain(..)) {
+            match run.settle(tally, job.idx, job.attempts, outcome) {
                 Settled::Done(output) => {
                     report(job.idx, Ok(output));
                     self.release();
@@ -212,7 +309,7 @@ impl<'a, P> Pool<'a, P> {
                     // lands somewhere.
                     let attempts = job.attempts + 1;
                     let mut guard = self.lock();
-                    guard.insert(self.nk, qown + 1, Job { attempts, ..job });
+                    guard.insert(self.nk, slot.qown + 1, Job { attempts, ..job });
                     // The job left this worker's hand for a queue.
                     guard.busy -= usize::from(run.instrumented);
                     drop(guard);
@@ -227,14 +324,28 @@ impl<'a, P> Pool<'a, P> {
                     // takes the lock `wake_all` would bridge through.
                     self.lock().aborted.get_or_insert(fault);
                     self.work_cv.notify_all();
-                    break;
+                    return false;
                 }
             }
         }
-        self.lock().tallies[worker] = tally;
+        true
     }
 
-    fn next_job(&self, qown: usize, tally: &mut SlotTally) -> Option<Job<P>> {
+    /// Fills `hand` with the next work of a slot of queue `qown`: the front
+    /// of its own deque plus — up to `width` jobs in all, and only behind a
+    /// leader the engine would group at all (cost at most `cost_max`) — the
+    /// jobs behind it that may share a grouped pass with it, else one job
+    /// stolen from a victim's tail. Parks while there is nothing to take and
+    /// more may come; `false` means the slot is done.
+    fn next_jobs(
+        &self,
+        qown: usize,
+        tally: &mut SlotTally,
+        width: usize,
+        cost_max: u64,
+        hand: &mut Vec<Job<P>>,
+    ) -> bool {
+        debug_assert!(hand.is_empty(), "the last hand was settled");
         let run = self.run;
         let (dev, ch) = (qown / self.nk, qown % self.nk);
         let mut guard = self.lock();
@@ -242,25 +353,35 @@ impl<'a, P> Pool<'a, P> {
             // A lost device dispatches nothing further; its queued work was
             // migrated when the loss fired.
             if run.aborted() || guard.lost[dev] {
-                return None;
+                return false;
             }
             // The slots of one channel share its deque, so intra-channel
             // dispatch is not a steal.
-            let own = guard.queues[qown].pop_front();
-            let job = own.or_else(|| {
+            let own = &mut guard.queues[qown];
+            if let Some(leader) = own.pop_front() {
+                let cost = leader.cost;
+                hand.push(leader);
+                while hand.len() < width
+                    && cost <= cost_max
+                    && own.front().is_some_and(|next| rides_with(cost, next.cost))
+                {
+                    hand.extend(own.pop_front());
+                }
+            } else {
                 let stolen = steal_order(dev, ch, run.devices, self.nk)
                     .find_map(|v| guard.queues[v].pop_back());
                 tally.stolen += usize::from(stolen.is_some());
-                stolen
-            });
-            if job.is_some() {
+                hand.extend(stolen);
+            }
+            if !hand.is_empty() {
                 // Counted under the same guard as the pop so peers never
                 // observe empty queues with the job invisibly in a hand.
+                // (Only instrumented runs count, and they take one job.)
                 guard.busy += usize::from(run.instrumented);
-                return job;
+                return true;
             }
             if !guard.open && guard.busy == 0 {
-                return None;
+                return false;
             }
             guard = self.work_cv.wait(guard).expect("pool mutex");
         }
@@ -333,11 +454,17 @@ mod tests {
     }
 
     /// The exact engine behind a call counter; the first `fail_first` calls
-    /// fail with a kernel error.
+    /// fail with a kernel error, and so does every call on a pair whose
+    /// query is `fail_len` long. With `width` above 1 it takes groups, and
+    /// records the query lengths of each one (a pair's length names it:
+    /// see [`ranked`]).
     struct Stub {
         inner: ExactEngine<GlobalLinear>,
         calls: AtomicUsize,
         fail_first: usize,
+        fail_len: Option<usize>,
+        width: usize,
+        groups: Mutex<Vec<Vec<usize>>>,
     }
 
     impl Stub {
@@ -346,6 +473,16 @@ mod tests {
                 inner: ExactEngine::new(LinearParams::<i16>::dna()),
                 calls: AtomicUsize::new(0),
                 fail_first,
+                fail_len: None,
+                width: 1,
+                groups: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn grouping(width: usize) -> Self {
+            Stub {
+                width,
+                ..Stub::failing(0)
             }
         }
     }
@@ -364,10 +501,32 @@ mod tests {
             config: &KernelConfig,
             scratch: &mut Self::Scratch,
         ) -> Result<SystolicRun<i16>, SystolicError> {
-            if self.calls.fetch_add(1, Ordering::Relaxed) < self.fail_first {
+            let call = self.calls.fetch_add(1, Ordering::Relaxed);
+            if call < self.fail_first || self.fail_len == Some(q.len()) {
                 return Err(injected_kernel_error());
             }
             self.inner.run_pair(q, r, config, scratch)
+        }
+
+        fn group_width(&self) -> usize {
+            self.width
+        }
+
+        fn run_group(
+            &self,
+            pairs: &[(&[Base], &[Base])],
+            config: &KernelConfig,
+            scratch: &mut Self::Scratch,
+            out: &mut Vec<Result<SystolicRun<i16>, SystolicError>>,
+        ) -> usize {
+            let lens = pairs.iter().map(|(q, _)| q.len()).collect();
+            self.groups.lock().expect("groups mutex").push(lens);
+            out.extend(
+                pairs
+                    .iter()
+                    .map(|(q, r)| self.run_pair(q, r, config, scratch)),
+            );
+            1
         }
     }
 
@@ -635,5 +794,180 @@ mod tests {
         let fault = drained.aborted.expect("the abort fault");
         assert_eq!((fault.idx, fault.attempts), (0, 2));
         assert_eq!(fault.cause, FaultCause::Kernel(injected_kernel_error()));
+    }
+
+    /// The cost above which the engine of [`pop`] groups nothing.
+    const COST_MAX: u64 = 1_000;
+
+    /// The `idx`s of the jobs `next_jobs` hands a slot of queue `qown`.
+    fn pop(pool: &Pool<'_, Pair>, qown: usize, width: usize, tally: &mut SlotTally) -> Vec<usize> {
+        let mut hand = Vec::new();
+        assert!(pool.next_jobs(qown, tally, width, COST_MAX, &mut hand));
+        hand.iter().map(|job| job.idx).collect()
+    }
+
+    #[test]
+    fn group_pops_stay_on_the_own_deque_within_the_cost_bound_and_never_steal_more_than_one() {
+        let dev = device(2);
+        let res = ResilienceConfig::disabled();
+        let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+        assert!(!run.instrumented);
+        // Pair `idx` is `27 - idx` bases long and costs its square; queue 0
+        // holds the even `idx`s, queue 1 the odd ones.
+        let pool = Pool::new(&run, 1, false, ranked(20));
+        let mut tally = SlotTally::default();
+        // Up to `width` jobs, from the front of the own deque only.
+        assert_eq!(pop(&pool, 0, 4, &mut tally), vec![0, 2, 4, 6]);
+        assert_eq!(pop(&pool, 1, 3, &mut tally), vec![1, 3, 5]);
+        // Width 1 is the per-pair pop.
+        assert_eq!(pop(&pool, 1, 1, &mut tally), vec![7]);
+        // The cost bound cuts a group short of the width: behind job 8
+        // (19 bases, cost 361) job 14 (13 bases, 169 < 361 / 2) does not
+        // ride, nor job 18 (81) behind job 14.
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![8, 10, 12]);
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![14, 16]);
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![18]);
+        assert_eq!(tally.stolen, 0);
+        // An empty own deque steals exactly one job — the victim's cheapest —
+        // whatever the width and however many the victim holds.
+        assert_eq!(pool.lock().queues[1].len(), 6);
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![19]);
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![17]);
+        assert_eq!(tally.stolen, 2);
+        // A job the engine calls too big for a grouped pass goes alone, and
+        // so does the job behind it if that one is too cheap to ride with
+        // anything.
+        let big = COST_MAX + 1;
+        for (idx, cost) in [(20, big), (21, big), (22, 40), (23, 30)] {
+            pool.deal(0, Job::new(idx, cost, (vec![Base::A; 4], vec![Base::A; 4])));
+        }
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![20]);
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![21]);
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![22, 23]);
+        assert_eq!(pool.lock().busy, 0, "uninstrumented pops are not counted");
+    }
+
+    #[test]
+    fn workers_group_only_uninstrumented_and_settle_every_member_separately() {
+        let dev = device(2);
+        for instrumented in [false, true] {
+            let res = match instrumented {
+                false => ResilienceConfig::disabled(),
+                true => quarantine(1),
+            };
+            let run = SlotRun::new(&dev, FleetConfig::new(2), &res, None);
+            assert_eq!(run.instrumented, instrumented);
+            let pool = Pool::new(&run, 1, false, ranked(60));
+            let engine = Stub::grouping(8);
+            let drained = drain(&pool, &engine, || ());
+            // Every pair is reported exactly once either way.
+            assert_eq!(drained.reports, all_completed(60));
+            assert_eq!(drained.executed.iter().sum::<usize>(), 60);
+            assert_eq!(engine.calls.load(Ordering::Relaxed), 60);
+            let groups = engine.groups.lock().expect("groups mutex");
+            let tallied: usize = pool.lock().tallies.iter().map(|t| t.groups).sum();
+            assert_eq!(tallied, groups.len());
+            if instrumented {
+                assert!(groups.is_empty(), "an instrumented run grouped");
+                continue;
+            }
+            assert!(!groups.is_empty());
+            for lens in groups.iter() {
+                assert!((2..=8).contains(&lens.len()), "{lens:?}");
+                // Pair `idx` is `67 - idx` bases long and rank `idx` went to
+                // queue `idx % 4`: members of one group are neighbours on one
+                // deque, leader first, all within the cost bound of it.
+                let idxs: Vec<usize> = lens.iter().map(|len| 67 - len).collect();
+                assert!(idxs.windows(2).all(|w| w[1] == w[0] + 4), "{idxs:?}");
+                let cost = |len: &usize| (len * len) as u64;
+                assert!(lens.iter().all(|len| rides_with(cost(&lens[0]), cost(len))));
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_member_aborts_a_group_as_it_would_the_per_pair_loop() {
+        // One worker, no retries, abort policy, uninstrumented. Pair `idx` is
+        // `13 - idx` bases long; the cost bound makes the first hand pairs
+        // 0..=3, and pair 2 (11 bases) fails. The group is scored whole
+        // before anything is settled — one call more than the per-pair loop
+        // makes — and then reports what that loop reports: the members ahead
+        // of the failed one, the fault of the first failure in hand order,
+        // and nothing after it.
+        let dev = device(1);
+        let res = ResilienceConfig::disabled();
+        for (width, calls) in [(1, 3), (8, 4)] {
+            let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+            assert!(!run.instrumented);
+            let pool = Pool::new(&run, 1, false, ranked(6));
+            let engine = Stub {
+                fail_len: Some(11),
+                ..Stub::grouping(width)
+            };
+            let drained = drain(&pool, &engine, || ());
+            assert!(run.aborted());
+            assert_eq!(drained.reports, vec![(0, true), (1, true)], "width {width}");
+            let fault = drained.aborted.expect("the abort fault");
+            assert_eq!((fault.idx, fault.attempts), (2, 1), "width {width}");
+            assert_eq!(fault.cause, FaultCause::Kernel(injected_kernel_error()));
+            assert_eq!(engine.calls.load(Ordering::Relaxed), calls, "width {width}");
+            if width > 1 {
+                let groups = engine.groups.lock().expect("groups mutex");
+                assert_eq!(*groups, vec![vec![13, 12, 11, 10]]);
+            }
+            assert_eq!(drained.executed, vec![2]);
+            assert_eq!(pool.lock().busy, 0);
+        }
+    }
+
+    #[test]
+    fn loss_injected_on_a_slot_of_an_already_lost_device_runs_the_pair_there() {
+        // Two slots of device 1 each hold a loss-injected pair before either
+        // attempts it — the interleaving a loaded run produced by accident
+        // (ROADMAP 7(a)), forced here by driving both slots from one thread.
+        let dev = device(1);
+        let res = quarantine(1);
+        let plan = FaultPlan::new()
+            .inject(1, FaultKind::DeviceLoss)
+            .inject(3, FaultKind::DeviceLoss);
+        let run = SlotRun::new(&dev, FleetConfig::new(2), &res, Some(&plan));
+        // Queue 0 (device 0) holds pairs 0 and 2, queue 1 (device 1) 1 and 3.
+        let pool = Pool::new(&run, 2, false, ranked(4));
+        let engine = Stub::failing(0);
+        let mut reports = Vec::new();
+        let mut report = |idx: usize, slot: Result<DpOutput<i16>, PairFault>| {
+            reports.push((idx, slot.is_ok()));
+        };
+        let mut slots = [(); 2].map(|()| Slot::<GlobalLinear, Stub, Pair>::new(&engine, 1));
+        for slot in &mut slots {
+            assert!(pool.next_jobs(1, &mut slot.tally, 1, 0, &mut slot.hand));
+        }
+        assert_eq!(pool.lock().busy, 2);
+        // The first attempt takes device 1 down and fails with it: the pair
+        // is re-dealt to device 0.
+        assert!(pool.run_hand(&engine, &mut slots[0], &mut report));
+        assert_eq!(pool.lock().lost, vec![false, true]);
+        assert_eq!(run.device_losses.load(Ordering::Relaxed), 1);
+        assert_eq!(run.retries.load(Ordering::Relaxed), 1);
+        let queued: Vec<usize> = pool.lock().queues[0].iter().map(|j| j.idx).collect();
+        assert_eq!(queued, vec![0, 1, 2]);
+        // The second finds the device already lost: the injection is void,
+        // the pair in hand completes on the dead device's slot, and no
+        // second loss or retry is counted.
+        assert!(pool.run_hand(&engine, &mut slots[1], &mut report));
+        assert_eq!(reports, vec![(3, true)]);
+        assert_eq!(run.device_losses.load(Ordering::Relaxed), 1);
+        assert_eq!(run.retries.load(Ordering::Relaxed), 1);
+        assert_eq!(slots[1].tally.executed, 1);
+        assert_eq!(pool.lock().busy, 0);
+        // Neither slot of the lost device dispatches again; device 0 drains
+        // the rest, the re-dealt pair included, exactly once.
+        for slot in &mut slots {
+            assert!(!pool.next_jobs(1, &mut slot.tally, 1, 0, &mut slot.hand));
+        }
+        let drained = drain(&pool, &engine, || ());
+        assert_eq!(drained.reports, vec![(0, true), (1, true), (2, true)]);
+        assert_eq!(engine.calls.load(Ordering::Relaxed), 4);
+        assert_eq!(pool.lock().busy, 0);
     }
 }

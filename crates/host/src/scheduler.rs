@@ -227,6 +227,11 @@ pub struct BatchReport<S> {
     /// engine (always 0 on the exact path — see
     /// [`crate::engine::AdaptiveEngine`]).
     pub escalations: u64,
+    /// Grouped passes the engine ran
+    /// ([`PairEngine::run_group`]): 0 for an
+    /// engine that scores pair by pair and on any instrumented run. Mean
+    /// group size is the pairs that shared a pass over this.
+    pub groups: usize,
 }
 
 impl<S> BatchReport<S> {
@@ -300,8 +305,10 @@ pub(crate) fn cost_estimate(q: usize, r: usize, banding: Banding) -> u64 {
     match banding {
         Banding::None => full,
         Banding::Fixed { half_width } => {
-            let strip = (2 * half_width as u64 + 1) * q.min(r) as u64;
-            strip.min(full)
+            // Saturating: a "never prune" half-width of `usize::MAX` is a
+            // band wider than any matrix, not an overflow.
+            let width = (half_width as u64).saturating_mul(2).saturating_add(1);
+            width.saturating_mul(q.min(r) as u64).min(full)
         }
     }
 }
@@ -502,6 +509,7 @@ where
         steals: tally.steals,
         throughput_aps: tally.throughput_aps,
         escalations: tally.escalations,
+        groups: tally.groups,
     })
 }
 
@@ -711,5 +719,15 @@ mod tests {
         assert_eq!(banded, 900);
         // The estimate never exceeds the full matrix.
         assert_eq!(cost_estimate(3, 3, Banding::Fixed { half_width: 50 }), 9);
+        // A band too wide to double ranks as the full matrix instead of
+        // overflowing (a debug panic, a wrapped — wrong — rank in release).
+        for half_width in [usize::MAX, usize::MAX / 2 + 1, usize::MAX / 2] {
+            let banding = Banding::Fixed { half_width };
+            assert_eq!(cost_estimate(1_000, 900, banding), 900_000);
+            assert_eq!(
+                cost_estimate(1_000, 900, banding),
+                cost_estimate(1_000, 900, Banding::None)
+            );
+        }
     }
 }

@@ -75,6 +75,8 @@ pub(crate) struct SlotTally {
     pub cycle_sum: u64,
     pub stolen: usize,
     pub escalations: u64,
+    /// Grouped passes the slot's engine ran (see `PairEngine::run_group`).
+    pub groups: usize,
 }
 
 /// The execution figures [`BatchReport`](crate::BatchReport) and
@@ -86,6 +88,7 @@ pub(crate) struct RunTally {
     pub steals: usize,
     pub throughput_aps: f64,
     pub escalations: u64,
+    pub groups: usize,
 }
 
 impl<'a> SlotRun<'a> {
@@ -246,6 +249,7 @@ impl<'a> SlotRun<'a> {
             steals: 0,
             throughput_aps: 0.0,
             escalations: 0,
+            groups: 0,
         };
         let mut cycle_sum = 0u64;
         for (worker, s) in workers.enumerate() {
@@ -255,6 +259,7 @@ impl<'a> SlotRun<'a> {
             t.per_device[queue / nk] += s.executed;
             t.steals += s.stolen;
             t.escalations += s.escalations;
+            t.groups += s.groups;
             cycle_sum += s.cycle_sum;
         }
         let completed = t.per_device.iter().sum();

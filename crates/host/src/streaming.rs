@@ -134,6 +134,11 @@ pub struct StreamReport {
     /// engine (always 0 on the exact path — see
     /// [`crate::engine::AdaptiveEngine`]).
     pub escalations: u64,
+    /// Grouped passes the engine ran
+    /// ([`PairEngine::run_group`]): 0 for an engine that scores pair by
+    /// pair and on any instrumented run. Mean group size is the pairs that
+    /// shared a pass over this.
+    pub groups: usize,
 }
 
 impl StreamReport {
@@ -696,6 +701,7 @@ where
         retries: run.retries.into_inner(),
         timeouts: run.timeouts.into_inner(),
         escalations: tally.escalations,
+        groups: tally.groups,
     })
 }
 

@@ -78,11 +78,57 @@ fn benchmark_configs_and_report_fields_keep_their_shape() {
     assert_eq!(BatchConfig::single_slot().nb_slots, 1);
     assert!(ResilienceConfig::disabled().is_disabled());
 
-    // The report fields the benchmark reads, by name.
-    let _ = |b: BatchReport<i16>| (b.outputs, b.steals);
+    // The report fields the benchmark reads, by name — and the grouped-pass
+    // counter, which it does not read yet (mean group size is pairs ÷ groups).
+    let _ = |b: BatchReport<i16>| (b.outputs, b.steals, b.groups);
     let _ = |s: StreamReport| {
         let completed = s.completed();
         let marks = (s.reorder_high_water, s.resident_high_water);
-        (s.pairs, completed, marks, s.retries, s.faults)
+        (s.pairs, completed, marks, s.retries, s.faults, s.groups)
     };
+}
+
+#[test]
+fn pair_engine_group_doors_keep_their_signatures() {
+    use dphls_core::{I8Lanes, KernelConfig};
+    use dphls_host::{AdaptiveEngine, ExactEngine, PairEngine, PairResult};
+    use dphls_seq::Base;
+    use dphls_systolic::AdaptiveScratch;
+
+    type Adaptive = AdaptiveEngine<GlobalLinear>;
+    let _: fn(&Adaptive) -> usize = <Adaptive as PairEngine<GlobalLinear>>::group_width;
+    let _: fn(&Adaptive) -> u64 = <Adaptive as PairEngine<GlobalLinear>>::group_cost_max;
+    let _: fn(
+        &Adaptive,
+        &[(&[Base], &[Base])],
+        &KernelConfig,
+        &mut AdaptiveScratch,
+        &mut Vec<PairResult<i16>>,
+    ) -> usize = <Adaptive as PairEngine<GlobalLinear>>::run_group;
+
+    // The lane count the caller chose is the group width; the exact engine
+    // and an engine whose parameters leave the `i8` envelope take one pair
+    // at a time.
+    let unit = LinearParams::<i16>::unit();
+    assert_eq!(Adaptive::new(unit, I8Lanes::X16).group_width(), 16);
+    assert_eq!(Adaptive::new(unit, I8Lanes::X32).group_width(), 32);
+    let wide = LinearParams {
+        match_score: 100,
+        ..unit
+    };
+    assert_eq!(Adaptive::new(wide, I8Lanes::X32).group_width(), 1);
+    let exact = ExactEngine::<GlobalLinear>::new(unit);
+    assert_eq!(PairEngine::<GlobalLinear>::group_width(&exact), 1);
+    // The cap on what is worth grouping is the engine's to state: the
+    // adaptive engine's L2 bound, none by default.
+    let cap = Adaptive::new(unit, I8Lanes::X32).group_cost_max();
+    assert_eq!(cap, dphls_systolic::GROUP_CELLS_MAX);
+    assert_eq!(PairEngine::<GlobalLinear>::group_cost_max(&exact), u64::MAX);
+    // Multi-layer kernels stay on the wavefront engine.
+    let affine = AdaptiveEngine::<dphls_kernels::GlobalAffine>::new(
+        dphls_kernels::AffineParams::dna(),
+        I8Lanes::X32,
+    );
+    assert!(affine.narrow_path_enabled());
+    assert_eq!(affine.group_width(), 1);
 }

@@ -11,9 +11,12 @@
 
 mod common;
 
-use common::collect_streamed;
-use dphls_core::{run_reference, Banding, KernelConfig};
-use dphls_host::{run_batched, BatchConfig, FleetConfig, StreamConfig};
+use common::{adaptive_pair_by_pair, collect_streamed, short_banded_workload};
+use dphls_core::{run_reference, Banding, I8Lanes, KernelConfig, LanePrecision};
+use dphls_host::{
+    run_batched, run_batched_engine, run_streamed_engine, BatchConfig, FleetConfig,
+    PrecisionEngine, ResilienceConfig, StreamConfig,
+};
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
@@ -308,4 +311,55 @@ fn banded_release_scale_fleet_differential() {
     assert_eq!(streamed.outputs, single.outputs);
     assert_eq!(srep.per_device.iter().sum::<usize>(), wl.len());
     assert!((streamed.throughput_aps - fleet.throughput_aps).abs() < 1e-9);
+}
+
+/// The grouped adaptive engine across a fleet: a group is formed from one
+/// device's own deque, so sharding changes which pairs share a pass — and
+/// nothing else. Outputs, order, escalations and per-device sums are those
+/// of the per-pair loop at every `D`, batched and streamed.
+#[test]
+fn grouped_adaptive_fleet_sizes_equal_the_per_pair_loop() {
+    let wl = short_banded_workload(if cfg!(debug_assertions) { 280 } else { 2_800 }, 64, 0xF1E7);
+    let params = LinearParams::<i16>::unit();
+    let disabled = ResilienceConfig::disabled();
+    let config = KernelConfig::new(16, 1, 2)
+        .with_max_lengths(64, 64)
+        .with_banding(12);
+    let dev = device(config);
+    for lanes in [I8Lanes::X16, I8Lanes::X32] {
+        let engine = PrecisionEngine::<GlobalLinear>::new(params, LanePrecision::Adaptive(lanes));
+        let (want, escalations) =
+            adaptive_pair_by_pair::<GlobalLinear>(&params, lanes, &wl, &config);
+        for d in FLEET_SIZES {
+            let ctx = format!("{lanes:?} d {d}");
+            let fleet = FleetConfig::new(d);
+            let batch = BatchConfig::single_slot().with_fleet(fleet);
+            let rep =
+                run_batched_engine::<GlobalLinear, _>(&dev, &engine, &wl, batch, &disabled, None)
+                    .unwrap();
+            let outputs: Vec<_> = rep.outputs.iter().flatten().cloned().collect();
+            assert_eq!(outputs, want, "batched ({ctx})");
+            assert!(rep.groups > 0, "nothing was grouped ({ctx})");
+            assert_eq!(rep.escalations, escalations, "{ctx}");
+            assert_eq!(rep.per_device.iter().sum::<usize>(), wl.len(), "{ctx}");
+            assert_eq!(rep.per_channel.iter().sum::<usize>(), wl.len(), "{ctx}");
+
+            let mut streamed = Vec::new();
+            let stream = run_streamed_engine::<GlobalLinear, _, _, Infallible, _>(
+                &dev,
+                &engine,
+                wl.iter().cloned().map(Ok),
+                StreamConfig::default(),
+                fleet,
+                &disabled,
+                None,
+                |_, slot| streamed.push(slot.expect("no quarantine")),
+            )
+            .unwrap();
+            assert_eq!(streamed, want, "streamed ({ctx})");
+            assert_eq!(stream.escalations, escalations, "{ctx}");
+            assert_eq!(stream.per_device.iter().sum::<usize>(), wl.len(), "{ctx}");
+            assert_eq!(stream.throughput_aps, rep.throughput_aps, "{ctx}");
+        }
+    }
 }

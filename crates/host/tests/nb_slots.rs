@@ -8,9 +8,12 @@
 
 mod common;
 
-use common::collect_streamed;
-use dphls_core::{run_reference, Banding, KernelConfig};
-use dphls_host::{run_batched, BatchConfig, FleetConfig, StreamConfig};
+use common::{adaptive_pair_by_pair, collect_streamed, short_banded_workload};
+use dphls_core::{run_reference, Banding, I8Lanes, KernelConfig, LanePrecision};
+use dphls_host::{
+    run_batched, run_batched_adaptive, run_streamed_adaptive, BatchConfig, FleetConfig,
+    ResilienceConfig, StreamConfig,
+};
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
@@ -222,4 +225,69 @@ fn banded_release_scale_slot_pool_differential() {
     .unwrap();
     assert_eq!(streamed.outputs, single.outputs);
     assert!((streamed.throughput_aps - single.throughput_aps).abs() < 1e-9);
+}
+
+/// The grouped adaptive engine under the slot pool: every slot of a channel
+/// takes its groups off the same deque, and whichever slot a pair lands in —
+/// and whichever pairs it shares a pass with — its output, the escalation
+/// count, the per-slot accounting and the modeled throughput are those of
+/// the per-pair loop.
+#[test]
+fn grouped_adaptive_slot_counts_equal_the_per_pair_loop() {
+    let wl = short_banded_workload(if cfg!(debug_assertions) { 260 } else { 2_600 }, 64, 0x51A7);
+    let params = LinearParams::<i16>::unit();
+    let disabled = ResilienceConfig::disabled();
+    let config = KernelConfig::new(16, 4, 2)
+        .with_max_lengths(64, 64)
+        .with_banding(12);
+    let dev = device(config);
+    for lanes in [I8Lanes::X16, I8Lanes::X32] {
+        let precision = LanePrecision::Adaptive(lanes);
+        let (want, escalations) =
+            adaptive_pair_by_pair::<GlobalLinear>(&params, lanes, &wl, &config);
+        let mut modeled = None;
+        for slots in SLOT_COUNTS {
+            let ctx = format!("{lanes:?} slots {slots}");
+            let batch = BatchConfig::slots(slots);
+            let rep = run_batched_adaptive::<GlobalLinear>(
+                &dev, &params, precision, &wl, batch, &disabled, None,
+            )
+            .unwrap();
+            let outputs: Vec<_> = rep.outputs.iter().flatten().cloned().collect();
+            assert_eq!(outputs, want, "batched ({ctx})");
+            assert!(rep.groups > 0, "nothing was grouped ({ctx})");
+            assert_eq!(rep.escalations, escalations, "{ctx}");
+            assert_eq!(
+                *modeled.get_or_insert(rep.throughput_aps),
+                rep.throughput_aps,
+                "{ctx}"
+            );
+            for (ch, row) in rep.per_slot.iter().enumerate() {
+                assert_eq!(row.len(), slots);
+                assert_eq!(row.iter().sum::<usize>(), rep.per_channel[ch], "{ctx}");
+            }
+            assert_eq!(rep.per_channel.iter().sum::<usize>(), wl.len(), "{ctx}");
+
+            let stream_cfg = StreamConfig {
+                nb_slots: slots,
+                ..StreamConfig::default()
+            };
+            let mut streamed = Vec::new();
+            let stream = run_streamed_adaptive::<GlobalLinear, _, Infallible, _>(
+                &dev,
+                &params,
+                precision,
+                wl.iter().cloned().map(Ok),
+                stream_cfg,
+                &disabled,
+                None,
+                |_, slot| streamed.push(slot.expect("no quarantine")),
+            )
+            .unwrap();
+            assert_eq!(streamed, want, "streamed ({ctx})");
+            assert_eq!(stream.escalations, escalations, "{ctx}");
+            assert_eq!(stream.throughput_aps, rep.throughput_aps, "{ctx}");
+            assert_eq!(stream.per_channel.iter().sum::<usize>(), wl.len(), "{ctx}");
+        }
+    }
 }

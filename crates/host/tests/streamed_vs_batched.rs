@@ -7,9 +7,12 @@
 
 mod common;
 
-use common::collect_streamed;
-use dphls_core::KernelConfig;
-use dphls_host::{run_batched, BatchConfig, FleetConfig, StreamConfig};
+use common::{adaptive_pair_by_pair, collect_streamed, short_banded_workload};
+use dphls_core::{I8Lanes, KernelConfig, LanePrecision};
+use dphls_host::{
+    run_batched, run_batched_adaptive, run_streamed_adaptive, BatchConfig, FailurePolicy,
+    FleetConfig, ResilienceConfig, StreamConfig,
+};
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
@@ -241,4 +244,86 @@ fn streaming_from_fasta_source_matches_batched() {
     .unwrap();
     let batched = run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::default()).unwrap();
     assert_eq!(streamed.outputs, batched.outputs);
+}
+
+/// The grouped adaptive engine under both front ends, at both lane widths:
+/// pairs that shared an `i8` pass must come out exactly as the per-pair
+/// loop produces them — outputs, order, escalation count, per-channel sums
+/// and the modeled throughput (which is a function of every pair's
+/// `BlockStats`) — and exactly as an instrumented run, which never groups.
+#[test]
+fn grouped_adaptive_runs_equal_the_per_pair_loop() {
+    let pairs = if cfg!(debug_assertions) { 300 } else { 3_000 };
+    let wl = short_banded_workload(pairs, 64, 0x6E0);
+    let params = LinearParams::<i16>::unit();
+    let disabled = ResilienceConfig::disabled();
+    // Retries allowed and nothing failing: an instrumented, fault-free run.
+    let instrumented = ResilienceConfig {
+        max_retries: 1,
+        failure_policy: FailurePolicy::Quarantine,
+        ..ResilienceConfig::disabled()
+    };
+    for nk in [1usize, 3] {
+        let config = KernelConfig::new(16, 1, nk)
+            .with_max_lengths(64, 64)
+            .with_banding(12);
+        let dev = device(config);
+        for lanes in [I8Lanes::X16, I8Lanes::X32] {
+            let ctx = format!("nk {nk} {lanes:?}");
+            let precision = LanePrecision::Adaptive(lanes);
+            let (want, escalations) =
+                adaptive_pair_by_pair::<GlobalLinear>(&params, lanes, &wl, &config);
+            assert!(escalations > 0, "the workload plants escalators");
+            let batch = |res| {
+                let batch = BatchConfig::default();
+                run_batched_adaptive::<GlobalLinear>(
+                    &dev, &params, precision, &wl, batch, res, None,
+                )
+                .unwrap()
+            };
+            let (grouped, per_pair) = (batch(&disabled), batch(&instrumented));
+            assert!(grouped.groups > 0, "nothing was grouped ({ctx})");
+            assert_eq!(per_pair.groups, 0, "an instrumented run grouped ({ctx})");
+            for report in [&grouped, &per_pair] {
+                let outputs: Vec<_> = report.outputs.iter().flatten().cloned().collect();
+                assert_eq!(outputs, want, "batched outputs ({ctx})");
+                assert_eq!(report.escalations, escalations, "{ctx}");
+                assert_eq!(report.per_channel.iter().sum::<usize>(), wl.len(), "{ctx}");
+            }
+            assert_eq!(grouped.throughput_aps, per_pair.throughput_aps, "{ctx}");
+
+            for (buffer, window) in [(1usize, 1usize), (2, 9), (64, 256)] {
+                let stream_cfg = StreamConfig {
+                    buffer,
+                    window,
+                    nb_slots: 0,
+                };
+                let mut streamed = Vec::new();
+                let report = run_streamed_adaptive::<GlobalLinear, _, Infallible, _>(
+                    &dev,
+                    &params,
+                    precision,
+                    wl.iter().cloned().map(Ok),
+                    stream_cfg,
+                    &disabled,
+                    None,
+                    |idx, slot| streamed.push((idx, slot.expect("no quarantine"))),
+                )
+                .unwrap();
+                let ctx = format!("{ctx} {stream_cfg:?}");
+                // Strict input order at the sink, identical values.
+                let indices: Vec<usize> = streamed.iter().map(|(idx, _)| *idx).collect();
+                assert_eq!(indices, (0..wl.len()).collect::<Vec<_>>(), "{ctx}");
+                let outputs: Vec<_> = streamed.into_iter().map(|(_, out)| out).collect();
+                assert_eq!(outputs, want, "streamed outputs ({ctx})");
+                assert_eq!(report.escalations, escalations, "{ctx}");
+                assert_eq!(report.per_channel.iter().sum::<usize>(), wl.len(), "{ctx}");
+                assert_eq!(report.throughput_aps, grouped.throughput_aps, "{ctx}");
+                // One pair in flight at a time never makes a group.
+                if window == 1 {
+                    assert_eq!(report.groups, 0, "{ctx}");
+                }
+            }
+        }
+    }
 }

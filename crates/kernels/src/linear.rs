@@ -45,40 +45,29 @@ fn linear_pe<S: Score>(
 }
 
 /// The linear family's lane select core: `W` cells in structure-of-arrays
-/// form. Bit-identical to [`linear_pe`] — the candidate order and
-/// strict-improvement tie-breaks replicate [`argmax`] exactly — but laid out
-/// as branch-free passes over `[S; W]` arrays so the saturating adds and
-/// compare/selects vectorize (the `i16` kernels at `W = 8` compile to
-/// `vpaddsw`/`vpcmpgtw`/blend chains; the `i8` fast path instantiates
-/// `W = 16`/`32` over the byte-wide equivalents). The flat port below
-/// gathers its neighbor streams into `d`/`u`/`l` (padded to `W`; the dead
-/// tail lanes compute garbage — saturating ops, no side effects — that the
-/// port never writes back or consults) and scatters the returned
-/// `(best, dir)` arrays out.
-#[inline]
+/// form, stated once for both lane ports. Bit-identical to [`linear_pe`] —
+/// the candidate order and strict-improvement tie-breaks replicate [`argmax`]
+/// exactly — but laid out as one branch-free pass over `[S; W]` arrays so the
+/// saturating adds and compare/selects vectorize (the `i16` kernels at
+/// `W = 8` compile to `vpaddsw`/`vpcmpgtw`/blend chains; the `i8` fast path
+/// instantiates `W = 16`/`32` over the byte-wide equivalents). `sub` is each
+/// lane's substitution score; how the lanes' symbols are laid out — down an
+/// anti-diagonal, or one cell of `W` different pairs — is the calling port's
+/// business.
+#[inline(always)]
 fn linear_select<S: Score, const W: usize>(
     p: &LinearParams<S>,
-    q: &[Base],
-    r_rev: &[Base],
+    sub: &[S; W],
     d: &[S; W],
     u: &[S; W],
     l: &[S; W],
     clamp_zero: bool,
 ) -> ([S; W], [u8; W]) {
-    let n = q.len();
-    debug_assert!((1..=W).contains(&n));
-    // One up-front narrowing per slice so the loop below carries no
-    // per-element bounds checks.
-    let (q, r_rev) = (&q[..n], &r_rev[..n]);
-    let zero = S::zero();
-    let mut sub = [zero; W];
-    for t in 0..n {
-        sub[t] = p.substitution(q[t] == r_rev[n - 1 - t]);
-    }
     // Fixed-trip-count arithmetic and selection: same reduction as
     // argmax([(0, END)?, (mat, DIAG), (del, UP), (ins, LEFT)]) — later
     // candidates win only if strictly greater — expressed as branchless
     // compare/select chains over whole arrays.
+    let zero = S::zero();
     let mut best = [zero; W];
     let mut dir = [0u8; W];
     for t in 0..W {
@@ -103,12 +92,15 @@ fn linear_select<S: Score, const W: usize>(
     (best, dir)
 }
 
-/// Flat port of [`linear_select`] for the engine's single-layer
-/// structure-of-arrays storage: the neighbor and output streams are plain
-/// score slices, so the gathers and scatters are contiguous
-/// `copy_from_slice` vector moves, and the saturation guard is fused in —
-/// one branchless OR-reduction over the real lanes of `best` while it is
-/// still in registers (free for exact score types, whose
+/// Chunked port of [`linear_select`] for the wavefront engine's single-layer
+/// structure-of-arrays storage: `n ≤ W` lanes down one anti-diagonal, the
+/// reference in memory order (lane `t` reads `r_rev[n − 1 − t]`). The
+/// neighbor and output streams are plain score slices, so the gathers and
+/// scatters are contiguous `copy_from_slice` vector moves into arrays padded
+/// to `W` (the dead tail lanes compute garbage — saturating ops, no side
+/// effects — that is never written back or consulted), and the saturation
+/// guard is fused in — one branchless OR-reduction over the real lanes of
+/// `best` while it is still in registers (free for exact score types, whose
 /// `needs_escalation` is constant `false`).
 #[allow(clippy::too_many_arguments)]
 fn linear_pe_lanes_primary<S: Score, const W: usize>(
@@ -123,11 +115,19 @@ fn linear_pe_lanes_primary<S: Score, const W: usize>(
     clamp_zero: bool,
 ) -> bool {
     let n = q.len();
+    debug_assert!((1..=W).contains(&n));
+    // One up-front narrowing per slice so the loop below carries no
+    // per-element bounds checks.
+    let (q, r_rev) = (&q[..n], &r_rev[..n]);
+    let mut sub = [S::zero(); W];
+    for t in 0..n {
+        sub[t] = p.substitution(q[t] == r_rev[n - 1 - t]);
+    }
     let (mut d, mut u, mut l) = ([S::zero(); W], [S::zero(); W], [S::zero(); W]);
     d[..n].copy_from_slice(&diag[..n]);
     u[..n].copy_from_slice(&up[..n]);
     l[..n].copy_from_slice(&left[..n]);
-    let (best, dir) = linear_select(p, q, r_rev, &d, &u, &l, clamp_zero);
+    let (best, dir) = linear_select(p, &sub, &d, &u, &l, clamp_zero);
     let mut escalate = false;
     for t in 0..n {
         escalate |= best[t].needs_escalation();
@@ -137,6 +137,38 @@ fn linear_pe_lanes_primary<S: Score, const W: usize>(
         ptrs[t] = TbPtr(dir[t]);
     }
     escalate
+}
+
+/// Full-width forward port of [`linear_select`] for the grouped engine: `W`
+/// independent cells, one per pair of a group, symbols read forward. Every
+/// loop has the constant trip count `W`, so the whole cell — compare, three
+/// saturating adds, the select chain — is straight-line vector code with no
+/// remainder and no copy.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn linear_pe_group<S: Score, const W: usize>(
+    p: &LinearParams<S>,
+    q: &[Base; W],
+    r: &[Base; W],
+    diag: &[S; W],
+    up: &[S; W],
+    left: &[S; W],
+    out: &mut [S; W],
+    ptrs: &mut [TbPtr; W],
+    clamp_zero: bool,
+) {
+    // The two scores in locals: selected through `p`, the compare becomes an
+    // index into the parameter struct — a scalar load per lane.
+    let (matched, mismatched) = (p.match_score, p.mismatch);
+    let mut sub = [S::zero(); W];
+    for t in 0..W {
+        sub[t] = if q[t] == r[t] { matched } else { mismatched };
+    }
+    let (best, dir) = linear_select(p, &sub, diag, up, left, clamp_zero);
+    *out = best;
+    for t in 0..W {
+        ptrs[t] = TbPtr(dir[t]);
+    }
 }
 
 /// Shared single-state traceback FSM (paper Listing 7).
@@ -233,6 +265,20 @@ macro_rules! linear_kernel {
                 linear_pe_lanes_primary::<S, W>(
                     params, q, r_rev, diag, up, left, out, ptrs, $clamp,
                 )
+            }
+
+            #[inline(always)]
+            fn pe_group(
+                params: &Self::Params,
+                q: &[Base; W],
+                r: &[Base; W],
+                diag: &[S; W],
+                up: &[S; W],
+                left: &[S; W],
+                out: &mut [S; W],
+                ptrs: &mut [TbPtr; W],
+            ) {
+                linear_pe_group::<S, W>(params, q, r, diag, up, left, out, ptrs, $clamp)
             }
         }
 
@@ -524,6 +570,43 @@ mod tests {
                 }
                 assert!(out[n..].iter().all(|&s| s == i16::MIN), "tail written");
             }
+        }
+    }
+
+    #[test]
+    fn pe_group_matches_scalar_pe_lane_by_lane() {
+        // The forward full-width port: every lane an unrelated cell (its own
+        // symbols, its own neighbours), END ties of the local variant
+        // included, at the exact width and at a narrow one.
+        fn check<S: Score, const W: usize>(p: &LinearParams<S>, clamp: bool) {
+            let base = |t: usize, shift: usize| Base::from_code(((t * 7 + shift) % 4) as u8);
+            let score = |t: usize, k: i32| S::from_i32((t as i32 * k) % 11 - 5);
+            let q: [Base; W] = std::array::from_fn(|t| base(t, 0));
+            let r: [Base; W] = std::array::from_fn(|t| base(t / 2, 1));
+            let diag: [S; W] = std::array::from_fn(|t| score(t, 3));
+            let up: [S; W] = std::array::from_fn(|t| score(t, 5));
+            let left: [S; W] = std::array::from_fn(|t| score(t, 7));
+            let (mut out, mut ptrs) = ([S::zero(); W], [TbPtr::END; W]);
+            linear_pe_group(p, &q, &r, &diag, &up, &left, &mut out, &mut ptrs, clamp);
+            for t in 0..W {
+                let cell = |s: S| LayerVec::splat(1, s);
+                let neighbours = (&cell(diag[t]), &cell(up[t]), &cell(left[t]));
+                let (want, wptr) = linear_pe(
+                    p,
+                    q[t],
+                    r[t],
+                    neighbours.0,
+                    neighbours.1,
+                    neighbours.2,
+                    clamp,
+                );
+                assert_eq!(out[t], want.primary(), "lane {t} clamp={clamp} W={W}");
+                assert_eq!(ptrs[t], wptr, "lane {t} clamp={clamp} W={W}");
+            }
+        }
+        for clamp in [false, true] {
+            check::<i16, LANE_WIDTH>(&LinearParams::dna(), clamp);
+            check::<i8, 32>(&LinearParams::unit(), clamp);
         }
     }
 

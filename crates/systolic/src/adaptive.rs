@@ -27,25 +27,67 @@ use crate::block::{
     run_systolic_guarded_with_scratch, run_systolic_with_scratch, SystolicError, SystolicRun,
     SystolicScratch,
 };
+use crate::group::{group_tb_bytes, run_group_with_scratch, GroupScratch, PairRef};
 use dphls_core::{
     AdaptiveKernel, DpOutput, I8Lanes, KernelConfig, KernelSpec, I8_LANES_NARROW, I8_LANES_WIDE,
 };
 
 /// Reusable scratch for the adaptive driver: one narrow (`i8`) arena for the
-/// fast path plus one exact (`i16`) arena for escalations. Like
-/// [`SystolicScratch`], both grow to the workload's maximum geometry and are
-/// then reused allocation-free.
+/// fast path, one exact (`i16`) arena for escalations, and the grouped
+/// engine's buffers. Like [`SystolicScratch`], all grow to the workload's
+/// maximum geometry and are then reused allocation-free; the ones a workload
+/// never takes stay empty.
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveScratch {
     lo: SystolicScratch<i8>,
     hi: SystolicScratch<i16>,
+    group: GroupScratch<i8, { GROUP_LANES }>,
 }
 
 impl AdaptiveScratch {
-    /// Creates an empty scratch pair; buffers grow on first use.
+    /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// A clean narrow run, certified bit-identical, as the exact run it equals:
+/// widening the score is the whole conversion. Stats are geometry-driven and
+/// therefore already identical to the exact run's. One sentinel needs
+/// semantic (not numeric) widening: when no traceback-eligible cell existed
+/// at all (e.g. a band that excludes the bottom-right corner), the best
+/// tracker still holds its initial `objective.worst()` — a precision-relative
+/// value (−64 at i8, −16384 at i16). Cell coordinates are 1-based, so
+/// `best_cell == (0, 0)` identifies that untouched state exactly.
+fn widen<K: AdaptiveKernel>(run: SystolicRun<i8>) -> SystolicRun<i16> {
+    let best_score = if run.output.best_cell == (0, 0) {
+        K::meta().objective.worst()
+    } else {
+        i16::from(run.output.best_score)
+    };
+    SystolicRun {
+        output: DpOutput {
+            best_score,
+            best_cell: run.output.best_cell,
+            alignment: run.output.alignment,
+            cells_computed: run.output.cells_computed,
+        },
+        stats: run.stats,
+    }
+}
+
+/// The exact re-run of a pair whose narrow run tripped its guard (or whose
+/// parameters exceed the `i8` envelope), counted as one escalation.
+fn escalated<K: AdaptiveKernel>(
+    params: &K::Params,
+    query: &[K::Sym],
+    reference: &[K::Sym],
+    config: &KernelConfig,
+    hi: &mut SystolicScratch<i16>,
+) -> Result<SystolicRun<i16>, SystolicError> {
+    let mut run = run_systolic_with_scratch::<K>(params, query, reference, config, hi)?;
+    run.stats.escalations = 1;
+    Ok(run)
 }
 
 /// Runs one alignment adaptively: saturating `i8` first, exact `i16` on
@@ -90,36 +132,102 @@ pub fn run_adaptive_with_scratch<K: AdaptiveKernel>(
             )?,
         };
         if let Some(run) = narrow {
-            // Clean narrow run: certified bit-identical, so widening the
-            // score is the whole conversion. Stats are geometry-driven and
-            // therefore already identical to the exact run's. One sentinel
-            // needs semantic (not numeric) widening: when no traceback-
-            // eligible cell existed at all (e.g. a band that excludes the
-            // bottom-right corner), the best tracker still holds its
-            // initial `objective.worst()` — a precision-relative value
-            // (−64 at i8, −16384 at i16). Cell coordinates are 1-based, so
-            // `best_cell == (0, 0)` identifies that untouched state exactly.
-            let best_score = if run.output.best_cell == (0, 0) {
-                K::meta().objective.worst()
-            } else {
-                i16::from(run.output.best_score)
-            };
-            return Ok(SystolicRun {
-                output: DpOutput {
-                    best_score,
-                    best_cell: run.output.best_cell,
-                    alignment: run.output.alignment,
-                    cells_computed: run.output.cells_computed,
-                },
-                stats: run.stats,
-            });
+            return Ok(widen::<K>(run));
         }
     }
-    // Guard tripped (or parameters exceed the i8 envelope): exact re-run.
-    let mut run =
-        run_systolic_with_scratch::<K>(params, query, reference, config, &mut scratch.hi)?;
-    run.stats.escalations = 1;
-    Ok(run)
+    escalated::<K>(params, query, reference, config, &mut scratch.hi)
+}
+
+/// Lanes of a grouped pass, whatever [`I8Lanes`] the caller chose for the
+/// wavefront engine: on the build that ships (SSE2, which has no signed byte
+/// max, so each select is compare + blend) a 32-lane pass fills in 21–26 µs
+/// where two 16-lane passes take 2 × 12–14, so the wider body buys nothing
+/// at 32 pairs and loses below. The same source built with
+/// `-C target-feature=+avx2` fills 32 lanes in 13 µs: a wide monomorph
+/// belongs with that multiversioning, not before it
+/// ([`run_group_with_scratch`] is generic over the lane count and tested at
+/// 32).
+const GROUP_LANES: usize = I8_LANES_NARROW;
+
+/// Fewest pairs worth a grouped pass. A pass costs what its longest member
+/// costs across the whole register, whatever it holds, and on a banded short
+/// pair that is about what the pair costs alone on the wavefront engine,
+/// whose anti-diagonals fill the same register two-thirds at best: 120 bp,
+/// unit scoring, band w20, every 20th pair a planted escalator, µs a pair on
+/// one thread (`cargo bench -p dphls-bench --bench lanes`, group `grouped`,
+/// 640 pairs, escalation re-runs included) — wavefront engine 12.6; grouped
+/// at 1 / 2 / 4 / 8 / 16 pairs a pass 15.0 / 8.5 / 5.4 / 3.5 / 2.7. One pair
+/// gains nothing (its escalations lose: the guarded wavefront loop bails out
+/// where the guard trips, a lane is scored to the end) and goes the way it
+/// always went; two already win by a third.
+///
+/// Of a pass: the fill is 12–14 µs, transposing the symbols ~0.1 µs a pair,
+/// and best cell + traceback walk + stats ~1.1 µs a pair.
+const GROUP_MIN: usize = 2;
+
+/// Most traceback bytes a grouped pass may hold ([`group_tb_bytes`]): a
+/// quarter of the 2 MiB L2 of the host the benchmark is recorded on. The
+/// pointer rows are written once and then walked pair by pair, a cache line
+/// a step, so a group that leaves L2 pays memory latency on every traceback
+/// step. 120-bp w20 pairs hold 79 KB and 256-bp w20 pairs 168 KB; a long
+/// unbanded pair (1500 × 1500 × 16 = 36 MB) stays on the wavefront engine,
+/// which suits it.
+const GROUP_TB_BYTES: usize = 512 << 10;
+
+/// Most DP cells (band area, one pointer byte a lane each) a pair may have
+/// for a grouped pass to take it at all — what a scheduler holding only a
+/// cost estimate in cells checks before it collects a group.
+pub const GROUP_CELLS_MAX: u64 = (GROUP_TB_BYTES / GROUP_LANES) as u64;
+
+/// Runs `pairs` adaptively, **grouped**: runs of up to 16 (`GROUP_LANES`)
+/// consecutive pairs share one narrow pass of the inter-sequence engine
+/// ([`run_group_with_scratch`], pair `t` in lane `t`), and the members whose
+/// guard tripped re-run alone at `i16`. One result per pair is appended to
+/// `out`, in order, each **bit-identical** to
+/// [`run_adaptive_with_scratch`] on that pair alone — output, alignment
+/// path, stats and escalation count — whatever its neighbours are; an
+/// invalid pair fails alone.
+///
+/// A run goes through the per-pair loop instead (at `lanes`, which the
+/// grouped passes do not consult) when it is shorter than the break-even
+/// (`GROUP_MIN`), its pointer rows would leave L2 (`GROUP_TB_BYTES`), the
+/// kernel has more than one scoring layer, or the parameters exceed the
+/// `i8` envelope. Returns how many grouped passes ran.
+pub fn run_adaptive_group_with_scratch<K: AdaptiveKernel>(
+    params: &K::Params,
+    lo_params: Option<&<K::Lo as KernelSpec>::Params>,
+    lanes: I8Lanes,
+    pairs: &[PairRef<'_, K::Sym>],
+    config: &KernelConfig,
+    scratch: &mut AdaptiveScratch,
+    out: &mut Vec<Result<SystolicRun<i16>, SystolicError>>,
+) -> usize {
+    let groupable = lo_params.filter(|_| <K::Lo as KernelSpec>::meta().n_layers == 1);
+    let mut passes = 0;
+    for group in pairs.chunks(GROUP_LANES) {
+        let q_max = group.iter().map(|(q, _)| q.len()).max().unwrap_or(0);
+        let r_max = group.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
+        let fits = group_tb_bytes(q_max, r_max, config.banding, GROUP_LANES) <= GROUP_TB_BYTES;
+        let Some(lo) = groupable.filter(|_| group.len() >= GROUP_MIN && fits) else {
+            out.extend(group.iter().map(|(q, r)| {
+                run_adaptive_with_scratch::<K>(params, lo_params, lanes, q, r, config, scratch)
+            }));
+            continue;
+        };
+        let narrow =
+            run_group_with_scratch::<K::Lo, { GROUP_LANES }>(lo, group, config, &mut scratch.group);
+        passes += 1;
+        out.extend(
+            narrow
+                .into_iter()
+                .zip(group)
+                .map(|(slot, (q, r))| match slot? {
+                    Some(run) => Ok(widen::<K>(run)),
+                    None => escalated::<K>(params, q, r, config, &mut scratch.hi),
+                }),
+        );
+    }
+    passes
 }
 
 /// Convenience wrapper over [`run_adaptive_with_scratch`] with fresh scratch

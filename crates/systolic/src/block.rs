@@ -48,6 +48,13 @@
 //! The result is bit-identical to [`dphls_core::run_reference`] (verified by
 //! differential and property tests), while also producing the structural
 //! statistics ([`BlockStats`]) the cycle model consumes.
+//!
+//! This is the engine of **one pair at a time**: lanes run along an
+//! anti-diagonal, which suits long and wide matrices and fits short banded
+//! ones badly (a w20 band offers ~19 cells to a 32-lane chunk). Short banded
+//! pairs of single-layer kernels that arrive several at once go across the
+//! lanes instead — the grouped engine, `group.rs` — and take from here only
+//! `BlockStats::from_geometry`, the closed form of what this loop counts.
 
 use crate::tbmem::TbMem;
 use dphls_core::reference::{offer_if_eligible, walk_traceback, BestTracker};
@@ -99,6 +106,50 @@ pub struct BlockStats {
 }
 
 impl BlockStats {
+    /// The structural counts of a `q × r` alignment under `config`, in
+    /// closed form from the chunk / band geometry: the chunks, the
+    /// wavefronts that carry at least one in-band cell (the ones the
+    /// wavefront loop scores), the in-band cells, the reduction depth and
+    /// the two lengths, with no traceback (`tb_steps` 0) and no escalation.
+    /// The grouped engine never walks wavefronts, so this is where its
+    /// per-pair stats come from. The wavefront loop still counts as it
+    /// goes: reporting from here instead was tried and cost the lockstep
+    /// latency probe 1.5 µs a pair (`lat_p50_ms` 0.0817 → 0.0832, worse on
+    /// 8 of 9 alternating runs) — 120 `cells_in_row` calls on a core just
+    /// woken for one pair — so the two are held together by tests instead
+    /// (`chunk_window_matches_brute_force_geometry` here,
+    /// `every_small_geometry_equals_the_wavefront_engine` in
+    /// `tests/proptest_grouped.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.npe` is zero (a configuration
+    /// [`KernelConfig::validate`] rejects).
+    pub(crate) fn from_geometry(q: usize, r: usize, config: &KernelConfig) -> Self {
+        let (npe, banding) = (config.npe, config.banding);
+        let mut stats = BlockStats {
+            chunks: config.chunks_for(q) as u64,
+            query_len: q as u64,
+            ref_len: r as u64,
+            reduction_levels: npe.next_power_of_two().trailing_zeros() as u64,
+            ..BlockStats::default()
+        };
+        // A chunk's live wavefronts are the interval `w_start..=w_end` —
+        // except under `half_width = 0`, where only every other one carries
+        // the chunk's single diagonal cell: one wavefront per row.
+        let windows = (0..q)
+            .step_by(npe)
+            .map_while(|base| ChunkWindow::new(base, npe.min(q - base), r, banding));
+        for window in windows {
+            stats.wavefronts += match window.half_width {
+                Some(0) => window.rows,
+                _ => window.w_end - window.w_start + 1,
+            } as u64;
+        }
+        stats.cells = (1..=q).map(|i| banding.cells_in_row(i, r) as u64).sum();
+        stats
+    }
+
     /// Fraction of PE-cycles doing useful work: `cells / (wavefronts × NPE)`
     /// for the given array width. The shortfall from 1.0 is the wavefront
     /// ramp-up/down idling at the matrix edges — the §7.2 explanation for
@@ -249,35 +300,32 @@ fn plane_runs<S>(planes: &[S], stride: usize, from: usize, n: usize) -> [&[S]; M
     })
 }
 
-/// The reference of the alignment in flight, reversed: lanes walk down an
-/// anti-diagonal, so reference symbols retreat as query symbols advance, and
-/// over the reversed copy both are forward slices. The arena is typed by
-/// score alone, so the symbol vector is held type-erased (symbols are
-/// `'static`): refilled in place run after run — it grows like every other
-/// buffer and then stops allocating — and re-made only when a run's symbol
-/// type differs from the last one's.
+/// A symbol buffer an arena keeps across runs. The arenas are typed by score
+/// alone, so the vector is held type-erased (symbols are `'static`): refilled
+/// in place run after run — it grows like every other buffer and then stops
+/// allocating — and re-made only when a run's element type differs from the
+/// last one's. Two users: the lane loop's reversed reference (lanes walk down
+/// an anti-diagonal, so reference symbols retreat as query symbols advance,
+/// and over the reversed copy both are forward slices) and the grouped
+/// engine's transposed symbol stripes.
 #[derive(Debug, Default)]
-struct RevRef(Option<Box<dyn Any + Send + Sync>>);
+pub(crate) struct SymVec(Option<Box<dyn Any + Send + Sync>>);
 
-impl RevRef {
-    fn fill<Sym: Copy + Send + Sync + 'static>(&mut self, reference: &[Sym]) -> &[Sym] {
-        if !self.0.as_ref().is_some_and(|held| held.is::<Vec<Sym>>()) {
-            self.0 = Some(Box::new(Vec::<Sym>::new()));
+impl SymVec {
+    /// The held vector with whatever the last run left in it, or an empty
+    /// one when that run's element type was not `T`.
+    pub(crate) fn typed<T: Send + Sync + 'static>(&mut self) -> &mut Vec<T> {
+        if !self.0.as_ref().is_some_and(|held| held.is::<Vec<T>>()) {
+            self.0 = Some(Box::new(Vec::<T>::new()));
         }
-        let held = self
-            .0
-            .as_mut()
-            .and_then(|held| held.downcast_mut::<Vec<Sym>>());
-        let held = held.expect("the slot was just made to hold this symbol type");
-        held.clear();
-        held.extend(reference.iter().rev());
-        held
+        let held = self.0.as_mut().and_then(|held| held.downcast_mut());
+        held.expect("the slot was just made to hold this element type")
     }
 }
 
-/// The slot is rewritten before every read, so a cloned arena starts with
+/// The buffer is rewritten before every read, so a cloned arena starts with
 /// an empty one and grows its own.
-impl Clone for RevRef {
+impl Clone for SymVec {
     fn clone(&self) -> Self {
         Self(None)
     }
@@ -303,7 +351,7 @@ impl Clone for RevRef {
 pub struct SystolicScratch<S> {
     layered: Layered<S>,
     planes: Planes<S>,
-    r_rev: RevRef,
+    r_rev: SymVec,
     trackers: Vec<BestTracker<S>>,
     tbmem: Option<TbMem>,
 }
@@ -314,7 +362,7 @@ impl<S> SystolicScratch<S> {
         Self {
             layered: Layered(CellBufs::new()),
             planes: Planes(CellBufs::new()),
-            r_rev: RevRef::default(),
+            r_rev: SymVec::default(),
             trackers: Vec::new(),
             tbmem: None,
         }
@@ -911,8 +959,11 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
             // Only the whole-wavefront port reads the reversed reference;
             // `K::meta()` is a constant, so single-layer kernels never pay
             // for the copy.
-            let r_rev = if K::meta().n_layers > 1 {
-                r_rev.fill(reference)
+            let r_rev: &[K::Sym] = if K::meta().n_layers > 1 {
+                let held = r_rev.typed();
+                held.clear();
+                held.extend(reference.iter().rev());
+                held
             } else {
                 &[]
             };
@@ -1038,7 +1089,7 @@ fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, B: Wavefronts<K, LAN
     })
 }
 
-fn validate_inputs(
+pub(crate) fn validate_inputs(
     config: &KernelConfig,
     query_len: usize,
     ref_len: usize,
@@ -1228,7 +1279,8 @@ mod tests {
 
     #[test]
     fn chunk_window_matches_brute_force_geometry() {
-        // The closed-form window against plain enumeration with
+        // The closed-form window — and the closed-form stats the grouped
+        // engine reports — against plain enumeration with
         // `Banding::contains`, over every small geometry.
         let bandings = std::iter::once(Banding::None)
             .chain((0..=4).map(|half_width| Banding::Fixed { half_width }));
@@ -1245,11 +1297,17 @@ mod tests {
                         .collect()
                 };
                 let mut band_left = false;
+                let (mut wavefronts, mut cells) = (0u64, 0u64);
                 for base in (0..q).step_by(npe) {
                     let rows = npe.min(q - base);
                     let live: Vec<usize> = (0..rows + r - 1)
                         .filter(|&w| !lanes_at(base, w).is_empty())
                         .collect();
+                    wavefronts += live.len() as u64;
+                    cells += live
+                        .iter()
+                        .map(|&w| lanes_at(base, w).len() as u64)
+                        .sum::<u64>();
                     let ctx = format!("{banding:?} q={q} r={r} npe={npe} base={base}");
                     let Some(window) = ChunkWindow::new(base, rows, r, banding) else {
                         // `None` ends the block: no cell here or below.
@@ -1278,6 +1336,18 @@ mod tests {
                         prev = Some((lo, hi));
                     }
                 }
+                // The loop scores exactly the live wavefronts (a non-empty
+                // lane range, checked above), so these are its counts too.
+                let config = KernelConfig {
+                    banding,
+                    ..KernelConfig::new(npe, 1, 1)
+                };
+                let stats = BlockStats::from_geometry(q, r, &config);
+                assert_eq!(
+                    (stats.wavefronts, stats.cells, stats.chunks),
+                    (wavefronts, cells, q.div_ceil(npe) as u64),
+                    "{banding:?} q={q} r={r} npe={npe}: closed-form stats"
+                );
             }
         }
     }

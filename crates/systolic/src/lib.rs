@@ -45,10 +45,14 @@ pub mod adaptive;
 pub mod block;
 pub mod cycles;
 pub mod device;
+pub mod group;
 pub mod tbmem;
 pub mod xdrop;
 
-pub use adaptive::{run_adaptive, run_adaptive_with_scratch, AdaptiveScratch};
+pub use adaptive::{
+    run_adaptive, run_adaptive_group_with_scratch, run_adaptive_with_scratch, AdaptiveScratch,
+    GROUP_CELLS_MAX,
+};
 pub use block::{
     run_systolic, run_systolic_ok, run_systolic_scalar_with_scratch, run_systolic_with_scratch,
     BlockStats, SystolicError, SystolicRun, SystolicScratch,
@@ -59,5 +63,6 @@ pub use cycles::{
     TransferModel,
 };
 pub use device::{Device, DeviceReport};
+pub use group::{run_group_with_scratch, GroupScratch, PairRef};
 pub use tbmem::TbMem;
 pub use xdrop::{run_xdrop, XDropConfig, XDropRun};

@@ -5,7 +5,9 @@
 //! would pass `cargo test` and break only the benchmark build. The
 //! whole-wavefront plane port is pinned here too: it is what the engine
 //! calls for multi-layer kernels, and the door the benchmark's lane-body
-//! rung is to be repointed at.
+//! rung is to be repointed at. So are the grouped (inter-sequence) doors —
+//! the host's `AdaptiveEngine::run_group` and the `lanes` bench call them,
+//! and a benchmark rung for the grouped body would too.
 
 // Spelling each argument list out in full is the point of this file.
 #![allow(clippy::type_complexity)]
@@ -17,9 +19,10 @@ use dphls_core::{
 use dphls_kernels::{AffineParams, GlobalAffine, GlobalLinear, LinearParams};
 use dphls_seq::{Base, DnaSeq};
 use dphls_systolic::{
-    run_adaptive_with_scratch, run_systolic, run_systolic_scalar_with_scratch,
-    run_systolic_with_scratch, run_xdrop, AdaptiveScratch, BlockStats, SystolicError, SystolicRun,
-    SystolicScratch, XDropConfig, XDropRun,
+    run_adaptive_group_with_scratch, run_adaptive_with_scratch, run_group_with_scratch,
+    run_systolic, run_systolic_scalar_with_scratch, run_systolic_with_scratch, run_xdrop,
+    AdaptiveScratch, BlockStats, GroupScratch, SystolicError, SystolicRun, SystolicScratch,
+    XDropConfig, XDropRun, GROUP_CELLS_MAX,
 };
 
 type Run<S> = Result<SystolicRun<S>, SystolicError>;
@@ -186,5 +189,71 @@ fn plane_port_keeps_its_signature() {
             "lane {t}"
         );
         assert_eq!(ptrs[t], want_ptr, "lane {t}");
+    }
+}
+
+#[test]
+fn grouped_doors_keep_their_signatures() {
+    type Lo = <GlobalLinear as AdaptiveKernel>::Lo;
+    let _: fn(
+        &LinearParams<i8>,
+        &[(&[Base], &[Base])],
+        &KernelConfig,
+        &mut GroupScratch<i8, I8_LANES_WIDE>,
+    ) -> Vec<Result<Option<SystolicRun<i8>>, SystolicError>> =
+        run_group_with_scratch::<Lo, I8_LANES_WIDE>;
+    let _: fn(
+        &LinearParams<i16>,
+        Option<&LinearParams<i8>>,
+        I8Lanes,
+        &[(&[Base], &[Base])],
+        &KernelConfig,
+        &mut AdaptiveScratch,
+        &mut Vec<Run<i16>>,
+    ) -> usize = run_adaptive_group_with_scratch::<GlobalLinear>;
+    let _: u64 = GROUP_CELLS_MAX;
+    let _: fn(
+        &LinearParams<i16>,
+        &[Base; LANE_WIDTH],
+        &[Base; LANE_WIDTH],
+        &[i16; LANE_WIDTH],
+        &[i16; LANE_WIDTH],
+        &[i16; LANE_WIDTH],
+        &mut [i16; LANE_WIDTH],
+        &mut [TbPtr; LANE_WIDTH],
+    ) = <GlobalLinear as LaneKernel>::pe_group;
+
+    // Called as the host calls them: a group in, one result per pair out,
+    // each the single-pair door's.
+    let (q, r) = pair();
+    let config = KernelConfig::new(8, 1, 1)
+        .with_max_lengths(32, 32)
+        .with_banding(6);
+    let params = LinearParams::<i16>::unit();
+    let lo_params = GlobalLinear::lo_params(&params);
+    let mut scratch = AdaptiveScratch::new();
+    let group = [(&q[..], &r[..]), (&r[..], &q[..]), (&q[..8], &r[..9])];
+    let mut runs = Vec::new();
+    let passes = run_adaptive_group_with_scratch::<GlobalLinear>(
+        &params,
+        lo_params.as_ref(),
+        I8Lanes::X32,
+        &group,
+        &config,
+        &mut scratch,
+        &mut runs,
+    );
+    assert_eq!((passes, runs.len()), (1, 3));
+    for ((q, r), run) in group.iter().zip(&runs) {
+        let alone = run_adaptive_with_scratch::<GlobalLinear>(
+            &params,
+            lo_params.as_ref(),
+            I8Lanes::X32,
+            q,
+            r,
+            &config,
+            &mut scratch,
+        );
+        assert_eq!(run, &alone);
     }
 }
