@@ -18,8 +18,12 @@
 //!   fewer on the 16-lane body, 32 on the 32-lane one, which the adaptive
 //!   driver does not instantiate (this row is the reading that would justify
 //!   it) — escalation re-runs included, with no break-even gate in the way.
-//!   Elements are pairs, so the reciprocal is µs a pair: where the constants
-//!   of `dphls_systolic::adaptive` come from.
+//!   Beside them, the `serve_saturated` pair shape (256 bp, 20 % error, DNA
+//!   scoring, band w32, NPE 32) on the exact engine: the wavefront engine one
+//!   pair at a time, and the grouped engine at `i16 × 8`, a hand of eight a
+//!   pass (`run_exact_group_with_scratch`, what `ExactEngine::run_group`
+//!   calls). Elements are pairs, so the reciprocal is µs a pair: where the
+//!   constants of `dphls_systolic::group` come from.
 //! * `xdrop`: one 3 kb read at 5 % error against its candidate window through
 //!   `run_xdrop` at the mapper's default `XDropConfig` — the `map_long_reads`
 //!   extension step, throughput in anti-diagonals (ns per wavefront is the
@@ -31,17 +35,19 @@ use criterion::{
 };
 use dphls_bench::perf::{make_workload, Workload};
 use dphls_core::{
-    AdaptiveKernel, I8Lanes, KernelConfig, LaneKernel, I8_LANES_NARROW, I8_LANES_WIDE,
+    AdaptiveKernel, I8Lanes, KernelConfig, LaneKernel, I8_LANES_NARROW, I8_LANES_WIDE, LANE_WIDTH,
 };
 use dphls_kernels::{
-    AffineParams, GlobalAffine, GlobalLinear, GlobalTwoPiece, LinearParams, TwoPieceParams,
+    default_banding, AffineParams, BandedGlobalLinear, GlobalAffine, GlobalLinear, GlobalTwoPiece,
+    LinearParams, TwoPieceParams,
 };
 use dphls_mapper::MapperConfig;
 use dphls_seq::gen::{ErrorModel, ReadSimulator};
 use dphls_seq::Base;
 use dphls_systolic::{
-    run_adaptive_with_scratch, run_group_with_scratch, run_systolic_scalar_with_scratch,
-    run_systolic_with_scratch, run_xdrop, AdaptiveScratch, GroupScratch, SystolicScratch,
+    run_adaptive_with_scratch, run_exact_group_with_scratch, run_group_with_scratch,
+    run_systolic_scalar_with_scratch, run_systolic_with_scratch, run_xdrop, AdaptiveScratch,
+    ExactScratch, GroupScratch, SystolicScratch,
 };
 use std::time::Duration;
 
@@ -198,6 +204,45 @@ fn bench_grouped(c: &mut Criterion) {
             })
         });
     }
+
+    let served = make_workload(pairs, 256, 0x5E);
+    let served: Vec<(&[Base], &[Base])> = served
+        .iter()
+        .map(|(q, r)| (q.as_slice(), r.as_slice()))
+        .collect();
+    let band = default_banding("banded_global_linear").expect("the served kernel is banded");
+    let config = KernelConfig::new(32, 1, 1)
+        .with_max_lengths(256, 256)
+        .with_banding(band);
+    let dna = LinearParams::<i16>::dna();
+    type Served = BandedGlobalLinear<i16>;
+    g.bench_with_input(
+        BenchmarkId::new("served_wavefront", pairs),
+        &pairs,
+        |b, _| {
+            let mut scratch = SystolicScratch::new();
+            b.iter(|| {
+                for (q, r) in &served {
+                    run_systolic_with_scratch::<Served>(&dna, q, r, &config, &mut scratch).unwrap();
+                }
+            })
+        },
+    );
+    let id = BenchmarkId::new(&format!("served_exact_group_of_{LANE_WIDTH}"), pairs);
+    g.bench_with_input(id, &pairs, |b, _| {
+        let (mut scratch, mut runs) = (ExactScratch::new(), Vec::new());
+        b.iter(|| {
+            runs.clear();
+            let passes = run_exact_group_with_scratch::<Served>(
+                &dna,
+                &served,
+                &config,
+                &mut scratch,
+                &mut runs,
+            );
+            assert_eq!(passes, pairs / LANE_WIDTH);
+        })
+    });
     g.finish();
 }
 

@@ -32,7 +32,7 @@ impl Banding {
             Banding::None => r,
             Banding::Fixed { half_width } => {
                 let lo = i.saturating_sub(half_width).max(1);
-                let hi = (i + half_width).min(r);
+                let hi = i.saturating_add(half_width).min(r);
                 hi.saturating_sub(lo) + usize::from(hi >= lo)
             }
         }
@@ -229,6 +229,12 @@ mod tests {
         assert_eq!(b.cells_in_row(10, 10), 3);
         // band entirely off the matrix
         assert_eq!(b.cells_in_row(20, 10), 0);
+        // a band wider than the matrix is the whole row, even at the top of
+        // the type's range
+        for half_width in [10, usize::MAX - 1, usize::MAX] {
+            let b = Banding::Fixed { half_width };
+            assert_eq!(b.cells_in_row(7, 10), 10, "{half_width}");
+        }
     }
 
     #[test]

@@ -14,20 +14,25 @@
 //! see `crates/systolic/src/adaptive.rs`); the only report-visible
 //! difference is the escalation counter.
 //!
-//! An engine may also score several pairs in one pass
-//! ([`PairEngine::group_width`] / [`PairEngine::run_group`]): the adaptive
-//! engine does, on the inter-sequence `i8` engine
-//! (`crates/systolic/src/group.rs`), with every pair's result equal to its
-//! [`PairEngine::run_pair`]. The exact engine does not, on purpose:
-//! `bench_check`'s `resilience_overhead` and `streaming` ratios are taken on
-//! it with an instrumented run on one side, and instrumented runs stay per
-//! pair (see `pool.rs`), so a gain on the uninstrumented side alone would
-//! read as overhead.
+//! Both also score several pairs in one pass ([`PairEngine::group_width`] /
+//! [`PairEngine::run_group`]) when the kernel has a single scoring layer, on
+//! the inter-sequence engine (`crates/systolic/src/group.rs`): the adaptive
+//! one at guarded `i8 × 16`, the exact one at the kernel's own score type
+//! and [`LANE_WIDTH`] lanes. Every pair's result equals its
+//! [`PairEngine::run_pair`]. The pool hands them groups on instrumented runs
+//! too (see `pool.rs`), so `bench_check`'s `resilience_overhead` and
+//! `streaming` ratios — exact engine, an instrumented or streamed run over a
+//! batched one — compare grouped with grouped: what moves them now is the
+//! per-pass instrumentation (one clock read and one `catch_unwind` a pass
+//! instead of a pair) and how well each front end fills its hands.
 
-use dphls_core::{AdaptiveKernel, I8Lanes, KernelConfig, KernelSpec, LaneKernel, LanePrecision};
+use dphls_core::{
+    AdaptiveKernel, I8Lanes, KernelConfig, KernelSpec, LaneKernel, LanePrecision, LANE_WIDTH,
+};
 use dphls_systolic::{
-    run_adaptive_group_with_scratch, run_adaptive_with_scratch, run_systolic_with_scratch,
-    AdaptiveScratch, PairRef, SystolicError, SystolicRun, SystolicScratch, GROUP_CELLS_MAX,
+    adaptive, group_cells_max, run_adaptive_group_with_scratch, run_adaptive_with_scratch,
+    run_exact_group_with_scratch, run_systolic_with_scratch, AdaptiveScratch, ExactScratch,
+    PairRef, SystolicError, SystolicRun,
 };
 
 /// One pair's outcome, as [`PairEngine::run_pair`] returns it.
@@ -95,8 +100,10 @@ pub trait PairEngine<K: KernelSpec>: Sync {
     }
 }
 
-/// The exact path: every pair runs once at the kernel's native score width
-/// through [`run_systolic_with_scratch`]. [`BlockStats::escalations`] is
+/// The exact path: every pair runs once at the kernel's native score width,
+/// alone through [`run_systolic_with_scratch`] or, for a single-layer
+/// kernel, with up to [`LANE_WIDTH`] others in one grouped pass
+/// ([`run_exact_group_with_scratch`]). [`BlockStats::escalations`] is
 /// always 0 here.
 ///
 /// [`BlockStats::escalations`]: dphls_systolic::BlockStats::escalations
@@ -112,10 +119,10 @@ impl<K: KernelSpec> ExactEngine<K> {
 }
 
 impl<K: LaneKernel> PairEngine<K> for ExactEngine<K> {
-    type Scratch = SystolicScratch<K::Score>;
+    type Scratch = ExactScratch<K::Score>;
 
     fn new_scratch(&self) -> Self::Scratch {
-        SystolicScratch::new()
+        ExactScratch::new()
     }
 
     fn run_pair(
@@ -125,7 +132,32 @@ impl<K: LaneKernel> PairEngine<K> for ExactEngine<K> {
         config: &KernelConfig,
         scratch: &mut Self::Scratch,
     ) -> Result<SystolicRun<K::Score>, SystolicError> {
-        run_systolic_with_scratch::<K>(&self.params, q, r, config, scratch)
+        run_systolic_with_scratch::<K>(&self.params, q, r, config, scratch.wavefront())
+    }
+
+    /// [`LANE_WIDTH`] pairs, one pass, for a kernel the inter-sequence
+    /// engine takes (a single scoring layer); one otherwise.
+    fn group_width(&self) -> usize {
+        if K::meta().n_layers == 1 {
+            LANE_WIDTH
+        } else {
+            1
+        }
+    }
+
+    /// Where a pass's pointer rows would leave L2.
+    fn group_cost_max(&self) -> u64 {
+        group_cells_max(LANE_WIDTH)
+    }
+
+    fn run_group(
+        &self,
+        pairs: &[PairRef<'_, K::Sym>],
+        config: &KernelConfig,
+        scratch: &mut Self::Scratch,
+        out: &mut Vec<PairResult<K::Score>>,
+    ) -> usize {
+        run_exact_group_with_scratch::<K>(&self.params, pairs, config, scratch, out)
     }
 }
 
@@ -195,7 +227,7 @@ impl<K: AdaptiveKernel> PairEngine<K> for AdaptiveEngine<K> {
 
     /// Where a pass's pointer rows would leave L2.
     fn group_cost_max(&self) -> u64 {
-        GROUP_CELLS_MAX
+        group_cells_max(adaptive::GROUP_LANES)
     }
 
     fn run_group(
@@ -239,16 +271,16 @@ impl<K: AdaptiveKernel> PrecisionEngine<K> {
 
 /// Scratch for [`PrecisionEngine`]: the variant matching the live engine.
 ///
-/// The variants differ in size (the adaptive arena is two arenas), but a
+/// The variants differ in size (the adaptive one holds a third arena), but a
 /// scratch exists once per slot thread and lives for the whole run, so the
 /// footprint is slots-bounded and indirection would only add a pointer
 /// chase to the hot loop.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum PrecisionScratch<S> {
-    /// Exact-path arena.
-    Exact(SystolicScratch<S>),
-    /// Adaptive-path arena pair.
+    /// Exact-path arenas (wavefront and grouped).
+    Exact(ExactScratch<S>),
+    /// Adaptive-path arenas.
     Adaptive(AdaptiveScratch),
 }
 
@@ -256,9 +288,9 @@ pub enum PrecisionScratch<S> {
 // variant can only disagree with the engine's through a caller bug; rebuild
 // rather than corrupt.
 impl<S> PrecisionScratch<S> {
-    fn exact(&mut self) -> &mut SystolicScratch<S> {
+    fn exact(&mut self) -> &mut ExactScratch<S> {
         if !matches!(self, Self::Exact(_)) {
-            *self = Self::Exact(SystolicScratch::new());
+            *self = Self::Exact(ExactScratch::new());
         }
         match self {
             Self::Exact(arena) => arena,
@@ -282,7 +314,7 @@ impl<K: AdaptiveKernel> PairEngine<K> for PrecisionEngine<K> {
 
     fn new_scratch(&self) -> Self::Scratch {
         match self {
-            Self::Exact(_) => PrecisionScratch::Exact(SystolicScratch::new()),
+            Self::Exact(_) => PrecisionScratch::Exact(ExactScratch::new()),
             Self::Adaptive(_) => PrecisionScratch::Adaptive(AdaptiveScratch::new()),
         }
     }

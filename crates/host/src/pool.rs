@@ -16,23 +16,19 @@
 //!
 //! **Group pops.** For an engine that scores several pairs in one pass
 //! ([`PairEngine::group_width`] > 1) a worker that popped a job off its *own*
-//! deque takes the like-cost jobs behind it under the same lock — the deques
-//! are cost-ranked, so the front's neighbours are the pairs most like it —
-//! and hands the lot to [`PairEngine::run_group`]; every member is then
-//! settled and reported on its own, exactly as if it had been popped alone.
-//! A front the engine would not group at all
-//! ([`PairEngine::group_cost_max`]) goes alone and leaves its neighbours
-//! where a peer can steal them. A pop takes what is there and never waits
-//! for a group to fill: a deque holding one job (the lockstep latency probe,
-//! a worker out-running the parser) yields that job, which runs through
-//! `run_pair` as before. Stolen jobs are never grouped (a thief takes the
-//! victim's cheapest job to rebalance, not a pass's worth), and neither is
-//! anything on an **instrumented** run: fault injection, deadlines, retries
-//! and `catch_unwind` are per pair, and a failed member re-dealt alone out
-//! of a group is not built yet. On an uninstrumented run a member's kernel
-//! error under the abort policy surfaces after its whole group was scored:
-//! the members ahead of it in the hand are reported, it is the abort fault,
-//! the ones behind it are dropped — what the per-pair loop reports too.
+//! deque takes the like-cost jobs behind it under the same lock (the deques
+//! are cost-ranked, so those are the pairs most like it), behind a front the
+//! engine would group at all ([`PairEngine::group_cost_max`]). It never
+//! waits for a group to fill: a deque holding one job (the lockstep latency
+//! probe) yields that job, which runs through [`SlotRun::attempt`] as before,
+//! and a thief takes one job. A hand of several goes to
+//! [`PairEngine::run_group`] — on an instrumented run through
+//! [`SlotRun::attempt_group`], one deadline and one `catch_unwind` a pass,
+//! with an uncharged fallback to one attempt per member. Every member is
+//! then settled on its own, in hand order, and counted in `busy` until it
+//! is: under the abort policy the members ahead of a failed one are
+//! reported, it is the abort fault, the ones behind it are dropped — what
+//! the per-pair loop reports too.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -44,30 +40,8 @@ use dphls_systolic::SystolicRun;
 use crate::engine::PairEngine;
 use crate::resilience::{FaultCause, PairFault};
 use crate::slot::{
-    next_live_queue, steal_order, take_down, PairJob, RunTally, Settled, SlotRun, SlotTally,
+    next_live_queue, steal_order, take_down, Job, RunTally, Settled, SlotRun, SlotTally,
 };
-
-/// A queued pair: its input index, how often it was already attempted
-/// (retries re-enter the deques with `attempts` bumped), its cost estimate
-/// in DP cells (ranks the deque, scales the deadline), and the sequences.
-pub(crate) struct Job<P> {
-    pub idx: usize,
-    pub attempts: u32,
-    pub cost: u64,
-    pub pair: P,
-}
-
-impl<P> Job<P> {
-    /// A not-yet-attempted job.
-    pub fn new(idx: usize, cost: u64, pair: P) -> Self {
-        Job {
-            idx,
-            attempts: 0,
-            cost,
-            pair,
-        }
-    }
-}
 
 struct Sched<P> {
     /// Queue `dev * nk + ch`, each sorted by descending cost: the owner
@@ -76,10 +50,10 @@ struct Sched<P> {
     queues: Vec<VecDeque<Job<P>>>,
     /// One flag per fleet device; a lost device dispatches nothing more.
     lost: Vec<bool>,
-    /// Jobs popped but not yet terminal (output, quarantine, or re-deal),
-    /// so idle peers outwait a retry or a lost device's re-deals instead of
-    /// exiting early; maintained on the instrumented path only (nothing is
-    /// re-dealt otherwise).
+    /// Jobs popped but not yet terminal (output, quarantine, re-deal or
+    /// abort), so idle peers outwait a retry or a lost device's re-deals
+    /// instead of exiting early; maintained on instrumented runs only
+    /// (nothing is re-dealt otherwise).
     busy: usize,
     /// More work may still be dealt.
     open: bool,
@@ -240,12 +214,7 @@ impl<'a, P> Pool<'a, P> {
         P: Borrow<SeqPair<K>>,
     {
         let mut slot = Slot::new(engine, worker / self.slots);
-        // Instrumented runs attempt pair by pair (see the module docs).
-        let (width, cost_max) = if self.run.instrumented {
-            (1, 0)
-        } else {
-            (engine.group_width(), engine.group_cost_max())
-        };
+        let (width, cost_max) = (engine.group_width(), engine.group_cost_max());
         while self.next_jobs(slot.qown, &mut slot.tally, width, cost_max, &mut slot.hand)
             && self.run_hand(engine, &mut slot, &mut report)
         {}
@@ -253,9 +222,10 @@ impl<'a, P> Pool<'a, P> {
     }
 
     /// Runs the jobs in `slot`'s hand — one through [`SlotRun::attempt`],
-    /// several through one [`PairEngine::run_group`] call — and settles each
-    /// on its own: an output or a quarantine record goes to `report`, a
-    /// retry back to a queue. `false` means the run aborted.
+    /// several through one [`PairEngine::run_group`] call (on an
+    /// instrumented run, [`SlotRun::attempt_group`]) — and settles each on
+    /// its own: an output or a quarantine record goes to `report`, a retry
+    /// back to a queue. `false` means the run aborted.
     fn run_hand<K, E>(
         &self,
         engine: &E,
@@ -276,17 +246,11 @@ impl<'a, P> Pool<'a, P> {
             outcomes,
             ..
         } = slot;
+        let lose = || self.lose_device(dev);
         if let [job] = &hand[..] {
-            let (q, r) = job.pair.borrow();
-            let pair = PairJob {
-                idx: job.idx,
-                attempts: job.attempts,
-                cost: job.cost,
-                q,
-                r,
-            };
-            let lose = || self.lose_device(dev);
-            outcomes.push(run.attempt::<K, E>(engine, scratch, &pair, dev, lose));
+            outcomes.push(run.attempt::<K, E, P>(engine, scratch, job, dev, lose));
+        } else if run.instrumented {
+            run.attempt_group::<K, E, P>(engine, scratch, tally, hand, dev, lose, outcomes);
         } else {
             let views = hand.iter().map(|job| {
                 let (q, r) = job.pair.borrow();
@@ -296,7 +260,8 @@ impl<'a, P> Pool<'a, P> {
             tally.groups += engine.run_group(&pairs, run.device.config(), scratch, &mut runs);
             outcomes.extend(runs.into_iter().map(|run| run.map_err(FaultCause::Kernel)));
         }
-        for (job, outcome) in hand.drain(..).zip(outcomes.drain(..)) {
+        let members = hand.len();
+        for (settled, (job, outcome)) in hand.drain(..).zip(outcomes.drain(..)).enumerate() {
             match run.settle(tally, job.idx, job.attempts, outcome) {
                 Settled::Done(output) => {
                     report(job.idx, Ok(output));
@@ -321,8 +286,12 @@ impl<'a, P> Pool<'a, P> {
                 }
                 Settled::Abort(fault) => {
                     // `settle` raised the abort flag; storing the fault
-                    // takes the lock `wake_all` would bridge through.
-                    self.lock().aborted.get_or_insert(fault);
+                    // takes the lock `wake_all` would bridge through. This
+                    // member and the ones behind it leave the hand unsettled.
+                    let mut guard = self.lock();
+                    guard.aborted.get_or_insert(fault);
+                    guard.busy -= (members - settled) * usize::from(run.instrumented);
+                    drop(guard);
                     self.work_cv.notify_all();
                     return false;
                 }
@@ -375,9 +344,8 @@ impl<'a, P> Pool<'a, P> {
             }
             if !hand.is_empty() {
                 // Counted under the same guard as the pop so peers never
-                // observe empty queues with the job invisibly in a hand.
-                // (Only instrumented runs count, and they take one job.)
-                guard.busy += usize::from(run.instrumented);
+                // observe empty queues with a job invisibly in a hand.
+                guard.busy += hand.len() * usize::from(run.instrumented);
                 return true;
             }
             if !guard.open && guard.busy == 0 {
@@ -433,10 +401,11 @@ mod tests {
     use dphls_kernels::{GlobalLinear, LinearParams};
     use dphls_seq::Base;
     use dphls_systolic::{
-        CycleModelParams, Device, KernelCycleInfo, SystolicError, SystolicRun, SystolicScratch,
+        CycleModelParams, Device, ExactScratch, KernelCycleInfo, SystolicError, SystolicRun,
     };
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
+    use std::time::Duration;
 
     type Pair = SeqPair<GlobalLinear>;
 
@@ -454,16 +423,19 @@ mod tests {
     }
 
     /// The exact engine behind a call counter; the first `fail_first` calls
-    /// fail with a kernel error, and so does every call on a pair whose
-    /// query is `fail_len` long. With `width` above 1 it takes groups, and
-    /// records the query lengths of each one (a pair's length names it:
-    /// see [`ranked`]).
+    /// fail with a kernel error, every call on a pair whose query is
+    /// `fail_len` long fails too, and one whose query is `panic_len` long
+    /// panics. With `width` above 1 it takes groups, sleeps `group_delay`
+    /// in each, and records the query lengths of each one (a pair's length
+    /// names it: see [`ranked`]).
     struct Stub {
         inner: ExactEngine<GlobalLinear>,
         calls: AtomicUsize,
         fail_first: usize,
         fail_len: Option<usize>,
+        panic_len: Option<usize>,
         width: usize,
+        group_delay: Duration,
         groups: Mutex<Vec<Vec<usize>>>,
     }
 
@@ -474,7 +446,9 @@ mod tests {
                 calls: AtomicUsize::new(0),
                 fail_first,
                 fail_len: None,
+                panic_len: None,
                 width: 1,
+                group_delay: Duration::ZERO,
                 groups: Mutex::new(Vec::new()),
             }
         }
@@ -485,13 +459,17 @@ mod tests {
                 ..Stub::failing(0)
             }
         }
+
+        fn groups(&self) -> Vec<Vec<usize>> {
+            self.groups.lock().expect("groups mutex").clone()
+        }
     }
 
     impl PairEngine<GlobalLinear> for Stub {
-        type Scratch = SystolicScratch<i16>;
+        type Scratch = ExactScratch<i16>;
 
         fn new_scratch(&self) -> Self::Scratch {
-            SystolicScratch::new()
+            ExactScratch::new()
         }
 
         fn run_pair(
@@ -502,6 +480,7 @@ mod tests {
             scratch: &mut Self::Scratch,
         ) -> Result<SystolicRun<i16>, SystolicError> {
             let call = self.calls.fetch_add(1, Ordering::Relaxed);
+            assert!(self.panic_len != Some(q.len()), "stub panic");
             if call < self.fail_first || self.fail_len == Some(q.len()) {
                 return Err(injected_kernel_error());
             }
@@ -521,6 +500,7 @@ mod tests {
         ) -> usize {
             let lens = pairs.iter().map(|(q, _)| q.len()).collect();
             self.groups.lock().expect("groups mutex").push(lens);
+            std::thread::sleep(self.group_delay);
             out.extend(
                 pairs
                     .iter()
@@ -558,6 +538,9 @@ mod tests {
         reports: Vec<(usize, bool)>,
         /// Pairs each worker executed.
         executed: Vec<usize>,
+        /// Grouped passes run, and passes that fell back, over every worker.
+        groups: usize,
+        fallbacks: usize,
         aborted: Option<PairFault>,
     }
 
@@ -587,6 +570,8 @@ mod tests {
         Drained {
             reports,
             executed: sched.tallies.iter().map(|t| t.executed).collect(),
+            groups: sched.tallies.iter().map(|t| t.groups).sum(),
+            fallbacks: sched.tallies.iter().map(|t| t.fallbacks).sum(),
             aborted: sched.aborted.clone(),
         }
     }
@@ -848,7 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn workers_group_only_uninstrumented_and_settle_every_member_separately() {
+    fn workers_group_on_both_kinds_of_run_and_settle_every_member_separately() {
         let dev = device(2);
         for instrumented in [false, true] {
             let res = match instrumented {
@@ -864,15 +849,10 @@ mod tests {
             assert_eq!(drained.reports, all_completed(60));
             assert_eq!(drained.executed.iter().sum::<usize>(), 60);
             assert_eq!(engine.calls.load(Ordering::Relaxed), 60);
-            let groups = engine.groups.lock().expect("groups mutex");
-            let tallied: usize = pool.lock().tallies.iter().map(|t| t.groups).sum();
-            assert_eq!(tallied, groups.len());
-            if instrumented {
-                assert!(groups.is_empty(), "an instrumented run grouped");
-                continue;
-            }
-            assert!(!groups.is_empty());
-            for lens in groups.iter() {
+            let groups = engine.groups();
+            assert!(!groups.is_empty(), "instrumented {instrumented}");
+            assert_eq!((drained.groups, drained.fallbacks), (groups.len(), 0));
+            for lens in &groups {
                 assert!((2..=8).contains(&lens.len()), "{lens:?}");
                 // Pair `idx` is `67 - idx` bases long and rank `idx` went to
                 // queue `idx % 4`: members of one group are neighbours on one
@@ -882,41 +862,146 @@ mod tests {
                 let cost = |len: &usize| (len * len) as u64;
                 assert!(lens.iter().all(|len| rides_with(cost(&lens[0]), cost(len))));
             }
+            assert_eq!(pool.lock().busy, 0);
         }
     }
 
     #[test]
     fn a_failed_member_aborts_a_group_as_it_would_the_per_pair_loop() {
-        // One worker, no retries, abort policy, uninstrumented. Pair `idx` is
-        // `13 - idx` bases long; the cost bound makes the first hand pairs
-        // 0..=3, and pair 2 (11 bases) fails. The group is scored whole
-        // before anything is settled — one call more than the per-pair loop
-        // makes — and then reports what that loop reports: the members ahead
-        // of the failed one, the fault of the first failure in hand order,
-        // and nothing after it.
+        // One worker, no retries, abort policy. Pair `idx` is `13 - idx`
+        // bases long; the cost bound makes the first hand pairs 0..=3, and
+        // pair 2 (11 bases) fails. The group is scored whole before anything
+        // is settled — one call more than the per-pair loop makes — and then
+        // reports what that loop reports: the members ahead of the failed
+        // one, the fault of the first failure in hand order, and nothing
+        // after it. Instrumented (a deadline alone turns it on), the abort
+        // releases the failed member and the one behind it from `busy`.
         let dev = device(1);
-        let res = ResilienceConfig::disabled();
-        for (width, calls) in [(1, 3), (8, 4)] {
-            let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
-            assert!(!run.instrumented);
-            let pool = Pool::new(&run, 1, false, ranked(6));
-            let engine = Stub {
-                fail_len: Some(11),
-                ..Stub::grouping(width)
-            };
-            let drained = drain(&pool, &engine, || ());
-            assert!(run.aborted());
-            assert_eq!(drained.reports, vec![(0, true), (1, true)], "width {width}");
-            let fault = drained.aborted.expect("the abort fault");
-            assert_eq!((fault.idx, fault.attempts), (2, 1), "width {width}");
-            assert_eq!(fault.cause, FaultCause::Kernel(injected_kernel_error()));
-            assert_eq!(engine.calls.load(Ordering::Relaxed), calls, "width {width}");
-            if width > 1 {
-                let groups = engine.groups.lock().expect("groups mutex");
-                assert_eq!(*groups, vec![vec![13, 12, 11, 10]]);
+        let instrumented = ResilienceConfig {
+            pair_deadline: Some(Duration::from_secs(60)),
+            ..ResilienceConfig::disabled()
+        };
+        for res in [ResilienceConfig::disabled(), instrumented] {
+            for (width, calls) in [(1, 3), (8, 4)] {
+                let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+                let ctx = format!("width {width} instrumented {}", run.instrumented);
+                let pool = Pool::new(&run, 1, false, ranked(6));
+                let engine = Stub {
+                    fail_len: Some(11),
+                    ..Stub::grouping(width)
+                };
+                let drained = drain(&pool, &engine, || ());
+                assert!(run.aborted());
+                assert_eq!(drained.reports, vec![(0, true), (1, true)], "{ctx}");
+                let fault = drained.aborted.expect("the abort fault");
+                assert_eq!((fault.idx, fault.attempts), (2, 1), "{ctx}");
+                assert_eq!(fault.cause, FaultCause::Kernel(injected_kernel_error()));
+                assert_eq!(engine.calls.load(Ordering::Relaxed), calls, "{ctx}");
+                if width > 1 {
+                    assert_eq!(engine.groups(), vec![vec![13, 12, 11, 10]], "{ctx}");
+                }
+                assert_eq!(drained.executed, vec![2], "{ctx}");
+                assert_eq!(pool.lock().busy, 0, "{ctx}");
             }
-            assert_eq!(drained.executed, vec![2]);
-            assert_eq!(pool.lock().busy, 0);
+        }
+    }
+
+    #[test]
+    fn a_pass_that_panics_falls_back_pair_by_pair_and_charges_the_panicking_member_alone() {
+        // One worker. Pair `idx` is `13 - idx` bases long, pair 2 (11 bases)
+        // panics whenever it is scored. The first hand is pairs 0..=3: its
+        // pass panics, every member runs again alone, and only pair 2 fails
+        // — a retry. Re-dealt ahead of pairs 4 and 5 (cost order), it leads
+        // the next hand, whose pass panics too; alone again, pair 2 is out of
+        // retries and quarantined, and its two companions complete.
+        let dev = device(1);
+        let res = quarantine(1);
+        let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+        let pool = Pool::new(&run, 1, false, ranked(6));
+        let engine = Stub {
+            panic_len: Some(11),
+            ..Stub::grouping(8)
+        };
+        let drained = drain(&pool, &engine, || ());
+        let mut want = all_completed(6);
+        want[2].1 = false;
+        assert_eq!(drained.reports, want);
+        assert_eq!(engine.groups(), vec![vec![13, 12, 11, 10], vec![11, 9, 8]]);
+        assert_eq!((drained.groups, drained.fallbacks), (0, 2));
+        assert_eq!(run.retries.load(Ordering::Relaxed), 1, "pair 2's alone");
+        assert_eq!(run.timeouts.load(Ordering::Relaxed), 0);
+        assert_eq!(drained.executed, vec![5]);
+        assert_eq!(pool.lock().busy, 0);
+    }
+
+    #[test]
+    fn a_pass_over_its_deadline_falls_back_uncharged() {
+        // Four pairs of at most 121 cells share a pass whose deadline is one
+        // unit's, 100 ms; the pass sleeps 400 ms. Its results are dropped and
+        // each member runs again alone, well inside its own deadline: no
+        // timeout and no retry is counted, one fallback is.
+        let dev = device(1);
+        let res = ResilienceConfig {
+            pair_deadline: Some(Duration::from_millis(100)),
+            ..quarantine(1)
+        };
+        let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+        let pool = Pool::new(&run, 1, false, ranked(4));
+        let engine = Stub {
+            group_delay: Duration::from_millis(400),
+            ..Stub::grouping(8)
+        };
+        let drained = drain(&pool, &engine, || ());
+        assert_eq!(drained.reports, all_completed(4));
+        assert_eq!(engine.groups(), vec![vec![11, 10, 9, 8]]);
+        assert_eq!((drained.groups, drained.fallbacks), (1, 1));
+        assert_eq!(run.timeouts.load(Ordering::Relaxed), 0);
+        assert_eq!(run.retries.load(Ordering::Relaxed), 0);
+        // Four calls in the pass, four alone.
+        assert_eq!(engine.calls.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn an_injected_member_never_shares_a_pass() {
+        // One worker; pair `idx` is `15 - idx` bases long. Pair 1 (14 bases)
+        // fails on every attempt, pair 3 (12 bases) panics on its first.
+        // Each runs alone on an attempt with an injection planned; the rest
+        // of its hand shares the pass, and pair 3 joins one once its
+        // injection is spent.
+        let dev = device(1);
+        let res = quarantine(1);
+        let plan = FaultPlan::new()
+            .inject_sticky(1, FaultKind::KernelError)
+            .inject(3, FaultKind::Panic);
+        let run = SlotRun::new(&dev, FleetConfig::single(), &res, Some(&plan));
+        let pool = Pool::new(&run, 1, false, ranked(8));
+        let engine = Stub::grouping(8);
+        let drained = drain(&pool, &engine, || ());
+        let mut want = all_completed(8);
+        want[1].1 = false;
+        assert_eq!(drained.reports, want);
+        // Hands [0 1 2 3 4], [1 3 5] and [6 7].
+        let groups = engine.groups();
+        assert_eq!(groups, vec![vec![15, 13, 11], vec![12, 10], vec![9, 8]]);
+        assert_eq!((drained.groups, drained.fallbacks), (3, 0));
+        assert_eq!(run.retries.load(Ordering::Relaxed), 2);
+        assert_eq!(pool.lock().busy, 0);
+    }
+
+    #[test]
+    fn a_deque_holding_one_job_never_calls_run_group() {
+        // Four deques, one job each: whether a worker pops its own or steals
+        // a peer's, it holds one job, which runs through `run_pair`.
+        let dev = device(2);
+        for res in [ResilienceConfig::disabled(), quarantine(1)] {
+            let run = SlotRun::new(&dev, FleetConfig::new(2), &res, None);
+            let pool = Pool::new(&run, 1, false, ranked(4));
+            let engine = Stub::grouping(8);
+            let drained = drain(&pool, &engine, || ());
+            assert_eq!(drained.reports, all_completed(4));
+            assert!(engine.groups().is_empty(), "{res:?}");
+            assert_eq!(engine.calls.load(Ordering::Relaxed), 4);
+            assert_eq!(drained.groups, 0);
         }
     }
 

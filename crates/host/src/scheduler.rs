@@ -78,9 +78,9 @@ use std::fmt;
 use crate::engine::{ExactEngine, PairEngine, PrecisionEngine};
 use crate::faults::FaultPlan;
 use crate::fleet::FleetConfig;
-use crate::pool::{Job, Pool};
+use crate::pool::Pool;
 use crate::resilience::{panic_message, PairFault, ResilienceConfig};
-use crate::slot::SlotRun;
+use crate::slot::{Job, SlotRun};
 
 /// Host-side execution knobs of the batch engine (the device side lives in
 /// [`KernelConfig`]).
@@ -229,9 +229,13 @@ pub struct BatchReport<S> {
     pub escalations: u64,
     /// Grouped passes the engine ran
     /// ([`PairEngine::run_group`]): 0 for an
-    /// engine that scores pair by pair and on any instrumented run. Mean
-    /// group size is the pairs that shared a pass over this.
+    /// engine that scores pair by pair. Mean group size is the pairs that
+    /// shared a pass over this.
     pub groups: usize,
+    /// Grouped passes of an instrumented run that panicked or overran their
+    /// deadline, so that every member ran again alone, uncharged (0 on an
+    /// uninstrumented run).
+    pub fallbacks: usize,
 }
 
 impl<S> BatchReport<S> {
@@ -510,6 +514,7 @@ where
         throughput_aps: tally.throughput_aps,
         escalations: tally.escalations,
         groups: tally.groups,
+        fallbacks: tally.fallbacks,
     })
 }
 

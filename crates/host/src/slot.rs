@@ -1,20 +1,23 @@
 //! What happens to **one pair in one block slot**, shared by the batch and
 //! streaming engines: the attempt (fault injection → device-loss gate →
-//! stall → panic isolation → cost-scaled deadline), the settlement of its
+//! stall → panic isolation → cost-scaled deadline), the same for a hand of
+//! several pairs on an instrumented run (one grouped pass under one deadline
+//! and one `catch_unwind`, with a per-pair fallback), the settlement of each
 //! result (done / retry / quarantine / abort), the completion fold into the
 //! cycle model, the two-tier steal order and device-failover helpers, and
 //! the per-slot tally both reports are assembled from.
 //!
-//! The queues these run over, the worker loop that calls [`SlotRun::attempt`]
-//! and [`SlotRun::settle`], and the reaction to each [`Settled`] verdict
-//! exist once too, in the pool (`pool.rs`); the engines are two front ends
-//! onto it.
+//! The queues these run over, the worker loop that calls
+//! [`SlotRun::attempt`] / [`SlotRun::attempt_group`] and [`SlotRun::settle`],
+//! and the reaction to each [`Settled`] verdict exist once too, in the pool
+//! (`pool.rs`); the engines are two front ends onto it.
 
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use dphls_core::{DpOutput, KernelSpec};
+use dphls_core::{DpOutput, KernelSpec, SeqPair};
 use dphls_systolic::{Device, SystolicRun, TransferModel};
 
 use crate::engine::PairEngine;
@@ -24,15 +27,27 @@ use crate::resilience::{
     abort_aware_sleep, panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig,
 };
 
-/// One dispatch of one pair: its input index, how often it was already
-/// tried, its cost estimate in DP cells (scales the deadline), and the
-/// sequences.
-pub(crate) struct PairJob<'a, Sym> {
+/// A queued pair: its input index, how often it was already attempted
+/// (retries re-enter the deques with `attempts` bumped), its cost estimate
+/// in DP cells (ranks the deque, scales the deadline), and the sequences —
+/// a borrowed pair of the caller's slice or an owned one.
+pub(crate) struct Job<P> {
     pub idx: usize,
     pub attempts: u32,
     pub cost: u64,
-    pub q: &'a [Sym],
-    pub r: &'a [Sym],
+    pub pair: P,
+}
+
+impl<P> Job<P> {
+    /// A not-yet-attempted job.
+    pub fn new(idx: usize, cost: u64, pair: P) -> Self {
+        Job {
+            idx,
+            attempts: 0,
+            cost,
+            pair,
+        }
+    }
 }
 
 /// Run-wide state every slot of one engine run shares: the policy, the
@@ -77,6 +92,9 @@ pub(crate) struct SlotTally {
     pub escalations: u64,
     /// Grouped passes the slot's engine ran (see `PairEngine::run_group`).
     pub groups: usize,
+    /// Grouped passes that panicked or overran their deadline, so that
+    /// every member ran again alone ([`SlotRun::attempt_group`]).
+    pub fallbacks: usize,
 }
 
 /// The execution figures [`BatchReport`](crate::BatchReport) and
@@ -89,6 +107,7 @@ pub(crate) struct RunTally {
     pub throughput_aps: f64,
     pub escalations: u64,
     pub groups: usize,
+    pub fallbacks: usize,
 }
 
 impl<'a> SlotRun<'a> {
@@ -121,22 +140,24 @@ impl<'a> SlotRun<'a> {
     /// takes `dev` down and migrates its queued work (see [`take_down`]) and
     /// reports whether it did — `false` means `dev` is the last live device,
     /// the injection is ignored and the pair runs normally.
-    pub fn attempt<K, E>(
+    pub fn attempt<K, E, P>(
         &self,
         engine: &E,
         scratch: &mut E::Scratch,
-        job: &PairJob<'_, K::Sym>,
+        job: &Job<P>,
         dev: usize,
         lose_device: impl FnOnce() -> bool,
     ) -> Result<SystolicRun<K::Score>, FaultCause>
     where
         K: KernelSpec,
         E: PairEngine<K>,
+        P: Borrow<SeqPair<K>>,
     {
         let config = self.device.config();
+        let (q, r) = job.pair.borrow();
         if !self.instrumented {
             return engine
-                .run_pair(job.q, job.r, config, scratch)
+                .run_pair(q, r, config, scratch)
                 .map_err(FaultCause::Kernel);
         }
         let deadline = self.res.deadline_for(job.cost);
@@ -166,7 +187,7 @@ impl<'a> SlotRun<'a> {
                     if injected == Some(FaultKind::Panic) {
                         panic!("{}", injected_panic_message(job.idx));
                     }
-                    engine.run_pair(job.q, job.r, config, scratch)
+                    engine.run_pair(q, r, config, scratch)
                 }));
                 match caught {
                     Ok(run) => run.map_err(FaultCause::Kernel)?,
@@ -188,6 +209,86 @@ impl<'a> SlotRun<'a> {
                 Err(FaultCause::Timeout { deadline })
             }
             _ => Ok(run),
+        }
+    }
+
+    /// Runs a hand of several `jobs` on an **instrumented** run and appends
+    /// one outcome per job to `outcomes`, in hand order. A member with an
+    /// injection planned for this attempt runs alone through
+    /// [`attempt`](Self::attempt); the others share one
+    /// [`PairEngine::run_group`] call under one `catch_unwind`, against the
+    /// deadline of their summed costs. A pass that panics (the scratch is
+    /// rebuilt) or overruns falls back: each of its members runs alone
+    /// through `attempt`, uncharged — the pass itself counts no retry and no
+    /// timeout, only a fallback — and whatever fails then is that member's
+    /// own fault.
+    ///
+    /// Out of line, so neither the uninstrumented loop nor a hand of one
+    /// carries its code.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    pub fn attempt_group<K, E, P>(
+        &self,
+        engine: &E,
+        scratch: &mut E::Scratch,
+        tally: &mut SlotTally,
+        jobs: &[Job<P>],
+        dev: usize,
+        lose_device: impl Fn() -> bool,
+        outcomes: &mut Vec<Result<SystolicRun<K::Score>, FaultCause>>,
+    ) where
+        K: KernelSpec,
+        E: PairEngine<K>,
+        P: Borrow<SeqPair<K>>,
+    {
+        let alone: Vec<bool> = jobs
+            .iter()
+            .map(|job| {
+                let plan = self
+                    .plan
+                    .and_then(|p| p.worker_fault(job.idx, job.attempts));
+                plan.is_some()
+            })
+            .collect();
+        let shared = jobs.iter().zip(&alone).filter(|(_, &alone)| !alone);
+        let cost = shared
+            .clone()
+            .fold(0u64, |sum, (job, _)| sum.saturating_add(job.cost));
+        let pairs: Vec<_> = shared
+            .map(|(job, _)| {
+                let (q, r) = job.pair.borrow();
+                (&q[..], &r[..])
+            })
+            .collect();
+        let mut runs = Vec::with_capacity(pairs.len());
+        if pairs.len() > 1 {
+            let deadline = self.res.deadline_for(cost);
+            let started = Instant::now();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                engine.run_group(&pairs, self.device.config(), scratch, &mut runs)
+            }));
+            let kept = match caught {
+                Ok(groups) => {
+                    tally.groups += groups;
+                    deadline.is_none_or(|deadline| started.elapsed() <= deadline)
+                }
+                Err(_) => {
+                    *scratch = engine.new_scratch();
+                    false
+                }
+            };
+            if !kept {
+                tally.fallbacks += 1;
+                runs.clear();
+            }
+        }
+        let mut runs = runs.into_iter();
+        for (job, alone) in jobs.iter().zip(alone) {
+            let run = if alone { None } else { runs.next() };
+            outcomes.push(match run {
+                Some(run) => run.map_err(FaultCause::Kernel),
+                None => self.attempt::<K, E, P>(engine, scratch, job, dev, &lose_device),
+            });
         }
     }
 
@@ -250,6 +351,7 @@ impl<'a> SlotRun<'a> {
             throughput_aps: 0.0,
             escalations: 0,
             groups: 0,
+            fallbacks: 0,
         };
         let mut cycle_sum = 0u64;
         for (worker, s) in workers.enumerate() {
@@ -260,6 +362,7 @@ impl<'a> SlotRun<'a> {
             t.steals += s.stolen;
             t.escalations += s.escalations;
             t.groups += s.groups;
+            t.fallbacks += s.fallbacks;
             cycle_sum += s.cycle_sum;
         }
         let completed = t.per_device.iter().sum();
@@ -316,7 +419,7 @@ mod tests {
     use dphls_core::KernelConfig;
     use dphls_kernels::{GlobalLinear, LinearParams};
     use dphls_seq::Base;
-    use dphls_systolic::{CycleModelParams, KernelCycleInfo, SystolicError, SystolicScratch};
+    use dphls_systolic::{CycleModelParams, ExactScratch, KernelCycleInfo, SystolicError};
 
     fn device() -> Device {
         Device::new(
@@ -355,11 +458,11 @@ mod tests {
 
     impl PairEngine<GlobalLinear> for Stub {
         /// `(generation, arena)`: the generation counts `new_scratch` calls.
-        type Scratch = (usize, SystolicScratch<i16>);
+        type Scratch = (usize, ExactScratch<i16>);
 
         fn new_scratch(&self) -> Self::Scratch {
             let generation = self.scratches.fetch_add(1, Ordering::Relaxed) + 1;
-            (generation, SystolicScratch::new())
+            (generation, ExactScratch::new())
         }
 
         fn run_pair(
@@ -382,13 +485,12 @@ mod tests {
     const Q: [Base; 6] = [Base::A, Base::C, Base::G, Base::T, Base::A, Base::C];
     const R: [Base; 6] = [Base::A, Base::C, Base::G, Base::A, Base::A, Base::C];
 
-    fn job(idx: usize, attempts: u32) -> PairJob<'static, Base> {
-        PairJob {
+    fn job(idx: usize, attempts: u32) -> Job<(Vec<Base>, Vec<Base>)> {
+        Job {
             idx,
             attempts,
             cost: 36,
-            q: &Q,
-            r: &R,
+            pair: (Q.to_vec(), R.to_vec()),
         }
     }
 
@@ -413,7 +515,7 @@ mod tests {
         let stub = Stub::new(Duration::ZERO);
         let mut scratch = stub.new_scratch();
         let mut attempt = |run: &SlotRun<'_>, idx, attempts, lost| {
-            run.attempt::<GlobalLinear, _>(&stub, &mut scratch, &job(idx, attempts), 1, || lost)
+            run.attempt::<GlobalLinear, _, _>(&stub, &mut scratch, &job(idx, attempts), 1, || lost)
                 .map(|run| run.output)
         };
 
@@ -469,10 +571,10 @@ mod tests {
         let mut scratch = stub.new_scratch();
         assert_eq!(scratch.0, 1);
         stub.panic_next.store(true, Ordering::Relaxed);
-        let got = run.attempt::<GlobalLinear, _>(&stub, &mut scratch, &job(0, 0), 0, || false);
+        let got = run.attempt::<GlobalLinear, _, _>(&stub, &mut scratch, &job(0, 0), 0, || false);
         assert_eq!(got.err(), Some(FaultCause::Panic("stub panic".into())));
         assert_eq!(scratch.0, 2, "the arena is rebuilt after a caught panic");
-        let again = run.attempt::<GlobalLinear, _>(&stub, &mut scratch, &job(0, 1), 0, || false);
+        let again = run.attempt::<GlobalLinear, _, _>(&stub, &mut scratch, &job(0, 1), 0, || false);
         assert!(again.is_ok());
         assert_eq!(scratch.0, 2);
         assert_eq!(stub.calls.load(Ordering::Relaxed), 2);
@@ -486,7 +588,7 @@ mod tests {
         let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
         let stub = Stub::new(Duration::from_millis(20));
         let mut scratch = stub.new_scratch();
-        let got = run.attempt::<GlobalLinear, _>(&stub, &mut scratch, &job(0, 0), 0, || false);
+        let got = run.attempt::<GlobalLinear, _, _>(&stub, &mut scratch, &job(0, 0), 0, || false);
         assert_eq!(got.err(), Some(FaultCause::Timeout { deadline }));
         assert_eq!(run.timeouts.load(Ordering::Relaxed), 1);
         assert_eq!(stub.calls.load(Ordering::Relaxed), 1);
@@ -503,7 +605,7 @@ mod tests {
         run.instrumented = false;
         let stub = Stub::new(Duration::from_millis(2));
         let mut scratch = stub.new_scratch();
-        let got = run.attempt::<GlobalLinear, _>(&stub, &mut scratch, &job(0, 0), 0, || {
+        let got = run.attempt::<GlobalLinear, _, _>(&stub, &mut scratch, &job(0, 0), 0, || {
             unreachable!("no injection lookup on the uninstrumented branch")
         });
         assert!(got.is_ok());
@@ -547,7 +649,7 @@ mod tests {
         // A completion folds through the fleet cycle model into the tally.
         let stub = Stub::new(Duration::ZERO);
         let mut scratch = stub.new_scratch();
-        let ok = run.attempt::<GlobalLinear, _>(&stub, &mut scratch, &job(7, 3), 0, || false);
+        let ok = run.attempt::<GlobalLinear, _, _>(&stub, &mut scratch, &job(7, 3), 0, || false);
         let stats = ok.as_ref().expect("fault-free pair").stats;
         assert!(matches!(run.settle(&mut tally, 7, 3, ok), Settled::Done(_)));
         let (_, cycles) = dev.completion_cycles(&stats, 2, &FleetConfig::new(2).transfer);

@@ -38,10 +38,10 @@
 use crate::engine::{ExactEngine, PairEngine, PrecisionEngine};
 use crate::faults::FaultPlan;
 use crate::fleet::FleetConfig;
-use crate::pool::{Job, Pool};
+use crate::pool::Pool;
 use crate::resilience::{panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig};
 use crate::scheduler::{cost_estimate, BatchConfig};
-use crate::slot::SlotRun;
+use crate::slot::{Job, SlotRun};
 use crossbeam::channel::SendTimeoutError;
 use dphls_core::{AdaptiveKernel, DpOutput, KernelSpec, LaneKernel, LanePrecision};
 use dphls_systolic::{Device, SystolicError};
@@ -136,9 +136,12 @@ pub struct StreamReport {
     pub escalations: u64,
     /// Grouped passes the engine ran
     /// ([`PairEngine::run_group`]): 0 for an engine that scores pair by
-    /// pair and on any instrumented run. Mean group size is the pairs that
-    /// shared a pass over this.
+    /// pair. Mean group size is the pairs that shared a pass over this.
     pub groups: usize,
+    /// Grouped passes of an instrumented run that panicked or overran their
+    /// deadline, so that every member ran again alone, uncharged (0 on an
+    /// uninstrumented run).
+    pub fallbacks: usize,
 }
 
 impl StreamReport {
@@ -702,6 +705,7 @@ where
         timeouts: run.timeouts.into_inner(),
         escalations: tally.escalations,
         groups: tally.groups,
+        fallbacks: tally.fallbacks,
     })
 }
 

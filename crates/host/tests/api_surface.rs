@@ -79,23 +79,29 @@ fn benchmark_configs_and_report_fields_keep_their_shape() {
     assert!(ResilienceConfig::disabled().is_disabled());
 
     // The report fields the benchmark reads, by name — and the grouped-pass
-    // counter, which it does not read yet (mean group size is pairs ÷ groups).
-    let _ = |b: BatchReport<i16>| (b.outputs, b.steals, b.groups);
+    // counters, which it does not read yet (mean group size is pairs ÷
+    // groups; a fallback is a pass whose members re-ran alone).
+    let _ = |b: BatchReport<i16>| (b.outputs, b.steals, b.groups, b.fallbacks);
     let _ = |s: StreamReport| {
         let completed = s.completed();
         let marks = (s.reorder_high_water, s.resident_high_water);
-        (s.pairs, completed, marks, s.retries, s.faults, s.groups)
+        let passes = (s.groups, s.fallbacks);
+        (s.pairs, completed, marks, s.retries, s.faults, passes)
     };
 }
 
 #[test]
 fn pair_engine_group_doors_keep_their_signatures() {
-    use dphls_core::{I8Lanes, KernelConfig};
-    use dphls_host::{AdaptiveEngine, ExactEngine, PairEngine, PairResult};
+    use dphls_core::{I8Lanes, KernelConfig, I8_LANES_NARROW, LANE_WIDTH};
+    use dphls_host::{
+        AdaptiveEngine, ExactEngine, PairEngine, PairResult, PrecisionEngine, PrecisionScratch,
+    };
+    use dphls_kernels::{AffineParams, GlobalAffine};
     use dphls_seq::Base;
-    use dphls_systolic::AdaptiveScratch;
+    use dphls_systolic::{group_cells_max, AdaptiveScratch, ExactScratch};
 
     type Adaptive = AdaptiveEngine<GlobalLinear>;
+    type Exact = ExactEngine<GlobalLinear>;
     let _: fn(&Adaptive) -> usize = <Adaptive as PairEngine<GlobalLinear>>::group_width;
     let _: fn(&Adaptive) -> u64 = <Adaptive as PairEngine<GlobalLinear>>::group_cost_max;
     let _: fn(
@@ -105,10 +111,23 @@ fn pair_engine_group_doors_keep_their_signatures() {
         &mut AdaptiveScratch,
         &mut Vec<PairResult<i16>>,
     ) -> usize = <Adaptive as PairEngine<GlobalLinear>>::run_group;
+    let _: fn(
+        &Exact,
+        &[(&[Base], &[Base])],
+        &KernelConfig,
+        &mut ExactScratch<i16>,
+        &mut Vec<PairResult<i16>>,
+    ) -> usize = <Exact as PairEngine<GlobalLinear>>::run_group;
+    // The exact arenas are what the precision-dispatching engine carries.
+    let precision = PrecisionEngine::<GlobalLinear>::new(LinearParams::unit(), Default::default());
+    let _: ExactScratch<i16> = match precision.new_scratch() {
+        PrecisionScratch::Exact(arenas) => arenas,
+        PrecisionScratch::Adaptive(_) => unreachable!("exact is the default precision"),
+    };
 
-    // The lane count the caller chose is the group width; the exact engine
-    // and an engine whose parameters leave the `i8` envelope take one pair
-    // at a time.
+    // The adaptive engine takes the lane count the caller chose, the exact
+    // engine `LANE_WIDTH`; an engine whose parameters leave the `i8`
+    // envelope takes one pair at a time.
     let unit = LinearParams::<i16>::unit();
     assert_eq!(Adaptive::new(unit, I8Lanes::X16).group_width(), 16);
     assert_eq!(Adaptive::new(unit, I8Lanes::X32).group_width(), 32);
@@ -117,18 +136,19 @@ fn pair_engine_group_doors_keep_their_signatures() {
         ..unit
     };
     assert_eq!(Adaptive::new(wide, I8Lanes::X32).group_width(), 1);
-    let exact = ExactEngine::<GlobalLinear>::new(unit);
-    assert_eq!(PairEngine::<GlobalLinear>::group_width(&exact), 1);
-    // The cap on what is worth grouping is the engine's to state: the
-    // adaptive engine's L2 bound, none by default.
+    let exact = Exact::new(unit);
+    assert_eq!(PairEngine::<GlobalLinear>::group_width(&exact), LANE_WIDTH);
+    // The cap on what is worth grouping is the engine's to state: one L2
+    // budget over the lanes of its passes.
     let cap = Adaptive::new(unit, I8Lanes::X32).group_cost_max();
-    assert_eq!(cap, dphls_systolic::GROUP_CELLS_MAX);
-    assert_eq!(PairEngine::<GlobalLinear>::group_cost_max(&exact), u64::MAX);
+    assert_eq!(dphls_systolic::adaptive::GROUP_LANES, I8_LANES_NARROW);
+    assert_eq!(cap, group_cells_max(I8_LANES_NARROW));
+    let cap = PairEngine::<GlobalLinear>::group_cost_max(&exact);
+    assert_eq!(cap, group_cells_max(LANE_WIDTH));
     // Multi-layer kernels stay on the wavefront engine.
-    let affine = AdaptiveEngine::<dphls_kernels::GlobalAffine>::new(
-        dphls_kernels::AffineParams::dna(),
-        I8Lanes::X32,
-    );
+    let affine = AdaptiveEngine::<GlobalAffine>::new(AffineParams::dna(), I8Lanes::X32);
     assert!(affine.narrow_path_enabled());
     assert_eq!(affine.group_width(), 1);
+    let affine = ExactEngine::<GlobalAffine>::new(AffineParams::dna());
+    assert_eq!(PairEngine::<GlobalAffine>::group_width(&affine), 1);
 }

@@ -79,12 +79,17 @@ fn exact() -> ExactEngine<GlobalLinear> {
     ExactEngine::new(LinearParams::<i16>::dna())
 }
 
-/// The fault-free outputs every surviving pair must match bit-for-bit.
+/// The fault-free outputs every surviving pair must match bit-for-bit —
+/// from a run whose workers shared grouped passes, as every batched run of
+/// the exact engine here does.
 fn baseline(wl: &[(Vec<Base>, Vec<Base>)]) -> Vec<DpOutput<i16>> {
-    let params = LinearParams::<i16>::dna();
-    run_batched::<GlobalLinear>(&device(1), &params, wl, BatchConfig::default())
-        .unwrap()
-        .outputs
+    let batch = BatchConfig::default();
+    let disabled = ResilienceConfig::disabled();
+    let rep =
+        run_batched_engine::<GlobalLinear, _>(&device(1), &exact(), wl, batch, &disabled, None)
+            .unwrap();
+    assert!(rep.groups > 0, "the fault-free run grouped nothing");
+    rep.outputs.into_iter().map(Option::unwrap).collect()
 }
 
 /// Quarantine policy with no pair deadline: nothing but the plan can fail
@@ -791,6 +796,9 @@ fn random_seeded_plans_reconcile_exactly_on_both_engines() {
         .unwrap();
         let fault_idxs: Vec<_> = rep.faults.iter().map(|f| f.idx).collect();
         assert_eq!(fault_idxs, sticky, "seed {seed}");
+        // The plan hit a run whose other members shared passes: injected
+        // members run alone, the rest of their hands grouped.
+        assert!(rep.groups > 0, "seed {seed}: nothing was grouped");
         assert_counts_beyond_healed_timeouts(
             (rep.retries, rep.timeouts),
             (expected_retries, expected_timeouts),

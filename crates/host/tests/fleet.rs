@@ -11,7 +11,10 @@
 
 mod common;
 
-use common::{adaptive_pair_by_pair, collect_streamed, short_banded_workload};
+use common::{
+    adaptive_pair_by_pair, assert_exact_groups_equal_per_pair, collect_streamed,
+    short_banded_workload,
+};
 use dphls_core::{run_reference, Banding, I8Lanes, KernelConfig, LanePrecision};
 use dphls_host::{
     run_batched, run_batched_engine, run_streamed_engine, BatchConfig, FleetConfig,
@@ -361,5 +364,31 @@ fn grouped_adaptive_fleet_sizes_equal_the_per_pair_loop() {
             assert_eq!(stream.per_device.iter().sum::<usize>(), wl.len(), "{ctx}");
             assert_eq!(stream.throughput_aps, rep.throughput_aps, "{ctx}");
         }
+    }
+}
+
+/// The exact engine's groups across a fleet: at every `D`, batched and
+/// streamed, instrumented or not, each run equals the per-pair loop on the
+/// same fleet (outputs, order, per-channel and per-device sums, modeled
+/// throughput).
+#[test]
+fn grouped_exact_fleet_sizes_equal_the_per_pair_loop() {
+    let wl = short_banded_workload(if cfg!(debug_assertions) { 280 } else { 2_800 }, 64, 0xF1E8);
+    let params = LinearParams::<i16>::unit();
+    let config = KernelConfig::new(16, 1, 2)
+        .with_max_lengths(64, 64)
+        .with_banding(12);
+    let dev = device(config);
+    for d in FLEET_SIZES {
+        let batch = BatchConfig::single_slot().with_fleet(FleetConfig::new(d));
+        let ctx = format!("d {d}");
+        assert_exact_groups_equal_per_pair(
+            &dev,
+            &params,
+            &wl,
+            batch,
+            StreamConfig::default(),
+            &ctx,
+        );
     }
 }

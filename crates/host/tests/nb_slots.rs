@@ -8,7 +8,10 @@
 
 mod common;
 
-use common::{adaptive_pair_by_pair, collect_streamed, short_banded_workload};
+use common::{
+    adaptive_pair_by_pair, assert_exact_groups_equal_per_pair, collect_streamed,
+    short_banded_workload,
+};
 use dphls_core::{run_reference, Banding, I8Lanes, KernelConfig, LanePrecision};
 use dphls_host::{
     run_batched, run_batched_adaptive, run_streamed_adaptive, BatchConfig, FleetConfig,
@@ -289,5 +292,34 @@ fn grouped_adaptive_slot_counts_equal_the_per_pair_loop() {
             assert_eq!(stream.throughput_aps, rep.throughput_aps, "{ctx}");
             assert_eq!(stream.per_channel.iter().sum::<usize>(), wl.len(), "{ctx}");
         }
+    }
+}
+
+/// The exact engine's groups under the slot pool: at every slot count,
+/// batched and streamed, instrumented or not, each run equals the per-pair
+/// loop at the same slot count (outputs, order, per-channel sums, modeled
+/// throughput).
+#[test]
+fn grouped_exact_slot_counts_equal_the_per_pair_loop() {
+    let wl = short_banded_workload(if cfg!(debug_assertions) { 260 } else { 2_600 }, 64, 0x51A8);
+    let params = LinearParams::<i16>::unit();
+    let config = KernelConfig::new(16, 4, 2)
+        .with_max_lengths(64, 64)
+        .with_banding(12);
+    let dev = device(config);
+    for slots in SLOT_COUNTS {
+        let stream = StreamConfig {
+            nb_slots: slots,
+            ..StreamConfig::default()
+        };
+        let ctx = format!("slots {slots}");
+        assert_exact_groups_equal_per_pair(
+            &dev,
+            &params,
+            &wl,
+            BatchConfig::slots(slots),
+            stream,
+            &ctx,
+        );
     }
 }

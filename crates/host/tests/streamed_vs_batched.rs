@@ -7,7 +7,10 @@
 
 mod common;
 
-use common::{adaptive_pair_by_pair, collect_streamed, short_banded_workload};
+use common::{
+    adaptive_pair_by_pair, assert_exact_groups_equal_per_pair, collect_streamed,
+    short_banded_workload,
+};
 use dphls_core::{I8Lanes, KernelConfig, LanePrecision};
 use dphls_host::{
     run_batched, run_batched_adaptive, run_streamed_adaptive, BatchConfig, FailurePolicy,
@@ -281,16 +284,15 @@ fn grouped_adaptive_runs_equal_the_per_pair_loop() {
                 )
                 .unwrap()
             };
-            let (grouped, per_pair) = (batch(&disabled), batch(&instrumented));
-            assert!(grouped.groups > 0, "nothing was grouped ({ctx})");
-            assert_eq!(per_pair.groups, 0, "an instrumented run grouped ({ctx})");
-            for report in [&grouped, &per_pair] {
+            let (grouped, guarded) = (batch(&disabled), batch(&instrumented));
+            for report in [&grouped, &guarded] {
+                assert!(report.groups > 0, "nothing was grouped ({ctx})");
                 let outputs: Vec<_> = report.outputs.iter().flatten().cloned().collect();
                 assert_eq!(outputs, want, "batched outputs ({ctx})");
                 assert_eq!(report.escalations, escalations, "{ctx}");
                 assert_eq!(report.per_channel.iter().sum::<usize>(), wl.len(), "{ctx}");
             }
-            assert_eq!(grouped.throughput_aps, per_pair.throughput_aps, "{ctx}");
+            assert_eq!(grouped.throughput_aps, guarded.throughput_aps, "{ctx}");
 
             for (buffer, window) in [(1usize, 1usize), (2, 9), (64, 256)] {
                 let stream_cfg = StreamConfig {
@@ -324,6 +326,33 @@ fn grouped_adaptive_runs_equal_the_per_pair_loop() {
                     assert_eq!(report.groups, 0, "{ctx}");
                 }
             }
+        }
+    }
+}
+
+/// The exact engine groups too, batched and streamed, instrumented or not:
+/// at NK 1 and 3 and under the lockstep, shallow and deep stream shapes,
+/// every run equals the per-pair loop (outputs, order, per-channel sums,
+/// modeled throughput).
+#[test]
+fn grouped_exact_runs_equal_the_per_pair_loop() {
+    let pairs = if cfg!(debug_assertions) { 300 } else { 3_000 };
+    let wl = short_banded_workload(pairs, 64, 0xE6AC);
+    let params = LinearParams::<i16>::unit();
+    for nk in [1usize, 3] {
+        let config = KernelConfig::new(16, 1, nk)
+            .with_max_lengths(64, 64)
+            .with_banding(12);
+        let dev = device(config);
+        for (buffer, window) in [(1usize, 1usize), (2, 9), (64, 256)] {
+            let stream = StreamConfig {
+                buffer,
+                window,
+                nb_slots: 0,
+            };
+            let ctx = format!("nk {nk} {stream:?}");
+            let batch = BatchConfig::default();
+            assert_exact_groups_equal_per_pair(&dev, &params, &wl, batch, stream, &ctx);
         }
     }
 }

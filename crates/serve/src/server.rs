@@ -114,6 +114,12 @@ pub struct KernelStats {
     /// engine. Always 0 under [`LanePrecision::Exact`] and for kernels
     /// without an `i8` companion.
     pub escalations: u64,
+    /// Grouped passes the session's engine ran (several pairs scored at
+    /// once; see [`StreamReport::groups`](dphls_host::StreamReport)).
+    pub groups: usize,
+    /// Grouped passes that panicked or overran their deadline, so that every
+    /// member ran again alone.
+    pub fallbacks: usize,
 }
 
 /// Lifetime tallies returned by [`Server::shutdown`].
@@ -129,6 +135,20 @@ pub struct ServerStats {
     /// Per-kernel engine tallies, one entry per session the server
     /// spawned.
     pub kernels: Vec<(String, KernelStats)>,
+}
+
+impl ServerStats {
+    /// Pairs a grouped pass served on average, over every kernel: processed
+    /// pairs over grouped passes. Pairs that ran alone count too, so this is
+    /// the mean group size when every pair shared a pass and an upper bound
+    /// on it otherwise; `None` before any pass ran.
+    pub fn mean_group_size(&self) -> Option<f64> {
+        let (pairs, groups) = self
+            .kernels
+            .iter()
+            .fold((0, 0), |(p, g), (_, k)| (p + k.pairs, g + k.groups));
+        (groups > 0).then(|| pairs as f64 / groups as f64)
+    }
 }
 
 /// A message on a connection's writer edge: a result frame carrying its
@@ -332,6 +352,8 @@ where
                     pairs: report.pairs,
                     quarantined: report.faults.len(),
                     escalations: report.escalations,
+                    groups: report.groups,
+                    fallbacks: report.fallbacks,
                 },
                 Err(_) => KernelStats::default(),
             })

@@ -27,7 +27,7 @@ use crate::block::{
     run_systolic_guarded_with_scratch, run_systolic_with_scratch, SystolicError, SystolicRun,
     SystolicScratch,
 };
-use crate::group::{group_tb_bytes, run_group_with_scratch, GroupScratch, PairRef};
+use crate::group::{run_group_with_scratch, worth_a_pass, GroupScratch, PairRef};
 use dphls_core::{
     AdaptiveKernel, DpOutput, I8Lanes, KernelConfig, KernelSpec, I8_LANES_NARROW, I8_LANES_WIDE,
 };
@@ -146,38 +146,8 @@ pub fn run_adaptive_with_scratch<K: AdaptiveKernel>(
 /// `-C target-feature=+avx2` fills 32 lanes in 13 µs: a wide monomorph
 /// belongs with that multiversioning, not before it
 /// ([`run_group_with_scratch`] is generic over the lane count and tested at
-/// 32).
-const GROUP_LANES: usize = I8_LANES_NARROW;
-
-/// Fewest pairs worth a grouped pass. A pass costs what its longest member
-/// costs across the whole register, whatever it holds, and on a banded short
-/// pair that is about what the pair costs alone on the wavefront engine,
-/// whose anti-diagonals fill the same register two-thirds at best: 120 bp,
-/// unit scoring, band w20, every 20th pair a planted escalator, µs a pair on
-/// one thread (`cargo bench -p dphls-bench --bench lanes`, group `grouped`,
-/// 640 pairs, escalation re-runs included) — wavefront engine 12.6; grouped
-/// at 1 / 2 / 4 / 8 / 16 pairs a pass 15.0 / 8.5 / 5.4 / 3.5 / 2.7. One pair
-/// gains nothing (its escalations lose: the guarded wavefront loop bails out
-/// where the guard trips, a lane is scored to the end) and goes the way it
-/// always went; two already win by a third.
-///
-/// Of a pass: the fill is 12–14 µs, transposing the symbols ~0.1 µs a pair,
-/// and best cell + traceback walk + stats ~1.1 µs a pair.
-const GROUP_MIN: usize = 2;
-
-/// Most traceback bytes a grouped pass may hold ([`group_tb_bytes`]): a
-/// quarter of the 2 MiB L2 of the host the benchmark is recorded on. The
-/// pointer rows are written once and then walked pair by pair, a cache line
-/// a step, so a group that leaves L2 pays memory latency on every traceback
-/// step. 120-bp w20 pairs hold 79 KB and 256-bp w20 pairs 168 KB; a long
-/// unbanded pair (1500 × 1500 × 16 = 36 MB) stays on the wavefront engine,
-/// which suits it.
-const GROUP_TB_BYTES: usize = 512 << 10;
-
-/// Most DP cells (band area, one pointer byte a lane each) a pair may have
-/// for a grouped pass to take it at all — what a scheduler holding only a
-/// cost estimate in cells checks before it collects a group.
-pub const GROUP_CELLS_MAX: u64 = (GROUP_TB_BYTES / GROUP_LANES) as u64;
+/// 32). A caller sizes the pass's L2 cap by it ([`crate::group_cells_max`]).
+pub const GROUP_LANES: usize = I8_LANES_NARROW;
 
 /// Runs `pairs` adaptively, **grouped**: runs of up to 16 (`GROUP_LANES`)
 /// consecutive pairs share one narrow pass of the inter-sequence engine
@@ -205,10 +175,8 @@ pub fn run_adaptive_group_with_scratch<K: AdaptiveKernel>(
     let groupable = lo_params.filter(|_| <K::Lo as KernelSpec>::meta().n_layers == 1);
     let mut passes = 0;
     for group in pairs.chunks(GROUP_LANES) {
-        let q_max = group.iter().map(|(q, _)| q.len()).max().unwrap_or(0);
-        let r_max = group.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
-        let fits = group_tb_bytes(q_max, r_max, config.banding, GROUP_LANES) <= GROUP_TB_BYTES;
-        let Some(lo) = groupable.filter(|_| group.len() >= GROUP_MIN && fits) else {
+        let Some(lo) = groupable.filter(|_| worth_a_pass(group, config.banding, GROUP_LANES))
+        else {
             out.extend(group.iter().map(|(q, r)| {
                 run_adaptive_with_scratch::<K>(params, lo_params, lanes, q, r, config, scratch)
             }));

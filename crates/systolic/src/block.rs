@@ -423,7 +423,12 @@ impl ChunkWindow {
                 w_start: 0,
                 w_end: rows + r - 2,
             }),
-            Banding::Fixed { half_width: hw } => {
+            Banding::Fixed { half_width } => {
+                // No cell of the strip is further than `base + rows + r`
+                // off the diagonal, so a wider band is the same band:
+                // clamped there, none of the sums below can overflow, and
+                // `lanes` may take it as an `isize`.
+                let hw = half_width.min(base + rows + r);
                 // Row i has in-band columns iff i − hw ≤ R.
                 if base + 1 > r + hw {
                     return None;
@@ -1349,6 +1354,55 @@ mod tests {
                     "{banding:?} q={q} r={r} npe={npe}: closed-form stats"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_band_at_least_as_wide_as_the_matrix_is_no_band_on_every_engine() {
+        // ROADMAP 7(e): `r + hw` and `i + hw` used to overflow on a band near
+        // `usize::MAX` — a panic in debug builds and, in release builds, a
+        // run that lost the whole matrix (best score −16384).
+        use crate::group::{run_group_with_scratch, GroupScratch};
+        use dphls_core::{AdaptiveKernel, I8_LANES_NARROW, LANE_WIDTH};
+        type Lo = <GlobalLinear as AdaptiveKernel>::Lo;
+        let p = LinearParams::<i16>::unit();
+        let lo = GlobalLinear::lo_params(&p).expect("unit parameters fit i8");
+        let (q, r) = (dna("ACGTACGTACGTAC"), dna("ACGATCGTTCGTACG"));
+        let (q, r) = (q.as_slice(), r.as_slice());
+        let want = run_systolic_ok::<GlobalLinear>(&p, q, r, &cfg(4));
+        let reference = run_reference::<GlobalLinear>(&p, q, r, Banding::None);
+        assert_eq!(want.output, reference);
+        for half_width in [usize::MAX, usize::MAX - 1, 1 << 40, 16, 15] {
+            let config = cfg(4).with_banding(half_width);
+            let ctx = format!("half-width {half_width}");
+            let banded = run_reference::<GlobalLinear>(&p, q, r, config.banding);
+            assert_eq!(banded, reference, "reference, {ctx}");
+            let stats = BlockStats::from_geometry(q.len(), r.len(), &config);
+            assert_eq!(stats.tb_steps, 0, "{ctx}");
+            let traced = BlockStats {
+                tb_steps: want.stats.tb_steps,
+                ..stats
+            };
+            assert_eq!(traced, want.stats, "closed-form stats, {ctx}");
+            let got = run_systolic_ok::<GlobalLinear>(&p, q, r, &config);
+            assert_eq!(got, want, "wavefront engine, {ctx}");
+            let mut exact = GroupScratch::new();
+            let got = run_group_with_scratch::<GlobalLinear, LANE_WIDTH>(
+                &p,
+                &[(q, r)],
+                &config,
+                &mut exact,
+            );
+            assert_eq!(got[0], Ok(Some(want.clone())), "i16 × 8, {ctx}");
+            let mut narrow = GroupScratch::new();
+            let got =
+                run_group_with_scratch::<Lo, I8_LANES_NARROW>(&lo, &[(q, r)], &config, &mut narrow);
+            let got = got[0].clone().unwrap().expect("a clean narrow lane");
+            let out = &got.output;
+            assert_eq!(i16::from(out.best_score), want.output.best_score, "{ctx}");
+            assert_eq!(out.best_cell, want.output.best_cell, "i8 × 16, {ctx}");
+            assert_eq!(out.alignment, want.output.alignment, "i8 × 16, {ctx}");
+            assert_eq!(got.stats, want.stats, "i8 × 16, {ctx}");
         }
     }
 

@@ -39,17 +39,77 @@
 //! [`dphls_core::run_reference`] (`tests/proptest_grouped.rs`), whatever the
 //! neighbours in the group are.
 //!
+//! Two drivers run it, under one L2 budget ([`group_cells_max`]): the
+//! adaptive one at guarded `i8 × 16` ([`crate::run_adaptive_group_with_scratch`])
+//! and the exact one at the kernel's own score type, `LANE_WIDTH` lanes
+//! ([`run_exact_group_with_scratch`]).
+//!
 //! Not here: multi-layer kernels (the affine and two-piece families would
 //! group through `pe_wavefront`-style plane bodies; they stay on the
 //! wavefront engine), and local (`AllCells`) best-cell tracking is
 //! correct-first — one scalar offer per cell, as in the wavefront engine.
 
-use crate::block::{validate_inputs, BlockStats, SymVec, SystolicError, SystolicRun};
+use crate::block::{
+    run_systolic_with_scratch, validate_inputs, BlockStats, SymVec, SystolicError, SystolicRun,
+    SystolicScratch,
+};
 use dphls_core::reference::{offer_if_eligible, walk_traceback, BestTracker};
-use dphls_core::{Banding, BestCellRule, DpOutput, KernelConfig, LaneKernel, Score, TbPtr};
+use dphls_core::{
+    Banding, BestCellRule, DpOutput, KernelConfig, LaneKernel, Score, TbPtr, LANE_WIDTH,
+};
 
 /// A borrowed `(query, reference)` pair, as the grouped doors take them.
 pub type PairRef<'a, Sym> = (&'a [Sym], &'a [Sym]);
+
+/// Fewest pairs worth a grouped pass. A pass costs what its longest member
+/// costs across the whole register, whatever it holds, and on a banded short
+/// pair that is about what the pair costs alone on the wavefront engine,
+/// whose anti-diagonals fill the same register two-thirds at best: 120 bp,
+/// unit scoring, band w20, every 20th pair a planted escalator, µs a pair on
+/// one thread (`cargo bench -p dphls-bench --bench lanes`, group `grouped`,
+/// 640 pairs, escalation re-runs included) — adaptive wavefront engine 12.6;
+/// grouped `i8 × 16` at 1 / 2 / 4 / 8 / 16 pairs a pass 15.0 / 8.5 / 5.4 /
+/// 3.5 / 2.7. One pair gains nothing (its escalations lose: the guarded
+/// wavefront loop bails out where the guard trips, a lane is scored to the
+/// end) and goes the way it always went; two already win by a third. The
+/// exact engine has no escalations to lose and wins wider still: on the
+/// served shape (256 bp, DNA scoring, band w32, NPE 32; same bench) the
+/// wavefront engine takes 71 µs a pair, `i16 × 8` passes of eight 6.8.
+///
+/// Of an `i8 × 16` pass: the fill is 12–14 µs, transposing the symbols
+/// ~0.1 µs a pair, and best cell + traceback walk + stats ~1.1 µs a pair.
+const GROUP_MIN: usize = 2;
+
+/// Most traceback bytes a grouped pass may hold ([`group_tb_bytes`]): a
+/// quarter of the 2 MiB L2 of the host the benchmark is recorded on. The
+/// pointer rows are written once and then walked pair by pair, a cache line
+/// a step, so a group that leaves L2 pays memory latency on every traceback
+/// step. 120-bp w20 pairs hold 79 KB at 16 lanes and 256-bp w32 pairs 133 KB
+/// at 8; a long unbanded pair (1500 × 1500 × 16 = 36 MB) stays on the
+/// wavefront engine, which suits it.
+const GROUP_TB_BYTES: usize = 512 << 10;
+
+/// Most DP cells (band area) a pair may have for a grouped pass of `lanes`
+/// lanes to take it at all: one pointer byte a lane a cell, so the one L2
+/// budget of every grouped pass divided by its lane count — 32 Ki cells at
+/// `i8 × 16`, 64 Ki at `i16 × 8`. What a scheduler holding only a cost
+/// estimate in cells checks before it collects a group.
+pub const fn group_cells_max(lanes: usize) -> u64 {
+    (GROUP_TB_BYTES / lanes) as u64
+}
+
+/// Whether `group` is worth one pass of `lanes` lanes: at least the
+/// break-even (`GROUP_MIN`) and pointer rows that stay in L2
+/// (`GROUP_TB_BYTES`).
+pub(crate) fn worth_a_pass<Sym>(
+    group: &[PairRef<'_, Sym>],
+    banding: Banding,
+    lanes: usize,
+) -> bool {
+    let q_max = group.iter().map(|(q, _)| q.len()).max().unwrap_or(0);
+    let r_max = group.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
+    group.len() >= GROUP_MIN && group_tb_bytes(q_max, r_max, banding, lanes) <= GROUP_TB_BYTES
+}
 
 /// Reusable buffers of the grouped engine at one score type and lane count;
 /// they grow to the largest group geometry of a workload and are then reused
@@ -136,8 +196,8 @@ impl Layout {
 }
 
 /// Traceback bytes a group of pairs up to `q_max × r_max` holds at `lanes`
-/// lanes — what a caller compares against its cache budget before grouping.
-pub(crate) fn group_tb_bytes(q_max: usize, r_max: usize, banding: Banding, lanes: usize) -> usize {
+/// lanes — what [`worth_a_pass`] compares against the cache budget.
+fn group_tb_bytes(q_max: usize, r_max: usize, banding: Banding, lanes: usize) -> usize {
     let tb_width = Layout::new(q_max, r_max, banding).tb_width();
     q_max.saturating_mul(tb_width).saturating_mul(lanes)
 }
@@ -341,4 +401,76 @@ pub fn run_group_with_scratch<K: LaneKernel<LANES>, const LANES: usize>(
         }));
     }
     results
+}
+
+/// Reusable scratch of the exact engine: the wavefront arena a pair that
+/// runs alone uses, and the grouped engine's buffers at [`LANE_WIDTH`]
+/// lanes of the kernel's own score type. Like [`SystolicScratch`], both grow
+/// to the workload's largest geometry and are then reused allocation-free;
+/// the one a workload never takes stays empty.
+#[derive(Debug, Clone)]
+pub struct ExactScratch<S> {
+    wavefront: SystolicScratch<S>,
+    group: GroupScratch<S, LANE_WIDTH>,
+}
+
+impl<S> ExactScratch<S> {
+    /// Creates empty buffers; they grow on first use.
+    pub fn new() -> Self {
+        Self {
+            wavefront: SystolicScratch::new(),
+            group: GroupScratch::new(),
+        }
+    }
+
+    /// The wavefront engine's arena, for a pair that runs alone
+    /// ([`run_systolic_with_scratch`]).
+    pub fn wavefront(&mut self) -> &mut SystolicScratch<S> {
+        &mut self.wavefront
+    }
+}
+
+impl<S> Default for ExactScratch<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Runs `pairs` at the kernel's own (exact) score type, **grouped**: runs of
+/// up to [`LANE_WIDTH`] consecutive pairs share one pass of
+/// [`run_group_with_scratch`] (pair `t` in lane `t`). An exact lane never
+/// trips a guard, so every member of a pass comes back whole. One result per
+/// pair is appended to `out`, in order, each **bit-identical** to
+/// [`run_systolic_with_scratch`] on that pair alone — output, alignment path
+/// and stats — whatever its neighbours are; an invalid pair fails alone.
+///
+/// A run goes pair by pair through the wavefront engine instead when it is
+/// shorter than the break-even (`GROUP_MIN`), its pointer rows would leave
+/// L2 (`GROUP_TB_BYTES`), or the kernel has more than one scoring layer.
+/// Returns how many grouped passes ran.
+pub fn run_exact_group_with_scratch<K: LaneKernel>(
+    params: &K::Params,
+    pairs: &[PairRef<'_, K::Sym>],
+    config: &KernelConfig,
+    scratch: &mut ExactScratch<K::Score>,
+    out: &mut Vec<Result<SystolicRun<K::Score>, SystolicError>>,
+) -> usize {
+    let single_layer = K::meta().n_layers == 1;
+    let mut passes = 0;
+    for group in pairs.chunks(LANE_WIDTH) {
+        if !(single_layer && worth_a_pass(group, config.banding, LANE_WIDTH)) {
+            out.extend(group.iter().map(|(q, r)| {
+                run_systolic_with_scratch::<K>(params, q, r, config, &mut scratch.wavefront)
+            }));
+            continue;
+        }
+        let runs =
+            run_group_with_scratch::<K, LANE_WIDTH>(params, group, config, &mut scratch.group);
+        passes += 1;
+        out.extend(
+            runs.into_iter()
+                .map(|slot| slot.map(|run| run.expect("an exact lane never trips its guard"))),
+        );
+    }
+    passes
 }

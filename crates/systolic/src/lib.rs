@@ -51,7 +51,6 @@ pub mod xdrop;
 
 pub use adaptive::{
     run_adaptive, run_adaptive_group_with_scratch, run_adaptive_with_scratch, AdaptiveScratch,
-    GROUP_CELLS_MAX,
 };
 pub use block::{
     run_systolic, run_systolic_ok, run_systolic_scalar_with_scratch, run_systolic_with_scratch,
@@ -63,6 +62,9 @@ pub use cycles::{
     TransferModel,
 };
 pub use device::{Device, DeviceReport};
-pub use group::{run_group_with_scratch, GroupScratch, PairRef};
+pub use group::{
+    group_cells_max, run_exact_group_with_scratch, run_group_with_scratch, ExactScratch,
+    GroupScratch, PairRef,
+};
 pub use tbmem::TbMem;
 pub use xdrop::{run_xdrop, XDropConfig, XDropRun};

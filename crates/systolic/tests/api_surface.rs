@@ -6,8 +6,9 @@
 //! whole-wavefront plane port is pinned here too: it is what the engine
 //! calls for multi-layer kernels, and the door the benchmark's lane-body
 //! rung is to be repointed at. So are the grouped (inter-sequence) doors —
-//! the host's `AdaptiveEngine::run_group` and the `lanes` bench call them,
-//! and a benchmark rung for the grouped body would too.
+//! the host's `AdaptiveEngine::run_group` / `ExactEngine::run_group` and the
+//! `lanes` bench call them, and a benchmark rung for the grouped body would
+//! too.
 
 // Spelling each argument list out in full is the point of this file.
 #![allow(clippy::type_complexity)]
@@ -19,10 +20,11 @@ use dphls_core::{
 use dphls_kernels::{AffineParams, GlobalAffine, GlobalLinear, LinearParams};
 use dphls_seq::{Base, DnaSeq};
 use dphls_systolic::{
-    run_adaptive_group_with_scratch, run_adaptive_with_scratch, run_group_with_scratch,
-    run_systolic, run_systolic_scalar_with_scratch, run_systolic_with_scratch, run_xdrop,
-    AdaptiveScratch, BlockStats, GroupScratch, SystolicError, SystolicRun, SystolicScratch,
-    XDropConfig, XDropRun, GROUP_CELLS_MAX,
+    group_cells_max, run_adaptive_group_with_scratch, run_adaptive_with_scratch,
+    run_exact_group_with_scratch, run_group_with_scratch, run_systolic,
+    run_systolic_scalar_with_scratch, run_systolic_with_scratch, run_xdrop, AdaptiveScratch,
+    BlockStats, ExactScratch, GroupScratch, SystolicError, SystolicRun, SystolicScratch,
+    XDropConfig, XDropRun,
 };
 
 type Run<S> = Result<SystolicRun<S>, SystolicError>;
@@ -211,7 +213,17 @@ fn grouped_doors_keep_their_signatures() {
         &mut AdaptiveScratch,
         &mut Vec<Run<i16>>,
     ) -> usize = run_adaptive_group_with_scratch::<GlobalLinear>;
-    let _: u64 = GROUP_CELLS_MAX;
+    let _: fn(
+        &LinearParams<i16>,
+        &[(&[Base], &[Base])],
+        &KernelConfig,
+        &mut ExactScratch<i16>,
+        &mut Vec<Run<i16>>,
+    ) -> usize = run_exact_group_with_scratch::<GlobalLinear>;
+    let _: fn(&mut ExactScratch<i16>) -> &mut SystolicScratch<i16> = ExactScratch::wavefront;
+    // One L2 budget, a cell bound per lane count.
+    let cap: fn(usize) -> u64 = group_cells_max;
+    assert_eq!(cap(LANE_WIDTH), 2 * cap(2 * LANE_WIDTH));
     let _: fn(
         &LinearParams<i16>,
         &[Base; LANE_WIDTH],
@@ -254,6 +266,20 @@ fn grouped_doors_keep_their_signatures() {
             &config,
             &mut scratch,
         );
+        assert_eq!(run, &alone);
+    }
+
+    // The exact driver: one pass at `i16 × 8`, each member the wavefront
+    // engine's run.
+    let mut exact = ExactScratch::new();
+    let mut runs = Vec::new();
+    let passes = run_exact_group_with_scratch::<GlobalLinear>(
+        &params, &group, &config, &mut exact, &mut runs,
+    );
+    assert_eq!((passes, runs.len()), (1, 3));
+    for ((q, r), run) in group.iter().zip(&runs) {
+        let alone =
+            run_systolic_with_scratch::<GlobalLinear>(&params, q, r, &config, exact.wavefront());
         assert_eq!(run, &alone);
     }
 }

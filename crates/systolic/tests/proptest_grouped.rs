@@ -19,6 +19,14 @@
 //! scratch per width is reused across every call, so arena re-initialisation
 //! across geometries, bandings and kernels is under test throughout.
 //!
+//! The exact engine's grouped door (`run_exact_group_with_scratch`, what
+//! `ExactEngine::run_group` calls) is held to its single-pair door
+//! (`run_systolic_with_scratch`, what `ExactEngine::run_pair` calls) the
+//! same way — the five linear kernels plus `ProteinLocal` and `Dtw`, which
+//! group through the default per-lane `pe_group` — in ragged groups of
+//! every size up to `LANE_WIDTH` and beyond, unbanded and under half-widths
+//! 0, 1, w and `usize::MAX`.
+//!
 //! The suite also closes the `i8` guard argument by enumeration (ROADMAP
 //! 7(c)): over every admissible parameter set, a narrow run with no computed
 //! cell in the guard band equals the `i16` run cell for cell and pointer for
@@ -29,20 +37,24 @@ use dphls_core::{
     I8_LANES_NARROW, I8_LANES_WIDE, LANE_WIDTH,
 };
 use dphls_kernels::{
-    BandedGlobalLinear, GlobalLinear, LinearParams, LocalLinear, Overlap, SemiGlobal,
+    BandedGlobalLinear, Dtw, GlobalLinear, LinearParams, LocalLinear, NoParams, Overlap,
+    ProteinLocal, ProteinParams, SemiGlobal,
 };
-use dphls_seq::Base;
+use dphls_seq::{AminoAcid, Base};
 use dphls_systolic::{
-    run_adaptive_group_with_scratch, run_adaptive_with_scratch, run_group_with_scratch,
-    run_systolic_with_scratch, AdaptiveScratch, GroupScratch, SystolicError, SystolicRun,
-    SystolicScratch,
+    run_adaptive_group_with_scratch, run_adaptive_with_scratch, run_exact_group_with_scratch,
+    run_group_with_scratch, run_systolic_with_scratch, AdaptiveScratch, ExactScratch, GroupScratch,
+    SystolicError, SystolicRun, SystolicScratch,
 };
 use proptest::prelude::*;
+use std::fmt::Debug;
 
 /// Release builds run the sweep at full scale; debug builds keep tier-1 quick.
 const CASES: u32 = if cfg!(debug_assertions) { 12 } else { 160 };
 
-type Pair = (Vec<Base>, Vec<Base>);
+/// An owned `(query, reference)` pair.
+type PairOf<Sym> = (Vec<Sym>, Vec<Sym>);
+type Pair = PairOf<Base>;
 
 /// A linear kernel the grouped engine runs at all three widths.
 trait Grouped:
@@ -120,15 +132,16 @@ fn ragged_group(seed: u64, n: usize, max_len: usize) -> Vec<Pair> {
         .collect()
 }
 
-fn views(pairs: &[Pair]) -> Vec<(&[Base], &[Base])> {
+fn views<Sym>(pairs: &[PairOf<Sym>]) -> Vec<(&[Sym], &[Sym])> {
     pairs
         .iter()
         .map(|(q, r)| (q.as_slice(), r.as_slice()))
         .collect()
 }
 
-fn config_for(pairs: &[Pair], npe: usize, banding: Banding) -> KernelConfig {
-    let max = |side: fn(&Pair) -> usize| pairs.iter().map(side).max().unwrap_or(1).max(1);
+fn config_for<Sym>(pairs: &[PairOf<Sym>], npe: usize, banding: Banding) -> KernelConfig {
+    let max =
+        |side: fn(&(Vec<Sym>, Vec<Sym>)) -> usize| pairs.iter().map(side).max().unwrap_or(1).max(1);
     let (max_q, max_r) = (max(|p| p.0.len()), max(|p| p.1.len()));
     KernelConfig {
         banding,
@@ -544,6 +557,169 @@ fn a_pointer_out_of_the_band_ends_the_walk() {
             assert_eq!(want.output, golden, "hw {half_width} member {m}");
             let got = got.as_ref().unwrap().as_ref().unwrap();
             assert_eq!(got, &want, "hw {half_width} member {m}");
+        }
+    }
+}
+
+/// The bands the exact door is held to its single-pair door under: none,
+/// the two degenerate half-widths, one narrower than the pairs and one at the
+/// top of the type's range (laid out as no band at all).
+const EXACT_BANDS: [Banding; 5] = [
+    Banding::None,
+    Banding::Fixed { half_width: 0 },
+    Banding::Fixed { half_width: 1 },
+    Banding::Fixed { half_width: 5 },
+    Banding::Fixed {
+        half_width: usize::MAX,
+    },
+];
+
+/// `n` pairs of ragged lengths `1..=max_len` over the symbols `sym` draws:
+/// noisy copies (substitutions, insertions, deletions) and, every third
+/// member, an unrelated pair.
+fn ragged_pairs<S: Copy>(
+    seed: u64,
+    n: usize,
+    max_len: usize,
+    sym: impl Fn(&mut u64) -> S,
+) -> Vec<PairOf<S>> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|m| {
+            let q_len = 1 + (xorshift(&mut state) as usize) % max_len;
+            let q: Vec<S> = (0..q_len).map(|_| sym(&mut state)).collect();
+            let mut r = Vec::with_capacity(q_len + 4);
+            if m % 3 == 2 {
+                let r_len = 1 + (xorshift(&mut state) as usize) % max_len;
+                r.extend((0..r_len).map(|_| sym(&mut state)));
+            } else {
+                for &s in &q {
+                    match xorshift(&mut state) % 10 {
+                        0 => r.push(sym(&mut state)),
+                        1 => r.extend([s, s]),
+                        2 => {}
+                        _ => r.push(s),
+                    }
+                }
+                if r.is_empty() {
+                    r.push(q[0]);
+                }
+                r.truncate(max_len);
+            }
+            (q, r)
+        })
+        .collect()
+}
+
+/// The exact engine's grouped door against its single-pair door over
+/// `pairs`: the whole set as one hand, then split into hands of every size
+/// up to `LANE_WIDTH`, one scratch reused throughout. Every member must equal
+/// the single-pair run — output, alignment path, stats, no escalation — and
+/// every `LANE_WIDTH`-chunk of two or more must have been one grouped pass.
+fn check_exact_door<K: LaneKernel>(
+    params: &K::Params,
+    pairs: &[PairOf<K::Sym>],
+    npe: usize,
+    banding: Banding,
+    ctx: &str,
+) where
+    K::Score: Debug,
+{
+    let config = config_for(pairs, npe, banding);
+    let mut scratch = ExactScratch::new();
+    let want: Vec<_> = pairs
+        .iter()
+        .map(|(q, r)| {
+            run_systolic_with_scratch::<K>(params, q, r, &config, scratch.wavefront())
+                .expect("valid pair")
+        })
+        .collect();
+    for g in (1..=LANE_WIDTH).chain([pairs.len()]) {
+        for (hand, want) in pairs.chunks(g).zip(want.chunks(g)) {
+            let ctx = format!("{ctx} hand of {}", hand.len());
+            let mut got = Vec::new();
+            let passes = run_exact_group_with_scratch::<K>(
+                params,
+                &views(hand),
+                &config,
+                &mut scratch,
+                &mut got,
+            );
+            let chunks = hand.chunks(LANE_WIDTH).filter(|chunk| chunk.len() > 1);
+            assert_eq!(passes, chunks.count(), "{ctx}");
+            assert_eq!(got.len(), hand.len(), "{ctx}");
+            for (m, (got, want)) in got.iter().zip(want).enumerate() {
+                let got = got.as_ref().expect("valid member");
+                assert_eq!(got.stats.escalations, 0, "{ctx} member {m}");
+                assert_eq!(
+                    got.output.alignment, want.output.alignment,
+                    "{ctx} member {m}"
+                );
+                assert_eq!(got, want, "{ctx} member {m}");
+            }
+        }
+    }
+}
+
+/// Exact kernel `kernel` (the five linear ones, `ProteinLocal`, `Dtw`) over
+/// `n` ragged pairs drawn from `seed`.
+fn check_exact_kernel(
+    kernel: usize,
+    seed: u64,
+    n: usize,
+    max_len: usize,
+    npe: usize,
+    banding: Banding,
+) {
+    let ctx = format!("exact kernel {kernel} npe {npe} {banding:?} seed {seed:#x}");
+    let dna = || ragged_group(seed, n, max_len);
+    let params = scaled(1 + (seed % 3) as i16);
+    match kernel {
+        0 => check_exact_door::<GlobalLinear>(&params, &dna(), npe, banding, &ctx),
+        1 => check_exact_door::<LocalLinear<i16>>(&params, &dna(), npe, banding, &ctx),
+        2 => check_exact_door::<Overlap<i16>>(&params, &dna(), npe, banding, &ctx),
+        3 => check_exact_door::<SemiGlobal<i16>>(&params, &dna(), npe, banding, &ctx),
+        4 => check_exact_door::<BandedGlobalLinear<i16>>(&params, &dna(), npe, banding, &ctx),
+        5 => {
+            let residue = |state: &mut u64| AminoAcid::from_index((xorshift(state) % 20) as u8);
+            let pairs = ragged_pairs(seed, n, max_len, residue);
+            let blosum = ProteinParams::blosum62();
+            check_exact_door::<ProteinLocal>(&blosum, &pairs, npe, banding, &ctx);
+        }
+        _ => {
+            let sample = |state: &mut u64| {
+                let mut coord = || (xorshift(state) % 64) as f64 / 8.0 - 4.0;
+                dphls_seq::Complex::from_f64(coord(), coord())
+            };
+            let pairs = ragged_pairs(seed, n, max_len, sample);
+            check_exact_door::<Dtw>(&NoParams, &pairs, npe, banding, &ctx);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// The exact grouped door against the exact single-pair door: kernel ×
+    /// band × NPE × ragged lengths × hand size.
+    #[test]
+    fn exact_group_door_equals_run_pair(
+        seed in any::<u64>(),
+        kernel in 0usize..7,
+        n in 1usize..21,
+        max_len in 1usize..41,
+        npe in 1usize..17,
+        band in 0usize..EXACT_BANDS.len(),
+    ) {
+        check_exact_kernel(kernel, seed, n, max_len, npe, EXACT_BANDS[band]);
+    }
+}
+
+#[test]
+fn exact_group_door_on_every_kernel_and_band() {
+    for kernel in 0..7 {
+        for banding in EXACT_BANDS {
+            check_exact_kernel(kernel, 0xE4AC7 + kernel as u64, 11, 40, 8, banding);
         }
     }
 }
