@@ -1,15 +1,24 @@
-//! Criterion bench of the streaming pipeline (ISSUE 3): `run_batched` over
-//! a materialized workload vs `run_streamed` fed pair-by-pair through the
+//! Criterion bench of the streaming pipeline: `run_batched` over a
+//! materialized workload vs `run_streamed` fed pair-by-pair through the
 //! bounded producer channel, on the banded gate workload (shrunk to
 //! criterion-sample size), plus a tight-buffer point showing the cost of
 //! lockstep production.
+//!
+//! The `front_end` group times the two text→symbol doors in front of the
+//! engines on their own: FASTA parse plus `dna()` over 120-bp pairs (bytes
+//! of FASTA a second), and the wire codec's `decode_payload` on one request
+//! frame of two 256-bp sequences.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dphls_bench::perf::make_workload;
 use dphls_core::KernelConfig;
 use dphls_host::{run_batched, run_streamed, BatchConfig, StreamConfig};
 use dphls_kernels::{GlobalLinear, LinearParams};
+use dphls_seq::fasta::{write_dna, FastaStream};
+use dphls_seq::gen::ReadSimulator;
+use dphls_serve::{decode_payload, encode, Frame, Request};
 use dphls_systolic::{CycleModelParams, Device, KernelCycleInfo};
+use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_streaming(c: &mut Criterion) {
@@ -72,5 +81,38 @@ fn bench_streaming(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_streaming);
+fn bench_front_end(c: &mut Criterion) {
+    let pairs = ReadSimulator::new(0xFE).read_pairs(500, 120, 0.2);
+    let records: Vec<_> = pairs
+        .iter()
+        .flat_map(|(r, q)| [("q", q), ("r", r)])
+        .collect();
+    let fasta = write_dna(records, 80);
+    let (reference, read) = &ReadSimulator::new(0xFF).read_pairs(1, 256, 0.0)[0];
+    let payload = encode(&Frame::Request(Request {
+        kernel: "banded_global_linear".to_owned(),
+        query: read.as_slice().to_vec(),
+        reference: reference.as_slice().to_vec(),
+    }));
+
+    let mut g = c.benchmark_group("front_end");
+    g.sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2))
+        .throughput(Throughput::Bytes(fasta.len() as u64));
+    g.bench_function("fasta_dna_120bp", |b| {
+        b.iter(|| {
+            FastaStream::new(fasta.as_bytes())
+                .map(|rec| rec.and_then(|rec| rec.dna()).expect("own FASTA").len())
+                .sum::<usize>()
+        })
+    });
+    g.throughput(Throughput::Bytes(payload.len() as u64));
+    g.bench_function("decode_request_256bp", |b| {
+        b.iter(|| decode_payload(black_box(&payload)).expect("own encoding"))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_streaming, bench_front_end);
 criterion_main!(benches);

@@ -4,9 +4,58 @@
 //! systolic back-end uses it to size local sequence buffers and the host model
 //! uses it to compute transfer cycles, exactly as the HLS `char_t` width
 //! would determine them on the FPGA.
+//!
+//! Text enters the two lettered alphabets through one decoder each:
+//! [`Base::decode_ascii`] and [`AminoAcid::decode_ascii`] map a byte slice
+//! through a 256-entry table, and `from_char` reads the same table, so the
+//! accepted sets cannot drift apart.
 
 use dphls_fixed::ApFixed;
 use std::fmt;
+
+/// The bit a decoding table sets on every byte it rejects; accepted bytes
+/// hold their symbol's code, which is below it.
+const REJECT: u8 = 0x80;
+
+/// A 256-entry ASCII decoding table: `letters[i]`, in either case, decodes
+/// to code `i`, and every other byte to [`REJECT`].
+const fn ascii_table(letters: &[char]) -> [u8; 256] {
+    let mut table = [REJECT; 256];
+    let mut i = 0;
+    while i < letters.len() {
+        let upper = letters[i] as u8;
+        table[upper as usize] = i as u8;
+        table[upper.to_ascii_lowercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+}
+
+/// Decodes `bytes` through `table` in two branch-free passes: OR the
+/// reject bit over the slice, then map every byte into an exact-size
+/// vector. `Err` is the offset of the first rejected byte, searched for
+/// only on that path.
+fn decode_with<T>(
+    bytes: &[u8],
+    table: &[u8; 256],
+    symbol: impl Fn(u8) -> T,
+) -> Result<Vec<T>, usize> {
+    let seen = bytes.iter().fold(0, |acc, &b| acc | table[b as usize]);
+    if seen & REJECT != 0 {
+        return Err(bytes
+            .iter()
+            .position(|&b| table[b as usize] & REJECT != 0)
+            .expect("the fold saw a rejected byte"));
+    }
+    Ok(bytes.iter().map(|&b| symbol(table[b as usize])).collect())
+}
+
+/// The code `table` gives `c`, or `None` when it rejects it. Every accepted
+/// byte is ASCII, so a char outside `u8` is rejected without a lookup.
+fn table_code(table: &[u8; 256], c: char) -> Option<u8> {
+    let code = table[u8::try_from(c).ok()? as usize];
+    (code & REJECT == 0).then_some(code)
+}
 
 /// A symbol that can stream through the systolic array.
 ///
@@ -48,7 +97,14 @@ impl Base {
 
     /// Decodes a 2-bit code (wraps on the low 2 bits).
     pub fn from_code(code: u8) -> Base {
-        Base::ALL[(code & 3) as usize]
+        // A match on the discriminants compiles to the mask alone; an index
+        // into `ALL` costs the table decoders a second load per byte.
+        match code & 3 {
+            0 => Base::A,
+            1 => Base::C,
+            2 => Base::G,
+            _ => Base::T,
+        }
     }
 
     /// The 2-bit code.
@@ -56,15 +112,30 @@ impl Base {
         self as u8
     }
 
-    /// Parses an IUPAC character (case-insensitive; `U` maps to `T`).
+    /// Parses a nucleotide character: `ACGTU` in either case, `U` mapping
+    /// to `T`.
     pub fn from_char(c: char) -> Option<Base> {
-        match c.to_ascii_uppercase() {
-            'A' => Some(Base::A),
-            'C' => Some(Base::C),
-            'G' => Some(Base::G),
-            'T' | 'U' => Some(Base::T),
-            _ => None,
-        }
+        table_code(&BASE_TABLE, c).map(Base::from_code)
+    }
+
+    /// Decodes ASCII nucleotide text: the same accepted set as
+    /// [`from_char`](Self::from_char), a table lookup per byte.
+    ///
+    /// # Errors
+    ///
+    /// The offset of the first byte `from_char` would reject. Every
+    /// accepted byte is ASCII, so in UTF-8 text that offset is also the
+    /// char index of the first rejected char, which starts there.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dphls_seq::Base;
+    /// assert_eq!(Base::decode_ascii(b"gaU"), Ok(vec![Base::G, Base::A, Base::T]));
+    /// assert_eq!(Base::decode_ascii(b"ACNT"), Err(2));
+    /// ```
+    pub fn decode_ascii(bytes: &[u8]) -> Result<Vec<Base>, usize> {
+        decode_with(bytes, &BASE_TABLE, Base::from_code)
     }
 
     /// The uppercase character for this base.
@@ -87,6 +158,14 @@ impl Base {
         }
     }
 }
+
+/// ASCII → 2-bit code: `ACGT` in code order, and `U` as `T`.
+const BASE_TABLE: [u8; 256] = {
+    let mut table = ascii_table(&['A', 'C', 'G', 'T']);
+    table[b'U' as usize] = Base::T as u8;
+    table[b'u' as usize] = Base::T as u8;
+    table
+};
 
 impl Symbol for Base {
     const BITS: u32 = 2;
@@ -138,11 +217,27 @@ impl AminoAcid {
 
     /// Parses a one-letter code (case-insensitive).
     pub fn from_char(c: char) -> Option<AminoAcid> {
-        let up = c.to_ascii_uppercase();
-        AMINO_ORDER
-            .iter()
-            .position(|&a| a == up)
-            .map(|i| AminoAcid(i as u8))
+        table_code(&AMINO_TABLE, c).map(AminoAcid)
+    }
+
+    /// Decodes ASCII one-letter text: the same accepted set as
+    /// [`from_char`](Self::from_char), a table lookup per byte.
+    ///
+    /// # Errors
+    ///
+    /// The offset of the first byte `from_char` would reject (as for
+    /// [`Base::decode_ascii`]).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dphls_seq::AminoAcid;
+    /// let seq = AminoAcid::decode_ascii(b"MkW").unwrap();
+    /// assert_eq!(seq[1].to_char(), 'K');
+    /// assert_eq!(AminoAcid::decode_ascii(b"MKB"), Err(2));
+    /// ```
+    pub fn decode_ascii(bytes: &[u8]) -> Result<Vec<AminoAcid>, usize> {
+        decode_with(bytes, &AMINO_TABLE, AminoAcid)
     }
 
     /// The one-letter code.
@@ -150,6 +245,9 @@ impl AminoAcid {
         AMINO_ORDER[self.index()]
     }
 }
+
+/// ASCII → index in [`AMINO_ORDER`].
+const AMINO_TABLE: [u8; 256] = ascii_table(&AMINO_ORDER);
 
 impl Symbol for AminoAcid {
     const BITS: u32 = 5;
@@ -291,6 +389,32 @@ mod tests {
         }
         assert_eq!(AminoAcid::from_char('B'), None);
         assert_eq!(AminoAcid::from_char('w'), AminoAcid::from_char('W'));
+    }
+
+    #[test]
+    fn every_byte_decodes_as_from_char_reads_it() {
+        for b in 0..=u8::MAX {
+            let one = [b];
+            assert_eq!(
+                Base::decode_ascii(&one).ok(),
+                Base::from_char(b as char).map(|s| vec![s]),
+                "byte {b:#04x}"
+            );
+            assert_eq!(
+                AminoAcid::decode_ascii(&one).ok(),
+                AminoAcid::from_char(b as char).map(|s| vec![s]),
+                "byte {b:#04x}"
+            );
+        }
+        // The accepted sets, spelled out.
+        let accepted = |ok: &dyn Fn(char) -> bool| -> String {
+            (0..=u8::MAX).map(char::from).filter(|&c| ok(c)).collect()
+        };
+        assert_eq!(accepted(&|c| Base::from_char(c).is_some()), "ACGTUacgtu");
+        assert_eq!(
+            accepted(&|c| AminoAcid::from_char(c).is_some()),
+            "ACDEFGHIKLMNPQRSTVWYacdefghiklmnpqrstvwy"
+        );
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! numbers; the differential suite in `tests/fasta_stream.rs` pins them.
 //! DNA and protein records are parsed through the same machinery.
 
-use crate::{AminoAcid, Base, DnaSeq, ProteinSeq, Sequence, Symbol};
+use crate::{DnaSeq, ParseSeqError, ProteinSeq, Sequence, Symbol};
 use std::fmt;
 use std::io::BufRead;
+use std::str::FromStr;
 
 /// A named FASTA record before alphabet interpretation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,25 +41,35 @@ impl FastaRecord {
     }
 
     /// Appends one sequence line, dropping any whitespace inside it.
+    ///
+    /// A line of ASCII holding none of the six ASCII chars that
+    /// [`char::is_whitespace`] accepts — the common case — is appended
+    /// whole; the test is a branch-free OR over its bytes. Any other line
+    /// goes through the char filter.
     fn push_seq_line(&mut self, line: &str) {
-        self.sequence
-            .extend(line.chars().filter(|c| !c.is_whitespace()));
+        let filter = line.bytes().fold(false, |acc, b| {
+            acc | !b.is_ascii() | (b == b' ') | (b.wrapping_sub(b'\t') <= b'\r' - b'\t')
+        });
+        if filter {
+            self.sequence
+                .extend(line.chars().filter(|c| !c.is_whitespace()));
+        } else {
+            self.sequence.push_str(line);
+        }
     }
 
-    /// Converts every sequence character through `from_char`, failing on
-    /// the first one it rejects. The error (which clones the id) is built
-    /// only on that path, not per symbol.
-    fn symbols<T: Symbol>(
-        &self,
-        from_char: impl Fn(char) -> Option<T>,
-    ) -> Result<Sequence<T>, FastaError> {
-        let symbols = self.sequence.chars().map(|c| {
-            from_char(c).ok_or_else(|| FastaError::BadSymbol {
+    /// Decodes the sequence through the alphabet's table; the error (which
+    /// clones the id) is built only on the rejecting path.
+    fn symbols<T: Symbol>(&self) -> Result<Sequence<T>, FastaError>
+    where
+        Sequence<T>: FromStr<Err = ParseSeqError>,
+    {
+        self.sequence
+            .parse()
+            .map_err(|e: ParseSeqError| FastaError::BadSymbol {
                 id: self.id.clone(),
-                symbol: c,
+                symbol: e.offending(),
             })
-        });
-        symbols.collect::<Result<Vec<T>, _>>().map(Sequence::new)
     }
 
     /// Interprets the record's sequence as DNA.
@@ -67,7 +78,7 @@ impl FastaRecord {
     ///
     /// Returns [`FastaError::BadSymbol`] on the first non-ACGTU character.
     pub fn dna(&self) -> Result<DnaSeq, FastaError> {
-        self.symbols(Base::from_char)
+        self.symbols()
     }
 
     /// Interprets the record's sequence as a protein.
@@ -77,7 +88,7 @@ impl FastaRecord {
     /// Returns [`FastaError::BadSymbol`] on the first non-amino-acid
     /// character.
     pub fn protein(&self) -> Result<ProteinSeq, FastaError> {
-        self.symbols(AminoAcid::from_char)
+        self.symbols()
     }
 }
 
@@ -433,8 +444,39 @@ mod tests {
 
     #[test]
     fn dna_rejects_ambiguity_codes() {
-        let err = parse_dna(">r\nACGNT\n").unwrap_err();
-        assert!(matches!(err, FastaError::BadSymbol { symbol: 'N', .. }));
+        for (text, symbol) in [(">r\nACGNT\n", 'N'), (">r\nACéT\n", 'é')] {
+            assert_eq!(
+                parse_dna(text).unwrap_err(),
+                FastaError::BadSymbol {
+                    id: "r".into(),
+                    symbol
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn whole_line_append_matches_the_char_filter() {
+        let lines = [
+            "ACGT",
+            "AC GT",
+            "AC\tGT",
+            "AC\x0BGT",
+            "AC\x0CGT",
+            "AC\rGT",
+            "AC\u{A0}GT",
+            "AC\u{3000}GT",
+            "AC\u{85}GT",
+            "ACéGT",
+            "AC\x7FGT",
+        ];
+        for line in lines {
+            let mut rec = FastaRecord::from_header("x");
+            rec.push_seq_line(line);
+            rec.push_seq_line(line);
+            let once: String = line.chars().filter(|c| !c.is_whitespace()).collect();
+            assert_eq!(rec.sequence, once.repeat(2), "on {line:?}");
+        }
     }
 
     #[test]

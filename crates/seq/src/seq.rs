@@ -115,7 +115,7 @@ impl ParseSeqError {
         self.offending
     }
 
-    /// Zero-based position of the bad character.
+    /// Zero-based char index of the bad character.
     pub fn position(&self) -> usize {
         self.position
     }
@@ -133,35 +133,35 @@ impl fmt::Display for ParseSeqError {
 
 impl std::error::Error for ParseSeqError {}
 
+/// Parses `s` through an alphabet's ASCII decoder. Every byte the decoder
+/// accepts is ASCII, so the offset of the first rejected byte is also the
+/// char index of the first rejected char, which starts there.
+fn parse_with<A: Symbol>(
+    s: &str,
+    decode: fn(&[u8]) -> Result<Vec<A>, usize>,
+) -> Result<Sequence<A>, ParseSeqError> {
+    decode(s.as_bytes())
+        .map(Sequence::new)
+        .map_err(|position| ParseSeqError {
+            offending: s[position..]
+                .chars()
+                .next()
+                .expect("a rejected byte starts a char"),
+            position,
+        })
+}
+
 impl std::str::FromStr for Sequence<Base> {
     type Err = ParseSeqError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        s.chars()
-            .enumerate()
-            .map(|(i, c)| {
-                Base::from_char(c).ok_or(ParseSeqError {
-                    offending: c,
-                    position: i,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Sequence::new)
+        parse_with(s, Base::decode_ascii)
     }
 }
 
 impl std::str::FromStr for Sequence<AminoAcid> {
     type Err = ParseSeqError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        s.chars()
-            .enumerate()
-            .map(|(i, c)| {
-                AminoAcid::from_char(c).ok_or(ParseSeqError {
-                    offending: c,
-                    position: i,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Sequence::new)
+        parse_with(s, AminoAcid::decode_ascii)
     }
 }
 

@@ -4,9 +4,9 @@
 
 use crate::protocol::{
     read_frame, write_frame, ErrorFrame, Frame, ReadFrameError, Request, Response,
-    DEFAULT_MAX_FRAME,
+    DEFAULT_MAX_FRAME, MAX_KERNEL_NAME,
 };
-use dphls_seq::Base;
+use dphls_seq::{Base, DnaSeq};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -18,7 +18,8 @@ pub enum ClientError {
     Transport(ReadFrameError),
     /// The server answered with an error frame.
     Server(ErrorFrame),
-    /// The server sent a request frame or hung up mid-exchange.
+    /// The server sent a request frame or hung up mid-exchange, or a
+    /// request would not fit its frame.
     Protocol(&'static str),
     /// A sequence string contained a non-ACGT character.
     BadSequence(char),
@@ -56,9 +57,9 @@ impl From<ReadFrameError> for ClientError {
 }
 
 fn parse_dna(s: &str) -> Result<Vec<Base>, ClientError> {
-    s.chars()
-        .map(|c| Base::from_char(c).ok_or(ClientError::BadSequence(c)))
-        .collect()
+    s.parse::<DnaSeq>()
+        .map(DnaSeq::into_vec)
+        .map_err(|e| ClientError::BadSequence(e.offending()))
 }
 
 /// One connection to a `dphls-serve` server.
@@ -85,13 +86,16 @@ impl Client {
     }
 
     /// Wraps an already-connected stream (e.g. one some frames were
-    /// written to out-of-band). The client's sequence counters start at
-    /// zero regardless of prior traffic on the stream.
+    /// written to out-of-band) and turns Nagle's algorithm off on it, since
+    /// every request is flushed as soon as it is written. The client's
+    /// sequence counters start at zero regardless of prior traffic on the
+    /// stream.
     ///
     /// # Errors
     ///
-    /// Propagates the stream-clone failure.
+    /// Propagates the `TCP_NODELAY` or stream-clone failure.
     pub fn connect_stream(stream: TcpStream) -> io::Result<Client> {
+        stream.set_nodelay(true)?;
         let write_half = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
@@ -107,8 +111,15 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport failures and non-ACGT sequence characters.
+    /// Transport failures, non-ACGT sequence characters, and
+    /// [`ClientError::Protocol`] for a kernel name longer than
+    /// [`MAX_KERNEL_NAME`] bytes. Neither of the last two writes anything.
     pub fn send(&mut self, kernel: &str, query: &str, reference: &str) -> Result<u64, ClientError> {
+        if kernel.len() > MAX_KERNEL_NAME {
+            return Err(ClientError::Protocol(
+                "kernel name longer than the 255-byte wire field",
+            ));
+        }
         let frame = Frame::Request(Request {
             kernel: kernel.to_owned(),
             query: parse_dna(query)?,

@@ -59,6 +59,6 @@ pub use client::{Client, ClientError};
 pub use load::{run_load, LoadConfig, LoadReport};
 pub use protocol::{
     decode_payload, encode, read_frame, write_frame, DecodeError, ErrorCode, ErrorFrame, Frame,
-    ReadFrameError, Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    ReadFrameError, Request, Response, DEFAULT_MAX_FRAME, MAX_KERNEL_NAME, PROTOCOL_VERSION,
 };
 pub use server::{KernelStats, Server, ServerConfig, ServerStats};

@@ -36,6 +36,10 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// length prefix cannot drive allocation.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
+/// Longest kernel name a request can carry, in bytes: its length travels
+/// as one `u8`.
+pub const MAX_KERNEL_NAME: usize = u8::MAX as usize;
+
 const TYPE_REQUEST: u8 = 1;
 const TYPE_RESPONSE: u8 = 2;
 const TYPE_ERROR: u8 = 3;
@@ -195,13 +199,22 @@ impl From<DecodeError> for ReadFrameError {
 
 /// Serializes a frame payload (version byte onward, without the length
 /// prefix).
+///
+/// # Panics
+///
+/// Panics if a request's kernel name is longer than [`MAX_KERNEL_NAME`]
+/// bytes: its length would not fit the frame's `u8` field.
 pub fn encode(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
     out.push(PROTOCOL_VERSION);
     match frame {
         Frame::Request(req) => {
             out.push(TYPE_REQUEST);
-            debug_assert!(req.kernel.len() <= u8::MAX as usize, "kernel name length");
+            assert!(
+                req.kernel.len() <= MAX_KERNEL_NAME,
+                "kernel name of {} bytes exceeds the {MAX_KERNEL_NAME}-byte field",
+                req.kernel.len()
+            );
             out.push(req.kernel.len() as u8);
             out.extend_from_slice(req.kernel.as_bytes());
             push_seq(&mut out, &req.query);
@@ -268,12 +281,8 @@ impl<'a> Cursor<'a> {
 
     fn bases(&mut self) -> Result<Vec<Base>, DecodeError> {
         let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        raw.iter()
-            .map(|&b| {
-                Base::from_char(b as char).ok_or(DecodeError::Malformed("non-ACGT symbol byte"))
-            })
-            .collect()
+        Base::decode_ascii(self.take(len)?)
+            .map_err(|_| DecodeError::Malformed("non-ACGT symbol byte"))
     }
 }
 

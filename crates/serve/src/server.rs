@@ -40,6 +40,7 @@ use dphls_kernels::{
 };
 use dphls_seq::Base;
 use dphls_systolic::{CycleModelParams, Device, KernelCycleInfo};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -132,6 +133,11 @@ pub struct ServerStats {
     pub responses: u64,
     /// Error frames written.
     pub error_frames: u64,
+    /// Socket flushes, summed over connections. A connection's writer
+    /// flushes only when its queue runs empty, so
+    /// `(responses + error_frames) / flushes` is the mean number of frames
+    /// one flush carried.
+    pub flushes: u64,
     /// Per-kernel engine tallies, one entry per session the server
     /// spawned.
     pub kernels: Vec<(String, KernelStats)>,
@@ -191,9 +197,22 @@ struct Shared {
     requests: AtomicU64,
     responses: AtomicU64,
     error_frames: AtomicU64,
+    flushes: AtomicU64,
 }
 
 impl Shared {
+    fn new(config: ServerConfig) -> Self {
+        Self {
+            config,
+            shutting_down: AtomicBool::new(false),
+            sessions: Mutex::new(HashMap::new()),
+            requests: AtomicU64::new(0),
+            responses: AtomicU64::new(0),
+            error_frames: AtomicU64::new(0),
+            flushes: AtomicU64::new(0),
+        }
+    }
+
     /// Returns the (lazily spawned) session for `name`, or `None` for a
     /// kernel outside [`DISPATCHABLE_KERNELS`].
     fn session_for(&self, name: &str) -> Option<Arc<ErasedSession>> {
@@ -388,14 +407,7 @@ impl Server {
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            config,
-            shutting_down: AtomicBool::new(false),
-            sessions: Mutex::new(HashMap::new()),
-            requests: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
-            error_frames: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(config));
         let connections: Arc<Mutex<Vec<Connection>>> = Arc::default();
         let accept = {
             let shared = Arc::clone(&shared);
@@ -454,6 +466,7 @@ impl Server {
             requests: self.shared.requests.load(Ordering::SeqCst),
             responses: self.shared.responses.load(Ordering::SeqCst),
             error_frames: self.shared.error_frames.load(Ordering::SeqCst),
+            flushes: self.shared.flushes.load(Ordering::SeqCst),
             kernels,
         }
     }
@@ -465,6 +478,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, connections: &Mutex
             break;
         }
         let Ok(stream) = stream else { continue };
+        // The writer flushes only when its queue runs empty, so Nagle would
+        // hold the last answer of a burst until the client's delayed ACK. A
+        // socket that refuses the option still serves, only later.
+        let _ = stream.set_nodelay(true);
         let Ok(read_half) = stream.try_clone() else {
             continue;
         };
@@ -559,39 +576,74 @@ fn connection_reader(shared: &Shared, stream: TcpStream, tx: &mpsc::Sender<Write
     let _ = tx.send(WriterMsg::Done(seq));
 }
 
+/// A connection's buffered socket half. A write or flush error marks it
+/// dead: later frames are dropped, since the peer can no longer read them.
+struct FrameOut<'a, W: Write> {
+    out: BufWriter<W>,
+    dead: bool,
+    shared: &'a Shared,
+}
+
+impl<W: Write> FrameOut<'_, W> {
+    fn write(&mut self, frame: &Frame) {
+        if self.dead {
+            return;
+        }
+        if write_frame(&mut self.out, frame).is_err() {
+            self.dead = true;
+            return;
+        }
+        let counter = match frame {
+            Frame::Response(_) => &self.shared.responses,
+            _ => &self.shared.error_frames,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Sends whatever the buffer holds; a no-op (and no count) when empty.
+    fn flush(&mut self) {
+        if self.dead || self.out.buffer().is_empty() {
+            return;
+        }
+        self.shared.flushes.fetch_add(1, Ordering::Relaxed);
+        if self.out.flush().is_err() {
+            self.dead = true;
+        }
+    }
+}
+
 /// Restores the connection's request order and writes frames to the
 /// socket. Exits once the reader's total is known and every slot up to it
 /// has been received (every admitted pair is guaranteed a frame).
-fn connection_writer(shared: &Shared, stream: TcpStream, rx: &mpsc::Receiver<WriterMsg>) {
+///
+/// Frames queued on the edge are written back to back; the socket is
+/// flushed only when the edge runs empty, before the writer blocks, and
+/// once more on exit. A burst of answers leaves in one flush, and no
+/// answer waits in the buffer while the writer sleeps.
+fn connection_writer<W: Write>(shared: &Shared, stream: W, rx: &mpsc::Receiver<WriterMsg>) {
     // The reorder depth is bounded by the connection's in-flight requests:
     // at most `buffer + window` resident per kernel session, plus the slot
     // being synthesized by the reader.
     let stream_cfg = shared.config.stream;
     let window = DISPATCHABLE_KERNELS.len() * (stream_cfg.buffer + stream_cfg.window + 1) + 1;
-    let mut out = BufWriter::new(stream);
-    let mut dead = false;
-    let mut writer = OrderedWriter::new(window, move |_, frame: Frame| {
-        if dead {
-            return;
-        }
-        let responses = matches!(frame, Frame::Response(_));
-        if write_frame(&mut out, &frame)
-            .and_then(|()| out.flush())
-            .is_err()
-        {
-            dead = true;
-            return;
-        }
-        if responses {
-            shared.responses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.error_frames.fetch_add(1, Ordering::Relaxed);
-        }
+    let out = RefCell::new(FrameOut {
+        out: BufWriter::new(stream),
+        dead: false,
+        shared,
     });
+    let mut writer = OrderedWriter::new(window, |_, frame: Frame| out.borrow_mut().write(&frame));
     let mut total: Option<u64> = None;
     let mut received: u64 = 0;
     while total != Some(received) {
-        let Ok(msg) = rx.recv() else { break };
+        let msg = match rx.try_recv() {
+            Ok(msg) => msg,
+            Err(mpsc::TryRecvError::Empty) => {
+                out.borrow_mut().flush();
+                let Ok(msg) = rx.recv() else { break };
+                msg
+            }
+            Err(mpsc::TryRecvError::Disconnected) => break,
+        };
         match msg {
             WriterMsg::Frame(seq, frame) => {
                 received += 1;
@@ -603,5 +655,147 @@ fn connection_writer(shared: &Shared, stream: TcpStream, rx: &mpsc::Receiver<Wri
             }
             WriterMsg::Done(n) => total = Some(n),
         }
+    }
+    out.borrow_mut().flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// What a writer did to its socket: every byte, and how many bytes had
+    /// been written at each flush.
+    #[derive(Default)]
+    struct Log {
+        bytes: Vec<u8>,
+        flushed_at: Vec<usize>,
+    }
+
+    /// A socket stand-in that logs, and reports each flush on `on_flush`.
+    #[derive(Clone, Default)]
+    struct Probe {
+        log: Arc<Mutex<Log>>,
+        on_flush: Option<mpsc::Sender<usize>>,
+    }
+
+    impl Write for Probe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.log.lock().unwrap().bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            let mut log = self.log.lock().unwrap();
+            let at = log.bytes.len();
+            log.flushed_at.push(at);
+            if let Some(tx) = &self.on_flush {
+                tx.send(at).unwrap();
+            }
+            Ok(())
+        }
+    }
+
+    fn answer(seq: u64) -> WriterMsg {
+        WriterMsg::Frame(
+            seq,
+            Frame::Response(Response {
+                seq,
+                score: 7,
+                best_cell: (1, 2),
+                cells: 3,
+            }),
+        )
+    }
+
+    /// The `seq`s of the response frames in `bytes`, in wire order.
+    fn seqs(mut bytes: &[u8]) -> Vec<u64> {
+        let mut seqs = Vec::new();
+        while let Some(frame) = read_frame(&mut bytes, DEFAULT_MAX_FRAME).unwrap() {
+            let Frame::Response(resp) = frame else {
+                panic!("unexpected {frame:?}")
+            };
+            seqs.push(resp.seq);
+        }
+        seqs
+    }
+
+    #[test]
+    fn a_queued_burst_leaves_in_order_in_at_most_two_flushes() {
+        let shared = Shared::new(ServerConfig::default());
+        let (tx, rx) = mpsc::channel();
+        for seq in (0..32).rev() {
+            tx.send(answer(seq)).unwrap();
+        }
+        tx.send(WriterMsg::Done(32)).unwrap();
+        let probe = Probe::default();
+        connection_writer(&shared, probe.clone(), &rx);
+
+        let log = probe.log.lock().unwrap();
+        assert_eq!(seqs(&log.bytes), (0..32).collect::<Vec<_>>());
+        assert!(log.flushed_at.len() <= 2, "{:?}", log.flushed_at);
+        assert_eq!(log.flushed_at.last(), Some(&log.bytes.len()));
+        assert_eq!(
+            shared.flushes.load(Ordering::SeqCst),
+            log.flushed_at.len() as u64
+        );
+        assert_eq!(shared.responses.load(Ordering::SeqCst), 32);
+    }
+
+    #[test]
+    fn a_frame_is_flushed_before_the_writer_waits_for_the_next() {
+        let shared = Shared::new(ServerConfig::default());
+        let (tx, rx) = mpsc::channel();
+        let (flush_tx, flush_rx) = mpsc::channel();
+        let probe = Probe {
+            on_flush: Some(flush_tx),
+            ..Probe::default()
+        };
+        std::thread::scope(|scope| {
+            // Owned by this closure, so that a failed assertion drops the
+            // edge and the writer exits instead of holding the scope open.
+            let tx = tx;
+            let (shared, writer_probe) = (&shared, probe.clone());
+            let writer = scope.spawn(move || connection_writer(shared, writer_probe, &rx));
+            tx.send(answer(0)).unwrap();
+            // Frame 1 is sent only once frame 0 reached the socket, so the
+            // writer must have flushed with its edge empty.
+            let at = flush_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the writer flushes before it blocks");
+            assert_eq!(seqs(&probe.log.lock().unwrap().bytes[..at]), [0]);
+            tx.send(answer(1)).unwrap();
+            tx.send(WriterMsg::Done(2)).unwrap();
+            drop(tx);
+            writer.join().unwrap();
+        });
+        let log = probe.log.lock().unwrap();
+        assert_eq!(seqs(&log.bytes), [0, 1]);
+        assert_eq!(log.flushed_at.last(), Some(&log.bytes.len()));
+    }
+
+    #[test]
+    fn a_drain_under_load_flushes_every_frame() {
+        // Shutdown order: the reader's total arrives first, then the
+        // sessions' answers, out of order and more than a socket buffer of
+        // them.
+        const N: u64 = 512;
+        let shared = Shared::new(ServerConfig::default());
+        let (tx, rx) = mpsc::channel();
+        let probe = Probe::default();
+        std::thread::scope(|scope| {
+            let (shared, writer_probe) = (&shared, probe.clone());
+            let writer = scope.spawn(move || connection_writer(shared, writer_probe, &rx));
+            tx.send(WriterMsg::Done(N)).unwrap();
+            for seq in 0..N {
+                tx.send(answer(seq ^ 1)).unwrap();
+            }
+            drop(tx);
+            writer.join().unwrap();
+        });
+        let log = probe.log.lock().unwrap();
+        assert!(log.bytes.len() > 8 * 1024);
+        assert_eq!(seqs(&log.bytes), (0..N).collect::<Vec<_>>());
+        assert_eq!(log.flushed_at.last(), Some(&log.bytes.len()));
     }
 }

@@ -5,7 +5,7 @@
 use dphls_seq::Base;
 use dphls_serve::protocol::{
     decode_payload, encode, read_frame, write_frame, DecodeError, ErrorCode, ErrorFrame, Frame,
-    ReadFrameError, Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    ReadFrameError, Request, Response, DEFAULT_MAX_FRAME, MAX_KERNEL_NAME, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -178,6 +178,47 @@ fn unknown_version_and_type_are_explicit() {
 }
 
 #[test]
+fn symbol_bytes_decode_in_either_case_and_u_as_t() {
+    let mut payload = encode(&Frame::Request(Request {
+        kernel: "k".into(),
+        query: vec![Base::A; 10],
+        reference: vec![Base::C; 2],
+    }));
+    let query = payload.len() - 16; // [qlen:4][query:10][rlen:4][ref:2]
+    payload[query..query + 10].copy_from_slice(b"aCgTuUAcGt");
+    payload[query + 14..].copy_from_slice(b"uG");
+    use Base::{A, C, G, T};
+    assert_eq!(
+        decode_payload(&payload),
+        Ok(Frame::Request(Request {
+            kernel: "k".into(),
+            query: vec![A, C, G, T, T, T, A, C, G, T],
+            reference: vec![T, G],
+        }))
+    );
+}
+
+#[test]
+#[should_panic(expected = "exceeds the 255-byte field")]
+fn encode_refuses_a_kernel_name_its_length_byte_cannot_hold() {
+    encode(&Frame::Request(Request {
+        kernel: "k".repeat(MAX_KERNEL_NAME + 1),
+        query: vec![Base::A],
+        reference: vec![Base::A],
+    }));
+}
+
+#[test]
+fn a_255_byte_kernel_name_round_trips() {
+    let frame = Frame::Request(Request {
+        kernel: "k".repeat(MAX_KERNEL_NAME),
+        query: vec![Base::G],
+        reference: vec![],
+    });
+    assert_eq!(decode_payload(&encode(&frame)), Ok(frame));
+}
+
+#[test]
 fn malformed_bodies_are_rejected() {
     // Non-ACGT symbol byte in the query.
     let mut payload = encode(&Frame::Request(Request {
@@ -192,6 +233,16 @@ fn malformed_bodies_are_rejected() {
         decode_payload(&payload),
         Err(DecodeError::Malformed("non-ACGT symbol byte"))
     );
+
+    // Every byte outside `ACGTU` / `acgtu` is rejected, the high half too.
+    for bad in [b'N', b'n', b'-', 0, 0x80, 0xC3, 0xFF] {
+        payload[query_byte] = bad;
+        assert_eq!(
+            decode_payload(&payload),
+            Err(DecodeError::Malformed("non-ACGT symbol byte")),
+            "byte {bad:#04x}"
+        );
+    }
 
     // Trailing garbage after a complete body.
     let mut payload = encode(&Frame::Response(Response {

@@ -10,7 +10,10 @@ use dphls_host::{run_batched, BatchConfig};
 use dphls_kernels::{AffineParams, GlobalLinear, LinearParams, LocalAffine};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
-use dphls_serve::{Client, ClientError, ErrorCode, Server, ServerConfig};
+use dphls_serve::{
+    read_frame, Client, ClientError, ErrorCode, Frame, Server, ServerConfig, DEFAULT_MAX_FRAME,
+    MAX_KERNEL_NAME,
+};
 use dphls_systolic::{CycleModelParams, Device, KernelCycleInfo};
 use std::io::Write;
 use std::net::TcpStream;
@@ -210,6 +213,12 @@ fn concurrent_clients_get_ordered_bit_identical_responses() {
         expected_responses + 3,
         "every request frame (good or answered with an error) is counted"
     );
+    // A flush carries at least one frame: never more flushes than frames.
+    assert!(
+        (1..=stats.responses + stats.error_frames).contains(&stats.flushes),
+        "{} flushes",
+        stats.flushes
+    );
     // The engines saw exactly the admitted pairs; one was quarantined.
     let total_pairs: usize = stats.kernels.iter().map(|(_, k)| k.pairs).sum();
     let quarantined: usize = stats.kernels.iter().map(|(_, k)| k.quarantined).sum();
@@ -296,6 +305,29 @@ fn adaptive_precision_serves_bit_identical_responses() {
     assert_eq!(linear.pairs, pairs.len() + 1);
     assert_eq!(linear.escalations, 1, "exactly the saturating pair");
     assert_eq!(kernels["banded_global_two_piece"].escalations, 0);
+}
+
+/// A kernel name too long for the frame's `u8` length is refused by the
+/// client before a byte reaches the socket; one at the limit goes out whole.
+#[test]
+fn client_refuses_a_kernel_name_longer_than_the_wire_field() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut client = Client::connect(listener.local_addr().unwrap()).expect("connect");
+    let (mut peer, _) = listener.accept().expect("accept");
+
+    match client.send(&"k".repeat(MAX_KERNEL_NAME + 1), "ACGT", "ACGT") {
+        Err(ClientError::Protocol(what)) => assert!(what.contains("255"), "{what}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    let at_limit = "k".repeat(MAX_KERNEL_NAME);
+    assert_eq!(client.send(&at_limit, "ACGT", "ACGT").expect("send"), 0);
+    drop(client);
+
+    match read_frame(&mut peer, DEFAULT_MAX_FRAME) {
+        Ok(Some(Frame::Request(req))) => assert_eq!(req.kernel, at_limit),
+        other => panic!("expected the one request, got {other:?}"),
+    }
+    assert!(matches!(read_frame(&mut peer, DEFAULT_MAX_FRAME), Ok(None)));
 }
 
 #[test]
