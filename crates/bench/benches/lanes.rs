@@ -2,9 +2,9 @@
 //! scratch path vs the lane path, each pair through the public engine doors
 //! so what is timed is the path the engine really takes.
 //!
-//! * `lanes`: the 10k-pair-class banded short-read workload the acceptance
-//!   gate uses (shrunk to criterion-sample size) for the chunked single-layer
-//!   port, plus the 3-layer affine kernel on the same 256-bp pairs.
+//! * `lanes`: a banded short-read workload (criterion-sample size) for the
+//!   chunked single-layer port, plus the 3-layer affine kernel on the same
+//!   256-bp pairs.
 //! * `lanes_long`: 1500-bp full-matrix pairs at NPE 64 — the
 //!   `stream_long_affine` geometry — for the kernels that score a whole
 //!   wavefront per call over layer planes (`GlobalAffine`, `GlobalTwoPiece`).
@@ -33,7 +33,7 @@
 use criterion::{
     criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
-use dphls_bench::perf::{make_workload, Workload};
+use dphls_bench::harness::{make_workload, Workload};
 use dphls_core::{
     AdaptiveKernel, I8Lanes, KernelConfig, LaneKernel, I8_LANES_NARROW, I8_LANES_WIDE, LANE_WIDTH,
 };

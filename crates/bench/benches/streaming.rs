@@ -1,8 +1,7 @@
 //! Criterion bench of the streaming pipeline: `run_batched` over a
 //! materialized workload vs `run_streamed` fed pair-by-pair through the
-//! bounded producer channel, on the banded gate workload (shrunk to
-//! criterion-sample size), plus a tight-buffer point showing the cost of
-//! lockstep production.
+//! bounded producer channel, on a banded 256-bp workload (criterion-sample
+//! size), plus a tight-buffer point showing the cost of lockstep production.
 //!
 //! The `front_end` group times the two text→symbol doors in front of the
 //! engines on their own: FASTA parse plus `dna()` over 120-bp pairs (bytes
@@ -10,7 +9,7 @@
 //! frame of two 256-bp sequences.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dphls_bench::perf::make_workload;
+use dphls_bench::harness::make_workload;
 use dphls_core::KernelConfig;
 use dphls_host::{run_batched, run_streamed, BatchConfig, StreamConfig};
 use dphls_kernels::{GlobalLinear, LinearParams};

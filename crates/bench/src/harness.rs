@@ -10,6 +10,8 @@
 use dphls_core::{KernelConfig, LaneKernel};
 use dphls_fpga::KernelProfile;
 use dphls_kernels::registry::{visit_all, CaseInfo, KernelVisitor, WorkloadSpec};
+use dphls_seq::gen::ReadSimulator;
+use dphls_seq::Base;
 use dphls_systolic::{CycleBreakdown, CycleModelParams, Device, KernelCycleInfo};
 
 /// Erased result of running one kernel's workload on a device model.
@@ -187,6 +189,25 @@ pub fn sweep_workload() -> WorkloadSpec {
         len: 256,
         ..WorkloadSpec::default()
     }
+}
+
+/// (query, reference) pairs, the shape every DNA engine entry point takes.
+pub type Workload = Vec<(Vec<Base>, Vec<Base>)>;
+
+/// Deterministic read-pair workload for the engine benches: reference
+/// windows + noisy reads of equal length (the paper's §6.1 short-read
+/// shape).
+pub fn make_workload(pairs: usize, len: usize, seed: u64) -> Workload {
+    let mut sim = ReadSimulator::new(seed);
+    sim.read_pairs(pairs, len, 0.2)
+        .into_iter()
+        .map(|(r, mut q)| {
+            q.truncate(len);
+            let mut r = r.into_vec();
+            r.truncate(len);
+            (q.into_vec(), r)
+        })
+        .collect()
 }
 
 #[cfg(test)]

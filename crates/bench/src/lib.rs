@@ -9,11 +9,8 @@
 //! Run everything with `cargo run -p dphls-bench --bin all_experiments`, or
 //! a single experiment with e.g. `cargo run -p dphls-bench --bin table2`.
 
-pub mod check;
 pub mod experiments;
 pub mod harness;
-pub mod naive;
-pub mod perf;
 pub mod report;
 
 pub use harness::{collect_cases, default_workload, profile_of, KernelCase, RunSummary};

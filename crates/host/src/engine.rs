@@ -20,11 +20,7 @@
 //! one at guarded `i8 × 16`, the exact one at the kernel's own score type
 //! and [`LANE_WIDTH`] lanes. Every pair's result equals its
 //! [`PairEngine::run_pair`]. The pool hands them groups on instrumented runs
-//! too (see `pool.rs`), so `bench_check`'s `resilience_overhead` and
-//! `streaming` ratios — exact engine, an instrumented or streamed run over a
-//! batched one — compare grouped with grouped: what moves them now is the
-//! per-pass instrumentation (one clock read and one `catch_unwind` a pass
-//! instead of a pair) and how well each front end fills its hands.
+//! too (see `pool.rs`).
 
 use dphls_core::{
     AdaptiveKernel, I8Lanes, KernelConfig, KernelSpec, LaneKernel, LanePrecision, LANE_WIDTH,

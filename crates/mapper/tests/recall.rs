@@ -2,6 +2,7 @@
 //! (both strands, realistic error rates) must map back to their true loci,
 //! in input order, with poisoned inputs quarantined rather than fatal.
 
+use dphls_core::Banding;
 use dphls_mapper::{
     map_batch, map_fasta, map_streamed, IndexConfig, KmerIndex, MapOutcome, MapStreamConfig,
     MapperConfig, Strand,
@@ -87,11 +88,25 @@ fn streamed_reads_all_map_to_their_true_locus_in_order() {
     assert!(report.reorder_high_water <= stream.in_flight);
     // One outcome per input, emitted 0, 1, 2, ... despite 4 racing workers.
     assert_eq!(seen.len(), set.reads.len());
+    let full_band = Banding::Fixed { half_width: 128 };
+    let (mut xdrop_cells, mut band_cells) = (0u64, 0u64);
     for (pos, (idx, out)) in seen.iter().enumerate() {
         assert_eq!(*idx, pos, "emission order violated at {pos}");
-        let (id, _, start, reverse) = &set.reads[pos];
+        let (id, bases, start, reverse) = &set.reads[pos];
         check_mapped(out, id, *start, *reverse);
+        // The cells a fixed 128-wide band would pay over the same read ×
+        // window problem, the window sized by the mapper's own rule.
+        let m = out.mapping().unwrap();
+        let len = bases.len();
+        let span = (len + len / 8 + cfg.window_slack).min(set.genome.len() - m.locus);
+        xdrop_cells += m.cells;
+        band_cells += (1..=len)
+            .map(|i| full_band.cells_in_row(i, span) as u64)
+            .sum::<u64>();
     }
+    // X-drop touches at most 0.3× the cells of that band.
+    let cells_ratio = xdrop_cells as f64 / band_cells as f64;
+    assert!(cells_ratio <= 0.3, "X-drop / 128-band cells {cells_ratio}");
 }
 
 #[test]

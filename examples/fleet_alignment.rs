@@ -7,8 +7,7 @@
 //! sharding is scheduling-invisible — the differential suite in
 //! `crates/host/tests/fleet.rs` holds this for every fleet size), and
 //! prints the modeled `fleet_cycles` throughput, where arbitrated cycles
-//! plus transfer cost divide across the fleet — the `fleet` point in
-//! `BENCH_throughput.json` gates this modeled ratio ≥ 3.5× at D = 4.
+//! plus transfer cost divide across the fleet.
 //!
 //! A compact version is a **doc-tested** crate-level example ("Fleet" in
 //! the `dp_hls` crate docs), so `cargo test --doc` compiles and runs it on

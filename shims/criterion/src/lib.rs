@@ -10,9 +10,7 @@
 //! scheduler hiccup on a busy CI box no longer poisons the mean.
 //!
 //! Set `CRITERION_JSON=<path>` to additionally append one JSON object per
-//! benchmark (JSON-lines) with the post-rejection statistics — the
-//! machine-readable bench history that `BENCH_throughput.json`-style
-//! tooling can diff across runs.
+//! benchmark (JSON-lines) with the post-rejection statistics.
 
 use std::fmt;
 use std::io::Write as _;

@@ -1,11 +1,10 @@
 //! Offline stand-in for `serde_json`: renders the `serde` shim's JSON model
-//! to text (`to_string` / `to_string_pretty`) and parses text back to the
-//! model (`from_str`, used to validate emitted reports).
+//! to text (`to_string` / `to_string_pretty`).
 
 use serde::{JsonValue, Serialize};
 use std::fmt;
 
-/// Serialization/parse failure.
+/// Serialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -120,180 +119,6 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses JSON text into the data model (objects keep insertion order).
-///
-/// # Errors
-///
-/// Returns [`Error`] on malformed input or trailing garbage.
-pub fn from_str(s: &str) -> Result<JsonValue, Error> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(Error(format!("trailing data at byte {pos}")));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, Error> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err(Error("unexpected end of input".into())),
-        Some(b'n') => parse_lit(b, pos, "null", JsonValue::Null),
-        Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(JsonValue::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Array(items));
-                    }
-                    _ => return Err(Error(format!("expected ',' or ']' at byte {pos}"))),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut entries = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Object(entries));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(Error(format!("expected ':' at byte {pos}")));
-                }
-                *pos += 1;
-                entries.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Object(entries));
-                    }
-                    _ => return Err(Error(format!("expected ',' or '}}' at byte {pos}"))),
-                }
-            }
-        }
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonValue, Error> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(Error(format!("invalid literal at byte {pos}")))
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(Error(format!("expected string at byte {pos}")));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b
-                    .get(*pos)
-                    .copied()
-                    .ok_or_else(|| Error("bad escape".into()))?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .ok_or_else(|| Error("bad \\u escape".into()))?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| Error(e.to_string()))?,
-                            16,
-                        )
-                        .map_err(|e| Error(e.to_string()))?;
-                        *pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(Error(format!("bad escape at byte {pos}"))),
-                }
-            }
-            c => {
-                // Re-decode multi-byte UTF-8 sequences from the source.
-                let start = *pos - 1;
-                let width = utf8_width(c);
-                let end = start + width;
-                let chunk = b.get(start..end).ok_or_else(|| Error("bad utf8".into()))?;
-                out.push_str(std::str::from_utf8(chunk).map_err(|e| Error(e.to_string()))?);
-                *pos = end;
-            }
-        }
-    }
-    Err(Error("unterminated string".into()))
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, Error> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| Error(e.to_string()))?;
-    if text.contains(['.', 'e', 'E']) {
-        text.parse::<f64>()
-            .map(JsonValue::Float)
-            .map_err(|e| Error(e.to_string()))
-    } else if let Ok(i) = text.parse::<i64>() {
-        Ok(JsonValue::Int(i))
-    } else {
-        text.parse::<u64>()
-            .map(JsonValue::UInt)
-            .map_err(|e| Error(e.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,10 +139,14 @@ mod tests {
                 self.0.clone()
             }
         }
-        let text = to_string_pretty(&Wrap(v.clone())).unwrap();
-        assert_eq!(from_str(&text).unwrap(), v);
-        let compact = to_string(&Wrap(v.clone())).unwrap();
-        assert_eq!(from_str(&compact).unwrap(), v);
+        assert_eq!(
+            to_string_pretty(&Wrap(v.clone())).unwrap(),
+            "{\n  \"a\": -3,\n  \"b\": [\n    1.5,\n    null\n  ],\n  \"s\": \"x\\\"y\"\n}"
+        );
+        assert_eq!(
+            to_string(&Wrap(v)).unwrap(),
+            r#"{"a":-3,"b":[1.5,null],"s":"x\"y"}"#
+        );
     }
 
     #[test]
@@ -329,12 +158,5 @@ mod tests {
             }
         }
         assert_eq!(to_string(&W).unwrap(), "4.0");
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(from_str("{,}").is_err());
-        assert!(from_str("[1 2]").is_err());
-        assert!(from_str("123abc").is_err());
     }
 }

@@ -238,10 +238,8 @@
 //!
 //! The degradation contract — surviving outputs bit-identical to a
 //! fault-free run, every injected fault reconciled exactly once — is held
-//! by the seeded chaos suite in `crates/host/tests/chaos.rs`, and the
-//! fault-free overhead of the instrumented path is gated ≥ 0.95× in
-//! `BENCH_throughput.json` (see docs/ARCHITECTURE.md, "Failure model &
-//! degradation contract").
+//! by the seeded chaos suite in `crates/host/tests/chaos.rs` (see
+//! docs/ARCHITECTURE.md, "Failure model & degradation contract").
 //!
 //! ## Streaming pipeline
 //!

@@ -145,6 +145,49 @@ fn claim_expected_systolic_array_behavior() {
 }
 
 #[test]
+fn claim_sdtw_read_until_separates_viral_from_background() {
+    // The SquiggleFilter comparison (Fig 4C): sDTW (#14) classifies raw
+    // squiggles before basecalling. With `examples/virus_detection_sdtw.rs`'s
+    // generator, the best off-target per-sample distance must stay above
+    // the worst on-target one, so a perfect threshold exists.
+    use dp_hls::prelude::*;
+    let virus = GenomeGenerator::new(0x5157).generate(2_000);
+    let reference = SquiggleSimulator::reference_levels(&virus);
+    let background = GenomeGenerator::new(9_999).generate(50_000);
+    let mut squiggler = SquiggleSimulator::new(3).dwell(1, 2).noise(10);
+    let mut rng = dp_hls::util::Xoshiro256::seed_from_u64(1);
+    let config = KernelConfig::new(32, 1, 1).with_max_lengths(512, 2_000);
+    let (mut on_max, mut off_min) = (0.0f64, f64::INFINITY);
+    for case in 0..12 {
+        let on_target = case % 2 == 0;
+        let window = if on_target {
+            virus.window(rng.next_range(1_800) as usize, 200)
+        } else {
+            background.window(rng.next_range(49_800) as usize, 200)
+        };
+        let mut squiggle = squiggler.squiggle(&window);
+        squiggle.truncate(400);
+        let run = run_systolic_ok::<Sdtw<i32>>(
+            &NoParams,
+            squiggle.as_slice(),
+            reference.as_slice(),
+            &config,
+        );
+        let per_sample = run.output.best_score as f64 / squiggle.len() as f64;
+        if on_target {
+            on_max = on_max.max(per_sample);
+        } else {
+            off_min = off_min.min(per_sample);
+        }
+    }
+    let separation = off_min / on_max;
+    assert!(
+        separation > 1.0,
+        "off-target min {off_min:.1} / on-target max {on_max:.1} = {separation:.3}"
+    );
+}
+
+#[test]
 fn claim_table2_shape() {
     let rows = dphls_bench::experiments::table2::run();
     assert_eq!(rows.len(), 15);
