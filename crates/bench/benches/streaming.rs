@@ -1,7 +1,8 @@
 //! Criterion bench of the streaming pipeline: `run_batched` over a
-//! materialized workload vs `run_streamed` fed pair-by-pair through the
-//! bounded producer channel, on a banded 256-bp workload (criterion-sample
-//! size), plus a tight-buffer point showing the cost of lockstep production.
+//! materialized workload vs `run_streamed`, whose dealer pulls the source
+//! pair by pair, on a banded 256-bp workload (criterion-sample size), plus
+//! a tight-window point (window 8) showing the cost of a shallow admission
+//! window.
 //!
 //! The `front_end` group times the two text→symbol doors in front of the
 //! engines on their own: FASTA parse plus `dna()` over 120-bp pairs (bytes

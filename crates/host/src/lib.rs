@@ -14,8 +14,8 @@
 //! work-stealing pool (`pool.rs`: the deques, the idle rule, retry
 //! re-deal, device-loss migration) running one private per-pair body
 //! (`slot.rs`): the batch engine pre-fills the pool and starts it closed,
-//! the streaming engine deals into it while its producer is live — a
-//! batch is a stream whose producer has already finished.
+//! the streaming engine deals into it while its source is live — a batch
+//! is a stream whose source has already ended.
 //!
 //! | Door | Role |
 //! |------|------|

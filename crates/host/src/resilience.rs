@@ -136,8 +136,9 @@ pub struct ResilienceConfig {
     pub backoff: Duration,
     /// What to do once retries are exhausted.
     pub failure_policy: FailurePolicy,
-    /// Streaming only: how long the producer may block feeding the bounded
-    /// channel before the run degrades to
+    /// Streaming only: how long the dealer may wait for an admission slot
+    /// (the consumer side making room in the window) before the run
+    /// degrades to
     /// [`StreamError::Stalled`](crate::streaming::StreamError::Stalled)
     /// instead of deadlocking behind a wedged consumer. `None` blocks
     /// forever (the pre-resilience behaviour).
@@ -160,7 +161,7 @@ impl ResilienceConfig {
 
     /// A production-shaped default: 250 ms per 64 Ki-cell unit, two
     /// retries with 1 ms exponential backoff, quarantine on exhaustion,
-    /// and a 30 s producer send deadline.
+    /// and a 30 s admission-wait (send) deadline.
     pub fn standard() -> Self {
         ResilienceConfig {
             pair_deadline: Some(Duration::from_millis(250)),

@@ -58,7 +58,7 @@
 //! this module's: they are the pool (`crates/host/src/pool.rs`) the
 //! streaming engine also runs on. [`run_batched_engine`] is the front end
 //! that ranks the whole slice, hands the pool the ranking pre-dealt and
-//! **closed** — a stream whose producer has already finished, so workers
+//! **closed** — a stream whose source has already ended, so workers
 //! exit on drain — and merges the per-slot output vectors back into input
 //! order.
 //!
@@ -74,6 +74,7 @@ use dphls_core::{
 use dphls_systolic::Device;
 use parking_lot::Mutex;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 
 use crate::engine::{ExactEngine, PairEngine, PrecisionEngine};
 use crate::faults::FaultPlan;
@@ -448,7 +449,7 @@ where
 
     // Rank by descending cost estimate; the pool deals the ranking
     // round-robin across the fleet's `D × NK` per-device channel deques and
-    // starts closed — a stream whose producer has already finished.
+    // starts closed — a stream whose source has already ended.
     let mut ranked: Vec<Job<&dphls_core::SeqPair<K>>> = workload
         .iter()
         .enumerate()
@@ -464,24 +465,26 @@ where
     let faults: Mutex<Vec<PairFault>> = Mutex::new(Vec::new());
     let filled: Mutex<Vec<Option<DpOutput<K::Score>>>> = Mutex::new((0..n).map(|_| None).collect());
 
-    crossbeam::scope(|scope| {
-        for worker in 0..workers {
-            let (pool, faults, filled) = (&pool, &faults, &filled);
-            scope.spawn(move |_| {
-                // Collected per slot and merged into input order once, as
-                // the slot leaves: the hot path shares no written line.
-                let mut outputs = Vec::with_capacity(n / workers + 1);
-                pool.work::<K, E>(engine, worker, |idx, slot| match slot {
-                    Ok(output) => outputs.push((idx, output)),
-                    Err(fault) => faults.lock().push(fault),
+    panic::catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|scope| {
+            for worker in 0..workers {
+                let (pool, faults, filled) = (&pool, &faults, &filled);
+                scope.spawn(move || {
+                    // Collected per slot and merged into input order once, as
+                    // the slot leaves: the hot path shares no written line.
+                    let mut outputs = Vec::with_capacity(n / workers + 1);
+                    pool.work::<K, E>(engine, worker, |idx, slot| match slot {
+                        Ok(output) => outputs.push((idx, output)),
+                        Err(fault) => faults.lock().push(fault),
+                    });
+                    let mut filled = filled.lock();
+                    for (idx, output) in outputs {
+                        filled[idx] = Some(output);
+                    }
                 });
-                let mut filled = filled.lock();
-                for (idx, output) in outputs {
-                    filled[idx] = Some(output);
-                }
-            });
-        }
-    })
+            }
+        })
+    }))
     .map_err(|payload| BatchError::WorkerPanic(panic_message(payload)))?;
 
     let (tally, aborted) = pool.finish();

@@ -1,18 +1,19 @@
 //! Long-lived session mode for the streaming engine: instead of handing
 //! [`run_streamed_engine`] a complete source iterator, a
-//! [`StreamSession`] keeps the whole pipeline (producer channel, dealer,
-//! NB-slot workers, [`OrderedWriter`]) alive on a background thread and
-//! accepts pairs **one call at a time** — the entry-point shape a serving
-//! front end needs, where requests arrive from live connections rather
-//! than a file.
+//! [`StreamSession`] keeps the whole pipeline (dealer, NB-slot workers,
+//! [`OrderedWriter`]) alive on a background thread and accepts pairs **one
+//! call at a time** through one bounded submission channel, which the
+//! dealer pulls as its source — the entry-point shape a serving front end
+//! needs, where requests arrive from live connections rather than a file.
 //!
 //! The session inherits the streaming engine's contracts wholesale:
 //!
 //! * outputs reach the sink in strict submission order (`Ok` slots for
 //!   completed pairs, `Err` slots for quarantined ones);
-//! * at most `buffer + window` pairs are resident; a caller that submits
-//!   faster than the engine drains **blocks inside [`submit`]** — the
-//!   admission window is the backpressure mechanism;
+//! * at most `buffer + window + 1` pairs are resident (the channel, the
+//!   admission window, and the pair in the dealer's hand); a caller that
+//!   submits faster than the engine drains **blocks inside [`submit`]** —
+//!   the admission window is the backpressure mechanism;
 //! * under [`FailurePolicy::Quarantine`] a failing pair costs an `Err`
 //!   slot, never the session.
 //!
@@ -99,8 +100,9 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `config.buffer` or `config.window` is zero (the engine's
-    /// own precondition, surfaced when the background thread starts).
+    /// Panics if `config.buffer` is zero (the submission channel's depth).
+    /// A zero `config.window` is the engine's own precondition, surfaced
+    /// when the background thread starts.
     pub fn spawn_engine<E, F>(
         device: Device,
         engine: E,
@@ -113,7 +115,8 @@ where
         E: PairEngine<K> + Send + 'static,
         F: FnMut(usize, Result<DpOutput<K::Score>, PairFault>) + Send + 'static,
     {
-        let (tx, rx) = bounded::<dphls_core::SeqPair<K>>(config.buffer.max(1));
+        assert!(config.buffer > 0, "session buffer depth must be >= 1");
+        let (tx, rx) = bounded::<dphls_core::SeqPair<K>>(config.buffer);
         let engine = std::thread::spawn(move || {
             run_streamed_engine::<K, E, _, Infallible, F>(
                 &device,
@@ -144,8 +147,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `config.buffer` or `config.window` is zero (the engine's
-    /// own precondition, surfaced when the background thread starts).
+    /// As [`spawn_engine`](Self::spawn_engine).
     pub fn spawn_adaptive<F>(
         device: Device,
         params: K::Params,
@@ -162,9 +164,9 @@ where
         Self::spawn_engine(device, engine, config, FleetConfig::single(), res, sink)
     }
 
-    /// Submits one pair, blocking while the engine's buffer and admission
-    /// window are both full (backpressure). Returns the pair's input
-    /// index — the index its sink slot will carry.
+    /// Submits one pair, blocking while the submission channel and the
+    /// engine's admission window are both full (backpressure). Returns the
+    /// pair's input index — the index its sink slot will carry.
     ///
     /// # Errors
     ///
@@ -243,7 +245,7 @@ where
     /// first call drains the engine and returns its result, every later
     /// call returns `None`.
     pub fn shutdown(&self) -> Option<Result<StreamReport, StreamError<Infallible>>> {
-        // Dropping the sender ends the producer's source iterator; the
+        // Dropping the sender ends the dealer's source iterator; the
         // engine then drains and joins.
         self.inner.lock().expect("session mutex").tx = None;
         let engine = self.engine.lock().expect("engine mutex").take()?;

@@ -4,34 +4,33 @@
 //! still being parsed (ROADMAP "Async I/O batching"; the bounded-FIFO
 //! producer/consumer decoupling of the task-parallel HLS literature).
 //!
-//! Three stages, connected by bounded buffers:
+//! Two stages, connected by one bounded buffer — the admission window:
 //!
-//! 1. **Producer** — a spawned thread pulls pairs from the caller's iterator
-//!    (e.g. a [`dphls_seq::fasta::FastaStream`] adapter) and pushes them
-//!    through a bounded `crossbeam` channel of depth [`StreamConfig::buffer`].
-//!    A full channel blocks the producer: parse never runs ahead of compute
-//!    by more than `buffer` pairs.
-//! 2. **Dealer + workers** — the calling thread receives pairs, cost-ranks
-//!    each one (same estimate as [`run_batched`]), and deals it round-robin
-//!    into the pool's per-channel deques, **admission-gated** so at most
+//! 1. **Dealer + workers** — the calling thread pulls pairs from the
+//!    caller's iterator (e.g. a [`dphls_seq::fasta::FastaStream`] adapter)
+//!    one at a time, waits for an **admission** slot so at most
 //!    [`StreamConfig::window`] pairs are in flight between admission and
-//!    ordered emission. Each channel is drained by up to
-//!    [`StreamConfig::nb_slots`] **block-slot** threads (the device's `NB`
-//!    blocks per channel, mirrored host-side exactly as in
-//!    [`crate::BatchConfig`]), every slot with its own scratch arena. The
-//!    pool (`crates/host/src/pool.rs`) is the batch engine's, started
-//!    **open**: while the producer is live a worker finding every deque
+//!    ordered emission, cost-ranks each pair (same estimate as
+//!    [`run_batched`]), and deals it round-robin into the pool's
+//!    per-channel deques. A full window blocks the dealer, so parse never
+//!    runs ahead of emission by more than `window` pairs. Each channel is
+//!    drained by up to [`StreamConfig::nb_slots`] **block-slot** threads
+//!    (the device's `NB` blocks per channel, mirrored host-side exactly as
+//!    in [`crate::BatchConfig`]), every slot with its own scratch arena.
+//!    The pool (`crates/host/src/pool.rs`) is the batch engine's, started
+//!    **open**: while the source is live a worker finding every deque
 //!    empty parks instead of exiting, and the dealer closes the pool when
-//!    the source ends. This module keeps only the producer, the dealer
-//!    with its admission window, and the ordered emission.
-//! 3. **[`OrderedWriter`]** — workers complete alignments out of input order;
+//!    the source ends. This module keeps only the dealer with its
+//!    admission window, and the ordered emission.
+//! 2. **[`OrderedWriter`]** — workers complete alignments out of input order;
 //!    the writer restores input order with a reorder buffer whose occupancy
 //!    is bounded by the admission window, invoking the caller's sink as soon
 //!    as each next-in-order output is ready.
 //!
-//! Peak resident pairs are therefore `buffer + window` (+1 in the producer's
-//! hand), **not** O(workload); both bounds are tracked by high-water-mark
-//! counters in the [`StreamReport`] and asserted by the differential tests.
+//! Peak resident pairs are therefore `window + 1` (the `+ 1` is the pair in
+//! the dealer's hand, waiting for admission), **not** O(workload); the
+//! window bound is tracked by high-water-mark counters in the
+//! [`StreamReport`] and asserted by the differential tests.
 //!
 //! [`run_batched`]: crate::run_batched
 
@@ -42,22 +41,23 @@ use crate::pool::Pool;
 use crate::resilience::{panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig};
 use crate::scheduler::{cost_estimate, BatchConfig};
 use crate::slot::{Job, SlotRun};
-use crossbeam::channel::SendTimeoutError;
 use dphls_core::{AdaptiveKernel, DpOutput, KernelSpec, LaneKernel, LanePrecision};
 use dphls_systolic::{Device, SystolicError};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Buffer-depth knobs of the streaming pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
-    /// Depth of the bounded producer channel: how many parsed pairs may sit
-    /// between the input source and the dealer. Depth 1 runs the producer in
-    /// lockstep with the dealer.
+    /// Depth of a [`StreamSession`](crate::StreamSession)'s submission
+    /// channel: how many submitted pairs may wait between `submit` and the
+    /// dealer. [`run_streamed`] and its siblings do not read it — their
+    /// dealer pulls the source itself.
     pub buffer: usize,
     /// Admission window: how many pairs may be in flight between dealing and
     /// ordered emission. This simultaneously bounds the per-channel deques,
@@ -119,8 +119,8 @@ pub struct StreamReport {
     pub reorder_high_water: usize,
     /// Peak pairs simultaneously in flight between admission and ordered
     /// emission (deques + executing + reorder buffer); always `<= window`.
-    /// Total resident pairs are bounded by `buffer + resident_high_water`
-    /// plus the one pair in the producer's hand.
+    /// Total resident pairs are bounded by `resident_high_water` plus the
+    /// one pair in the dealer's hand, waiting for admission.
     pub resident_high_water: usize,
     /// Quarantined pairs, sorted by input index — empty unless
     /// [`run_streamed_engine`] ran under [`FailurePolicy::Quarantine`].
@@ -173,15 +173,17 @@ pub enum StreamError<E> {
     /// A pair failed with a non-kernel cause (worker panic or deadline
     /// timeout) under [`FailurePolicy::Abort`].
     Fault(PairFault),
-    /// The producer could not feed the bounded channel within
-    /// [`ResilienceConfig::send_deadline`] — the consumer side is wedged.
-    /// The pipeline shut down cleanly instead of deadlocking.
+    /// The dealer waited longer than [`ResilienceConfig::send_deadline`]
+    /// for an admission slot — the consumer side (workers and sink) made no
+    /// room for that long, so it is wedged. The pipeline shut down cleanly
+    /// instead of deadlocking.
     Stalled {
-        /// How long the producer waited before giving up.
+        /// How long the dealer waited before giving up.
         waited: Duration,
     },
-    /// A pipeline thread panicked outside per-pair isolation (only
-    /// possible with resilience disabled); carries the join payload.
+    /// A panic escaped per-pair isolation — an engine panic on the
+    /// uninstrumented path (resilience disabled), or a panic in the source
+    /// or the sink; carries the panic message the scope reports.
     WorkerPanic(String),
 }
 
@@ -192,10 +194,7 @@ impl<E: fmt::Display> fmt::Display for StreamError<E> {
             StreamError::Systolic(e) => write!(f, "alignment failed: {e}"),
             StreamError::Fault(fault) => write!(f, "stream aborted: {fault}"),
             StreamError::Stalled { waited } => {
-                write!(
-                    f,
-                    "stream producer stalled for {waited:?} (consumer wedged)"
-                )
+                write!(f, "stream dealer stalled for {waited:?} (consumer wedged)")
             }
             StreamError::WorkerPanic(msg) => write!(f, "stream worker panicked: {msg}"),
         }
@@ -348,14 +347,28 @@ impl<S, F: FnMut(usize, S)> Emit<S, F> {
     }
 }
 
+/// Raises the run's abort when its thread unwinds: a panic that escapes
+/// per-pair isolation then wakes every parked peer, so the scope joins and
+/// the door returns [`StreamError::WorkerPanic`] instead of hanging.
+struct AbortOnUnwind<A: Fn()>(A);
+
+impl<A: Fn()> Drop for AbortOnUnwind<A> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            (self.0)();
+        }
+    }
+}
+
 /// Aligns pairs pulled incrementally from `source` across the device's `NK`
 /// channels, emitting outputs **in input order** through `sink` as they
 /// complete. Outputs are bit-identical to [`crate::run_batched`] on the same
-/// pairs; peak resident pairs are bounded by `config.buffer + config.window`
-/// (see the module docs and [`StreamReport`]'s high-water marks). Precision
+/// pairs; peak resident pairs are bounded by `config.window + 1` (see the
+/// module docs and [`StreamReport`]'s high-water marks). Precision
 /// is exact, the fleet is one device and resilience is disabled;
 /// [`run_streamed_engine`] is the full door.
 ///
+/// The source is pulled on the calling thread, so it need not be `Send`.
 /// The sink receives `(input index, output)` with indices strictly
 /// increasing from 0; it is invoked from worker threads under a lock, so it
 /// should hand off rather than do heavy work. To collect, push into a
@@ -366,11 +379,12 @@ impl<S, F: FnMut(usize, S)> Emit<S, F> {
 /// [`StreamError::Source`] if the source iterator yields an error (outputs
 /// emitted before that point have already reached the sink),
 /// [`StreamError::Systolic`] for the first device-model failure, or
-/// [`StreamError::WorkerPanic`] if a pipeline thread panicked.
+/// [`StreamError::WorkerPanic`] if a worker, the source or the sink
+/// panicked.
 ///
 /// # Panics
 ///
-/// Panics if `config.buffer` or `config.window` is zero.
+/// Panics if `config.window` is zero.
 pub fn run_streamed<K, I, E, F>(
     device: &Device,
     params: &K::Params,
@@ -383,8 +397,8 @@ where
     K::Score: Send,
     K::Params: Sync,
     K::Sym: Send,
-    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>> + Send,
-    E: Send + fmt::Display,
+    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>>,
+    E: fmt::Display,
     F: FnMut(usize, DpOutput<K::Score>) + Send,
 {
     let engine = ExactEngine::<K>::new(params.clone());
@@ -418,7 +432,7 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `config.buffer` or `config.window` is zero.
+/// Panics if `config.window` is zero.
 #[allow(clippy::too_many_arguments)]
 pub fn run_streamed_adaptive<K, I, E, F>(
     device: &Device,
@@ -434,8 +448,8 @@ where
     K: AdaptiveKernel,
     K::Params: Sync,
     K::Sym: Send,
-    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>> + Send,
-    E: Send + fmt::Display,
+    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>>,
+    E: fmt::Display,
     F: FnMut(usize, Result<DpOutput<i16>, PairFault>) + Send,
 {
     let engine = PrecisionEngine::<K>::new(params.clone(), precision);
@@ -467,8 +481,8 @@ where
 /// deadline timeouts, and — under [`FailurePolicy::Quarantine`] — source
 /// errors for individual records) are retried with exponential backoff up
 /// to [`ResilienceConfig::max_retries`] times before quarantine; with
-/// [`ResilienceConfig::send_deadline`] set, a producer unable to feed the
-/// bounded channel degrades to [`StreamError::Stalled`] instead of
+/// [`ResilienceConfig::send_deadline`] set, a dealer kept waiting that long
+/// for an admission slot degrades to [`StreamError::Stalled`] instead of
 /// deadlocking behind a wedged consumer.
 ///
 /// The degradation contract (enforced by `tests/chaos.rs`): surviving
@@ -486,12 +500,13 @@ where
 /// [`FailurePolicy::Abort`] (under `Quarantine` the record is faulted and
 /// the stream continues); [`StreamError::Systolic`] /
 /// [`StreamError::Fault`] for the first pair failure under `Abort`;
-/// [`StreamError::Stalled`] when the producer's send deadline expires;
+/// [`StreamError::Stalled`] when the dealer's admission wait outlasts the
+/// send deadline;
 /// [`StreamError::WorkerPanic`] if a panic escapes per-pair isolation.
 ///
 /// # Panics
 ///
-/// Panics if `config.buffer` or `config.window` is zero.
+/// Panics if `config.window` is zero.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 pub fn run_streamed_engine<K, En, I, E, F>(
     device: &Device,
@@ -508,11 +523,10 @@ where
     En: PairEngine<K>,
     K::Score: Send,
     K::Sym: Send,
-    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>> + Send,
-    E: Send + fmt::Display,
+    I: Iterator<Item = Result<dphls_core::SeqPair<K>, E>>,
+    E: fmt::Display,
     F: FnMut(usize, Result<DpOutput<K::Score>, PairFault>) + Send,
 {
-    assert!(config.buffer > 0, "stream buffer depth must be >= 1");
     assert!(config.window > 0, "stream window must be >= 1");
     let kernel_config = device.config();
     let slots = BatchConfig::slots(config.nb_slots).resolve_slots(kernel_config);
@@ -534,142 +548,116 @@ where
     // bridges through its condvar's mutex: a peer holds that mutex between
     // checking `abort` and parking, so acquiring it first guarantees the
     // notify lands after the peer is actually waiting (no lost wakeup).
+    // The emit lock is taken poison-tolerantly everywhere: a sink that
+    // panicked left `next_emit` short of its index, so the writer never
+    // calls the sink again, and the run ends as a `WorkerPanic`.
     let abort_all = || {
         run.abort.store(true, Ordering::Relaxed);
         pool.wake_all();
-        drop(emit.lock().expect("emit mutex"));
+        drop(emit.lock().unwrap_or_else(PoisonError::into_inner));
         space_cv.notify_all();
     };
-    let source_error: Mutex<Option<E>> = Mutex::new(None);
-    let stalled: Mutex<Option<Duration>> = Mutex::new(None);
     let faults: Mutex<Vec<PairFault>> = Mutex::new(Vec::new());
 
-    let (tx, rx) =
-        crossbeam::channel::bounded::<Result<(Vec<K::Sym>, Vec<K::Sym>), E>>(config.buffer);
-
-    crossbeam::scope(|scope| {
-        // Stage 1: producer — drains the source into the bounded channel.
-        // A send error means the dealer hung up (abort path); under the
-        // Abort policy a source error ends production, under Quarantine the
-        // dealer faults the record and production continues. With a send
-        // deadline configured, a consumer that stops draining degrades the
-        // run to `Stalled` instead of blocking this thread forever.
-        {
-            let (stalled, abort_all) = (&stalled, &abort_all);
-            let send_deadline = res.send_deadline;
-            scope.spawn(move |_| {
-                for item in source {
-                    let stop = item.is_err() && !quarantine;
-                    match send_deadline {
-                        None => {
-                            if tx.send(item).is_err() || stop {
-                                break;
-                            }
+    let halted = panic::catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|scope| {
+            // Block-slot workers (`nb_slots` threads per NK channel per
+            // fleet device), each one worker of the shared pool.
+            for worker in 0..pool.workers() {
+                let (pool, emit, space_cv) = (&pool, &emit, &space_cv);
+                let (run, abort_all, faults) = (&run, &abort_all, &faults);
+                scope.spawn(move || {
+                    let _unwind = AbortOnUnwind(abort_all);
+                    pool.work::<K, En>(engine, worker, |idx, slot| {
+                        if let Err(fault) = &slot {
+                            faults.lock().expect("faults mutex").push(fault.clone());
                         }
-                        Some(deadline) => {
-                            let started = Instant::now();
-                            match tx.send_timeout(item, deadline) {
-                                Ok(()) => {
-                                    if stop {
-                                        break;
-                                    }
-                                }
-                                Err(SendTimeoutError::Disconnected(_)) => break,
-                                Err(SendTimeoutError::Timeout(_)) => {
-                                    *stalled.lock().expect("stalled mutex") =
-                                        Some(started.elapsed());
-                                    abort_all();
-                                    break;
-                                }
-                            }
-                        }
+                        // A quarantine hole goes through the writer like an
+                        // output, so order restoration (and the admission
+                        // window) survive it.
+                        let mut em = emit.lock().unwrap_or_else(PoisonError::into_inner);
+                        em.push(idx, slot, space_cv);
+                    });
+                    // A pair that aborted the run must also wake the dealer.
+                    if run.aborted() {
+                        abort_all();
                     }
-                }
-            });
-        }
-
-        // Stage 2b: block-slot workers (`nb_slots` threads per NK channel
-        // per fleet device), each one worker of the shared pool.
-        for worker in 0..pool.workers() {
-            let (pool, emit, space_cv) = (&pool, &emit, &space_cv);
-            let (run, abort_all, faults) = (&run, &abort_all, &faults);
-            scope.spawn(move |_| {
-                pool.work::<K, En>(engine, worker, |idx, slot| {
-                    if let Err(fault) = &slot {
-                        faults.lock().expect("faults mutex").push(fault.clone());
-                    }
-                    // A quarantine hole goes through the writer like an
-                    // output, so order restoration (and the admission
-                    // window) survive it.
-                    emit.lock().expect("emit mutex").push(idx, slot, space_cv);
                 });
-                // A pair that aborted the run must also wake the dealer.
-                if run.aborted() {
-                    abort_all();
-                }
-            });
-        }
-
-        // Stage 2a: dealer (this thread) — receives parsed pairs, waits for
-        // an admission slot, cost-ranks, and deals round-robin.
-        'deal: for (next_idx, item) in rx.iter().enumerate() {
-            let item = match item {
-                Err(e) if !quarantine => {
-                    *source_error.lock().expect("error mutex") = Some(e);
-                    run.abort.store(true, Ordering::Relaxed);
-                    break 'deal;
-                }
-                item => item,
-            };
-            // Admission gate: every record occupies a writer slot, computed
-            // or not.
-            let mut em = emit.lock().expect("emit mutex");
-            loop {
-                if run.aborted() {
-                    break 'deal;
-                }
-                if next_idx < em.writer.next_emit() + config.window {
-                    break;
-                }
-                em = space_cv.wait(em).expect("emit mutex");
             }
-            em.admitted += 1;
-            let resident = em.admitted - em.writer.next_emit();
-            em.resident_high_water = em.resident_high_water.max(resident);
-            let pair = match item {
-                Ok(pair) => pair,
-                Err(e) => {
-                    // Lenient-stream degradation: the record becomes a
-                    // quarantined slot, emitted through the writer
-                    // immediately — there is nothing to compute.
-                    let fault = PairFault {
-                        idx: next_idx,
-                        cause: FaultCause::Source(e.to_string()),
-                        attempts: 0,
+            // The dealer (this thread): pulls the next record, waits for an
+            // admission slot, cost-ranks, and deals round-robin. A panic in
+            // the source or the sink unwinds through here.
+            let _unwind = AbortOnUnwind(&abort_all);
+            let mut halted = None;
+            'deal: for (next_idx, item) in source.enumerate() {
+                let item = match item {
+                    Err(e) if !quarantine => {
+                        halted = Some(StreamError::Source(e));
+                        run.abort.store(true, Ordering::Relaxed);
+                        break 'deal;
+                    }
+                    item => item,
+                };
+                // Admission gate: every record occupies a writer slot,
+                // computed or not. The clock is read only once a wait for
+                // room begins.
+                let mut em = emit.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut waiting: Option<Instant> = None;
+                loop {
+                    if run.aborted() {
+                        break 'deal;
+                    }
+                    if next_idx < em.writer.next_emit() + config.window {
+                        break;
+                    }
+                    em = match res.send_deadline {
+                        None => space_cv.wait(em).unwrap_or_else(PoisonError::into_inner),
+                        Some(deadline) => {
+                            let waited = waiting.get_or_insert_with(Instant::now).elapsed();
+                            if waited >= deadline {
+                                drop(em);
+                                halted = Some(StreamError::Stalled { waited });
+                                abort_all();
+                                break 'deal;
+                            }
+                            let timed = space_cv.wait_timeout(em, deadline - waited);
+                            timed.unwrap_or_else(PoisonError::into_inner).0
+                        }
                     };
-                    faults.lock().expect("faults mutex").push(fault.clone());
-                    em.push(next_idx, Err(fault), &space_cv);
-                    continue 'deal;
                 }
-            };
-            drop(em);
-            // Deal round-robin across the fleet's live devices; a lost
-            // device's deques receive nothing further.
-            let cost = cost_estimate(pair.0.len(), pair.1.len(), kernel_config.banding);
-            pool.deal(next_idx, Job::new(next_idx, cost, pair));
-        }
-        // Hang up on the producer (unblocks a full-channel send on abort)
-        // and close the pool: idle workers exit on drain from here on.
-        drop(rx);
-        pool.close();
-    })
+                em.admitted += 1;
+                let resident = em.admitted - em.writer.next_emit();
+                em.resident_high_water = em.resident_high_water.max(resident);
+                let pair = match item {
+                    Ok(pair) => pair,
+                    Err(e) => {
+                        // Lenient-stream degradation: the record becomes a
+                        // quarantined slot, emitted through the writer
+                        // immediately — there is nothing to compute.
+                        let fault = PairFault {
+                            idx: next_idx,
+                            cause: FaultCause::Source(e.to_string()),
+                            attempts: 0,
+                        };
+                        faults.lock().expect("faults mutex").push(fault.clone());
+                        em.push(next_idx, Err(fault), &space_cv);
+                        continue 'deal;
+                    }
+                };
+                drop(em);
+                // Deal round-robin across the fleet's live devices; a lost
+                // device's deques receive nothing further.
+                let cost = cost_estimate(pair.0.len(), pair.1.len(), kernel_config.banding);
+                pool.deal(next_idx, Job::new(next_idx, cost, pair));
+            }
+            // Close the pool: idle workers exit on drain from here on.
+            pool.close();
+            halted
+        })
+    }))
     .map_err(|payload| StreamError::WorkerPanic(panic_message(payload)))?;
-
-    if let Some(e) = source_error.into_inner().expect("error mutex") {
-        return Err(StreamError::Source(e));
-    }
-    if let Some(waited) = stalled.into_inner().expect("stalled mutex") {
-        return Err(StreamError::Stalled { waited });
+    if let Some(err) = halted {
+        return Err(err);
     }
     let (tally, aborted) = pool.finish();
     if let Some(fault) = aborted {
@@ -784,8 +772,8 @@ mod tests {
         fleet: FleetConfig,
     ) -> Result<(Vec<DpOutput<i16>>, StreamReport), StreamError<E>>
     where
-        I: Iterator<Item = Result<dphls_core::SeqPair<GlobalLinear>, E>> + Send,
-        E: Send + fmt::Display,
+        I: Iterator<Item = Result<dphls_core::SeqPair<GlobalLinear>, E>>,
+        E: fmt::Display,
     {
         let engine = ExactEngine::<GlobalLinear>::new(LinearParams::<i16>::dna());
         let mut outputs = Vec::new();

@@ -9,26 +9,29 @@
 //!   once across the report's `faults`, `retries`, and `timeouts`
 //!   counters; nothing is double-counted and nothing disappears.
 //! * **Bounded degradation** — a wedged consumer turns into
-//!   [`StreamError::Stalled`] within the producer's send deadline instead
-//!   of a deadlock.
+//!   [`StreamError::Stalled`] within the dealer's send deadline instead
+//!   of a deadlock, and a panic that escapes per-pair isolation turns into
+//!   `WorkerPanic` instead of a hang.
 //!
 //! Every fault kind is exercised on both engines at `NK` 1 and 3, plus
 //! seeded random plans over a fixed seed matrix (the same seeds CI runs at
 //! release scale).
 
 use std::convert::Infallible;
-use std::sync::{Mutex, Once};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use dphls_core::{DpOutput, KernelConfig};
 use dphls_host::{
     injected_kernel_error, injected_panic_message, run_batched, run_batched_engine,
     run_streamed_engine, BatchConfig, BatchError, ExactEngine, FailurePolicy, FaultCause,
-    FaultKind, FaultPlan, FleetConfig, PairFault, ResilienceConfig, StreamConfig, StreamError,
+    FaultKind, FaultPlan, FleetConfig, PairEngine, PairFault, ResilienceConfig, StreamConfig,
+    StreamError,
 };
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_seq::Base;
-use dphls_systolic::{CycleModelParams, Device, KernelCycleInfo};
+use dphls_systolic::{CycleModelParams, Device, KernelCycleInfo, SystolicError, SystolicRun};
 
 /// Injected panics are part of the plan; keep their payloads out of test
 /// output while leaving every other panic loud.
@@ -407,7 +410,7 @@ fn streamed_abort_policy_maps_faults_onto_stream_errors() {
 fn wedged_consumer_degrades_to_stalled_within_the_send_deadline() {
     let wl = workload(6);
     // Pair 0 wedges its worker for 60 s; with one slot, one buffered item,
-    // and a window of one, the producer cannot make progress and must give
+    // and a window of one, the dealer cannot make progress and must give
     // up after its 200 ms send deadline instead of deadlocking.
     let plan = FaultPlan::new().inject_sticky(0, FaultKind::Stall { millis: 60_000 });
     let res = ResilienceConfig {
@@ -448,6 +451,128 @@ fn wedged_consumer_degrades_to_stalled_within_the_send_deadline() {
     assert!(
         elapsed < Duration::from_secs(20),
         "run took {elapsed:?}; the stalled slot outlived the abort"
+    );
+}
+
+/// The exact engine, except that its `nth` pair (counted across every
+/// worker) panics — outside any isolation, since an uninstrumented run
+/// installs none.
+struct PanicsOnPair {
+    nth: usize,
+    seen: AtomicUsize,
+}
+
+impl PanicsOnPair {
+    fn new(nth: usize) -> Self {
+        PanicsOnPair {
+            nth,
+            seen: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl PairEngine<GlobalLinear> for PanicsOnPair {
+    type Scratch = <ExactEngine<GlobalLinear> as PairEngine<GlobalLinear>>::Scratch;
+
+    fn new_scratch(&self) -> Self::Scratch {
+        exact().new_scratch()
+    }
+
+    fn run_pair(
+        &self,
+        q: &[Base],
+        r: &[Base],
+        config: &KernelConfig,
+        scratch: &mut Self::Scratch,
+    ) -> Result<SystolicRun<i16>, SystolicError> {
+        if self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.nth {
+            panic!("injected panic on pair {}", self.nth);
+        }
+        exact().run_pair(q, r, config, scratch)
+    }
+}
+
+/// A window narrower than the probes' 24 pairs: once a panic leaves a hole
+/// in the emission order, the dealer must wait for room that never comes.
+const PANIC_PROBE_STREAM: StreamConfig = StreamConfig {
+    buffer: 4,
+    window: 8,
+    nb_slots: 0,
+};
+
+/// Runs `door` on its own thread and waits at most 20 s for its verdict,
+/// so a door that hangs fails the test instead of wedging the suite.
+fn within_watchdog<T: Send + 'static>(door: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(door()));
+    rx.recv_timeout(Duration::from_secs(20))
+        .expect("the door hung (or died) instead of returning its verdict")
+}
+
+#[test]
+fn an_engine_panic_on_the_uninstrumented_stream_is_a_worker_panic_not_a_hang() {
+    silence_injected_panics();
+    let wl = workload(24);
+    let verdict = within_watchdog(move || {
+        run_streamed_engine::<GlobalLinear, _, _, Infallible, _>(
+            &device(2),
+            &PanicsOnPair::new(6),
+            wl.into_iter().map(Ok),
+            PANIC_PROBE_STREAM,
+            FleetConfig::single(),
+            &ResilienceConfig::disabled(),
+            None,
+            |_, _| {},
+        )
+        .map(|report| report.pairs)
+    });
+    assert!(
+        matches!(verdict, Err(StreamError::WorkerPanic(_))),
+        "got {verdict:?}"
+    );
+}
+
+#[test]
+fn a_sink_panic_on_the_stream_is_a_worker_panic_not_a_hang() {
+    silence_injected_panics();
+    let wl = workload(24);
+    let verdict = within_watchdog(move || {
+        run_streamed_engine::<GlobalLinear, _, _, Infallible, _>(
+            &device(2),
+            &exact(),
+            wl.into_iter().map(Ok),
+            PANIC_PROBE_STREAM,
+            FleetConfig::single(),
+            &ResilienceConfig::disabled(),
+            None,
+            |idx, _| assert_ne!(idx, 3, "injected panic in the sink"),
+        )
+        .map(|report| report.pairs)
+    });
+    assert!(
+        matches!(verdict, Err(StreamError::WorkerPanic(_))),
+        "got {verdict:?}"
+    );
+}
+
+#[test]
+fn an_engine_panic_on_the_uninstrumented_batch_is_a_worker_panic() {
+    silence_injected_panics();
+    let wl = workload(24);
+    let verdict = within_watchdog(move || {
+        run_batched_engine::<GlobalLinear, _>(
+            &device(2),
+            &PanicsOnPair::new(6),
+            &wl,
+            BatchConfig::default(),
+            &ResilienceConfig::disabled(),
+            None,
+        )
+        .map(|report| report.outputs.len())
+    });
+    assert!(
+        matches!(verdict, Err(BatchError::WorkerPanic(_))),
+        "got {verdict:?}"
     );
 }
 

@@ -33,8 +33,8 @@ where
     K: LaneKernel,
     K::Score: Send,
     K::Sym: Send,
-    I: Iterator<Item = Result<SeqPair<K>, E>> + Send,
-    E: Send + std::fmt::Display,
+    I: Iterator<Item = Result<SeqPair<K>, E>>,
+    E: std::fmt::Display,
 {
     let engine = ExactEngine::<K>::new(params.clone());
     let mut outputs = Vec::new();

@@ -13,14 +13,18 @@ use common::{
 };
 use dphls_core::{I8Lanes, KernelConfig, LanePrecision};
 use dphls_host::{
-    run_batched, run_batched_adaptive, run_streamed_adaptive, BatchConfig, FailurePolicy,
-    FleetConfig, ResilienceConfig, StreamConfig,
+    run_batched, run_batched_adaptive, run_streamed, run_streamed_adaptive, BatchConfig,
+    ExactEngine, FailurePolicy, FleetConfig, ResilienceConfig, StreamConfig, StreamSession,
 };
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
 use dphls_systolic::{CycleModelParams, Device, KernelCycleInfo};
 use std::convert::Infallible;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn device(config: KernelConfig) -> Device {
     Device::new(
@@ -58,29 +62,45 @@ fn assert_streamed_matches_batched(
     config: KernelConfig,
     stream_cfg: StreamConfig,
 ) {
+    assert_source_streams_like_batched(wl, wl.iter().cloned().map(Ok), config, stream_cfg);
+}
+
+/// [`assert_streamed_matches_batched`] with `source` yielding `wl`.
+fn assert_source_streams_like_batched(
+    wl: &[(Vec<Base>, Vec<Base>)],
+    source: impl Iterator<Item = Result<(Vec<Base>, Vec<Base>), Infallible>>,
+    config: KernelConfig,
+    stream_cfg: StreamConfig,
+) {
     let params = LinearParams::<i16>::dna();
     let dev = device(config);
     let batched = run_batched::<GlobalLinear>(&dev, &params, wl, BatchConfig::default()).unwrap();
-    let (streamed, stream) = collect_streamed::<GlobalLinear, _, Infallible>(
-        &dev,
-        &params,
-        wl.iter().cloned().map(Ok),
-        stream_cfg,
-        FleetConfig::single(),
-    )
+    // Counts the records the source yields against the outputs the sink
+    // has emitted, at every yield: the stream may hold at most the window
+    // plus the one pair in the dealer's hand.
+    let emitted = AtomicUsize::new(0);
+    let (mut yielded, mut most_held) = (0usize, 0usize);
+    let counted = source.inspect(|_| {
+        yielded += 1;
+        most_held = most_held.max(yielded - emitted.load(Ordering::SeqCst));
+    });
+    let mut outputs = Vec::new();
+    let stream = run_streamed::<GlobalLinear, _, _, _>(&dev, &params, counted, stream_cfg, {
+        |_, out| {
+            outputs.push(out);
+            emitted.fetch_add(1, Ordering::SeqCst);
+        }
+    })
     .unwrap();
 
     // Identical outputs in identical (input) order, bit for bit.
-    assert_eq!(
-        streamed.outputs, batched.outputs,
-        "outputs differ at {stream_cfg:?}"
-    );
+    assert_eq!(outputs, batched.outputs, "outputs differ at {stream_cfg:?}");
     // Identical per-channel accounting shape and totals: stealing makes the
     // exact split nondeterministic in both engines, but each must account
     // for every alignment exactly once across the same channel count.
-    assert_eq!(streamed.per_channel.len(), batched.per_channel.len());
+    assert_eq!(stream.per_channel.len(), batched.per_channel.len());
     assert_eq!(
-        streamed.per_channel.iter().sum::<usize>(),
+        stream.per_channel.iter().sum::<usize>(),
         wl.len(),
         "streamed per-channel totals at {stream_cfg:?}"
     );
@@ -89,12 +109,17 @@ fn assert_streamed_matches_batched(
     // Identical single-pass modeled throughput: bit-identical runs produce
     // identical BlockStats, so the derived figure must agree exactly.
     assert!(
-        (streamed.throughput_aps - batched.throughput_aps).abs() < 1e-6,
+        (stream.throughput_aps - batched.throughput_aps).abs() < 1e-6,
         "throughput {} vs {} at {stream_cfg:?}",
-        streamed.throughput_aps,
+        stream.throughput_aps,
         batched.throughput_aps
     );
     // Bounded-memory evidence.
+    assert!(
+        most_held <= stream_cfg.window + 1,
+        "{most_held} pairs held between source and sink > window {} + 1",
+        stream_cfg.window
+    );
     assert!(
         stream.resident_high_water <= stream_cfg.window,
         "resident {} > window {}",
@@ -130,6 +155,80 @@ fn random_workloads_nk_1_to_4_buffer_depths() {
             }
         }
     }
+}
+
+/// The source runs on the calling thread, so it need not be `Send`: an
+/// `Rc`-backed iterator streams exactly like any other.
+#[test]
+fn a_non_send_source_streams_like_batched() {
+    let wl = varied_workload(29, 72, 0x5EED);
+    let shared = Rc::new(wl.clone());
+    let source = (0..wl.len()).map(move |i| Ok(shared[i].clone()));
+    let config = KernelConfig::new(8, 1, 3).with_max_lengths(96, 96);
+    let stream_cfg = StreamConfig {
+        buffer: 2,
+        window: 3,
+        nb_slots: 0,
+    };
+    assert_source_streams_like_batched(&wl, source, config, stream_cfg);
+}
+
+/// A session whose sink is gated shut lets at most `buffer + window + 1`
+/// submissions return: the submission channel, the admission window and
+/// the pair in the dealer's hand. The count is an upper bound, so however
+/// long the submitter runs before the gate opens, it cannot exceed it.
+#[test]
+fn a_stalled_session_admits_at_most_buffer_plus_window_plus_one() {
+    let (buffer, window) = (4usize, 2usize);
+    let wl = varied_workload(2 * buffer + window + 6, 64, 0x6A7E);
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let sink_gate = Arc::clone(&gate);
+    let emitted = Arc::new(AtomicUsize::new(0));
+    let sink_emitted = Arc::clone(&emitted);
+    let session = Arc::new(StreamSession::<GlobalLinear>::spawn_engine(
+        device(KernelConfig::new(8, 1, 2).with_max_lengths(96, 96)),
+        ExactEngine::new(LinearParams::<i16>::dna()),
+        StreamConfig {
+            buffer,
+            window,
+            nb_slots: 0,
+        },
+        FleetConfig::single(),
+        ResilienceConfig::disabled(),
+        move |_, _| {
+            let (open, cv) = &*sink_gate;
+            let _open = cv.wait_while(open.lock().unwrap(), |open| !*open);
+            sink_emitted.fetch_add(1, Ordering::SeqCst);
+        },
+    ));
+    let returned = Arc::new(AtomicUsize::new(0));
+    let submitter = {
+        let (session, returned, wl) = (Arc::clone(&session), Arc::clone(&returned), wl.clone());
+        std::thread::spawn(move || {
+            for (q, r) in wl {
+                session.submit(q, r).unwrap();
+                returned.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    // Let the submitter run until it blocks: no return for 200 ms.
+    let mut seen = usize::MAX;
+    while returned.load(Ordering::SeqCst) != seen {
+        seen = returned.load(Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(200));
+    }
+    assert!(
+        seen <= buffer + window + 1,
+        "{seen} submissions returned behind a shut sink, budget {}",
+        buffer + window + 1
+    );
+    assert_eq!(emitted.load(Ordering::SeqCst), 0);
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    submitter.join().unwrap();
+    let report = session.shutdown().unwrap().unwrap();
+    assert_eq!(report.pairs, wl.len());
+    assert_eq!(emitted.load(Ordering::SeqCst), wl.len());
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! The mapping driver: seed → chain → X-drop extend, streamed over bounded
 //! queues with in-order emission and per-read quarantine.
 //!
-//! The pipeline mirrors `dphls_host::run_streamed`'s shape — a producer
-//! feeding a bounded channel, a worker pool, and an
-//! [`OrderedWriter`] restoring input order — but
+//! The pipeline follows `dphls_host::run_streamed`'s shape — a bounded
+//! admission gate, a worker pool, and an [`OrderedWriter`] restoring input
+//! order — but its producer is a thread feeding a bounded channel, and
 //! the work items are whole reads with *dynamic* cost (seed-hit counts and
 //! extension lengths vary per read), which is exactly why the stages
 //! communicate through queues instead of a static loop nest. A read that

@@ -63,8 +63,9 @@ pub struct ServerConfig {
     /// (`SequenceTooLong`), surfacing as [`ErrorCode::Quarantined`]
     /// frames.
     pub max_len: usize,
-    /// Streaming engine knobs (`buffer` = producer channel depth,
-    /// `window` = admission window; both are the backpressure budget).
+    /// Streaming engine knobs (`buffer` = session submission channel
+    /// depth, `window` = admission window; with the pair in the dealer's
+    /// hand, `buffer + window + 1` is the backpressure budget).
     pub stream: StreamConfig,
     /// Fleet shape every kernel session runs on: how many modeled devices
     /// the engine shards across and the host↔device transfer cost. The
@@ -622,8 +623,8 @@ impl<W: Write> FrameOut<'_, W> {
 /// answer waits in the buffer while the writer sleeps.
 fn connection_writer<W: Write>(shared: &Shared, stream: W, rx: &mpsc::Receiver<WriterMsg>) {
     // The reorder depth is bounded by the connection's in-flight requests:
-    // at most `buffer + window` resident per kernel session, plus the slot
-    // being synthesized by the reader.
+    // at most `buffer + window + 1` resident per kernel session, plus the
+    // slot being synthesized by the reader.
     let stream_cfg = shared.config.stream;
     let window = DISPATCHABLE_KERNELS.len() * (stream_cfg.buffer + stream_cfg.window + 1) + 1;
     let out = RefCell::new(FrameOut {

@@ -69,8 +69,8 @@ fn main() {
     });
 
     // A 32-PE banded device with 4 channels; the pipeline holds at most
-    // `buffer` parsed pairs plus `window` in-flight pairs, independent of
-    // how long the FASTA file is.
+    // `window` in-flight pairs plus the one its dealer just parsed,
+    // independent of how long the FASTA file is.
     let device = Device::new(
         KernelConfig::new(32, 1, 4)
             .with_max_lengths(128, 128)
@@ -85,9 +85,8 @@ fn main() {
     );
     let params = LinearParams::<i16>::dna();
     let config = StreamConfig {
-        buffer: 8,
         window: 16,
-        nb_slots: 0,
+        ..StreamConfig::default()
     };
 
     println!("streamed alignments (emitted in input order as they complete):");
@@ -107,7 +106,7 @@ fn main() {
         report.throughput_aps
     );
     println!(
-        "bounded memory: reorder high water {} (< window {}), resident high water {} (<= window), buffer {}",
-        report.reorder_high_water, config.window, report.resident_high_water, config.buffer
+        "bounded memory: reorder high water {} (< window {}), resident high water {} (<= window)",
+        report.reorder_high_water, config.window, report.resident_high_water
     );
 }

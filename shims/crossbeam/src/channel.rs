@@ -1,8 +1,7 @@
 //! Bounded MPMC channel, API-compatible with the `crossbeam::channel`
 //! subset this repository uses: [`bounded`], blocking [`Sender::send`] /
-//! [`Receiver::recv`], their deadline-aware [`Sender::send_timeout`] /
-//! [`Receiver::recv_timeout`] variants, clonable endpoints, and
-//! disconnection when every endpoint on the other side is dropped. Backed
+//! [`Receiver::recv`], clonable endpoints, and disconnection when every
+//! endpoint on the other side is dropped. Backed
 //! by a `Mutex<VecDeque>` and two condvars — correct and fair enough for
 //! pipeline backpressure, if not as fast as crossbeam's lock-free ring.
 //!
@@ -20,7 +19,6 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Error returned by [`Sender::send`] when every receiver has been dropped;
 /// carries the unsent value, like crossbeam's.
@@ -47,49 +45,6 @@ impl fmt::Display for RecvError {
 }
 
 impl std::error::Error for RecvError {}
-
-/// Error returned by [`Sender::send_timeout`]; carries the unsent value in
-/// both cases, like crossbeam's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SendTimeoutError<T> {
-    /// The deadline elapsed while the buffer stayed full.
-    Timeout(T),
-    /// Every receiver has been dropped.
-    Disconnected(T),
-}
-
-impl<T> fmt::Display for SendTimeoutError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SendTimeoutError::Timeout(_) => write!(f, "timed out waiting on send operation"),
-            SendTimeoutError::Disconnected(_) => write!(f, "sending on a disconnected channel"),
-        }
-    }
-}
-
-impl<T: fmt::Debug> std::error::Error for SendTimeoutError<T> {}
-
-/// Error returned by [`Receiver::recv_timeout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The deadline elapsed while the buffer stayed empty.
-    Timeout,
-    /// The buffer is empty and every sender has been dropped.
-    Disconnected,
-}
-
-impl fmt::Display for RecvTimeoutError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecvTimeoutError::Timeout => write!(f, "timed out waiting on receive operation"),
-            RecvTimeoutError::Disconnected => {
-                write!(f, "receiving on an empty and disconnected channel")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RecvTimeoutError {}
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -175,47 +130,6 @@ impl<T> Sender<T> {
             state.waiting_senders -= 1;
         }
     }
-
-    /// Like [`Sender::send`], but gives up once `timeout` has elapsed while
-    /// the buffer stays full, returning the value in
-    /// [`SendTimeoutError::Timeout`] instead of blocking forever behind a
-    /// wedged consumer.
-    ///
-    /// # Errors
-    ///
-    /// [`SendTimeoutError::Disconnected`] if every receiver is gone,
-    /// [`SendTimeoutError::Timeout`] if the deadline passes first.
-    pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().expect("channel mutex");
-        loop {
-            if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                return Err(SendTimeoutError::Disconnected(value));
-            }
-            if state.queue.len() < self.shared.cap {
-                state.queue.push_back(value);
-                if state.waiting_receivers > 0 {
-                    self.shared.not_empty.notify_one();
-                }
-                return Ok(());
-            }
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return Err(SendTimeoutError::Timeout(value));
-            };
-            state.waiting_senders += 1;
-            let (guard, _timed_out) = self
-                .shared
-                .not_full
-                .wait_timeout(state, remaining)
-                .expect("channel mutex");
-            state = guard;
-            state.waiting_senders -= 1;
-        }
-    }
 }
 
 impl<T> Receiver<T> {
@@ -246,45 +160,6 @@ impl<T> Receiver<T> {
             }
             state.waiting_receivers += 1;
             state = self.shared.not_empty.wait(state).expect("channel mutex");
-            state.waiting_receivers -= 1;
-        }
-    }
-
-    /// Like [`Receiver::recv`], but gives up once `timeout` has elapsed
-    /// while the buffer stays empty.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvTimeoutError::Disconnected`] once the buffer is empty and every
-    /// sender is gone, [`RecvTimeoutError::Timeout`] if the deadline passes
-    /// first.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().expect("channel mutex");
-        loop {
-            if let Some(value) = state.queue.pop_front() {
-                if state.waiting_senders > 0 && state.queue.len() <= self.shared.cap / 2 {
-                    self.shared.not_full.notify_all();
-                }
-                return Ok(value);
-            }
-            if self.shared.senders.load(Ordering::SeqCst) == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return Err(RecvTimeoutError::Timeout);
-            };
-            state.waiting_receivers += 1;
-            let (guard, _timed_out) = self
-                .shared
-                .not_empty
-                .wait_timeout(state, remaining)
-                .expect("channel mutex");
-            state = guard;
             state.waiting_receivers -= 1;
         }
     }
@@ -392,57 +267,6 @@ mod tests {
         let (tx, rx) = bounded(1);
         drop(rx);
         assert_eq!(tx.send(9), Err(SendError(9)));
-    }
-
-    #[test]
-    fn send_timeout_times_out_on_wedged_consumer_and_returns_value() {
-        let (tx, _rx) = bounded(1);
-        tx.send(1u32).unwrap();
-        let start = std::time::Instant::now();
-        assert_eq!(
-            tx.send_timeout(2, Duration::from_millis(30)),
-            Err(SendTimeoutError::Timeout(2))
-        );
-        assert!(start.elapsed() >= Duration::from_millis(30));
-    }
-
-    #[test]
-    fn send_timeout_succeeds_when_room_frees_up() {
-        let (tx, rx) = bounded(1);
-        tx.send(1u32).unwrap();
-        let handle = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(10));
-            let v = rx.recv().unwrap();
-            (v, rx) // keep the receiver alive until the join below
-        });
-        tx.send_timeout(2, Duration::from_secs(5)).unwrap();
-        assert_eq!(handle.join().unwrap().0, 1);
-    }
-
-    #[test]
-    fn send_timeout_reports_disconnection() {
-        let (tx, rx) = bounded(1);
-        drop(rx);
-        assert_eq!(
-            tx.send_timeout(9, Duration::from_millis(10)),
-            Err(SendTimeoutError::Disconnected(9))
-        );
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        let (tx, rx) = bounded(1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(20)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(5u32).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), Ok(5));
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(20)),
-            Err(RecvTimeoutError::Disconnected)
-        );
     }
 
     #[test]

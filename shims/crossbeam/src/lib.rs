@@ -1,85 +1,6 @@
-//! Offline stand-in for `crossbeam`: scoped threads backed by
-//! `std::thread::scope`, plus the bounded MPMC channel subset of
-//! `crossbeam::channel`. Supports the `crossbeam::scope(|s| s.spawn(|_| ..))`
-//! call shape used in this repository (the argument passed to the spawned
-//! closure is a unit placeholder; every caller ignores it) and
-//! `crossbeam::channel::bounded` with blocking `send`/`recv` and
-//! disconnection when all peers on the other side are dropped.
+//! Offline stand-in for `crossbeam`: the bounded MPMC channel subset of
+//! `crossbeam::channel` — `crossbeam::channel::bounded` with blocking
+//! `send`/`recv` and disconnection when all peers on the other side are
+//! dropped. Scoped threads are `std::thread::scope`.
 
 pub mod channel;
-
-use std::thread;
-
-/// Handle passed to the scope closure; spawns threads that may borrow from
-/// the enclosing stack frame.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread. The closure's argument mirrors crossbeam's
-    /// nested-scope handle; callers in this repository ignore it.
-    pub fn spawn<F, T>(&self, f: F) -> thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(()) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        self.inner.spawn(move || f(()))
-    }
-}
-
-/// Runs `f` with a scope handle; all spawned threads are joined before this
-/// returns. As in real crossbeam, a panic in a spawned (and unjoined) thread
-/// surfaces as `Err(payload)` rather than aborting the host process —
-/// `std::thread::scope` re-raises the child panic after joining everything,
-/// and this wrapper catches it at the scope boundary.
-pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn std::any::Any + Send + 'static>>
-where
-    F: for<'scope, 'a> FnOnce(&'a Scope<'scope, 'env>) -> R,
-{
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        thread::scope(|s| f(&Scope { inner: s }))
-    }))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scoped_threads_borrow_stack() {
-        let counter = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|_| counter.fetch_add(1, Ordering::SeqCst));
-            }
-        })
-        .unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 4);
-    }
-
-    #[test]
-    fn child_panic_surfaces_as_err_not_abort() {
-        // Silence the default panic hook's stderr noise for this expected
-        // panic, restoring it afterwards.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = scope(|s| {
-            s.spawn(|_| panic!("child panic payload"));
-            42
-        });
-        std::panic::set_hook(prev);
-        // std's scope joins everything then re-panics with its own generic
-        // payload, so the Err proves containment; the child's payload itself
-        // is only recoverable by catching at the spawn site.
-        let err = result.expect_err("child panic must surface as Err");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("panicked"), "unexpected payload: {msg:?}");
-    }
-}

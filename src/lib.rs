@@ -246,7 +246,7 @@
 //! The doc-tested core of `examples/streaming_alignment.rs`:
 //! [`host::run_streamed`] aligns pairs pulled incrementally from any
 //! fallible iterator — here straight off a FASTA parse — holding at most
-//! `buffer + window` pairs resident, and emits `(input index, output)` in
+//! `window + 1` pairs resident, and emits `(input index, output)` in
 //! input order as alignments complete:
 //!
 //! ```
