@@ -218,13 +218,15 @@ pub(crate) fn abort_aware_sleep(total: Duration, abort: &std::sync::atomic::Atom
     if total.is_zero() {
         return;
     }
-    let deadline = Instant::now() + total;
+    // A backoff saturated to `Duration::MAX` overflows `Instant`: no
+    // deadline then, and the sleep lasts until the run aborts.
+    let deadline = Instant::now().checked_add(total);
     let step = Duration::from_millis(2);
     loop {
         if abort.load(Ordering::Relaxed) {
             return;
         }
-        let remaining = deadline.saturating_duration_since(Instant::now());
+        let remaining = deadline.map_or(step, |d| d.saturating_duration_since(Instant::now()));
         if remaining.is_zero() {
             return;
         }
@@ -289,6 +291,18 @@ mod tests {
         assert_eq!(c.backoff_for(2), Duration::from_millis(4));
         assert_eq!(c.backoff_for(3), Duration::from_millis(8));
         assert_eq!(ResilienceConfig::disabled().backoff_for(5), Duration::ZERO);
+    }
+
+    #[test]
+    fn unbounded_backoff_sleeps_until_abort_without_overflowing() {
+        // `backoff_for` saturates to `Duration::MAX`, past what `Instant`
+        // can hold: the sleep must still return once the run is aborted.
+        let huge = ResilienceConfig {
+            backoff: Duration::MAX,
+            ..ResilienceConfig::standard()
+        };
+        assert_eq!(huge.backoff_for(3), Duration::MAX);
+        abort_aware_sleep(Duration::MAX, &std::sync::atomic::AtomicBool::new(true));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! direction (2 bits) plus "gap opened here" flags for I and D — exactly why
 //! the paper quotes `ap_uint<4>` for kernel #2 (§4 step 5).
 
+use crate::isa::{self, Isa};
 use crate::params::AffineParams;
 use dphls_core::score::argmax;
 use dphls_core::{
@@ -69,9 +70,12 @@ fn affine_pe<S: Score>(
 /// [`affine_pe`] — same [`Score::max_with`] "rhs wins only if strictly
 /// greater" semantics for the gap-open decisions and the same [`argmax`]
 /// candidate order for the H layer — expressed as branchless compare/select
-/// chains so the autovectorizer can widen the loop at whatever width the
-/// score type allows. Returns the fused saturation-guard flag over all three
-/// output layers (constant `false` for exact score types).
+/// chains so the autovectorizer can widen the loop. It is widened three
+/// times: `isa::affine_planes` holds the baseline build (SSE2 on x86-64: 8
+/// `i16` lanes a vector) and `#[target_feature]` monomorphs at AVX2 (16)
+/// and AVX-512BW (32), and the port runs the widest the CPU has. Returns the
+/// fused saturation-guard flag over all three output layers (constant
+/// `false` for exact score types).
 ///
 /// Every plane is its own slice parameter on purpose: the compiler knows
 /// the seven inputs and four outputs cannot overlap only while each is a
@@ -79,7 +83,8 @@ fn affine_pe<S: Score>(
 /// (or out of a tuple) the same body vectorizes behind ~25 run-time overlap
 /// checks per call and falls back to scalar code below 16 lanes.
 #[allow(clippy::too_many_arguments)]
-fn affine_planes<S: Score, const CLAMP_ZERO: bool>(
+#[inline(always)]
+pub(crate) fn affine_planes<S: Score, const CLAMP_ZERO: bool>(
     p: &AffineParams<S>,
     q: &[Base],
     r: &[Base],
@@ -250,7 +255,8 @@ macro_rules! affine_kernel {
                 let [h_out, i_out, d_out] = out else {
                     panic!("affine kernels score three layers");
                 };
-                affine_planes::<S, $clamp>(
+                isa::affine_planes::<S, $clamp>(
+                    Isa::detected(),
                     params,
                     q,
                     r,

@@ -45,12 +45,14 @@
 // fights the domain idiom here.
 #![allow(clippy::needless_range_loop)]
 // Held by the compiler, not by review. `deny` rather than `forbid`, so the
-// one intrinsics module ROADMAP item 2(i) foresees can opt in where it shows.
+// one module that calls into run-time-detected `#[target_feature]` code
+// (`isa`, ROADMAP item 2(i)) can opt in where it shows.
 #![deny(unsafe_code)]
 
 pub mod affine;
 pub mod dispatch;
 pub mod dtw;
+mod isa;
 #[cfg(test)]
 mod lane_check;
 pub mod linear;

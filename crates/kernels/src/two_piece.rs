@@ -8,6 +8,7 @@
 //! (3-bit source + 4 open flags), matching the "at least 7 bits per pointer"
 //! the paper quotes for BRAM sizing of kernels #5/#13 (§7.1).
 
+use crate::isa::{self, Isa};
 use crate::params::TwoPieceParams;
 use dphls_core::score::argmax;
 use dphls_core::{
@@ -79,9 +80,11 @@ fn pe_impl<S: Score>(
 /// all five output layers (constant `false` for exact score types).
 ///
 /// Every plane is its own slice parameter so the compiler knows none of the
-/// nine inputs and six outputs overlap (see `affine_planes`).
+/// nine inputs and six outputs overlap (see `affine_planes`), and the port
+/// runs it through `isa::two_piece_planes` at the CPU's widest vector width.
 #[allow(clippy::too_many_arguments)]
-fn two_piece_planes<S: Score>(
+#[inline(always)]
+pub(crate) fn two_piece_planes<S: Score>(
     p: &TwoPieceParams<S>,
     q: &[Base],
     r: &[Base],
@@ -263,7 +266,8 @@ macro_rules! two_piece_kernel {
                 let [h_out, i1_out, d1_out, i2_out, d2_out] = out else {
                     panic!("two-piece kernels score five layers");
                 };
-                two_piece_planes(
+                isa::two_piece_planes(
+                    Isa::detected(),
                     params,
                     q,
                     r,

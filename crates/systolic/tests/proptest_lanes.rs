@@ -16,7 +16,10 @@
 //! engine, whether a given pair stays on the fast path or escalates. The
 //! inputs deliberately include pairs on both sides of the guard.
 
-use dphls_core::{AdaptiveKernel, Banding, I8Lanes, KernelConfig, LaneKernel};
+use dphls_core::{
+    run_reference_full, AdaptiveKernel, Banding, I8Lanes, KernelConfig, KernelSpec, LaneKernel,
+    Score, I8_PARAM_LIMIT,
+};
 use dphls_kernels::{
     AffineParams, BandedGlobalLinear, BandedGlobalTwoPiece, BandedLocalAffine, GlobalAffine,
     GlobalLinear, GlobalTwoPiece, LinearParams, LocalAffine, LocalLinear, Overlap, SemiGlobal,
@@ -391,4 +394,121 @@ fn laned_engine_shares_scratch_with_scalar_runs() {
         assert_eq!(scalar.output, want.output, "round {round}");
         assert_eq!(laned.output, want.output, "round {round}");
     }
+}
+
+/// One affine kernel's `i8` and `i16` matrices over `pairs` under
+/// `banding`: where no computed cell of the narrow matrix has its H, I or D
+/// value inside the guard band, the two must agree cell for cell (all three
+/// layers) and pointer for pointer. Returns how many runs were clean.
+fn clean_narrow_affine_equals_wide<Lo, Hi>(
+    lo: &AffineParams<i8>,
+    pairs: &[(Vec<Base>, Vec<Base>)],
+    banding: Banding,
+) -> usize
+where
+    Lo: KernelSpec<Sym = Base, Score = i8, Params = AffineParams<i8>>,
+    Hi: KernelSpec<Sym = Base, Score = i16, Params = AffineParams<i16>>,
+{
+    let hi = AffineParams::<i16> {
+        match_score: lo.match_score.into(),
+        mismatch: lo.mismatch.into(),
+        gap_open: lo.gap_open.into(),
+        gap_extend: lo.gap_extend.into(),
+    };
+    let mut clean = 0;
+    for (q, r) in pairs {
+        let (_, narrow) = run_reference_full::<Lo>(lo, q, r, banding);
+        let (_, wide) = run_reference_full::<Hi>(&hi, q, r, banding);
+        let cells = (1..=q.len())
+            .flat_map(|i| (1..=r.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| banding.contains(i, j));
+        let dirty = |(i, j): (usize, usize)| {
+            narrow
+                .cell(i, j)
+                .as_slice()
+                .iter()
+                .any(|s| s.needs_escalation())
+        };
+        if cells.clone().any(dirty) {
+            continue;
+        }
+        clean += 1;
+        for (i, j) in cells {
+            let widened: Vec<i16> = narrow
+                .cell(i, j)
+                .as_slice()
+                .iter()
+                .map(|&s| s.into())
+                .collect();
+            assert_eq!(
+                (widened.as_slice(), narrow.tb(i, j)),
+                (wide.cell(i, j).as_slice(), wide.tb(i, j)),
+                "cell ({i}, {j}) of {q:?} x {r:?} under {lo:?} {banding:?}"
+            );
+        }
+    }
+    clean
+}
+
+/// ROADMAP 7(c), affine half: the guard argument for `AffineParams<i8>`,
+/// closed by enumeration as `proptest_grouped` closes it for the linear
+/// family. For every 4th value of each of match, mismatch, gap-open and
+/// gap-extend across `±I8_PARAM_LIMIT` (both ends included, signs the
+/// kernels were never meant for too; every 8th in debug builds), on a fixed
+/// adversarial set of small pairs, global and local, unbanded and under the
+/// two narrowest bands: a narrow run with no computed cell's H, I or D in
+/// the guard band equals the `i16` run.
+#[test]
+fn a_clean_narrow_affine_run_is_exact_for_every_admissible_parameter_set() {
+    let dna = |s: &str| -> Vec<Base> { s.parse::<dphls_seq::DnaSeq>().unwrap().into_vec() };
+    // All matches (the upper rail), all mismatches (the lower one), gaps on
+    // either side, a repeat that offers ties, and a lone cell.
+    let pairs: Vec<(Vec<Base>, Vec<Base>)> = [
+        ("AAAAAA", "AAAAAA"),
+        ("AAAAAA", "CCCCC"),
+        ("ACGTAC", "ACTAC"),
+        ("ACAC", "ACACAC"),
+        ("GATTACA", "GCATGCT"),
+        ("A", "C"),
+    ]
+    .iter()
+    .map(|(q, r)| (dna(q), dna(r)))
+    .collect();
+    let limit = i8::try_from(I8_PARAM_LIMIT).unwrap();
+    let step = if cfg!(debug_assertions) { 8 } else { 4 };
+    let values = || (-limit..=limit).step_by(step);
+    let bandings = [
+        Banding::None,
+        Banding::Fixed { half_width: 0 },
+        Banding::Fixed { half_width: 1 },
+    ];
+    let (mut clean, mut total) = (0usize, 0usize);
+    for match_score in values() {
+        for mismatch in values() {
+            for gap_open in values() {
+                for gap_extend in values() {
+                    let lo = AffineParams::<i8> {
+                        match_score,
+                        mismatch,
+                        gap_open,
+                        gap_extend,
+                    };
+                    for banding in bandings {
+                        clean += clean_narrow_affine_equals_wide::<GlobalAffine<i8>, GlobalAffine>(
+                            &lo, &pairs, banding,
+                        );
+                        clean += clean_narrow_affine_equals_wide::<LocalAffine<i8>, LocalAffine>(
+                            &lo, &pairs, banding,
+                        );
+                        total += 2 * pairs.len();
+                    }
+                }
+            }
+        }
+    }
+    // The enumeration must land on both sides of the guard to mean anything.
+    assert!(
+        clean > total / 20 && clean < total,
+        "{clean} clean of {total}"
+    );
 }
