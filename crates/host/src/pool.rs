@@ -11,28 +11,33 @@
 //! re-deal), and exits otherwise — so "exit on drain" and "park while the
 //! producer is live" are the two values of that one flag. The front ends
 //! differ only in the job payload (a borrowed pair of the caller's slice vs
-//! an owned pair), the closure that receives each terminal slot, and
-//! `open`.
+//! an owned pair), the closure that receives each hand's terminal slots,
+//! and `open`.
 //!
 //! **Group pops.** For an engine that scores several pairs in one pass
 //! ([`PairEngine::group_width`] > 1) a worker that popped a job off its *own*
 //! deque takes the like-cost jobs behind it under the same lock (the deques
 //! are cost-ranked, so those are the pairs most like it), behind a front the
-//! engine would group at all ([`PairEngine::group_cost_max`]). It never
-//! waits for a group to fill: a deque holding one job (the lockstep latency
-//! probe) yields that job, which runs through [`SlotRun::attempt`] as before,
-//! and a thief takes one job. A hand of several goes to
-//! [`PairEngine::run_group`] — on an instrumented run through
+//! engine would group at all ([`PairEngine::group_cost_max`]). A thief takes
+//! the same shape of run from the other end of a victim's deque: the
+//! cheapest job and the like-cost jobs in front of it, each within the cost
+//! bound, up to the width, handed over in deque order so the most expensive
+//! leads. A width-1 engine steals one job. Neither waits for a group to
+//! fill: a deque holding one job (the lockstep latency probe) yields that
+//! job, which runs through [`SlotRun::attempt`] as before. A hand of several
+//! goes to [`PairEngine::run_group`] — on an instrumented run through
 //! [`SlotRun::attempt_group`], one deadline and one `catch_unwind` a pass,
 //! with an uncharged fallback to one attempt per member. Every member is
 //! then settled on its own, in hand order, and counted in `busy` until it
-//! is: under the abort policy the members ahead of a failed one are
-//! reported, it is the abort fault, the ones behind it are dropped — what
-//! the per-pair loop reports too.
+//! is; the hand's outputs and quarantine records reach the front end in one
+//! call, so a front end pays its lock once a hand. Under the abort policy
+//! the members ahead of a failed one are reported, it is the abort fault,
+//! the ones behind it are dropped — what the per-pair loop reports too.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
+use std::vec::Drain;
 
 use dphls_core::{DpOutput, KernelSpec, SeqPair};
 use dphls_systolic::SystolicRun;
@@ -74,14 +79,15 @@ impl<P> Sched<P> {
 }
 
 /// Whether a job of cost `follower` may share a grouped pass led by a job of
-/// cost `leader` (the deque's front, so `follower ≤ leader`). A pass costs
-/// what its longest member costs, whatever else it holds, and that is about
-/// what the leader costs alone (120-bp w20 pairs: a 16-lane pass 15 µs, the
-/// leader alone 12.6); so a follower rides for the price of its traceback,
-/// and the only thing it can lose is the cheaper pass it would have shared
-/// with jobs of its own size, whose fill shrinks with their band area. At
-/// half the leader's cost that pass is worth about what the padding here
-/// wastes. Half is a round number on that line, not a tuned one.
+/// cost `leader` (the hand's most expensive member, so `follower ≤ leader`:
+/// the own deque's front, or the front of a run stolen off a tail). A pass
+/// costs what its longest member costs, whatever else it holds, and that is
+/// about what the leader costs alone (120-bp w20 pairs: a 16-lane pass
+/// 15 µs, the leader alone 12.6); so a follower rides for the price of its
+/// traceback, and the only thing it can lose is the cheaper pass it would
+/// have shared with jobs of its own size, whose fill shrinks with their band
+/// area. At half the leader's cost that pass is worth about what the padding
+/// here wastes. Half is a round number on that line, not a tuned one.
 fn rides_with(leader: u64, follower: u64) -> bool {
     follower >= leader / 2
 }
@@ -90,6 +96,9 @@ fn insert_ranked<P>(queue: &mut VecDeque<Job<P>>, job: Job<P>) {
     let at = queue.partition_point(|j| j.cost >= job.cost);
     queue.insert(at, job);
 }
+
+/// A terminal slot of pair `idx`: its output, or its quarantine record.
+pub(crate) type Terminal<S> = (usize, Result<DpOutput<S>, PairFault>);
 
 /// One block slot between two pops: the queue it owns a share of, its
 /// scratch arena (the per-alignment hot path stays allocation-free at any
@@ -100,6 +109,7 @@ struct Slot<K: KernelSpec, E: PairEngine<K>, P> {
     tally: SlotTally,
     hand: Vec<Job<P>>,
     outcomes: Vec<Result<SystolicRun<K::Score>, FaultCause>>,
+    settled: Vec<Terminal<K::Score>>,
 }
 
 impl<K: KernelSpec, E: PairEngine<K>, P> Slot<K, E, P> {
@@ -110,6 +120,7 @@ impl<K: KernelSpec, E: PairEngine<K>, P> Slot<K, E, P> {
             tally: SlotTally::default(),
             hand: Vec::new(),
             outcomes: Vec::new(),
+            settled: Vec::new(),
         }
     }
 }
@@ -198,16 +209,17 @@ impl<'a, P> Pool<'a, P> {
     }
 
     /// One block slot's life: worker number `worker` (slot `worker % slots`
-    /// of queue `worker / slots`) pops its own deque's expensive end, else
-    /// steals the cheapest job from a victim's tail, else parks or exits;
-    /// attempts each job, re-deals retries, and hands every terminal slot —
-    /// an output or a quarantine record — to `report`. Returns when the
-    /// pool is drained and closed, its device is lost, or the run aborted.
+    /// of queue `worker / slots`) pops a run off its own deque's expensive
+    /// end, else steals one off a victim's tail, else parks or exits;
+    /// attempts each hand, re-deals retries, and hands the hand's terminal
+    /// slots — outputs and quarantine records, in hand order — to `report`
+    /// in one call. Returns when the pool is drained and closed, its device
+    /// is lost, or the run aborted.
     pub fn work<K, E>(
         &self,
         engine: &E,
         worker: usize,
-        mut report: impl FnMut(usize, Result<DpOutput<K::Score>, PairFault>),
+        mut report: impl FnMut(Drain<'_, Terminal<K::Score>>),
     ) where
         K: KernelSpec,
         E: PairEngine<K>,
@@ -224,13 +236,14 @@ impl<'a, P> Pool<'a, P> {
     /// Runs the jobs in `slot`'s hand — one through [`SlotRun::attempt`],
     /// several through one [`PairEngine::run_group`] call (on an
     /// instrumented run, [`SlotRun::attempt_group`]) — and settles each on
-    /// its own: an output or a quarantine record goes to `report`, a retry
-    /// back to a queue. `false` means the run aborted.
+    /// its own: a retry goes back to a queue, and the outputs and quarantine
+    /// records go to `report` together, once the hand is settled. `false`
+    /// means the run aborted.
     fn run_hand<K, E>(
         &self,
         engine: &E,
         slot: &mut Slot<K, E, P>,
-        report: &mut impl FnMut(usize, Result<DpOutput<K::Score>, PairFault>),
+        report: &mut impl FnMut(Drain<'_, Terminal<K::Score>>),
     ) -> bool
     where
         K: KernelSpec,
@@ -244,6 +257,7 @@ impl<'a, P> Pool<'a, P> {
             tally,
             hand,
             outcomes,
+            settled,
             ..
         } = slot;
         let lose = || self.lose_device(dev);
@@ -261,12 +275,11 @@ impl<'a, P> Pool<'a, P> {
             outcomes.extend(runs.into_iter().map(|run| run.map_err(FaultCause::Kernel)));
         }
         let members = hand.len();
-        for (settled, (job, outcome)) in hand.drain(..).zip(outcomes.drain(..)).enumerate() {
+        let mut aborted = None;
+        for (at, (job, outcome)) in hand.drain(..).zip(outcomes.drain(..)).enumerate() {
             match run.settle(tally, job.idx, job.attempts, outcome) {
-                Settled::Done(output) => {
-                    report(job.idx, Ok(output));
-                    self.release();
-                }
+                Settled::Done(output) => settled.push((job.idx, Ok(output))),
+                Settled::Quarantine(fault) => settled.push((fault.idx, Err(fault))),
                 Settled::Retry => {
                     // Re-deal to the next queue on a *live* device: a
                     // different slot picks it up when one exists, and idle
@@ -280,31 +293,40 @@ impl<'a, P> Pool<'a, P> {
                     drop(guard);
                     self.work_cv.notify_all();
                 }
-                Settled::Quarantine(fault) => {
-                    report(fault.idx, Err(fault));
-                    self.release();
-                }
                 Settled::Abort(fault) => {
-                    // `settle` raised the abort flag; storing the fault
-                    // takes the lock `wake_all` would bridge through. This
-                    // member and the ones behind it leave the hand unsettled.
-                    let mut guard = self.lock();
-                    guard.aborted.get_or_insert(fault);
-                    guard.busy -= (members - settled) * usize::from(run.instrumented);
-                    drop(guard);
-                    self.work_cv.notify_all();
-                    return false;
+                    // `settle` raised the abort flag. This member and the
+                    // ones behind it leave the hand unsettled.
+                    aborted = Some((fault, members - at));
+                    break;
                 }
             }
         }
-        true
+        let reported = settled.len();
+        if reported > 0 {
+            report(settled.drain(..));
+        }
+        let Some((fault, unsettled)) = aborted else {
+            self.release(reported);
+            return true;
+        };
+        // Storing the fault takes the lock `wake_all` would bridge through.
+        let mut guard = self.lock();
+        guard.aborted.get_or_insert(fault);
+        guard.busy -= (reported + unsettled) * usize::from(run.instrumented);
+        drop(guard);
+        self.work_cv.notify_all();
+        false
     }
 
     /// Fills `hand` with the next work of a slot of queue `qown`: the front
     /// of its own deque plus — up to `width` jobs in all, and only behind a
     /// leader the engine would group at all (cost at most `cost_max`) — the
-    /// jobs behind it that may share a grouped pass with it, else one job
-    /// stolen from a victim's tail. Parks while there is nothing to take and
+    /// jobs behind it that may share a grouped pass with it. An empty own
+    /// deque steals the same shape of run from the first non-empty victim's
+    /// tail: its cheapest job plus the jobs in front of it that are at most
+    /// `cost_max` and that it may ride with, up to `width`, in deque order
+    /// (the most expensive leads). A width-1 engine, or a cheapest job above
+    /// the bound, steals one job. Parks while there is nothing to take and
     /// more may come; `false` means the slot is done.
     fn next_jobs(
         &self,
@@ -327,20 +349,22 @@ impl<'a, P> Pool<'a, P> {
             // The slots of one channel share its deque, so intra-channel
             // dispatch is not a steal.
             let own = &mut guard.queues[qown];
-            if let Some(leader) = own.pop_front() {
-                let cost = leader.cost;
-                hand.push(leader);
-                while hand.len() < width
-                    && cost <= cost_max
-                    && own.front().is_some_and(|next| rides_with(cost, next.cost))
-                {
-                    hand.extend(own.pop_front());
-                }
-            } else {
-                let stolen = steal_order(dev, ch, run.devices, self.nk)
-                    .find_map(|v| guard.queues[v].pop_back());
-                tally.stolen += usize::from(stolen.is_some());
-                hand.extend(stolen);
+            if let Some(leader) = own.front().map(|job| job.cost) {
+                let riders = own.iter().take(width).skip(1);
+                let taken = 1 + riders
+                    .take_while(|job| leader <= cost_max && rides_with(leader, job.cost))
+                    .count();
+                hand.extend(own.drain(..taken));
+            } else if let Some((v, cheapest)) = steal_order(dev, ch, run.devices, self.nk)
+                .find_map(|v| guard.queues[v].back().map(|job| (v, job.cost)))
+            {
+                let victim = &mut guard.queues[v];
+                let leaders = victim.iter().rev().take(width).skip(1);
+                let taken = 1 + leaders
+                    .take_while(|job| job.cost <= cost_max && rides_with(job.cost, cheapest))
+                    .count();
+                tally.stolen += taken;
+                hand.extend(victim.drain(victim.len() - taken..));
             }
             if !hand.is_empty() {
                 // Counted under the same guard as the pop so peers never
@@ -355,12 +379,13 @@ impl<'a, P> Pool<'a, P> {
         }
     }
 
-    /// A job reached a terminal state. That can end a peer's wait only by
-    /// taking `busy` to 0 on a closed pool, so only that transition wakes.
-    fn release(&self) {
-        if self.run.instrumented {
+    /// `settled` jobs reached a terminal state. That can end a peer's wait
+    /// only by taking `busy` to 0 on a closed pool, so only that transition
+    /// wakes.
+    fn release(&self, settled: usize) {
+        if self.run.instrumented && settled > 0 {
             let mut guard = self.lock();
-            guard.busy -= 1;
+            guard.busy -= settled;
             if guard.busy == 0 && !guard.open {
                 drop(guard);
                 self.work_cv.notify_all();
@@ -552,8 +577,8 @@ mod tests {
                 .map(|worker| {
                     scope.spawn(move || {
                         let mut reports = Vec::new();
-                        pool.work::<GlobalLinear, _>(engine, worker, |idx, slot| {
-                            reports.push((idx, slot.is_ok()));
+                        pool.work::<GlobalLinear, _>(engine, worker, |hand| {
+                            reports.extend(hand.map(|(idx, slot)| (idx, slot.is_ok())));
                         });
                         reports
                     })
@@ -620,8 +645,10 @@ mod tests {
                 for worker in 0..4 {
                     let (pool, engine, exited, tx) = (&pool, &engine, &exited, tx.clone());
                     scope.spawn(move || {
-                        pool.work::<GlobalLinear, _>(engine, worker, |idx, slot| {
-                            tx.send((idx, slot.is_ok())).expect("test receiver");
+                        pool.work::<GlobalLinear, _>(engine, worker, |hand| {
+                            for (idx, slot) in hand {
+                                tx.send((idx, slot.is_ok())).expect("test receiver");
+                            }
                         });
                         exited.fetch_add(1, Ordering::SeqCst);
                     });
@@ -792,7 +819,7 @@ mod tests {
     }
 
     #[test]
-    fn group_pops_stay_on_the_own_deque_within_the_cost_bound_and_never_steal_more_than_one() {
+    fn group_pops_take_like_cost_runs_from_the_own_front_or_a_victims_tail() {
         let dev = device(2);
         let res = ResilienceConfig::disabled();
         let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
@@ -813,23 +840,78 @@ mod tests {
         assert_eq!(pop(&pool, 0, 8, &mut tally), vec![14, 16]);
         assert_eq!(pop(&pool, 0, 8, &mut tally), vec![18]);
         assert_eq!(tally.stolen, 0);
-        // An empty own deque steals exactly one job — the victim's cheapest —
-        // whatever the width and however many the victim holds.
+        // An empty own deque steals the victim's cheapest job and the jobs
+        // in front of it that it rides with, in deque order: queue 1 holds
+        // 9, 11, 13, 15, 17, 19 (costs 324, 256, 196, 144, 100, 64), and
+        // job 19 rides with 17 (64 ≥ 100 / 2) but not with 15 (64 < 72).
         assert_eq!(pool.lock().queues[1].len(), 6);
-        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![19]);
-        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![17]);
-        assert_eq!(tally.stolen, 2);
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![17, 19]);
+        // The width cuts a run short: 15 rides with 13 and 11 alike.
+        assert_eq!(pop(&pool, 0, 2, &mut tally), vec![13, 15]);
+        // A width-1 pop, and a victim holding one job, yield one job.
+        assert_eq!(pop(&pool, 0, 1, &mut tally), vec![11]);
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![9]);
+        // `stolen` counts jobs, not steals.
+        assert_eq!(tally.stolen, 6);
+        // The cost bound cuts a stolen run short as well: job 24 rides with
+        // its neighbours but is too big for a grouped pass, and goes alone.
+        let big = COST_MAX + 1;
+        for (idx, cost) in [(24, big), (25, COST_MAX), (26, 900), (27, 800)] {
+            pool.deal(1, Job::new(idx, cost, (vec![Base::A; 4], vec![Base::A; 4])));
+        }
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![25, 26, 27]);
+        assert_eq!(pop(&pool, 0, 8, &mut tally), vec![24]);
+        assert_eq!(tally.stolen, 10);
         // A job the engine calls too big for a grouped pass goes alone, and
         // so does the job behind it if that one is too cheap to ride with
         // anything.
-        let big = COST_MAX + 1;
         for (idx, cost) in [(20, big), (21, big), (22, 40), (23, 30)] {
             pool.deal(0, Job::new(idx, cost, (vec![Base::A; 4], vec![Base::A; 4])));
         }
         assert_eq!(pop(&pool, 0, 8, &mut tally), vec![20]);
         assert_eq!(pop(&pool, 0, 8, &mut tally), vec![21]);
         assert_eq!(pop(&pool, 0, 8, &mut tally), vec![22, 23]);
+        assert_eq!(tally.stolen, 10);
         assert_eq!(pool.lock().busy, 0, "uninstrumented pops are not counted");
+    }
+
+    #[test]
+    fn a_thief_runs_a_stolen_run_as_one_pass_and_settles_it_per_member() {
+        // Two channels, one slot each, and every job on queue 0: worker 1,
+        // alone, only ever steals. Pair `idx` is `18 - idx` bases long, so
+        // from the tail the cheapest (8 bases, 64) rides with pairs of up to
+        // 11 bases (121 ≤ 128), the next cheapest (12 bases, 144) with up to
+        // 17 (289 / 2 = 144), and pair 0 (18 bases) is left alone.
+        let dev = device(2);
+        for res in [ResilienceConfig::disabled(), quarantine(1)] {
+            let run = SlotRun::new(&dev, FleetConfig::single(), &res, None);
+            let pool = Pool::new(&run, 1, false, std::iter::empty());
+            for job in ranked(11) {
+                pool.deal(0, job);
+            }
+            let engine = Stub::grouping(8);
+            let mut hands = Vec::new();
+            pool.work::<GlobalLinear, _>(&engine, 1, |hand| {
+                let hand: Vec<_> = hand.map(|(idx, slot)| (idx, slot.is_ok())).collect();
+                hands.push(hand);
+            });
+            let ctx = format!("instrumented {}", run.instrumented);
+            let runs = vec![vec![11, 10, 9, 8], vec![17, 16, 15, 14, 13, 12]];
+            assert_eq!(engine.groups(), runs, "{ctx}");
+            // Each pass's members are reported together, in hand order.
+            let want = [&[7, 8, 9, 10][..], &[1, 2, 3, 4, 5, 6], &[0]];
+            let want: Vec<Vec<_>> = want
+                .iter()
+                .map(|idxs| idxs.iter().map(|&idx| (idx, true)).collect())
+                .collect();
+            assert_eq!(hands, want, "{ctx}");
+            assert_eq!(engine.calls.load(Ordering::Relaxed), 11, "{ctx}");
+            let sched = pool.lock();
+            assert_eq!(sched.tallies[1].stolen, 11, "{ctx}");
+            assert_eq!(sched.tallies[1].executed, 11, "{ctx}");
+            assert_eq!(sched.tallies[1].groups, 2, "{ctx}");
+            assert_eq!(sched.busy, 0, "{ctx}");
+        }
     }
 
     #[test]
@@ -1020,8 +1102,8 @@ mod tests {
         let pool = Pool::new(&run, 2, false, ranked(4));
         let engine = Stub::failing(0);
         let mut reports = Vec::new();
-        let mut report = |idx: usize, slot: Result<DpOutput<i16>, PairFault>| {
-            reports.push((idx, slot.is_ok()));
+        let mut report = |hand: Drain<'_, Terminal<i16>>| {
+            reports.extend(hand.map(|(idx, slot)| (idx, slot.is_ok())));
         };
         let mut slots = [(); 2].map(|()| Slot::<GlobalLinear, Stub, Pair>::new(&engine, 1));
         for slot in &mut slots {

@@ -462,24 +462,25 @@ where
     let pool = Pool::new(&run, slots, false, ranked);
     let workers = pool.workers();
 
-    let faults: Mutex<Vec<PairFault>> = Mutex::new(Vec::new());
-    let filled: Mutex<Vec<Option<DpOutput<K::Score>>>> = Mutex::new((0..n).map(|_| None).collect());
+    type Filled<S> = (Vec<Option<DpOutput<S>>>, Vec<PairFault>);
+    let merged: Mutex<Filled<K::Score>> = Mutex::new(((0..n).map(|_| None).collect(), Vec::new()));
 
     panic::catch_unwind(AssertUnwindSafe(|| {
         std::thread::scope(|scope| {
             for worker in 0..workers {
-                let (pool, faults, filled) = (&pool, &faults, &filled);
+                let (pool, merged) = (&pool, &merged);
                 scope.spawn(move || {
-                    // Collected per slot and merged into input order once, as
-                    // the slot leaves: the hot path shares no written line.
-                    let mut outputs = Vec::with_capacity(n / workers + 1);
-                    pool.work::<K, E>(engine, worker, |idx, slot| match slot {
-                        Ok(output) => outputs.push((idx, output)),
-                        Err(fault) => faults.lock().push(fault),
-                    });
-                    let mut filled = filled.lock();
-                    for (idx, output) in outputs {
-                        filled[idx] = Some(output);
+                    // Collected per slot, a hand at a time, and merged into
+                    // input order once, as the slot leaves: the hot path
+                    // shares no written line.
+                    let mut settled = Vec::with_capacity(n / workers + 1);
+                    pool.work::<K, E>(engine, worker, |hand| settled.extend(hand));
+                    let (filled, faults) = &mut *merged.lock();
+                    for (idx, slot) in settled {
+                        match slot {
+                            Ok(output) => filled[idx] = Some(output),
+                            Err(fault) => faults.push(fault),
+                        }
                     }
                 });
             }
@@ -491,10 +492,9 @@ where
     if let Some(fault) = aborted {
         return Err(BatchError::Fault(fault));
     }
-    let mut faults = faults.into_inner();
+    let (filled, mut faults) = merged.into_inner();
     faults.sort_by_key(|f| f.idx);
 
-    let filled = filled.into_inner();
     debug_assert!(
         filled
             .iter()

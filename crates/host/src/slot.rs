@@ -374,7 +374,8 @@ impl<'a> SlotRun<'a> {
 /// Victim queues, in steal order, for a slot of channel `ch` on device
 /// `dev` (queue `dev * nk + ch` of a `d × nk` fleet): the other channels of
 /// its own device first, then every channel of the other devices. Thieves
-/// pop the victim's tail — the cheapest remaining job.
+/// take from the victim's tail — the cheapest remaining job, and the
+/// like-cost jobs in front of it on a grouping engine.
 pub(crate) fn steal_order(
     dev: usize,
     ch: usize,

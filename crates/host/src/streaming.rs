@@ -12,8 +12,10 @@
 //!    [`StreamConfig::window`] pairs are in flight between admission and
 //!    ordered emission, cost-ranks each pair (same estimate as
 //!    [`run_batched`]), and deals it round-robin into the pool's
-//!    per-channel deques. A full window blocks the dealer, so parse never
-//!    runs ahead of emission by more than `window` pairs. Each channel is
+//!    per-channel deques. The dealer admits against the emission count the
+//!    writer publishes after each run, without taking the writer's lock; a
+//!    full window blocks it on that lock, so parse never runs ahead of
+//!    emission by more than `window` pairs. Each channel is
 //!    drained by up to [`StreamConfig::nb_slots`] **block-slot** threads
 //!    (the device's `NB` blocks per channel, mirrored host-side exactly as
 //!    in [`crate::BatchConfig`]), every slot with its own scratch arena.
@@ -25,7 +27,9 @@
 //! 2. **[`OrderedWriter`]** — workers complete alignments out of input order;
 //!    the writer restores input order with a reorder buffer whose occupancy
 //!    is bounded by the admission window, invoking the caller's sink as soon
-//!    as each next-in-order output is ready.
+//!    as each next-in-order output is ready. A worker pushes a whole hand —
+//!    the pairs of one grouped pass — under one lock, and wakes the dealer
+//!    at most once for it, and only when the dealer is waiting.
 //!
 //! Peak resident pairs are therefore `window + 1` (the `+ 1` is the pair in
 //! the dealer's hand, waiting for admission), **not** O(workload); the
@@ -37,7 +41,7 @@
 use crate::engine::{ExactEngine, PairEngine, PrecisionEngine};
 use crate::faults::FaultPlan;
 use crate::fleet::FleetConfig;
-use crate::pool::Pool;
+use crate::pool::{Pool, Terminal};
 use crate::resilience::{panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig};
 use crate::scheduler::{cost_estimate, BatchConfig};
 use crate::slot::{Job, SlotRun};
@@ -47,7 +51,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -118,7 +122,9 @@ pub struct StreamReport {
     /// buffer; always `< window`.
     pub reorder_high_water: usize,
     /// Peak pairs simultaneously in flight between admission and ordered
-    /// emission (deques + executing + reorder buffer); always `<= window`.
+    /// emission (deques + executing + reorder buffer), as the dealer counts
+    /// them at each admission: exact against the emission it admitted by,
+    /// which never runs ahead of the writer; always `<= window`.
     /// Total resident pairs are bounded by `resident_high_water` plus the
     /// one pair in the dealer's hand, waiting for admission.
     pub resident_high_water: usize,
@@ -222,7 +228,7 @@ impl fmt::Display for ReorderOverflow {
             "output index {} outside reorder window [{}, {})",
             self.idx,
             self.next_emit,
-            self.next_emit + self.window
+            self.next_emit.saturating_add(self.window)
         )
     }
 }
@@ -275,7 +281,7 @@ impl<S, F: FnMut(usize, S)> OrderedWriter<S, F> {
     /// survives and is the one emitted).
     #[inline] // one call per output, in the middle of every caller's loop
     pub fn push(&mut self, idx: usize, value: S) -> Result<(), ReorderOverflow> {
-        if idx < self.next_emit || idx >= self.next_emit + self.window {
+        if idx < self.next_emit || idx - self.next_emit >= self.window {
             return Err(self.overflow(idx));
         }
         if idx == self.next_emit {
@@ -324,25 +330,41 @@ impl<S, F: FnMut(usize, S)> OrderedWriter<S, F> {
     }
 }
 
-/// Writer-side shared state: the ordered sink plus admission accounting.
-struct Emit<S, F: FnMut(usize, S)> {
-    writer: OrderedWriter<S, F>,
-    /// Pairs admitted by the dealer (dealt into a deque).
-    admitted: usize,
-    /// Peak `admitted - emitted` (exact: both mutate under this lock).
-    resident_high_water: usize,
+/// Writer-side shared state: the ordered sink and the quarantine records
+/// it emitted, under the `emit` lock.
+struct Emit<S, F: FnMut(usize, Result<DpOutput<S>, PairFault>)> {
+    writer: OrderedWriter<Result<DpOutput<S>, PairFault>, F>,
+    faults: Vec<PairFault>,
+    /// The dealer is parked on a full admission window; only then does
+    /// emission progress notify it.
+    dealer_waiting: bool,
 }
 
-impl<S, F: FnMut(usize, S)> Emit<S, F> {
-    /// Pushes one slot through the ordered writer; emission progress frees
-    /// admission slots, so it wakes the dealer.
-    fn push(&mut self, idx: usize, slot: S, space_cv: &Condvar) {
+impl<S, F: FnMut(usize, Result<DpOutput<S>, PairFault>)> Emit<S, F> {
+    /// Pushes a run of slots through the ordered writer and publishes the
+    /// writer's progress to `emitted`, which the dealer admits against
+    /// without this lock; progress wakes a waiting dealer, once a run.
+    fn push_run(
+        &mut self,
+        run: impl IntoIterator<Item = Terminal<S>>,
+        emitted: &AtomicUsize,
+        space_cv: &Condvar,
+    ) {
         let before = self.writer.next_emit();
-        self.writer
-            .push(idx, slot)
-            .expect("admission gate keeps outputs inside the window");
-        if self.writer.next_emit() != before {
-            space_cv.notify_all();
+        for (idx, slot) in run {
+            if let Err(fault) = &slot {
+                self.faults.push(fault.clone());
+            }
+            self.writer
+                .push(idx, slot)
+                .expect("admission gate keeps outputs inside the window");
+        }
+        let next = self.writer.next_emit();
+        if next != before {
+            emitted.store(next, Ordering::Release);
+            if self.dealer_waiting {
+                space_cv.notify_one();
+            }
         }
     }
 }
@@ -536,12 +558,15 @@ where
     // Open: the dealer inserts as pairs are admitted and closes the pool
     // when the source ends.
     let pool: Pool<dphls_core::SeqPair<K>> = Pool::new(&run, slots, true, std::iter::empty());
-    type SlotOutcome<S> = Result<DpOutput<S>, PairFault>;
-    let emit: Mutex<Emit<SlotOutcome<K::Score>, F>> = Mutex::new(Emit {
+    let emit: Mutex<Emit<K::Score, F>> = Mutex::new(Emit {
         writer: OrderedWriter::new(config.window, sink),
-        admitted: 0,
-        resident_high_water: 0,
+        faults: Vec::new(),
+        dealer_waiting: false,
     });
+    // The writer's `next_emit` as of its last run, so never ahead of it:
+    // stored (`Release`) under the emit lock after each run, loaded
+    // (`Acquire`) by the dealer without it. It publishes no other data.
+    let emitted = AtomicUsize::new(0);
     // Wakes the dealer blocked on a full admission window.
     let space_cv = Condvar::new();
     // Raises the abort flag and wakes everything parked. Each notify
@@ -557,26 +582,22 @@ where
         drop(emit.lock().unwrap_or_else(PoisonError::into_inner));
         space_cv.notify_all();
     };
-    let faults: Mutex<Vec<PairFault>> = Mutex::new(Vec::new());
 
-    let halted = panic::catch_unwind(AssertUnwindSafe(|| {
+    let (halted, resident_high_water) = panic::catch_unwind(AssertUnwindSafe(|| {
         std::thread::scope(|scope| {
             // Block-slot workers (`nb_slots` threads per NK channel per
             // fleet device), each one worker of the shared pool.
             for worker in 0..pool.workers() {
-                let (pool, emit, space_cv) = (&pool, &emit, &space_cv);
-                let (run, abort_all, faults) = (&run, &abort_all, &faults);
+                let (pool, emit, emitted, space_cv) = (&pool, &emit, &emitted, &space_cv);
+                let (run, abort_all) = (&run, &abort_all);
                 scope.spawn(move || {
                     let _unwind = AbortOnUnwind(abort_all);
-                    pool.work::<K, En>(engine, worker, |idx, slot| {
-                        if let Err(fault) = &slot {
-                            faults.lock().expect("faults mutex").push(fault.clone());
-                        }
+                    pool.work::<K, En>(engine, worker, |hand| {
                         // A quarantine hole goes through the writer like an
                         // output, so order restoration (and the admission
                         // window) survive it.
                         let mut em = emit.lock().unwrap_or_else(PoisonError::into_inner);
-                        em.push(idx, slot, space_cv);
+                        em.push_run(hand, emitted, space_cv);
                     });
                     // A pair that aborted the run must also wake the dealer.
                     if run.aborted() {
@@ -588,7 +609,7 @@ where
             // admission slot, cost-ranks, and deals round-robin. A panic in
             // the source or the sink unwinds through here.
             let _unwind = AbortOnUnwind(&abort_all);
-            let mut halted = None;
+            let (mut halted, mut resident_high_water) = (None, 0);
             'deal: for (next_idx, item) in source.enumerate() {
                 let item = match item {
                     Err(e) if !quarantine => {
@@ -598,36 +619,49 @@ where
                     }
                     item => item,
                 };
-                // Admission gate: every record occupies a writer slot,
-                // computed or not. The clock is read only once a wait for
-                // room begins.
-                let mut em = emit.lock().unwrap_or_else(PoisonError::into_inner);
-                let mut waiting: Option<Instant> = None;
-                loop {
-                    if run.aborted() {
-                        break 'deal;
-                    }
-                    if next_idx < em.writer.next_emit() + config.window {
-                        break;
-                    }
-                    em = match res.send_deadline {
-                        None => space_cv.wait(em).unwrap_or_else(PoisonError::into_inner),
-                        Some(deadline) => {
-                            let waited = waiting.get_or_insert_with(Instant::now).elapsed();
-                            if waited >= deadline {
-                                drop(em);
-                                halted = Some(StreamError::Stalled { waited });
-                                abort_all();
-                                break 'deal;
-                            }
-                            let timed = space_cv.wait_timeout(em, deadline - waited);
-                            timed.unwrap_or_else(PoisonError::into_inner).0
-                        }
-                    };
+                if run.aborted() {
+                    break 'deal;
                 }
-                em.admitted += 1;
-                let resident = em.admitted - em.writer.next_emit();
-                em.resident_high_water = em.resident_high_water.max(resident);
+                // Admission gate: every record occupies a writer slot,
+                // computed or not, and records `0..next_idx` are admitted,
+                // so `next_idx - emitted` are resident. The writer's
+                // published count admits without a lock; only a full window
+                // takes it, to wait. The clock is read only once a wait for
+                // room begins.
+                let mut seen = emitted.load(Ordering::Acquire);
+                if next_idx - seen >= config.window {
+                    let mut em = emit.lock().unwrap_or_else(PoisonError::into_inner);
+                    em.dealer_waiting = true;
+                    let mut waiting: Option<Instant> = None;
+                    loop {
+                        if run.aborted() {
+                            break 'deal;
+                        }
+                        seen = em.writer.next_emit();
+                        if next_idx - seen < config.window {
+                            break;
+                        }
+                        em = match res.send_deadline {
+                            None => space_cv.wait(em).unwrap_or_else(PoisonError::into_inner),
+                            Some(deadline) => {
+                                let waited = waiting.get_or_insert_with(Instant::now).elapsed();
+                                if waited >= deadline {
+                                    drop(em);
+                                    halted = Some(StreamError::Stalled { waited });
+                                    abort_all();
+                                    break 'deal;
+                                }
+                                let timed = space_cv.wait_timeout(em, deadline - waited);
+                                timed.unwrap_or_else(PoisonError::into_inner).0
+                            }
+                        };
+                    }
+                    em.dealer_waiting = false;
+                }
+                // Exact against `seen`, the emission this pair was
+                // admitted by; `seen` never runs ahead of the writer, so
+                // the count is at most the window and never below the truth.
+                resident_high_water = resident_high_water.max(next_idx + 1 - seen);
                 let pair = match item {
                     Ok(pair) => pair,
                     Err(e) => {
@@ -639,12 +673,11 @@ where
                             cause: FaultCause::Source(e.to_string()),
                             attempts: 0,
                         };
-                        faults.lock().expect("faults mutex").push(fault.clone());
-                        em.push(next_idx, Err(fault), &space_cv);
+                        let mut em = emit.lock().unwrap_or_else(PoisonError::into_inner);
+                        em.push_run([(next_idx, Err(fault))], &emitted, &space_cv);
                         continue 'deal;
                     }
                 };
-                drop(em);
                 // Deal round-robin across the fleet's live devices; a lost
                 // device's deques receive nothing further.
                 let cost = cost_estimate(pair.0.len(), pair.1.len(), kernel_config.banding);
@@ -652,7 +685,7 @@ where
             }
             // Close the pool: idle workers exit on drain from here on.
             pool.close();
-            halted
+            (halted, resident_high_water)
         })
     }))
     .map_err(|payload| StreamError::WorkerPanic(panic_message(payload)))?;
@@ -674,7 +707,7 @@ where
 
     let emit = emit.into_inner().expect("emit mutex");
     debug_assert!(emit.writer.is_drained(), "all admitted outputs emitted");
-    let mut faults = faults.into_inner().expect("faults mutex");
+    let mut faults = emit.faults;
     faults.sort_by_key(|f| f.idx);
     Ok(StreamReport {
         pairs: emit.writer.next_emit(),
@@ -687,7 +720,7 @@ where
         steals: tally.steals,
         throughput_aps: tally.throughput_aps,
         reorder_high_water: emit.writer.high_water(),
-        resident_high_water: emit.resident_high_water,
+        resident_high_water,
         faults,
         retries: run.retries.into_inner(),
         timeouts: run.timeouts.into_inner(),
@@ -762,6 +795,26 @@ mod tests {
         assert_eq!(w.pending_len(), 1);
         w.push(1, 10).unwrap(); // releases 1 and the first 2
         assert_eq!(*got.borrow(), vec![(0, 0), (1, 10), (2, 20)]);
+    }
+
+    #[test]
+    fn ordered_writer_window_arithmetic_never_wraps() {
+        let got = std::cell::RefCell::new(Vec::new());
+        let mut w = OrderedWriter::new(usize::MAX, |idx, v: u32| got.borrow_mut().push((idx, v)));
+        w.push(0, 0).unwrap();
+        w.push(2, 20).unwrap(); // `next_emit + window` would wrap here
+        w.push(usize::MAX, 99).unwrap(); // inside [1, 1 + MAX), which no usize holds
+        w.push(1, 10).unwrap();
+        assert_eq!(*got.borrow(), vec![(0, 0), (1, 10), (2, 20)]);
+        assert_eq!(w.pending_len(), 1);
+        // Below `next_emit` is still rejected, and the error prints.
+        let err = w.push(0, 0).unwrap_err();
+        assert_eq!((err.idx, err.next_emit, err.window), (0, 3, usize::MAX));
+        assert!(err.to_string().ends_with(&format!("[3, {})", usize::MAX)));
+        // A finite window still closes at `next_emit + window`.
+        let mut w = OrderedWriter::new(3, |_, _: u32| ());
+        w.push(2, 0).unwrap();
+        assert!(w.push(3, 0).is_err());
     }
 
     /// Streams `source` on the exact engine into a `Vec`, in sink order.

@@ -257,6 +257,35 @@ fn lockstep_buffer_depth_one_window_one_is_fully_serial() {
     assert_eq!(stream.resident_high_water, 1);
 }
 
+/// `usize::MAX` is a window like any other: the writer's and the dealer's
+/// window arithmetic must not wrap, so every pair is admitted at once and
+/// the run equals the batch.
+#[test]
+fn an_unbounded_window_streams_like_batched() {
+    let wl = varied_workload(41, 72, 0x3A1D);
+    let params = LinearParams::<i16>::dna();
+    for nk in [1usize, 3] {
+        let dev = device(KernelConfig::new(8, 1, nk).with_max_lengths(96, 96));
+        let (streamed, stream) = collect_streamed::<GlobalLinear, _, Infallible>(
+            &dev,
+            &params,
+            wl.iter().cloned().map(Ok),
+            StreamConfig {
+                buffer: 4,
+                window: usize::MAX,
+                nb_slots: 0,
+            },
+            FleetConfig::single(),
+        )
+        .unwrap();
+        let batched =
+            run_batched::<GlobalLinear>(&dev, &params, &wl, BatchConfig::default()).unwrap();
+        assert_eq!(streamed.outputs, batched.outputs, "nk {nk}");
+        assert_eq!(stream.pairs, wl.len());
+        assert!(stream.resident_high_water <= wl.len());
+    }
+}
+
 /// The ISSUE acceptance workload: the banded point the bench gate runs.
 /// Debug builds scale the pair count down (the differential property is
 /// scale-invariant); `cargo test --release` runs the full 10k pairs.

@@ -624,9 +624,17 @@ impl<W: Write> FrameOut<'_, W> {
 fn connection_writer<W: Write>(shared: &Shared, stream: W, rx: &mpsc::Receiver<WriterMsg>) {
     // The reorder depth is bounded by the connection's in-flight requests:
     // at most `buffer + window + 1` resident per kernel session, plus the
-    // slot being synthesized by the reader.
+    // slot being synthesized by the reader. Saturating: any window,
+    // `usize::MAX` included, is a valid stream config.
     let stream_cfg = shared.config.stream;
-    let window = DISPATCHABLE_KERNELS.len() * (stream_cfg.buffer + stream_cfg.window + 1) + 1;
+    let per_session = stream_cfg
+        .buffer
+        .saturating_add(stream_cfg.window)
+        .saturating_add(1);
+    let window = DISPATCHABLE_KERNELS
+        .len()
+        .saturating_mul(per_session)
+        .saturating_add(1);
     let out = RefCell::new(FrameOut {
         out: BufWriter::new(stream),
         dead: false,
