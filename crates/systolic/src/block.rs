@@ -1,20 +1,28 @@
-//! The functional systolic block engine: one linear array of `NPE`
-//! processing elements computing a DP matrix chunk-by-chunk, wavefront-by-
-//! wavefront (paper §5.1, Fig 2C).
+//! The functional systolic block engine: a linear array of processing
+//! elements computing a DP matrix strip-by-strip, wavefront-by-wavefront
+//! (paper §5.1, Fig 2C).
 //!
-//! The engine mirrors the generated hardware's dataflow exactly:
+//! The engine follows the generated hardware's dataflow:
 //!
-//! * rows are divided into **chunks** of `NPE` consecutive rows, one per PE;
-//! * within a chunk the **wavefront** (anti-diagonal) index `w` advances once
-//!   per pipeline initiation; PE `k` computes cell `(base+k+1, w−k+1)`;
-//! * PE `k` reads `left` from its own previous output, `up`/`diag` from PE
-//!   `k−1`'s previous two outputs (the DP Memory Buffer), with PE 0 reading
-//!   the **Preserved Row Score Buffer** written by the last PE of the
-//!   previous chunk;
-//! * traceback pointers stream into the banked [`TbMem`] at coalesced
-//!   addresses;
-//! * each PE tracks its local best among traceback-eligible cells; a
-//!   reduction across PEs picks the block's best cell (paper §5.2).
+//! * rows are divided into **strips** of consecutive rows, one lane per row;
+//! * within a strip the **wavefront** (anti-diagonal) index `w` advances once
+//!   per pipeline initiation; lane `k` computes cell `(base+k+1, w−k+1)`;
+//! * lane `k` reads `left` from its own previous output, `up`/`diag` from
+//!   lane `k−1`'s previous two outputs (the DP Memory Buffer), with lane 0
+//!   reading the **Preserved Row Score Buffer** written by the last lane of
+//!   the previous strip;
+//! * traceback pointers stream into the traceback memory (`TbMem`) one
+//!   wavefront's lanes at a time;
+//! * each lane tracks its local best among traceback-eligible cells; a
+//!   reduction across lanes picks the block's best cell (paper §5.2).
+//!
+//! The hardware's strips are its chunks, `NPE` rows tall: NPE trades PEs
+//! against LUTs, BRAM and fmax. The software loop pays none of those costs
+//! but does pay a fixed cost per wavefront, so it picks its own strip height
+//! from the pair's geometry (`strip_height`: the whole query up to
+//! `STRIP_MAX` rows). NPE stays the cycle model's number: [`BlockStats`]
+//! counts the chunks and wavefronts of `NPE`-row chunks, whatever strips the
+//! loop ran, and the cells, which no strip height changes.
 //!
 //! There is **one** wavefront loop. What varies is a value or a type
 //! parameter of it: guarded or not (the adaptive `i8` path), the lane width,
@@ -27,9 +35,9 @@
 //! * **lane mode** (`Planes`) has one storage for every kernel: each buffer
 //!   is `n_layers` contiguous planes of bare scores (the paper's "each
 //!   scoring layer is its own partitioned array"), and each wavefront plane
-//!   has one extra **leading slot** — PE 0's port onto the Preserved Row
+//!   has one extra **leading slot** — lane 0's port onto the Preserved Row
 //!   Score Buffer. Slot 0 of the two previous wavefronts is kept loaded with
-//!   `prev_row[j]` / `prev_row[j − 1]` for the column PE 0 is in, so lane 0
+//!   `prev_row[j]` / `prev_row[j − 1]` for the column lane 0 is in, so lane 0
 //!   finds `up` and `diag` exactly where every other lane finds its upper
 //!   neighbour and the whole lane range is one run of equal-length plane
 //!   subslices. Only the `j = 1` lane, whose neighbours are column-0
@@ -38,7 +46,7 @@
 //!   Multi-layer kernels score that run in **one call per wavefront**
 //!   ([`LaneKernel::pe_wavefront`]) that reads the reference through a
 //!   per-alignment reversed copy, so query and reference are both forward
-//!   slices, and writes its pointers straight into the [`TbMem`] row.
+//!   slices, and writes its pointers straight into the `TbMem` run.
 //!   Single-layer kernels score it in `LANES`-wide padded chunks over plane 0
 //!   ([`LaneKernel::pe_lanes_primary`]): a band-clipped short-read wavefront
 //!   is ~19 cells, where the padded fixed-width body beats an exact-length
@@ -84,9 +92,10 @@ enum LaneMode {
 /// model ([`crate::cycles`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockStats {
-    /// Row chunks processed (`⌈Q / NPE⌉`).
+    /// Row chunks of the `NPE`-PE array (`⌈Q / NPE⌉`).
     pub chunks: u64,
-    /// Wavefront iterations issued (banding skips whole wavefronts).
+    /// Wavefront iterations the array issues over those chunks (banding
+    /// skips whole wavefronts).
     pub wavefronts: u64,
     /// PE invocations (in-band cells computed).
     pub cells: u64,
@@ -106,26 +115,18 @@ pub struct BlockStats {
 }
 
 impl BlockStats {
-    /// The structural counts of a `q × r` alignment under `config`, in
-    /// closed form from the chunk / band geometry: the chunks, the
-    /// wavefronts that carry at least one in-band cell (the ones the
-    /// wavefront loop scores), the in-band cells, the reduction depth and
-    /// the two lengths, with no traceback (`tb_steps` 0) and no escalation.
-    /// The grouped engine never walks wavefronts, so this is where its
-    /// per-pair stats come from. The wavefront loop still counts as it
-    /// goes: reporting from here instead was tried and cost the lockstep
-    /// latency probe 1.5 µs a pair (`lat_p50_ms` 0.0817 → 0.0832, worse on
-    /// 8 of 9 alternating runs) — 120 `cells_in_row` calls on a core just
-    /// woken for one pair — so the two are held together by tests instead
-    /// (`chunk_window_matches_brute_force_geometry` here,
-    /// `every_small_geometry_equals_the_wavefront_engine` in
-    /// `tests/proptest_grouped.rs`).
+    /// The counts of a `q × r` alignment under `config` that belong to the
+    /// `NPE`-PE array rather than to any run: the chunks, the wavefronts
+    /// that carry at least one in-band cell of an `NPE`-row chunk, the
+    /// reduction depth and the two lengths — no cells, no traceback, no
+    /// escalation. One [`ChunkWindow`] a chunk, so O(`⌈q / NPE⌉`). The
+    /// wavefront loop reports these whatever strip height it ran.
     ///
     /// # Panics
     ///
     /// Panics if `config.npe` is zero (a configuration
     /// [`KernelConfig::validate`] rejects).
-    pub(crate) fn from_geometry(q: usize, r: usize, config: &KernelConfig) -> Self {
+    fn model(q: usize, r: usize, config: &KernelConfig) -> Self {
         let (npe, banding) = (config.npe, config.banding);
         let mut stats = BlockStats {
             chunks: config.chunks_for(q) as u64,
@@ -146,8 +147,33 @@ impl BlockStats {
                 _ => window.w_end - window.w_start + 1,
             } as u64;
         }
-        stats.cells = (1..=q).map(|i| banding.cells_in_row(i, r) as u64).sum();
         stats
+    }
+
+    /// The structural counts of a `q × r` alignment under `config`, in
+    /// closed form from the chunk / band geometry: [`BlockStats::model`]'s
+    /// and the in-band cells, with no traceback (`tb_steps` 0) and no
+    /// escalation. The grouped engine never walks wavefronts, so this is
+    /// where its per-pair stats come from. The wavefront loop still counts
+    /// its cells as it goes: reporting them from here instead was tried and
+    /// cost the lockstep latency probe 1.5 µs a pair (`lat_p50_ms` 0.0817 →
+    /// 0.0832, worse on 8 of 9 alternating runs) — 120 `cells_in_row` calls
+    /// on a core just woken for one pair — so the two are held together by
+    /// tests instead (`chunk_window_matches_brute_force_geometry` and
+    /// `every_strip_height_scores_like_the_reference_with_the_npe_models_stats`
+    /// here, `every_small_geometry_equals_the_wavefront_engine` in
+    /// `tests/proptest_grouped.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.npe` is zero.
+    pub(crate) fn from_geometry(q: usize, r: usize, config: &KernelConfig) -> Self {
+        BlockStats {
+            cells: (1..=q)
+                .map(|i| config.banding.cells_in_row(i, r) as u64)
+                .sum(),
+            ..Self::model(q, r, config)
+        }
     }
 
     /// Fraction of PE-cycles doing useful work: `cells / (wavefronts × NPE)`
@@ -257,15 +283,16 @@ impl<C> CellBufs<C> {
 }
 
 /// Scalar mode's storage: array-of-structures, one [`LayerVec`] per cell,
-/// `R + 1` columns a row buffer and `NPE` lanes a wavefront buffer.
+/// `R + 1` columns a row buffer and one strip's lanes a wavefront buffer.
 #[derive(Debug, Clone)]
 struct Layered<S>(CellBufs<LayerVec<S>>);
 
 /// Lane mode's storage, for every kernel: each buffer is `n_layers`
 /// contiguous planes of scores. A row plane is `R + 1` columns; a wavefront
-/// plane is `NPE + 1` slots — slot 0 is PE 0's port onto the Preserved Row
-/// Score Buffer and lane `k` lives in slot `k + 1`, so lane `k` reads `left`
-/// from slot `k + 1` and `up` / `diag` from slot `k` with no case for PE 0.
+/// plane is `S + 1` slots for a strip of `S` rows — slot 0 is lane 0's port
+/// onto the Preserved Row Score Buffer and lane `k` lives in slot `k + 1`,
+/// so lane `k` reads `left` from slot `k + 1` and `up` / `diag` from slot
+/// `k` with no case for lane 0.
 #[derive(Debug, Clone)]
 struct Planes<S>(CellBufs<S>);
 
@@ -334,13 +361,13 @@ impl Clone for SymVec {
 /// Reusable scratch arena for the systolic engine's hot path.
 ///
 /// One alignment needs five cell buffers (`CellBufs`), one
-/// [`BestTracker`] per PE, the banked [`TbMem`] and, for multi-layer kernels
-/// in lane mode, a reversed copy of the reference. Allocating them per
-/// alignment dominates short-read batch workloads, so the arena owns them
-/// all and [`run_systolic_with_scratch`] reuses them across alignments:
-/// buffers are resized (`resize`, which keeps capacity) and re-initialized,
-/// never reallocated once they have grown to the workload's maximum
-/// geometry. The arena holds one `CellBufs` per mode — layer-vector cells
+/// [`BestTracker`] per lane, the traceback memory (`TbMem`) and, for
+/// multi-layer kernels in lane mode, a reversed copy of the reference.
+/// Allocating them per alignment dominates short-read batch workloads, so
+/// the arena owns them all and [`run_systolic_with_scratch`] reuses them
+/// across alignments: buffers are resized (`resize`, which keeps capacity)
+/// and re-initialized, never reallocated once they have grown to the
+/// workload's maximum geometry. The arena holds one `CellBufs` per mode — layer-vector cells
 /// for the scalar loop, score planes for the lane loop — so a worker that
 /// alternates modes never re-shapes a buffer; every lane-mode kernel shares
 /// the planes (their count and stride are set per run), and the trackers and
@@ -353,7 +380,7 @@ pub struct SystolicScratch<S> {
     planes: Planes<S>,
     r_rev: SymVec,
     trackers: Vec<BestTracker<S>>,
-    tbmem: Option<TbMem>,
+    tbmem: TbMem,
 }
 
 impl<S> SystolicScratch<S> {
@@ -364,7 +391,7 @@ impl<S> SystolicScratch<S> {
             planes: Planes(CellBufs::new()),
             r_rev: SymVec::default(),
             trackers: Vec::new(),
-            tbmem: None,
+            tbmem: TbMem::default(),
         }
     }
 }
@@ -375,12 +402,13 @@ impl<S> Default for SystolicScratch<S> {
     }
 }
 
-/// The active-PE window of one chunk: precomputed band/matrix geometry that
-/// replaces the per-cell `banding.contains` test and the full `0..NPE` lane
-/// scan with closed-form wavefront bounds (`ISSUE 1` hot-path work).
+/// The active-lane window of one chunk — a strip of the loop, or an
+/// `NPE`-row chunk of the model: precomputed band/matrix geometry that
+/// replaces the per-cell `banding.contains` test and the full lane scan
+/// with closed-form wavefront bounds.
 ///
 /// For chunk rows `i = base+1 ..= base+rows` against `R` columns under a
-/// fixed band `|i − j| ≤ hw`, PE `k` computes cell `(base+k+1, w−k+1)` at
+/// fixed band `|i − j| ≤ hw`, lane `k` computes cell `(base+k+1, w−k+1)` at
 /// wavefront `w`, so the in-band, in-matrix lanes of wavefront `w` are
 ///
 /// ```text
@@ -508,7 +536,7 @@ pub fn run_systolic<K: LaneKernel>(
 /// The wavefront inner loop runs in **multi-lane mode** over layer planes:
 /// a multi-layer kernel scores each wavefront's lanes in one
 /// [`LaneKernel::pe_wavefront`] call, a single-layer kernel in
-/// [`LANE_WIDTH`]-wide [`LaneKernel::pe_lanes_primary`] chunks; PE 0 reads
+/// [`LANE_WIDTH`]-wide [`LaneKernel::pe_lanes_primary`] chunks; lane 0 reads
 /// the Preserved Row Score Buffer through the planes' leading slot like any
 /// other lane reads its neighbour, and only the `j = 1` lane (column inits)
 /// is peeled scalar. Use [`run_systolic_scalar_with_scratch`] to force the
@@ -602,7 +630,7 @@ pub(crate) fn run_systolic_guarded_with_scratch<K: LaneKernel<LANES>, const LANE
 }
 
 /// What every step of the wavefront loop works on besides the cell buffers:
-/// the inputs, the chunk in progress, and the sinks each scored cell feeds.
+/// the inputs, the strip in progress, and the sinks each scored cell feeds.
 struct Cx<'a, K: KernelSpec> {
     params: &'a K::Params,
     query: &'a [K::Sym],
@@ -611,17 +639,17 @@ struct Cx<'a, K: KernelSpec> {
     /// run that does not call that port.
     r_rev: &'a [K::Sym],
     banding: Banding,
-    npe: usize,
+    /// Rows a strip: lanes a wavefront buffer holds.
+    strip: usize,
     rule: BestCellRule,
     /// Every layer at the objective's worst value: what an out-of-band or
     /// out-of-matrix neighbour reads as.
     worst: LayerVec<K::Score>,
     tbmem: &'a mut TbMem,
     trackers: &'a mut [BestTracker<K::Score>],
-    /// Chunk index, its first row minus one, and its last PE's lane.
-    c: usize,
+    /// The strip's first row minus one, and its last lane.
     base: usize,
-    last_pe: usize,
+    last_lane: usize,
     /// Set once any scored value is inside the escalation guard band
     /// ([`Score::needs_escalation`]); scalar cells and lane calls all OR
     /// into it. For exact score types every contribution is the constant
@@ -660,7 +688,7 @@ impl<K: KernelSpec> Cx<'_, K> {
         let (q, r) = (self.query, self.reference);
         let (out, ptr) = K::pe(self.params, q[i - 1], r[j - 1], diag, up, left);
         self.escalate |= out.as_slice().iter().any(|s| s.needs_escalation());
-        self.tbmem.write(k, self.c, w, ptr);
+        self.tbmem.write(k, ptr);
         let tracker = &mut self.trackers[k];
         offer_if_eligible(tracker, self.rule, out.primary(), i, j, q.len(), r.len());
         out
@@ -677,14 +705,15 @@ trait Wavefronts<K: LaneKernel<LANES>, const LANES: usize> {
     /// in-band part of boundary row 0 into the Preserved Row Score Buffer.
     fn prepare(&mut self, cx: &Cx<'_, K>);
 
-    /// Readies the chunk-local buffers for a chunk whose first live
+    /// Readies the strip-local buffers for a strip whose first live
     /// wavefront is `w_start`: the next preserved row (column 0 is the
-    /// boundary value of the chunk's last row) and the wavefront snapshots.
-    fn begin_chunk(&mut self, cx: &Cx<'_, K>, w_start: usize);
+    /// boundary value of the strip's last row) and the wavefront snapshots.
+    fn begin_strip(&mut self, cx: &Cx<'_, K>, w_start: usize);
 
     /// Scores lanes `k_lo..=k_hi` of wavefront `w` — all in-band and
-    /// in-matrix — into `cur`, the traceback memory, the trackers and, for
-    /// the chunk's last PE, the next preserved row.
+    /// in-matrix — into `cur`, the traceback memory (whose run for this
+    /// wavefront is open), the trackers and, for the strip's last lane, the
+    /// next preserved row.
     fn score(&mut self, cx: &mut Cx<'_, K>, w: usize, k_lo: usize, k_hi: usize);
 
     /// Closes wavefront `w`, whose lane bounds were `lo..=hi` (empty when
@@ -696,23 +725,23 @@ trait Wavefronts<K: LaneKernel<LANES>, const LANES: usize> {
     /// covering everything the next wavefronts can read.
     fn rotate(&mut self, cx: &Cx<'_, K>, w: usize, lo: isize, hi: isize);
 
-    /// The chunk's captured last row becomes the next chunk's preserved row.
-    fn end_chunk(&mut self);
+    /// The strip's captured last row becomes the next strip's preserved row.
+    fn end_strip(&mut self);
 }
 
 impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Layered<K::Score> {
     fn prepare(&mut self, cx: &Cx<'_, K>) {
         let r = cx.reference.len();
-        self.0.prepare(r + 1, cx.npe, cx.worst);
+        self.0.prepare(r + 1, cx.strip, cx.worst);
         for j in (0..=r).take_while(|&j| cx.banding.contains(0, j)) {
             self.0.prev_row[j] = K::init_row(cx.params, j);
         }
     }
 
-    fn begin_chunk(&mut self, cx: &Cx<'_, K>, _w_start: usize) {
+    fn begin_strip(&mut self, cx: &Cx<'_, K>, _w_start: usize) {
         let bufs = &mut self.0;
         bufs.next_row.fill(cx.worst);
-        bufs.next_row[0] = cx.col_init(cx.base + cx.last_pe + 1);
+        bufs.next_row[0] = cx.col_init(cx.base + cx.last_lane + 1);
         bufs.wf_m1.fill(cx.worst);
         bufs.wf_m2.fill(cx.worst);
     }
@@ -726,8 +755,8 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Layered<
             cur,
         } = &mut self.0;
         for k in k_lo..=k_hi {
-            // Neighbour fetch mirroring the hardware buffers: PE 0 reads the
-            // preserved row, the `j = 1` cell reads column inits.
+            // Neighbour fetch mirroring the hardware buffers: lane 0 reads
+            // the preserved row, the `j = 1` cell reads column inits.
             let (i, j) = (cx.base + k + 1, w - k + 1);
             let left = if j == 1 { cx.col_init(i) } else { wf_m1[k] };
             let up = if k == 0 { prev_row[j] } else { wf_m1[k - 1] };
@@ -739,7 +768,7 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Layered<
                 wf_m2[k - 1]
             };
             let out = cx.cell(k, w, &diag, &up, &left);
-            if k == cx.last_pe {
+            if k == cx.last_lane {
                 next_row[j] = out;
             }
             cur[k] = out;
@@ -751,25 +780,25 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Layered<
         if lo >= 1 {
             bufs.cur[lo as usize - 1] = cx.worst;
         }
-        if ((hi + 1) as usize) < cx.npe {
+        if ((hi + 1) as usize) < cx.strip {
             bufs.cur[(hi + 1) as usize] = cx.worst;
         }
         mem::swap(&mut bufs.wf_m2, &mut bufs.wf_m1);
         mem::swap(&mut bufs.wf_m1, &mut bufs.cur);
     }
 
-    fn end_chunk(&mut self) {
+    fn end_strip(&mut self) {
         mem::swap(&mut self.0.prev_row, &mut self.0.next_row);
     }
 }
 
-/// Loads PE 0's port: slot 0 of every plane of the wavefront buffer `wf`
+/// Loads lane 0's port: slot 0 of every plane of the wavefront buffer `wf`
 /// takes column `j` of the preserved row — `worst` once `j` passes the last
 /// column, where lane 0 is out of the matrix and nothing reads the slot.
 /// (Inlined by force for the same reason as [`Cx::cell`].)
 #[inline(always)]
 fn feed<K: KernelSpec>(cx: &Cx<'_, K>, wf: &mut [K::Score], prev_row: &[K::Score], j: usize) {
-    let (row, slots) = (cx.reference.len() + 1, cx.npe + 1);
+    let (row, slots) = (cx.reference.len() + 1, cx.strip + 1);
     for layer in 0..K::meta().n_layers {
         wf[layer * slots] = if j < row {
             prev_row[layer * row + j]
@@ -783,17 +812,17 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
     fn prepare(&mut self, cx: &Cx<'_, K>) {
         let (layers, row) = (K::meta().n_layers, cx.reference.len() + 1);
         let worst = cx.worst.primary();
-        self.0.prepare(layers * row, layers * (cx.npe + 1), worst);
+        self.0.prepare(layers * row, layers * (cx.strip + 1), worst);
         for j in (0..row).take_while(|&j| cx.banding.contains(0, j)) {
             scatter(&mut self.0.prev_row, row, j, &K::init_row(cx.params, j));
         }
     }
 
-    fn begin_chunk(&mut self, cx: &Cx<'_, K>, w_start: usize) {
+    fn begin_strip(&mut self, cx: &Cx<'_, K>, w_start: usize) {
         let bufs = &mut self.0;
         let worst = cx.worst.primary();
         bufs.next_row.fill(worst);
-        let corner = cx.col_init(cx.base + cx.last_pe + 1);
+        let corner = cx.col_init(cx.base + cx.last_lane + 1);
         scatter(&mut bufs.next_row, cx.reference.len() + 1, 0, &corner);
         bufs.wf_m1.fill(worst);
         bufs.wf_m2.fill(worst);
@@ -805,12 +834,12 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
     fn score(&mut self, cx: &mut Cx<'_, K>, w: usize, k_lo: usize, k_hi: usize) {
         let layers = K::meta().n_layers;
         let (q_len, r_len) = (cx.query.len(), cx.reference.len());
-        let (row, slots) = (r_len + 1, cx.npe + 1);
+        let (row, slots) = (r_len + 1, cx.strip + 1);
         let (wf_m1, wf_m2) = (&self.0.wf_m1[..], &self.0.wf_m2[..]);
         let (cur, next_row) = (&mut self.0.cur[..], &mut self.0.next_row[..]);
 
         // Peel the one irregular lane: k = w is the `j = 1` cell, whose
-        // `left` (and, below PE 0, `diag`) is a column-0 boundary value
+        // `left` (and, below lane 0, `diag`) is a column-0 boundary value
         // rather than a buffer entry. Its `up` is slot k like any lane's.
         // Every other lane has j ≥ 2, so its neighbours are plain reads of
         // the two snapshots: the interior is lanes `k_lo..k_end`.
@@ -825,7 +854,7 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
             let up = gather(wf_m1, slots, layers, k_hi);
             let out = cx.cell(k_hi, w, &diag, &up, &cx.col_init(i));
             scatter(cur, slots, k_hi + 1, &out);
-            if k_hi == cx.last_pe {
+            if k_hi == cx.last_lane {
                 scatter(next_row, row, 1, &out);
             }
         }
@@ -835,10 +864,10 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
 
         // Lane t of the interior scores cell (base+k_lo+t+1, w−k_lo−t+1):
         // query symbols advance, reference symbols retreat. The pointers go
-        // straight into the wavefront's row of the traceback memory.
+        // straight into the wavefront's run of the traceback memory.
         let n = k_end - k_lo;
         let q = &cx.query[cx.base + k_lo..cx.base + k_end];
-        let ptrs = cx.tbmem.lanes_mut(k_lo, cx.c, w, n);
+        let ptrs = cx.tbmem.lanes_mut(k_lo, n);
         if layers == 1 {
             for off in (0..n).step_by(LANES) {
                 let (k, m) = (k_lo + off, LANES.min(n - off));
@@ -897,8 +926,8 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
             let edges = [row_lane, col_lane].into_iter();
             edges.filter(|l| lanes.contains(l)).for_each(offer);
         }
-        if lanes.contains(&cx.last_pe) {
-            let (j, slot) = (w - cx.last_pe + 1, cx.last_pe + 1);
+        if lanes.contains(&cx.last_lane) {
+            let (j, slot) = (w - cx.last_lane + 1, cx.last_lane + 1);
             for layer in 0..layers {
                 next_row[layer * row + j] = cur[layer * slots + slot];
             }
@@ -907,7 +936,7 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
 
     fn rotate(&mut self, cx: &Cx<'_, K>, w: usize, lo: isize, hi: isize) {
         let bufs = &mut self.0;
-        let (slots, worst) = (cx.npe + 1, cx.worst.primary());
+        let (slots, worst) = (cx.strip + 1, cx.worst.primary());
         // Flank lanes lo − 1 and hi + 1 are slots lo and hi + 2; slot 0 is
         // no lane and is never cleared.
         for layer in 0..K::meta().n_layers {
@@ -915,7 +944,7 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
             if lo >= 1 {
                 plane[lo as usize] = worst;
             }
-            if ((hi + 1) as usize) < cx.npe {
+            if ((hi + 1) as usize) < cx.strip {
                 plane[(hi + 2) as usize] = worst;
             }
         }
@@ -925,12 +954,32 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
         mem::swap(&mut bufs.wf_m1, &mut bufs.cur);
     }
 
-    fn end_chunk(&mut self) {
+    fn end_strip(&mut self) {
         mem::swap(&mut self.0.prev_row, &mut self.0.next_row);
     }
 }
 
-/// Validates the inputs and runs the wavefront loop in the given mode.
+/// The most rows the wavefront loop computes as one strip.
+///
+/// Each wavefront pays a fixed cost — the lane port's call, the feed, the
+/// flank clears, a traceback run opened — spread over the strip's lanes, so
+/// taller strips are cheaper until the three wavefront snapshots and the
+/// two preserved rows (`3 · 3 · (S + 1)` and `2 · 3 · (R + 1)` scores for
+/// an affine kernel) outgrow the cache. In a sweep of 256, 512, 1024 and
+/// 2048 on affine pairs of 1500–4000 bp, 2048 was fastest up to 2500 bp
+/// (one strip, or two of 1250 rows), tied 1024 at 3000 bp and lost to it
+/// at 4000 bp, where two 2000-row strips ran slower than four of 1000.
+const STRIP_MAX: usize = 2048;
+
+/// The strip height the loop computes a `q`-row query in: the whole query
+/// when it has at most [`STRIP_MAX`] rows, otherwise `⌈q / STRIP_MAX⌉`
+/// strips of equal height (the last one up to a row shorter).
+fn strip_height(q: usize) -> usize {
+    q.div_ceil(q.div_ceil(STRIP_MAX))
+}
+
+/// Validates the inputs and runs the wavefront loop in the given mode, in
+/// strips of the engine's own height.
 fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
     params: &K::Params,
     query: &[K::Sym],
@@ -941,6 +990,25 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
     guard: bool,
 ) -> Result<Option<SystolicRun<K::Score>>, SystolicError> {
     validate_inputs(config, query.len(), reference.len())?;
+    let strip = strip_height(query.len());
+    Ok(run_strips::<K, LANES>(
+        params, query, reference, config, scratch, mode, guard, strip,
+    ))
+}
+
+/// Runs the wavefront loop in the given mode in strips of `strip` rows, on
+/// validated inputs.
+#[allow(clippy::too_many_arguments)]
+fn run_strips<K: LaneKernel<LANES>, const LANES: usize>(
+    params: &K::Params,
+    query: &[K::Sym],
+    reference: &[K::Sym],
+    config: &KernelConfig,
+    scratch: &mut SystolicScratch<K::Score>,
+    mode: LaneMode,
+    guard: bool,
+    strip: usize,
+) -> Option<SystolicRun<K::Score>> {
     let SystolicScratch {
         layered,
         planes,
@@ -948,13 +1016,14 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
         trackers,
         tbmem,
     } = scratch;
-    Ok(match mode {
+    match mode {
         LaneMode::Scalar => wavefront_loop::<K, LANES, _>(
             params,
             query,
             reference,
             &[],
             config,
+            strip,
             layered,
             trackers,
             tbmem,
@@ -973,15 +1042,15 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
                 &[]
             };
             wavefront_loop::<K, LANES, _>(
-                params, query, reference, r_rev, config, planes, trackers, tbmem, guard,
+                params, query, reference, r_rev, config, strip, planes, trackers, tbmem, guard,
             )
         }
-    })
+    }
 }
 
-/// The wavefront loop: chunks of `NPE` rows, anti-diagonals within a chunk,
-/// active lanes within an anti-diagonal. Returns `None` when `guard` is set
-/// and a computed value entered the escalation guard band.
+/// The wavefront loop: strips of `strip` rows, anti-diagonals within a
+/// strip, active lanes within an anti-diagonal. Returns `None` when `guard`
+/// is set and a computed value entered the escalation guard band.
 #[allow(clippy::too_many_arguments)]
 fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, B: Wavefronts<K, LANES>>(
     params: &K::Params,
@@ -989,73 +1058,62 @@ fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, B: Wavefronts<K, LAN
     reference: &[K::Sym],
     r_rev: &[K::Sym],
     config: &KernelConfig,
+    strip: usize,
     bufs: &mut B,
     trackers: &mut Vec<BestTracker<K::Score>>,
-    tbmem: &mut Option<TbMem>,
+    tbmem: &mut TbMem,
     guard: bool,
 ) -> Option<SystolicRun<K::Score>> {
     let meta = K::meta();
     let banding = config.banding;
     let (q, r) = (query.len(), reference.len());
-    let npe = config.npe;
-    let chunks = config.chunks_for(q);
+    let strips = q.div_ceil(strip);
 
     // ---- Arena preparation: resize (capacity-preserving) + re-init. ----
-    match tbmem {
-        Some(mem) => mem.reset(npe, chunks, r),
-        None => *tbmem = Some(TbMem::new(npe, chunks, r)),
-    }
+    tbmem.reset(strip, strips, r);
     trackers.clear();
-    trackers.resize_with(npe, || BestTracker::new(meta.objective));
+    trackers.resize_with(strip, || BestTracker::new(meta.objective));
     let mut cx = Cx::<K> {
         params,
         query,
         reference,
         r_rev,
         banding,
-        npe,
+        strip,
         rule: meta.traceback.best,
         worst: LayerVec::splat(meta.n_layers, meta.objective.worst()),
-        tbmem: tbmem.as_mut().expect("tbmem just initialized"),
+        tbmem,
         trackers,
-        c: 0,
         base: 0,
-        last_pe: 0,
+        last_lane: 0,
         escalate: false,
     };
     bufs.prepare(&cx);
 
-    let mut stats = BlockStats {
-        chunks: chunks as u64,
-        query_len: q as u64,
-        ref_len: r as u64,
-        reduction_levels: npe.next_power_of_two().trailing_zeros() as u64,
-        ..BlockStats::default()
-    };
-
-    for c in 0..chunks {
-        let base = c * npe;
-        let rows = npe.min(q - base);
+    let mut cells = 0u64;
+    for c in 0..strips {
+        let base = c * strip;
+        let rows = strip.min(q - base);
         let Some(window) = ChunkWindow::new(base, rows, r, banding) else {
-            // The band has exited the matrix below this chunk; every later
-            // chunk starts even deeper, so the block is done.
+            // The band has exited the matrix below this strip; every later
+            // strip starts even deeper, so the block is done.
             break;
         };
-        (cx.c, cx.base, cx.last_pe) = (c, base, rows - 1);
-        bufs.begin_chunk(&cx, window.w_start);
+        (cx.base, cx.last_lane) = (base, rows - 1);
+        bufs.begin_strip(&cx, window.w_start);
 
         // Dead wavefronts before w_start and after w_end are skipped
         // entirely; within the window the lane bounds are closed-form, so
         // the loop touches only in-band cells. An empty bound pair (only
-        // possible for half_width = 0, off-parity wavefronts) skips the PE
-        // loop but still rotates the buffers so wavefront parities stay
+        // possible for half_width = 0, off-parity wavefronts) skips the
+        // lanes but still rotates the buffers so wavefront parities stay
         // aligned.
         for w in window.w_start..=window.w_end {
             let (lo, hi) = window.lanes(w);
             if lo <= hi {
+                cx.tbmem.open(c, w, lo as usize, hi as usize);
                 bufs.score(&mut cx, w, lo as usize, hi as usize);
-                stats.cells += (hi - lo + 1) as u64;
-                stats.wavefronts += 1;
+                cells += (hi - lo + 1) as u64;
                 // Saturation guard: a narrow-precision run is only certified
                 // bit-identical while every output-layer value stays outside
                 // the guard band; bail out the instant one wavefront needs
@@ -1066,10 +1124,10 @@ fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, B: Wavefronts<K, LAN
             }
             bufs.rotate(&cx, w, lo, hi);
         }
-        bufs.end_chunk();
+        bufs.end_strip();
     }
 
-    // Reduction over per-PE local bests (paper §5.2).
+    // Reduction over per-lane local bests (paper §5.2).
     let mut global = BestTracker::new(meta.objective);
     for t in cx.trackers.iter() {
         global.merge(t);
@@ -1081,7 +1139,13 @@ fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, B: Wavefronts<K, LAN
         .traceback
         .walk
         .map(|walk| walk_traceback::<K>(&|i, j| tbmem.read_cell(i, j), best_cell, walk));
-    stats.tb_steps = alignment.as_ref().map_or(0, |a| a.len() as u64);
+    // The cells are the loop's count, which no strip height changes; the
+    // rest are the `NPE`-PE array's, whatever strips the loop ran.
+    let stats = BlockStats {
+        cells,
+        tb_steps: alignment.as_ref().map_or(0, |a| a.len() as u64),
+        ..BlockStats::model(q, r, config)
+    };
 
     Some(SystolicRun {
         output: DpOutput {
@@ -1135,7 +1199,7 @@ mod tests {
     use dphls_core::{run_reference, Banding};
     use dphls_kernels::{
         AffineParams, GlobalAffine, GlobalLinear, GlobalTwoPiece, LinearParams, LocalAffine,
-        TwoPieceParams,
+        LocalLinear, TwoPieceParams,
     };
     use dphls_seq::DnaSeq;
 
@@ -1417,6 +1481,168 @@ mod tests {
         assert!(banded.stats.wavefronts < full.stats.wavefronts);
         // Identical sequences: banded score equals full score.
         assert_eq!(banded.output.best_score, full.output.best_score);
+    }
+
+    /// Runs `K` on `q × r` under every banding of `bandings`, in both modes
+    /// and at every strip height `1..=q + 1`, on one arena: each output
+    /// must equal the reference engine's and each `BlockStats` the `NPE`
+    /// model's (`from_geometry`, plus the walk's length).
+    fn sweep_strips<K: LaneKernel>(
+        p: &K::Params,
+        (q, r): (&[K::Sym], &[K::Sym]),
+        npe: usize,
+        scratch: &mut SystolicScratch<K::Score>,
+        kernel: &str,
+    ) {
+        let bandings = [
+            Banding::None,
+            Banding::Fixed { half_width: 0 },
+            Banding::Fixed { half_width: 1 },
+            Banding::Fixed { half_width: 3 },
+        ];
+        for banding in bandings {
+            let config = KernelConfig {
+                banding,
+                ..cfg(npe)
+            };
+            let want = run_reference::<K>(p, q, r, banding);
+            let model = BlockStats {
+                tb_steps: want.alignment.as_ref().map_or(0, |a| a.len() as u64),
+                ..BlockStats::from_geometry(q.len(), r.len(), &config)
+            };
+            for strip in 1..=q.len() + 1 {
+                for mode in [LaneMode::Lanes, LaneMode::Scalar] {
+                    let ctx = format!(
+                        "{kernel} {}×{} npe {npe} {banding:?} strip {strip} {mode:?}",
+                        q.len(),
+                        r.len()
+                    );
+                    let run =
+                        run_strips::<K, LANE_WIDTH>(p, q, r, &config, scratch, mode, false, strip)
+                            .expect("unguarded runs complete");
+                    assert_eq!(run.output, want, "{ctx}");
+                    assert_eq!(run.stats, model, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_strip_height_scores_like_the_reference_with_the_npe_models_stats() {
+        // The public doors run one strip for any query this short, so this
+        // is where the multi-strip paths run on small inputs: the preserved
+        // row between strips, the last strip shorter than the others, a
+        // strip taller than the query, and strips of one row. One arena
+        // serves every kernel, strip height and mode, growing and shrinking.
+        let a = dna("ACGTTGCATGCCAGTAC");
+        let b = dna("AGGTTGCTTGCAGTACG");
+        let pl = LinearParams::<i16>::dna();
+        let pa = AffineParams::<i16>::dna();
+        let pt = TwoPieceParams::<i16>::dna();
+        let mut scratch = SystolicScratch::new();
+        for (q_len, r_len, npe) in [(13, 11, 4), (9, 14, 3), (1, 5, 1), (6, 1, 6)] {
+            let pair = (&a.as_slice()[..q_len], &b.as_slice()[..r_len]);
+            sweep_strips::<GlobalLinear>(&pl, pair, npe, &mut scratch, "global linear");
+            sweep_strips::<LocalLinear>(&pl, pair, npe, &mut scratch, "local linear");
+            sweep_strips::<GlobalAffine>(&pa, pair, npe, &mut scratch, "global affine");
+            sweep_strips::<LocalAffine>(&pa, pair, npe, &mut scratch, "local affine");
+            let two_piece = "two-piece";
+            sweep_strips::<GlobalTwoPiece<i16>>(&pt, pair, npe, &mut scratch, two_piece);
+        }
+    }
+
+    #[test]
+    fn the_guarded_narrow_path_runs_the_same_strips() {
+        // The adaptive `i8` path calls the same loop: at every strip height
+        // a clean narrow run certifies the exact run's output and stats, and
+        // a pair that saturates `i8` trips the guard at every height.
+        use dphls_core::{AdaptiveKernel, I8_LANES_NARROW};
+        type Lo = <GlobalLinear as AdaptiveKernel>::Lo;
+        let p = LinearParams::<i16>::unit();
+        let lo = GlobalLinear::lo_params(&p).expect("unit parameters fit i8");
+        let clean = (dna("ACGTTGCATGCCAGT"), dna("AGGTTGCTTGCAGTA"));
+        let hot = (dna(&"A".repeat(40)), dna(&"C".repeat(40)));
+        let mut narrow = SystolicScratch::new();
+        for ((q, r), saturates) in [(&clean, false), (&hot, true)] {
+            let (q, r) = (q.as_slice(), r.as_slice());
+            for banding in [Banding::None, Banding::Fixed { half_width: 2 }] {
+                let config = KernelConfig {
+                    banding,
+                    ..cfg(4).with_max_lengths(64, 64)
+                };
+                let exact = run_systolic_ok::<GlobalLinear>(&p, q, r, &config);
+                for strip in 1..=q.len() + 1 {
+                    let ctx = format!("{banding:?} strip {strip}");
+                    let got = run_strips::<Lo, I8_LANES_NARROW>(
+                        &lo,
+                        q,
+                        r,
+                        &config,
+                        &mut narrow,
+                        LaneMode::Lanes,
+                        true,
+                        strip,
+                    );
+                    let Some(got) = got else {
+                        assert!(saturates, "{ctx}: a clean pair escalated");
+                        continue;
+                    };
+                    assert!(!saturates, "{ctx}: a saturating pair completed");
+                    let out = &got.output;
+                    assert_eq!(i16::from(out.best_score), exact.output.best_score, "{ctx}");
+                    assert_eq!(out.best_cell, exact.output.best_cell, "{ctx}");
+                    assert_eq!(out.alignment, exact.output.alignment, "{ctx}");
+                    assert_eq!(got.stats, exact.stats, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_query_shorter_than_npe_sizes_the_arena_by_its_rows() {
+        // The strip is the query's height, not NPE's: a 32 × 32 pair under
+        // NPE 2048 used to reset 2048 trackers and a traceback memory of
+        // 2048 · (32 + 2047) entries, O(NPE · (R + NPE)) a pair.
+        let (q, r) = (dna(&"ACGTTGCA".repeat(4)), dna(&"AGGTTGCT".repeat(4)));
+        let (q, r) = (q.as_slice(), r.as_slice());
+        let config = KernelConfig::new(2048, 1, 1).with_max_lengths(2048, 2048);
+        let p = AffineParams::<i16>::dna();
+        let mut scratch = SystolicScratch::new();
+        let run = run_systolic_with_scratch::<GlobalAffine>(&p, q, r, &config, &mut scratch);
+        let run = run.expect("a valid run");
+        assert_eq!(
+            run.output,
+            run_reference::<GlobalAffine>(&p, q, r, Banding::None)
+        );
+        assert_eq!(
+            run.stats.reduction_levels, 11,
+            "the model is still NPE 2048's"
+        );
+        let (q, r) = (q.len(), r.len());
+        assert!(
+            scratch.tbmem.entries() <= q * (r + q - 1),
+            "traceback memory"
+        );
+        assert!(scratch.trackers.len() <= q, "trackers");
+    }
+
+    #[test]
+    fn strips_are_the_whole_query_up_to_the_bound_then_equal() {
+        assert_eq!(strip_height(1), 1);
+        assert_eq!(strip_height(1500), 1500);
+        assert_eq!(strip_height(STRIP_MAX), STRIP_MAX);
+        // One row past the bound splits into two equal strips.
+        assert_eq!(strip_height(STRIP_MAX + 1), STRIP_MAX / 2 + 1);
+        for q in [STRIP_MAX + 1, 3 * STRIP_MAX - 1, 3 * STRIP_MAX, 100_000] {
+            let strip = strip_height(q);
+            let strips = q.div_ceil(strip);
+            assert!(strip <= STRIP_MAX, "q {q}");
+            assert_eq!(strips, q.div_ceil(STRIP_MAX), "q {q}: fewest strips");
+            assert!(
+                strips * strip - q < strips,
+                "q {q}: the last strip is short"
+            );
+        }
     }
 
     #[test]

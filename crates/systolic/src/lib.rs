@@ -46,7 +46,7 @@ pub mod block;
 pub mod cycles;
 pub mod device;
 pub mod group;
-pub mod tbmem;
+mod tbmem;
 pub mod xdrop;
 
 pub use adaptive::{
@@ -66,5 +66,4 @@ pub use group::{
     group_cells_max, run_exact_group_with_scratch, run_group_with_scratch, ExactScratch,
     GroupScratch, PairRef,
 };
-pub use tbmem::TbMem;
 pub use xdrop::{run_xdrop, XDropConfig, XDropRun};
