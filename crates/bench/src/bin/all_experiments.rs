@@ -14,7 +14,7 @@ fn main() {
             .get(i + 1)
             .map(String::as_str)
             .unwrap_or("experiments.json");
-        let full = report::build(50);
+        let full = report::build();
         std::fs::write(path, report::to_json(&full)).expect("write JSON report");
         println!("wrote {path}");
         return;

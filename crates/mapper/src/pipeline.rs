@@ -22,6 +22,8 @@ use dphls_seq::{Base, DnaSeq};
 use dphls_systolic::{run_xdrop, XDropConfig, XDropRun};
 use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Which strand of the reference a read mapped to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,8 +239,8 @@ fn map_outcome(
 /// vectors; source errors quarantine at their position), handed to
 /// `stream.workers` mapping workers over bounded queues, and re-ordered
 /// through an [`OrderedWriter`] whose window is sized to the in-flight
-/// bound — admission is permit-gated so the reorder buffer cannot
-/// overflow. A read that panics mid-mapping is quarantined and the run
+/// bound — admission is gated on the emitted count so the reorder buffer
+/// cannot overflow. A read that panics mid-mapping is quarantined and the run
 /// continues.
 ///
 /// # Panics
@@ -263,16 +265,14 @@ where
     assert!(stream.in_flight >= 1, "in-flight bound must be >= 1");
     let mut report = MapReport::default();
     let mut high_water = 0usize;
+    let window = Window::default();
     std::thread::scope(|s| {
         let (in_tx, in_rx) = bounded::<(usize, MapJob)>(stream.queue);
         let (out_tx, out_rx) = bounded::<(usize, MapOutcome)>(stream.queue);
-        let (permit_tx, permit_rx) = bounded::<()>(stream.in_flight);
-        for _ in 0..stream.in_flight {
-            permit_tx.send(()).expect("fresh permit channel");
-        }
+        let window = &window;
 
-        // Producer: admit reads under the permit gate, converting source
-        // errors into jobs so they quarantine at the right position.
+        // Producer: admit reads under the window, converting source errors
+        // into jobs so they quarantine at the right position.
         let producer = s.spawn(move || {
             let mut admitted = 0usize;
             for (idx, item) in reads.enumerate() {
@@ -282,7 +282,8 @@ where
                         message: e.to_string(),
                     },
                 };
-                if permit_rx.recv().is_err() || in_tx.send((idx, job)).is_err() {
+                window.admit(idx, stream.in_flight);
+                if in_tx.send((idx, job)).is_err() {
                     break; // collector / workers gone: shutting down
                 }
                 admitted += 1;
@@ -312,19 +313,19 @@ where
         drop(in_rx);
         drop(out_tx);
 
-        // Collector (this thread): restore input order, return permits as
-        // outputs are emitted. The writer window exceeds the in-flight
-        // bound by one, so a push can never overflow.
-        let mut writer = OrderedWriter::new(stream.in_flight + 1, sink);
+        // Collector (this thread): restore input order and publish the
+        // emitted count as outputs leave. The writer window exceeds the
+        // in-flight bound by one, so a push can never overflow.
+        let _open = OpenOnDrop(window);
+        let mut writer = OrderedWriter::new(stream.in_flight.saturating_add(1), sink);
         for (idx, outcome) in out_rx.iter() {
             tally(&mut report, &outcome);
             let before = writer.next_emit();
             writer
                 .push(idx, outcome)
                 .expect("reorder window sized to the in-flight bound");
-            for _ in 0..writer.next_emit() - before {
-                // The producer may already be gone; permits then just drop.
-                let _ = permit_tx.send(());
+            if writer.next_emit() != before {
+                window.publish(writer.next_emit());
             }
         }
         assert!(
@@ -336,6 +337,51 @@ where
     });
     report.reorder_high_water = high_water;
     report
+}
+
+/// The streamed mapper's admission window: the collector publishes how many
+/// outcomes it has emitted, and the producer admits read `idx` while
+/// `idx − emitted` is under the in-flight bound — without a lock, parking on
+/// `room` only when the window is full.
+#[derive(Default)]
+struct Window {
+    emitted: AtomicUsize,
+    lock: Mutex<()>,
+    room: Condvar,
+}
+
+impl Window {
+    /// Blocks until read `idx` fits in a window of `in_flight` reads.
+    fn admit(&self, idx: usize, in_flight: usize) {
+        let fits = || idx.saturating_sub(self.emitted.load(Ordering::Acquire)) < in_flight;
+        if fits() {
+            return;
+        }
+        let mut held = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while !fits() {
+            held = self.room.wait(held).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Publishes the emitted count and wakes a parked producer. Passing
+    /// through the lock orders the store before a parked producer's
+    /// recheck, so no wake-up is lost.
+    fn publish(&self, emitted: usize) {
+        self.emitted.store(emitted, Ordering::Release);
+        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        self.room.notify_one();
+    }
+}
+
+/// Opens the window for good when the collector leaves, panicking or not,
+/// so a parked producer never outlives it: it then admits freely and stops
+/// at the first send the departed workers refuse.
+struct OpenOnDrop<'a>(&'a Window);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.publish(usize::MAX);
+    }
 }
 
 /// Maps a batch of `(id, read)` pairs serially (no threads), returning one

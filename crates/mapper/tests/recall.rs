@@ -296,6 +296,37 @@ fn batch_and_streamed_agree() {
     assert_eq!(batch, streamed, "serial and streamed outcomes diverge");
 }
 
+#[test]
+fn unbounded_in_flight_and_queue_map_like_the_defaults() {
+    // Bounds at the type's maximum are a window that never fills: the run
+    // must start, finish and match the default config read for read (the
+    // watchdog turns a hang into a failure).
+    fn outcomes(stream: MapStreamConfig) -> Vec<(usize, MapOutcome)> {
+        let set = simulated_set(0xB0B, 12, 600, 0.04);
+        let index = KmerIndex::build(&set.genome, IndexConfig::default());
+        let source = set
+            .reads
+            .iter()
+            .map(|(id, bases, _, _)| Ok::<_, String>((id.clone(), bases.clone())));
+        let mut seen = Vec::new();
+        let cfg = MapperConfig::default();
+        map_streamed(&index, &set.genome, source, &cfg, stream, |idx, out| {
+            seen.push((idx, out))
+        });
+        seen
+    }
+    let want = outcomes(MapStreamConfig::default());
+    let unbounded = MapStreamConfig {
+        in_flight: usize::MAX,
+        queue: usize::MAX,
+        ..MapStreamConfig::default()
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(outcomes(unbounded)));
+    let got = rx.recv_timeout(std::time::Duration::from_secs(120));
+    assert_eq!(got.expect("the unbounded run finishes"), want);
+}
+
 /// Frozen-surface guard: the out-of-workspace `benchmark/` package builds
 /// the stream config as a full struct literal.
 #[test]

@@ -404,8 +404,18 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Returns [`io::ErrorKind::InvalidInput`], naming the field, if
+    /// `config.stream.buffer` or `config.stream.window` is zero — a kernel
+    /// session cannot start on either, and would fail on the first request
+    /// instead. Otherwise propagates the bind failure.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
+        let stream = &config.stream;
+        for (field, value) in [("buffer", stream.buffer), ("window", stream.window)] {
+            if value == 0 {
+                let msg = format!("ServerConfig::stream.{field} must be at least 1");
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+            }
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(config));

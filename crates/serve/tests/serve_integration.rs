@@ -6,7 +6,7 @@
 //! disturbing anyone else.
 
 use dphls_core::KernelConfig;
-use dphls_host::{run_batched, BatchConfig};
+use dphls_host::{run_batched, BatchConfig, StreamConfig};
 use dphls_kernels::{AffineParams, GlobalLinear, LinearParams, LocalAffine};
 use dphls_seq::gen::ReadSimulator;
 use dphls_seq::Base;
@@ -337,4 +337,28 @@ fn shutdown_drains_cleanly_with_no_traffic() {
     assert_eq!(stats.requests, 0);
     assert_eq!(stats.responses, 0);
     assert!(stats.kernels.is_empty());
+}
+
+#[test]
+fn bind_refuses_a_zero_buffer_or_window() {
+    // No kernel session can start on either, so `bind` refuses them before
+    // it listens, naming the field, rather than failing the first request.
+    for (buffer, window, field) in [(0, 256, "buffer"), (64, 0, "window"), (0, 0, "buffer")] {
+        let config = ServerConfig {
+            stream: StreamConfig {
+                buffer,
+                window,
+                ..StreamConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let err = Server::bind("127.0.0.1:0", config)
+            .err()
+            .expect("a refused config");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{field}");
+        assert!(
+            err.to_string().contains(&format!("stream.{field}")),
+            "{err}"
+        );
+    }
 }

@@ -24,34 +24,34 @@
 //! counts the chunks and wavefronts of `NPE`-row chunks, whatever strips the
 //! loop ran, and the cells, which no strip height changes.
 //!
-//! There is **one** wavefront loop. What varies is a value or a type
-//! parameter of it: guarded or not (the adaptive `i8` path), the lane width,
-//! and the **mode** — how the five buffers hold their cells and how one
-//! wavefront's lanes are scored over them (`Wavefronts`):
+//! There is **one** wavefront loop over **one** storage. What varies is a
+//! value or a type parameter of it: guarded or not (the adaptive `i8`
+//! path), the lane width, and the kernel. Each of the five buffers is
+//! `n_layers` contiguous planes of bare scores (the paper's "each scoring
+//! layer is its own partitioned array"), and each wavefront plane has one
+//! extra **leading slot** — lane 0's port onto the Preserved Row Score
+//! Buffer. Slot 0 of the two previous wavefronts is kept loaded with
+//! `prev_row[j]` / `prev_row[j − 1]` for the column lane 0 is in, so lane 0
+//! finds `up` and `diag` exactly where every other lane finds its upper
+//! neighbour and the whole lane range is one run of equal-length plane
+//! subslices. Only the `j = 1` lane, whose neighbours are column-0 boundary
+//! values, is peeled scalar.
 //!
-//! * **scalar mode** (`Layered`) keeps whole [`LayerVec`] cells and calls
-//!   [`KernelSpec::pe`] once per cell — the PR 1 path, kept as the comparand
-//!   every lane change is measured and differentially tested against;
-//! * **lane mode** (`Planes`) has one storage for every kernel: each buffer
-//!   is `n_layers` contiguous planes of bare scores (the paper's "each
-//!   scoring layer is its own partitioned array"), and each wavefront plane
-//!   has one extra **leading slot** — lane 0's port onto the Preserved Row
-//!   Score Buffer. Slot 0 of the two previous wavefronts is kept loaded with
-//!   `prev_row[j]` / `prev_row[j − 1]` for the column lane 0 is in, so lane 0
-//!   finds `up` and `diag` exactly where every other lane finds its upper
-//!   neighbour and the whole lane range is one run of equal-length plane
-//!   subslices. Only the `j = 1` lane, whose neighbours are column-0
-//!   boundary values, is peeled scalar.
+//! Multi-layer kernels score that run in **one call per wavefront**
+//! ([`LaneKernel::pe_wavefront`]) that reads the reference through a
+//! per-alignment reversed copy, so query and reference are both forward
+//! slices, and writes its pointers straight into the `TbMem` run.
+//! Single-layer kernels score it in `LANES`-wide padded chunks over plane 0
+//! ([`LaneKernel::pe_lanes_primary`]): a band-clipped short-read wavefront
+//! is ~19 cells, where the padded fixed-width body beats an exact-length
+//! loop with a remainder (by 6–16 % end to end).
+//! The choice is the kernel's layer count, a compile-time constant.
 //!
-//!   Multi-layer kernels score that run in **one call per wavefront**
-//!   ([`LaneKernel::pe_wavefront`]) that reads the reference through a
-//!   per-alignment reversed copy, so query and reference are both forward
-//!   slices, and writes its pointers straight into the `TbMem` run.
-//!   Single-layer kernels score it in `LANES`-wide padded chunks over plane 0
-//!   ([`LaneKernel::pe_lanes_primary`]): a band-clipped short-read wavefront
-//!   is ~19 cells, where the padded fixed-width body beats an exact-length
-//!   loop with a remainder (by 6–16 % end to end in ISSUE 20's scratch
-//!   runs). The choice is the kernel's layer count, a compile-time constant.
+//! The scalar door, [`run_systolic_scalar_with_scratch`], is the same loop
+//! on `PerCell<K>`: `K` with every lane port left at its default, each of
+//! which bottoms out in one [`KernelSpec::pe`] call a cell. It is the
+//! comparand every lane body is measured and differentially tested against,
+//! equal to the lane path by construction rather than by a second loop.
 //!
 //! The result is bit-identical to [`dphls_core::run_reference`] (verified by
 //! differential and property tests), while also producing the structural
@@ -67,26 +67,13 @@
 use crate::tbmem::TbMem;
 use dphls_core::reference::{offer_if_eligible, walk_traceback, BestTracker};
 use dphls_core::{
-    Banding, BestCellRule, DpOutput, KernelConfig, KernelSpec, LaneKernel, LayerVec, Score,
-    LANE_WIDTH, MAX_LAYERS,
+    Banding, BestCellRule, DpOutput, KernelConfig, KernelMeta, KernelSpec, LaneKernel, LayerVec,
+    Score, TbMove, TbPtr, TbState, LANE_WIDTH, MAX_LAYERS,
 };
 use std::any::Any;
 use std::fmt;
+use std::marker::PhantomData;
 use std::mem;
-
-/// How the engine scores the active lanes of each wavefront.
-///
-/// Both modes are bit-identical (enforced by the lane-vs-scalar property
-/// suite); [`LaneMode::Scalar`] is kept as the measurable PR 1 comparand for
-/// the `lanes` bench and the differential tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneMode {
-    /// One [`dphls_core::KernelSpec::pe`] call per cell (the PR 1 hot path).
-    Scalar,
-    /// Every lane but the `j = 1` one scored through the kernel's
-    /// [`LaneKernel`] ports over layer planes.
-    Lanes,
-}
 
 /// Structural counts from one block-level alignment, consumed by the cycle
 /// model ([`crate::cycles`]).
@@ -238,63 +225,22 @@ impl From<dphls_core::config::ConfigError> for SystolicError {
     }
 }
 
-/// The five cell buffers one alignment works in — the Preserved Row Score
+/// The five score buffers one alignment works in — the Preserved Row Score
 /// Buffer (`prev_row` / `next_row`) and the three wavefront snapshots of the
-/// DP Memory Buffer — over one element type `C`: whole [`LayerVec`] cells
-/// ([`Layered`]) or bare scores laid out in layer planes ([`Planes`]).
+/// DP Memory Buffer — one storage for every kernel: each buffer is
+/// `n_layers` contiguous planes of scores. A row plane is `R + 1` columns; a
+/// wavefront plane is `S + 1` slots for a strip of `S` rows — slot 0 is lane
+/// 0's port onto the Preserved Row Score Buffer and lane `k` lives in slot
+/// `k + 1`, so lane `k` reads `left` from slot `k + 1` and `up` / `diag`
+/// from slot `k` with no case for lane 0.
 #[derive(Debug, Clone)]
-struct CellBufs<C> {
-    prev_row: Vec<C>,
-    next_row: Vec<C>,
-    wf_m1: Vec<C>,
-    wf_m2: Vec<C>,
-    cur: Vec<C>,
+struct Planes<S> {
+    prev_row: Vec<S>,
+    next_row: Vec<S>,
+    wf_m1: Vec<S>,
+    wf_m2: Vec<S>,
+    cur: Vec<S>,
 }
-
-impl<C> CellBufs<C> {
-    fn new() -> Self {
-        Self {
-            prev_row: Vec::new(),
-            next_row: Vec::new(),
-            wf_m1: Vec::new(),
-            wf_m2: Vec::new(),
-            cur: Vec::new(),
-        }
-    }
-
-    /// Sizes the two row buffers to `row_len` and the three wavefront
-    /// buffers to `wf_len` elements, every one of them `worst`. `resize`
-    /// keeps capacity, so this allocates only while the geometry is still
-    /// growing, and whatever an earlier alignment (of any kernel, with any
-    /// plane count or stride) left behind is overwritten.
-    fn prepare(&mut self, row_len: usize, wf_len: usize, worst: C)
-    where
-        C: Copy,
-    {
-        for buf in [&mut self.prev_row, &mut self.next_row] {
-            buf.clear();
-            buf.resize(row_len, worst);
-        }
-        for buf in [&mut self.wf_m1, &mut self.wf_m2, &mut self.cur] {
-            buf.clear();
-            buf.resize(wf_len, worst);
-        }
-    }
-}
-
-/// Scalar mode's storage: array-of-structures, one [`LayerVec`] per cell,
-/// `R + 1` columns a row buffer and one strip's lanes a wavefront buffer.
-#[derive(Debug, Clone)]
-struct Layered<S>(CellBufs<LayerVec<S>>);
-
-/// Lane mode's storage, for every kernel: each buffer is `n_layers`
-/// contiguous planes of scores. A row plane is `R + 1` columns; a wavefront
-/// plane is `S + 1` slots for a strip of `S` rows — slot 0 is lane 0's port
-/// onto the Preserved Row Score Buffer and lane `k` lives in slot `k + 1`,
-/// so lane `k` reads `left` from slot `k + 1` and `up` / `diag` from slot
-/// `k` with no case for lane 0.
-#[derive(Debug, Clone)]
-struct Planes<S>(CellBufs<S>);
 
 /// Cell `idx` of a planar buffer (plane `l` starts at `l · stride`).
 #[inline]
@@ -360,23 +306,20 @@ impl Clone for SymVec {
 
 /// Reusable scratch arena for the systolic engine's hot path.
 ///
-/// One alignment needs five cell buffers (`CellBufs`), one
+/// One alignment needs five score buffers (`Planes`), one
 /// [`BestTracker`] per lane, the traceback memory (`TbMem`) and, for
-/// multi-layer kernels in lane mode, a reversed copy of the reference.
-/// Allocating them per alignment dominates short-read batch workloads, so
-/// the arena owns them all and [`run_systolic_with_scratch`] reuses them
-/// across alignments: buffers are resized (`resize`, which keeps capacity)
-/// and re-initialized, never reallocated once they have grown to the
-/// workload's maximum geometry. The arena holds one `CellBufs` per mode — layer-vector cells
-/// for the scalar loop, score planes for the lane loop — so a worker that
-/// alternates modes never re-shapes a buffer; every lane-mode kernel shares
-/// the planes (their count and stride are set per run), and the trackers and
-/// traceback memory are shared by all. Results are **bit-identical** to a
-/// fresh [`run_systolic`] — every buffer is restored to its pristine state
-/// before use (verified by the scratch-reuse property tests).
+/// multi-layer kernels, a reversed copy of the reference. Allocating them
+/// per alignment dominates short-read batch workloads, so the arena owns
+/// them all and [`run_systolic_with_scratch`] reuses them across
+/// alignments: buffers are resized (`resize`, which keeps capacity) and
+/// re-initialized, never reallocated once they have grown to the workload's
+/// maximum geometry. Every kernel and both doors share the one set of
+/// planes (their count and stride are set per run). Results are
+/// **bit-identical** to a fresh [`run_systolic`] — every buffer is restored
+/// to its pristine state before use (verified by the scratch-reuse property
+/// tests).
 #[derive(Debug, Clone)]
 pub struct SystolicScratch<S> {
-    layered: Layered<S>,
     planes: Planes<S>,
     r_rev: SymVec,
     trackers: Vec<BestTracker<S>>,
@@ -387,8 +330,13 @@ impl<S> SystolicScratch<S> {
     /// Creates an empty arena; buffers grow on first use.
     pub fn new() -> Self {
         Self {
-            layered: Layered(CellBufs::new()),
-            planes: Planes(CellBufs::new()),
+            planes: Planes {
+                prev_row: Vec::new(),
+                next_row: Vec::new(),
+                wf_m1: Vec::new(),
+                wf_m2: Vec::new(),
+                cur: Vec::new(),
+            },
             r_rev: SymVec::default(),
             trackers: Vec::new(),
             tbmem: TbMem::default(),
@@ -533,7 +481,7 @@ pub fn run_systolic<K: LaneKernel>(
 /// **no heap allocation** (the returned alignment path is the only output
 /// allocation).
 ///
-/// The wavefront inner loop runs in **multi-lane mode** over layer planes:
+/// The wavefront inner loop runs the kernel's lane ports over layer planes:
 /// a multi-layer kernel scores each wavefront's lanes in one
 /// [`LaneKernel::pe_wavefront`] call, a single-layer kernel in
 /// [`LANE_WIDTH`]-wide [`LaneKernel::pe_lanes_primary`] chunks; lane 0 reads
@@ -553,22 +501,15 @@ pub fn run_systolic_with_scratch<K: LaneKernel>(
     config: &KernelConfig,
     scratch: &mut SystolicScratch<K::Score>,
 ) -> Result<SystolicRun<K::Score>, SystolicError> {
-    run_block::<K, LANE_WIDTH>(
-        params,
-        query,
-        reference,
-        config,
-        scratch,
-        LaneMode::Lanes,
-        false,
-    )
-    .map(|run| run.expect("unguarded systolic run always completes"))
+    run_block::<K, LANE_WIDTH>(params, query, reference, config, scratch, false)
+        .map(|run| run.expect("unguarded systolic run always completes"))
 }
 
-/// Runs one alignment with the wavefront loop forced to one
-/// [`dphls_core::KernelSpec::pe`] call per cell — the PR 1 scalar hot path,
-/// kept as the measurable comparand for the multi-lane engine (the `lanes`
-/// bench and the lane-vs-scalar property suite both diff against it).
+/// Runs one alignment with every cell scored by one
+/// [`dphls_core::KernelSpec::pe`] call: the same wavefront loop on
+/// `PerCell<K>`, whose lane ports are the per-cell defaults. It is the
+/// measurable comparand for the kernel's own lane bodies (the `lanes` bench
+/// and the lane-vs-scalar property suite both diff against it).
 ///
 /// # Errors
 ///
@@ -581,17 +522,53 @@ pub fn run_systolic_scalar_with_scratch<K: LaneKernel>(
     config: &KernelConfig,
     scratch: &mut SystolicScratch<K::Score>,
 ) -> Result<SystolicRun<K::Score>, SystolicError> {
-    run_block::<K, LANE_WIDTH>(
-        params,
-        query,
-        reference,
-        config,
-        scratch,
-        LaneMode::Scalar,
-        false,
-    )
-    .map(|run| run.expect("unguarded systolic run always completes"))
+    run_block::<PerCell<K>, LANE_WIDTH>(params, query, reference, config, scratch, false)
+        .map(|run| run.expect("unguarded systolic run always completes"))
 }
+
+/// `K` with its lane ports left at their defaults, each of which bottoms out
+/// in one [`KernelSpec::pe`] call a cell — what a custom kernel with an
+/// empty `impl LaneKernel` runs. Never constructed: it only names a type.
+struct PerCell<K>(PhantomData<K>);
+
+impl<K: KernelSpec> KernelSpec for PerCell<K> {
+    type Sym = K::Sym;
+    type Score = K::Score;
+    type Params = K::Params;
+
+    fn meta() -> KernelMeta {
+        K::meta()
+    }
+
+    fn init_row(params: &K::Params, j: usize) -> LayerVec<K::Score> {
+        K::init_row(params, j)
+    }
+
+    fn init_col(params: &K::Params, i: usize) -> LayerVec<K::Score> {
+        K::init_col(params, i)
+    }
+
+    fn pe(
+        params: &K::Params,
+        q: K::Sym,
+        r: K::Sym,
+        diag: &LayerVec<K::Score>,
+        up: &LayerVec<K::Score>,
+        left: &LayerVec<K::Score>,
+    ) -> (LayerVec<K::Score>, TbPtr) {
+        K::pe(params, q, r, diag, up, left)
+    }
+
+    fn tb_step(state: TbState, ptr: TbPtr) -> (TbState, TbMove) {
+        K::tb_step(state, ptr)
+    }
+
+    fn tb_start_state() -> TbState {
+        K::tb_start_state()
+    }
+}
+
+impl<K: KernelSpec, const W: usize> LaneKernel<W> for PerCell<K> {}
 
 /// Runs one alignment with saturation guarding: every computed wavefront is
 /// scanned for scores inside the guard band
@@ -618,15 +595,7 @@ pub(crate) fn run_systolic_guarded_with_scratch<K: LaneKernel<LANES>, const LANE
     config: &KernelConfig,
     scratch: &mut SystolicScratch<K::Score>,
 ) -> Result<Option<SystolicRun<K::Score>>, SystolicError> {
-    run_block::<K, LANES>(
-        params,
-        query,
-        reference,
-        config,
-        scratch,
-        LaneMode::Lanes,
-        true,
-    )
+    run_block::<K, LANES>(params, query, reference, config, scratch, true)
 }
 
 /// What every step of the wavefront loop works on besides the cell buffers:
@@ -651,7 +620,7 @@ struct Cx<'a, K: KernelSpec> {
     base: usize,
     last_lane: usize,
     /// Set once any scored value is inside the escalation guard band
-    /// ([`Score::needs_escalation`]); scalar cells and lane calls all OR
+    /// ([`Score::needs_escalation`]); the peeled cell and lane calls all OR
     /// into it. For exact score types every contribution is the constant
     /// `false`, and the flag and the guarded bail-out fold away.
     escalate: bool,
@@ -666,136 +635,15 @@ impl<K: KernelSpec> Cx<'_, K> {
             self.worst
         }
     }
-
-    /// One full scalar cell, lane `k` of wavefront `w`: PE call, guard scan,
-    /// traceback write, tracker offer. Every cell in scalar mode and the
-    /// peeled `j = 1` cell in lane mode; the caller fetches the neighbours
-    /// from, and stores the result in, its own buffers.
-    ///
-    /// Inlined by force: as a real call it takes the context's address, and
-    /// from then on every field the loop reads lives in memory, not in a
-    /// register (measured 5–8 % on 120-bp banded `i8` pairs).
-    #[inline(always)]
-    fn cell(
-        &mut self,
-        k: usize,
-        w: usize,
-        diag: &LayerVec<K::Score>,
-        up: &LayerVec<K::Score>,
-        left: &LayerVec<K::Score>,
-    ) -> LayerVec<K::Score> {
-        let (i, j) = (self.base + k + 1, w - k + 1);
-        let (q, r) = (self.query, self.reference);
-        let (out, ptr) = K::pe(self.params, q[i - 1], r[j - 1], diag, up, left);
-        self.escalate |= out.as_slice().iter().any(|s| s.needs_escalation());
-        self.tbmem.write(k, ptr);
-        let tracker = &mut self.trackers[k];
-        offer_if_eligible(tracker, self.rule, out.primary(), i, j, q.len(), r.len());
-        out
-    }
-}
-
-/// One mode of the wavefront loop: how the five buffers hold their cells and
-/// how a wavefront's lanes are scored over them. Both modes walk the same
-/// cells in the same order and are bit-identical (the lane-vs-scalar and
-/// cross-precision property suites enforce it). The loop is monomorphised
-/// per mode, so none of these calls survives as a branch.
-trait Wavefronts<K: LaneKernel<LANES>, const LANES: usize> {
-    /// Sizes the buffers for this run, every slot `worst`, and loads the
-    /// in-band part of boundary row 0 into the Preserved Row Score Buffer.
-    fn prepare(&mut self, cx: &Cx<'_, K>);
-
-    /// Readies the strip-local buffers for a strip whose first live
-    /// wavefront is `w_start`: the next preserved row (column 0 is the
-    /// boundary value of the strip's last row) and the wavefront snapshots.
-    fn begin_strip(&mut self, cx: &Cx<'_, K>, w_start: usize);
-
-    /// Scores lanes `k_lo..=k_hi` of wavefront `w` — all in-band and
-    /// in-matrix — into `cur`, the traceback memory (whose run for this
-    /// wavefront is open), the trackers and, for the strip's last lane, the
-    /// next preserved row.
-    fn score(&mut self, cx: &mut Cx<'_, K>, w: usize, k_lo: usize, k_hi: usize);
-
-    /// Closes wavefront `w`, whose lane bounds were `lo..=hi` (empty when
-    /// `lo = hi + 1`), and rotates the snapshots. The bounds move down by
-    /// at most one lane per wavefront, so clearing one lane on each flank
-    /// keeps every stale entry the next two wavefronts can read at the
-    /// worst value — exactly what a full-lane scan would produce. For an
-    /// empty wavefront the two flanks are lanes `hi` and `lo` themselves,
-    /// covering everything the next wavefronts can read.
-    fn rotate(&mut self, cx: &Cx<'_, K>, w: usize, lo: isize, hi: isize);
-
-    /// The strip's captured last row becomes the next strip's preserved row.
-    fn end_strip(&mut self);
-}
-
-impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Layered<K::Score> {
-    fn prepare(&mut self, cx: &Cx<'_, K>) {
-        let r = cx.reference.len();
-        self.0.prepare(r + 1, cx.strip, cx.worst);
-        for j in (0..=r).take_while(|&j| cx.banding.contains(0, j)) {
-            self.0.prev_row[j] = K::init_row(cx.params, j);
-        }
-    }
-
-    fn begin_strip(&mut self, cx: &Cx<'_, K>, _w_start: usize) {
-        let bufs = &mut self.0;
-        bufs.next_row.fill(cx.worst);
-        bufs.next_row[0] = cx.col_init(cx.base + cx.last_lane + 1);
-        bufs.wf_m1.fill(cx.worst);
-        bufs.wf_m2.fill(cx.worst);
-    }
-
-    fn score(&mut self, cx: &mut Cx<'_, K>, w: usize, k_lo: usize, k_hi: usize) {
-        let CellBufs {
-            prev_row,
-            next_row,
-            wf_m1,
-            wf_m2,
-            cur,
-        } = &mut self.0;
-        for k in k_lo..=k_hi {
-            // Neighbour fetch mirroring the hardware buffers: lane 0 reads
-            // the preserved row, the `j = 1` cell reads column inits.
-            let (i, j) = (cx.base + k + 1, w - k + 1);
-            let left = if j == 1 { cx.col_init(i) } else { wf_m1[k] };
-            let up = if k == 0 { prev_row[j] } else { wf_m1[k - 1] };
-            let diag = if k == 0 {
-                prev_row[j - 1]
-            } else if j == 1 {
-                cx.col_init(i - 1)
-            } else {
-                wf_m2[k - 1]
-            };
-            let out = cx.cell(k, w, &diag, &up, &left);
-            if k == cx.last_lane {
-                next_row[j] = out;
-            }
-            cur[k] = out;
-        }
-    }
-
-    fn rotate(&mut self, cx: &Cx<'_, K>, _w: usize, lo: isize, hi: isize) {
-        let bufs = &mut self.0;
-        if lo >= 1 {
-            bufs.cur[lo as usize - 1] = cx.worst;
-        }
-        if ((hi + 1) as usize) < cx.strip {
-            bufs.cur[(hi + 1) as usize] = cx.worst;
-        }
-        mem::swap(&mut bufs.wf_m2, &mut bufs.wf_m1);
-        mem::swap(&mut bufs.wf_m1, &mut bufs.cur);
-    }
-
-    fn end_strip(&mut self) {
-        mem::swap(&mut self.0.prev_row, &mut self.0.next_row);
-    }
 }
 
 /// Loads lane 0's port: slot 0 of every plane of the wavefront buffer `wf`
 /// takes column `j` of the preserved row — `worst` once `j` passes the last
 /// column, where lane 0 is out of the matrix and nothing reads the slot.
-/// (Inlined by force for the same reason as [`Cx::cell`].)
+///
+/// Inlined by force: as a real call it takes the context's address, and
+/// from then on every field the loop reads lives in memory, not in a
+/// register (measured 5–8 % on 120-bp banded `i8` pairs).
 #[inline(always)]
 fn feed<K: KernelSpec>(cx: &Cx<'_, K>, wf: &mut [K::Score], prev_row: &[K::Score], j: usize) {
     let (row, slots) = (cx.reference.len() + 1, cx.strip + 1);
@@ -808,35 +656,62 @@ fn feed<K: KernelSpec>(cx: &Cx<'_, K>, wf: &mut [K::Score], prev_row: &[K::Score
     }
 }
 
-impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K::Score> {
-    fn prepare(&mut self, cx: &Cx<'_, K>) {
+impl<S: Score> Planes<S> {
+    /// Sizes the buffers for this run, every slot `worst`, and loads the
+    /// in-band part of boundary row 0 into the Preserved Row Score Buffer.
+    /// `resize` keeps capacity, so this allocates only while the geometry is
+    /// still growing, and whatever an earlier alignment (of any kernel, with
+    /// any plane count or stride) left behind is overwritten.
+    fn prepare<K: KernelSpec<Score = S>>(&mut self, cx: &Cx<'_, K>) {
         let (layers, row) = (K::meta().n_layers, cx.reference.len() + 1);
+        let (row_len, wf_len) = (layers * row, layers * (cx.strip + 1));
         let worst = cx.worst.primary();
-        self.0.prepare(layers * row, layers * (cx.strip + 1), worst);
+        for buf in [&mut self.prev_row, &mut self.next_row] {
+            buf.clear();
+            buf.resize(row_len, worst);
+        }
+        for buf in [&mut self.wf_m1, &mut self.wf_m2, &mut self.cur] {
+            buf.clear();
+            buf.resize(wf_len, worst);
+        }
         for j in (0..row).take_while(|&j| cx.banding.contains(0, j)) {
-            scatter(&mut self.0.prev_row, row, j, &K::init_row(cx.params, j));
+            scatter(&mut self.prev_row, row, j, &K::init_row(cx.params, j));
         }
     }
 
-    fn begin_strip(&mut self, cx: &Cx<'_, K>, w_start: usize) {
-        let bufs = &mut self.0;
+    /// Readies the strip-local buffers for a strip whose first live
+    /// wavefront is `w_start`: the next preserved row (column 0 is the
+    /// boundary value of the strip's last row) and the wavefront snapshots.
+    fn begin_strip<K: KernelSpec<Score = S>>(&mut self, cx: &Cx<'_, K>, w_start: usize) {
         let worst = cx.worst.primary();
-        bufs.next_row.fill(worst);
+        self.next_row.fill(worst);
         let corner = cx.col_init(cx.base + cx.last_lane + 1);
-        scatter(&mut bufs.next_row, cx.reference.len() + 1, 0, &corner);
-        bufs.wf_m1.fill(worst);
-        bufs.wf_m2.fill(worst);
+        scatter(&mut self.next_row, cx.reference.len() + 1, 0, &corner);
+        self.wf_m1.fill(worst);
+        self.wf_m2.fill(worst);
         // Lane 0 of the first wavefront sits in column `w_start + 1`.
-        feed(cx, &mut bufs.wf_m2, &bufs.prev_row, w_start);
-        feed(cx, &mut bufs.wf_m1, &bufs.prev_row, w_start + 1);
+        feed(cx, &mut self.wf_m2, &self.prev_row, w_start);
+        feed(cx, &mut self.wf_m1, &self.prev_row, w_start + 1);
     }
 
-    fn score(&mut self, cx: &mut Cx<'_, K>, w: usize, k_lo: usize, k_hi: usize) {
+    /// Scores lanes `k_lo..=k_hi` of wavefront `w` — all in-band and
+    /// in-matrix — into `cur`, the traceback memory (whose run for this
+    /// wavefront is open), the trackers and, for the strip's last lane, the
+    /// next preserved row.
+    fn score<K, const LANES: usize>(
+        &mut self,
+        cx: &mut Cx<'_, K>,
+        w: usize,
+        k_lo: usize,
+        k_hi: usize,
+    ) where
+        K: LaneKernel<LANES, Score = S>,
+    {
         let layers = K::meta().n_layers;
         let (q_len, r_len) = (cx.query.len(), cx.reference.len());
         let (row, slots) = (r_len + 1, cx.strip + 1);
-        let (wf_m1, wf_m2) = (&self.0.wf_m1[..], &self.0.wf_m2[..]);
-        let (cur, next_row) = (&mut self.0.cur[..], &mut self.0.next_row[..]);
+        let (wf_m1, wf_m2) = (&self.wf_m1[..], &self.wf_m2[..]);
+        let (cur, next_row) = (&mut self.cur[..], &mut self.next_row[..]);
 
         // Peel the one irregular lane: k = w is the `j = 1` cell, whose
         // `left` (and, below lane 0, `diag`) is a column-0 boundary value
@@ -852,7 +727,12 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
                 _ => cx.col_init(i - 1),
             };
             let up = gather(wf_m1, slots, layers, k_hi);
-            let out = cx.cell(k_hi, w, &diag, &up, &cx.col_init(i));
+            let (q, r) = (cx.query[i - 1], cx.reference[0]);
+            let (out, ptr) = K::pe(cx.params, q, r, &diag, &up, &cx.col_init(i));
+            cx.escalate |= out.as_slice().iter().any(|s| s.needs_escalation());
+            cx.tbmem.write(k_hi, ptr);
+            let tracker = &mut cx.trackers[k_hi];
+            offer_if_eligible(tracker, cx.rule, out.primary(), i, 1, q_len, r_len);
             scatter(cur, slots, k_hi + 1, &out);
             if k_hi == cx.last_lane {
                 scatter(next_row, row, 1, &out);
@@ -934,13 +814,19 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
         }
     }
 
-    fn rotate(&mut self, cx: &Cx<'_, K>, w: usize, lo: isize, hi: isize) {
-        let bufs = &mut self.0;
+    /// Closes wavefront `w`, whose lane bounds were `lo..=hi` (empty when
+    /// `lo = hi + 1`), and rotates the snapshots. The bounds move down by
+    /// at most one lane per wavefront, so clearing one lane on each flank
+    /// keeps every stale entry the next two wavefronts can read at the
+    /// worst value — exactly what a full-lane scan would produce. For an
+    /// empty wavefront the two flanks are lanes `hi` and `lo` themselves,
+    /// covering everything the next wavefronts can read.
+    fn rotate<K: KernelSpec<Score = S>>(&mut self, cx: &Cx<'_, K>, w: usize, lo: isize, hi: isize) {
         let (slots, worst) = (cx.strip + 1, cx.worst.primary());
         // Flank lanes lo − 1 and hi + 1 are slots lo and hi + 2; slot 0 is
         // no lane and is never cleared.
         for layer in 0..K::meta().n_layers {
-            let plane = &mut bufs.cur[layer * slots..];
+            let plane = &mut self.cur[layer * slots..];
             if lo >= 1 {
                 plane[lo as usize] = worst;
             }
@@ -949,13 +835,14 @@ impl<K: LaneKernel<LANES>, const LANES: usize> Wavefronts<K, LANES> for Planes<K
             }
         }
         // Lane 0 of the next wavefront sits in column `w + 2`.
-        feed(cx, &mut bufs.cur, &bufs.prev_row, w + 2);
-        mem::swap(&mut bufs.wf_m2, &mut bufs.wf_m1);
-        mem::swap(&mut bufs.wf_m1, &mut bufs.cur);
+        feed(cx, &mut self.cur, &self.prev_row, w + 2);
+        mem::swap(&mut self.wf_m2, &mut self.wf_m1);
+        mem::swap(&mut self.wf_m1, &mut self.cur);
     }
 
+    /// The strip's captured last row becomes the next strip's preserved row.
     fn end_strip(&mut self) {
-        mem::swap(&mut self.0.prev_row, &mut self.0.next_row);
+        mem::swap(&mut self.prev_row, &mut self.next_row);
     }
 }
 
@@ -978,92 +865,53 @@ fn strip_height(q: usize) -> usize {
     q.div_ceil(q.div_ceil(STRIP_MAX))
 }
 
-/// Validates the inputs and runs the wavefront loop in the given mode, in
-/// strips of the engine's own height.
+/// Validates the inputs and runs the wavefront loop in strips of the
+/// engine's own height.
 fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
     params: &K::Params,
     query: &[K::Sym],
     reference: &[K::Sym],
     config: &KernelConfig,
     scratch: &mut SystolicScratch<K::Score>,
-    mode: LaneMode,
     guard: bool,
 ) -> Result<Option<SystolicRun<K::Score>>, SystolicError> {
     validate_inputs(config, query.len(), reference.len())?;
     let strip = strip_height(query.len());
-    Ok(run_strips::<K, LANES>(
-        params, query, reference, config, scratch, mode, guard, strip,
+    Ok(wavefront_loop::<K, LANES>(
+        params, query, reference, config, scratch, guard, strip,
     ))
 }
 
-/// Runs the wavefront loop in the given mode in strips of `strip` rows, on
-/// validated inputs.
-#[allow(clippy::too_many_arguments)]
-fn run_strips<K: LaneKernel<LANES>, const LANES: usize>(
+/// The wavefront loop, on validated inputs: strips of `strip` rows,
+/// anti-diagonals within a strip, active lanes within an anti-diagonal.
+/// Returns `None` when `guard` is set and a computed value entered the
+/// escalation guard band.
+fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize>(
     params: &K::Params,
     query: &[K::Sym],
     reference: &[K::Sym],
     config: &KernelConfig,
     scratch: &mut SystolicScratch<K::Score>,
-    mode: LaneMode,
     guard: bool,
     strip: usize,
 ) -> Option<SystolicRun<K::Score>> {
     let SystolicScratch {
-        layered,
-        planes,
+        planes: bufs,
         r_rev,
         trackers,
         tbmem,
     } = scratch;
-    match mode {
-        LaneMode::Scalar => wavefront_loop::<K, LANES, _>(
-            params,
-            query,
-            reference,
-            &[],
-            config,
-            strip,
-            layered,
-            trackers,
-            tbmem,
-            guard,
-        ),
-        LaneMode::Lanes => {
-            // Only the whole-wavefront port reads the reversed reference;
-            // `K::meta()` is a constant, so single-layer kernels never pay
-            // for the copy.
-            let r_rev: &[K::Sym] = if K::meta().n_layers > 1 {
-                let held = r_rev.typed();
-                held.clear();
-                held.extend(reference.iter().rev());
-                held
-            } else {
-                &[]
-            };
-            wavefront_loop::<K, LANES, _>(
-                params, query, reference, r_rev, config, strip, planes, trackers, tbmem, guard,
-            )
-        }
-    }
-}
-
-/// The wavefront loop: strips of `strip` rows, anti-diagonals within a
-/// strip, active lanes within an anti-diagonal. Returns `None` when `guard`
-/// is set and a computed value entered the escalation guard band.
-#[allow(clippy::too_many_arguments)]
-fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, B: Wavefronts<K, LANES>>(
-    params: &K::Params,
-    query: &[K::Sym],
-    reference: &[K::Sym],
-    r_rev: &[K::Sym],
-    config: &KernelConfig,
-    strip: usize,
-    bufs: &mut B,
-    trackers: &mut Vec<BestTracker<K::Score>>,
-    tbmem: &mut TbMem,
-    guard: bool,
-) -> Option<SystolicRun<K::Score>> {
+    // Only the whole-wavefront port reads the reversed reference;
+    // `K::meta()` is a constant, so single-layer kernels never pay for the
+    // copy.
+    let r_rev: &[K::Sym] = if K::meta().n_layers > 1 {
+        let held = r_rev.typed();
+        held.clear();
+        held.extend(reference.iter().rev());
+        held
+    } else {
+        &[]
+    };
     let meta = K::meta();
     let banding = config.banding;
     let (q, r) = (query.len(), reference.len());
@@ -1112,7 +960,7 @@ fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize, B: Wavefronts<K, LAN
             let (lo, hi) = window.lanes(w);
             if lo <= hi {
                 cx.tbmem.open(c, w, lo as usize, hi as usize);
-                bufs.score(&mut cx, w, lo as usize, hi as usize);
+                bufs.score::<K, LANES>(&mut cx, w, lo as usize, hi as usize);
                 cells += (hi - lo + 1) as u64;
                 // Saturation guard: a narrow-precision run is only certified
                 // bit-identical while every output-layer value stays outside
@@ -1483,8 +1331,8 @@ mod tests {
         assert_eq!(banded.output.best_score, full.output.best_score);
     }
 
-    /// Runs `K` on `q × r` under every banding of `bandings`, in both modes
-    /// and at every strip height `1..=q + 1`, on one arena: each output
+    /// Runs `K` and `PerCell<K>` on `q × r` under every banding of
+    /// `bandings`, at every strip height `1..=q + 1`, on one arena: each output
     /// must equal the reference engine's and each `BlockStats` the `NPE`
     /// model's (`from_geometry`, plus the walk's length).
     fn sweep_strips<K: LaneKernel>(
@@ -1511,15 +1359,25 @@ mod tests {
                 ..BlockStats::from_geometry(q.len(), r.len(), &config)
             };
             for strip in 1..=q.len() + 1 {
-                for mode in [LaneMode::Lanes, LaneMode::Scalar] {
+                let runs = [
+                    (
+                        "lanes",
+                        wavefront_loop::<K, LANE_WIDTH>(p, q, r, &config, scratch, false, strip),
+                    ),
+                    (
+                        "per-cell",
+                        wavefront_loop::<PerCell<K>, LANE_WIDTH>(
+                            p, q, r, &config, scratch, false, strip,
+                        ),
+                    ),
+                ];
+                for (door, run) in runs {
                     let ctx = format!(
-                        "{kernel} {}×{} npe {npe} {banding:?} strip {strip} {mode:?}",
+                        "{kernel} {}×{} npe {npe} {banding:?} strip {strip} {door}",
                         q.len(),
                         r.len()
                     );
-                    let run =
-                        run_strips::<K, LANE_WIDTH>(p, q, r, &config, scratch, mode, false, strip)
-                            .expect("unguarded runs complete");
+                    let run = run.expect("unguarded runs complete");
                     assert_eq!(run.output, want, "{ctx}");
                     assert_eq!(run.stats, model, "{ctx}");
                 }
@@ -1533,7 +1391,7 @@ mod tests {
         // is where the multi-strip paths run on small inputs: the preserved
         // row between strips, the last strip shorter than the others, a
         // strip taller than the query, and strips of one row. One arena
-        // serves every kernel, strip height and mode, growing and shrinking.
+        // serves every kernel, strip height and door, growing and shrinking.
         let a = dna("ACGTTGCATGCCAGTAC");
         let b = dna("AGGTTGCTTGCAGTACG");
         let pl = LinearParams::<i16>::dna();
@@ -1573,13 +1431,12 @@ mod tests {
                 let exact = run_systolic_ok::<GlobalLinear>(&p, q, r, &config);
                 for strip in 1..=q.len() + 1 {
                     let ctx = format!("{banding:?} strip {strip}");
-                    let got = run_strips::<Lo, I8_LANES_NARROW>(
+                    let got = wavefront_loop::<Lo, I8_LANES_NARROW>(
                         &lo,
                         q,
                         r,
                         &config,
                         &mut narrow,
-                        LaneMode::Lanes,
                         true,
                         strip,
                     );

@@ -86,7 +86,9 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     assert!(cap > 0, "shim channel capacity must be >= 1");
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
-            queue: VecDeque::with_capacity(cap),
+            // Grown on demand: `cap` is a bound, not a size to reserve, so
+            // any bound up to `usize::MAX` allocates only what is queued.
+            queue: VecDeque::new(),
             waiting_senders: 0,
             waiting_receivers: 0,
         }),
@@ -236,6 +238,15 @@ mod tests {
             (0..4).map(|_| rx.recv().unwrap()).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
+    }
+
+    #[test]
+    fn an_unbounded_capacity_reserves_nothing() {
+        let (tx, rx) = bounded::<u64>(usize::MAX);
+        for i in 0..1000 {
+            tx.send(i).unwrap();
+        }
+        assert!((0..1000).all(|i| rx.recv() == Ok(i)));
     }
 
     #[test]
