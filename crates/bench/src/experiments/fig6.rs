@@ -13,7 +13,7 @@
 //!   runnable end-to-end, while the calibrated column carries the paper's
 //!   numbers.
 
-use crate::harness::{collect_cases, default_workload};
+use super::table2;
 use dphls_baselines::published::{PublishedBaseline, CPU_BASELINES, GPU_BASELINES};
 use dphls_baselines::software;
 use dphls_kernels::{AffineParams, LinearParams, ProteinParams, TwoPieceParams};
@@ -176,16 +176,13 @@ fn build_rows(
 /// `measure_pairs` controls the measured-baseline workload size (hundreds
 /// for stable timing; tests use fewer).
 pub fn run(measure_pairs: usize) -> (Vec<Fig6Row>, Vec<Fig6Row>) {
-    let cases = collect_cases(&default_workload());
-    let modeled: Vec<(u8, f64)> = cases
-        .iter()
-        .map(|c| (c.info.meta.id.0, c.run_table2().1.throughput_aps))
-        .collect();
+    // DP-HLS's column is Table 2's modeled throughput, read, not re-run.
+    let table2 = table2::run();
     let dphls = |id: u8| -> f64 {
-        modeled
+        table2
             .iter()
-            .find(|(k, _)| *k == id)
-            .map(|(_, t)| *t)
+            .find(|r| r.id == id)
+            .map(|r| r.aln_per_sec)
             .expect("kernel present")
     };
     let cpu = build_rows(

@@ -2,29 +2,29 @@
 //! back-end: a [`PairEngine`] turns `(query, reference)` into a
 //! [`SystolicRun`], owning whatever scratch state that takes. The batch and
 //! streaming engines are generic over it, so **runtime precision dispatch**
-//! costs the host layers zero API churn:
+//! costs the host layers zero API churn. Two engines implement it:
 //!
-//! * [`ExactEngine`] — the original path, one exact run per pair at the
-//!   kernel's native score width;
-//! * [`AdaptiveEngine`] — the saturating-`i8` fast path with exact `i16`
+//! * [`ExactEngine`] — any [`LaneKernel`], every pair once at the kernel's
+//!   native score width;
+//! * [`PrecisionEngine`] — a kernel with an `i8` companion, at a
+//!   [`LanePrecision`] *value*: `Exact` runs what [`ExactEngine`] runs,
+//!   `Adaptive` runs the saturating-`i8` fast path with exact `i16`
 //!   escalation ([`dphls_systolic::run_adaptive_with_scratch`]), narrowing
 //!   the parameters once at construction.
 //!
-//! Both produce bit-identical outputs (the adaptive escalation contract —
-//! see `crates/systolic/src/adaptive.rs`); the only report-visible
-//! difference is the escalation counter.
+//! Every value produces bit-identical outputs (the adaptive escalation
+//! contract — see `crates/systolic/src/adaptive.rs`); the only
+//! report-visible difference is the escalation counter.
 //!
 //! Both also score several pairs in one pass ([`PairEngine::group_width`] /
 //! [`PairEngine::run_group`]) when the kernel has a single scoring layer, on
-//! the inter-sequence engine (`crates/systolic/src/group.rs`): the adaptive
-//! one at guarded `i8 × 16`, the exact one at the kernel's own score type
-//! and [`LANE_WIDTH`] lanes. Every pair's result equals its
+//! the inter-sequence engine (`crates/systolic/src/group.rs`): adaptive at
+//! guarded `i8 × 16`, exact at the kernel's own score type and
+//! [`LANE_WIDTH`] lanes. Every pair's result equals its
 //! [`PairEngine::run_pair`]. The pool hands them groups on instrumented runs
 //! too (see `pool.rs`).
 
-use dphls_core::{
-    AdaptiveKernel, I8Lanes, KernelConfig, KernelSpec, LaneKernel, LanePrecision, LANE_WIDTH,
-};
+use dphls_core::{AdaptiveKernel, KernelConfig, KernelSpec, LaneKernel, LanePrecision, LANE_WIDTH};
 use dphls_systolic::{
     adaptive, group_cells_max, run_adaptive_group_with_scratch, run_adaptive_with_scratch,
     run_exact_group_with_scratch, run_systolic_with_scratch, AdaptiveScratch, ExactScratch,
@@ -157,34 +157,55 @@ impl<K: LaneKernel> PairEngine<K> for ExactEngine<K> {
     }
 }
 
-/// The adaptive path: saturating `i8` first, exact `i16` re-run when the
-/// guard trips. Parameters are narrowed **once** at construction; if they
-/// exceed the `i8` envelope ([`dphls_core::I8_PARAM_LIMIT`]) every pair
-/// runs exact and counts as escalated.
-pub struct AdaptiveEngine<K: AdaptiveKernel> {
+/// The precision knob as a value: one engine for a kernel with an `i8`
+/// companion, whatever [`LanePrecision`] the caller picked at run time
+/// (config files, CLI flags, the serve layer), so no caller monomorphizes
+/// two pipelines.
+///
+/// * [`LanePrecision::Exact`] runs what [`ExactEngine`] runs: `i16` pairs,
+///   grouped [`LANE_WIDTH`] to a pass for a single-layer kernel, the same
+///   [`group_width`](PairEngine::group_width) and
+///   [`group_cost_max`](PairEngine::group_cost_max), and no escalation.
+/// * [`LanePrecision::Adaptive`] runs saturating `i8` first and re-runs at
+///   exact `i16` when the guard trips
+///   ([`dphls_systolic::run_adaptive_with_scratch`]). The parameters are
+///   narrowed **once**, at construction; if they exceed the `i8` envelope
+///   ([`dphls_core::I8_PARAM_LIMIT`]) every pair runs exact and counts as
+///   escalated.
+///
+/// Both values score with one [`AdaptiveScratch`] (a value leaves the other's
+/// arenas empty).
+pub struct PrecisionEngine<K: AdaptiveKernel> {
     params: K::Params,
+    precision: LanePrecision,
+    /// `params` narrowed for the `i8` fast path: `None` at the exact value,
+    /// or when they exceed the envelope.
     lo_params: Option<<K::Lo as KernelSpec>::Params>,
-    lanes: I8Lanes,
 }
 
-impl<K: AdaptiveKernel> AdaptiveEngine<K> {
-    /// Wraps the kernel parameters, narrowing them for the `i8` fast path.
-    pub fn new(params: K::Params, lanes: I8Lanes) -> Self {
-        let lo_params = K::lo_params(&params);
+impl<K: AdaptiveKernel> PrecisionEngine<K> {
+    /// Builds the engine at `precision`, narrowing the parameters for the
+    /// `i8` fast path when it is adaptive.
+    pub fn new(params: K::Params, precision: LanePrecision) -> Self {
+        let lo_params = match precision {
+            LanePrecision::Exact => None,
+            LanePrecision::Adaptive(_) => K::lo_params(&params),
+        };
         Self {
             params,
+            precision,
             lo_params,
-            lanes,
         }
     }
 
-    /// Whether the fast path is live (parameters fit the `i8` envelope).
+    /// Whether the `i8` fast path is live (adaptive precision, and the
+    /// parameters fit the `i8` envelope).
     pub fn narrow_path_enabled(&self) -> bool {
         self.lo_params.is_some()
     }
 }
 
-impl<K: AdaptiveKernel> PairEngine<K> for AdaptiveEngine<K> {
+impl<K: AdaptiveKernel> PairEngine<K> for PrecisionEngine<K> {
     type Scratch = AdaptiveScratch;
 
     fn new_scratch(&self) -> Self::Scratch {
@@ -197,149 +218,41 @@ impl<K: AdaptiveKernel> PairEngine<K> for AdaptiveEngine<K> {
         r: &[K::Sym],
         config: &KernelConfig,
         scratch: &mut Self::Scratch,
-    ) -> Result<SystolicRun<K::Score>, SystolicError> {
-        run_adaptive_with_scratch::<K>(
-            &self.params,
-            self.lo_params.as_ref(),
-            self.lanes,
-            q,
-            r,
-            config,
-            scratch,
-        )
-    }
-
-    /// The `i8` lane count the caller chose, when the narrow path is live
-    /// and the kernel is one the inter-sequence engine takes (a single
-    /// scoring layer). It is how many pairs a worker takes in one pop; the
-    /// passes themselves are 16 lanes wide, so 32 pairs are two.
-    fn group_width(&self) -> usize {
-        let single_layer = <K::Lo as KernelSpec>::meta().n_layers == 1;
-        match self.lo_params {
-            Some(_) if single_layer => self.lanes.width(),
-            _ => 1,
-        }
-    }
-
-    /// Where a pass's pointer rows would leave L2.
-    fn group_cost_max(&self) -> u64 {
-        group_cells_max(adaptive::GROUP_LANES)
-    }
-
-    fn run_group(
-        &self,
-        pairs: &[PairRef<'_, K::Sym>],
-        config: &KernelConfig,
-        scratch: &mut Self::Scratch,
-        out: &mut Vec<PairResult<i16>>,
-    ) -> usize {
-        run_adaptive_group_with_scratch::<K>(
-            &self.params,
-            self.lo_params.as_ref(),
-            self.lanes,
-            pairs,
-            config,
-            scratch,
-            out,
-        )
-    }
-}
-
-/// Either engine behind one type, so callers can pick the precision at
-/// **runtime** from a [`LanePrecision`] knob (config files, CLI flags, the
-/// serve layer) without monomorphizing two whole pipelines themselves.
-pub enum PrecisionEngine<K: AdaptiveKernel> {
-    /// Always run at the native score width.
-    Exact(ExactEngine<K>),
-    /// `i8` fast path with `i16` escalation.
-    Adaptive(AdaptiveEngine<K>),
-}
-
-impl<K: AdaptiveKernel> PrecisionEngine<K> {
-    /// Builds the engine selected by `precision`.
-    pub fn new(params: K::Params, precision: LanePrecision) -> Self {
-        match precision {
-            LanePrecision::Exact => Self::Exact(ExactEngine::new(params)),
-            LanePrecision::Adaptive(lanes) => Self::Adaptive(AdaptiveEngine::new(params, lanes)),
-        }
-    }
-}
-
-/// Scratch for [`PrecisionEngine`]: the variant matching the live engine.
-///
-/// The variants differ in size (the adaptive one holds a third arena), but a
-/// scratch exists once per slot thread and lives for the whole run, so the
-/// footprint is slots-bounded and indirection would only add a pointer
-/// chase to the hot loop.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum PrecisionScratch<S> {
-    /// Exact-path arenas (wavefront and grouped).
-    Exact(ExactScratch<S>),
-    /// Adaptive-path arenas.
-    Adaptive(AdaptiveScratch),
-}
-
-// A worker's scratch always comes from its engine's `new_scratch`, so the
-// variant can only disagree with the engine's through a caller bug; rebuild
-// rather than corrupt.
-impl<S> PrecisionScratch<S> {
-    fn exact(&mut self) -> &mut ExactScratch<S> {
-        if !matches!(self, Self::Exact(_)) {
-            *self = Self::Exact(ExactScratch::new());
-        }
-        match self {
-            Self::Exact(arena) => arena,
-            Self::Adaptive(_) => unreachable!("just made exact"),
-        }
-    }
-
-    fn adaptive(&mut self) -> &mut AdaptiveScratch {
-        if !matches!(self, Self::Adaptive(_)) {
-            *self = Self::Adaptive(AdaptiveScratch::new());
-        }
-        match self {
-            Self::Adaptive(arena) => arena,
-            Self::Exact(_) => unreachable!("just made adaptive"),
-        }
-    }
-}
-
-impl<K: AdaptiveKernel> PairEngine<K> for PrecisionEngine<K> {
-    type Scratch = PrecisionScratch<i16>;
-
-    fn new_scratch(&self) -> Self::Scratch {
-        match self {
-            Self::Exact(_) => PrecisionScratch::Exact(ExactScratch::new()),
-            Self::Adaptive(_) => PrecisionScratch::Adaptive(AdaptiveScratch::new()),
-        }
-    }
-
-    fn run_pair(
-        &self,
-        q: &[K::Sym],
-        r: &[K::Sym],
-        config: &KernelConfig,
-        scratch: &mut Self::Scratch,
     ) -> Result<SystolicRun<i16>, SystolicError> {
-        match self {
-            Self::Exact(e) => e.run_pair(q, r, config, scratch.exact()),
-            Self::Adaptive(e) => e.run_pair(q, r, config, scratch.adaptive()),
+        let params = &self.params;
+        match self.precision {
+            LanePrecision::Exact => {
+                run_systolic_with_scratch::<K>(params, q, r, config, scratch.exact().wavefront())
+            }
+            LanePrecision::Adaptive(lanes) => {
+                let lo = self.lo_params.as_ref();
+                run_adaptive_with_scratch::<K>(params, lo, lanes, q, r, config, scratch)
+            }
         }
     }
 
+    /// Exact: [`LANE_WIDTH`] for a single-layer kernel, as
+    /// [`ExactEngine`]. Adaptive: the `i8` lane count the caller chose, when
+    /// the narrow path is live and the kernel has a single scoring layer —
+    /// how many pairs a worker takes in one pop; the passes themselves are
+    /// 16 lanes wide, so 32 pairs are two.
     fn group_width(&self) -> usize {
-        match self {
-            Self::Exact(e) => PairEngine::<K>::group_width(e),
-            Self::Adaptive(e) => e.group_width(),
+        if K::meta().n_layers != 1 {
+            return 1;
+        }
+        match (self.precision, &self.lo_params) {
+            (LanePrecision::Exact, _) => LANE_WIDTH,
+            (LanePrecision::Adaptive(lanes), Some(_)) => lanes.width(),
+            (LanePrecision::Adaptive(_), None) => 1,
         }
     }
 
+    /// Where a pass's pointer rows would leave L2, at the value's pass width.
     fn group_cost_max(&self) -> u64 {
-        match self {
-            Self::Exact(e) => PairEngine::<K>::group_cost_max(e),
-            Self::Adaptive(e) => e.group_cost_max(),
-        }
+        group_cells_max(match self.precision {
+            LanePrecision::Exact => LANE_WIDTH,
+            LanePrecision::Adaptive(_) => adaptive::GROUP_LANES,
+        })
     }
 
     fn run_group(
@@ -349,9 +262,15 @@ impl<K: AdaptiveKernel> PairEngine<K> for PrecisionEngine<K> {
         scratch: &mut Self::Scratch,
         out: &mut Vec<PairResult<i16>>,
     ) -> usize {
-        match self {
-            Self::Exact(e) => e.run_group(pairs, config, scratch.exact(), out),
-            Self::Adaptive(e) => e.run_group(pairs, config, scratch.adaptive(), out),
+        let params = &self.params;
+        match self.precision {
+            LanePrecision::Exact => {
+                run_exact_group_with_scratch::<K>(params, pairs, config, scratch.exact(), out)
+            }
+            LanePrecision::Adaptive(lanes) => {
+                let lo = self.lo_params.as_ref();
+                run_adaptive_group_with_scratch::<K>(params, lo, lanes, pairs, config, scratch, out)
+            }
         }
     }
 }
@@ -359,8 +278,12 @@ impl<K: AdaptiveKernel> PairEngine<K> for PrecisionEngine<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dphls_kernels::{GlobalLinear, LinearParams};
-    use dphls_seq::DnaSeq;
+    use dphls_core::I8Lanes;
+    use dphls_kernels::{
+        AffineParams, BandedGlobalLinear, GlobalAffine, GlobalLinear, LinearParams,
+    };
+    use dphls_seq::gen::ReadSimulator;
+    use dphls_seq::{Base, DnaSeq};
 
     fn cfg() -> KernelConfig {
         KernelConfig::new(4, 1, 1).with_max_lengths(64, 64)
@@ -393,16 +316,69 @@ mod tests {
 
     #[test]
     fn adaptive_engine_narrows_once() {
-        let eng = AdaptiveEngine::<GlobalLinear>::new(LinearParams::dna(), I8Lanes::X16);
+        let adaptive = LanePrecision::Adaptive(I8Lanes::X16);
+        let eng = PrecisionEngine::<GlobalLinear>::new(LinearParams::dna(), adaptive);
         assert!(eng.narrow_path_enabled());
-        let wide = AdaptiveEngine::<GlobalLinear>::new(
+        let wide = PrecisionEngine::<GlobalLinear>::new(
             LinearParams {
                 match_score: 100,
                 mismatch: -3,
                 gap: -2,
             },
-            I8Lanes::X16,
+            adaptive,
         );
         assert!(!wide.narrow_path_enabled());
+    }
+
+    /// The exact value of [`PrecisionEngine`] is [`ExactEngine`]: the same
+    /// grouping bounds, and through `run_group` the same outputs and passes
+    /// with no escalation, on a single-layer kernel (which groups) and a
+    /// multi-layer one (which does not).
+    fn exact_value_matches<K: AdaptiveKernel<Sym = Base>>(params: K::Params, config: KernelConfig) {
+        let exact = ExactEngine::<K>::new(params.clone());
+        let folded = PrecisionEngine::<K>::new(params, LanePrecision::Exact);
+        assert_eq!(
+            folded.group_width(),
+            PairEngine::<K>::group_width(&exact),
+            "group_width"
+        );
+        assert_eq!(
+            folded.group_cost_max(),
+            PairEngine::<K>::group_cost_max(&exact),
+            "group_cost_max"
+        );
+
+        let mut sim = ReadSimulator::new(40);
+        let owned: Vec<_> = (0..2 * LANE_WIDTH + 3)
+            .map(|i| sim.read_pair(40 + i % 7, 0.1))
+            .collect();
+        let pairs: Vec<PairRef<'_, Base>> = owned
+            .iter()
+            .map(|(r, q)| (q.as_slice(), r.as_slice()))
+            .collect();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let want_passes = exact.run_group(&pairs, &config, &mut exact.new_scratch(), &mut want);
+        let passes = folded.run_group(&pairs, &config, &mut folded.new_scratch(), &mut got);
+        assert_eq!(passes, want_passes, "grouped passes");
+        if K::meta().n_layers == 1 {
+            assert!(passes >= 1, "a single-layer kernel groups");
+        }
+        assert_eq!(got.len(), pairs.len());
+        for (i, (got, want)) in got.into_iter().zip(want).enumerate() {
+            let (got, want) = (got.unwrap(), want.unwrap());
+            assert_eq!(got.output, want.output, "pair {i}");
+            assert_eq!(got.stats, want.stats, "pair {i}");
+            assert_eq!(got.stats.escalations, 0, "pair {i}");
+        }
+    }
+
+    #[test]
+    fn exact_value_is_the_exact_engine() {
+        let banded = KernelConfig::new(16, 1, 1)
+            .with_max_lengths(64, 64)
+            .with_banding(8);
+        exact_value_matches::<BandedGlobalLinear>(LinearParams::dna(), banded);
+        let full = KernelConfig::new(16, 1, 1).with_max_lengths(64, 64);
+        exact_value_matches::<GlobalAffine>(AffineParams::dna(), full);
     }
 }

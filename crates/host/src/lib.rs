@@ -6,27 +6,38 @@
 //!
 //! # Entry points
 //!
-//! Eight run/spawn doors onto two engines. A single device, a fault-free
-//! run and exact precision are degenerate *values* of the full doors'
-//! arguments ([`FleetConfig::single`], [`ResilienceConfig::disabled`],
-//! `None` for the [`FaultPlan`], an [`ExactEngine`]), not separate
-//! functions. The engines themselves are two front ends onto one private
-//! work-stealing pool (`pool.rs`: the deques, the idle rule, retry
-//! re-deal, device-loss migration) running one private per-pair body
-//! (`slot.rs`): the batch engine pre-fills the pool and starts it closed,
-//! the streaming engine deals into it while its source is live — a batch
-//! is a stream whose source has already ended.
+//! Three full doors, [`run_batched_engine`], [`run_streamed_engine`] and
+//! [`StreamSession::spawn_engine`], each generic over one [`PairEngine`].
+//! A single device, a fault-free run and exact precision are degenerate
+//! *values* of their arguments ([`FleetConfig::single`],
+//! [`ResilienceConfig::disabled`], `None` for the [`FaultPlan`],
+//! [`LanePrecision::Exact`](dphls_core::LanePrecision)), not separate
+//! functions. Two engines implement [`PairEngine`]: [`ExactEngine`] for any
+//! lane kernel, and [`PrecisionEngine`] for a kernel with an `i8` companion
+//! at a run-time precision value (its `Exact` value runs what
+//! [`ExactEngine`] runs). Every door runs one private work-stealing pool
+//! (`pool.rs`: the deques, the idle rule, retry re-deal, device-loss
+//! migration) over one private per-pair body (`slot.rs`): the batch door
+//! pre-fills the pool and starts it closed, the streaming door deals into
+//! it while its source is live — a batch is a stream whose source has
+//! already ended. Both batch doors return one [`BatchReport`].
 //!
 //! | Door | Role |
 //! |------|------|
-//! | [`run_batched`] | exact, abort-on-first-failure batch run |
 //! | [`run_batched_engine`] | the full batch door: any [`PairEngine`], fleet, resilience, fault plan |
-//! | [`run_batched_adaptive`] | [`run_batched_engine`] on a [`PrecisionEngine`] |
-//! | [`run_streamed`] | exact, abort-on-first-failure stream into a sink |
 //! | [`run_streamed_engine`] | the full stream door |
-//! | [`run_streamed_adaptive`] | [`run_streamed_engine`] on a [`PrecisionEngine`] |
 //! | [`StreamSession::spawn_engine`] | the one long-lived session constructor |
+//! | [`run_batched`] | [`run_batched_engine`] on an [`ExactEngine`], abort on first failure: the batch twin of [`run_streamed`] |
+//! | [`run_streamed`] | [`run_streamed_engine`] on an [`ExactEngine`], abort on first failure, into a sink |
+//! | [`run_batched_adaptive`] | [`run_batched_engine`] on a [`PrecisionEngine`] |
+//! | [`run_streamed_adaptive`] | [`run_streamed_engine`] on a [`PrecisionEngine`] |
 //! | [`StreamSession::spawn_adaptive`] | `spawn_engine` on a [`PrecisionEngine`] |
+//!
+//! The last five are one-line forwards. [`run_streamed`] and the three
+//! `*_adaptive` doors stay only because the standalone benchmark package
+//! (`benchmark/src`) names them; [`run_batched`] stays as
+//! [`run_streamed`]'s batch twin. Once that package moves onto the full
+//! doors, the `*_adaptive` doors are pure deletions (ROADMAP item 12).
 //!
 //! # Example
 //!
@@ -61,15 +72,12 @@ mod slot;
 pub mod streaming;
 pub mod tiling;
 
-pub use engine::{
-    AdaptiveEngine, ExactEngine, PairEngine, PairResult, PrecisionEngine, PrecisionScratch,
-};
+pub use engine::{ExactEngine, PairEngine, PairResult, PrecisionEngine};
 pub use faults::{injected_kernel_error, injected_panic_message, FaultKind, FaultPlan, Injection};
 pub use fleet::FleetConfig;
 pub use resilience::{panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig};
 pub use scheduler::{
     run_batched, run_batched_adaptive, run_batched_engine, BatchConfig, BatchError, BatchReport,
-    ScheduleReport,
 };
 pub use session::{SessionClosed, StreamSession};
 pub use streaming::{

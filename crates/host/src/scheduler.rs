@@ -1,24 +1,21 @@
 //! Host-side batch scheduler (paper §4 step 6): a **work-stealing** engine
 //! that drives the device's `NK` independent channels from host threads,
 //! following the paper's advice to "use multi-threading to leverage the
-//! device's NK independent channels".
-//!
-//! The seed implementation dispatched alignments round-robin, which is
-//! load-imbalanced for variable-length reads (a channel stuck with the long
-//! reads finishes last while the others idle), and then re-simulated the
-//! whole workload a second time just to report modeled throughput. This
-//! engine fixes both:
+//! device's NK independent channels". One door, [`run_batched_engine`],
+//! runs any [`PairEngine`] and returns one [`BatchReport`];
+//! [`run_batched`] (exact, abort on first failure) and
+//! [`run_batched_adaptive`] (a [`PrecisionEngine`]) are one-line forwards.
 //!
 //! * **Cost-ranked work stealing** — alignments are ranked by a cell-count
 //!   cost estimate (`q·r`, or the band area when fixed banding is on) and
 //!   dealt round-robin across per-channel deques; each worker drains its own
-//!   deque from the expensive end and, when empty, steals the *cheapest*
-//!   remaining job from another channel's tail. Long-tail imbalance is
-//!   bounded by one alignment per channel.
-//! * **Thread-local scratch** — every worker owns a
-//!   [`SystolicScratch`](dphls_systolic::SystolicScratch)
-//!   reused across all its alignments, so the per-alignment hot path
-//!   performs no heap allocation (see `dphls-systolic`).
+//!   deque from the expensive end and, when empty, steals a like-cost run
+//!   from the cheap end of another channel's deque. Long-tail imbalance is
+//!   bounded by one hand per channel.
+//! * **Thread-local scratch** — every worker owns its engine's scratch
+//!   ([`PairEngine::new_scratch`]) reused across all its alignments, so the
+//!   per-alignment hot path performs no heap allocation (see
+//!   `dphls-systolic`).
 //! * **Single-pass throughput** — the modeled `throughput_aps` is derived
 //!   from the [`BlockStats`] each functional run already produces, exactly
 //!   as [`Device::run`] would compute it, without running the device model
@@ -27,8 +24,7 @@
 //!   just `NK` channels: each channel fronts `NB` blocks behind one
 //!   arbiter. The engine mirrors that with up to [`KernelConfig::nb`]
 //!   **block slots** per channel — each slot is a host thread with its own
-//!   [`SystolicScratch`](dphls_systolic::SystolicScratch) arena, and all
-//!   slots of a channel drain the same
+//!   scratch, and all slots of a channel drain the same
 //!   per-channel deque, so intra-channel concurrency needs no new queue
 //!   discipline. Completions are folded through the arbiter-aware cycle
 //!   model ([`arbitrated_cycles`] at full `NB` occupancy, the steady-state
@@ -183,10 +179,11 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// Result of a resilient batch run ([`run_batched_engine`]): like
-/// [`ScheduleReport`], but with per-pair holes where quarantined pairs
-/// would be, plus the fault ledger the degradation contract reconciles
-/// against.
+/// Result of a batch run: outputs in input order, with per-pair holes where
+/// quarantined pairs would be, the fault ledger the degradation contract
+/// reconciles against, and the run's tallies. Under
+/// [`FailurePolicy::Abort`](crate::FailurePolicy::Abort) (what
+/// [`run_batched`] runs) nothing is quarantined, so every output is `Some`.
 #[derive(Debug, Clone)]
 pub struct BatchReport<S> {
     /// One slot per input pair, in input order; `None` exactly where a
@@ -226,7 +223,7 @@ pub struct BatchReport<S> {
     pub throughput_aps: f64,
     /// Pairs that escalated from the `i8` fast path to the exact `i16`
     /// engine (always 0 on the exact path — see
-    /// [`crate::engine::AdaptiveEngine`]).
+    /// [`PrecisionEngine`]).
     pub escalations: u64,
     /// Grouped passes the engine ran
     /// ([`PairEngine::run_group`]): 0 for an
@@ -257,50 +254,6 @@ impl<S> BatchReport<S> {
     }
 }
 
-/// Result of a scheduled batch run.
-#[derive(Debug, Clone)]
-pub struct ScheduleReport<S> {
-    /// Outputs in input order.
-    pub outputs: Vec<DpOutput<S>>,
-    /// Alignments each channel **actually executed** (all of its block
-    /// slots, own share plus anything stolen), not the pre-computed split;
-    /// aggregated across the fleet (channel `c` sums every device's
-    /// channel `c`).
-    pub per_channel: Vec<usize>,
-    /// Alignments per block slot, `per_slot[channel][slot]`; row sums equal
-    /// [`per_channel`](Self::per_channel).
-    pub per_slot: Vec<Vec<usize>>,
-    /// Block slots each channel ran with (the resolved
-    /// [`BatchConfig::nb_slots`]).
-    pub nb_slots: usize,
-    /// Fleet devices the run sharded across (the resolved
-    /// [`BatchConfig::fleet`] device count).
-    pub devices: usize,
-    /// Alignments each fleet device executed, `per_device[device]`.
-    pub per_device: Vec<usize>,
-    /// Alignments that were stolen across channels or devices
-    /// (load-balancing events).
-    pub steals: usize,
-    /// Modeled device throughput in alignments/second, derived from the
-    /// cycle statistics of the functional runs.
-    pub throughput_aps: f64,
-    /// Pairs that escalated from the `i8` fast path to the exact `i16`
-    /// engine (always 0 on the exact path).
-    pub escalations: u64,
-}
-
-impl<S> ScheduleReport<S> {
-    /// Fraction of pairs that escalated to the exact engine (0.0 on the
-    /// exact path or an empty run).
-    pub fn escalation_rate(&self) -> f64 {
-        if self.outputs.is_empty() {
-            0.0
-        } else {
-            self.escalations as f64 / self.outputs.len() as f64
-        }
-    }
-}
-
 /// Estimated compute cost of one alignment in DP cells: the full matrix, or
 /// the band's footprint under fixed banding. Only the *ranking* matters, so
 /// the band estimate uses the closed-form strip area rather than the exact
@@ -318,16 +271,16 @@ pub(crate) fn cost_estimate(q: usize, r: usize, banding: Banding) -> u64 {
     }
 }
 
-/// Dispatches `workload` across the device's `NK` channels, `batch.nb_slots`
-/// block slots per channel concurrently draining that channel's deque (each
-/// slot on its own thread with its own scratch arena;
-/// [`BatchConfig::default`] sizes the pool automatically), using
+/// [`run_batched_engine`] on an [`ExactEngine`] with resilience disabled
+/// (the zero-overhead path): the batch twin of
+/// [`run_streamed`](crate::run_streamed). Dispatches `workload` across the
+/// device's `NK` channels, `batch.nb_slots` block slots per channel
+/// ([`BatchConfig::default`] sizes the pool automatically), using
 /// cost-ranked work stealing (see the module docs). Outputs are returned in
-/// input order and are bit-identical to running each pair through
+/// input order, every one `Some` (the abort policy leaves no quarantine
+/// hole), and are bit-identical to running each pair through
 /// [`dphls_systolic::run_systolic`] individually, for every slot and device
-/// count. Precision is exact and resilience is disabled (the zero-overhead
-/// path); [`run_batched_engine`] is the full door with
-/// quarantine/retry/deadline semantics.
+/// count.
 ///
 /// # Errors
 ///
@@ -338,37 +291,20 @@ pub fn run_batched<K: LaneKernel>(
     params: &K::Params,
     workload: &[dphls_core::SeqPair<K>],
     batch: BatchConfig,
-) -> Result<ScheduleReport<K::Score>, BatchError>
+) -> Result<BatchReport<K::Score>, BatchError>
 where
     K::Score: Send,
     K::Params: Sync,
 {
     let engine = ExactEngine::<K>::new(params.clone());
-    let report = run_batched_engine::<K, _>(
+    run_batched_engine::<K, _>(
         device,
         &engine,
         workload,
         batch,
         &ResilienceConfig::disabled(),
         None,
-    )?;
-    // Under the (disabled-resilience) Abort policy nothing is quarantined:
-    // any failure returned as the error above, so every slot is filled.
-    Ok(ScheduleReport {
-        outputs: report
-            .outputs
-            .into_iter()
-            .map(|o| o.expect("abort policy leaves no quarantine holes"))
-            .collect(),
-        per_channel: report.per_channel,
-        per_slot: report.per_slot,
-        nb_slots: report.nb_slots,
-        devices: report.devices,
-        per_device: report.per_device,
-        steals: report.steals,
-        throughput_aps: report.throughput_aps,
-        escalations: report.escalations,
-    })
+    )
 }
 
 /// [`run_batched_engine`] with **runtime precision dispatch**: the
@@ -562,7 +498,7 @@ mod tests {
         assert_eq!(rep.outputs.len(), 11);
         for (i, (q, r)) in wl.iter().enumerate() {
             let want = run_reference::<GlobalLinear>(&params, q, r, Banding::None);
-            assert_eq!(rep.outputs[i], want, "pair {i}");
+            assert_eq!(rep.outputs[i], Some(want), "pair {i}");
         }
     }
 
@@ -697,7 +633,7 @@ mod tests {
         assert_eq!(rep.per_channel.iter().sum::<usize>(), 41);
         for (i, (q, r)) in wl.iter().enumerate() {
             let want = run_reference::<GlobalLinear>(&params, q, r, Banding::None);
-            assert_eq!(rep.outputs[i], want, "pair {i}");
+            assert_eq!(rep.outputs[i], Some(want), "pair {i}");
         }
     }
 

@@ -338,7 +338,11 @@ mod tests {
         assert_eq!(got.len(), wl.len());
         for (i, (idx, out)) in got.iter().enumerate() {
             assert_eq!(*idx, i, "sink indices are the submission order");
-            assert_eq!(*out, expected.outputs[i], "bit-identical to run_batched");
+            assert_eq!(
+                Some(out),
+                expected.outputs[i].as_ref(),
+                "bit-identical to run_batched"
+            );
         }
     }
 

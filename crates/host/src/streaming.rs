@@ -87,9 +87,9 @@ impl Default for StreamConfig {
     }
 }
 
-/// Result of a streamed run: the [`crate::ScheduleReport`] contract
-/// (per-channel stats, steals, single-pass modeled throughput) plus the
-/// bounded-memory evidence.
+/// Result of a streamed run: the [`crate::BatchReport`] tallies
+/// (per-channel stats, steals, single-pass modeled throughput, faults) with
+/// the outputs left to the sink, plus the bounded-memory evidence.
 #[derive(Debug, Clone)]
 pub struct StreamReport {
     /// Pairs aligned (and emitted, in input order, through the sink).
@@ -138,7 +138,7 @@ pub struct StreamReport {
     pub timeouts: usize,
     /// Pairs that escalated from the `i8` fast path to the exact `i16`
     /// engine (always 0 on the exact path — see
-    /// [`crate::engine::AdaptiveEngine`]).
+    /// [`PrecisionEngine`]).
     pub escalations: u64,
     /// Grouped passes the engine ran
     /// ([`PairEngine::run_group`]): 0 for an engine that scores pair by
@@ -935,6 +935,7 @@ mod tests {
                 FleetConfig::single(),
             )
             .unwrap();
+            let outputs: Vec<_> = outputs.into_iter().map(Some).collect();
             assert_eq!(outputs, batched.outputs, "buffer {buffer} window {window}");
             assert!(stream.resident_high_water <= window);
             assert!(stream.reorder_high_water < window.max(1));

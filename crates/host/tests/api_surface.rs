@@ -92,25 +92,23 @@ fn benchmark_configs_and_report_fields_keep_their_shape() {
 
 #[test]
 fn pair_engine_group_doors_keep_their_signatures() {
-    use dphls_core::{I8Lanes, KernelConfig, I8_LANES_NARROW, LANE_WIDTH};
-    use dphls_host::{
-        AdaptiveEngine, ExactEngine, PairEngine, PairResult, PrecisionEngine, PrecisionScratch,
-    };
+    use dphls_core::{I8Lanes, KernelConfig, LanePrecision, I8_LANES_NARROW, LANE_WIDTH};
+    use dphls_host::{ExactEngine, PairEngine, PairResult, PrecisionEngine};
     use dphls_kernels::{AffineParams, GlobalAffine};
     use dphls_seq::Base;
     use dphls_systolic::{group_cells_max, AdaptiveScratch, ExactScratch};
 
-    type Adaptive = AdaptiveEngine<GlobalLinear>;
+    type Precision = PrecisionEngine<GlobalLinear>;
     type Exact = ExactEngine<GlobalLinear>;
-    let _: fn(&Adaptive) -> usize = <Adaptive as PairEngine<GlobalLinear>>::group_width;
-    let _: fn(&Adaptive) -> u64 = <Adaptive as PairEngine<GlobalLinear>>::group_cost_max;
+    let _: fn(&Precision) -> usize = <Precision as PairEngine<GlobalLinear>>::group_width;
+    let _: fn(&Precision) -> u64 = <Precision as PairEngine<GlobalLinear>>::group_cost_max;
     let _: fn(
-        &Adaptive,
+        &Precision,
         &[(&[Base], &[Base])],
         &KernelConfig,
         &mut AdaptiveScratch,
         &mut Vec<PairResult<i16>>,
-    ) -> usize = <Adaptive as PairEngine<GlobalLinear>>::run_group;
+    ) -> usize = <Precision as PairEngine<GlobalLinear>>::run_group;
     let _: fn(
         &Exact,
         &[(&[Base], &[Base])],
@@ -118,37 +116,56 @@ fn pair_engine_group_doors_keep_their_signatures() {
         &mut ExactScratch<i16>,
         &mut Vec<PairResult<i16>>,
     ) -> usize = <Exact as PairEngine<GlobalLinear>>::run_group;
-    // The exact arenas are what the precision-dispatching engine carries.
-    let precision = PrecisionEngine::<GlobalLinear>::new(LinearParams::unit(), Default::default());
-    let _: ExactScratch<i16> = match precision.new_scratch() {
-        PrecisionScratch::Exact(arenas) => arenas,
-        PrecisionScratch::Adaptive(_) => unreachable!("exact is the default precision"),
-    };
+    // One scratch type at every precision value; it carries the exact
+    // engine's arenas.
+    let precision = Precision::new(LinearParams::unit(), Default::default());
+    let mut scratch: AdaptiveScratch = precision.new_scratch();
+    let _: &mut ExactScratch<i16> = scratch.exact();
 
-    // The adaptive engine takes the lane count the caller chose, the exact
-    // engine `LANE_WIDTH`; an engine whose parameters leave the `i8`
-    // envelope takes one pair at a time.
+    // The adaptive value takes the lane count the caller chose, the exact
+    // value and engine `LANE_WIDTH`; an engine whose parameters leave the
+    // `i8` envelope takes one pair at a time.
     let unit = LinearParams::<i16>::unit();
-    assert_eq!(Adaptive::new(unit, I8Lanes::X16).group_width(), 16);
-    assert_eq!(Adaptive::new(unit, I8Lanes::X32).group_width(), 32);
+    let adaptive = |params, lanes| Precision::new(params, LanePrecision::Adaptive(lanes));
+    assert_eq!(adaptive(unit, I8Lanes::X16).group_width(), 16);
+    assert_eq!(adaptive(unit, I8Lanes::X32).group_width(), 32);
     let wide = LinearParams {
         match_score: 100,
         ..unit
     };
-    assert_eq!(Adaptive::new(wide, I8Lanes::X32).group_width(), 1);
+    assert_eq!(adaptive(wide, I8Lanes::X32).group_width(), 1);
     let exact = Exact::new(unit);
     assert_eq!(PairEngine::<GlobalLinear>::group_width(&exact), LANE_WIDTH);
+    assert_eq!(
+        Precision::new(unit, LanePrecision::Exact).group_width(),
+        LANE_WIDTH
+    );
     // The cap on what is worth grouping is the engine's to state: one L2
     // budget over the lanes of its passes.
-    let cap = Adaptive::new(unit, I8Lanes::X32).group_cost_max();
+    let cap = adaptive(unit, I8Lanes::X32).group_cost_max();
     assert_eq!(dphls_systolic::adaptive::GROUP_LANES, I8_LANES_NARROW);
     assert_eq!(cap, group_cells_max(I8_LANES_NARROW));
     let cap = PairEngine::<GlobalLinear>::group_cost_max(&exact);
     assert_eq!(cap, group_cells_max(LANE_WIDTH));
     // Multi-layer kernels stay on the wavefront engine.
-    let affine = AdaptiveEngine::<GlobalAffine>::new(AffineParams::dna(), I8Lanes::X32);
+    let affine = PrecisionEngine::<GlobalAffine>::new(
+        AffineParams::dna(),
+        LanePrecision::Adaptive(I8Lanes::X32),
+    );
     assert!(affine.narrow_path_enabled());
     assert_eq!(affine.group_width(), 1);
     let affine = ExactEngine::<GlobalAffine>::new(AffineParams::dna());
     assert_eq!(PairEngine::<GlobalAffine>::group_width(&affine), 1);
+}
+
+/// Not a benchmark door: `run_batched` is `run_streamed`'s batch twin, and
+/// both batch doors return the one `BatchReport`.
+#[test]
+fn run_batched_returns_the_batch_report() {
+    let _: fn(
+        &Device,
+        &LinearParams<i16>,
+        &[Pair],
+        BatchConfig,
+    ) -> Result<BatchReport<i16>, BatchError> = dphls_host::run_batched::<GlobalLinear>;
 }

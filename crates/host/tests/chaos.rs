@@ -601,9 +601,13 @@ fn adaptive_escalation_faults_reconcile_exactly() {
     let hot = vec![Base::A; 64];
     wl[2] = (hot.clone(), hot.clone());
     wl[5] = (hot.clone(), hot);
-    let base = run_batched::<GlobalLinear>(&device(1), &params, &wl, BatchConfig::default())
-        .unwrap()
-        .outputs;
+    let base: Vec<_> =
+        run_batched::<GlobalLinear>(&device(1), &params, &wl, BatchConfig::default())
+            .unwrap()
+            .outputs
+            .into_iter()
+            .map(Option::unwrap)
+            .collect();
     let precision = LanePrecision::Adaptive(I8Lanes::X16);
 
     // Transient kernel error on escalating pair 2: the retry re-runs the

@@ -8,8 +8,8 @@ use dphls_core::{
     AdaptiveKernel, DpOutput, I8Lanes, KernelConfig, KernelSpec, LaneKernel, SeqPair,
 };
 use dphls_host::{
-    run_batched_engine, run_streamed_engine, BatchConfig, ExactEngine, FailurePolicy, FleetConfig,
-    PairEngine, ResilienceConfig, ScheduleReport, StreamConfig, StreamError, StreamReport,
+    run_batched_engine, run_streamed_engine, BatchConfig, BatchReport, ExactEngine, FailurePolicy,
+    FleetConfig, PairEngine, ResilienceConfig, StreamConfig, StreamError, StreamReport,
 };
 use dphls_kernels::{GlobalLinear, LinearParams};
 use dphls_seq::gen::ReadSimulator;
@@ -28,7 +28,7 @@ pub fn collect_streamed<K, I, E>(
     source: I,
     config: StreamConfig,
     fleet: FleetConfig,
-) -> Result<(ScheduleReport<K::Score>, StreamReport), StreamError<E>>
+) -> Result<(BatchReport<K::Score>, StreamReport), StreamError<E>>
 where
     K: LaneKernel,
     K::Score: Send,
@@ -40,18 +40,24 @@ where
     let mut outputs = Vec::new();
     let res = ResilienceConfig::disabled();
     let stream = run_streamed_engine(device, &engine, source, config, fleet, &res, None, {
-        |_, slot| outputs.push(slot.expect("abort policy emits no quarantined slots"))
+        |_, slot| outputs.push(Some(slot.expect("abort policy emits no quarantined slots")))
     })?;
-    let collected = ScheduleReport {
+    let collected = BatchReport {
         outputs,
+        faults: stream.faults.clone(),
+        retries: stream.retries,
+        timeouts: stream.timeouts,
         per_channel: stream.per_channel.clone(),
         per_slot: stream.per_slot.clone(),
         nb_slots: stream.nb_slots,
         devices: stream.devices,
         per_device: stream.per_device.clone(),
+        device_losses: stream.device_losses,
         steals: stream.steals,
         throughput_aps: stream.throughput_aps,
         escalations: stream.escalations,
+        groups: stream.groups,
+        fallbacks: stream.fallbacks,
     };
     Ok((collected, stream))
 }

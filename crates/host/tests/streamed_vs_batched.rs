@@ -87,7 +87,7 @@ fn assert_source_streams_like_batched(
     let mut outputs = Vec::new();
     let stream = run_streamed::<GlobalLinear, _, _, _>(&dev, &params, counted, stream_cfg, {
         |_, out| {
-            outputs.push(out);
+            outputs.push(Some(out));
             emitted.fetch_add(1, Ordering::SeqCst);
         }
     })

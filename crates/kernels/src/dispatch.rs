@@ -12,6 +12,13 @@
 //! (`Sym = `[`Base`]`, Score = i16`) so a single generic continuation can
 //! serve every dispatchable kernel.
 //!
+//! Precision is not a second table: [`dispatch_dna`] is the one name →
+//! type map, and whether the resolved kernel has an `i8` companion is which
+//! runner method it calls (`run_adaptive` for the linear and affine
+//! kernels, `run` for the two-piece ones). A runner that builds an
+//! adaptive engine does so in `run_adaptive`; the exact fallback for the
+//! two-piece kernels is its `run`.
+//!
 //! The non-DNA kernels (#8–#10, #14, #15) have per-kernel symbol types
 //! (profile columns, complex samples, amino acids) and are deliberately
 //! not dispatchable here; a front end for them would need a per-alphabet
@@ -42,15 +49,22 @@ pub const DISPATCHABLE_KERNELS: [&str; 10] = [
     "banded_global_two_piece",
 ];
 
-/// A generic continuation for [`dispatch_dna`]: `run` is instantiated with
-/// the statically-typed kernel the requested name resolves to, plus that
-/// kernel's default DNA parameters.
+/// A generic continuation for [`dispatch_dna`]: a method is instantiated
+/// with the statically-typed kernel the requested name resolves to, plus
+/// that kernel's default DNA parameters.
 ///
 /// The bound pins the shared shape of the dispatchable family
 /// (`Sym = `[`Base`]`, Score = i16`), so implementations can move symbol
 /// buffers and score values across a non-generic boundary (a wire
 /// protocol, a type-erased session) without per-kernel plumbing.
-pub trait DnaKernelRunner {
+///
+/// The linear and affine kernels (8 of the 10 names) reach
+/// [`run_adaptive`](Self::run_adaptive), with the stronger
+/// [`AdaptiveKernel`] bound a saturating-`i8` fast path needs; the two
+/// two-piece kernels, which have no `i8` narrowing, reach
+/// [`run`](Self::run). A runner that does not care about precision
+/// implements `run` alone: `run_adaptive` forwards to it by default.
+pub trait DnaKernelRunner: Sized {
     /// Value returned through [`dispatch_dna`].
     type Out;
 
@@ -62,62 +76,38 @@ pub trait DnaKernelRunner {
     fn run<K>(self, params: K::Params) -> Self::Out
     where
         K: LaneKernel + KernelSpec<Sym = Base, Score = i16> + 'static;
+
+    /// Called instead of [`run`](Self::run) when the resolved kernel has an
+    /// `i8` companion ([`AdaptiveKernel`]).
+    fn run_adaptive<K>(self, params: K::Params) -> Self::Out
+    where
+        K: AdaptiveKernel + KernelSpec<Sym = Base> + 'static,
+    {
+        self.run::<K>(params)
+    }
 }
 
 /// Resolves `name` (an entry of [`DISPATCHABLE_KERNELS`]) and runs the
 /// continuation with the matching kernel type and its default DNA
-/// parameters. Returns `None` for unknown names — the caller owns the
-/// error surface (e.g. an `unknown kernel` wire frame).
+/// parameters — through [`DnaKernelRunner::run_adaptive`] for the linear
+/// and affine kernels, [`DnaKernelRunner::run`] for the two-piece ones.
+/// Returns `None` for unknown names — the caller owns the error surface
+/// (e.g. an `unknown kernel` wire frame).
 pub fn dispatch_dna<R: DnaKernelRunner>(name: &str, runner: R) -> Option<R::Out> {
+    let linear = LinearParams::<i16>::dna;
+    let affine = AffineParams::<i16>::dna;
+    let two_piece = TwoPieceParams::<i16>::dna;
     Some(match name {
-        "global_linear" => runner.run::<GlobalLinear<i16>>(LinearParams::<i16>::dna()),
-        "global_affine" => runner.run::<GlobalAffine<i16>>(AffineParams::<i16>::dna()),
-        "local_linear" => runner.run::<LocalLinear<i16>>(LinearParams::<i16>::dna()),
-        "local_affine" => runner.run::<LocalAffine<i16>>(AffineParams::<i16>::dna()),
-        "global_two_piece" => runner.run::<GlobalTwoPiece<i16>>(TwoPieceParams::<i16>::dna()),
-        "overlap" => runner.run::<Overlap<i16>>(LinearParams::<i16>::dna()),
-        "semi_global" => runner.run::<SemiGlobal<i16>>(LinearParams::<i16>::dna()),
-        "banded_global_linear" => runner.run::<BandedGlobalLinear<i16>>(LinearParams::<i16>::dna()),
-        "banded_local_affine" => runner.run::<BandedLocalAffine<i16>>(AffineParams::<i16>::dna()),
-        "banded_global_two_piece" => {
-            runner.run::<BandedGlobalTwoPiece<i16>>(TwoPieceParams::<i16>::dna())
-        }
-        _ => return None,
-    })
-}
-
-/// A generic continuation for [`dispatch_dna_adaptive`]: like
-/// [`DnaKernelRunner`] but with the stronger [`AdaptiveKernel`] bound, so
-/// implementations may build the saturating-`i8` fast path with exact
-/// `i16` escalation for the resolved kernel.
-pub trait AdaptiveDnaRunner {
-    /// Value returned through [`dispatch_dna_adaptive`].
-    type Out;
-
-    /// Called with the resolved adaptive kernel type and its default
-    /// parameters.
-    fn run<K>(self, params: K::Params) -> Self::Out
-    where
-        K: AdaptiveKernel + KernelSpec<Sym = Base, Score = i16> + 'static;
-}
-
-/// Resolves `name` to an [`AdaptiveKernel`] instantiation and runs the
-/// continuation with it. The adaptive family is the linear and affine
-/// kernels (8 of the 10 dispatchable names); the two-piece kernels carry
-/// a third parameter regime that has no `i8` narrowing yet, so they — and
-/// unknown names — return `None`. A front end should fall back to
-/// [`dispatch_dna`] (exact precision) when this returns `None` for a name
-/// that *does* dispatch there.
-pub fn dispatch_dna_adaptive<R: AdaptiveDnaRunner>(name: &str, runner: R) -> Option<R::Out> {
-    Some(match name {
-        "global_linear" => runner.run::<GlobalLinear<i16>>(LinearParams::<i16>::dna()),
-        "global_affine" => runner.run::<GlobalAffine<i16>>(AffineParams::<i16>::dna()),
-        "local_linear" => runner.run::<LocalLinear<i16>>(LinearParams::<i16>::dna()),
-        "local_affine" => runner.run::<LocalAffine<i16>>(AffineParams::<i16>::dna()),
-        "overlap" => runner.run::<Overlap<i16>>(LinearParams::<i16>::dna()),
-        "semi_global" => runner.run::<SemiGlobal<i16>>(LinearParams::<i16>::dna()),
-        "banded_global_linear" => runner.run::<BandedGlobalLinear<i16>>(LinearParams::<i16>::dna()),
-        "banded_local_affine" => runner.run::<BandedLocalAffine<i16>>(AffineParams::<i16>::dna()),
+        "global_linear" => runner.run_adaptive::<GlobalLinear<i16>>(linear()),
+        "global_affine" => runner.run_adaptive::<GlobalAffine<i16>>(affine()),
+        "local_linear" => runner.run_adaptive::<LocalLinear<i16>>(linear()),
+        "local_affine" => runner.run_adaptive::<LocalAffine<i16>>(affine()),
+        "global_two_piece" => runner.run::<GlobalTwoPiece<i16>>(two_piece()),
+        "overlap" => runner.run_adaptive::<Overlap<i16>>(linear()),
+        "semi_global" => runner.run_adaptive::<SemiGlobal<i16>>(linear()),
+        "banded_global_linear" => runner.run_adaptive::<BandedGlobalLinear<i16>>(linear()),
+        "banded_local_affine" => runner.run_adaptive::<BandedLocalAffine<i16>>(affine()),
+        "banded_global_two_piece" => runner.run::<BandedGlobalTwoPiece<i16>>(two_piece()),
         _ => return None,
     })
 }
@@ -198,41 +188,61 @@ mod tests {
 
     #[test]
     fn adaptive_family_is_the_linear_and_affine_kernels() {
-        struct Nop;
-        impl AdaptiveDnaRunner for Nop {
-            type Out = ();
-            fn run<K>(self, _params: K::Params)
+        /// Reports which of the runner's two methods the name reached.
+        struct Reached;
+        impl DnaKernelRunner for Reached {
+            type Out = bool;
+            fn run<K>(self, _params: K::Params) -> bool
             where
-                K: AdaptiveKernel + KernelSpec<Sym = Base, Score = i16> + 'static,
+                K: LaneKernel + KernelSpec<Sym = Base, Score = i16> + 'static,
             {
+                false
+            }
+            fn run_adaptive<K>(self, _params: K::Params) -> bool
+            where
+                K: AdaptiveKernel + KernelSpec<Sym = Base> + 'static,
+            {
+                true
             }
         }
-        for name in DISPATCHABLE_KERNELS {
-            let expect = !name.contains("two_piece");
-            assert_eq!(dispatch_dna_adaptive(name, Nop).is_some(), expect, "{name}");
-        }
-        assert!(dispatch_dna_adaptive("no_such_kernel", Nop).is_none());
+        let adaptive: Vec<_> = DISPATCHABLE_KERNELS
+            .into_iter()
+            .filter(|name| dispatch_dna(name, Reached).expect("listed names dispatch"))
+            .collect();
+        let expect: Vec<_> = DISPATCHABLE_KERNELS
+            .into_iter()
+            .filter(|name| !name.contains("two_piece"))
+            .collect();
+        assert_eq!(adaptive.len(), 8);
+        assert_eq!(adaptive, expect);
+        assert!(dispatch_dna("no_such_kernel", Reached).is_none());
     }
 
     #[test]
     fn adaptive_dispatch_narrows_default_dna_params() {
         /// Checks the dispatched kernel's default DNA parameters fit the
         /// `i8` envelope, and that the low-precision twin shares the hi
-        /// kernel's Table 1 identity.
+        /// kernel's Table 1 identity; `None` for a kernel without one.
         struct NarrowCheck;
-        impl AdaptiveDnaRunner for NarrowCheck {
-            type Out = bool;
-            fn run<K>(self, params: K::Params) -> bool
+        impl DnaKernelRunner for NarrowCheck {
+            type Out = Option<bool>;
+            fn run<K>(self, _params: K::Params) -> Option<bool>
             where
-                K: AdaptiveKernel + KernelSpec<Sym = Base, Score = i16> + 'static,
+                K: LaneKernel + KernelSpec<Sym = Base, Score = i16> + 'static,
+            {
+                None
+            }
+            fn run_adaptive<K>(self, params: K::Params) -> Option<bool>
+            where
+                K: AdaptiveKernel + KernelSpec<Sym = Base> + 'static,
             {
                 assert_eq!(K::Lo::meta().id, K::meta().id);
                 assert_eq!(K::Lo::meta().objective, K::meta().objective);
-                K::lo_params(&params).is_some()
+                Some(K::lo_params(&params).is_some())
             }
         }
         for name in DISPATCHABLE_KERNELS {
-            if let Some(narrowed) = dispatch_dna_adaptive(name, NarrowCheck) {
+            if let Some(narrowed) = dispatch_dna(name, NarrowCheck).flatten() {
                 assert!(narrowed, "{name}: dna() params escape the i8 envelope");
             }
         }

@@ -64,10 +64,7 @@ pub mod two_piece;
 pub mod viterbi;
 
 pub use affine::{BandedLocalAffine, GlobalAffine, LocalAffine};
-pub use dispatch::{
-    default_banding, dispatch_dna, dispatch_dna_adaptive, AdaptiveDnaRunner, DnaKernelRunner,
-    DISPATCHABLE_KERNELS,
-};
+pub use dispatch::{default_banding, dispatch_dna, DnaKernelRunner, DISPATCHABLE_KERNELS};
 pub use dtw::{Dtw, DtwScore, Sdtw};
 pub use linear::{BandedGlobalLinear, GlobalLinear, LocalLinear, Overlap, SemiGlobal};
 pub use params::{

@@ -34,10 +34,7 @@ use dphls_host::{
     ExactEngine, FleetConfig, OrderedWriter, PairEngine, PairFault, PrecisionEngine,
     ResilienceConfig, SessionClosed, StreamConfig, StreamSession,
 };
-use dphls_kernels::{
-    default_banding, dispatch_dna, dispatch_dna_adaptive, AdaptiveDnaRunner, DnaKernelRunner,
-    DISPATCHABLE_KERNELS,
-};
+use dphls_kernels::{default_banding, dispatch_dna, DnaKernelRunner, DISPATCHABLE_KERNELS};
 use dphls_seq::Base;
 use dphls_systolic::{CycleModelParams, Device, KernelCycleInfo};
 use std::cell::RefCell;
@@ -85,7 +82,9 @@ pub struct ServerConfig {
     /// (the linear/affine family) run the saturating-`i8` fast path and
     /// escalate individual pairs to exact `i16` when the in-band guard
     /// trips — responses are bit-identical either way. Kernels without a
-    /// companion (the two-piece family) silently fall back to exact.
+    /// companion (the two-piece family) run exact: the one
+    /// [`dispatch_dna`] table routes them to the session runner's exact
+    /// method, so the server has no fallback branch of its own.
     pub precision: LanePrecision,
 }
 
@@ -221,30 +220,13 @@ impl Shared {
         if let Some(session) = sessions.get(name) {
             return Some(Arc::clone(session));
         }
-        // Under adaptive precision, kernels with an i8 companion spawn the
-        // precision-dispatching session; the rest (and everything under
-        // exact precision) take the classic exact path.
-        let adaptive = match self.config.precision {
-            LanePrecision::Exact => None,
-            LanePrecision::Adaptive(_) => dispatch_dna_adaptive(
-                name,
-                SpawnAdaptiveSession {
-                    config: &self.config,
-                    band: default_banding(name),
-                    precision: self.config.precision,
-                },
-            ),
-        };
-        let erased = match adaptive {
-            Some(erased) => erased,
-            None => dispatch_dna(
-                name,
-                SpawnSession {
-                    config: &self.config,
-                    band: default_banding(name),
-                },
-            )?,
-        };
+        let erased = dispatch_dna(
+            name,
+            SpawnSession {
+                config: &self.config,
+                band: default_banding(name),
+            },
+        )?;
         let erased = Arc::new(erased);
         sessions.insert(name.to_owned(), Arc::clone(&erased));
         Some(erased)
@@ -252,7 +234,9 @@ impl Shared {
 }
 
 /// The [`dispatch_dna`] continuation that turns a kernel name into a live
-/// type-erased engine session.
+/// type-erased engine session: a kernel with an `i8` companion runs on a
+/// [`PrecisionEngine`] at the server's precision, a two-piece kernel on the
+/// [`ExactEngine`] whatever the precision.
 struct SpawnSession<'a> {
     config: &'a ServerConfig,
     band: Option<usize>,
@@ -267,29 +251,17 @@ impl DnaKernelRunner for SpawnSession<'_> {
     {
         erase_session::<K, _>(self.config, self.band, ExactEngine::<K>::new(params))
     }
-}
 
-/// The [`dispatch_dna_adaptive`] continuation: like [`SpawnSession`] but
-/// the spawned engine runs the requested [`LanePrecision`].
-struct SpawnAdaptiveSession<'a> {
-    config: &'a ServerConfig,
-    band: Option<usize>,
-    precision: LanePrecision,
-}
-
-impl AdaptiveDnaRunner for SpawnAdaptiveSession<'_> {
-    type Out = ErasedSession;
-
-    fn run<K>(self, params: K::Params) -> ErasedSession
+    fn run_adaptive<K>(self, params: K::Params) -> ErasedSession
     where
-        K: AdaptiveKernel + KernelSpec<Sym = Base, Score = i16> + 'static,
+        K: AdaptiveKernel + KernelSpec<Sym = Base> + 'static,
     {
-        let engine = PrecisionEngine::<K>::new(params, self.precision);
+        let engine = PrecisionEngine::<K>::new(params, self.config.precision);
         erase_session::<K, _>(self.config, self.band, engine)
     }
 }
 
-/// Shared body of the session-spawning runners: builds the device, wires
+/// Shared body of the session-spawning runner's two methods: builds the device, wires
 /// the route table into the result sink, spawns the session on `engine`
 /// under the server's stream/fleet/resilience configuration, and wraps it
 /// behind the type-erased submit/close edges.

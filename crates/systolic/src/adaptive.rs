@@ -27,20 +27,21 @@ use crate::block::{
     run_systolic_guarded_with_scratch, run_systolic_with_scratch, SystolicError, SystolicRun,
     SystolicScratch,
 };
-use crate::group::{run_group_with_scratch, worth_a_pass, GroupScratch, PairRef};
+use crate::group::{run_group_with_scratch, worth_a_pass, ExactScratch, GroupScratch, PairRef};
 use dphls_core::{
     AdaptiveKernel, DpOutput, I8Lanes, KernelConfig, KernelSpec, I8_LANES_NARROW, I8_LANES_WIDE,
 };
 
 /// Reusable scratch for the adaptive driver: one narrow (`i8`) arena for the
-/// fast path, one exact (`i16`) arena for escalations, and the grouped
-/// engine's buffers. Like [`SystolicScratch`], all grow to the workload's
-/// maximum geometry and are then reused allocation-free; the ones a workload
-/// never takes stay empty.
+/// fast path, the grouped engine's `i8` buffers, and the exact engine's
+/// scratch ([`ExactScratch`]) whose wavefront arena takes the escalations.
+/// Like [`SystolicScratch`], all grow to the workload's maximum geometry and
+/// are then reused allocation-free; the ones a workload never takes stay
+/// empty, so the same scratch serves an engine running exact.
 #[derive(Debug, Clone, Default)]
 pub struct AdaptiveScratch {
     lo: SystolicScratch<i8>,
-    hi: SystolicScratch<i16>,
+    exact: ExactScratch<i16>,
     group: GroupScratch<i8, { GROUP_LANES }>,
 }
 
@@ -48,6 +49,12 @@ impl AdaptiveScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The exact engine's scratch, for pairs run at `i16` from the start
+    /// ([`crate::run_exact_group_with_scratch`]).
+    pub fn exact(&mut self) -> &mut ExactScratch<i16> {
+        &mut self.exact
     }
 }
 
@@ -135,7 +142,7 @@ pub fn run_adaptive_with_scratch<K: AdaptiveKernel>(
             return Ok(widen::<K>(run));
         }
     }
-    escalated::<K>(params, query, reference, config, &mut scratch.hi)
+    escalated::<K>(params, query, reference, config, scratch.exact.wavefront())
 }
 
 /// Lanes of a grouped pass, whatever [`I8Lanes`] the caller chose for the
@@ -191,7 +198,7 @@ pub fn run_adaptive_group_with_scratch<K: AdaptiveKernel>(
                 .zip(group)
                 .map(|(slot, (q, r))| match slot? {
                     Some(run) => Ok(widen::<K>(run)),
-                    None => escalated::<K>(params, q, r, config, &mut scratch.hi),
+                    None => escalated::<K>(params, q, r, config, scratch.exact.wavefront()),
                 }),
         );
     }

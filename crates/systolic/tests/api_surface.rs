@@ -6,7 +6,7 @@
 //! whole-wavefront plane port is pinned here too: it is what the engine
 //! calls for multi-layer kernels, and the door the benchmark's lane-body
 //! rung is to be repointed at. So are the grouped (inter-sequence) doors —
-//! the host's `AdaptiveEngine::run_group` / `ExactEngine::run_group` and the
+//! the host's `PrecisionEngine::run_group` / `ExactEngine::run_group` and the
 //! `lanes` bench call them, and a benchmark rung for the grouped body would
 //! too.
 
@@ -221,6 +221,9 @@ fn grouped_doors_keep_their_signatures() {
         &mut Vec<Run<i16>>,
     ) -> usize = run_exact_group_with_scratch::<GlobalLinear>;
     let _: fn(&mut ExactScratch<i16>) -> &mut SystolicScratch<i16> = ExactScratch::wavefront;
+    // One adaptive scratch carries the exact arenas too, so one engine type
+    // serves both precision values.
+    let _: fn(&mut AdaptiveScratch) -> &mut ExactScratch<i16> = AdaptiveScratch::exact;
     // One L2 budget, a cell bound per lane count.
     let cap: fn(usize) -> u64 = group_cells_max;
     assert_eq!(cap(LANE_WIDTH), 2 * cap(2 * LANE_WIDTH));

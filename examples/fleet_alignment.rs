@@ -65,6 +65,10 @@ fn main() {
     .expect("fleet run");
 
     assert_eq!(fleet.outputs, single.outputs, "sharding must be invisible");
+    // Both runs return the one `BatchReport`: `run_batched` aborts on the
+    // first failure, so nothing is quarantined and every output is `Some`.
+    assert!(fleet.faults.is_empty());
+    assert_eq!(fleet.completed(), workload.len());
     println!(
         "{} pairs, outputs bit-identical on 1 device and on a {}-device fleet\n",
         workload.len(),

@@ -130,10 +130,13 @@
 //! );
 //!
 //! // 2 channels x 4 block slots = 8 host threads, each with its own
-//! // scratch arena; outputs come back in input order.
+//! // scratch arena; outputs come back in input order, in the one
+//! // `BatchReport` every batch door returns. `run_batched` aborts on the
+//! // first failure, so no output is a quarantine hole (`None`).
 //! let pooled = run_batched::<GlobalLinear>(
 //!     &device, &params, &workload, BatchConfig::slots(4))?;
 //! assert_eq!(pooled.outputs.len(), 12);
+//! assert!(pooled.outputs.iter().all(Option::is_some));
 //! assert_eq!(pooled.nb_slots, 4);
 //!
 //! // The single-slot path (one thread per channel) is bit-identical.

@@ -101,7 +101,7 @@ fn scheduler_and_device_agree_with_reference() {
     assert_eq!(report.outputs.len(), 9);
     for ((q, r), out) in workload.iter().zip(report.outputs.iter()) {
         let want = run_reference::<GlobalLinear<i16>>(&params, q, r, Banding::None);
-        assert_eq!(*out, want);
+        assert_eq!(*out, Some(want));
     }
     assert!(report.throughput_aps > 1e5);
 }
