@@ -230,10 +230,18 @@ pub fn render(title: &str, rows: &[Fig6Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// `run(8)`, measured once per test binary: timing the CPU baselines is
+    /// the slow part, and two tests read the same rows.
+    fn measured() -> &'static (Vec<Fig6Row>, Vec<Fig6Row>) {
+        static MEASURED: OnceLock<(Vec<Fig6Row>, Vec<Fig6Row>)> = OnceLock::new();
+        MEASURED.get_or_init(|| run(8))
+    }
 
     #[test]
     fn cpu_panel_covers_paper_kernels() {
-        let (cpu, gpu) = run(8);
+        let (cpu, gpu) = measured();
         let ids: Vec<u8> = cpu.iter().map(|r| r.kernel_id).collect();
         assert_eq!(ids, vec![1, 2, 3, 4, 5, 6, 7, 11, 12, 15]);
         assert_eq!(gpu.len(), 4);
@@ -277,8 +285,8 @@ mod tests {
 
     #[test]
     fn measured_baseline_is_positive_where_defined() {
-        let (cpu, _) = run(8);
-        for r in &cpu {
+        let (cpu, _) = measured();
+        for r in cpu {
             let m = r.baseline_measured_aps.expect("CPU rows are measurable");
             assert!(m > 0.0, "#{} measured {m}", r.kernel_id);
         }

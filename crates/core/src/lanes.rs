@@ -17,8 +17,11 @@
 //!   a wavefront in one call** over per-layer planes — the paper's "each
 //!   scoring layer is its own partitioned array" (§5.1). The wavefront engine
 //!   calls it for every multi-layer kernel; the affine and two-piece families
-//!   in `dphls-kernels` override it with one exact-`n` loop over the planes,
-//!   every other kernel takes the default per-lane [`KernelSpec::pe`] loop.
+//!   in `dphls-kernels` override it with one loop over the planes' whole
+//!   32-lane blocks and one fixed block over the last 32 lanes, which
+//!   overlaps them (a lane's outputs depend only on its inputs, so scoring
+//!   it twice is exact); every other kernel takes the default per-lane
+//!   [`KernelSpec::pe`] loop.
 //! * [`LaneKernel::pe_lanes_primary`] scores up to `LANES` lanes per call
 //!   over flat score slices, padded to the full width inside the kernel. The
 //!   wavefront engine calls it, in chunks over plane 0, for every

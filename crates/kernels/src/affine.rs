@@ -64,9 +64,12 @@ fn affine_pe<S: Score>(
     )
 }
 
-/// The affine family's plane body: one wavefront's lanes in a single
-/// exact-`n` loop over the layer planes (H/I/D each its own slice, the
-/// pointers written straight into the traceback row). Bit-identical to
+/// The affine family's plane body: one wavefront's lanes over the layer
+/// planes (H/I/D each its own slice, the pointers written straight into the
+/// traceback row), run by `isa::over_blocks` as one loop over the whole
+/// 32-lane blocks and one fixed block over the last 32 lanes, which overlaps
+/// the last whole block. Scoring a lane twice is exact: its outputs depend
+/// only on its inputs, never on the output planes. Bit-identical to
 /// [`affine_pe`] — same [`Score::max_with`] "rhs wins only if strictly
 /// greater" semantics for the gap-open decisions and the same [`argmax`]
 /// candidate order for the H layer — expressed as branchless compare/select
@@ -76,6 +79,45 @@ fn affine_pe<S: Score>(
 /// and AVX-512BW (32), and the port runs the widest the CPU has. Returns the
 /// fused saturation-guard flag over all three output layers (constant
 /// `false` for exact score types).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn affine_planes<S: Score, const CLAMP_ZERO: bool>(
+    p: &AffineParams<S>,
+    q: &[Base],
+    r: &[Base],
+    h_diag: &[S],
+    h_up: &[S],
+    i_up: &[S],
+    h_left: &[S],
+    d_left: &[S],
+    h_out: &mut [S],
+    i_out: &mut [S],
+    d_out: &mut [S],
+    ptrs: &mut [TbPtr],
+) -> bool {
+    isa::over_blocks(
+        ptrs.len(),
+        #[inline(always)]
+        |l| {
+            affine_lanes::<S, CLAMP_ZERO>(
+                p,
+                l.of(q),
+                l.of(r),
+                l.of(h_diag),
+                l.of(h_up),
+                l.of(i_up),
+                l.of(h_left),
+                l.of(d_left),
+                l.of_mut(h_out),
+                l.of_mut(i_out),
+                l.of_mut(d_out),
+                l.of_mut(ptrs),
+            )
+        },
+    )
+}
+
+/// One run of [`affine_planes`]: an exact loop over `ptrs.len()` lanes.
 ///
 /// Every plane is its own slice parameter on purpose: the compiler knows
 /// the seven inputs and four outputs cannot overlap only while each is a
@@ -84,7 +126,7 @@ fn affine_pe<S: Score>(
 /// checks per call and falls back to scalar code below 16 lanes.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn affine_planes<S: Score, const CLAMP_ZERO: bool>(
+fn affine_lanes<S: Score, const CLAMP_ZERO: bool>(
     p: &AffineParams<S>,
     q: &[Base],
     r: &[Base],
@@ -313,7 +355,7 @@ affine_kernel!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lane_check::{check_plane_port, LANE_COUNTS};
+    use crate::lane_check::{check_lone_guard_lane, check_plane_port, LANE_COUNTS};
     use crate::linear::{GlobalLinear, LocalLinear};
     use crate::params::LinearParams;
     use dphls_core::{run_reference, run_reference_full, Banding};
@@ -531,6 +573,8 @@ mod tests {
             // At least every all-worst case: the gap layers stay sentinels.
             assert!(flagged >= LANE_COUNTS.len(), "{flagged} cases flagged");
         }
+        check_lone_guard_lane::<GlobalAffine<i8>>(&p8, "global i8");
+        check_lone_guard_lane::<BandedLocalAffine<i8>>(&p8, "banded local i8");
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Test support: a kernel's plane port held to its scalar PE, lane by lane.
 
+use crate::isa::BLOCK;
 use dphls_core::{KernelSpec, LaneKernel, LayerVec, Score, TbPtr};
 use dphls_seq::Base;
 use dphls_util::Xoshiro256;
 
 /// Wavefront lengths that straddle every vector width a plane body can be
-/// widened to: a lone lane, one short of / exactly / one past eight, and a
-/// long odd run with a remainder at any width.
-pub(crate) const LANE_COUNTS: [usize; 5] = [1, 7, 8, 9, 63];
+/// widened to and every way `isa::over_blocks` cuts a run: a lone lane, one
+/// short of / exactly / one past eight, one short of / exactly / one past
+/// one [`BLOCK`] (an exact loop, one whole block, a last block overlapping
+/// all but one lane), and past it whole blocks alone (64, 96) or followed
+/// by a last block that overlaps them by one lane (63) or by 31 (65, 97).
+pub(crate) const LANE_COUNTS: [usize; 12] = [1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 96, 97];
 
 fn bases(rng: &mut Xoshiro256, n: usize) -> Vec<Base> {
     (0..n)
@@ -102,4 +106,43 @@ where
         flagged += usize::from(case(sentinels, "all-worst"));
     }
     flagged
+}
+
+/// The guard flag across the overlapping last block: at each length in
+/// [`LANE_COUNTS`] whose last block overlaps the whole blocks, one lane's
+/// neighbours are all-`worst` among clean ones: inside the lanes scored
+/// twice (`n − BLOCK..n − n % BLOCK`), before them, and after them (scored
+/// by the last block alone).
+/// Each case is held to the per-lane scan like [`check_plane_port`]'s, and
+/// must raise the flag: call it for a guarded score type only.
+pub(crate) fn check_lone_guard_lane<K>(params: &K::Params, ctx: &str)
+where
+    K: LaneKernel + KernelSpec<Sym = Base>,
+{
+    let layers = K::meta().n_layers;
+    let worst: K::Score = K::meta().objective.worst();
+    let mut rng = Xoshiro256::seed_from_u64(0x6A4D ^ layers as u64);
+    for n in LANE_COUNTS
+        .into_iter()
+        .filter(|n| n > &BLOCK && n % BLOCK != 0)
+    {
+        let (q, r) = (bases(&mut rng, n), bases(&mut rng, n));
+        let twice = n - BLOCK..n - n % BLOCK;
+        for (lane, what) in [
+            (twice.start, "first lane scored twice"),
+            (twice.end - 1, "last lane scored twice"),
+            (twice.start - 1, "last lane before them"),
+            (0, "first lane"),
+            (n - 1, "last lane, after them"),
+        ] {
+            let mut cells = [(); 3].map(|()| cells(&mut rng, n, layers, (-8, 17)));
+            for plane in &mut cells {
+                plane[lane] = LayerVec::splat(layers, worst);
+            }
+            let [d, u, l] = &cells;
+            let ctx = format!("{ctx} n={n} lone guard lane {lane} ({what})");
+            let flag = assert_wavefront_matches_pe::<K>(params, &q, &r, [d, u, l], &ctx);
+            assert!(flag, "{ctx}: not flagged");
+        }
+    }
 }

@@ -70,21 +70,71 @@ fn pe_impl<S: Score>(
     )
 }
 
-/// The two-piece family's plane body: one wavefront's lanes in a single
-/// exact-`n` loop over the five layer planes, pointers written straight into
-/// the traceback row. Bit-identical to [`pe_impl`] — each gap layer keeps
-/// its extension unless opening is strictly better, and the source index is
+/// The two-piece family's plane body: one wavefront's lanes over the five
+/// layer planes, pointers written straight into the traceback row, run by
+/// `isa::over_blocks` as one loop over the whole 32-lane blocks and one
+/// fixed block over the last 32 lanes, which overlaps the last whole block
+/// (exact: a lane's outputs depend only on its inputs, never on the output
+/// planes). Bit-identical to [`pe_impl`] — each gap layer keeps its
+/// extension unless opening is strictly better, and the source index is
 /// built with [`argmax`]'s order (diag, I₁, D₁, I₂, D₂; a later candidate
 /// wins only if strictly greater) as a compare/select chain the
 /// autovectorizer can widen. Returns the fused saturation-guard flag over
 /// all five output layers (constant `false` for exact score types).
-///
-/// Every plane is its own slice parameter so the compiler knows none of the
-/// nine inputs and six outputs overlap (see `affine_planes`), and the port
-/// runs it through `isa::two_piece_planes` at the CPU's widest vector width.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn two_piece_planes<S: Score>(
+    p: &TwoPieceParams<S>,
+    q: &[Base],
+    r: &[Base],
+    h_diag: &[S],
+    h_up: &[S],
+    i1_up: &[S],
+    i2_up: &[S],
+    h_left: &[S],
+    d1_left: &[S],
+    d2_left: &[S],
+    h_out: &mut [S],
+    i1_out: &mut [S],
+    d1_out: &mut [S],
+    i2_out: &mut [S],
+    d2_out: &mut [S],
+    ptrs: &mut [TbPtr],
+) -> bool {
+    isa::over_blocks(
+        ptrs.len(),
+        #[inline(always)]
+        |l| {
+            two_piece_lanes(
+                p,
+                l.of(q),
+                l.of(r),
+                l.of(h_diag),
+                l.of(h_up),
+                l.of(i1_up),
+                l.of(i2_up),
+                l.of(h_left),
+                l.of(d1_left),
+                l.of(d2_left),
+                l.of_mut(h_out),
+                l.of_mut(i1_out),
+                l.of_mut(d1_out),
+                l.of_mut(i2_out),
+                l.of_mut(d2_out),
+                l.of_mut(ptrs),
+            )
+        },
+    )
+}
+
+/// One run of [`two_piece_planes`]: an exact loop over `ptrs.len()` lanes.
+///
+/// Every plane is its own slice parameter so the compiler knows none of the
+/// nine inputs and six outputs overlap (see `affine_lanes`), and the port
+/// runs it through `isa::two_piece_planes` at the CPU's widest vector width.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn two_piece_lanes<S: Score>(
     p: &TwoPieceParams<S>,
     q: &[Base],
     r: &[Base],
@@ -306,7 +356,7 @@ two_piece_kernel!(
 mod tests {
     use super::*;
     use crate::affine::GlobalAffine;
-    use crate::lane_check::{check_plane_port, LANE_COUNTS};
+    use crate::lane_check::{check_lone_guard_lane, check_plane_port, LANE_COUNTS};
     use crate::params::AffineParams;
     use dphls_core::{run_reference, Banding};
     use dphls_seq::DnaSeq;
@@ -409,6 +459,7 @@ mod tests {
         let p8 = TwoPieceParams::<i8>::dna();
         let flagged = check_plane_port::<GlobalTwoPiece<i8>>(&p8, (-60, 188), "i8");
         assert!(flagged >= LANE_COUNTS.len(), "{flagged} cases flagged");
+        check_lone_guard_lane::<GlobalTwoPiece<i8>>(&p8, "i8");
     }
 
     #[test]

@@ -41,6 +41,9 @@
 //! ([`LaneKernel::pe_wavefront`]) that reads the reference through a
 //! per-alignment reversed copy, so query and reference are both forward
 //! slices, and writes its pointers straight into the `TbMem` run.
+//! The two overriding families cut that run into whole 32-lane blocks and
+//! one overlapping last block inside the kernel, so a long wavefront pays
+//! no vector epilogue or scalar remainder either.
 //! Single-layer kernels score it in `LANES`-wide padded chunks over plane 0
 //! ([`LaneKernel::pe_lanes_primary`]): a band-clipped short-read wavefront
 //! is ~19 cells, where the padded fixed-width body beats an exact-length

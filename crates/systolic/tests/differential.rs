@@ -3,9 +3,10 @@
 //! reproduction's equivalent of the paper's C-simulation / co-simulation
 //! functional checks (§6.2).
 
-use dphls_core::{run_reference, KernelConfig, LaneKernel};
+use dphls_core::{run_reference, Banding, KernelConfig, LaneKernel};
 use dphls_kernels::registry::{visit_all, visit_kernel, CaseInfo, KernelVisitor, WorkloadSpec};
-use dphls_systolic::run_systolic_ok;
+use dphls_kernels::{AffineParams, GlobalAffine};
+use dphls_systolic::{run_systolic_ok, run_systolic_with_scratch, SystolicScratch};
 
 /// Runs each kernel's workload through both engines and asserts equality of
 /// score, best cell, and full traceback path.
@@ -123,5 +124,29 @@ fn banded_kernels_match_reference_with_narrow_band() {
         };
         visit_kernel(id, &mut v, &wl);
         assert_eq!(v.kernels_checked, 1);
+    }
+}
+
+/// Full alignments at the long affine benchmark's shape: 1500-bp
+/// `GlobalAffine<i16>` pairs at 10 % error (every wavefront past the first
+/// 32 lanes ends on an overlapping last block) through the scratch door,
+/// held to the reference on score, best cell and the traceback path.
+#[test]
+fn long_affine_pairs_match_reference_alignment_included() {
+    const LEN: usize = 1_500;
+    let pairs = if cfg!(debug_assertions) { 2 } else { 8 };
+    let mut sim = dphls_seq::gen::ReadSimulator::new(0x1500);
+    let params = AffineParams::<i16>::dna();
+    let config = KernelConfig::new(64, 1, 1).with_max_lengths(LEN, LEN);
+    let mut scratch = SystolicScratch::new();
+    for (idx, (r, mut q)) in sim.read_pairs(pairs, LEN, 0.1).into_iter().enumerate() {
+        q.truncate(LEN);
+        let (q, r) = (q.as_slice(), r.as_slice());
+        let sw = run_reference::<GlobalAffine<i16>>(&params, q, r, Banding::None);
+        let hw =
+            run_systolic_with_scratch::<GlobalAffine<i16>>(&params, q, r, &config, &mut scratch)
+                .expect("valid pair");
+        assert!(sw.alignment.is_some(), "pair {idx}: global walk");
+        assert_eq!(hw.output, sw, "pair {idx} ({} × {})", q.len(), r.len());
     }
 }
