@@ -42,6 +42,12 @@
 //!   transposes into planes and defers to [`LaneKernel::pe_wavefront`], so it
 //!   still runs the kernel's live recurrence.
 //!
+//! Beside the ports sits one hook, [`LaneKernel::difference_form`]: a
+//! kernel whose recurrence can be restated on bounded `i8` differences of
+//! neighbouring cells ([`DifferenceForm`]) hands that form to the engine
+//! for the pairs on which it proves it equal. Global Affine is the one
+//! kernel that does; the default has none.
+//!
 //! Every default bottoms out in [`KernelSpec::pe`] (both chunked ports
 //! default to `pe_wavefront`, which like `pe_group` defaults to a per-lane
 //! `pe` loop), so each kernel gets correct lane ports for free and the
@@ -374,6 +380,59 @@ pub trait LaneKernel<const LANES: usize = { LANE_WIDTH }>: KernelSpec {
             ptrs[t] = p;
         }
     }
+
+    /// The one hook onto a kernel's **difference form**: the same
+    /// recurrence restated on bounded `i8` differences of neighbouring
+    /// cells ([`DifferenceForm`]), which scores a wavefront at twice the
+    /// lanes a vector of `i16` scores. A kernel that has one hands it,
+    /// with its parameters, to `runner` — but only for a `q_len × r_len`
+    /// pair on which it has proven the difference form's scores,
+    /// pointers and best cell equal to its own run; otherwise it returns
+    /// `None` and the engine runs the kernel itself.
+    ///
+    /// The engine asks only for runs this proof can cover: unbanded (no
+    /// cell outside the band), unguarded, and under
+    /// [`BestCellRule::BottomRight`](crate::BestCellRule), so the best
+    /// score is one cell's. The default has no difference form.
+    #[inline]
+    fn difference_form<R: DifferenceRunner<Self>>(
+        _params: &Self::Params,
+        _q_len: usize,
+        _r_len: usize,
+        _runner: R,
+    ) -> Option<R::Out>
+    where
+        Self: Sized,
+    {
+        None
+    }
+}
+
+/// A kernel's recurrence restated on `i8` differences of neighbouring
+/// cells, so that no stored value grows with the matrix: what
+/// [`LaneKernel::difference_form`] hands the engine. It runs through the
+/// engine's one wavefront loop like any kernel — its pointers, best cell
+/// and structural counts are the kernel's own — and it names the one number
+/// the differences do not hold: the best score, the bottom-right cell's
+/// score in the kernel it restates.
+pub trait DifferenceForm: LaneKernel + KernelSpec<Score = i8> {
+    /// The bottom-right cell's score of the kernel this form restates, for
+    /// a `q_len`-row query, from row `q_len` of this form's layers:
+    /// `last_row[layer][j]` for columns `j = 0..=r`, column 0 the
+    /// boundary value [`KernelSpec::init_col`] gave it.
+    fn bottom_right(params: &Self::Params, q_len: usize, last_row: &[&[i8]]) -> i32;
+}
+
+/// The continuation [`LaneKernel::difference_form`] hands a kernel's
+/// difference form to — the engine's side of the hook, a visitor in the
+/// manner of `dphls_kernels::DnaKernelRunner`: it is instantiated with the
+/// statically typed form and its parameters, and runs them.
+pub trait DifferenceRunner<K: KernelSpec> {
+    /// What a run returns.
+    type Out;
+
+    /// Runs the pair through the difference form `D` of kernel `K`.
+    fn run<D: DifferenceForm<Sym = K::Sym>>(self, params: D::Params) -> Self::Out;
 }
 
 /// An exact-`i16` kernel with a saturating-`i8` companion — the dispatch

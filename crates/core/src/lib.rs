@@ -47,8 +47,8 @@ pub use config::{Banding, KernelConfig};
 pub use instrument::{CountingScore, OpCounts};
 pub use kernel::{KernelId, KernelMeta, KernelSpec, LayerVec, Objective, SeqPair, MAX_LAYERS};
 pub use lanes::{
-    AdaptiveKernel, I8Lanes, LaneKernel, LanePrecision, I8_LANES_NARROW, I8_LANES_WIDE,
-    I8_PARAM_LIMIT, LANE_WIDTH,
+    AdaptiveKernel, DifferenceForm, DifferenceRunner, I8Lanes, LaneKernel, LanePrecision,
+    I8_LANES_NARROW, I8_LANES_WIDE, I8_PARAM_LIMIT, LANE_WIDTH,
 };
 pub use reference::{run_reference, run_reference_full, DpOutput};
 pub use score::{Score, I8_GUARD_MAX, I8_GUARD_MIN};

@@ -12,9 +12,11 @@
 //! below hold each to the baseline build, bit for bit).
 //!
 //! Each body runs its lanes through the one block loop defined here,
-//! [`over_blocks`]. A wavefront of `n ≥ BLOCK` lanes runs as one loop over
-//! the whole blocks `0..n − n % BLOCK` and, if lanes remain, once more over
-//! the fixed [`BLOCK`]-lane array `n − BLOCK..n`, which overlaps the last
+//! [`over_blocks`], with a block of `B` lanes — one widest vector of the
+//! body's lane type: [`BLOCK`] = 32 for the `i16` bodies, 64 for the `i8`
+//! difference body. A wavefront of `n ≥ B` lanes runs as one loop over
+//! the whole blocks `0..n − n % B` and, if lanes remain, once more over
+//! the fixed `B`-lane array `n − B..n`, which overlaps the last
 //! whole block. That block has a compile-time length, so no wavefront pays
 //! a vector epilogue and a scalar remainder. It is exact because a lane's
 //! outputs depend only on its own inputs, which come from the two previous
@@ -109,26 +111,28 @@ impl Isa {
     }
 }
 
-/// Lanes in one whole block of a plane body: 32 `i16` lanes, one 512-bit
-/// vector of the widest [`Level`].
+/// Lanes in one whole block of an `i16` plane body: 32 `i16` lanes, one
+/// 512-bit vector of the widest [`Level`]. The `i8` difference body's block
+/// is 64 lanes, the same vector ([`affine::DIFF_BLOCK`]).
 pub(crate) const BLOCK: usize = 32;
 
-/// The lanes of an `n`-lane wavefront that one run of a plane body covers.
+/// The lanes of an `n`-lane wavefront that one run of a plane body with
+/// `B`-lane blocks covers.
 #[derive(Clone, Copy)]
-pub(crate) enum Lanes {
+pub(crate) enum Lanes<const B: usize> {
     /// Lanes `0..len`, in an exact loop.
     Head(usize),
-    /// The [`BLOCK`] lanes `n − BLOCK..n`, taken as fixed-length arrays.
+    /// The `B` lanes `n − B..n`, taken as fixed-length arrays.
     LastBlock(usize),
 }
 
-impl Lanes {
+impl<const B: usize> Lanes<B> {
     /// This run's lanes of an input plane or stream.
     #[inline(always)]
     pub(crate) fn of<T>(self, s: &[T]) -> &[T] {
         match self {
             Lanes::Head(len) => &s[..len],
-            Lanes::LastBlock(n) => s[..n].last_chunk::<BLOCK>().expect("n ≥ BLOCK"),
+            Lanes::LastBlock(n) => s[..n].last_chunk::<B>().expect("n ≥ B"),
         }
     }
 
@@ -137,15 +141,16 @@ impl Lanes {
     pub(crate) fn of_mut<T>(self, s: &mut [T]) -> &mut [T] {
         match self {
             Lanes::Head(len) => &mut s[..len],
-            Lanes::LastBlock(n) => s[..n].last_chunk_mut::<BLOCK>().expect("n ≥ BLOCK"),
+            Lanes::LastBlock(n) => s[..n].last_chunk_mut::<B>().expect("n ≥ B"),
         }
     }
 }
 
-/// Runs a plane body over an `n`-lane wavefront: once over every lane when
-/// `n < BLOCK`, otherwise once over the whole blocks and, if lanes remain,
-/// once more over the last [`BLOCK`] lanes (the module note says why
-/// scoring a lane twice is exact). `body` scores the lanes it is handed and
+/// Runs a plane body with `B`-lane blocks over an `n`-lane wavefront: once
+/// over every lane when `n < B`, otherwise once over the whole blocks and,
+/// if lanes remain, once more over the last `B` lanes (the module note says
+/// why scoring a lane twice is exact). The body names its own `B`: one
+/// widest vector of its lane type. `body` scores the lanes it is handed and
 /// returns its guard flag; the result is the OR over the runs.
 ///
 /// Pass `body` as an `#[inline(always)]` closure. A closure is its own
@@ -153,8 +158,11 @@ impl Lanes {
 /// that calls it unless it is inlined there; left to the inliner, the
 /// affine body ran 2.3 × slower on 1500-bp pairs on an AVX-512BW host.
 #[inline(always)]
-pub(crate) fn over_blocks(n: usize, mut body: impl FnMut(Lanes) -> bool) -> bool {
-    let head = if n < BLOCK { n } else { n - n % BLOCK };
+pub(crate) fn over_blocks<const B: usize>(
+    n: usize,
+    mut body: impl FnMut(Lanes<B>) -> bool,
+) -> bool {
+    let head = if n < B { n } else { n - n % B };
     let mut escalate = body(Lanes::Head(head));
     if head < n {
         escalate |= body(Lanes::LastBlock(n));
@@ -247,13 +255,33 @@ multiversion! {
     ) -> bool = two_piece::two_piece_planes;
 }
 
+multiversion! {
+    /// [`affine::difference_planes`] (kernel #2's difference form) at
+    /// `isa`'s width.
+    fn difference_planes[]<>(
+        p: &AffineParams<i8>,
+        q: &[Base],
+        r: &[Base],
+        v_up: &[i8],
+        a_up: &[i8],
+        u_left: &[i8],
+        b_left: &[i8],
+        u_out: &mut [i8],
+        v_out: &mut [i8],
+        a_out: &mut [i8],
+        b_out: &mut [i8],
+        ptrs: &mut [TbPtr],
+    ) -> bool = affine::difference_planes;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dphls_util::Xoshiro256;
 
     /// Wavefront lengths 1..=130: every remainder of every vector width up
-    /// to 64 lanes, and two full 64-lane passes.
+    /// to 64 lanes, and two full 64-lane passes (of `i16` lanes, or two
+    /// whole blocks of the `i8` difference body and the last block after).
     const MAX_N: usize = 130;
     /// Random draws per body, precision and length.
     const ROUNDS: usize = 16;
@@ -375,6 +403,49 @@ mod tests {
         }
     }
 
+    fn run_difference(isa: Isa, p: &AffineParams<i8>, c: &Case<i8>, n: usize) -> Written<i8> {
+        let (mut out, mut ptrs) = outputs::<i8>(n, 4);
+        let [u_out, v_out, a_out, b_out] = &mut out[..] else {
+            unreachable!()
+        };
+        let pl = &c.planes;
+        let escalate = difference_planes(
+            isa, p, &c.q, &c.r, &pl[0], &pl[1], &pl[2], &pl[3], u_out, v_out, a_out, b_out,
+            &mut ptrs,
+        );
+        Written {
+            planes: out,
+            ptrs,
+            escalate,
+        }
+    }
+
+    /// The `i8` difference body on every supported ISA against the
+    /// baseline build, over random planes and parameters at each length up
+    /// to [`MAX_N`] — two whole 64-lane blocks and the overlapping last
+    /// block after them. It has no guard: the flag is always `false`.
+    fn difference_body_matches_baseline(isas: &[Isa], seed: u64) {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let base = Isa::baseline();
+        for n in 1..=MAX_N {
+            for round in 0..ROUNDS {
+                let p = AffineParams {
+                    match_score: param(&mut rng),
+                    mismatch: param(&mut rng),
+                    gap_open: param(&mut rng),
+                    gap_extend: param(&mut rng),
+                };
+                let c = Case::<i8>::new(&mut rng, n, 4);
+                let want = run_difference(base, &p, &c, n);
+                assert!(!want.escalate, "n={n} round {round}: flag raised");
+                for &isa in isas {
+                    let got = run_difference(isa, &p, &c, n);
+                    assert_eq!(got, want, "difference at {isa:?}, n={n} round {round}");
+                }
+            }
+        }
+    }
+
     /// Every body at `S` on every supported ISA against the baseline build,
     /// over random planes and parameters at each length up to [`MAX_N`].
     /// Returns how many (body, length, round) cases raised the guard.
@@ -438,6 +509,7 @@ mod tests {
         // The i8 rails must trip the guard often enough to test the flag.
         let flagged = every_body_matches_baseline::<i8>(&isas, 0x15A0_0008);
         assert!(flagged > MAX_N, "{flagged} i8 cases flagged");
+        difference_body_matches_baseline(&isas, 0x15A0_D1FF);
     }
 
     #[test]

@@ -39,12 +39,15 @@ fn cells<S: Score>(
 
 /// Scores `q.len()` lanes through `K::pe_wavefront` and, lane by lane,
 /// through `K::pe`; every layer, every pointer and the guard flag must
-/// agree. Returns the flag so callers can check both outcomes occurred.
+/// agree — the flag with the per-lane scan when the port is `guarded`, and
+/// `false` when it is not. Returns the flag so callers can check both
+/// outcomes occurred.
 fn assert_wavefront_matches_pe<K>(
     params: &K::Params,
     q: &[Base],
     r: &[Base],
     [diag, up, left]: [&[LayerVec<K::Score>]; 3],
+    guarded: bool,
     ctx: &str,
 ) -> bool
 where
@@ -72,7 +75,7 @@ where
             );
         }
         assert_eq!(ptrs[t], want_ptr, "lane {t} pointer ({ctx})");
-        want_flag |= want.as_slice().iter().any(|s| s.needs_escalation());
+        want_flag |= guarded && want.as_slice().iter().any(|s| s.needs_escalation());
     }
     assert_eq!(flag, want_flag, "guard flag ({ctx})");
     flag
@@ -87,16 +90,43 @@ pub(crate) fn check_plane_port<K>(params: &K::Params, hot: (i32, u32), ctx: &str
 where
     K: LaneKernel + KernelSpec<Sym = Base>,
 {
+    check_lane_counts::<K>(params, hot, &LANE_COUNTS, true, ctx)
+}
+
+/// [`check_plane_port`]'s cases for a port without a guard — one that
+/// runs only where it was proven exact, and must return `false` — at each
+/// of `counts` lanes.
+pub(crate) fn check_unguarded_port<K>(
+    params: &K::Params,
+    hot: (i32, u32),
+    counts: &[usize],
+    ctx: &str,
+) where
+    K: LaneKernel + KernelSpec<Sym = Base>,
+{
+    check_lane_counts::<K>(params, hot, counts, false, ctx);
+}
+
+fn check_lane_counts<K>(
+    params: &K::Params,
+    hot: (i32, u32),
+    counts: &[usize],
+    guarded: bool,
+    ctx: &str,
+) -> usize
+where
+    K: LaneKernel + KernelSpec<Sym = Base>,
+{
     let layers = K::meta().n_layers;
     let worst: K::Score = K::meta().objective.worst();
     let mut rng = Xoshiro256::seed_from_u64(0x5EED ^ layers as u64);
     let mut flagged = 0;
-    for n in LANE_COUNTS {
+    for &n in counts {
         let (q, r) = (bases(&mut rng, n), bases(&mut rng, n));
         let case = |cells: [Vec<LayerVec<K::Score>>; 3], what: &str| {
             let ctx = format!("{ctx} n={n} {what}");
             let [d, u, l] = &cells;
-            assert_wavefront_matches_pe::<K>(params, &q, &r, [d, u, l], &ctx)
+            assert_wavefront_matches_pe::<K>(params, &q, &r, [d, u, l], guarded, &ctx)
         };
         let clean = [(); 3].map(|()| cells(&mut rng, n, layers, (-8, 17)));
         assert!(!case(clean, "clean"), "{ctx} n={n}: clean case flagged");
@@ -141,7 +171,7 @@ where
             }
             let [d, u, l] = &cells;
             let ctx = format!("{ctx} n={n} lone guard lane {lane} ({what})");
-            let flag = assert_wavefront_matches_pe::<K>(params, &q, &r, [d, u, l], &ctx);
+            let flag = assert_wavefront_matches_pe::<K>(params, &q, &r, [d, u, l], true, &ctx);
             assert!(flag, "{ctx}: not flagged");
         }
     }

@@ -101,7 +101,7 @@ pub(crate) fn two_piece_planes<S: Score>(
     d2_out: &mut [S],
     ptrs: &mut [TbPtr],
 ) -> bool {
-    isa::over_blocks(
+    isa::over_blocks::<{ isa::BLOCK }>(
         ptrs.len(),
         #[inline(always)]
         |l| {

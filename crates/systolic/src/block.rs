@@ -42,8 +42,9 @@
 //! per-alignment reversed copy, so query and reference are both forward
 //! slices, and writes its pointers straight into the `TbMem` run.
 //! The two overriding families cut that run into whole 32-lane blocks and
-//! one overlapping last block inside the kernel, so a long wavefront pays
-//! no vector epilogue or scalar remainder either.
+//! one overlapping last block inside the kernel (64-lane blocks for the
+//! `i8` difference body below), so a long wavefront pays no vector
+//! epilogue or scalar remainder either.
 //! Single-layer kernels score it in `LANES`-wide padded chunks over plane 0
 //! ([`LaneKernel::pe_lanes_primary`]): a band-clipped short-read wavefront
 //! is ~19 cells, where the padded fixed-width body beats an exact-length
@@ -55,6 +56,23 @@
 //! which bottoms out in one [`KernelSpec::pe`] call a cell. It is the
 //! comparand every lane body is measured and differentially tested against,
 //! equal to the lane path by construction rather than by a second loop.
+//!
+//! The loop runs a kernel's **difference form** the same way it runs
+//! `PerCell<K>`: as a kernel. Global Affine restates its recurrence on
+//! bounded `i8` differences of neighbouring cells (`dphls_kernels`'
+//! `affine.rs` derives it), four layers a cell and 64 lanes a 512-bit
+//! vector. `run_block` asks for it through the one hook,
+//! [`LaneKernel::difference_form`], on the runs whose answer it can give —
+//! no cell outside the band, no guard, the best cell bottom-right — and the
+//! kernel hands it over only where it proves the form equal on the pair.
+//! Then the loop scores the form's `i8` planes (the arena keeps a second,
+//! `i8` set; the traceback memory and the reversed reference are shared),
+//! and the run keeps the form's pointers, walk and [`BlockStats`], which
+//! are the kernel's. The one number the differences do not hold, the score
+//! of cell `(q, r)`, is read off the last row, which the preserved row
+//! holds once the last strip ends ([`DifferenceForm::bottom_right`]). The
+//! scalar door never takes the form: `PerCell<K>` leaves the hook at its
+//! default, so it stays the comparand.
 //!
 //! The result is bit-identical to [`dphls_core::run_reference`] (verified by
 //! differential and property tests), while also producing the structural
@@ -70,8 +88,8 @@
 use crate::tbmem::TbMem;
 use dphls_core::reference::{offer_if_eligible, walk_traceback, BestTracker};
 use dphls_core::{
-    Banding, BestCellRule, DpOutput, KernelConfig, KernelMeta, KernelSpec, LaneKernel, LayerVec,
-    Score, TbMove, TbPtr, TbState, LANE_WIDTH, MAX_LAYERS,
+    Banding, BestCellRule, DifferenceForm, DifferenceRunner, DpOutput, KernelConfig, KernelMeta,
+    KernelSpec, LaneKernel, LayerVec, Score, TbMove, TbPtr, TbState, LANE_WIDTH, MAX_LAYERS,
 };
 use std::any::Any;
 use std::fmt;
@@ -317,21 +335,28 @@ impl Clone for SymVec {
 /// alignments: buffers are resized (`resize`, which keeps capacity) and
 /// re-initialized, never reallocated once they have grown to the workload's
 /// maximum geometry. Every kernel and both doors share the one set of
-/// planes (their count and stride are set per run). Results are
-/// **bit-identical** to a fresh [`run_systolic`] — every buffer is restored
-/// to its pristine state before use (verified by the scratch-reuse property
-/// tests).
+/// planes (their count and stride are set per run); a kernel's difference
+/// form ([`LaneKernel::difference_form`]) scores in `i8` planes of its own
+/// and shares the rest. Results are **bit-identical** to a fresh
+/// [`run_systolic`] — every buffer is restored to its pristine state before
+/// use (verified by the scratch-reuse property tests).
 #[derive(Debug, Clone)]
 pub struct SystolicScratch<S> {
-    planes: Planes<S>,
+    scores: Scores<S>,
+    diff: Scores<i8>,
     r_rev: SymVec,
-    trackers: Vec<BestTracker<S>>,
     tbmem: TbMem,
 }
 
-impl<S> SystolicScratch<S> {
-    /// Creates an empty arena; buffers grow on first use.
-    pub fn new() -> Self {
+/// The part of an arena typed by the score: the planes and the trackers.
+#[derive(Debug, Clone)]
+struct Scores<S> {
+    planes: Planes<S>,
+    trackers: Vec<BestTracker<S>>,
+}
+
+impl<S> Scores<S> {
+    fn new() -> Self {
         Self {
             planes: Planes {
                 prev_row: Vec::new(),
@@ -340,9 +365,36 @@ impl<S> SystolicScratch<S> {
                 wf_m2: Vec::new(),
                 cur: Vec::new(),
             },
-            r_rev: SymVec::default(),
             trackers: Vec::new(),
+        }
+    }
+}
+
+/// What one run of the wavefront loop works in: score buffers of the
+/// kernel's score type, and the arena's score-free buffers.
+struct Arena<'a, S> {
+    scores: &'a mut Scores<S>,
+    r_rev: &'a mut SymVec,
+    tbmem: &'a mut TbMem,
+}
+
+impl<S> SystolicScratch<S> {
+    /// Creates an empty arena; buffers grow on first use.
+    pub fn new() -> Self {
+        Self {
+            scores: Scores::new(),
+            diff: Scores::new(),
+            r_rev: SymVec::default(),
             tbmem: TbMem::default(),
+        }
+    }
+
+    /// The arena a run at the scratch's own score type works in.
+    fn arena(&mut self) -> Arena<'_, S> {
+        Arena {
+            scores: &mut self.scores,
+            r_rev: &mut self.r_rev,
+            tbmem: &mut self.tbmem,
         }
     }
 }
@@ -859,6 +911,11 @@ impl<S: Score> Planes<S> {
 /// 2048 on affine pairs of 1500–4000 bp, 2048 was fastest up to 2500 bp
 /// (one strip, or two of 1250 rows), tied 1024 at 3000 bp and lost to it
 /// at 4000 bp, where two 2000-row strips ran slower than four of 1000.
+/// Global Affine's `i8` difference form holds 4 bytes a slot instead of 6,
+/// so the sweep was re-run on it at 3000 and 4000 bp (six pairs, ten rounds
+/// of the four heights rotated in one process, twice): no height won nine
+/// rounds in ten at both lengths — 1024 beat 2048 in 7 and 8 of 10 at
+/// 3000 bp and in 4 and 8 of 10 at 4000 bp — so the bound stayed.
 const STRIP_MAX: usize = 2048;
 
 /// The strip height the loop computes a `q`-row query in: the whole query
@@ -869,7 +926,11 @@ fn strip_height(q: usize) -> usize {
 }
 
 /// Validates the inputs and runs the wavefront loop in strips of the
-/// engine's own height.
+/// engine's own height — on the kernel's difference form where the kernel
+/// proves it equal ([`LaneKernel::difference_form`]), else on the kernel.
+/// The engine asks only for runs whose answer the form can give: no cell
+/// outside the band, no guard, and the best cell bottom-right, the one
+/// score the form's last row reconstructs.
 fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
     params: &K::Params,
     query: &[K::Sym],
@@ -880,9 +941,87 @@ fn run_block<K: LaneKernel<LANES>, const LANES: usize>(
 ) -> Result<Option<SystolicRun<K::Score>>, SystolicError> {
     validate_inputs(config, query.len(), reference.len())?;
     let strip = strip_height(query.len());
+    let (q, r) = (query.len(), reference.len());
+    // A band at least as wide as the matrix leaves no cell out.
+    let unbanded = match config.banding {
+        Banding::None => true,
+        Banding::Fixed { half_width } => half_width >= q.max(r),
+    };
+    if unbanded && !guard && K::meta().traceback.best == BestCellRule::BottomRight {
+        let runner = Difference {
+            query,
+            reference,
+            config,
+            scratch: &mut *scratch,
+            strip,
+        };
+        if let Some(run) = K::difference_form(params, q, r, runner) {
+            return Ok(Some(run));
+        }
+    }
     Ok(wavefront_loop::<K, LANES>(
-        params, query, reference, config, scratch, guard, strip,
+        params,
+        query,
+        reference,
+        config,
+        scratch.arena(),
+        guard,
+        strip,
     ))
+}
+
+/// The engine's side of [`LaneKernel::difference_form`]: runs a kernel's
+/// difference form through the one wavefront loop in the arena's `i8`
+/// planes, keeps its pointers, walk and stats, and reports the score of the
+/// bottom-right cell from the last row the preserved row holds.
+struct Difference<'a, Sym, S> {
+    query: &'a [Sym],
+    reference: &'a [Sym],
+    config: &'a KernelConfig,
+    scratch: &'a mut SystolicScratch<S>,
+    strip: usize,
+}
+
+impl<K: KernelSpec> DifferenceRunner<K> for Difference<'_, K::Sym, K::Score> {
+    type Out = SystolicRun<K::Score>;
+
+    fn run<D: DifferenceForm<Sym = K::Sym>>(self, params: D::Params) -> SystolicRun<K::Score> {
+        #[cfg(test)]
+        tests::DIFFERENCE_RUNS.with(|runs| runs.set(runs.get() + 1));
+        let SystolicScratch {
+            diff, r_rev, tbmem, ..
+        } = self.scratch;
+        let arena = Arena {
+            scores: diff,
+            r_rev,
+            tbmem,
+        };
+        let (query, reference) = (self.query, self.reference);
+        let run = wavefront_loop::<D, LANE_WIDTH>(
+            &params,
+            query,
+            reference,
+            self.config,
+            arena,
+            false,
+            self.strip,
+        );
+        let SystolicRun { output, stats } = run.expect("unguarded runs complete");
+        // After the last strip the preserved row holds row q.
+        let row = reference.len() + 1;
+        let last_row = plane_runs(&diff.planes.prev_row, row, 0, row);
+        let layers = D::meta().n_layers;
+        let best = D::bottom_right(&params, query.len(), &last_row[..layers]);
+        SystolicRun {
+            output: DpOutput {
+                best_score: K::Score::from_i32(best),
+                best_cell: output.best_cell,
+                alignment: output.alignment,
+                cells_computed: output.cells_computed,
+            },
+            stats,
+        }
+    }
 }
 
 /// The wavefront loop, on validated inputs: strips of `strip` rows,
@@ -894,16 +1033,18 @@ fn wavefront_loop<K: LaneKernel<LANES>, const LANES: usize>(
     query: &[K::Sym],
     reference: &[K::Sym],
     config: &KernelConfig,
-    scratch: &mut SystolicScratch<K::Score>,
+    arena: Arena<'_, K::Score>,
     guard: bool,
     strip: usize,
 ) -> Option<SystolicRun<K::Score>> {
-    let SystolicScratch {
-        planes: bufs,
+    let Arena {
+        scores: Scores {
+            planes: bufs,
+            trackers,
+        },
         r_rev,
-        trackers,
         tbmem,
-    } = scratch;
+    } = arena;
     // Only the whole-wavefront port reads the reversed reference;
     // `K::meta()` is a constant, so single-layer kernels never pay for the
     // copy.
@@ -1060,6 +1201,52 @@ mod tests {
 
     fn cfg(npe: usize) -> KernelConfig {
         KernelConfig::new(npe, 1, 1).with_max_lengths(512, 512)
+    }
+
+    std::thread_local! {
+        /// The probe: runs of a kernel's difference form on this thread.
+        pub(super) static DIFFERENCE_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn each_gate_row_runs_the_path_it_names() {
+        // `tests/difference_gate.rs` holds every row to the reference
+        // engine; here the probe says which path the exact door took.
+        let mut scratch = SystolicScratch::new();
+        for row in crate::gate_rows::rows() {
+            let (q, r) = (&row.query[..], &row.reference[..]);
+            let config = KernelConfig {
+                banding: row.banding,
+                ..KernelConfig::new(1, 1, 1).with_max_lengths(q.len(), r.len())
+            };
+            let before = DIFFERENCE_RUNS.with(|runs| runs.get());
+            let got =
+                run_systolic_with_scratch::<GlobalAffine>(&row.params, q, r, &config, &mut scratch);
+            let ran = DIFFERENCE_RUNS.with(|runs| runs.get()) - before;
+            let want = run_reference::<GlobalAffine>(&row.params, q, r, row.banding);
+            assert_eq!(got.expect("valid row").output, want, "{}", row.what);
+            assert_eq!(ran, usize::from(row.difference), "{}: path", row.what);
+            // Never on the scalar door, which stays the i16 comparand.
+            let scalar = run_systolic_scalar_with_scratch::<GlobalAffine>(
+                &row.params,
+                q,
+                r,
+                &config,
+                &mut scratch,
+            );
+            assert_eq!(
+                scalar.expect("valid row").output,
+                want,
+                "{} scalar",
+                row.what
+            );
+            assert_eq!(
+                DIFFERENCE_RUNS.with(|runs| runs.get()) - before,
+                ran,
+                "{}: scalar path",
+                row.what
+            );
+        }
     }
 
     #[test]
@@ -1365,12 +1552,26 @@ mod tests {
                 let runs = [
                     (
                         "lanes",
-                        wavefront_loop::<K, LANE_WIDTH>(p, q, r, &config, scratch, false, strip),
+                        wavefront_loop::<K, LANE_WIDTH>(
+                            p,
+                            q,
+                            r,
+                            &config,
+                            scratch.arena(),
+                            false,
+                            strip,
+                        ),
                     ),
                     (
                         "per-cell",
                         wavefront_loop::<PerCell<K>, LANE_WIDTH>(
-                            p, q, r, &config, scratch, false, strip,
+                            p,
+                            q,
+                            r,
+                            &config,
+                            scratch.arena(),
+                            false,
+                            strip,
                         ),
                     ),
                 ];
@@ -1439,7 +1640,7 @@ mod tests {
                         q,
                         r,
                         &config,
-                        &mut narrow,
+                        narrow.arena(),
                         true,
                         strip,
                     );
@@ -1483,7 +1684,7 @@ mod tests {
             scratch.tbmem.entries() <= q * (r + q - 1),
             "traceback memory"
         );
-        assert!(scratch.trackers.len() <= q, "trackers");
+        assert!(scratch.scores.trackers.len() <= q, "trackers");
     }
 
     #[test]

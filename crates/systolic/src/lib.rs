@@ -49,6 +49,13 @@ pub mod group;
 mod tbmem;
 pub mod xdrop;
 
+// The difference-form gate's rows, shared with the integration test that
+// holds them to the reference engine; the engine's own test asserts which
+// path each row takes.
+#[cfg(test)]
+#[path = "../tests/common/gate_rows.rs"]
+mod gate_rows;
+
 pub use adaptive::{
     run_adaptive, run_adaptive_group_with_scratch, run_adaptive_with_scratch, AdaptiveScratch,
 };

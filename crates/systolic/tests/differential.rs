@@ -130,17 +130,28 @@ fn banded_kernels_match_reference_with_narrow_band() {
 /// Full alignments at the long affine benchmark's shape: 1500-bp
 /// `GlobalAffine<i16>` pairs at 10 % error (every wavefront past the first
 /// 32 lanes ends on an overlapping last block) through the scratch door,
-/// held to the reference on score, best cell and the traceback path.
+/// held to the reference on score, best cell and the traceback path. These
+/// pairs run on the kernel's `i8` difference form, so the pin also covers
+/// it: pairs at 0 % and 100 % divergence (every base edited), where the
+/// differences sit at their extremes, and — release only, the reference
+/// matrix being 16 M cells — a 4000-bp pair, which runs as two 2000-row
+/// strips, so the differences cross a strip edge in the preserved row.
 #[test]
 fn long_affine_pairs_match_reference_alignment_included() {
     const LEN: usize = 1_500;
+    const LONG: usize = 4_000;
     let pairs = if cfg!(debug_assertions) { 2 } else { 8 };
     let mut sim = dphls_seq::gen::ReadSimulator::new(0x1500);
     let params = AffineParams::<i16>::dna();
-    let config = KernelConfig::new(64, 1, 1).with_max_lengths(LEN, LEN);
+    let config = KernelConfig::new(64, 1, 1).with_max_lengths(LONG, LONG);
     let mut scratch = SystolicScratch::new();
-    for (idx, (r, mut q)) in sim.read_pairs(pairs, LEN, 0.1).into_iter().enumerate() {
-        q.truncate(LEN);
+    let mut cases = sim.read_pairs(pairs, LEN, 0.1);
+    cases.extend([sim.read_pair(LEN, 0.0), sim.read_pair(LEN, 1.0)]);
+    if !cfg!(debug_assertions) {
+        cases.push(sim.read_pair(LONG, 0.1));
+    }
+    for (idx, (r, mut q)) in cases.into_iter().enumerate() {
+        q.truncate(r.len());
         let (q, r) = (q.as_slice(), r.as_slice());
         let sw = run_reference::<GlobalAffine<i16>>(&params, q, r, Banding::None);
         let hw =
