@@ -20,7 +20,9 @@
 //! migration) over one private per-pair body (`slot.rs`): the batch door
 //! pre-fills the pool and starts it closed, the streaming door deals into
 //! it while its source is live — a batch is a stream whose source has
-//! already ended. Both batch doors return one [`BatchReport`].
+//! already ended. Both batch doors return one [`BatchReport`]. The stream
+//! door emits through one [`OrderedWindow`] (`window.rs`), the ordered edge
+//! the mapper's stream (`dphls_mapper::map_streamed`) shares.
 //!
 //! | Door | Role |
 //! |------|------|
@@ -71,6 +73,7 @@ pub mod session;
 mod slot;
 pub mod streaming;
 pub mod tiling;
+pub mod window;
 
 pub use engine::{ExactEngine, PairEngine, PairResult, PrecisionEngine};
 pub use faults::{injected_kernel_error, injected_panic_message, FaultKind, FaultPlan, Injection};
@@ -87,3 +90,4 @@ pub use streaming::{
 pub use tiling::{
     score_path_affine, tiled_global_affine, TiledAlignment, TilingConfig, TilingError,
 };
+pub use window::{OrderedWindow, Refused};

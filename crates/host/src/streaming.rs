@@ -4,32 +4,23 @@
 //! still being parsed (ROADMAP "Async I/O batching"; the bounded-FIFO
 //! producer/consumer decoupling of the task-parallel HLS literature).
 //!
-//! Two stages, connected by one bounded buffer — the admission window:
+//! The calling thread is the **dealer**: it pulls pairs from the caller's
+//! iterator (e.g. a [`dphls_seq::fasta::FastaStream`] adapter) one at a
+//! time, admits each into an [`OrderedWindow`] of [`StreamConfig::window`]
+//! pairs, cost-ranks it (same estimate as [`run_batched`]) and deals it
+//! round-robin into the pool's per-channel deques. Each channel is drained
+//! by up to [`StreamConfig::nb_slots`] **block-slot** threads (the device's
+//! `NB` blocks per channel, as in [`crate::BatchConfig`]), each with its own
+//! scratch arena. The pool (`pool.rs`) is the batch engine's, started
+//! **open**: while the source is live a worker finding every deque empty
+//! parks instead of exiting, and the dealer closes the pool when the source
+//! ends. Workers push each hand — the pairs of one grouped pass — into the
+//! window, whose [`OrderedWriter`] restores input order into the sink.
 //!
-//! 1. **Dealer + workers** — the calling thread pulls pairs from the
-//!    caller's iterator (e.g. a [`dphls_seq::fasta::FastaStream`] adapter)
-//!    one at a time, waits for an **admission** slot so at most
-//!    [`StreamConfig::window`] pairs are in flight between admission and
-//!    ordered emission, cost-ranks each pair (same estimate as
-//!    [`run_batched`]), and deals it round-robin into the pool's
-//!    per-channel deques. The dealer admits against the emission count the
-//!    writer publishes after each run, without taking the writer's lock; a
-//!    full window blocks it on that lock, so parse never runs ahead of
-//!    emission by more than `window` pairs. Each channel is
-//!    drained by up to [`StreamConfig::nb_slots`] **block-slot** threads
-//!    (the device's `NB` blocks per channel, mirrored host-side exactly as
-//!    in [`crate::BatchConfig`]), every slot with its own scratch arena.
-//!    The pool (`crates/host/src/pool.rs`) is the batch engine's, started
-//!    **open**: while the source is live a worker finding every deque
-//!    empty parks instead of exiting, and the dealer closes the pool when
-//!    the source ends. This module keeps only the dealer with its
-//!    admission window, and the ordered emission.
-//! 2. **[`OrderedWriter`]** — workers complete alignments out of input order;
-//!    the writer restores input order with a reorder buffer whose occupancy
-//!    is bounded by the admission window, invoking the caller's sink as soon
-//!    as each next-in-order output is ready. A worker pushes a whole hand —
-//!    the pairs of one grouped pass — under one lock, and wakes the dealer
-//!    at most once for it, and only when the dealer is waiting.
+//! The window (`window.rs`) is the ordered edge this door shares with the
+//! mapper: admission, one wake a hand, abort, the unwind guard and the
+//! [`ResilienceConfig::send_deadline`] wait. This module keeps the dealer,
+//! the pool's lifecycle and the fault ledger.
 //!
 //! Peak resident pairs are therefore `window + 1` (the `+ 1` is the pair in
 //! the dealer's hand, waiting for admission), **not** O(workload); the
@@ -41,19 +32,19 @@
 use crate::engine::{ExactEngine, PairEngine, PrecisionEngine};
 use crate::faults::FaultPlan;
 use crate::fleet::FleetConfig;
-use crate::pool::{Pool, Terminal};
+use crate::pool::Pool;
 use crate::resilience::{panic_message, FailurePolicy, FaultCause, PairFault, ResilienceConfig};
 use crate::scheduler::{cost_estimate, BatchConfig};
 use crate::slot::{Job, SlotRun};
+use crate::window::{OrderedWindow, Refused};
 use dphls_core::{AdaptiveKernel, DpOutput, KernelSpec, LaneKernel, LanePrecision};
 use dphls_systolic::{Device, SystolicError};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 /// Buffer-depth knobs of the streaming pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,58 +321,6 @@ impl<S, F: FnMut(usize, S)> OrderedWriter<S, F> {
     }
 }
 
-/// Writer-side shared state: the ordered sink and the quarantine records
-/// it emitted, under the `emit` lock.
-struct Emit<S, F: FnMut(usize, Result<DpOutput<S>, PairFault>)> {
-    writer: OrderedWriter<Result<DpOutput<S>, PairFault>, F>,
-    faults: Vec<PairFault>,
-    /// The dealer is parked on a full admission window; only then does
-    /// emission progress notify it.
-    dealer_waiting: bool,
-}
-
-impl<S, F: FnMut(usize, Result<DpOutput<S>, PairFault>)> Emit<S, F> {
-    /// Pushes a run of slots through the ordered writer and publishes the
-    /// writer's progress to `emitted`, which the dealer admits against
-    /// without this lock; progress wakes a waiting dealer, once a run.
-    fn push_run(
-        &mut self,
-        run: impl IntoIterator<Item = Terminal<S>>,
-        emitted: &AtomicUsize,
-        space_cv: &Condvar,
-    ) {
-        let before = self.writer.next_emit();
-        for (idx, slot) in run {
-            if let Err(fault) = &slot {
-                self.faults.push(fault.clone());
-            }
-            self.writer
-                .push(idx, slot)
-                .expect("admission gate keeps outputs inside the window");
-        }
-        let next = self.writer.next_emit();
-        if next != before {
-            emitted.store(next, Ordering::Release);
-            if self.dealer_waiting {
-                space_cv.notify_one();
-            }
-        }
-    }
-}
-
-/// Raises the run's abort when its thread unwinds: a panic that escapes
-/// per-pair isolation then wakes every parked peer, so the scope joins and
-/// the door returns [`StreamError::WorkerPanic`] instead of hanging.
-struct AbortOnUnwind<A: Fn()>(A);
-
-impl<A: Fn()> Drop for AbortOnUnwind<A> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            (self.0)();
-        }
-    }
-}
-
 /// Aligns pairs pulled incrementally from `source` across the device's `NK`
 /// channels, emitting outputs **in input order** through `sink` as they
 /// complete. Outputs are bit-identical to [`crate::run_batched`] on the same
@@ -538,7 +477,7 @@ pub fn run_streamed_engine<K, En, I, E, F>(
     fleet: FleetConfig,
     res: &ResilienceConfig,
     plan: Option<&FaultPlan>,
-    sink: F,
+    mut sink: F,
 ) -> Result<StreamReport, StreamError<E>>
 where
     K: KernelSpec,
@@ -558,29 +497,22 @@ where
     // Open: the dealer inserts as pairs are admitted and closes the pool
     // when the source ends.
     let pool: Pool<dphls_core::SeqPair<K>> = Pool::new(&run, slots, true, std::iter::empty());
-    let emit: Mutex<Emit<K::Score, F>> = Mutex::new(Emit {
-        writer: OrderedWriter::new(config.window, sink),
-        faults: Vec::new(),
-        dealer_waiting: false,
+    // A quarantine hole goes through the window like an output, so order
+    // restoration (and admission) survive it; its record is kept as it
+    // leaves, so the ledger is in input order.
+    let mut faults = Vec::new();
+    let window = OrderedWindow::new(config.window, |idx, slot: Result<_, PairFault>| {
+        if let Err(fault) = &slot {
+            faults.push(fault.clone());
+        }
+        sink(idx, slot);
     });
-    // The writer's `next_emit` as of its last run, so never ahead of it:
-    // stored (`Release`) under the emit lock after each run, loaded
-    // (`Acquire`) by the dealer without it. It publishes no other data.
-    let emitted = AtomicUsize::new(0);
-    // Wakes the dealer blocked on a full admission window.
-    let space_cv = Condvar::new();
-    // Raises the abort flag and wakes everything parked. Each notify
-    // bridges through its condvar's mutex: a peer holds that mutex between
-    // checking `abort` and parking, so acquiring it first guarantees the
-    // notify lands after the peer is actually waiting (no lost wakeup).
-    // The emit lock is taken poison-tolerantly everywhere: a sink that
-    // panicked left `next_emit` short of its index, so the writer never
-    // calls the sink again, and the run ends as a `WorkerPanic`.
+    // Raises the run's abort flag and wakes everything parked: the pool's
+    // workers and the window's dealer.
     let abort_all = || {
         run.abort.store(true, Ordering::Relaxed);
         pool.wake_all();
-        drop(emit.lock().unwrap_or_else(PoisonError::into_inner));
-        space_cv.notify_all();
+        window.abort();
     };
 
     let (halted, resident_high_water) = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -588,17 +520,10 @@ where
             // Block-slot workers (`nb_slots` threads per NK channel per
             // fleet device), each one worker of the shared pool.
             for worker in 0..pool.workers() {
-                let (pool, emit, emitted, space_cv) = (&pool, &emit, &emitted, &space_cv);
-                let (run, abort_all) = (&run, &abort_all);
+                let (pool, window, run, abort_all) = (&pool, &window, &run, &abort_all);
                 scope.spawn(move || {
-                    let _unwind = AbortOnUnwind(abort_all);
-                    pool.work::<K, En>(engine, worker, |hand| {
-                        // A quarantine hole goes through the writer like an
-                        // output, so order restoration (and the admission
-                        // window) survive it.
-                        let mut em = emit.lock().unwrap_or_else(PoisonError::into_inner);
-                        em.push_run(hand, emitted, space_cv);
-                    });
+                    let _unwind = window.abort_on_unwind(abort_all);
+                    pool.work::<K, En>(engine, worker, |hand| window.push_run(hand));
                     // A pair that aborted the run must also wake the dealer.
                     if run.aborted() {
                         abort_all();
@@ -608,55 +533,29 @@ where
             // The dealer (this thread): pulls the next record, waits for an
             // admission slot, cost-ranks, and deals round-robin. A panic in
             // the source or the sink unwinds through here.
-            let _unwind = AbortOnUnwind(&abort_all);
+            let _unwind = window.abort_on_unwind(&abort_all);
             let (mut halted, mut resident_high_water) = (None, 0);
-            'deal: for (next_idx, item) in source.enumerate() {
+            for (next_idx, item) in source.enumerate() {
                 let item = match item {
                     Err(e) if !quarantine => {
                         halted = Some(StreamError::Source(e));
                         run.abort.store(true, Ordering::Relaxed);
-                        break 'deal;
+                        break;
                     }
                     item => item,
                 };
-                if run.aborted() {
-                    break 'deal;
-                }
-                // Admission gate: every record occupies a writer slot,
-                // computed or not, and records `0..next_idx` are admitted,
-                // so `next_idx - emitted` are resident. The writer's
-                // published count admits without a lock; only a full window
-                // takes it, to wait. The clock is read only once a wait for
-                // room begins.
-                let mut seen = emitted.load(Ordering::Acquire);
-                if next_idx - seen >= config.window {
-                    let mut em = emit.lock().unwrap_or_else(PoisonError::into_inner);
-                    em.dealer_waiting = true;
-                    let mut waiting: Option<Instant> = None;
-                    loop {
-                        if run.aborted() {
-                            break 'deal;
-                        }
-                        seen = em.writer.next_emit();
-                        if next_idx - seen < config.window {
-                            break;
-                        }
-                        em = match res.send_deadline {
-                            None => space_cv.wait(em).unwrap_or_else(PoisonError::into_inner),
-                            Some(deadline) => {
-                                let waited = waiting.get_or_insert_with(Instant::now).elapsed();
-                                if waited >= deadline {
-                                    drop(em);
-                                    halted = Some(StreamError::Stalled { waited });
-                                    abort_all();
-                                    break 'deal;
-                                }
-                                let timed = space_cv.wait_timeout(em, deadline - waited);
-                                timed.unwrap_or_else(PoisonError::into_inner).0
-                            }
-                        };
+                // Every record occupies a writer slot, computed or not.
+                let seen = match window.admit(next_idx, res.send_deadline) {
+                    Ok(seen) => seen,
+                    Err(Refused::Aborted) => break,
+                    Err(Refused::Stalled(waited)) => {
+                        halted = Some(StreamError::Stalled { waited });
+                        abort_all();
+                        break;
                     }
-                    em.dealer_waiting = false;
+                };
+                if run.aborted() {
+                    break;
                 }
                 // Exact against `seen`, the emission this pair was
                 // admitted by; `seen` never runs ahead of the writer, so
@@ -666,16 +565,15 @@ where
                     Ok(pair) => pair,
                     Err(e) => {
                         // Lenient-stream degradation: the record becomes a
-                        // quarantined slot, emitted through the writer
+                        // quarantined slot, emitted through the window
                         // immediately — there is nothing to compute.
                         let fault = PairFault {
                             idx: next_idx,
                             cause: FaultCause::Source(e.to_string()),
                             attempts: 0,
                         };
-                        let mut em = emit.lock().unwrap_or_else(PoisonError::into_inner);
-                        em.push_run([(next_idx, Err(fault))], &emitted, &space_cv);
-                        continue 'deal;
+                        window.push_run([(next_idx, Err(fault))]);
+                        continue;
                     }
                 };
                 // Deal round-robin across the fleet's live devices; a lost
@@ -705,12 +603,12 @@ where
         });
     }
 
-    let emit = emit.into_inner().expect("emit mutex");
-    debug_assert!(emit.writer.is_drained(), "all admitted outputs emitted");
-    let mut faults = emit.faults;
-    faults.sort_by_key(|f| f.idx);
+    let writer = window.into_writer();
+    debug_assert!(writer.is_drained(), "all admitted outputs emitted");
+    let (pairs, reorder_high_water) = (writer.next_emit(), writer.high_water());
+    drop(writer);
     Ok(StreamReport {
-        pairs: emit.writer.next_emit(),
+        pairs,
         per_channel: tally.per_channel,
         per_slot: tally.per_slot,
         nb_slots: slots,
@@ -719,7 +617,7 @@ where
         device_losses: run.device_losses.into_inner(),
         steals: tally.steals,
         throughput_aps: tally.throughput_aps,
-        reorder_high_water: emit.writer.high_water(),
+        reorder_high_water,
         resident_high_water,
         faults,
         retries: run.retries.into_inner(),

@@ -11,9 +11,10 @@
 //! 3. **Extend** ([`map_read`]): banded X-drop DP
 //!    ([`dphls_systolic::run_xdrop`]) of the read against the candidate
 //!    window, sharing [`dphls_kernels::LinearParams`] with the kernel path.
-//! 4. **Stream** ([`map_streamed`]): bounded hand-off between stages,
-//!    in-order emission through [`dphls_host::OrderedWriter`], and per-read
-//!    quarantine so a poisoned read cannot kill the run.
+//! 4. **Stream** ([`map_streamed`]): one bounded queue from the calling
+//!    thread to the workers, in-order emission through
+//!    [`dphls_host::OrderedWindow`] (the stream door's ordered edge), and
+//!    per-read quarantine so a poisoned read cannot kill the run.
 //!
 //! ```
 //! use dphls_mapper::{map_batch, KmerIndex, IndexConfig, MapperConfig};

@@ -1,29 +1,29 @@
-//! The mapping driver: seed → chain → X-drop extend, streamed over bounded
-//! queues with in-order emission and per-read quarantine.
+//! The mapping driver: seed → chain → X-drop extend, streamed with in-order
+//! emission and per-read quarantine.
 //!
-//! The pipeline follows `dphls_host::run_streamed`'s shape — a bounded
-//! admission gate, a worker pool, and an [`OrderedWriter`] restoring input
-//! order — but its producer is a thread feeding a bounded channel, and
-//! the work items are whole reads with *dynamic* cost (seed-hit counts and
-//! extension lengths vary per read), which is exactly why the stages
-//! communicate through queues instead of a static loop nest. A read that
-//! panics mid-mapping (malformed input, adversarial content) is
-//! **quarantined**: it surfaces as [`MapOutcome::Quarantined`] at its input
-//! position and the run continues, matching the host engines'
+//! [`map_streamed`] has the stream door's shape
+//! (`dphls_host::run_streamed_engine`) and shares its ordered edge,
+//! [`OrderedWindow`] (`crates/host/src/window.rs`): the calling thread
+//! deals reads into one bounded queue, and workers push their outcomes into
+//! the window, which restores input order. The work items are whole reads
+//! with *dynamic* cost (seed-hit counts and extension lengths vary per
+//! read), which is why workers pull from a queue instead of a static loop
+//! nest. A read that panics mid-mapping (malformed input, adversarial
+//! content) is **quarantined**: it surfaces as [`MapOutcome::Quarantined`]
+//! at its input position and the run continues, matching the host engines'
 //! `FailurePolicy::Quarantine` behavior.
 
 use crate::chain::chain;
 use crate::index::{reverse_complement, KmerIndex};
 use crossbeam::channel::bounded;
-use dphls_host::{panic_message, OrderedWriter};
+use dphls_host::{panic_message, OrderedWindow};
 use dphls_kernels::LinearParams;
 use dphls_seq::fasta::{FastaError, FastaRecord};
 use dphls_seq::{Base, DnaSeq};
 use dphls_systolic::{run_xdrop, XDropConfig, XDropRun};
 use std::fmt::Display;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::thread::ScopedJoinHandle;
 
 /// Which strand of the reference a read mapped to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +118,7 @@ impl Default for MapperConfig {
 pub struct MapStreamConfig {
     /// Mapping worker threads.
     pub workers: usize,
-    /// Capacity of the bounded hand-off queues between stages.
+    /// Capacity of the bounded queue from the dealer to the workers.
     pub queue: usize,
     /// Maximum reads in flight (admitted but not yet emitted); also sizes
     /// the reorder window, so in-order emission can never overflow.
@@ -189,24 +189,6 @@ pub fn map_read(
     Some((locus, strand, run))
 }
 
-/// A unit of work entering the pipeline: a read, or a source error carried
-/// to its input position for in-order quarantine.
-enum MapJob {
-    Read { id: String, read: Vec<Base> },
-    SourceError { message: String },
-}
-
-fn tally(report: &mut MapReport, outcome: &MapOutcome) {
-    match outcome {
-        MapOutcome::Mapped(m) => {
-            report.mapped += 1;
-            report.cells += m.cells;
-        }
-        MapOutcome::Unmapped { .. } => report.unmapped += 1,
-        MapOutcome::Quarantined { .. } => report.quarantined += 1,
-    }
-}
-
 /// Maps one read with panic isolation: the single constructor of a read's
 /// [`MapOutcome`], shared by the serial and the streaming drivers.
 fn map_outcome(
@@ -235,152 +217,91 @@ fn map_outcome(
 /// Streams reads through the seed → chain → extend pipeline, emitting one
 /// [`MapOutcome`] per read **in input order** through `sink`.
 ///
-/// Reads are pulled incrementally from `reads` (ids paired with base
-/// vectors; source errors quarantine at their position), handed to
-/// `stream.workers` mapping workers over bounded queues, and re-ordered
-/// through an [`OrderedWriter`] whose window is sized to the in-flight
-/// bound — admission is gated on the emitted count so the reorder buffer
-/// cannot overflow. A read that panics mid-mapping is quarantined and the run
-/// continues.
+/// The calling thread pulls `reads` and admits each into an
+/// [`OrderedWindow`] of `stream.in_flight` reads; `stream.workers` threads
+/// take them from one queue, `stream.queue` deep, and push their outcomes
+/// into the window, which runs `sink` (on a worker, hence `Send`). A source
+/// error or a read that panics mid-mapping is quarantined at its position.
 ///
 /// # Panics
 ///
 /// Panics if `stream.workers`, `stream.queue`, or `stream.in_flight` is
-/// zero.
+/// zero, and re-raises a panic of the source or the sink.
 pub fn map_streamed<I, E, F>(
     index: &KmerIndex,
     genome: &DnaSeq,
     reads: I,
     cfg: &MapperConfig,
     stream: MapStreamConfig,
-    sink: F,
+    mut sink: F,
 ) -> MapReport
 where
-    I: Iterator<Item = Result<(String, Vec<Base>), E>> + Send,
+    I: Iterator<Item = Result<(String, Vec<Base>), E>>,
     E: Display,
-    F: FnMut(usize, MapOutcome),
+    F: FnMut(usize, MapOutcome) + Send,
 {
     assert!(stream.workers >= 1, "need at least one worker");
     assert!(stream.queue >= 1, "queues must be non-empty");
     assert!(stream.in_flight >= 1, "in-flight bound must be >= 1");
     let mut report = MapReport::default();
-    let mut high_water = 0usize;
-    let window = Window::default();
-    std::thread::scope(|s| {
-        let (in_tx, in_rx) = bounded::<(usize, MapJob)>(stream.queue);
-        let (out_tx, out_rx) = bounded::<(usize, MapOutcome)>(stream.queue);
-        let window = &window;
-
-        // Producer: admit reads under the window, converting source errors
-        // into jobs so they quarantine at the right position.
-        let producer = s.spawn(move || {
-            let mut admitted = 0usize;
-            for (idx, item) in reads.enumerate() {
-                let job = match item {
-                    Ok((id, read)) => MapJob::Read { id, read },
-                    Err(e) => MapJob::SourceError {
-                        message: e.to_string(),
-                    },
-                };
-                window.admit(idx, stream.in_flight);
-                if in_tx.send((idx, job)).is_err() {
-                    break; // collector / workers gone: shutting down
-                }
-                admitted += 1;
+    let window = OrderedWindow::new(stream.in_flight, |idx, outcome: MapOutcome| {
+        match &outcome {
+            MapOutcome::Mapped(m) => {
+                report.mapped += 1;
+                report.cells += m.cells;
             }
-            admitted
-        });
-
-        // Worker pool: dynamic-cost mapping, panics quarantined per read.
-        for _ in 0..stream.workers {
-            let in_rx = in_rx.clone();
-            let out_tx = out_tx.clone();
-            s.spawn(move || {
-                while let Ok((idx, job)) = in_rx.recv() {
-                    let outcome = match job {
-                        MapJob::SourceError { message } => MapOutcome::Quarantined {
-                            read_id: format!("<input #{idx}>"),
-                            message,
-                        },
-                        MapJob::Read { id, read } => map_outcome(index, genome, id, &read, cfg),
-                    };
-                    if out_tx.send((idx, outcome)).is_err() {
+            MapOutcome::Unmapped { .. } => report.unmapped += 1,
+            MapOutcome::Quarantined { .. } => report.quarantined += 1,
+        }
+        sink(idx, outcome);
+    });
+    std::thread::scope(|s| {
+        let (tx, rx) = bounded::<(usize, String, Vec<Base>)>(stream.queue);
+        let window = &window;
+        let workers: Vec<_> = (0..stream.workers)
+            .map(|_| {
+                let rx = rx.clone();
+                s.spawn(move || {
+                    // A sink that panics here stops the dealer's admission.
+                    let _unwind = window.abort_on_unwind(|| ());
+                    for (idx, id, read) in rx.iter() {
+                        window.push_run([(idx, map_outcome(index, genome, id, &read, cfg))]);
+                    }
+                })
+            })
+            .collect();
+        drop(rx);
+        // The dealer (this thread). A send fails only once every worker
+        // is gone, and admission only once one panicked.
+        for (idx, item) in reads.enumerate() {
+            if window.admit(idx, None).is_err() {
+                break;
+            }
+            match item {
+                Ok((id, read)) => {
+                    if tx.send((idx, id, read)).is_err() {
                         break;
                     }
                 }
-            });
-        }
-        drop(in_rx);
-        drop(out_tx);
-
-        // Collector (this thread): restore input order and publish the
-        // emitted count as outputs leave. The writer window exceeds the
-        // in-flight bound by one, so a push can never overflow.
-        let _open = OpenOnDrop(window);
-        let mut writer = OrderedWriter::new(stream.in_flight.saturating_add(1), sink);
-        for (idx, outcome) in out_rx.iter() {
-            tally(&mut report, &outcome);
-            let before = writer.next_emit();
-            writer
-                .push(idx, outcome)
-                .expect("reorder window sized to the in-flight bound");
-            if writer.next_emit() != before {
-                window.publish(writer.next_emit());
+                Err(e) => {
+                    let (read_id, message) = (format!("<input #{idx}>"), e.to_string());
+                    window.push_run([(idx, MapOutcome::Quarantined { read_id, message })]);
+                }
             }
         }
-        assert!(
-            writer.is_drained(),
-            "collector exited with buffered outputs"
-        );
-        high_water = writer.high_water();
-        report.reads = producer.join().expect("producer panicked");
+        drop(tx);
+        // A worker's panic (a panicking sink) is the run's own.
+        let joined = workers.into_iter().try_for_each(ScopedJoinHandle::join);
+        joined.unwrap_or_else(|panic| resume_unwind(panic));
     });
-    report.reorder_high_water = high_water;
-    report
-}
-
-/// The streamed mapper's admission window: the collector publishes how many
-/// outcomes it has emitted, and the producer admits read `idx` while
-/// `idx − emitted` is under the in-flight bound — without a lock, parking on
-/// `room` only when the window is full.
-#[derive(Default)]
-struct Window {
-    emitted: AtomicUsize,
-    lock: Mutex<()>,
-    room: Condvar,
-}
-
-impl Window {
-    /// Blocks until read `idx` fits in a window of `in_flight` reads.
-    fn admit(&self, idx: usize, in_flight: usize) {
-        let fits = || idx.saturating_sub(self.emitted.load(Ordering::Acquire)) < in_flight;
-        if fits() {
-            return;
-        }
-        let mut held = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        while !fits() {
-            held = self.room.wait(held).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Publishes the emitted count and wakes a parked producer. Passing
-    /// through the lock orders the store before a parked producer's
-    /// recheck, so no wake-up is lost.
-    fn publish(&self, emitted: usize) {
-        self.emitted.store(emitted, Ordering::Release);
-        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
-        self.room.notify_one();
-    }
-}
-
-/// Opens the window for good when the collector leaves, panicking or not,
-/// so a parked producer never outlives it: it then admits freely and stops
-/// at the first send the departed workers refuse.
-struct OpenOnDrop<'a>(&'a Window);
-
-impl Drop for OpenOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.publish(usize::MAX);
+    let writer = window.into_writer();
+    assert!(writer.is_drained(), "every admitted read was emitted");
+    let (reads, reorder_high_water) = (writer.next_emit(), writer.high_water());
+    drop(writer);
+    MapReport {
+        reads,
+        reorder_high_water,
+        ..report
     }
 }
 
@@ -406,13 +327,13 @@ pub fn map_batch(
 pub fn map_fasta<F>(
     index: &KmerIndex,
     genome: &DnaSeq,
-    records: impl Iterator<Item = Result<FastaRecord, FastaError>> + Send,
+    records: impl Iterator<Item = Result<FastaRecord, FastaError>>,
     cfg: &MapperConfig,
     stream: MapStreamConfig,
     sink: F,
 ) -> MapReport
 where
-    F: FnMut(usize, MapOutcome),
+    F: FnMut(usize, MapOutcome) + Send,
 {
     let reads = records.map(|rec| {
         let rec = rec?;

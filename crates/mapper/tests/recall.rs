@@ -10,6 +10,9 @@ use dphls_mapper::{
 use dphls_seq::fasta::{FastaError, FastaRecord};
 use dphls_seq::gen::{ErrorModel, ReadSimulator};
 use dphls_seq::{Base, DnaSeq};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// Locus tolerance: the chain estimates the locus from its first anchor,
 /// which indel drift can shift by a few bases.
@@ -342,4 +345,116 @@ fn map_stream_config_keeps_its_fields() {
         in_flight,
     };
     assert!(literal.workers >= 1 && literal.queue >= 1 && literal.in_flight >= 1);
+}
+
+/// Runs `body` on its own thread: a hang fails the test, and a panic comes
+/// back as its message.
+fn watched<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> Result<T, String> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(body)).map_err(dphls_host::panic_message));
+    });
+    rx.recv_timeout(Duration::from_secs(300))
+        .expect("the run ends instead of hanging")
+}
+
+fn ok_reads(set: &TestSet) -> impl Iterator<Item = Result<(String, Vec<Base>), String>> + '_ {
+    set.reads
+        .iter()
+        .map(|(id, bases, _, _)| Ok((id.clone(), bases.clone())))
+}
+
+#[test]
+fn a_panicking_sink_ends_the_run_with_its_panic() {
+    for workers in [1, 2] {
+        let message = watched(move || {
+            let set = simulated_set(0x51C, 12, 500, 0.03);
+            let index = KmerIndex::build(&set.genome, IndexConfig::default());
+            let stream = MapStreamConfig {
+                workers,
+                queue: 2,
+                in_flight: 4,
+            };
+            let cfg = MapperConfig::default();
+            map_streamed(
+                &index,
+                &set.genome,
+                ok_reads(&set),
+                &cfg,
+                stream,
+                |idx, _| {
+                    assert_ne!(idx, 5, "sink gave up");
+                },
+            );
+        });
+        let message = message.expect_err("the sink's panic ends the run");
+        assert!(
+            message.contains("sink gave up"),
+            "workers {workers}: {message}"
+        );
+    }
+}
+
+#[test]
+fn a_panicking_source_ends_the_run_with_its_panic() {
+    for workers in [1, 2] {
+        let message = watched(move || {
+            let set = simulated_set(0x5EC, 12, 500, 0.03);
+            let index = KmerIndex::build(&set.genome, IndexConfig::default());
+            let source = ok_reads(&set).enumerate().map(|(i, read)| {
+                assert_ne!(i, 5, "source gave up");
+                read
+            });
+            let stream = MapStreamConfig {
+                workers,
+                queue: 2,
+                in_flight: 4,
+            };
+            let cfg = MapperConfig::default();
+            map_streamed(&index, &set.genome, source, &cfg, stream, |_, _| ());
+        });
+        let message = message.expect_err("the source's panic ends the run");
+        assert!(
+            message.contains("source gave up"),
+            "workers {workers}: {message}"
+        );
+    }
+}
+
+#[test]
+fn every_stream_config_rail_maps_like_map_batch() {
+    watched(|| {
+        let set = simulated_set(0x7AB, 10, 500, 0.04);
+        let index = KmerIndex::build(&set.genome, IndexConfig::default());
+        let cfg = MapperConfig::default();
+        let pairs: Vec<(String, Vec<Base>)> = ok_reads(&set).map(Result::unwrap).collect();
+        let want = map_batch(&index, &set.genome, &pairs, &cfg);
+        for workers in [1, 2] {
+            for in_flight in [1, 2, 64, usize::MAX] {
+                for queue in [1, usize::MAX] {
+                    let stream = MapStreamConfig {
+                        workers,
+                        queue,
+                        in_flight,
+                    };
+                    let mut got = Vec::new();
+                    let report = map_streamed(
+                        &index,
+                        &set.genome,
+                        ok_reads(&set),
+                        &cfg,
+                        stream,
+                        |idx, out| {
+                            assert_eq!(idx, got.len(), "{stream:?}: emission order");
+                            got.push(out);
+                        },
+                    );
+                    assert_eq!(got, want, "{stream:?}");
+                    assert_eq!(report.reads, want.len(), "{stream:?}");
+                    assert!(report.reorder_high_water < in_flight, "{stream:?}");
+                }
+            }
+        }
+    })
+    .unwrap();
 }
